@@ -15,8 +15,8 @@ import math
 from pathlib import Path
 
 from wgqed.cli import main as wgqed_main
-from wgqed.detection import pole
-from wgqed.emission import MarkovParameters, decay_rate, level_shift
+from wgqed.detection import solve_emitter
+from wgqed.modes import WaveguideSpec
 from wgqed.numerics import find_root
 from wgqed.quantize import Atom, DensityModel, QuantizationBox
 
@@ -25,21 +25,13 @@ HEIGHT = math.pi / 2.0
 
 
 def cone_ratio(spec_args, omega):
-    from wgqed.modes import WaveguideSpec
-
     spec = WaveguideSpec(*spec_args)
     atom = Atom(position=(spec.width / 2.0, spec.height / 4.0, 0.0),
                 dipole=(0.0, 0.124, 0.0), transition_frequency=omega)
-    box = QuantizationBox(length=1.0)
-    dec = decay_rate(spec, atom, box, DensityModel.PHASE_VELOCITY)
-    window = (omega - 25.0 * dec.total, omega + 25.0 * dec.total)
-    shift = level_shift(spec, atom, box, DensityModel.PHASE_VELOCITY,
-                        window=window)
-    params = MarkovParameters(decay_total=dec.total,
-                              level_shift=shift.value,
-                              transition_frequency=omega)
-    res = pole(spec, params.shifted_frequency, dec.total)
-    return spec.refractive_index * dec.total / abs(res.spatial_rate)
+    sol = solve_emitter(spec, atom, QuantizationBox(length=1.0),
+                        DensityModel.PHASE_VELOCITY)
+    return (spec.refractive_index * sol.decay.total
+            / abs(sol.pole.spatial_rate))
 
 
 def config_text(omega, grid):

@@ -11,6 +11,7 @@ line surface.
 """
 
 from .detection import (
+    EmitterSolution,
     OmegaDReport,
     PoleResult,
     RadicandModel,
@@ -20,6 +21,7 @@ from .detection import (
     fit_decay_rates,
     omega_d,
     pole,
+    solve_emitter,
 )
 from .emission import (
     DecayResult,
@@ -67,6 +69,7 @@ __all__ = [
     "DensityModel",
     "DomainError",
     "DominanceError",
+    "EmitterSolution",
     "MarkovParameters",
     "ModeIndex",
     "NoCrossingError",
@@ -92,5 +95,6 @@ __all__ = [
     "normalize",
     "omega_d",
     "pole",
+    "solve_emitter",
     "__version__",
 ]

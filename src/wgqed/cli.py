@@ -33,9 +33,9 @@ from .detection import (
     correlation_grid,
     fit_decay_rates,
     omega_d,
-    pole,
+    solve_emitter,
 )
-from .emission import MarkovParameters, decay_rate, level_shift
+from .emission import decay_rate, level_shift
 from .errors import (
     ConfigError,
     ConvergenceError,
@@ -146,9 +146,13 @@ def _render_json(env: dict, columns, rows, digits: int,
 def _write(path, text: str):
     if path is None:
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(path, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
+    except OSError as err:
+        raise ConfigError(f"cannot write artifact {path!r}: {err}") \
+            from err
 
 
 def _emit(args, config, env, columns, rows, extra=None):
@@ -226,33 +230,20 @@ def cmd_decay(config, args) -> int:
     return EXIT_OK
 
 
-def _corr_chain(config):
+def cmd_corr(config, args) -> int:
+    if config.out_format == "csv" and args.out is None:
+        raise ConfigError(
+            "corr with CSV output needs --out, since the fit goes to "
+            "a JSON sidecar next to the table")
     spec = config.waveguide_spec()
     atom = config.atom()
-    box = config.box()
-    decay = decay_rate(spec, atom, box, config.dos,
-                       max_index=config.max_mn)
-    if decay.oscillatory:
-        raise DomainError(
-            "the transition lies below every cutoff; the correlation "
-            "map needs a traveling channel")
-    shift = level_shift(spec, atom, box, config.dos,
-                        window=config.shift_window(decay.total),
-                        max_index=config.max_mn)
-    params = MarkovParameters(
-        decay_total=decay.total, level_shift=shift.value,
-        transition_frequency=atom.transition_frequency)
-    res = pole(spec, params.shifted_frequency, decay.total,
-               config.radicand)
-    grid = correlation_grid(spec, atom, res, config.x_values(),
+    sol = solve_emitter(spec, atom, config.box(), config.dos,
+                        config.radicand, max_index=config.max_mn,
+                        window=config.shift_window)
+    grid = correlation_grid(spec, atom, sol.pole, config.x_values(),
                             config.z_values(),
-                            config.t_values(decay.total),
+                            config.t_values(sol.decay.total),
                             dos=config.dos, max_index=config.max_mn)
-    return grid
-
-
-def cmd_corr(config, args) -> int:
-    grid = _corr_chain(config)
     fit = fit_decay_rates(grid)
     meta = grid.metadata
     sidecar = {
@@ -291,8 +282,7 @@ def cmd_corr(config, args) -> int:
                     "fit": _json_value(sidecar, config.digits)}
         side_text = json.dumps(side_doc, sort_keys=True,
                                indent=2) + "\n"
-        side_path = args.out + ".json" if args.out else None
-        _write(side_path, side_text)
+        _write(args.out + ".json", side_text)
     else:
         _emit(args, config, env, columns, rows,
               extra={"fit": sidecar})

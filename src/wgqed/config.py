@@ -20,9 +20,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .detection import RadicandModel
+from .emission import auto_shift_window
 from .errors import ConfigError, DomainError
-from .modes import ModeIndex, Polarization, WaveguideSpec, \
-    cutoff_frequency
+from .modes import WaveguideSpec
 from .quantize import Atom, DensityModel, QuantizationBox
 
 DOS_NAMES = {
@@ -155,24 +155,13 @@ class RunConfig:
     def shift_window(self, decay_rate: float | None = None) -> tuple:
         """Frequency window for the level shift integral.
 
-        Explicit bounds always win. The auto window hugs the line,
-        25 linewidths to each side when a positive rate is known,
-        a generic multiple of the transition frequency otherwise,
-        and never reaches past the band the configured index bound
-        enumerates completely.
+        ``window.nu_min`` and ``window.nu_max`` win per side; the
+        other side comes from ``emission.auto_shift_window`` with
+        ``models.max_mn`` as the index bound.
         """
-        omega = self.atom_omega
-        # enumeration refuses any qualifying mode on the bound row,
-        # whose lowest cutoff is (max_mn, 0) since b <= a
-        edge = 0.999 * cutoff_frequency(
-            self.waveguide_spec(),
-            ModeIndex(Polarization.TE, self.max_mn, 0))
-        if decay_rate is not None and decay_rate > 0.0:
-            auto_lo = max(omega - 25.0 * decay_rate, 0.02 * omega)
-            auto_hi = min(omega + 25.0 * decay_rate, edge)
-        else:
-            auto_lo = omega / 5.0
-            auto_hi = min(5.0 * omega, edge)
+        auto_lo, auto_hi = auto_shift_window(
+            self.waveguide_spec(), self.atom_omega, decay_rate,
+            max_index=self.max_mn)
         lo = self.nu_min if self.nu_min is not None else auto_lo
         hi = self.nu_max if self.nu_max is not None else auto_hi
         if not 0.0 < lo < hi:

@@ -41,10 +41,18 @@ import numpy as np
 from scipy.special import sici
 
 from .errors import DomainError, NoCrossingError, PurelyEvanescentError
-from .quantize import HBAR, Atom, DensityModel
+from .quantize import HBAR, Atom, DensityModel, QuantizationBox
 from .modes import WaveguideSpec
-from .emission import dominant_channel
-from .numerics import find_root, kahan_csum, principal_csqrt
+from .emission import (
+    DecayResult,
+    MarkovParameters,
+    ShiftResult,
+    auto_shift_window,
+    decay_rate,
+    dominant_channel,
+    level_shift,
+)
+from .numerics import find_root, principal_csqrt
 
 
 class RadicandModel(Enum):
@@ -140,6 +148,50 @@ def pole(spec: WaveguideSpec, shifted_frequency: float,
                       radicand=complex(a_part, -2.0 * b_part),
                       shifted_frequency=shifted_frequency,
                       decay_rate=decay_rate, model=model)
+
+
+@dataclass(frozen=True)
+class EmitterSolution:
+    """One emitter through the weak-coupling chain: golden-rule decay,
+    windowed level shift (the window rides on ``shift``), the Markov
+    parameters they make, and the emission pole."""
+
+    decay: DecayResult
+    shift: ShiftResult
+    params: MarkovParameters
+    pole: PoleResult
+
+
+def solve_emitter(spec: WaveguideSpec, atom: Atom, box: QuantizationBox,
+                  dos: DensityModel,
+                  radicand: RadicandModel = RadicandModel.SINGLE_INDEX,
+                  *, max_index: int = 12,
+                  window=None) -> EmitterSolution:
+    """Decay rate, then shift window, level shift and complex pole.
+
+    ``window`` maps the decay rate to the (low, high) shift window;
+    None selects ``emission.auto_shift_window``. Raises DomainError
+    when the emitter lies below every cutoff, since an emitter with no
+    traveling channel has no pole to continue.
+    """
+    decay = decay_rate(spec, atom, box, dos, max_index=max_index)
+    if decay.oscillatory:
+        raise DomainError(
+            "the transition lies below every cutoff and feeds no "
+            "traveling channel")
+    if window is None:
+        bounds = auto_shift_window(spec, atom.transition_frequency,
+                                   decay.total, max_index=max_index)
+    else:
+        bounds = window(decay.total)
+    shift = level_shift(spec, atom, box, dos, window=bounds,
+                        max_index=max_index)
+    params = MarkovParameters(
+        decay_total=decay.total, level_shift=shift.value,
+        transition_frequency=atom.transition_frequency)
+    return EmitterSolution(
+        decay=decay, shift=shift, params=params,
+        pole=pole(spec, params.shifted_frequency, decay.total, radicand))
 
 
 def _front_speed_factor(spec: WaveguideSpec) -> float:
@@ -377,10 +429,6 @@ class RateFit:
     cone_ratio: float
     max_log_residual: float
 
-    @property
-    def spatial_over_temporal(self) -> float:
-        return self.rate_ratio
-
 
 def fit_decay_rates(grid: CorrelationGrid) -> RateFit:
     """Fit the two exponential rates from a sampled grid.
@@ -444,7 +492,7 @@ def brute_force_amplitude(spec: WaveguideSpec, atom: Atom,
     Lorentzian spectrum.
 
     The quadrature is a midpoint rule over
-    [-span_factor*beta_r, +span_factor*beta_r] with compensated
+    [-span_factor*beta_r, +span_factor*beta_r] with exactly rounded
     summation, plus an asymptotic closure of the two truncated
     oscillatory tails (the integrand tends to a nonzero constant, so
     plain truncation would leave a boundary artifact). The result has
@@ -510,8 +558,8 @@ def brute_force_amplitude(spec: WaveguideSpec, atom: Atom,
                           "oscillatory at all?")
     step = 2.0 * span / samples
     beta = -span + (np.arange(samples) + 0.5) * step
-    total = kahan_csum(transfer(beta)
-                       * np.exp(1j * beta * delta_z)) * step
+    terms = transfer(beta) * np.exp(1j * beta * delta_z)
+    total = complex(math.fsum(terms.real), math.fsum(terms.imag)) * step
 
     if tail_correction:
         # Richardson fit of transfer ~ t_inf + q/|beta| at the edge

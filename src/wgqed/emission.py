@@ -40,11 +40,12 @@ from .modes import (
     CUTOFF_REL_TOL,
     Branch,
     ModeIndex,
+    Polarization,
     WaveguideSpec,
     cutoff_frequency,
     modes_below,
 )
-from .numerics import PVSpec, QuadratureSpec, integrate, kahan_sum, pv_integrate
+from .numerics import PVSpec, QuadratureSpec, integrate, pv_integrate
 from .quantize import (
     Atom,
     DensityModel,
@@ -104,8 +105,8 @@ def decay_rate(spec: WaveguideSpec, atom: Atom, box: QuantizationBox,
             channels.append(ChannelRate(
                 mode=mode, direction=direction, weight=w, coupling=g,
                 rate=2.0 * math.pi * w * abs(g) ** 2))
-    total = kahan_sum(c.rate for c in channels)
-    return DecayResult(total=float(total), channels=tuple(channels),
+    return DecayResult(total=math.fsum(c.rate for c in channels),
+                       channels=tuple(channels),
                        model=model, oscillatory=not channels)
 
 
@@ -139,6 +140,31 @@ def _summed_coupling_sq(spec, mode, atom, box, branch, frequency):
         return sum(abs(coupling_at(spec, mode, frequency, atom, box,
                                    direction=d)) ** 2 for d in (1, -1))
     return abs(coupling_at(spec, mode, frequency, atom, box)) ** 2
+
+
+def auto_shift_window(spec: WaveguideSpec, transition_frequency: float,
+                      decay_rate: float | None = None, *,
+                      max_index: int = 12) -> tuple:
+    """The library's frequency window for the level shift integral.
+
+    With a positive decay rate the window hugs the line, 25 linewidths
+    to each side, but starts no lower than 0.02 times the transition
+    frequency. Without one it spans a fifth to five times the
+    transition frequency. Either way it stays below 0.999 times the
+    TE(max_index, 0) cutoff, the edge of the band ``modes_below``
+    enumerates completely for that index bound. The window can
+    collapse (low >= high) when the transition sits at or past that
+    edge; ``level_shift`` then refuses it.
+    """
+    omega = transition_frequency
+    # enumeration refuses any qualifying mode on the bound row, whose
+    # lowest cutoff is (max_index, 0) since b <= a
+    edge = 0.999 * cutoff_frequency(
+        spec, ModeIndex(Polarization.TE, max_index, 0))
+    if decay_rate is not None and decay_rate > 0.0:
+        return (max(omega - 25.0 * decay_rate, 0.02 * omega),
+                min(omega + 25.0 * decay_rate, edge))
+    return (omega / 5.0, min(5.0 * omega, edge))
 
 
 def level_shift(spec: WaveguideSpec, atom: Atom, box: QuantizationBox,
@@ -248,8 +274,8 @@ def level_shift(spec: WaveguideSpec, atom: Atom, box: QuantizationBox,
             contributions.append(ShiftContribution(
                 mode=mode, branch=branch, window=(s_lo, s_hi),
                 value=-float(piece)))
-    value = float(kahan_sum(c.value for c in contributions))
-    return ShiftResult(value=value, window=(lo, hi),
+    return ShiftResult(value=math.fsum(c.value for c in contributions),
+                       window=(lo, hi),
                        contributions=tuple(contributions))
 
 
@@ -461,9 +487,8 @@ def photon_state(spec: WaveguideSpec, atom: Atom, box: QuantizationBox,
 def photon_norm(channels) -> float:
     """Total one-photon probability of sampled spectral channels, by
     the midpoint rule."""
-    return float(kahan_sum(
-        float(np.sum(np.abs(ch.density) ** 2)) * ch.spacing
-        for ch in channels))
+    return math.fsum(float(np.sum(np.abs(ch.density) ** 2)) * ch.spacing
+                     for ch in channels)
 
 
 def dominant_channel(spec: WaveguideSpec, frequency: float, *,

@@ -12,7 +12,6 @@ accept a float ndarray of abscissae and return an ndarray of values
 from __future__ import annotations
 
 import cmath
-import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -185,7 +184,9 @@ def find_root(g, lo: float, hi: float, rel_tol: float = 1e-12,
 
     The bracket is shrunk until its width is below ``rel_tol`` times
     the midpoint magnitude (or absolute width for roots near zero).
-    Raises NoCrossingError when g(lo) and g(hi) have the same sign.
+    Raises NoCrossingError when g(lo) and g(hi) have the same sign and
+    ConvergenceError, carrying the last bracket, when ``max_iter``
+    halvings do not reach ``rel_tol``.
     """
     if not (hi > lo):
         raise ValueError("need hi > lo")
@@ -211,31 +212,8 @@ def find_root(g, lo: float, hi: float, rel_tol: float = 1e-12,
             lo, glo = mid, gm
         else:
             hi = mid
-    return 0.5 * (lo + hi)
+    raise ConvergenceError(
+        f"bisection did not reach rel_tol={rel_tol:g} after {max_iter} "
+        f"iterations; last bracket [{lo!r}, {hi!r}]", last=lo,
+        previous=hi)
 
-
-def kahan_sum(values) -> float:
-    """Neumaier-compensated sum of an iterable of floats.
-
-    Keeps the running compensation term so that summing 1e7 copies of
-    0.1 stays within 1e-6 of the exact 1e6, where a naive left fold
-    drifts by orders of magnitude more.
-    """
-    total = 0.0
-    comp = 0.0
-    for v in values:
-        v = float(v)
-        t = total + v
-        if abs(total) >= abs(v):
-            comp += (total - t) + v
-        else:
-            comp += (v - t) + total
-        total = t
-    return total + comp
-
-
-def kahan_csum(values) -> complex:
-    """Compensated sum of complex values (real and imaginary parts
-    summed independently)."""
-    arr = np.asarray(values, dtype=complex)
-    return complex(kahan_sum(arr.real), kahan_sum(arr.imag))

@@ -17,16 +17,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .detection import RadicandModel, correlation_grid, pole
+from .detection import RadicandModel, correlation_grid, pole, solve_emitter
 from .emission import (
-    MarkovParameters,
     amplitudes_ode_oracle,
     build_bins,
     decay_rate,
-    level_shift,
     modes_below,
 )
-from .errors import ConfigError, DomainError, WgError
+from .errors import ConfigError, WgError
 from .modes import (
     Branch,
     ModeIndex,
@@ -213,36 +211,17 @@ def _check_pv_cancellation(config):
                        tolerance=tolerance)
 
 
-def _markov_chain(config):
-    """Decay, shift and pole for the configured emitter; raises
-    DomainError when the emitter has no traveling channel."""
-    spec = config.waveguide_spec()
-    atom = config.atom()
-    box = config.box()
-    decay = decay_rate(spec, atom, box, config.dos,
-                       max_index=config.max_mn)
-    if decay.oscillatory:
-        raise DomainError(
-            "the configured emitter sits below every cutoff and "
-            "feeds no traveling channel")
-    shift = level_shift(spec, atom, box, config.dos,
-                        window=config.shift_window(decay.total),
-                        max_index=config.max_mn)
-    params = MarkovParameters(decay_total=decay.total,
-                              level_shift=shift.value,
-                              transition_frequency=atom.transition_frequency)
-    return spec, atom, decay, params
-
-
 def _check_correlation(config):
     tolerance = 1e-12
+    spec = config.waveguide_spec()
+    atom = config.atom()
     try:
-        spec, atom, decay, params = _markov_chain(config)
-        res = pole(spec, params.shifted_frequency, decay.total,
-                   config.radicand)
+        sol = solve_emitter(spec, atom, config.box(), config.dos,
+                            config.radicand, max_index=config.max_mn,
+                            window=config.shift_window)
         grid = correlation_grid(
-            spec, atom, res, config.x_values(), config.z_values(),
-            config.t_values(decay.total), dos=config.dos,
+            spec, atom, sol.pole, config.x_values(), config.z_values(),
+            config.t_values(sol.decay.total), dos=config.dos,
             max_index=config.max_mn)
     except WgError as err:
         return CheckResult(name="correlation_consistency",

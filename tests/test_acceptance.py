@@ -23,13 +23,12 @@ from wgqed.detection import (
     correlation_amplitude,
     omega_d,
     pole,
+    solve_emitter,
 )
 from wgqed.emission import (
-    MarkovParameters,
     amplitudes_ode_oracle,
     build_bins,
     decay_rate,
-    level_shift,
 )
 from wgqed.errors import DomainError
 from wgqed.modes import (
@@ -68,21 +67,6 @@ def center_atom(spec, omega, dipole_y=0.124):
                 transition_frequency=omega)
 
 
-def markov_chain(spec, atom, dos=DensityModel.PHASE_VELOCITY,
-                 radicand=RadicandModel.SINGLE_INDEX):
-    """Bare transition to pole parameters, the same way the command
-    line chain does it."""
-    dec = decay_rate(spec, atom, BOX, dos)
-    window = (atom.transition_frequency - 25.0 * dec.total,
-              atom.transition_frequency + 25.0 * dec.total)
-    shift = level_shift(spec, atom, BOX, dos, window=window)
-    params = MarkovParameters(
-        decay_total=dec.total, level_shift=shift.value,
-        transition_frequency=atom.transition_frequency)
-    return dec, params, pole(spec, params.shifted_frequency,
-                             dec.total, radicand)
-
-
 def write_config(tmp_path, name, omega, **extras):
     lines = {
         "waveguide.a": repr(math.pi),
@@ -113,10 +97,10 @@ def test_criterion_01(tmp_path):
     start = time.time()
 
     def cone_ratio_of(omega):
-        dec, params, res = markov_chain(FILLED,
-                                        center_atom(FILLED, omega))
-        return (FILLED.refractive_index * dec.total
-                / abs(res.spatial_rate))
+        sol = solve_emitter(FILLED, center_atom(FILLED, omega), BOX,
+                            DensityModel.PHASE_VELOCITY)
+        return (FILLED.refractive_index * sol.decay.total
+                / abs(sol.pole.spatial_rate))
 
     omega = find_root(lambda w: cone_ratio_of(w) - 0.8, 1.25, 1.45,
                       rel_tol=1e-10)

@@ -307,8 +307,21 @@ class TestCorrCommand:
 
     def test_below_cutoff_is_domain_error(self, tmp_path, capsys):
         conf = write_config(tmp_path, **{"atom.omega": "0.5"})
-        assert main(["corr", "--config", conf]) == EXIT_DOMAIN
+        out = str(tmp_path / "corr.csv")
+        assert main(["corr", "--config", conf, "--out", out]) \
+            == EXIT_DOMAIN
         assert "traveling" in capsys.readouterr().err
+
+    def test_csv_to_stdout_rejected_before_computing(self, tmp_path,
+                                                     capsys):
+        # the table and its JSON sidecar cannot share one stream; a
+        # below-cutoff emitter shows the refusal comes first
+        conf = write_config(tmp_path, **{"atom.omega": "0.5"})
+        assert main(["corr", "--config", conf]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--out" in captured.err
+        assert len(captured.err.strip().splitlines()) == 1
 
 
 class TestOmegadCommand:
@@ -380,6 +393,15 @@ class TestExitCodes:
     def test_missing_file(self, tmp_path):
         assert main(["modes", "--config",
                      str(tmp_path / "none.conf")]) == EXIT_CONFIG
+
+    def test_unwritable_out(self, tmp_path, capsys):
+        conf = write_config(tmp_path)
+        out = str(tmp_path / "missing" / "modes.csv")
+        assert main(["modes", "--config", conf, "--out", out]) \
+            == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1
+        assert "cannot write" in err
 
     def test_reproducible_runs_identical(self, tmp_path):
         conf = write_config(tmp_path)

@@ -28,7 +28,9 @@ from wgqed.detection import (
     free_space_g1,
     omega_d,
     pole,
+    solve_emitter,
 )
+from wgqed.emission import MarkovParameters, decay_rate, level_shift
 from wgqed.errors import (
     DomainError,
     DominanceError,
@@ -37,7 +39,7 @@ from wgqed.errors import (
 )
 from wgqed.modes import WaveguideSpec
 from wgqed.numerics import principal_csqrt
-from wgqed.quantize import Atom, DensityModel
+from wgqed.quantize import Atom, DensityModel, QuantizationBox
 
 FILLED = WaveguideSpec(width=math.pi, height=math.pi / 2.0,
                        permittivity=1.0, permeability=1.44)
@@ -133,6 +135,61 @@ class TestPole:
         for omega in (0.2, 0.9, 1.3, 2.0, 7.0, 40.0):
             res = pole(FILLED, omega, 0.1, model)
             assert abs(res.spatial_rate) / 0.1 > floor
+
+
+class TestSolveEmitter:
+    BOX = QuantizationBox(length=1.0)
+
+    def atom(self, omega):
+        return Atom(position=(math.pi / 2.0, math.pi / 4.0, 0.0),
+                    dipole=(0.0, 0.124, 0.0), transition_frequency=omega)
+
+    def test_demo_emitter_matches_hand_built_chain(self):
+        atom = self.atom(1.45)
+        dos = DensityModel.PHASE_VELOCITY
+        dec = decay_rate(FILLED, atom, self.BOX, dos)
+        bare = (1.45 - 25.0 * dec.total, 1.45 + 25.0 * dec.total)
+        shift = level_shift(FILLED, atom, self.BOX, dos, window=bare)
+        params = MarkovParameters(decay_total=dec.total,
+                                  level_shift=shift.value,
+                                  transition_frequency=1.45)
+        res = pole(FILLED, params.shifted_frequency, dec.total)
+        sol = solve_emitter(FILLED, atom, self.BOX, dos)
+        assert sol.shift.window == bare
+        assert sol.decay == dec
+        assert sol.params == params
+        assert sol.pole == res
+
+    def test_window_callable_gets_the_decay_rate(self):
+        seen = []
+
+        def window(rate):
+            seen.append(rate)
+            return (1.3, 1.6)
+
+        sol = solve_emitter(FILLED, self.atom(1.45), self.BOX,
+                            DensityModel.PHASE_VELOCITY, window=window)
+        assert seen == [sol.decay.total]
+        assert sol.shift.window == (1.3, 1.6)
+
+    def test_policy_window_clamps_near_cutoff(self):
+        # the bare window reaches below zero frequency here
+        omega = 0.88
+        atom = self.atom(omega)
+        dos = DensityModel.GROUP_VELOCITY
+        sol = solve_emitter(FILLED, atom, self.BOX, dos)
+        assert sol.shift.window[0] == 0.02 * omega
+        assert math.isfinite(sol.shift.value)
+        rate = sol.decay.total
+        with pytest.raises(DomainError):
+            level_shift(FILLED, atom, self.BOX, dos,
+                        window=(omega - 25.0 * rate,
+                                omega + 25.0 * rate))
+
+    def test_below_cutoff_has_no_traveling_channel(self):
+        with pytest.raises(DomainError, match="traveling"):
+            solve_emitter(FILLED, self.atom(0.5), self.BOX,
+                          DensityModel.PHASE_VELOCITY)
 
 
 class TestOmegaD:
@@ -306,7 +363,6 @@ class TestCorrelationGrid:
             FILLED.refractive_index * RATE
             / abs(self.POLE.spatial_rate), rel=1e-9)
         assert fit.max_log_residual < 1e-9
-        assert fit.spatial_over_temporal == fit.rate_ratio
 
     def test_cone_ratio_value_at_reference_point(self):
         # this line center and width put the rescaled ratio at 0.8
