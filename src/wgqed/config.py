@@ -37,6 +37,10 @@ RADICAND_NAMES = {
 _REQUIRED = object()
 _AUTO = object()
 
+# largest x * z * t correlation grid a run may ask for; rows are held
+# in memory before rendering, ~1.1 kB each at the figure grid
+MAX_GRID_POINTS = 1_000_000
+
 # key -> (parser kind, default); _REQUIRED means the file must set it,
 # _AUTO means "resolved downstream" and is spelled "auto" in files
 SCHEMA = {
@@ -362,6 +366,11 @@ def _validate(config: RunConfig):
                         ("t", config.t_count)):
         if count < 1:
             raise ConfigError(f"grid.{name}_count must be at least 1")
+    points = config.x_count * config.z_count * config.t_count
+    if points > MAX_GRID_POINTS:
+        raise ConfigError(
+            f"grid.x_count * grid.z_count * grid.t_count = {points} "
+            f"exceeds the limit of {MAX_GRID_POINTS} grid points")
     if not 3 <= config.digits <= 17:
         raise ConfigError("output.digits must lie in [3, 17]")
     if config.nu_min is not None and config.nu_max is not None \

@@ -15,11 +15,13 @@ widened (the integrand falls off too slowly), so shifts are only
 reported together with the window and channel list they were computed
 over.
 
-Internally the frequency integrals run in transformed variables: the
-axial wavenumber above cutoff and the attenuation constant below. Both
+Internally the shift integrals run in the axial variable: the axial
+wavenumber above cutoff and the attenuation constant below. Both
 substitutions make the integrand smooth at the cutoff endpoint, where
 the frequency-space state density of the GROUP_VELOCITY model blows
-up like an inverse square root.
+up like an inverse square root, and both leave one regular numerator
+over (t^2 - q), so the principal value is taken by subtracting the
+pole rather than by excising it.
 
 ``amplitudes_ode_oracle`` integrates the exact Schroedinger system of
 a discretized continuum and is the module's own cross-check on the
@@ -45,7 +47,7 @@ from .modes import (
     cutoff_frequency,
     modes_below,
 )
-from .numerics import PVSpec, QuadratureSpec, integrate, pv_integrate
+from .numerics import integrate, pv_integrate
 from .quantize import (
     Atom,
     DensityModel,
@@ -167,10 +169,21 @@ def auto_shift_window(spec: WaveguideSpec, transition_frequency: float,
     return (omega / 5.0, min(5.0 * omega, edge))
 
 
+def _weight_times_t(spec, box, model, branch, nu, t):
+    # continuum weight times the axial variable, in closed form: the
+    # group-velocity weight recomputed from nu would divide by an axial
+    # wavenumber carrying rounding ~eps*h^2/t^2 near the cutoff
+    if branch is Branch.LOCALIZED:
+        return _LOCALIZED_UNIT_WEIGHT * t
+    eps_mu = spec.permittivity * spec.permeability
+    if model is DensityModel.PHASE_VELOCITY:
+        return box.length * math.sqrt(eps_mu) * t / (2.0 * math.pi)
+    return box.length * eps_mu * nu / (2.0 * math.pi)
+
+
 def level_shift(spec: WaveguideSpec, atom: Atom, box: QuantizationBox,
                 model: DensityModel, *, window, modes=None,
-                max_index: int = 12, quad: QuadratureSpec | None = None,
-                pv: PVSpec | None = None) -> ShiftResult:
+                max_index: int = 12) -> ShiftResult:
     """Windowed second-order frequency shift of the excited level.
 
     Computes -PV integral of weight * |coupling|^2 / (omega - nu) over
@@ -181,14 +194,23 @@ def level_shift(spec: WaveguideSpec, atom: Atom, box: QuantizationBox,
     passing ``modes`` explicitly. The result is meaningful only
     together with its window: widening the window grows the value
     without bound.
+
+    Each (mode, branch) segment is integrated in the axial variable t
+    (wavenumber above cutoff, attenuation below, s = +1 or -1), with
+    eps*mu*nu^2 = h^2 + s*t^2 and q = s*(eps*mu*omega^2 - h^2). The
+    integrand then reads R(t)/(t^2 - q) with the regular numerator
+
+        R(t) = -(weight * t) * |coupling|^2 * (omega + nu) / nu,
+
+    for both branches and both density models. A segment holding the
+    transition frequency has its pole at t0 = sqrt(q) and goes through
+    ``pv_integrate`` with numerator R(t)/(t + t0).
     """
     lo, hi = window
     if not (0.0 < lo < hi):
         raise DomainError("window must satisfy 0 < low < high")
     atom.check_inside(spec)
     omega = atom.transition_frequency
-    quad = quad or QuadratureSpec()
-    pv = pv or PVSpec(quad=quad)
     if modes is None:
         modes = [mode for _, mode in modes_below(spec, hi,
                                                  max_index=max_index)]
@@ -197,83 +219,51 @@ def level_shift(spec: WaveguideSpec, atom: Atom, box: QuantizationBox,
     for mode in modes:
         nu_c = cutoff_frequency(spec, mode)
         h = nu_c * spec.refractive_index
+        # refined quadrature samples next to a cutoff-bounded segment
+        # end can round into the degeneracy band; they are nudged to
+        # its edge, staying on the segment's side of the cutoff
+        band = 2.0 * CUTOFF_REL_TOL * nu_c
         for branch, s_lo, s_hi in _split_by_cutoff((lo, hi), nu_c):
             for edge in (s_lo, s_hi):
                 if abs(omega - edge) < _ENDPOINT_GUARD * omega:
                     raise DomainError(
                         "window or cutoff edge collides with the "
                         "transition frequency; shift the window")
+            s = 1.0 if branch is Branch.PROPAGATING else -1.0
+            q = s * (eps_mu * omega * omega - h * h)
 
-            def integrand_nu(nu):
-                csq = _summed_coupling_sq(spec, mode, atom, box, branch,
-                                          nu)
-                if branch is Branch.PROPAGATING:
-                    w = continuum_weight(spec, mode, nu, box, model)
-                else:
-                    w = _LOCALIZED_UNIT_WEIGHT
-                return w * csq / (omega - nu)
-
-            if branch is Branch.PROPAGATING:
-                # integrate over the axial wavenumber; the Jacobian
-                # beta/(eps mu nu) cancels the near-cutoff divergence
-                # of the GROUP_VELOCITY state density
-                def to_var(nu):
-                    return math.sqrt(max(eps_mu * nu * nu - h * h, 0.0))
-
-                def from_var(t):
-                    return np.sqrt((t * t + h * h) / eps_mu)
-
-                def jacobian(t, nu):
-                    return t / (eps_mu * nu)
-            else:
-                # attenuation-constant substitution smooths the
-                # square-root vanishing of the coupling at cutoff
-                def to_var(nu):
-                    return math.sqrt(max(h * h - eps_mu * nu * nu, 0.0))
-
-                def from_var(t):
-                    return np.sqrt((h * h - t * t) / eps_mu)
-
-                def jacobian(t, nu):
-                    return -t / (eps_mu * nu)
-
-            t_a, t_b = to_var(s_lo), to_var(s_hi)
-
-            # segments bounded by the cutoff itself map that edge to
-            # t = 0; refined quadrature samples can then round into
-            # the degeneracy band, so they are nudged to its edge,
-            # staying on the segment's side of the cutoff
-            band = 2.0 * CUTOFF_REL_TOL * nu_c
-
-            def integrand_t(t_arr):
-                t_arr = np.atleast_1d(np.asarray(t_arr, dtype=float))
-                out = np.empty_like(t_arr)
+            def numerator(t_arr):
+                out = np.empty(len(t_arr))
                 for i, t in enumerate(t_arr):
-                    nu = float(from_var(t))
+                    nu = math.sqrt((h * h + s * t * t) / eps_mu)
                     if abs(nu - nu_c) < band:
-                        nu = nu_c + band \
-                            if branch is Branch.PROPAGATING \
-                            else nu_c - band
-                    out[i] = integrand_nu(nu) * jacobian(t, nu)
+                        nu = nu_c + s * band
+                    csq = _summed_coupling_sq(spec, mode, atom, box,
+                                              branch, nu)
+                    out[i] = (-_weight_times_t(spec, box, model, branch,
+                                               nu, t)
+                              * csq * (omega + nu) / nu)
                 return out
 
-            if (t_a > t_b):
-                t_a, t_b = t_b, t_a
+            def t_of(nu):
+                return math.sqrt(max(s * (eps_mu * nu * nu - h * h),
+                                     0.0))
 
-                def integrand_signed(t_arr, _inner=integrand_t):
-                    return -_inner(t_arr)
-            else:
-                integrand_signed = integrand_t
-
+            t_a, t_b = t_of(s_lo), t_of(s_hi)
+            # t falls with nu below cutoff
+            sign = 1.0
+            if t_a > t_b:
+                t_a, t_b, sign = t_b, t_a, -1.0
             if s_lo < omega < s_hi:
-                pole_t = to_var(omega)
-                piece = pv_integrate(integrand_signed, pole_t, t_a, t_b,
-                                     pv)
+                t0 = math.sqrt(q)
+                piece = pv_integrate(
+                    lambda t: numerator(t) / (t + t0), t0, t_a, t_b)
             else:
-                piece, _ = integrate(integrand_signed, t_a, t_b, quad)
+                piece, _ = integrate(
+                    lambda t: numerator(t) / (t * t - q), t_a, t_b)
             contributions.append(ShiftContribution(
                 mode=mode, branch=branch, window=(s_lo, s_hi),
-                value=-float(piece)))
+                value=-sign * float(piece) + 0.0))
     return ShiftResult(value=math.fsum(c.value for c in contributions),
                        window=(lo, hi),
                        contributions=tuple(contributions))

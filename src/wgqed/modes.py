@@ -407,13 +407,19 @@ def modes_below(spec: WaveguideSpec, frequency_limit: float,
 
     Index counts are scanned up to ``max_index``; if a mode on that
     boundary still qualifies the enumeration might be incomplete and a
-    DomainError asks for a larger bound.
+    DomainError asks for a larger bound. Below that bound only counts
+    that can qualify are scanned: m*pi/width, and likewise
+    n*pi/height, must stay below frequency_limit * refractive_index.
     """
     if frequency_limit <= 0.0:
         raise DomainError("frequency limit must be positive")
+    reach = frequency_limit * spec.refractive_index / math.pi
+    # one extra count absorbs rounding in the bound
+    m_top = int(min(max_index, reach * spec.width + 1.0))
+    n_top = int(min(max_index, reach * spec.height + 1.0))
     found = []
-    for m in range(0, max_index + 1):
-        for n in range(0, max_index + 1):
+    for m in range(0, m_top + 1):
+        for n in range(0, n_top + 1):
             for pol in (Polarization.TE, Polarization.TM):
                 try:
                     mode = ModeIndex(pol, m, n)

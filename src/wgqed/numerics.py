@@ -12,7 +12,8 @@ accept a float ndarray of abscissae and return an ndarray of values
 from __future__ import annotations
 
 import cmath
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -44,25 +45,6 @@ class QuadratureSpec:
             raise ValueError("quadrature order must be >= 1")
         if self.rel_tol <= 0.0:
             raise ValueError("rel_tol must be positive")
-
-
-@dataclass(frozen=True)
-class PVSpec:
-    """Controls principal-value integration.
-
-    The singular point is excised symmetrically with half width
-    ``half_width`` and the excision is shrunk by factor 2 per
-    refinement until the value stabilizes to ``rel_tol``.
-    """
-
-    half_width: float = 1e-6
-    rel_tol: float = 1e-9
-    max_refinements: int = 20
-    quad: QuadratureSpec = field(default_factory=QuadratureSpec)
-
-    def __post_init__(self):
-        if self.half_width <= 0.0:
-            raise ValueError("half_width must be positive")
 
 
 @lru_cache(maxsize=64)
@@ -106,64 +88,29 @@ def integrate(f, a: float, b: float, spec: QuadratureSpec = QuadratureSpec()):
         f"{spec.max_refinements} refinements", last=cur, previous=prev)
 
 
-def pv_integrate(f, pole: float, a: float, b: float,
-                 spec: PVSpec = PVSpec()):
-    """Principal value of ``f`` over [a, b] with a simple pole inside.
+def pv_integrate(g, pole: float, a: float, b: float,
+                 spec: QuadratureSpec = QuadratureSpec()):
+    """Principal value of g(x)/(x - pole) over [a, b] for a regular
+    numerator ``g``. Requires a < pole < b.
 
-    The window is split into the largest interval symmetric about the
-    pole plus a regular remainder. On the symmetric part the two sides
-    are folded together, which cancels the odd singular part exactly;
-    the excised core [pole-d, pole+d] is then shrunk until the value
-    stabilizes. Requires a < pole < b.
+    The singular part is subtracted and integrated in closed form,
 
-    Accuracy is limited to roughly 1e-9 relative on well-scaled
-    problems: evaluating f(pole + u) reconstructs x - pole inside f
-    with cancellation, so the folded integrand carries roundoff
-    chatter of size eps/u^2 near the pole. The core quadrature is
-    therefore allowed to plateau at that noise floor; error control
-    lives in the excision-shrinking loop.
+        PV = int_a^b (g(x) - g(pole))/(x - pole) dx
+             + g(pole) * ln((b - pole)/(pole - a)),
+
+    and the regular remainder is integrated on [a, pole] and
+    [pole, b] separately, so no panel straddles the removable point.
     """
     if not (a < pole < b):
         raise ValueError("pole must lie strictly inside the window")
-    radius = min(pole - a, b - pole)
-    outer = 0.0
-    if pole - a > radius:
-        outer, _ = integrate(f, a, pole - radius, spec.quad)
-    elif b - pole > radius:
-        outer, _ = integrate(f, pole + radius, b, spec.quad)
+    g_pole = g(np.array([pole]))[0]
 
-    def folded(u):
-        return f(pole + u) + f(pole - u)
+    def remainder(x):
+        return (g(x) - g_pole) / (x - pole)
 
-    core_quad = QuadratureSpec(
-        order=spec.quad.order,
-        rel_tol=max(spec.quad.rel_tol, 0.1 * spec.rel_tol),
-        max_refinements=spec.quad.max_refinements,
-    )
-
-    def core_value(d):
-        try:
-            val, _ = integrate(folded, d, radius, core_quad)
-        except ConvergenceError as exc:
-            # plateaued at the near-pole noise floor; accept it and
-            # rely on the excision loop for the actual error control
-            val = exc.last
-        return val
-
-    d = min(spec.half_width, 0.25 * radius)
-    prev = None
-    value = None
-    for _ in range(spec.max_refinements + 1):
-        value = outer + core_value(d)
-        if prev is not None:
-            scale = max(abs(value), abs(prev), 1e-300)
-            if abs(value - prev) / scale < spec.rel_tol:
-                return value
-        prev = value
-        d *= 0.5
-    raise ConvergenceError(
-        f"principal value did not stabilize to rel_tol={spec.rel_tol:g}",
-        last=value, previous=prev)
+    left, _ = integrate(remainder, a, pole, spec)
+    right, _ = integrate(remainder, pole, b, spec)
+    return left + right + g_pole * math.log((b - pole) / (pole - a))
 
 
 def principal_csqrt(w: complex) -> complex:

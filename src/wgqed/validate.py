@@ -35,7 +35,7 @@ from .modes import (
     mode_divergence_residual,
     mode_helmholtz_residual,
 )
-from .numerics import PVSpec, principal_csqrt, pv_integrate
+from .numerics import principal_csqrt, pv_integrate
 from .quantize import (
     HBAR,
     DensityModel,
@@ -199,12 +199,15 @@ def _check_box_invariance(config):
 
 
 def _check_pv_cancellation(config):
-    # the window [0, 2] folds to zero around the pole, leaving the
-    # regular remainder [2, 3] whose exact value is ln 2
+    # PV of 1/(x - 1) over [0, 3]: the parts on [0, 2] cancel about
+    # the pole, leaving ln 2 from [2, 3]. The numerator carries an
+    # extra (x - 1) cos(pi x / 3), which integrates to zero over the
+    # window, so the regular quadrature is exercised as well
     del config
     tolerance = 1e-9
-    value = pv_integrate(lambda x: 1.0 / (x - 1.0), 1.0, 0.0, 3.0,
-                         PVSpec())
+    value = pv_integrate(
+        lambda x: 1.0 + (x - 1.0) * np.cos(math.pi * x / 3.0),
+        1.0, 0.0, 3.0)
     measured = abs(value - math.log(2.0))
     return CheckResult(name="pv_oddpart_cancellation",
                        passed=measured < tolerance, measured=measured,

@@ -110,6 +110,17 @@ class TestParsing:
         with pytest.raises(ConfigError, match="digits"):
             parse_config(config_text(**{"output.digits": "2"}))
 
+    def test_grid_size_bound(self):
+        # the bound is checked on the counts; nothing is allocated
+        cfg = parse_config(config_text(**{"grid.x_count": "4",
+                                          "grid.z_count": "500",
+                                          "grid.t_count": "500"}))
+        assert cfg.x_count * cfg.z_count * cfg.t_count == 1_000_000
+        with pytest.raises(ConfigError, match="1000001 exceeds"):
+            parse_config(config_text(**{"grid.x_count": "1000001",
+                                        "grid.z_count": "1",
+                                        "grid.t_count": "1"}))
+
     def test_load_config_missing_file(self, tmp_path):
         with pytest.raises(ConfigError, match="cannot read"):
             load_config(str(tmp_path / "absent.conf"))
@@ -240,6 +251,22 @@ class TestDecayCommand:
         total = sum(float(r[header.index("value")]) for r in channels)
         assert total == pytest.approx(
             float(meta["summary.decay_total"]), rel=1e-10)
+
+    def test_vanishing_shift_terms_print_unsigned_zero(self, tmp_path):
+        # the demo's y dipole misses TE(0,1) on both branches and the
+        # decaying TM(1,1) profile exactly
+        conf = write_config(tmp_path)
+        out = str(tmp_path / "decay.csv")
+        assert main(["decay", "--config", conf, "--out", out,
+                     "--reproducible"]) == EXIT_OK
+        _, header, rows = read_table(out)
+        value = header.index("value")
+        zeros = [r[1:5] + [r[value]] for r in rows
+                 if r[0] == "shift_contribution"
+                 and float(r[value]) == 0.0]
+        assert zeros == [["TE", "0", "1", "localized", "0"],
+                         ["TE", "0", "1", "propagating", "0"],
+                         ["TM", "1", "1", "localized", "0"]]
 
     def test_center_maximizes_rate(self, tmp_path):
         # transverse profile of the open channel peaks mid-guide
@@ -389,6 +416,17 @@ class TestExitCodes:
         bad = tmp_path / "bad.conf"
         bad.write_text("waveguide.a = -1\n")
         assert main(["modes", "--config", str(bad)]) == EXIT_CONFIG
+
+    def test_oversized_grid_is_one_line(self, tmp_path, capsys):
+        conf = write_config(tmp_path, **{"grid.x_count": "7",
+                                         "grid.z_count": "400",
+                                         "grid.t_count": "400"})
+        assert main(["corr", "--config", conf, "--out",
+                     str(tmp_path / "corr.csv")]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1
+        assert "grid points" in err
+        assert not (tmp_path / "corr.csv").exists()
 
     def test_missing_file(self, tmp_path):
         assert main(["modes", "--config",

@@ -1,16 +1,17 @@
 """Tests for decay, level shift and the discretized-continuum oracle.
 
-Two independent oracles anchor this module: an exact Schroedinger
+Independent oracles anchor this module: an exact Schroedinger
 integration of the discretized continuum (checks the golden-rule rate
-normalization end to end) and a subtraction-based trapezoid principal
-value in plain frequency (checks the transformed-variable shift
-integrals).
+normalization end to end), and a subtraction-based trapezoid principal
+value and QUADPACK's Cauchy-weight rule, both in plain frequency
+(check the axial-variable shift integrals).
 """
 
 import math
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
 from wgqed.errors import DomainError, DominanceError, PurelyEvanescentError
 from wgqed.emission import (
@@ -32,6 +33,7 @@ GUIDE = WaveguideSpec(width=math.pi, height=math.pi / 2.0)
 BOX = QuantizationBox(length=1.0)
 TE10 = ModeIndex(Polarization.TE, 1, 0)
 TM11 = ModeIndex(Polarization.TM, 1, 1)
+TE20 = ModeIndex(Polarization.TE, 2, 0)
 
 
 def make_atom(freq, dip_y, x0=0.7, z0=0.0):
@@ -173,6 +175,30 @@ class TestLevelShift:
 
         oracle = -trapezoid_pv_oracle(f, 1.5, *window)
         assert res.value == pytest.approx(oracle, rel=1e-6)
+
+    @pytest.mark.parametrize("model", list(DensityModel))
+    @pytest.mark.parametrize("modes", [[TE10], [TE10, TM11],
+                                       [TE10, TE20]],
+                             ids=["TE10", "TE10+TM11", "TE10+TE20"])
+    def test_against_frequency_space_cauchy_rule(self, model, modes):
+        # QUADPACK's QAWC on the plain frequency integrand: another
+        # variable, another rule and the library's own continuum
+        # weight. TM11 and TE20 decay throughout the window, pole
+        # included; a y dipole misses TM11 but not TE20
+        atom = make_atom(1.5, 0.8)
+        window = (1.05, 1.93)
+        res = level_shift(GUIDE, atom, BOX, model, window=window,
+                          modes=modes)
+
+        def f(nu):
+            return sum(self.weight_coupling_sq(GUIDE, mode, atom, BOX,
+                                               model, nu)
+                       for mode in modes)
+
+        # PV of f/(nu - omega) is minus the PV of f/(omega - nu)
+        oracle, _ = quad(f, *window, weight="cauchy", wvar=1.5,
+                         epsabs=0.0, epsrel=1e-12, limit=200)
+        assert res.value == pytest.approx(oracle, rel=1e-11)
 
     def test_pole_free_windows_have_definite_signs(self):
         atom = make_atom(1.5, 0.3)

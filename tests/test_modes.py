@@ -307,6 +307,44 @@ class TestModeListing:
         with pytest.raises(DomainError):
             modes_below(GUIDE, 50.0, max_index=3)
 
+    @staticmethod
+    def full_scan(spec, limit, max_index):
+        # every index pair up to the bound, as the enumeration once did
+        found = []
+        for m in range(max_index + 1):
+            for n in range(max_index + 1):
+                for pol in Polarization:
+                    try:
+                        mode = ModeIndex(pol, m, n)
+                    except DomainError:
+                        continue
+                    nu_c = cutoff_frequency(spec, mode)
+                    if nu_c < limit:
+                        if max_index in (m, n):
+                            return "incomplete"
+                        found.append((nu_c, mode))
+        return sorted(found,
+                      key=lambda item: (item[0],) + item[1].sort_key())
+
+    @pytest.mark.parametrize("spec", [
+        GUIDE,
+        WaveguideSpec(width=2.3, height=0.7, permittivity=2.1,
+                      permeability=1.3),
+    ])
+    @pytest.mark.parametrize("max_index", [1, 4, 9, 20])
+    def test_matches_full_scan(self, spec, max_index):
+        lowest = cutoff_frequency(spec, TE10)
+        limits = [0.5 * lowest, lowest, math.nextafter(lowest, math.inf),
+                  2.0, 3.7, 7.3, 12.0, 40.0]
+        for limit in limits:
+            expected = self.full_scan(spec, limit, max_index)
+            if expected == "incomplete":
+                with pytest.raises(DomainError):
+                    modes_below(spec, limit, max_index=max_index)
+            else:
+                assert modes_below(spec, limit,
+                                   max_index=max_index) == expected
+
     def test_wavenumber_helper(self):
         assert transverse_wavenumber(GUIDE, TM11) == pytest.approx(
             math.sqrt(5.0))
