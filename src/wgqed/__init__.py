@@ -54,6 +54,7 @@ from .quantize import (
     DensityModel,
     QuantizationBox,
     coupling_at,
+    couplings,
     normalize,
 )
 
@@ -86,6 +87,7 @@ __all__ = [
     "brute_force_amplitude",
     "correlation_grid",
     "coupling_at",
+    "couplings",
     "cutoff_frequency",
     "decay_rate",
     "dispersion",

@@ -26,7 +26,7 @@ import math
 import sys
 
 from . import __version__
-from .config import load_config
+from .config import MAX_GRID_POINTS, load_config
 from .detection import (
     RadicandModel,
     closed_form_crossing,
@@ -169,6 +169,12 @@ def _emit(args, config, env, columns, rows, extra=None):
 
 
 def cmd_modes(config, args) -> int:
+    # (max_mn + 1)^2 - 1 TE patterns and max_mn^2 TM patterns
+    size = (config.max_mn + 1) ** 2 - 1 + config.max_mn ** 2
+    if size > MAX_GRID_POINTS:
+        raise ConfigError(
+            f"a modes table for max_mn = {config.max_mn} has {size} rows, "
+            f"over the limit of {MAX_GRID_POINTS}")
     spec = config.waveguide_spec()
     omega = config.atom_omega
     table = []

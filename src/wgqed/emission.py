@@ -23,6 +23,10 @@ up like an inverse square root, and both leave one regular numerator
 over (t^2 - q), so the principal value is taken by subtracting the
 pole rather than by excising it.
 
+Couplings come from ``quantize.couplings``, one array per quadrature
+segment or frequency grid; ``quantize.coupling_at`` stays the
+per-point definition the tests check this module against.
+
 ``amplitudes_ode_oracle`` integrates the exact Schroedinger system of
 a discretized continuum and is the module's own cross-check on the
 closed forms; nothing in it reuses the weak-coupling formulas.
@@ -53,7 +57,7 @@ from .quantize import (
     DensityModel,
     QuantizationBox,
     continuum_weight,
-    coupling_at,
+    couplings,
 )
 
 # window endpoints closer than this (relative) to the transition
@@ -101,8 +105,8 @@ def decay_rate(spec: WaveguideSpec, atom: Atom, box: QuantizationBox,
     channels = []
     for _, mode in modes_below(spec, omega, max_index=max_index):
         for direction in (1, -1):
-            g = coupling_at(spec, mode, omega, atom, box,
-                            direction=direction)
+            g = complex(couplings(spec, mode, omega, atom, box,
+                                  direction=direction))
             w = continuum_weight(spec, mode, omega, box, model)
             channels.append(ChannelRate(
                 mode=mode, direction=direction, weight=w, coupling=g,
@@ -135,13 +139,6 @@ def _split_by_cutoff(window, cutoff):
     if hi > cutoff:
         parts.append((Branch.PROPAGATING, max(lo, cutoff), hi))
     return parts
-
-
-def _summed_coupling_sq(spec, mode, atom, box, branch, frequency):
-    if branch is Branch.PROPAGATING:
-        return sum(abs(coupling_at(spec, mode, frequency, atom, box,
-                                   direction=d)) ** 2 for d in (1, -1))
-    return abs(coupling_at(spec, mode, frequency, atom, box)) ** 2
 
 
 def auto_shift_window(spec: WaveguideSpec, transition_frequency: float,
@@ -232,18 +229,17 @@ def level_shift(spec: WaveguideSpec, atom: Atom, box: QuantizationBox,
             s = 1.0 if branch is Branch.PROPAGATING else -1.0
             q = s * (eps_mu * omega * omega - h * h)
 
-            def numerator(t_arr):
-                out = np.empty(len(t_arr))
-                for i, t in enumerate(t_arr):
-                    nu = math.sqrt((h * h + s * t * t) / eps_mu)
-                    if abs(nu - nu_c) < band:
-                        nu = nu_c + s * band
-                    csq = _summed_coupling_sq(spec, mode, atom, box,
-                                              branch, nu)
-                    out[i] = (-_weight_times_t(spec, box, model, branch,
-                                               nu, t)
-                              * csq * (omega + nu) / nu)
-                return out
+            # traveling profiles count once per direction of travel
+            directions = (1, -1) if branch is Branch.PROPAGATING else (1,)
+
+            def numerator(t):
+                nu = np.sqrt((h * h + s * t * t) / eps_mu)
+                nu = np.where(np.abs(nu - nu_c) < band, nu_c + s * band, nu)
+                csq = sum(np.abs(couplings(spec, mode, nu, atom, box,
+                                           direction=d)) ** 2
+                          for d in directions)
+                return (-_weight_times_t(spec, box, model, branch, nu, t)
+                        * csq * (omega + nu) / nu)
 
             def t_of(nu):
                 return math.sqrt(max(s * (eps_mu * nu * nu - h * h),
@@ -324,21 +320,19 @@ def build_bins(spec: WaveguideSpec, atom: Atom, box: QuantizationBox,
         raise DomainError("need at least one bin")
     width = (hi - lo) / count
     bins = []
+    centers = lo + (np.arange(count) + 0.5) * width
     for mode in modes:
         nu_c = cutoff_frequency(spec, mode)
-        for j in range(count):
-            nu = lo + (j + 0.5) * width
+        forward = couplings(spec, mode, centers, atom, box, direction=1)
+        backward = couplings(spec, mode, centers, atom, box, direction=-1)
+        for nu, g_fwd, g_bwd in zip(centers.tolist(), forward.tolist(),
+                                    backward.tolist()):
             if nu > nu_c:
-                directions = (1, -1)
+                w = continuum_weight(spec, mode, nu, box, model)
+                cells = ((1, g_fwd, w), (-1, g_bwd, w))
             else:
-                directions = (0,)
-            for d in directions:
-                g = coupling_at(spec, mode, nu, atom, box,
-                                direction=d if d != 0 else 1)
-                if d == 0:
-                    w = _LOCALIZED_UNIT_WEIGHT
-                else:
-                    w = continuum_weight(spec, mode, nu, box, model)
+                cells = ((0, g_fwd, _LOCALIZED_UNIT_WEIGHT),)
+            for d, g, w in cells:
                 bins.append(ContinuumBin(mode=mode, direction=d,
                                          frequency=nu, width=width,
                                          coupling=g, weight=w))
@@ -453,18 +447,16 @@ def photon_state(spec: WaveguideSpec, atom: Atom, box: QuantizationBox,
             spacing = (s_hi - s_lo) / n_seg
             freqs = s_lo + (np.arange(n_seg) + 0.5) * spacing
             directions = (1, -1) if branch is Branch.PROPAGATING else (0,)
+            if branch is Branch.LOCALIZED:
+                w = _LOCALIZED_UNIT_WEIGHT
+            else:
+                w = np.array([continuum_weight(spec, mode, nu, box, model)
+                              for nu in freqs.tolist()])
             for d in directions:
-                dens = np.empty(n_seg, dtype=complex)
-                for i, nu in enumerate(freqs):
-                    g = coupling_at(spec, mode, float(nu), atom, box,
-                                    direction=d if d != 0 else 1)
-                    if branch is Branch.LOCALIZED:
-                        w = _LOCALIZED_UNIT_WEIGHT
-                    else:
-                        w = continuum_weight(spec, mode, float(nu), box,
-                                             model)
-                    dens[i] = (np.conj(g) * math.sqrt(w)
-                               / ((nu - center) + 1j * half_rate))
+                g = couplings(spec, mode, freqs, atom, box,
+                              direction=d if d != 0 else 1)
+                dens = (np.conj(g) * np.sqrt(w)
+                        / ((freqs - center) + 1j * half_rate))
                 if time is not None:
                     dens *= 1.0 - np.exp(
                         (1j * (freqs - center) - half_rate) * time)

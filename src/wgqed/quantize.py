@@ -17,6 +17,12 @@ the energy functional for every polarization and branch combination;
 the factor-of-two bookkeeping for patterns with a zero index (uniform
 along one transverse axis) comes out of that check, not out of per
 polarization special cases.
+
+The dipole coupling has two forms. ``coupling_at`` is the per-point
+definition: it normalizes the mode and samples its field at the atom,
+and the tests use it as the reference. ``couplings`` is the
+computational path: the same quantity in closed form, over a whole
+array of frequencies at once, and what the emission chain calls.
 """
 
 from __future__ import annotations
@@ -29,12 +35,15 @@ import numpy as np
 
 from .errors import DomainError
 from .modes import (
+    CUTOFF_REL_TOL,
     Branch,
     ModeIndex,
     Polarization,
     WaveguideSpec,
     dispersion,
     field_at,
+    transverse_wavenumber,
+    transverse_wavenumbers,
 )
 
 # natural units throughout
@@ -114,6 +123,13 @@ def _index_weight(mode: ModeIndex) -> int:
     return cm * cn
 
 
+def _polarization_constant(spec: WaveguideSpec, mode: ModeIndex) -> float:
+    # the material constant of the defining axial field's energy term
+    if mode.polarization is Polarization.TM:
+        return spec.permittivity
+    return spec.permeability
+
+
 def normalize(spec: WaveguideSpec, mode: ModeIndex, frequency: float,
               box: QuantizationBox) -> float:
     """Amplitude of the defining axial component (E_z for TM, H_z for
@@ -122,10 +138,7 @@ def normalize(spec: WaveguideSpec, mode: ModeIndex, frequency: float,
     disp = dispersion(spec, mode, frequency)
     h2 = disp.transverse_wavenumber ** 2
     area = spec.cross_section_area
-    if mode.polarization is Polarization.TM:
-        pol_const = spec.permittivity
-    else:
-        pol_const = spec.permeability
+    pol_const = _polarization_constant(spec, mode)
     if disp.branch is Branch.PROPAGATING:
         axial_norm = box.length
         pattern = disp.medium_wavenumber ** 2
@@ -144,7 +157,9 @@ def coupling_at(spec: WaveguideSpec, mode: ModeIndex, frequency: float,
 
     Defined as -(dipole . E_mode(position)) / HBAR with the plain
     (unconjugated) dipole vector. On the localized branch the profile
-    kink defaults to the atom's own axial position.
+    kink defaults to the atom's own axial position. This is the
+    per-point definition and the reference for ``couplings``, which
+    the emission chain calls instead.
     """
     atom.check_inside(spec)
     disp = dispersion(spec, mode, frequency)
@@ -158,6 +173,69 @@ def coupling_at(spec: WaveguideSpec, mode: ModeIndex, frequency: float,
                       amplitude=amp, direction=direction,
                       source_plane=source_plane)
     return complex(-np.dot(atom.dipole_array(), sample.electric) / HBAR)
+
+
+def couplings(spec: WaveguideSpec, mode: ModeIndex, frequencies,
+              atom: Atom, box: QuantizationBox, *,
+              direction: int = 1) -> np.ndarray:
+    """``coupling_at`` element by element over an array of
+    frequencies, in closed form.
+
+    Uses ``coupling_at``'s default source planes: z = 0 above cutoff,
+    and the atom's own plane below it, where the axial factor is one
+    and the components odd in the axial offset vanish. The one-quantum
+    amplitude of ``normalize`` reduces to
+
+        above cutoff   amp^2 = HBAR * nu * c * h^2 / (pol * A * k^2 * L)
+        below cutoff   amp^2 = HBAR * nu * c * attenuation / (pol * A)
+
+    with c the index weight, pol the permittivity (TM) or permeability
+    (TE), A the cross-section area, k the medium wavenumber and L the
+    box length. Frequencies may lie on either branch. A non-positive
+    frequency, or one within CUTOFF_REL_TOL of the cutoff, raises
+    DomainError as ``dispersion`` does.
+    """
+    atom.check_inside(spec)
+    if direction not in (1, -1):
+        raise DomainError("direction must be +1 or -1")
+    nu = np.asarray(frequencies, dtype=float)
+    if np.any(nu <= 0.0):
+        raise DomainError("frequency must be positive")
+    h = transverse_wavenumber(spec, mode)
+    nu_c = h / spec.refractive_index
+    degenerate = np.flatnonzero(np.abs(nu - nu_c) <= CUTOFF_REL_TOL * nu_c)
+    if degenerate.size:
+        raise DomainError(
+            f"frequency {float(nu.flat[degenerate[0]])!r} is degenerate "
+            f"with the cutoff {nu_c!r} of "
+            f"{mode.polarization.value}({mode.m},{mode.n})")
+    h2 = h * h
+    k = nu * spec.refractive_index
+    propagating = nu > nu_c
+    # axial wavenumber above cutoff, attenuation below
+    axial = np.sqrt(np.abs(k * k - h2))
+    per_area = (HBAR * nu * _index_weight(mode)
+                / (_polarization_constant(spec, mode)
+                   * spec.cross_section_area))
+    amp = np.sqrt(np.where(propagating,
+                           per_area * h2 / (k * k * box.length),
+                           per_area * axial))
+
+    x0, y0, z0 = atom.position
+    kx, ky = transverse_wavenumbers(spec, mode)
+    sx, cx = np.sin(kx * x0), np.cos(kx * x0)
+    sy, cy = np.sin(ky * y0), np.cos(ky * y0)
+    if mode.polarization is Polarization.TM:
+        # -(gamma / h^2) with gamma = i * direction * beta; below
+        # cutoff these components are odd about the kink at the atom
+        slope = np.where(propagating, -1j * direction * axial / h2, 0.0)
+        e_x, e_y, e_z = slope * kx * cx * sy, slope * ky * sx * cy, sx * sy
+    else:
+        slope = 1j * nu * spec.permeability / h2
+        e_x, e_y, e_z = slope * ky * cx * sy, -slope * kx * sx * cy, 0.0
+    phase = np.where(propagating, np.exp(-1j * direction * axial * z0), 1.0)
+    d_x, d_y, d_z = atom.dipole_array()
+    return -(d_x * e_x + d_y * e_y + d_z * e_z) * amp * phase / HBAR
 
 
 def continuum_weight(spec: WaveguideSpec, mode: ModeIndex,

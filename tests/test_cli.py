@@ -7,6 +7,7 @@ rehearsal in the acceptance suite.
 
 import json
 import math
+import time
 
 import numpy as np
 import pytest
@@ -427,6 +428,31 @@ class TestExitCodes:
         assert len(err.strip().splitlines()) == 1
         assert "grid points" in err
         assert not (tmp_path / "corr.csv").exists()
+
+    def test_oversized_modes_table_is_one_line(self, tmp_path, capsys):
+        # max_mn = 707 would tabulate 708^2 - 1 + 707^2 = 1,001,112 rows
+        conf = write_config(tmp_path)
+        out = tmp_path / "modes.csv"
+        start = time.perf_counter()
+        assert main(["modes", "--config", conf, "--max-mn", "707",
+                     "--out", str(out)]) == EXIT_CONFIG
+        assert time.perf_counter() - start < 5.0
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1
+        assert "1001112 rows" in err
+        assert not out.exists()
+
+    def test_modes_table_bound_is_inclusive(self, tmp_path, monkeypatch):
+        # with the limit at 24 rows, max_mn = 3 fills it exactly
+        # (15 TE + 9 TM) and max_mn = 4 exceeds it
+        monkeypatch.setattr("wgqed.cli.MAX_GRID_POINTS", 24)
+        conf = write_config(tmp_path)
+        out = str(tmp_path / "modes.csv")
+        assert main(["modes", "--config", conf, "--max-mn", "3",
+                     "--out", out]) == EXIT_OK
+        assert len(read_table(out)[2]) == 24
+        assert main(["modes", "--config", conf, "--max-mn", "4",
+                     "--out", out]) == EXIT_CONFIG
 
     def test_missing_file(self, tmp_path):
         assert main(["modes", "--config",

@@ -14,7 +14,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
 from wgqed.detection import (
     FreeSpaceParams,
@@ -212,6 +212,16 @@ class TestOmegaD:
                        RadicandModel.SINGLE_INDEX)
         assert abs(at_root.spatial_rate) / 0.1 == pytest.approx(
             1.2, rel=1e-9)
+
+    @given(guide_strategy(), st.floats(min_value=1e-6, max_value=5.0))
+    def test_crossing_matches_exact_algebra(self, spec, rate):
+        s = spec.refractive_index
+        assume(s > 1.0)
+        # the exact crossing is real
+        assume((math.pi / spec.width) ** 2 > s * (s - 1.0) * rate ** 2 / 4.0)
+        report = omega_d(spec, rate, RadicandModel.SINGLE_INDEX)
+        assert report.root_found == pytest.approx(
+            self.exact_crossing(spec, rate), rel=1e-9)
 
     def test_root_stable_under_scan_refinement(self):
         coarse = omega_d(FILLED, 0.1, scan_samples=600)

@@ -3,16 +3,20 @@
 The load-bearing oracle here is a brute-force quadrature of the mode
 energy functional over the quantization volume; the closed-form
 amplitudes must reproduce one quantum for every polarization and
-branch combination.
+branch combination. The array coupling ``couplings`` is checked
+against ``coupling_at``, which normalizes the mode and samples its
+field point by point.
 """
 
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from wgqed.errors import DomainError
 from wgqed.modes import (
+    CUTOFF_REL_TOL,
     Branch,
     ModeIndex,
     Polarization,
@@ -28,6 +32,7 @@ from wgqed.quantize import (
     QuantizationBox,
     continuum_weight,
     coupling_at,
+    couplings,
     mode_overlap,
     normalize,
 )
@@ -232,6 +237,91 @@ class TestCoupling:
         with pytest.raises(DomainError):
             Atom(position=(1.0, 0.5, 0.0), dipole=(0.0, 0.3, 0.0),
                  transition_frequency=-1.0)
+
+
+def filled_guides():
+    widths = st.floats(min_value=0.5, max_value=5.0)
+    fracs = st.floats(min_value=0.2, max_value=1.0)
+    mats = st.floats(min_value=0.25, max_value=4.0).filter(
+        lambda v: v != 1.0)
+    return st.builds(
+        lambda w, f, e, m: WaveguideSpec(width=w, height=w * f,
+                                         permittivity=e, permeability=m),
+        widths, fracs, mats, mats)
+
+
+# TE and TM, with and without a zero index
+MODES = [ModeIndex(Polarization.TE, m, n) for m, n in
+         ((1, 0), (0, 1), (2, 0), (1, 1), (2, 3))] + \
+        [ModeIndex(Polarization.TM, m, n) for m, n in
+         ((1, 1), (2, 1), (1, 3))]
+
+# frequencies relative to the cutoff: both branches, and the first
+# points outside the degeneracy band on either side
+CUTOFF_FRACTIONS = (0.05, 0.4, 0.9, 0.999, 1.0 - 3.0 * CUTOFF_REL_TOL,
+                    1.0 + 3.0 * CUTOFF_REL_TOL, 1.001, 1.3, 2.5, 7.0)
+
+
+class TestCouplingsArray:
+    @given(filled_guides(),
+           st.sampled_from(MODES),
+           st.floats(min_value=0.05, max_value=0.95),
+           st.floats(min_value=0.05, max_value=0.95),
+           st.floats(min_value=-3.0, max_value=3.0).filter(
+               lambda z: z != 0.0),
+           st.lists(st.complex_numbers(min_magnitude=0.05,
+                                       max_magnitude=2.0,
+                                       allow_nan=False,
+                                       allow_infinity=False),
+                    min_size=3, max_size=3),
+           st.sampled_from((1, -1)),
+           st.floats(min_value=0.3, max_value=3.0))
+    def test_matches_pointwise_definition(self, spec, mode, x_frac,
+                                          y_frac, z0, dipole, direction,
+                                          box_length):
+        atom = Atom(position=(x_frac * spec.width, y_frac * spec.height,
+                              z0),
+                    dipole=tuple(dipole), transition_frequency=1.0)
+        box = QuantizationBox(length=box_length)
+        nu = cutoff_frequency(spec, mode) * np.array(CUTOFF_FRACTIONS)
+        got = couplings(spec, mode, nu, atom, box, direction=direction)
+        want = np.array([coupling_at(spec, mode, float(f), atom, box,
+                                     direction=direction) for f in nu])
+        assert got.shape == nu.shape
+        scale = float(np.max(np.abs(want)))
+        assert scale > 0.0
+        assert np.max(np.abs(got - want)) <= 1e-13 * scale
+
+    def test_scalar_frequency(self):
+        atom = Atom(position=(0.7, 0.5, 0.3), dipole=(0.1, 0.3j, 0.2),
+                    transition_frequency=2.0)
+        for freq in (0.5, 4.0):
+            got = couplings(GUIDE, TM11, freq, atom, BOX, direction=-1)
+            assert got.shape == ()
+            assert complex(got) == pytest.approx(
+                coupling_at(GUIDE, TM11, freq, atom, BOX, direction=-1),
+                rel=1e-13)
+
+    def test_frequency_in_degeneracy_band(self):
+        atom = Atom(position=(0.7, 0.5, 0.0), dipole=(0.0, 0.3, 0.0),
+                    transition_frequency=2.0)
+        nu_c = cutoff_frequency(GUIDE, TE10)
+        with pytest.raises(DomainError, match="degenerate with the cutoff"):
+            couplings(GUIDE, TE10, [0.5, nu_c * (1.0 + 0.5e-12), 2.0],
+                      atom, BOX)
+
+    @pytest.mark.parametrize("bad", [0.0, -1.5])
+    def test_non_positive_frequency(self, bad):
+        atom = Atom(position=(0.7, 0.5, 0.0), dipole=(0.0, 0.3, 0.0),
+                    transition_frequency=2.0)
+        with pytest.raises(DomainError, match="positive"):
+            couplings(GUIDE, TE10, [2.0, bad], atom, BOX)
+
+    def test_atom_outside_rejected(self):
+        atom = Atom(position=(5.0, 0.5, 0.0), dipole=(0.0, 0.3, 0.0),
+                    transition_frequency=2.0)
+        with pytest.raises(DomainError, match="outside"):
+            couplings(GUIDE, TE10, [0.5, 2.0], atom, BOX)
 
 
 class TestContinuumWeight:
