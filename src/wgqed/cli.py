@@ -24,6 +24,10 @@ import datetime
 import json
 import math
 import sys
+from collections.abc import Sequence
+from typing import NamedTuple
+
+import numpy as np
 
 from . import __version__
 from .config import MAX_GRID_POINTS, load_config
@@ -117,55 +121,104 @@ def _envelope_lines(env: dict, digits: int):
         yield f"# timestamp = {env['timestamp']}"
 
 
-def _render_csv(env: dict, columns, rows, digits: int,
-                extra: dict | None = None) -> str:
+class Coded(NamedTuple):
+    """A column held as its distinct values plus, for each row, the
+    position of the row's value among them."""
+
+    values: Sequence
+    index: Sequence[int]
+
+
+def _csv_cells(values, digits: int) -> list[str]:
+    # the text of _fmt, with the common finite float inlined
+    spec = f".{digits}g"
+    return [format(v, spec) if type(v) is float and math.isfinite(v)
+            else _fmt(v, digits) for v in values]
+
+
+def _json_cells(values, digits: int) -> list[str]:
+    # what json.dumps writes for each _json_value; cells are scalars
+    spec = f".{digits}g"
+    return [repr(float(format(v, spec)))
+            if type(v) is float and math.isfinite(v)
+            else json.dumps(_json_value(v, digits)) for v in values]
+
+
+def _column_cells(column, render, digits: int) -> list[str]:
+    if isinstance(column, Coded):
+        distinct = render(column.values, digits)
+        return [distinct[i] for i in column.index]
+    return render(column, digits)
+
+
+def _csv_chunks(env: dict, table: dict, digits: int,
+                extra: dict | None) -> list[str]:
     lines = list(_envelope_lines(env, digits))
     for key in sorted(extra or {}):
         for sub in sorted(extra[key]):
             lines.append(
                 f"# {key}.{sub} = {_fmt(extra[key][sub], digits)}")
-    lines.append(",".join(columns))
-    for row in rows:
-        lines.append(",".join(_fmt(cell, digits) for cell in row))
-    return "\n".join(lines) + "\n"
+    lines.append(",".join(table))
+    cells = [_column_cells(col, _csv_cells, digits)
+             for col in table.values()]
+    lines.extend(map(",".join, zip(*cells)))
+    return ["\n".join(lines), "\n"]
 
 
-def _render_json(env: dict, columns, rows, digits: int,
-                 extra: dict | None = None) -> str:
+# the top level key sits at indent 2; nested keys and string values
+# cannot produce this text
+_JSON_ROWS = '\n  "rows": []'
+
+
+def _json_chunks(env: dict, table: dict, digits: int,
+                 extra: dict | None) -> list[str]:
     doc = {
         "envelope": _json_value(env, digits),
-        "columns": list(columns),
-        "rows": [[_json_value(c, digits) for c in row]
-                 for row in rows],
+        "columns": list(table),
+        "rows": [],
     }
     if extra:
         doc.update(_json_value(extra, digits))
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    text = json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    cells = [_column_cells(col, _json_cells, digits)
+             for col in table.values()]
+    rows = list(map(",\n      ".join, zip(*cells)))
+    if not rows:
+        return [text]
+    # splice the rows in the layout indent=2 gives a list of lists
+    head, _, tail = text.partition(_JSON_ROWS)
+    return [head, '\n  "rows": [\n    [\n      ',
+            "\n    ],\n    [\n      ".join(rows), "\n    ]\n  ]", tail]
 
 
-def _write(path, text: str):
+def _render(out_format: str, env: dict, table: dict, digits: int,
+            extra: dict | None = None) -> list[str]:
+    """The artifact text, in chunks. ``table`` maps column names to
+    columns, each a sequence of scalar cells or a ``Coded`` column;
+    ``extra`` holds named flat dicts that land as top level objects in
+    JSON and as comment lines in CSV."""
+    chunks = _csv_chunks if out_format == "csv" else _json_chunks
+    return chunks(env, table, digits, extra)
+
+
+def _write(path, chunks):
+    """Write rendered chunks; the text is complete before the file is
+    opened, so a failed render leaves no partial artifact."""
     if path is None:
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
         return
     try:
         with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
     except OSError as err:
         raise ConfigError(f"cannot write artifact {path!r}: {err}") \
             from err
 
 
-def _emit(args, config, env, columns, rows, extra=None):
-    """Render one tabular artifact. ``extra`` holds named flat dicts
-    that land as top level objects in JSON and as comment lines in
-    CSV."""
-    if config.out_format == "csv":
-        text = _render_csv(env, columns, rows, config.digits,
-                           extra=extra)
-    else:
-        text = _render_json(env, columns, rows, config.digits,
-                            extra=extra)
-    _write(args.out, text)
+def _emit(args, config, env, table, extra=None):
+    """Render one tabular artifact and write it to ``--out``."""
+    _write(args.out,
+           _render(config.out_format, env, table, config.digits, extra))
 
 
 def cmd_modes(config, args) -> int:
@@ -191,12 +244,12 @@ def cmd_modes(config, args) -> int:
                               transverse_wavenumber(spec, mode),
                               branch))
     table.sort(key=lambda r: (r[0], r[1], r[2], r[3]))
-    columns = ("polarization", "m", "n", "transverse_wavenumber",
-               "cutoff", "branch_at_omega")
-    rows = [(pol, m, n, h, nu_c, branch)
-            for nu_c, pol, m, n, h, branch in table]
+    nu_c, pol, m, n, h, branch = zip(*table)
     env = _envelope("modes", config, args.reproducible)
-    _emit(args, config, env, columns, rows)
+    _emit(args, config, env, {
+        "polarization": pol, "m": m, "n": n,
+        "transverse_wavenumber": h, "cutoff": nu_c,
+        "branch_at_omega": branch})
     return EXIT_OK
 
 
@@ -209,19 +262,25 @@ def cmd_decay(config, args) -> int:
     shift = level_shift(spec, atom, box, config.dos,
                         window=config.shift_window(decay.total),
                         max_index=config.max_mn)
-    columns = ("kind", "polarization", "m", "n", "branch", "direction",
-               "weight", "coupling_re", "coupling_im", "value")
-    rows = []
-    for ch in decay.channels:
-        rows.append(("decay_channel", ch.mode.polarization.value,
-                     ch.mode.m, ch.mode.n, "traveling", ch.direction,
-                     ch.weight, ch.coupling.real, ch.coupling.imag,
-                     ch.rate))
-    for con in shift.contributions:
-        rows.append(("shift_contribution",
-                     con.mode.polarization.value, con.mode.m,
-                     con.mode.n, con.branch.value, None, None, None,
-                     None, con.value))
+    # decay channels first, then shift contributions
+    channels, terms = decay.channels, shift.contributions
+    modes = [ch.mode for ch in channels] + [con.mode for con in terms]
+    blank = [None] * len(terms)
+    table = {
+        "kind": (["decay_channel"] * len(channels)
+                 + ["shift_contribution"] * len(terms)),
+        "polarization": [mode.polarization.value for mode in modes],
+        "m": [mode.m for mode in modes],
+        "n": [mode.n for mode in modes],
+        "branch": (["traveling"] * len(channels)
+                   + [con.branch.value for con in terms]),
+        "direction": [ch.direction for ch in channels] + blank,
+        "weight": [ch.weight for ch in channels] + blank,
+        "coupling_re": [ch.coupling.real for ch in channels] + blank,
+        "coupling_im": [ch.coupling.imag for ch in channels] + blank,
+        "value": ([ch.rate for ch in channels]
+                  + [con.value for con in terms]),
+    }
     summary = {
         "decay_total": decay.total,
         "oscillatory": decay.oscillatory,
@@ -231,8 +290,7 @@ def cmd_decay(config, args) -> int:
         "window_hi": shift.window[1],
     }
     env = _envelope("decay", config, args.reproducible)
-    _emit(args, config, env, columns, rows,
-          extra={"summary": summary})
+    _emit(args, config, env, table, extra={"summary": summary})
     return EXIT_OK
 
 
@@ -274,24 +332,28 @@ def cmd_corr(config, args) -> int:
     }
     env = _envelope("corr", config, args.reproducible,
                     discrepancies=discrepancies)
-    columns = ("x", "z", "t", "g1", "inside_cone")
-    rows = []
-    for i, xv in enumerate(grid.x_values):
-        for j, zv in enumerate(grid.z_values):
-            for k, tv in enumerate(grid.t_values):
-                rows.append((float(xv), float(zv), float(tv),
-                             float(grid.values[i, j, k]),
-                             bool(grid.inside_cone[j, k])))
+    # rows run over x, then z, then t, as in values.ravel()
+    nx, nz, nt = grid.values.shape
+    table = {
+        "x": Coded(grid.x_values.tolist(),
+                   np.repeat(np.arange(nx), nz * nt).tolist()),
+        "z": Coded(grid.z_values.tolist(),
+                   np.tile(np.repeat(np.arange(nz), nt), nx).tolist()),
+        "t": Coded(grid.t_values.tolist(),
+                   np.tile(np.arange(nt), nx * nz).tolist()),
+        "g1": grid.values.ravel().tolist(),
+        "inside_cone": Coded((False, True),
+                             np.tile(grid.inside_cone.ravel(), nx)
+                             .astype(int).tolist()),
+    }
     if config.out_format == "csv":
-        _emit(args, config, env, columns, rows)
+        _emit(args, config, env, table)
         side_doc = {"envelope": _json_value(env, config.digits),
                     "fit": _json_value(sidecar, config.digits)}
-        side_text = json.dumps(side_doc, sort_keys=True,
-                               indent=2) + "\n"
-        _write(args.out + ".json", side_text)
+        _write(args.out + ".json",
+               [json.dumps(side_doc, sort_keys=True, indent=2), "\n"])
     else:
-        _emit(args, config, env, columns, rows,
-              extra={"fit": sidecar})
+        _emit(args, config, env, table, extra={"fit": sidecar})
     return EXIT_OK
 
 
@@ -326,18 +388,23 @@ def cmd_omegad(config, args) -> int:
                 selected_failed = True
     env = _envelope("omegad", config, args.reproducible,
                     discrepancies=discrepancies)
-    _emit(args, config, env, columns, rows)
+    # one row per radicand model, so the table is never empty
+    _emit(args, config, env, dict(zip(columns, zip(*rows))))
     return EXIT_NO_CROSSING if selected_failed else EXIT_OK
 
 
 def cmd_validate(config, args) -> int:
     results = run_checks(config, fault=args.inject_fault)
-    columns = ("check", "passed", "measured", "tolerance", "detail")
-    rows = [(r.name, r.passed, r.measured, r.tolerance, r.detail)
-            for r in results]
+    table = {
+        "check": [r.name for r in results],
+        "passed": [r.passed for r in results],
+        "measured": [r.measured for r in results],
+        "tolerance": [r.tolerance for r in results],
+        "detail": [r.detail for r in results],
+    }
     env = _envelope("validate", config, args.reproducible)
     failures = sum(not r.passed for r in results)
-    _emit(args, config, env, columns, rows,
+    _emit(args, config, env, table,
           extra={"summary": {"checks": len(results),
                              "failures": failures}})
     return EXIT_VALIDATION if failures else EXIT_OK

@@ -38,7 +38,6 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy.special import sici
 
 from .errors import DomainError, NoCrossingError, PurelyEvanescentError
 from .quantize import HBAR, Atom, DensityModel, QuantizationBox
@@ -562,6 +561,9 @@ def brute_force_amplitude(spec: WaveguideSpec, atom: Atom,
     total = complex(math.fsum(terms.real), math.fsum(terms.imag)) * step
 
     if tail_correction:
+        # imported here: scipy would dominate the CLI start-up
+        from scipy.special import sici
+
         # Richardson fit of transfer ~ t_inf + q/|beta| at the edge
         b1 = max(span, 1.0) * 1.0e6
         b2 = 2.0 * b1

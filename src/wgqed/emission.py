@@ -39,7 +39,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .errors import DomainError, DominanceError, PurelyEvanescentError
 from .modes import (
@@ -365,6 +364,9 @@ def amplitudes_ode_oracle(times, bins, transition_frequency: float, *,
     the vacuum. Returns (c_a over times, cell amplitudes with shape
     (len(bins), len(times))).
     """
+    # imported here: scipy.integrate would dominate the CLI start-up
+    from scipy.integrate import solve_ivp
+
     times = np.asarray(times, dtype=float)
     if times[0] != 0.0:
         raise DomainError("time grid must start at zero")

@@ -49,7 +49,11 @@ class QuadratureSpec:
 
 @lru_cache(maxsize=64)
 def _gl_nodes(order: int):
+    """Gauss-Legendre nodes and weights on [-1, 1], shared by every
+    caller and therefore read-only."""
     x, w = np.polynomial.legendre.leggauss(order)
+    x.setflags(write=False)
+    w.setflags(write=False)
     return x, w
 
 

@@ -45,6 +45,7 @@ from .modes import (
     transverse_wavenumber,
     transverse_wavenumbers,
 )
+from .numerics import _gl_nodes
 
 # natural units throughout
 HBAR = 1.0
@@ -278,12 +279,11 @@ def mode_overlap(spec: WaveguideSpec, mode_a: ModeIndex,
     """
     if order is None:
         order = 8 + 4 * max(mode_a.m + mode_b.m, mode_a.n + mode_b.n)
-    gx, wx = np.polynomial.legendre.leggauss(order)
-    gy, wy = np.polynomial.legendre.leggauss(order)
-    x = 0.5 * spec.width * (gx + 1.0)
-    y = 0.5 * spec.height * (gy + 1.0)
-    wx = wx * 0.5 * spec.width
-    wy = wy * 0.5 * spec.height
+    nodes, weights = _gl_nodes(order)
+    x = 0.5 * spec.width * (nodes + 1.0)
+    y = 0.5 * spec.height * (nodes + 1.0)
+    wx = weights * 0.5 * spec.width
+    wy = weights * 0.5 * spec.height
     xx, yy = np.meshgrid(x, y, indexing="ij")
     pts = np.stack([xx, yy, np.full_like(xx, z)], axis=-1)
     f_a = field_at(spec, mode_a, frequency, pts, amplitude=amplitude_a,

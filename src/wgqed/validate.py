@@ -35,7 +35,7 @@ from .modes import (
     mode_divergence_residual,
     mode_helmholtz_residual,
 )
-from .numerics import principal_csqrt, pv_integrate
+from .numerics import _gl_nodes, principal_csqrt, pv_integrate
 from .quantize import (
     HBAR,
     DensityModel,
@@ -82,7 +82,7 @@ def _check_residual(name, fn, config, tolerance=1e-5):
 
 
 def _gauss_nodes(lo, hi, count):
-    x, w = np.polynomial.legendre.leggauss(count)
+    x, w = _gl_nodes(count)
     half = 0.5 * (hi - lo)
     return lo + half * (x + 1.0), half * w
 

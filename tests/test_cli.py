@@ -7,17 +7,22 @@ rehearsal in the acceptance suite.
 
 import json
 import math
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from wgqed import cli
 from wgqed.cli import (
     EXIT_CONFIG,
     EXIT_DOMAIN,
     EXIT_NO_CROSSING,
     EXIT_OK,
     EXIT_VALIDATION,
+    Coded,
     main,
 )
 from wgqed.config import RunConfig, load_config, parse_config
@@ -476,3 +481,175 @@ class TestExitCodes:
                          "--reproducible"]) == EXIT_OK
             outs.append(open(out, "rb").read())
         assert outs[0] == outs[1]
+
+
+# --- the row-tuple renderer the column renderer replaced, kept as the
+# oracle for byte equality ---
+
+def _reference_csv(env, columns, rows, digits, extra=None):
+    lines = list(cli._envelope_lines(env, digits))
+    for key in sorted(extra or {}):
+        for sub in sorted(extra[key]):
+            lines.append(
+                f"# {key}.{sub} = {cli._fmt(extra[key][sub], digits)}")
+    lines.append(",".join(columns))
+    for row in rows:
+        lines.append(",".join(cli._fmt(cell, digits) for cell in row))
+    return "\n".join(lines) + "\n"
+
+
+def _reference_json(env, columns, rows, digits, extra=None):
+    doc = {
+        "envelope": cli._json_value(env, digits),
+        "columns": list(columns),
+        "rows": [[cli._json_value(c, digits) for c in row]
+                 for row in rows],
+    }
+    if extra:
+        doc.update(cli._json_value(extra, digits))
+    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+
+REFERENCE = {"csv": _reference_csv, "json": _reference_json}
+
+MIXED_ROWS = [
+    (None, True, 3, 0.0, "traveling"),
+    (1.0 / 3.0, False, -7, -0.0, "quote \" and é"),
+    (float("nan"), None, 0, float("inf"), ""),
+    (float("-inf"), True, 10 ** 20, 1e-300, "a,b"),
+    (np.float64(2.5e-17), False, None, -123456.789012345, None),
+]
+MIXED_COLUMNS = ("a", "b", "c", "d", "e")
+
+
+def _demo_env():
+    cfg = parse_config(config_text())
+    return cfg, cli._envelope("test", cfg, True,
+                              discrepancies={"gap": 1e-9})
+
+
+def _rendered(out_format, env, table, digits=12, extra=None):
+    return "".join(cli._render(out_format, env, table, digits, extra))
+
+
+def _coded(values):
+    # distinct by type and repr, so that 0.0 and -0.0 stay apart
+    keys = [(type(v), repr(v)) for v in values]
+    distinct = list(dict.fromkeys(keys))
+    first = {key: values[keys.index(key)] for key in distinct}
+    return Coded([first[key] for key in distinct],
+                 [distinct.index(key) for key in keys])
+
+
+class TestColumnRenderer:
+    """The column renderer is byte-equal to the row-tuple one."""
+
+    @pytest.mark.parametrize("out_format", ["csv", "json"])
+    @pytest.mark.parametrize("digits", [4, 12, 17])
+    def test_mixed_cells(self, out_format, digits):
+        _, env = _demo_env()
+        plain = dict(zip(MIXED_COLUMNS, zip(*MIXED_ROWS)))
+        coded = {name: _coded(col) for name, col in plain.items()}
+        want = REFERENCE[out_format](env, MIXED_COLUMNS, MIXED_ROWS,
+                                     digits)
+        assert _rendered(out_format, env, plain, digits) == want
+        assert _rendered(out_format, env, coded, digits) == want
+
+    @pytest.mark.parametrize("out_format", ["csv", "json"])
+    @pytest.mark.parametrize("extra", [None, {"summary": {"n": 0}}])
+    def test_empty_table(self, out_format, extra):
+        _, env = _demo_env()
+        table = {"a": [], "b": Coded([1.0], [])}
+        got = _rendered(out_format, env, table, extra=extra)
+        assert got == REFERENCE[out_format](env, ("a", "b"), [], 12,
+                                            extra)
+        if out_format == "json":
+            assert json.loads(got)["rows"] == []
+
+    @pytest.mark.parametrize("out_format", ["csv", "json"])
+    def test_rows_before_summary(self, out_format):
+        # "summary" sorts after "rows", so the rows are not the tail
+        _, env = _demo_env()
+        extra = {"summary": {"checks": 2, "total": float("nan"),
+                             "ok": True, "rate": 0.125}}
+        table = dict(zip(MIXED_COLUMNS, zip(*MIXED_ROWS)))
+        got = _rendered(out_format, env, table, extra=extra)
+        assert got == REFERENCE[out_format](env, MIXED_COLUMNS,
+                                            MIXED_ROWS, 12, extra)
+        if out_format == "json":
+            doc = json.loads(got)
+            assert list(doc)[-2:] == ["rows", "summary"]
+            assert len(doc["rows"]) == len(MIXED_ROWS)
+
+    @pytest.mark.parametrize("out_format", ["csv", "json"])
+    def test_corr_grid_order(self, tmp_path, monkeypatch, out_format):
+        # three x rows, unequal z and t counts and cells on both sides
+        # of the light front: the index expansion must follow the old
+        # x-outer, t-inner loop (the fit needs at least eight causal
+        # cells along z and along t)
+        seen = {}
+        grid_fn, render_fn = cli.correlation_grid, cli._render
+
+        def grid_spy(*args, **kwargs):
+            seen["grid"] = grid_fn(*args, **kwargs)
+            return seen["grid"]
+
+        def render_spy(out_format, env, table, digits, extra=None):
+            seen.update(env=env, extra=extra, digits=digits)
+            return render_fn(out_format, env, table, digits, extra)
+
+        monkeypatch.setattr(cli, "correlation_grid", grid_spy)
+        monkeypatch.setattr(cli, "_render", render_spy)
+        conf = write_config(tmp_path, **{
+            "grid.x_min": "1.2", "grid.x_max": "1.9",
+            "grid.x_count": "3", "grid.z_count": "9",
+            "grid.t_count": "12", "grid.t_min": "2.0",
+            "grid.t_max": "60.0"})
+        out = tmp_path / f"corr.{out_format}"
+        assert main(["corr", "--config", conf, "--format", out_format,
+                     "--out", str(out), "--reproducible"]) == EXIT_OK
+        grid = seen["grid"]
+        assert grid.values.shape == (3, 9, 12)
+        assert 0 < grid.inside_cone.sum() < grid.inside_cone.size
+        rows = []
+        for i, xv in enumerate(grid.x_values):
+            for j, zv in enumerate(grid.z_values):
+                for k, tv in enumerate(grid.t_values):
+                    rows.append((float(xv), float(zv), float(tv),
+                                 float(grid.values[i, j, k]),
+                                 bool(grid.inside_cone[j, k])))
+        want = REFERENCE[out_format](
+            seen["env"], ("x", "z", "t", "g1", "inside_cone"), rows,
+            seen["digits"], seen["extra"])
+        assert out.read_text(encoding="utf-8") == want
+
+    def test_failed_render_writes_nothing(self, tmp_path, monkeypatch):
+        def broken(values, digits):
+            raise RuntimeError("render failed")
+
+        monkeypatch.setattr(cli, "_json_cells", broken)
+        conf = write_config(tmp_path)
+        out = tmp_path / "modes.json"
+        with pytest.raises(RuntimeError):
+            main(["modes", "--config", conf, "--format", "json",
+                  "--out", str(out)])
+        assert not out.exists()
+
+
+def test_commands_do_not_import_scipy(tmp_path):
+    # scipy serves only the ODE oracle of validate and the brute-force
+    # detection amplitude; the other commands must not load it
+    demo = Path(__file__).resolve().parent.parent / "configs" / "demo.conf"
+    script = (
+        "import sys\n"
+        "from wgqed.cli import main\n"
+        "for command in ('modes', 'decay', 'corr', 'omegad'):\n"
+        f"    rc = main([command, '--config', {str(demo)!r}, '--out',\n"
+        f"               {str(tmp_path)!r} + '/' + command + '.csv'])\n"
+        "    assert rc == 0, command\n"
+        "print(sorted(m for m in sys.modules if m.startswith('scipy')))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

@@ -58,6 +58,17 @@ class TestIntegrate:
         assert exc.value.previous is not None
         assert exc.value.last != exc.value.previous
 
+    def test_shared_rule_is_read_only(self):
+        # every caller gets the same cached arrays
+        from wgqed.numerics import _gl_nodes
+        x, w = _gl_nodes(7)
+        assert _gl_nodes(7)[0] is x
+        want_x, want_w = np.polynomial.legendre.leggauss(7)
+        assert np.array_equal(x, want_x) and np.array_equal(w, want_w)
+        for arr in (x, w):
+            with pytest.raises(ValueError):
+                arr *= 2.0
+
 
 class TestPVIntegrate:
     """``pv_integrate(g, pole, a, b)`` is the principal value of
