@@ -191,16 +191,6 @@ def _json_chunks(env: dict, table: dict, digits: int,
             "\n    ],\n    [\n      ".join(rows), "\n    ]\n  ]", tail]
 
 
-def _render(out_format: str, env: dict, table: dict, digits: int,
-            extra: dict | None = None) -> list[str]:
-    """The artifact text, in chunks. ``table`` maps column names to
-    columns, each a sequence of scalar cells or a ``Coded`` column;
-    ``extra`` holds named flat dicts that land as top level objects in
-    JSON and as comment lines in CSV."""
-    chunks = _csv_chunks if out_format == "csv" else _json_chunks
-    return chunks(env, table, digits, extra)
-
-
 def _write(path, chunks):
     """Write rendered chunks; the text is complete before the file is
     opened, so a failed render leaves no partial artifact."""
@@ -216,9 +206,12 @@ def _write(path, chunks):
 
 
 def _emit(args, config, env, table, extra=None):
-    """Render one tabular artifact and write it to ``--out``."""
-    _write(args.out,
-           _render(config.out_format, env, table, config.digits, extra))
+    """Render one tabular artifact. ``table`` maps column names to
+    columns, each a sequence of scalar cells or a ``Coded`` column;
+    ``extra`` holds named flat dicts that land as top level objects in
+    JSON and as comment lines in CSV."""
+    chunks = _csv_chunks if config.out_format == "csv" else _json_chunks
+    _write(args.out, chunks(env, table, config.digits, extra))
 
 
 def cmd_modes(config, args) -> int:

@@ -523,13 +523,13 @@ MIXED_COLUMNS = ("a", "b", "c", "d", "e")
 
 
 def _demo_env():
-    cfg = parse_config(config_text())
-    return cfg, cli._envelope("test", cfg, True,
-                              discrepancies={"gap": 1e-9})
+    return cli._envelope("test", parse_config(config_text()), True,
+                         discrepancies={"gap": 1e-9})
 
 
 def _rendered(out_format, env, table, digits=12, extra=None):
-    return "".join(cli._render(out_format, env, table, digits, extra))
+    chunks = cli._csv_chunks if out_format == "csv" else cli._json_chunks
+    return "".join(chunks(env, table, digits, extra))
 
 
 def _coded(values):
@@ -547,18 +547,21 @@ class TestColumnRenderer:
     @pytest.mark.parametrize("out_format", ["csv", "json"])
     @pytest.mark.parametrize("digits", [4, 12, 17])
     def test_mixed_cells(self, out_format, digits):
-        _, env = _demo_env()
+        env = _demo_env()
         plain = dict(zip(MIXED_COLUMNS, zip(*MIXED_ROWS)))
         coded = {name: _coded(col) for name, col in plain.items()}
         want = REFERENCE[out_format](env, MIXED_COLUMNS, MIXED_ROWS,
                                      digits)
         assert _rendered(out_format, env, plain, digits) == want
         assert _rendered(out_format, env, coded, digits) == want
+        one_column = [row[-1:] for row in MIXED_ROWS]
+        assert _rendered(out_format, env, {"e": plain["e"]}, digits) \
+            == REFERENCE[out_format](env, ("e",), one_column, digits)
 
     @pytest.mark.parametrize("out_format", ["csv", "json"])
     @pytest.mark.parametrize("extra", [None, {"summary": {"n": 0}}])
     def test_empty_table(self, out_format, extra):
-        _, env = _demo_env()
+        env = _demo_env()
         table = {"a": [], "b": Coded([1.0], [])}
         got = _rendered(out_format, env, table, extra=extra)
         assert got == REFERENCE[out_format](env, ("a", "b"), [], 12,
@@ -569,7 +572,7 @@ class TestColumnRenderer:
     @pytest.mark.parametrize("out_format", ["csv", "json"])
     def test_rows_before_summary(self, out_format):
         # "summary" sorts after "rows", so the rows are not the tail
-        _, env = _demo_env()
+        env = _demo_env()
         extra = {"summary": {"checks": 2, "total": float("nan"),
                              "ok": True, "rate": 0.125}}
         table = dict(zip(MIXED_COLUMNS, zip(*MIXED_ROWS)))
@@ -588,18 +591,18 @@ class TestColumnRenderer:
         # x-outer, t-inner loop (the fit needs at least eight causal
         # cells along z and along t)
         seen = {}
-        grid_fn, render_fn = cli.correlation_grid, cli._render
+        grid_fn, emit_fn = cli.correlation_grid, cli._emit
 
         def grid_spy(*args, **kwargs):
             seen["grid"] = grid_fn(*args, **kwargs)
             return seen["grid"]
 
-        def render_spy(out_format, env, table, digits, extra=None):
-            seen.update(env=env, extra=extra, digits=digits)
-            return render_fn(out_format, env, table, digits, extra)
+        def emit_spy(args, config, env, table, extra=None):
+            seen.update(env=env, extra=extra, digits=config.digits)
+            return emit_fn(args, config, env, table, extra)
 
         monkeypatch.setattr(cli, "correlation_grid", grid_spy)
-        monkeypatch.setattr(cli, "_render", render_spy)
+        monkeypatch.setattr(cli, "_emit", emit_spy)
         conf = write_config(tmp_path, **{
             "grid.x_min": "1.2", "grid.x_max": "1.9",
             "grid.x_count": "3", "grid.z_count": "9",
