@@ -32,6 +32,7 @@ import numpy as np
 from . import __version__
 from .config import MAX_GRID_POINTS, load_config
 from .detection import (
+    MIN_FIT_CELLS,
     RadicandModel,
     closed_form_crossing,
     correlation_grid,
@@ -292,6 +293,11 @@ def cmd_corr(config, args) -> int:
         raise ConfigError(
             "corr with CSV output needs --out, since the fit goes to "
             "a JSON sidecar next to the table")
+    if min(config.z_count, config.t_count) < MIN_FIT_CELLS:
+        raise ConfigError(
+            f"corr needs grid.z_count and grid.t_count of at least "
+            f"{MIN_FIT_CELLS} to fit its two rates; got "
+            f"{config.z_count} and {config.t_count}")
     spec = config.waveguide_spec()
     atom = config.atom()
     sol = solve_emitter(spec, atom, config.box(), config.dos,

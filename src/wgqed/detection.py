@@ -429,11 +429,17 @@ class RateFit:
     max_log_residual: float
 
 
+# causal cells each log-linear fit of ``fit_decay_rates`` needs, along
+# t on one axial sample and along z at the latest time
+MIN_FIT_CELLS = 8
+
+
 def fit_decay_rates(grid: CorrelationGrid) -> RateFit:
     """Fit the two exponential rates from a sampled grid.
 
-    The time fit runs along the first axial sample with at least eight
-    causal cells; the axial fit along the latest time sample. Returns
+    The time fit runs along the first axial sample with at least
+    MIN_FIT_CELLS causal cells; the axial fit along the latest time
+    sample, which needs as many. Returns
     the unsigned rates, their ratio, and the ratio rescaled by the
     front speed (temporal*index/spatial), plus the worst log-space fit
     residual.
@@ -447,7 +453,7 @@ def fit_decay_rates(grid: CorrelationGrid) -> RateFit:
     z_idx = None
     for j in range(len(z)):
         mask = grid.inside_cone[j] & (values[j] > 0.0)
-        if np.count_nonzero(mask) >= 8:
+        if np.count_nonzero(mask) >= MIN_FIT_CELLS:
             z_idx = j
             break
     if z_idx is None:
@@ -461,7 +467,7 @@ def fit_decay_rates(grid: CorrelationGrid) -> RateFit:
 
     t_idx = len(t) - 1
     z_mask = grid.inside_cone[:, t_idx] & (values[:, t_idx] > 0.0)
-    if np.count_nonzero(z_mask) < 8:
+    if np.count_nonzero(z_mask) < MIN_FIT_CELLS:
         raise DomainError(
             "not enough causal axial samples at the latest time to "
             "fit a spatial rate; extend the time range or shrink the "

@@ -27,9 +27,11 @@ Couplings come from ``quantize.couplings``, one array per quadrature
 segment or frequency grid; ``quantize.coupling_at`` stays the
 per-point definition the tests check this module against.
 
-``amplitudes_ode_oracle`` integrates the exact Schroedinger system of
-a discretized continuum and is the module's own cross-check on the
-closed forms; nothing in it reuses the weak-coupling formulas.
+``amplitudes_ode_oracle`` propagates the exact Schroedinger system of
+a discretized continuum by diagonalizing its Hamiltonian once, with no
+time stepping and no tolerance to set. It is the module's own
+cross-check on the closed forms; nothing in it reuses the
+weak-coupling formulas.
 """
 
 from __future__ import annotations
@@ -103,10 +105,10 @@ def decay_rate(spec: WaveguideSpec, atom: Atom, box: QuantizationBox,
     omega = atom.transition_frequency
     channels = []
     for _, mode in modes_below(spec, omega, max_index=max_index):
+        w = continuum_weight(spec, mode, omega, box, model)
         for direction in (1, -1):
             g = complex(couplings(spec, mode, omega, atom, box,
                                   direction=direction))
-            w = continuum_weight(spec, mode, omega, box, model)
             channels.append(ChannelRate(
                 mode=mode, direction=direction, weight=w, coupling=g,
                 rate=2.0 * math.pi * w * abs(g) ** 2))
@@ -324,13 +326,16 @@ def build_bins(spec: WaveguideSpec, atom: Atom, box: QuantizationBox,
         nu_c = cutoff_frequency(spec, mode)
         forward = couplings(spec, mode, centers, atom, box, direction=1)
         backward = couplings(spec, mode, centers, atom, box, direction=-1)
-        for nu, g_fwd, g_bwd in zip(centers.tolist(), forward.tolist(),
-                                    backward.tolist()):
+        above = centers > nu_c
+        weights = np.full(count, _LOCALIZED_UNIT_WEIGHT)
+        weights[above] = continuum_weight(spec, mode, centers[above], box,
+                                          model)
+        for nu, g_fwd, g_bwd, w in zip(centers.tolist(), forward.tolist(),
+                                       backward.tolist(), weights.tolist()):
             if nu > nu_c:
-                w = continuum_weight(spec, mode, nu, box, model)
                 cells = ((1, g_fwd, w), (-1, g_bwd, w))
             else:
-                cells = ((0, g_fwd, _LOCALIZED_UNIT_WEIGHT),)
+                cells = ((0, g_fwd, w),)
             for d, g, w in cells:
                 bins.append(ContinuumBin(mode=mode, direction=d,
                                          frequency=nu, width=width,
@@ -353,49 +358,34 @@ def photon_bin_amplitudes(time: float, bins, params: MarkovParameters
     return np.conj(g_tilde) * envelope / ((nu - center) + 1j * half_rate)
 
 
-def amplitudes_ode_oracle(times, bins, transition_frequency: float, *,
-                          rtol: float = 1e-10, atol: float = 1e-12):
+def amplitudes_ode_oracle(times, bins, transition_frequency: float):
     """Exact evolution of the excited atom coupled to discrete cells.
 
-    Integrates the interaction-picture Schroedinger equations
+    Solves the interaction-picture Schroedinger equations
         dc_a/dt = -i * sum_j g_j exp(+i (omega - nu_j) t) c_j
         dc_j/dt = -i * conj(g_j) exp(-i (omega - nu_j) t) c_a
-    stacked into real variables, starting from the excited atom and
-    the vacuum. Returns (c_a over times, cell amplitudes with shape
-    (len(bins), len(times))).
+    from the excited atom and the vacuum by diagonalizing, not by
+    integrating. In the frame rotating at omega the Hamiltonian is
+    constant, [[0, g], [conj(g), diag(nu_j - omega)]], and the phases
+    of g are a gauge: the real arrowhead with |g_j| in their place has
+    the same spectrum. One real ``eigh``, H_r = V diag(lam) V^T, gives
+    psi(t) = V (exp(-i lam t) * V[0, :]), then c_a = psi_0 and
+    c_j = exp(-i arg g_j) exp(i (nu_j - omega) t) psi_j. Returns
+    (c_a over times, cell amplitudes with shape (len(bins),
+    len(times))).
     """
-    # imported here: scipy.integrate would dominate the CLI start-up
-    from scipy.integrate import solve_ivp
-
     times = np.asarray(times, dtype=float)
     if times[0] != 0.0:
         raise DomainError("time grid must start at zero")
-    g = np.array([b.discrete_coupling for b in bins])
-    detune = transition_frequency - np.array([b.frequency for b in bins])
-    n = len(bins)
-
-    def rhs(t, y):
-        c_a = y[0] + 1j * y[1]
-        c_b = y[2:2 + n] + 1j * y[2 + n:]
-        phase = np.exp(1j * detune * t)
-        da = -1j * np.sum(g * phase * c_b)
-        db = -1j * np.conj(g * phase) * c_a
-        out = np.empty(2 + 2 * n)
-        out[0] = da.real
-        out[1] = da.imag
-        out[2:2 + n] = db.real
-        out[2 + n:] = db.imag
-        return out
-
-    y0 = np.zeros(2 + 2 * n)
-    y0[0] = 1.0
-    sol = solve_ivp(rhs, (0.0, float(times[-1])), y0, t_eval=times,
-                    method="DOP853", rtol=rtol, atol=atol)
-    if not sol.success:
-        raise DomainError(f"continuum evolution failed: {sol.message}")
-    c_a = sol.y[0] + 1j * sol.y[1]
-    c_b = sol.y[2:2 + n] + 1j * sol.y[2 + n:]
-    return c_a, c_b
+    g = np.array([b.discrete_coupling for b in bins], dtype=complex)
+    detune = np.array([b.frequency for b in bins]) - transition_frequency
+    h_r = np.diag(np.concatenate(([0.0], detune)))
+    h_r[0, 1:] = h_r[1:, 0] = np.abs(g)
+    lam, v = np.linalg.eigh(h_r)
+    psi = v @ (np.exp(-1j * np.outer(lam, times)) * v[0][:, None])
+    gauge = np.exp(-1j * np.angle(g))[:, None]
+    c_b = gauge * np.exp(1j * np.outer(detune, times)) * psi[1:]
+    return psi[0], c_b
 
 
 @dataclass(frozen=True)
@@ -452,8 +442,7 @@ def photon_state(spec: WaveguideSpec, atom: Atom, box: QuantizationBox,
             if branch is Branch.LOCALIZED:
                 w = _LOCALIZED_UNIT_WEIGHT
             else:
-                w = np.array([continuum_weight(spec, mode, nu, box, model)
-                              for nu in freqs.tolist()])
+                w = continuum_weight(spec, mode, freqs, box, model)
             for d in directions:
                 g = couplings(spec, mode, freqs, atom, box,
                               direction=d if d != 0 else 1)

@@ -176,6 +176,26 @@ def coupling_at(spec: WaveguideSpec, mode: ModeIndex, frequency: float,
     return complex(-np.dot(atom.dipole_array(), sample.electric) / HBAR)
 
 
+def _axial(spec: WaveguideSpec, mode: ModeIndex, frequencies):
+    # ``dispersion`` over an array: the same checks and the same
+    # sqrt(k^2 - h^2), so each element matches the scalar path to the
+    # bit. Returns the frequencies, h, k, the above-cutoff mask and the
+    # axial wavenumber above cutoff or the attenuation below it
+    nu = np.asarray(frequencies, dtype=float)
+    if np.any(nu <= 0.0):
+        raise DomainError("frequency must be positive")
+    h = transverse_wavenumber(spec, mode)
+    nu_c = h / spec.refractive_index
+    degenerate = np.flatnonzero(np.abs(nu - nu_c) <= CUTOFF_REL_TOL * nu_c)
+    if degenerate.size:
+        raise DomainError(
+            f"frequency {float(nu.flat[degenerate[0]])!r} is degenerate "
+            f"with the cutoff {nu_c!r} of "
+            f"{mode.polarization.value}({mode.m},{mode.n})")
+    k = nu * spec.refractive_index
+    return nu, h, k, nu > nu_c, np.sqrt(np.abs(k * k - h * h))
+
+
 def couplings(spec: WaveguideSpec, mode: ModeIndex, frequencies,
               atom: Atom, box: QuantizationBox, *,
               direction: int = 1) -> np.ndarray:
@@ -199,22 +219,8 @@ def couplings(spec: WaveguideSpec, mode: ModeIndex, frequencies,
     atom.check_inside(spec)
     if direction not in (1, -1):
         raise DomainError("direction must be +1 or -1")
-    nu = np.asarray(frequencies, dtype=float)
-    if np.any(nu <= 0.0):
-        raise DomainError("frequency must be positive")
-    h = transverse_wavenumber(spec, mode)
-    nu_c = h / spec.refractive_index
-    degenerate = np.flatnonzero(np.abs(nu - nu_c) <= CUTOFF_REL_TOL * nu_c)
-    if degenerate.size:
-        raise DomainError(
-            f"frequency {float(nu.flat[degenerate[0]])!r} is degenerate "
-            f"with the cutoff {nu_c!r} of "
-            f"{mode.polarization.value}({mode.m},{mode.n})")
+    nu, h, k, propagating, axial = _axial(spec, mode, frequencies)
     h2 = h * h
-    k = nu * spec.refractive_index
-    propagating = nu > nu_c
-    # axial wavenumber above cutoff, attenuation below
-    axial = np.sqrt(np.abs(k * k - h2))
     per_area = (HBAR * nu * _index_weight(mode)
                 / (_polarization_constant(spec, mode)
                    * spec.cross_section_area))
@@ -240,27 +246,31 @@ def couplings(spec: WaveguideSpec, mode: ModeIndex, frequencies,
 
 
 def continuum_weight(spec: WaveguideSpec, mode: ModeIndex,
-                     frequency: float, box: QuantizationBox,
-                     model: DensityModel) -> float:
+                     frequency, box: QuantizationBox,
+                     model: DensityModel):
     """States per unit angular frequency for one direction of travel.
 
     Above cutoff the box spacing 2*pi/length in the axial wavenumber
     is converted to frequency per ``model``. The decaying branch has
     no axial wavenumber to count and is refused; consumers that treat
     those profiles as a frequency continuum supply their own unit
-    measure.
+    measure. A scalar frequency gives a float, an array of them an
+    array of weights, element for element equal to the scalar calls.
     """
-    disp = dispersion(spec, mode, frequency)
-    if disp.branch is Branch.LOCALIZED:
+    nu, _, _, propagating, axial = _axial(spec, mode, frequency)
+    below = np.flatnonzero(~propagating)
+    if below.size:
         raise DomainError(
             "state-density conversion only applies above cutoff; "
             f"{mode.polarization.value}({mode.m},{mode.n}) decays at "
-            f"frequency {frequency!r}")
+            f"frequency {float(nu.flat[below[0]])!r}")
     eps_mu = spec.permittivity * spec.permeability
     if model is DensityModel.PHASE_VELOCITY:
-        return box.length * math.sqrt(eps_mu) / (2.0 * math.pi)
-    return (box.length * eps_mu * frequency
-            / (2.0 * math.pi * disp.axial_wavenumber))
+        weight = np.full(nu.shape,
+                         box.length * math.sqrt(eps_mu) / (2.0 * math.pi))
+    else:
+        weight = box.length * eps_mu * nu / (2.0 * math.pi * axial)
+    return float(weight) if weight.ndim == 0 else weight
 
 
 def mode_overlap(spec: WaveguideSpec, mode_a: ModeIndex,

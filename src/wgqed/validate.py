@@ -255,8 +255,7 @@ def _check_markov_oracle(config):
             bins = build_bins(spec, atom, box, config.dos,
                               window=window, count=160, modes=modes)
             times = np.linspace(0.0, 2.0 / rate, 17)
-            c_a, _ = amplitudes_ode_oracle(times, bins, omega,
-                                           rtol=1e-8)
+            c_a, _ = amplitudes_ode_oracle(times, bins, omega)
             measured = float(np.max(np.abs(
                 np.abs(c_a) ** 2 - np.exp(-rate * times))))
             tolerance = 0.05
@@ -271,8 +270,7 @@ def _check_markov_oracle(config):
             bins = build_bins(spec, atom, box, config.dos,
                               window=window, count=120, modes=[lowest])
             times = np.linspace(0.0, 10.0 / omega, 15)
-            c_a, _ = amplitudes_ode_oracle(times, bins, omega,
-                                           rtol=1e-8)
+            c_a, _ = amplitudes_ode_oracle(times, bins, omega)
             measured = float(1.0 - np.min(np.abs(c_a) ** 2))
             tolerance = 0.5
             detail = "below-cutoff excitation stays on the atom"

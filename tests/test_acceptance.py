@@ -288,7 +288,7 @@ def test_criterion_06():
     bins = build_bins(EMPTY, atom, BOX, DensityModel.PHASE_VELOCITY,
                       window=window, count=400, modes=[TE10])
     times = np.linspace(0.0, 3.0 / rate_target, 31)
-    c_a, c_b = amplitudes_ode_oracle(times, bins, omega, rtol=1e-9)
+    c_a, c_b = amplitudes_ode_oracle(times, bins, omega)
     deviation = np.max(np.abs(np.abs(c_a) ** 2
                               - np.exp(-rate_target * times)))
     assert float(deviation) < 0.05
@@ -339,7 +339,7 @@ def test_criterion_09():
                       modes=[TE10])
     assert all(b.frequency < nu_c for b in bins)
     times = np.linspace(0.0, 10.0 / omega, 21)
-    c_a, _ = amplitudes_ode_oracle(times, bins, omega, rtol=1e-8)
+    c_a, _ = amplitudes_ode_oracle(times, bins, omega)
     assert float(np.min(np.abs(c_a) ** 2)) > 0.5
 
 

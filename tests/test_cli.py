@@ -356,6 +356,24 @@ class TestCorrCommand:
         assert "--out" in captured.err
         assert len(captured.err.strip().splitlines()) == 1
 
+    @pytest.mark.parametrize("key", ["grid.t_count", "grid.z_count"])
+    def test_grid_too_short_to_fit_rejected(self, tmp_path, capsys, key):
+        # each rate fit needs eight causal cells; fewer samples cannot
+        # supply them, whatever the time range
+        conf = write_config(tmp_path, **{key: "4"})
+        out = tmp_path / "corr.csv"
+        assert main(["corr", "--config", conf, "--out", str(out)]) \
+            == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.strip().splitlines()) == 1
+        assert "at least 8" in captured.err
+        assert not out.exists()
+        assert not (tmp_path / "corr.csv.json").exists()
+        # the bound is the fit's, so the other commands keep short grids
+        assert main(["decay", "--config", conf, "--out",
+                     str(tmp_path / "decay.csv")]) == EXIT_OK
+
 
 class TestOmegadCommand:
     def test_both_models_always_reported(self, tmp_path):
@@ -640,13 +658,13 @@ class TestColumnRenderer:
 
 
 def test_commands_do_not_import_scipy(tmp_path):
-    # scipy serves only the ODE oracle of validate and the brute-force
-    # detection amplitude; the other commands must not load it
+    # scipy serves only the tail correction of the brute-force
+    # detection amplitude; no command may load it
     demo = Path(__file__).resolve().parent.parent / "configs" / "demo.conf"
     script = (
         "import sys\n"
         "from wgqed.cli import main\n"
-        "for command in ('modes', 'decay', 'corr', 'omegad'):\n"
+        "for command in ('modes', 'decay', 'corr', 'omegad', 'validate'):\n"
         f"    rc = main([command, '--config', {str(demo)!r}, '--out',\n"
         f"               {str(tmp_path)!r} + '/' + command + '.csv'])\n"
         "    assert rc == 0, command\n"

@@ -1,20 +1,26 @@
 """Tests for decay, level shift and the discretized-continuum oracle.
 
-Independent oracles anchor this module: an exact Schroedinger
-integration of the discretized continuum (checks the golden-rule rate
-normalization end to end), and a subtraction-based trapezoid principal
-value and QUADPACK's Cauchy-weight rule, both in plain frequency
-(check the axial-variable shift integrals).
+Independent oracles anchor this module: the exact evolution of the
+discretized continuum (checks the golden-rule rate normalization end
+to end), itself checked against the closed-form two-level Rabi
+solution and against scipy's DOP853 integration written out here; and
+a subtraction-based trapezoid principal value and QUADPACK's
+Cauchy-weight rule, both in plain frequency (check the axial-variable
+shift integrals).
 """
 
+import dataclasses
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy.integrate import quad
+from scipy.integrate import quad, solve_ivp
 
+from wgqed.config import load_config
 from wgqed.errors import DomainError, DominanceError, PurelyEvanescentError
 from wgqed.emission import (
+    ContinuumBin,
     MarkovParameters,
     amplitudes_ode_oracle,
     build_bins,
@@ -26,7 +32,14 @@ from wgqed.emission import (
     photon_norm,
     photon_state,
 )
-from wgqed.modes import Branch, ModeIndex, Polarization, WaveguideSpec
+from wgqed.modes import (
+    Branch,
+    ModeIndex,
+    Polarization,
+    WaveguideSpec,
+    cutoff_frequency,
+    modes_below,
+)
 from wgqed.quantize import Atom, DensityModel, QuantizationBox, coupling_at
 
 GUIDE = WaveguideSpec(width=math.pi, height=math.pi / 2.0)
@@ -250,6 +263,72 @@ class TestLevelShift:
                         window=(1.9, 1.2))
 
 
+def _dop853(times, bins, omega):
+    # the interaction-picture equations stepped by DOP853, stacked
+    # into real variables:
+    #   dc_a/dt = -i sum_j g_j exp(+i (omega - nu_j) t) c_j
+    #   dc_j/dt = -i conj(g_j) exp(-i (omega - nu_j) t) c_a
+    g = np.array([b.discrete_coupling for b in bins])
+    detune = omega - np.array([b.frequency for b in bins])
+    n = len(bins)
+
+    def rhs(t, y):
+        c_a = y[0] + 1j * y[1]
+        c_b = y[2:2 + n] + 1j * y[2 + n:]
+        phase = np.exp(1j * detune * t)
+        da = -1j * np.sum(g * phase * c_b)
+        db = -1j * np.conj(g * phase) * c_a
+        return np.concatenate(([da.real, da.imag], db.real, db.imag))
+
+    y0 = np.zeros(2 + 2 * n)
+    y0[0] = 1.0
+    sol = solve_ivp(rhs, (0.0, float(times[-1])), y0, t_eval=times,
+                    method="DOP853", rtol=1e-12, atol=1e-14)
+    assert sol.success, sol.message
+    return (sol.y[0] + 1j * sol.y[1],
+            sol.y[2:2 + n] + 1j * sol.y[2 + n:])
+
+
+def _oracle_case(case):
+    """(bins, times, omega) of a discretized continuum.
+
+    ``demo`` is validate's markov_oracle set-up on configs/demo.conf,
+    ``random_phases`` the same cells with random coupling phases, and
+    ``below_cutoff`` criterion 9's decaying cells: a filled guide with
+    the transition under the TE10 cutoff.
+    """
+    if case == "below_cutoff":
+        spec = WaveguideSpec(width=math.pi, height=math.pi / 2.0,
+                             permittivity=1.0, permeability=1.44)
+        omega = 0.5
+        atom = Atom(position=(spec.width / 2.0, spec.height / 4.0, 0.0),
+                    dipole=(0.0, 0.124, 0.0), transition_frequency=omega)
+        nu_c = cutoff_frequency(spec, TE10)
+        bins = build_bins(spec, atom, BOX, DensityModel.PHASE_VELOCITY,
+                          window=(0.4 * omega, 0.98 * nu_c), count=160,
+                          modes=[TE10])
+        assert all(b.direction == 0 for b in bins)
+        return bins, np.linspace(0.0, 10.0 / omega, 21), omega
+    config = load_config(str(Path(__file__).resolve().parent.parent
+                             / "configs" / "demo.conf"))
+    spec, atom, box = config.waveguide_spec(), config.atom(), config.box()
+    omega = atom.transition_frequency
+    rate = decay_rate(spec, atom, box, config.dos,
+                      max_index=config.max_mn).total
+    modes = [m for _, m in modes_below(spec, omega,
+                                       max_index=config.max_mn)]
+    bins = build_bins(spec, atom, box, config.dos,
+                      window=(omega - 25.0 * rate, omega + 25.0 * rate),
+                      count=160, modes=modes)
+    if case == "random_phases":
+        rng = np.random.default_rng(20261018)
+        bins = [dataclasses.replace(b, coupling=b.coupling * complex(
+                    math.cos(p), math.sin(p)))
+                for b, p in zip(bins, rng.uniform(0.0, 2.0 * math.pi,
+                                                  len(bins)).tolist())]
+    return bins, np.linspace(0.0, 2.0 / rate, 17), omega
+
+
 class TestDiscretizedContinuum:
     def test_bin_layout_across_cutoff(self):
         atom = make_atom(1.5, 0.1)
@@ -284,7 +363,7 @@ class TestDiscretizedContinuum:
         bins = build_bins(GUIDE, atom, BOX, DensityModel.PHASE_VELOCITY,
                           window=window, count=200, modes=[TE10])
         times = np.linspace(0.0, 2.0 / rate_target, 25)
-        c_a, c_b = amplitudes_ode_oracle(times, bins, omega, rtol=1e-9)
+        c_a, c_b = amplitudes_ode_oracle(times, bins, omega)
         norm = np.abs(c_a) ** 2 + np.sum(np.abs(c_b) ** 2, axis=0)
         assert np.max(np.abs(norm - 1.0)) < 1e-7
         deviation = np.max(np.abs(np.abs(c_a) ** 2
@@ -301,6 +380,38 @@ class TestDiscretizedContinuum:
         scale = np.max(np.abs(c_b[:, -1]))
         assert np.max(np.abs(np.abs(c_b[:, -1]) - np.abs(predicted))) \
             < 0.05 * scale
+
+    def test_single_cell_matches_rabi_closed_form(self):
+        # one cell is a two-level system: with detuning d = nu - omega
+        # and W = sqrt(d^2/4 + |g|^2),
+        #   c_a = exp(-i d t/2) (cos Wt + i d/(2W) sin Wt)
+        #   c_b = exp(+i d t/2) (-i conj(g)/W) sin Wt
+        omega, nu = 1.5, 1.52
+        g = 0.03 * complex(math.cos(0.7), math.sin(0.7))
+        cell = ContinuumBin(mode=TE10, direction=1, frequency=nu,
+                            width=1.0, coupling=g, weight=1.0)
+        times = np.linspace(0.0, 400.0, 41)
+        c_a, c_b = amplitudes_ode_oracle(times, [cell], omega)
+        d = nu - omega
+        w = math.sqrt(0.25 * d * d + abs(g) ** 2)
+        want_a = np.exp(-0.5j * d * times) * (
+            np.cos(w * times) + 0.5j * d / w * np.sin(w * times))
+        want_b = (np.exp(0.5j * d * times) * (-1j * g.conjugate() / w)
+                  * np.sin(w * times))
+        assert c_b.shape == (1, len(times))
+        assert np.max(np.abs(c_a - want_a)) < 1e-12
+        assert np.max(np.abs(c_b[0] - want_b)) < 1e-12
+
+    @pytest.mark.parametrize("case", ["demo", "random_phases",
+                                      "below_cutoff"])
+    def test_matches_dop853(self, case):
+        bins, times, omega = _oracle_case(case)
+        c_a, c_b = amplitudes_ode_oracle(times, bins, omega)
+        ref_a, ref_b = _dop853(times, bins, omega)
+        assert np.max(np.abs(c_a - ref_a)) < 1e-10
+        assert np.max(np.abs(c_b - ref_b)) < 1e-10
+        norm = np.abs(c_a) ** 2 + np.sum(np.abs(c_b) ** 2, axis=0)
+        assert np.max(np.abs(norm - 1.0)) < 1e-12
 
     def test_ode_needs_zero_start(self):
         atom = make_atom(1.5, 0.1)

@@ -348,6 +348,30 @@ class TestContinuumWeight:
         for model in DensityModel:
             with pytest.raises(DomainError):
                 continuum_weight(GUIDE, TE10, 0.5, BOX, model)
+            with pytest.raises(DomainError, match="decays at frequency 0.5"):
+                continuum_weight(GUIDE, TE10, [2.0, 0.5, 3.0], BOX, model)
+
+    def test_array_matches_scalar_bit_for_bit(self):
+        # the array form must reproduce the scalar calls exactly, and
+        # the scalar call the dispersion-based definition, so the
+        # artifacts built on either path carry the same bytes
+        box = QuantizationBox(length=2.3)
+        for mode in (TE10, TM11):
+            nu_c = cutoff_frequency(GUIDE, mode)
+            nus = nu_c * np.linspace(1.0 + 1e-9, 40.0, 301)
+            for model in DensityModel:
+                arr = continuum_weight(GUIDE, mode, nus, box, model)
+                scalars = [continuum_weight(GUIDE, mode, nu, box, model)
+                           for nu in nus.tolist()]
+                assert arr.tolist() == scalars
+                assert all(type(w) is float for w in scalars)
+            eps_mu = GUIDE.permittivity * GUIDE.permeability
+            for nu, w in zip(nus.tolist(), continuum_weight(
+                    GUIDE, mode, nus, box,
+                    DensityModel.GROUP_VELOCITY).tolist()):
+                beta = dispersion(GUIDE, mode, nu).axial_wavenumber
+                assert w == box.length * eps_mu * nu / (2.0 * math.pi
+                                                         * beta)
 
     def test_coupling_weight_product_box_invariant(self):
         # physical rates combine |g|^2 with the state density; the
