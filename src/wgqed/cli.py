@@ -30,7 +30,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import __version__
-from .config import MAX_GRID_POINTS, load_config
+from .config import FORMATS, MAX_GRID_POINTS, load_config
 from .detection import (
     MIN_FIT_CELLS,
     RadicandModel,
@@ -53,6 +53,7 @@ from .modes import (
     cutoff_frequency,
     transverse_wavenumber,
 )
+from .quantize import DensityModel
 from .validate import run_checks
 
 EXIT_OK = 0
@@ -298,6 +299,13 @@ def cmd_corr(config, args) -> int:
             f"corr needs grid.z_count and grid.t_count of at least "
             f"{MIN_FIT_CELLS} to fit its two rates; got "
             f"{config.z_count} and {config.t_count}")
+    outside = [x for x in (config.x_min, config.x_max)
+               if x is not None and not 0.0 <= x <= config.waveguide_a]
+    if outside:
+        raise ConfigError(
+            f"corr needs grid.x_min and grid.x_max inside [0, "
+            f"waveguide.a] = [0, {config.waveguide_a!r}]; got "
+            f"{outside[0]!r}")
     spec = config.waveguide_spec()
     atom = config.atom()
     sol = solve_emitter(spec, atom, config.box(), config.dos,
@@ -415,16 +423,17 @@ def build_parser() -> argparse.ArgumentParser:
                         help="key = value configuration file")
     common.add_argument("--out", metavar="PATH",
                         help="artifact path (default stdout)")
-    common.add_argument("--format", choices=("csv", "json"),
+    common.add_argument("--format", choices=FORMATS,
                         help="artifact format (default from config)")
     common.add_argument("--reproducible", action="store_true",
                         help="omit the timestamp for byte-identical "
                              "reruns")
     common.add_argument("--max-mn", type=int, dest="max_mn",
                         metavar="N", help="mode index bound override")
-    common.add_argument("--dos", choices=("paper", "dispersion"),
+    common.add_argument("--dos", choices=[m.value for m in DensityModel],
                         help="state density model override")
-    common.add_argument("--radicand", choices=("paper", "consistent"),
+    common.add_argument("--radicand",
+                        choices=[m.value for m in RadicandModel],
                         help="below-cutoff continuation override")
 
     parser = argparse.ArgumentParser(

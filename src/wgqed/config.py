@@ -6,16 +6,19 @@ shift window and output policy all carry defaults. Unknown keys are a
 hard error with a line number and a nearest-match hint, so a typo
 cannot silently fall back to a default.
 
-Values marked "auto" in the schema are resolved late, once the
-quantities they depend on (the emitter frequency, the fitted decay
-rate) are known.
+Each key is declared once, on its ``RunConfig`` field: file
+spelling, parser kind and default. ``SCHEMA``, the parser, the flag
+overrides and the envelope echo all read that declaration. Keys that
+default to "auto" are resolved late, once the quantities they depend
+on (the emitter frequency, the fitted decay rate) are known.
 """
 
 from __future__ import annotations
 
 import difflib
 import math
-from dataclasses import dataclass, replace
+from dataclasses import Field, dataclass, field, fields, replace
+from enum import Enum
 
 import numpy as np
 
@@ -25,93 +28,67 @@ from .errors import ConfigError, DomainError
 from .modes import WaveguideSpec
 from .quantize import Atom, DensityModel, QuantizationBox
 
-DOS_NAMES = {
-    "paper": DensityModel.PHASE_VELOCITY,
-    "dispersion": DensityModel.GROUP_VELOCITY,
-}
-RADICAND_NAMES = {
-    "paper": RadicandModel.SINGLE_INDEX,
-    "consistent": RadicandModel.INDEX_SQUARED,
-}
-
 _REQUIRED = object()
-_AUTO = object()
+
+FORMATS = ("csv", "json")
 
 # largest x * z * t correlation grid a run may ask for; rows are held
 # in memory before rendering, ~1.1 kB each at the figure grid
 MAX_GRID_POINTS = 1_000_000
 
-# key -> (parser kind, default); _REQUIRED means the file must set it,
-# _AUTO means "resolved downstream" and is spelled "auto" in files
-SCHEMA = {
-    "waveguide.a": ("float", _REQUIRED),
-    "waveguide.b": ("float", _REQUIRED),
-    "waveguide.eps": ("float", _REQUIRED),
-    "waveguide.mu": ("float", _REQUIRED),
-    "atom.x0": ("float", _REQUIRED),
-    "atom.y0": ("float", _REQUIRED),
-    "atom.z0": ("float", _REQUIRED),
-    "atom.omega": ("float", _REQUIRED),
-    "atom.dipole_x_re": ("float", _REQUIRED),
-    "atom.dipole_x_im": ("float", _REQUIRED),
-    "atom.dipole_y_re": ("float", _REQUIRED),
-    "atom.dipole_y_im": ("float", _REQUIRED),
-    "atom.dipole_z_re": ("float", _REQUIRED),
-    "atom.dipole_z_im": ("float", _REQUIRED),
-    "models.dos": ("dos", DensityModel.PHASE_VELOCITY),
-    "models.radicand": ("radicand", RadicandModel.SINGLE_INDEX),
-    "models.max_mn": ("int", 8),
-    "box.length": ("float", 1.0),
-    "grid.x_min": ("float?", _AUTO),
-    "grid.x_max": ("float?", _AUTO),
-    "grid.x_count": ("int", 1),
-    "grid.z_min": ("float", 1.0),
-    "grid.z_max": ("float", 20.0),
-    "grid.z_count": ("int", 40),
-    "grid.t_min": ("float?", _AUTO),
-    "grid.t_max": ("float?", _AUTO),
-    "grid.t_count": ("int", 40),
-    "window.nu_min": ("float?", _AUTO),
-    "window.nu_max": ("float?", _AUTO),
-    "output.format": ("format", "csv"),
-    "output.digits": ("int", 12),
-}
+
+def _key(key: str, kind=float, default=_REQUIRED):
+    """Declare a field's file key, its parser kind and its default.
+
+    ``kind`` is ``float``, ``int``, an Enum whose values are the file
+    spellings, or a tuple of allowed strings. ``_REQUIRED`` means the
+    file must set the key; a default of None means "resolved
+    downstream" and is spelled "auto" in files.
+    """
+    return field(metadata={"key": key, "kind": kind, "default": default})
 
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Parsed and validated configuration.
+    """Parsed and validated configuration, one field per file key.
 
     Optional floats hold None when the file said (or defaulted to)
     "auto"; accessor methods resolve them from context.
     """
 
-    waveguide_a: float
-    waveguide_b: float
-    waveguide_eps: float
-    waveguide_mu: float
-    atom_x0: float
-    atom_y0: float
-    atom_z0: float
-    atom_omega: float
-    dipole: tuple
-    dos: DensityModel
-    radicand: RadicandModel
-    max_mn: int
-    box_length: float
-    x_min: float | None
-    x_max: float | None
-    x_count: int
-    z_min: float
-    z_max: float
-    z_count: int
-    t_min: float | None
-    t_max: float | None
-    t_count: int
-    nu_min: float | None
-    nu_max: float | None
-    out_format: str
-    digits: int
+    waveguide_a: float = _key("waveguide.a")
+    waveguide_b: float = _key("waveguide.b")
+    waveguide_eps: float = _key("waveguide.eps")
+    waveguide_mu: float = _key("waveguide.mu")
+    atom_x0: float = _key("atom.x0")
+    atom_y0: float = _key("atom.y0")
+    atom_z0: float = _key("atom.z0")
+    atom_omega: float = _key("atom.omega")
+    dipole_x_re: float = _key("atom.dipole_x_re")
+    dipole_x_im: float = _key("atom.dipole_x_im")
+    dipole_y_re: float = _key("atom.dipole_y_re")
+    dipole_y_im: float = _key("atom.dipole_y_im")
+    dipole_z_re: float = _key("atom.dipole_z_re")
+    dipole_z_im: float = _key("atom.dipole_z_im")
+    dos: DensityModel = _key("models.dos", DensityModel,
+                             DensityModel.PHASE_VELOCITY)
+    radicand: RadicandModel = _key("models.radicand", RadicandModel,
+                                   RadicandModel.SINGLE_INDEX)
+    max_mn: int = _key("models.max_mn", int, 8)
+    box_length: float = _key("box.length", float, 1.0)
+    x_min: float | None = _key("grid.x_min", float, None)
+    x_max: float | None = _key("grid.x_max", float, None)
+    x_count: int = _key("grid.x_count", int, 1)
+    z_min: float = _key("grid.z_min", float, 1.0)
+    z_max: float = _key("grid.z_max", float, 20.0)
+    z_count: int = _key("grid.z_count", int, 40)
+    t_min: float | None = _key("grid.t_min", float, None)
+    t_max: float | None = _key("grid.t_max", float, None)
+    t_count: int = _key("grid.t_count", int, 40)
+    nu_min: float | None = _key("window.nu_min", float, None)
+    nu_max: float | None = _key("window.nu_max", float, None)
+    out_format: str = _key("output.format", FORMATS, "csv")
+    digits: int = _key("output.digits", int, 12)
 
     def waveguide_spec(self) -> WaveguideSpec:
         return WaveguideSpec(width=self.waveguide_a,
@@ -121,18 +98,17 @@ class RunConfig:
 
     def atom(self) -> Atom:
         return Atom(position=(self.atom_x0, self.atom_y0, self.atom_z0),
-                    dipole=self.dipole,
+                    dipole=(complex(self.dipole_x_re, self.dipole_x_im),
+                            complex(self.dipole_y_re, self.dipole_y_im),
+                            complex(self.dipole_z_re, self.dipole_z_im)),
                     transition_frequency=self.atom_omega)
 
     def box(self) -> QuantizationBox:
         return QuantizationBox(length=self.box_length)
 
     def x_values(self) -> np.ndarray:
-        if self.x_min is None or self.x_max is None:
-            lo = self.atom_x0 if self.x_min is None else self.x_min
-            hi = self.atom_x0 if self.x_max is None else self.x_max
-        else:
-            lo, hi = self.x_min, self.x_max
+        lo = self.atom_x0 if self.x_min is None else self.x_min
+        hi = self.atom_x0 if self.x_max is None else self.x_max
         return np.linspace(lo, hi, self.x_count)
 
     def z_values(self) -> np.ndarray:
@@ -174,77 +150,44 @@ class RunConfig:
                 "window.nu_max explicitly")
         return (lo, hi)
 
-    def with_overrides(self, *, dos: str | None = None,
-                       radicand: str | None = None,
-                       max_mn: int | None = None,
-                       out_format: str | None = None) -> "RunConfig":
-        """Apply command line flag overrides on top of the file."""
-        updates = {}
-        if dos is not None:
-            updates["dos"] = DOS_NAMES[dos]
-        if radicand is not None:
-            updates["radicand"] = RADICAND_NAMES[radicand]
-        if max_mn is not None:
-            if max_mn < 1:
-                raise ConfigError("max_mn must be at least 1")
-            updates["max_mn"] = max_mn
-        if out_format is not None:
-            updates["out_format"] = out_format
-        return replace(self, **updates) if updates else self
+    def with_overrides(self, **overrides) -> "RunConfig":
+        """Apply command line flag overrides, keyed by field name, on
+        top of the file; None leaves a field as the file set it."""
+        by_name = {f.name: f for f in fields(self)}
+        updates = {name: _convert(by_name[name], value, "override")
+                   for name, value in overrides.items()
+                   if value is not None}
+        if not updates:
+            return self
+        config = replace(self, **updates)
+        _validate(config)
+        return config
 
     def effective_items(self) -> list:
-        """Every schema key with its effective value, sorted, for the
-        artifact envelope; unresolved autos stay spelled 'auto'."""
-        rev_dos = {v: k for k, v in DOS_NAMES.items()}
-        rev_rad = {v: k for k, v in RADICAND_NAMES.items()}
-        vals = {
-            "waveguide.a": self.waveguide_a,
-            "waveguide.b": self.waveguide_b,
-            "waveguide.eps": self.waveguide_eps,
-            "waveguide.mu": self.waveguide_mu,
-            "atom.x0": self.atom_x0,
-            "atom.y0": self.atom_y0,
-            "atom.z0": self.atom_z0,
-            "atom.omega": self.atom_omega,
-            "atom.dipole_x_re": self.dipole[0].real,
-            "atom.dipole_x_im": self.dipole[0].imag,
-            "atom.dipole_y_re": self.dipole[1].real,
-            "atom.dipole_y_im": self.dipole[1].imag,
-            "atom.dipole_z_re": self.dipole[2].real,
-            "atom.dipole_z_im": self.dipole[2].imag,
-            "models.dos": rev_dos[self.dos],
-            "models.radicand": rev_rad[self.radicand],
-            "models.max_mn": self.max_mn,
-            "box.length": self.box_length,
-            "grid.x_min": self.x_min,
-            "grid.x_max": self.x_max,
-            "grid.x_count": self.x_count,
-            "grid.z_min": self.z_min,
-            "grid.z_max": self.z_max,
-            "grid.z_count": self.z_count,
-            "grid.t_min": self.t_min,
-            "grid.t_max": self.t_max,
-            "grid.t_count": self.t_count,
-            "window.nu_min": self.nu_min,
-            "window.nu_max": self.nu_max,
-            "output.format": self.out_format,
-            "output.digits": self.digits,
-        }
+        """Every key with its effective value, sorted, for the artifact
+        envelope; models echo their file spelling and unresolved autos
+        stay spelled 'auto'."""
         out = []
-        for key in sorted(vals):
-            v = vals[key]
-            out.append((key, "auto" if v is None else v))
-        return out
+        for f in fields(self):
+            v = getattr(self, f.name)
+            if isinstance(v, Enum):
+                v = v.value
+            out.append((f.metadata["key"], "auto" if v is None else v))
+        return sorted(out)
 
 
-def _convert(kind: str, raw: str, key: str, line_no: int):
+SCHEMA = {f.metadata["key"]: f for f in fields(RunConfig)}
+
+
+def _convert(f: Field, raw, where: str):
+    kind, key = f.metadata["kind"], f.metadata["key"]
+
     def bad(expected):
         return ConfigError(
-            f"line {line_no}: key {key!r} expects {expected}, "
-            f"got {raw!r}")
+            f"{where}: key {key!r} expects {expected}, got {raw!r}")
 
-    if kind in ("float", "float?"):
-        if kind == "float?" and raw == "auto":
+    if kind is float:
+        if raw == "auto" and f.metadata["default"] is None:
             return None
         try:
             value = float(raw)
@@ -253,24 +196,20 @@ def _convert(kind: str, raw: str, key: str, line_no: int):
         if not math.isfinite(value):
             raise bad("a finite real number")
         return value
-    if kind == "int":
+    if kind is int:
         try:
             return int(raw)
         except ValueError:
             raise bad("an integer") from None
-    if kind == "dos":
-        if raw not in DOS_NAMES:
-            raise bad("one of " + "/".join(sorted(DOS_NAMES)))
-        return DOS_NAMES[raw]
-    if kind == "radicand":
-        if raw not in RADICAND_NAMES:
-            raise bad("one of " + "/".join(sorted(RADICAND_NAMES)))
-        return RADICAND_NAMES[raw]
-    if kind == "format":
-        if raw not in ("csv", "json"):
-            raise bad("csv or json")
+    if isinstance(kind, tuple):
+        if raw not in kind:
+            raise bad(" or ".join(kind))
         return raw
-    raise AssertionError(kind)
+    try:
+        return kind(raw)
+    except ValueError:
+        raise bad("one of " + "/".join(sorted(m.value for m in kind))) \
+            from None
 
 
 def parse_config(text: str) -> RunConfig:
@@ -306,53 +245,20 @@ def parse_config(text: str) -> RunConfig:
                               f"{key!r}")
         seen[key] = (value, line_no)
 
-    missing = [k for k, (_, default) in SCHEMA.items()
-               if default is _REQUIRED and k not in seen]
+    missing = [k for k, f in SCHEMA.items()
+               if f.metadata["default"] is _REQUIRED and k not in seen]
     if missing:
         raise ConfigError("missing required keys: "
                           + ", ".join(sorted(missing)))
 
     values = {}
-    for key, (kind, default) in SCHEMA.items():
+    for key, f in SCHEMA.items():
         if key in seen:
             raw, line_no = seen[key]
-            values[key] = _convert(kind, raw, key, line_no)
+            values[f.name] = _convert(f, raw, f"line {line_no}")
         else:
-            values[key] = None if default is _AUTO else default
-
-    dipole = tuple(
-        complex(values[f"atom.dipole_{ax}_re"],
-                values[f"atom.dipole_{ax}_im"])
-        for ax in ("x", "y", "z"))
-
-    config = RunConfig(
-        waveguide_a=values["waveguide.a"],
-        waveguide_b=values["waveguide.b"],
-        waveguide_eps=values["waveguide.eps"],
-        waveguide_mu=values["waveguide.mu"],
-        atom_x0=values["atom.x0"],
-        atom_y0=values["atom.y0"],
-        atom_z0=values["atom.z0"],
-        atom_omega=values["atom.omega"],
-        dipole=dipole,
-        dos=values["models.dos"],
-        radicand=values["models.radicand"],
-        max_mn=values["models.max_mn"],
-        box_length=values["box.length"],
-        x_min=values["grid.x_min"],
-        x_max=values["grid.x_max"],
-        x_count=values["grid.x_count"],
-        z_min=values["grid.z_min"],
-        z_max=values["grid.z_max"],
-        z_count=values["grid.z_count"],
-        t_min=values["grid.t_min"],
-        t_max=values["grid.t_max"],
-        t_count=values["grid.t_count"],
-        nu_min=values["window.nu_min"],
-        nu_max=values["window.nu_max"],
-        out_format=values["output.format"],
-        digits=values["output.digits"],
-    )
+            values[f.name] = f.metadata["default"]
+    config = RunConfig(**values)
     _validate(config)
     return config
 
@@ -360,8 +266,11 @@ def parse_config(text: str) -> RunConfig:
 def _validate(config: RunConfig):
     if config.max_mn < 1:
         raise ConfigError("models.max_mn must be at least 1")
-    if config.box_length <= 0.0:
-        raise ConfigError("box.length must be positive")
+    # the one-quantum amplitude scales as box.length**-0.5 and the
+    # state density as box.length; far outside this range their
+    # intermediate products overflow or underflow
+    if not 1e-100 <= config.box_length <= 1e100:
+        raise ConfigError("box.length must lie in [1e-100, 1e100]")
     for name, count in (("x", config.x_count), ("z", config.z_count),
                         ("t", config.t_count)):
         if count < 1:

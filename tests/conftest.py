@@ -1,12 +1,15 @@
 """Shared test configuration.
 
 Registers a derandomized hypothesis profile so CI runs are
-reproducible, provides fixtures used across the suite, and prints a
-one-line verdict per acceptance criterion at the end of a run that
-included the acceptance module.
+reproducible, provides fixtures used across the suite (a seeded rng
+and the environment for child processes), and prints a one-line
+verdict per acceptance criterion at the end of a run that included
+the acceptance module.
 """
 
+import os
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,6 +27,16 @@ settings.load_profile("det")
 @pytest.fixture
 def rng():
     return np.random.default_rng(20260822)
+
+
+@pytest.fixture
+def child_env():
+    """Environment for a child python that imports wgqed from this
+    checkout's src, installed or not."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.environ.get("PYTHONPATH")
+    return {**os.environ,
+            "PYTHONPATH": src + os.pathsep + path if path else src}
 
 
 _CRITERIA = {}

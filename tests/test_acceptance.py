@@ -343,7 +343,7 @@ def test_criterion_09():
     assert float(np.min(np.abs(c_a) ** 2)) > 0.5
 
 
-def test_criterion_10(tmp_path):
+def test_criterion_10(tmp_path, child_env):
     """Every command is byte-deterministic under the reproducible
     flag, through the real process entry point."""
     conf = write_config(tmp_path, "det.conf", 1.45, **{
@@ -355,7 +355,7 @@ def test_criterion_10(tmp_path):
             proc = subprocess.run(
                 [sys.executable, "-m", "wgqed", command, "--config",
                  conf, "--out", out, "--reproducible"],
-                capture_output=True, text=True)
+                capture_output=True, text=True, env=child_env)
             assert proc.returncode == 0, proc.stderr
             blob = open(out, "rb").read()
             if command == "corr":

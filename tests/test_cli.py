@@ -131,6 +131,53 @@ class TestParsing:
         with pytest.raises(ConfigError, match="cannot read"):
             load_config(str(tmp_path / "absent.conf"))
 
+    @pytest.mark.parametrize("length", ["1e-100", "1e100", "2.3"])
+    def test_box_length_in_range(self, length):
+        cfg = parse_config(config_text(**{"box.length": length}))
+        assert cfg.box_length == float(length)
+
+
+def items_text(cfg: RunConfig) -> str:
+    """effective_items() written back as a configuration document."""
+    return "".join(f"{key} = {value!r}\n" if isinstance(value, float)
+                   else f"{key} = {value}\n"
+                   for key, value in cfg.effective_items())
+
+
+DEMO = Path(__file__).resolve().parent.parent / "configs" / "demo.conf"
+
+EVERY_OPTIONAL_KEY = {
+    "atom.dipole_x_im": "-0.03", "atom.dipole_z_re": "0.01",
+    "models.dos": "dispersion", "models.radicand": "consistent",
+    "models.max_mn": "5", "box.length": "2.3",
+    "grid.x_min": "0.4", "grid.x_max": "2.9", "grid.x_count": "3",
+    "grid.z_min": "0.5", "grid.z_max": "12.25", "grid.z_count": "9",
+    "grid.t_min": "1.0", "grid.t_max": "40.0", "grid.t_count": "11",
+    "window.nu_min": "0.7", "window.nu_max": "3.1",
+    "output.format": "json", "output.digits": "15",
+}
+
+
+class TestRoundTrip:
+    """The envelope echo parses back to the configuration it came
+    from, so every key's spelling, kind and default agree."""
+
+    @pytest.mark.parametrize("text", [
+        DEMO.read_text(encoding="utf-8"),
+        config_text(),
+        config_text(**EVERY_OPTIONAL_KEY),
+    ], ids=["demo", "required_only", "every_optional_key"])
+    def test_effective_items_parse_back(self, text):
+        cfg = parse_config(text)
+        assert parse_config(items_text(cfg)) == cfg
+
+    def test_every_optional_key_is_set(self):
+        cfg = parse_config(config_text(**EVERY_OPTIONAL_KEY))
+        items = dict(cfg.effective_items())
+        assert set(items) - set(BASE) <= set(EVERY_OPTIONAL_KEY)
+        for key, value in EVERY_OPTIONAL_KEY.items():
+            assert str(items[key]) == value, key
+
 
 class TestAccessors:
     def test_auto_x_is_atom_row(self):
@@ -356,6 +403,36 @@ class TestCorrCommand:
         assert "--out" in captured.err
         assert len(captured.err.strip().splitlines()) == 1
 
+    @pytest.mark.parametrize("bounds", [
+        {"grid.x_max": "3.285"}, {"grid.x_min": "-0.5"},
+        {"grid.x_min": "3.3", "grid.x_max": "3.5"}])
+    def test_x_bounds_outside_guide_rejected(self, tmp_path, capsys,
+                                             monkeypatch, bounds):
+        # refused before the emitter chain runs, not by the detection
+        # point check at the end of it
+        def chain(*args, **kwargs):
+            raise AssertionError("the emitter chain ran")
+
+        monkeypatch.setattr(cli, "solve_emitter", chain)
+        conf = write_config(tmp_path, **{"grid.x_count": "3", **bounds})
+        out = tmp_path / "corr.csv"
+        assert main(["corr", "--config", conf, "--out", str(out)]) \
+            == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.strip().splitlines()) == 1
+        assert "grid.x_min and grid.x_max" in captured.err
+        assert not out.exists()
+        assert not (tmp_path / "corr.csv.json").exists()
+
+    def test_x_bounds_on_the_walls_accepted(self, tmp_path):
+        conf = write_config(tmp_path, **{
+            "grid.x_min": "0.0", "grid.x_max": BASE["waveguide.a"],
+            "grid.x_count": "3", "grid.z_count": "8",
+            "grid.t_count": "8"})
+        assert main(["corr", "--config", conf, "--out",
+                     str(tmp_path / "corr.csv")]) == EXIT_OK
+
     @pytest.mark.parametrize("key", ["grid.t_count", "grid.z_count"])
     def test_grid_too_short_to_fit_rejected(self, tmp_path, capsys, key):
         # each rate fit needs eight causal cells; fewer samples cannot
@@ -463,6 +540,31 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert len(err.strip().splitlines()) == 1
         assert "1001112 rows" in err
+        assert not out.exists()
+
+    def test_max_mn_override_below_one_is_one_line(self, tmp_path,
+                                                   capsys):
+        conf = write_config(tmp_path)
+        out = tmp_path / "modes.csv"
+        assert main(["modes", "--config", conf, "--max-mn", "0",
+                     "--out", str(out)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1
+        assert "max_mn" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, length",
+                             [("decay", "1e308"), ("omegad", "1e-320")])
+    def test_box_length_out_of_range_is_one_line(self, tmp_path, capsys,
+                                                 command, length):
+        # the one-quantum amplitude overflows or underflows out there
+        conf = write_config(tmp_path, **{"box.length": length})
+        out = tmp_path / f"{command}.csv"
+        assert main([command, "--config", conf, "--out", str(out)]) \
+            == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1
+        assert "box.length" in err
         assert not out.exists()
 
     def test_modes_table_bound_is_inclusive(self, tmp_path, monkeypatch):
@@ -657,7 +759,7 @@ class TestColumnRenderer:
         assert not out.exists()
 
 
-def test_commands_do_not_import_scipy(tmp_path):
+def test_commands_do_not_import_scipy(tmp_path, child_env):
     # scipy serves only the tail correction of the brute-force
     # detection amplitude; no command may load it
     demo = Path(__file__).resolve().parent.parent / "configs" / "demo.conf"
@@ -671,6 +773,6 @@ def test_commands_do_not_import_scipy(tmp_path):
         "print(sorted(m for m in sys.modules if m.startswith('scipy')))\n"
     )
     proc = subprocess.run([sys.executable, "-c", script],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env=child_env)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
