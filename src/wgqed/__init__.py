@@ -40,7 +40,6 @@ from .errors import (
     WgError,
 )
 from .modes import (
-    AxialProfile,
     Branch,
     ModeIndex,
     Polarization,
@@ -62,7 +61,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Atom",
-    "AxialProfile",
     "Branch",
     "ConfigError",
     "ConvergenceError",

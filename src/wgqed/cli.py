@@ -294,11 +294,20 @@ def cmd_corr(config, args) -> int:
         raise ConfigError(
             "corr with CSV output needs --out, since the fit goes to "
             "a JSON sidecar next to the table")
-    if min(config.z_count, config.t_count) < MIN_FIT_CELLS:
+    # the axial fit runs against |z - z0|, so mirrored samples count
+    # once
+    distances = np.unique(np.abs(config.z_values() - config.atom_z0)).size
+    if min(distances, config.t_count) < MIN_FIT_CELLS:
         raise ConfigError(
-            f"corr needs grid.z_count and grid.t_count of at least "
-            f"{MIN_FIT_CELLS} to fit its two rates; got "
-            f"{config.z_count} and {config.t_count}")
+            f"corr needs at least {MIN_FIT_CELLS} distinct axial "
+            f"distances |z - atom.z0| and grid.t_count of at least "
+            f"{MIN_FIT_CELLS} to fit its two rates; got {distances} and "
+            f"{config.t_count}")
+    if (config.t_min is not None and config.t_max is not None
+            and not config.t_max > config.t_min):
+        raise ConfigError(
+            f"corr needs grid.t_max above grid.t_min; got "
+            f"{config.t_min!r} and {config.t_max!r}")
     outside = [x for x in (config.x_min, config.x_max)
                if x is not None and not 0.0 <= x <= config.waveguide_a]
     if outside:

@@ -40,7 +40,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import DomainError, NoCrossingError, PurelyEvanescentError
-from .quantize import HBAR, Atom, DensityModel, QuantizationBox
+from .quantize import Atom, DensityModel, QuantizationBox
 from .modes import WaveguideSpec
 from .emission import (
     DecayResult,
@@ -439,7 +439,9 @@ def fit_decay_rates(grid: CorrelationGrid) -> RateFit:
 
     The time fit runs along the first axial sample with at least
     MIN_FIT_CELLS causal cells; the axial fit along the latest time
-    sample, which needs as many. Returns
+    sample, which needs as many, and against the distance |z - z0|
+    from the source plane, in which the map decays on both sides.
+    Returns
     the unsigned rates, their ratio, and the ratio rescaled by the
     front speed (temporal*index/spatial), plus the worst log-space fit
     residual.
@@ -449,9 +451,9 @@ def fit_decay_rates(grid: CorrelationGrid) -> RateFit:
     x_idx = int(np.argmax(np.max(grid.values, axis=(1, 2))))
     values = grid.values[x_idx]
     t = grid.t_values
-    z = grid.z_values
+    dz = np.abs(grid.z_values - grid.metadata.source_position[2])
     z_idx = None
-    for j in range(len(z)):
+    for j in range(len(dz)):
         mask = grid.inside_cone[j] & (values[j] > 0.0)
         if np.count_nonzero(mask) >= MIN_FIT_CELLS:
             z_idx = j
@@ -472,9 +474,9 @@ def fit_decay_rates(grid: CorrelationGrid) -> RateFit:
             "not enough causal axial samples at the latest time to "
             "fit a spatial rate; extend the time range or shrink the "
             "axial range")
-    z_fit = np.polyfit(z[z_mask], np.log(values[z_mask, t_idx]), 1)
+    z_fit = np.polyfit(dz[z_mask], np.log(values[z_mask, t_idx]), 1)
     z_resid = float(np.max(np.abs(
-        np.polyval(z_fit, z[z_mask]) - np.log(values[z_mask, t_idx]))))
+        np.polyval(z_fit, dz[z_mask]) - np.log(values[z_mask, t_idx]))))
 
     temporal = float(-t_fit[0])
     spatial = float(abs(z_fit[0]))
@@ -485,10 +487,14 @@ def fit_decay_rates(grid: CorrelationGrid) -> RateFit:
                    max_log_residual=max(t_resid, z_resid))
 
 
+# half-width of ``brute_force_amplitude``'s axial wavenumber window, in
+# units of the pole's oscillation wavenumber
+SPAN_FACTOR = 20.0
+
+
 def brute_force_amplitude(spec: WaveguideSpec, atom: Atom,
                           pole_result: PoleResult, point, time: float, *,
                           dos: DensityModel = DensityModel.PHASE_VELOCITY,
-                          span_factor: float = 20.0,
                           samples: int = 200000,
                           tail_correction: bool = True) -> complex:
     """Detection amplitude with no pole algebra: the exact resonance
@@ -497,7 +503,7 @@ def brute_force_amplitude(spec: WaveguideSpec, atom: Atom,
     Lorentzian spectrum.
 
     The quadrature is a midpoint rule over
-    [-span_factor*beta_r, +span_factor*beta_r] with exactly rounded
+    [-SPAN_FACTOR*beta_r, +SPAN_FACTOR*beta_r] with exactly rounded
     summation, plus an asymptotic closure of the two truncated
     oscillatory tails (the integrand tends to a nonzero constant, so
     plain truncation would leave a boundary artifact). The result has
@@ -557,7 +563,7 @@ def brute_force_amplitude(spec: WaveguideSpec, atom: Atom,
     pref = (-np.conj(complex(atom.dipole[1])) * front_phase
             * source_phase)
 
-    span = span_factor * pole_result.beta_r
+    span = SPAN_FACTOR * pole_result.beta_r
     if span <= 0.0:
         raise DomainError("span must be positive; is the pole "
                           "oscillatory at all?")
@@ -669,61 +675,3 @@ def omega_d(spec: WaveguideSpec, decay_rate: float,
         model=model, closed_form=closed, root_found=root,
         discrepancy=abs(closed - root) / root,
         scanned_range=(float(lo), float(hi)), ratio_target=target)
-
-
-@dataclass(frozen=True)
-class FreeSpaceParams:
-    """Emitter in unbounded vacuum, for side-by-side comparison.
-
-    dipole_angle is measured from the z axis; emission vanishes along
-    the dipole and peaks broadside.
-    """
-
-    dipole_magnitude: float
-    dipole_angle: float
-    transition_frequency: float
-    vacuum_permittivity: float = 1.0
-    light_speed: float = 1.0
-
-    def __post_init__(self):
-        if self.dipole_magnitude < 0.0:
-            raise DomainError("dipole magnitude must be nonnegative")
-        if self.transition_frequency <= 0.0:
-            raise DomainError("transition frequency must be positive")
-        if self.vacuum_permittivity <= 0.0 or self.light_speed <= 0.0:
-            raise DomainError("vacuum constants must be positive")
-
-    @property
-    def vacuum_decay_rate(self) -> float:
-        w = self.transition_frequency
-        return (4.0 * w ** 3 * self.dipole_magnitude ** 2
-                / (3.0 * HBAR * self.light_speed ** 3)
-                / (4.0 * math.pi * self.vacuum_permittivity))
-
-    def field_scale(self, distance: float) -> float:
-        w = self.transition_frequency
-        return (-(w ** 2) * self.dipole_magnitude
-                * math.sin(self.dipole_angle)
-                / (4.0 * math.pi * self.vacuum_permittivity
-                   * self.light_speed ** 2 * distance))
-
-
-def free_space_g1(params: FreeSpaceParams, point, source,
-                  time: float) -> float:
-    """Squared free-space detection amplitude at one spacetime point.
-
-    The dipole far-field scale divided once more by the distance,
-    gated by the vacuum light cone and decaying at the vacuum rate in
-    retarded time. Coincident points are refused.
-    """
-    r = np.asarray(point, dtype=float)
-    r0 = np.asarray(source, dtype=float)
-    distance = float(np.linalg.norm(r - r0))
-    if distance == 0.0:
-        raise DomainError("detection point coincides with the source")
-    retarded = time - distance / params.light_speed
-    if retarded < 0.0:
-        return 0.0
-    scale = params.field_scale(distance)
-    return (scale ** 2 / distance ** 2
-            * math.exp(-params.vacuum_decay_rate * retarded))

@@ -402,26 +402,21 @@ class SpectralChannel:
 
 def photon_state(spec: WaveguideSpec, atom: Atom, box: QuantizationBox,
                  model: DensityModel, params: MarkovParameters, *,
-                 window, samples: int, modes, kind: str = "all",
-                 time: float | None = None) -> tuple:
-    """Emitted-photon spectral amplitudes, by default after the decay
-    completes.
+                 window, samples: int, modes,
+                 kind: str = "all") -> tuple:
+    """Emitted-photon spectral amplitudes after the decay completes.
 
     For each channel the amplitude density over frequency is
         conj(coupling) * sqrt(weight) / ((nu - center) + i rate / 2),
     sampled on a midpoint grid so cutoff endpoints are never touched.
-    A finite ``time`` multiplies in the transient envelope
-    1 - exp((i (nu - center) - rate/2) t), which vanishes at t = 0 and
-    approaches one as the decay completes. ``kind`` filters the
-    channel branches: 'propagating', 'localized' or 'all'.
+    ``kind`` filters the channel branches: 'propagating', 'localized'
+    or 'all'.
     """
     if kind not in ("all", "propagating", "localized"):
         raise DomainError("kind must be 'all', 'propagating' or "
                           "'localized'")
     if params.decay_total <= 0.0:
         raise DomainError("photon state needs a positive decay rate")
-    if time is not None and time < 0.0:
-        raise DomainError("time must be nonnegative")
     lo, hi = window
     if not (0.0 < lo < hi):
         raise DomainError("window must satisfy 0 < low < high")
@@ -448,9 +443,6 @@ def photon_state(spec: WaveguideSpec, atom: Atom, box: QuantizationBox,
                               direction=d if d != 0 else 1)
                 dens = (np.conj(g) * np.sqrt(w)
                         / ((freqs - center) + 1j * half_rate))
-                if time is not None:
-                    dens *= 1.0 - np.exp(
-                        (1j * (freqs - center) - half_rate) * time)
                 channels.append(SpectralChannel(
                     mode=mode, direction=d, branch=branch,
                     frequencies=freqs, density=dens, spacing=spacing))

@@ -49,24 +49,6 @@ class Branch(Enum):
     LOCALIZED = "localized"
 
 
-class AxialProfile(Enum):
-    """Axial dependence requested from the field evaluator.
-
-    ONE_SIDED
-        Plain exponential exp(-g*(z - z0)) in the branch constant g.
-        On the propagating branch this is the traveling wave; below
-        cutoff it is the raw half-space solution, which grows without
-        bound on the other side of the source plane.
-    FOLDED
-        exp(-attenuation*|z - z0|), the two-sided decaying profile
-        with a derivative kink on the source plane. Only the decaying
-        branch supports it.
-    """
-
-    ONE_SIDED = "one-sided"
-    FOLDED = "folded"
-
-
 @dataclass(frozen=True)
 class WaveguideSpec:
     """Geometry and filling of the guide.
@@ -201,8 +183,7 @@ class ModeField:
 
 def field_at(spec: WaveguideSpec, mode: ModeIndex, frequency: float,
              points, *, amplitude: complex = 1.0, direction: int = 1,
-             source_plane: float = 0.0,
-             profile: AxialProfile | None = None) -> ModeField:
+             source_plane: float = 0.0) -> ModeField:
     """Evaluate the mode's electric and magnetic field.
 
     points
@@ -217,22 +198,10 @@ def field_at(spec: WaveguideSpec, mode: ModeIndex, frequency: float,
     source_plane
         Axial position z0 of zero phase (propagating) or of the
         profile kink (localized).
-    profile
-        Axial dependence; defaults to the traveling wave above cutoff
-        and the FOLDED two-sided profile below. Requesting FOLDED on
-        the propagating branch is refused.
     """
     if direction not in (1, -1):
         raise DomainError("direction must be +1 or -1")
     disp = dispersion(spec, mode, frequency)
-    if profile is None:
-        profile = (AxialProfile.ONE_SIDED
-                   if disp.branch is Branch.PROPAGATING
-                   else AxialProfile.FOLDED)
-    if (profile is AxialProfile.FOLDED
-            and disp.branch is Branch.PROPAGATING):
-        raise DomainError(
-            "the folded |z| profile only exists below cutoff")
     pts = np.asarray(points, dtype=float)
     if pts.shape[-1] != 3:
         raise DomainError("points must have a trailing axis of length 3")
@@ -243,10 +212,6 @@ def field_at(spec: WaveguideSpec, mode: ModeIndex, frequency: float,
     if disp.branch is Branch.PROPAGATING:
         gamma = 1j * direction * disp.axial_wavenumber
         axial = np.exp(-gamma * dz)
-        odd_sign = np.ones_like(z)
-    elif profile is AxialProfile.ONE_SIDED:
-        gamma = complex(disp.attenuation)
-        axial = np.exp(-disp.attenuation * dz)
         odd_sign = np.ones_like(z)
     else:
         gamma = complex(disp.attenuation)
@@ -280,14 +245,14 @@ def field_at(spec: WaveguideSpec, mode: ModeIndex, frequency: float,
     return ModeField(electric=electric, magnetic=magnetic)
 
 
-def field_evaluator(spec, mode, frequency, which="electric", **kwargs):
+def field_evaluator(spec, mode, frequency, which="electric"):
     """Point-wise callable returning one field vector, for use with the
     finite-difference residual checks below."""
     if which not in ("electric", "magnetic"):
         raise ValueError("which must be 'electric' or 'magnetic'")
 
     def evaluate(point):
-        sample = field_at(spec, mode, frequency, point, **kwargs)
+        sample = field_at(spec, mode, frequency, point)
         return sample.electric if which == "electric" else sample.magnetic
 
     return evaluate
@@ -329,8 +294,7 @@ def divergence_residual(field_fn, point, step: float = 1e-3) -> float:
 
 
 def _check_stencil_clearance(spec: WaveguideSpec, disp: ModeDispersion,
-                             point, step: float, source_plane: float,
-                             profile: AxialProfile | None):
+                             point, step: float):
     x, y, z = (float(point[0]), float(point[1]), float(point[2]))
     margin = 2.0 * step
     if not (margin <= x <= spec.width - margin
@@ -338,49 +302,40 @@ def _check_stencil_clearance(spec: WaveguideSpec, disp: ModeDispersion,
         raise DomainError(
             "stencil straddles a wall; keep the point at least "
             f"{margin!r} away from every boundary")
-    folded = (disp.branch is Branch.LOCALIZED
-              and profile is not AxialProfile.ONE_SIDED)
-    if folded and abs(z - source_plane) < margin:
+    if disp.branch is Branch.LOCALIZED and abs(z) < margin:
         raise DomainError(
             "stencil straddles the profile kink; move the point at "
-            f"least {margin!r} from the source plane")
+            f"least {margin!r} from the source plane z = 0")
 
 
 def mode_helmholtz_residual(spec: WaveguideSpec, mode: ModeIndex,
                             frequency: float, point,
-                            step: float = 1e-3, *,
-                            amplitude: complex = 1.0, direction: int = 1,
-                            source_plane: float = 0.0,
-                            profile: AxialProfile | None = None) -> float:
+                            step: float = 1e-3) -> float:
     """Normalized wave-equation residual of all six field components.
 
-    Returns max |laplacian F + k^2 F| over the electric and magnetic
-    components, divided by k^2 times the largest component magnitude
-    at the point. Points whose +-2*step stencil touches a wall or the
-    profile kink are refused rather than measured.
+    The field is ``field_at``'s default: unit amplitude, source plane
+    z = 0, traveling toward +z above cutoff. Returns max |laplacian F
+    + k^2 F| over the electric and magnetic components, divided by
+    k^2 times the largest component magnitude at the point. Points
+    whose +-2*step stencil touches a wall or, below cutoff, the
+    profile kink at z = 0 are refused rather than measured.
     """
     disp = dispersion(spec, mode, frequency)
-    _check_stencil_clearance(spec, disp, point, step, source_plane,
-                             profile)
-    kwargs = dict(amplitude=amplitude, direction=direction,
-                  source_plane=source_plane, profile=profile)
+    _check_stencil_clearance(spec, disp, point, step)
     k_sq = disp.medium_wavenumber ** 2
-    center = field_at(spec, mode, frequency, point, **kwargs)
+    center = field_at(spec, mode, frequency, point)
     scale = max(float(np.max(np.abs(center.electric))),
                 float(np.max(np.abs(center.magnetic))))
     worst = 0.0
     for which in ("electric", "magnetic"):
-        fn = field_evaluator(spec, mode, frequency, which, **kwargs)
+        fn = field_evaluator(spec, mode, frequency, which)
         worst = max(worst, helmholtz_residual(fn, k_sq, point, step))
     return worst / (k_sq * scale)
 
 
 def mode_divergence_residual(spec: WaveguideSpec, mode: ModeIndex,
                              frequency: float, point,
-                             step: float = 1e-3, *,
-                             amplitude: complex = 1.0, direction: int = 1,
-                             source_plane: float = 0.0,
-                             profile: AxialProfile | None = None) -> float:
+                             step: float = 1e-3) -> float:
     """Normalized electric-field divergence at a point.
 
     |div E| by central differences, divided by k times the largest
@@ -388,13 +343,10 @@ def mode_divergence_residual(spec: WaveguideSpec, mode: ModeIndex,
     as mode_helmholtz_residual.
     """
     disp = dispersion(spec, mode, frequency)
-    _check_stencil_clearance(spec, disp, point, step, source_plane,
-                             profile)
-    kwargs = dict(amplitude=amplitude, direction=direction,
-                  source_plane=source_plane, profile=profile)
-    center = field_at(spec, mode, frequency, point, **kwargs)
+    _check_stencil_clearance(spec, disp, point, step)
+    center = field_at(spec, mode, frequency, point)
     scale = float(np.max(np.abs(center.electric)))
-    fn = field_evaluator(spec, mode, frequency, "electric", **kwargs)
+    fn = field_evaluator(spec, mode, frequency, "electric")
     return divergence_residual(fn, point, step) / (
         disp.medium_wavenumber * scale)
 

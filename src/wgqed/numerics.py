@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -21,30 +20,14 @@ import numpy as np
 from .errors import ConvergenceError, NoCrossingError
 
 
-@dataclass(frozen=True)
-class QuadratureSpec:
-    """Controls composite Gauss-Legendre integration.
-
-    order
-        Nodes per panel. A single panel of order p integrates
-        polynomials up to degree 2p-1 exactly; the composite rule
-        converges at order 2p in the panel width on smooth integrands.
-    rel_tol
-        Relative change between successive refinements at which the
-        result is accepted.
-    max_refinements
-        Number of panel doublings attempted before giving up.
-    """
-
-    order: int = 20
-    rel_tol: float = 1e-12
-    max_refinements: int = 12
-
-    def __post_init__(self):
-        if self.order < 1:
-            raise ValueError("quadrature order must be >= 1")
-        if self.rel_tol <= 0.0:
-            raise ValueError("rel_tol must be positive")
+# composite Gauss-Legendre rule of ``integrate``: nodes per panel (a
+# panel of order p is exact to degree 2p-1 and the composite rule
+# converges at order 2p in the panel width on smooth integrands), the
+# relative change between successive refinements at which a result is
+# accepted, and the number of panel doublings tried before giving up
+QUAD_ORDER = 20
+QUAD_REL_TOL = 1e-12
+QUAD_MAX_REFINEMENTS = 12
 
 
 @lru_cache(maxsize=64)
@@ -68,32 +51,32 @@ def _panel_values(f, a: float, b: float, order: int, panels: int):
     return np.sum(vals * w[None, :] * half[:, None])
 
 
-def integrate(f, a: float, b: float, spec: QuadratureSpec = QuadratureSpec()):
+def integrate(f, a: float, b: float):
     """Integrate ``f`` over [a, b] with panel-doubling Gauss-Legendre.
 
     Returns ``(value, last_change)`` where ``last_change`` is the
     relative change produced by the final refinement. Raises
-    ConvergenceError when the change never drops below ``spec.rel_tol``.
+    ConvergenceError when the change never drops below QUAD_REL_TOL
+    within QUAD_MAX_REFINEMENTS doublings.
     """
     if b == a:
         return 0.0, 0.0
-    prev = _panel_values(f, a, b, spec.order, 1)
+    prev = _panel_values(f, a, b, QUAD_ORDER, 1)
     cur = prev
-    for k in range(1, spec.max_refinements + 1):
-        cur = _panel_values(f, a, b, spec.order, 2 ** k)
+    for k in range(1, QUAD_MAX_REFINEMENTS + 1):
+        cur = _panel_values(f, a, b, QUAD_ORDER, 2 ** k)
         scale = max(abs(cur), abs(prev), 1e-300)
         change = abs(cur - prev) / scale
-        if change < spec.rel_tol:
+        if change < QUAD_REL_TOL:
             return cur, change
-        if k < spec.max_refinements:
+        if k < QUAD_MAX_REFINEMENTS:
             prev = cur
     raise ConvergenceError(
-        f"quadrature did not reach rel_tol={spec.rel_tol:g} after "
-        f"{spec.max_refinements} refinements", last=cur, previous=prev)
+        f"quadrature did not reach rel_tol={QUAD_REL_TOL:g} after "
+        f"{QUAD_MAX_REFINEMENTS} refinements", last=cur, previous=prev)
 
 
-def pv_integrate(g, pole: float, a: float, b: float,
-                 spec: QuadratureSpec = QuadratureSpec()):
+def pv_integrate(g, pole: float, a: float, b: float):
     """Principal value of g(x)/(x - pole) over [a, b] for a regular
     numerator ``g``. Requires a < pole < b.
 
@@ -112,8 +95,8 @@ def pv_integrate(g, pole: float, a: float, b: float,
     def remainder(x):
         return (g(x) - g_pole) / (x - pole)
 
-    left, _ = integrate(remainder, a, pole, spec)
-    right, _ = integrate(remainder, pole, b, spec)
+    left, _ = integrate(remainder, a, pole)
+    right, _ = integrate(remainder, pole, b)
     return left + right + g_pole * math.log((b - pole) / (pole - a))
 
 

@@ -152,23 +152,21 @@ def normalize(spec: WaveguideSpec, mode: ModeIndex, frequency: float,
 
 
 def coupling_at(spec: WaveguideSpec, mode: ModeIndex, frequency: float,
-                atom: Atom, box: QuantizationBox, *, direction: int = 1,
-                source_plane: float | None = None) -> complex:
+                atom: Atom, box: QuantizationBox, *,
+                direction: int = 1) -> complex:
     """Dipole coupling constant of the normalized mode at the atom.
 
     Defined as -(dipole . E_mode(position)) / HBAR with the plain
-    (unconjugated) dipole vector. On the localized branch the profile
-    kink defaults to the atom's own axial position. This is the
-    per-point definition and the reference for ``couplings``, which
-    the emission chain calls instead.
+    (unconjugated) dipole vector. The source plane is z = 0 above
+    cutoff and the atom's own axial position below it, where the
+    profile kink sits at the atom. This is the per-point definition
+    and the reference for ``couplings``, which the emission chain
+    calls instead.
     """
     atom.check_inside(spec)
     disp = dispersion(spec, mode, frequency)
-    if source_plane is None:
-        if disp.branch is Branch.LOCALIZED:
-            source_plane = float(atom.position[2])
-        else:
-            source_plane = 0.0
+    source_plane = (float(atom.position[2])
+                    if disp.branch is Branch.LOCALIZED else 0.0)
     amp = normalize(spec, mode, frequency, box)
     sample = field_at(spec, mode, frequency, atom.position_array(),
                       amplitude=amp, direction=direction,
@@ -202,7 +200,7 @@ def couplings(spec: WaveguideSpec, mode: ModeIndex, frequencies,
     """``coupling_at`` element by element over an array of
     frequencies, in closed form.
 
-    Uses ``coupling_at``'s default source planes: z = 0 above cutoff,
+    Takes the source planes ``coupling_at`` takes: z = 0 above cutoff,
     and the atom's own plane below it, where the axial factor is one
     and the components odd in the axial offset vanish. The one-quantum
     amplitude of ``normalize`` reduces to
@@ -274,32 +272,30 @@ def continuum_weight(spec: WaveguideSpec, mode: ModeIndex,
 
 
 def mode_overlap(spec: WaveguideSpec, mode_a: ModeIndex,
-                 mode_b: ModeIndex, frequency: float, *,
-                 amplitude_a: complex = 1.0, amplitude_b: complex = 1.0,
-                 z: float = 0.25, direction_a: int = 1,
-                 direction_b: int = 1, source_plane: float = 0.0,
-                 order: int | None = None) -> complex:
-    """Cross-section energy inner product of two modes at height z,
+                 mode_b: ModeIndex, frequency: float) -> complex:
+    """Cross-section energy inner product of two modes at height
+    z = 0.25,
 
         (1/2) * integral over the cross section of
-        (permittivity conj(E_a).E_b + permeability conj(H_a).H_b).
+        (permittivity conj(E_a).E_b + permeability conj(H_a).H_b),
+
+    for unit amplitudes, the source plane at z = 0 and travel toward
+    +z above cutoff. The Gauss-Legendre order per axis grows with the
+    index sums.
 
     Distinct transverse patterns at a common frequency give zero;
     that, not the same-mode value, is the quantity of interest here.
     """
-    if order is None:
-        order = 8 + 4 * max(mode_a.m + mode_b.m, mode_a.n + mode_b.n)
+    order = 8 + 4 * max(mode_a.m + mode_b.m, mode_a.n + mode_b.n)
     nodes, weights = _gl_nodes(order)
     x = 0.5 * spec.width * (nodes + 1.0)
     y = 0.5 * spec.height * (nodes + 1.0)
     wx = weights * 0.5 * spec.width
     wy = weights * 0.5 * spec.height
     xx, yy = np.meshgrid(x, y, indexing="ij")
-    pts = np.stack([xx, yy, np.full_like(xx, z)], axis=-1)
-    f_a = field_at(spec, mode_a, frequency, pts, amplitude=amplitude_a,
-                   direction=direction_a, source_plane=source_plane)
-    f_b = field_at(spec, mode_b, frequency, pts, amplitude=amplitude_b,
-                   direction=direction_b, source_plane=source_plane)
+    pts = np.stack([xx, yy, np.full_like(xx, 0.25)], axis=-1)
+    f_a = field_at(spec, mode_a, frequency, pts)
+    f_b = field_at(spec, mode_b, frequency, pts)
     density = 0.5 * (
         spec.permittivity * np.sum(np.conj(f_a.electric) * f_b.electric,
                                    axis=-1)

@@ -403,6 +403,25 @@ class TestCorrCommand:
         assert "--out" in captured.err
         assert len(captured.err.strip().splitlines()) == 1
 
+    @staticmethod
+    def refused_before_computing(tmp_path, capsys, monkeypatch, items):
+        # exit 2 with one stderr line, no artifact, and the emitter
+        # chain never entered
+        def chain(*args, **kwargs):
+            raise AssertionError("the emitter chain ran")
+
+        monkeypatch.setattr(cli, "solve_emitter", chain)
+        conf = write_config(tmp_path, **items)
+        out = tmp_path / "corr.csv"
+        assert main(["corr", "--config", conf, "--out", str(out)]) \
+            == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.strip().splitlines()) == 1
+        assert not out.exists()
+        assert not (tmp_path / "corr.csv.json").exists()
+        return captured.err
+
     @pytest.mark.parametrize("bounds", [
         {"grid.x_max": "3.285"}, {"grid.x_min": "-0.5"},
         {"grid.x_min": "3.3", "grid.x_max": "3.5"}])
@@ -410,20 +429,9 @@ class TestCorrCommand:
                                              monkeypatch, bounds):
         # refused before the emitter chain runs, not by the detection
         # point check at the end of it
-        def chain(*args, **kwargs):
-            raise AssertionError("the emitter chain ran")
-
-        monkeypatch.setattr(cli, "solve_emitter", chain)
-        conf = write_config(tmp_path, **{"grid.x_count": "3", **bounds})
-        out = tmp_path / "corr.csv"
-        assert main(["corr", "--config", conf, "--out", str(out)]) \
-            == EXIT_CONFIG
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert len(captured.err.strip().splitlines()) == 1
-        assert "grid.x_min and grid.x_max" in captured.err
-        assert not out.exists()
-        assert not (tmp_path / "corr.csv.json").exists()
+        err = self.refused_before_computing(
+            tmp_path, capsys, monkeypatch, {"grid.x_count": "3", **bounds})
+        assert "grid.x_min and grid.x_max" in err
 
     def test_x_bounds_on_the_walls_accepted(self, tmp_path):
         conf = write_config(tmp_path, **{
@@ -450,6 +458,41 @@ class TestCorrCommand:
         # the bound is the fit's, so the other commands keep short grids
         assert main(["decay", "--config", conf, "--out",
                      str(tmp_path / "decay.csv")]) == EXIT_OK
+
+    def test_axial_fit_on_grid_straddling_source(self, tmp_path):
+        # the map decays in |z - z0| on both sides of the atom, so the
+        # axial slope is fitted against that distance, not against z
+        conf = write_config(tmp_path, **{
+            "grid.z_min": "-10.0", "grid.z_max": "10.0",
+            "grid.z_count": "40", "grid.t_count": "40"})
+        out = tmp_path / "corr.json"
+        assert main(["corr", "--config", conf, "--out", str(out),
+                     "--format", "json", "--reproducible"]) == EXIT_OK
+        fit = json.loads(out.read_text())["fit"]
+        assert fit["fitted_spatial_slope"] == pytest.approx(
+            fit["spatial_rate"], rel=5e-3)
+        assert fit["slope_ratio"] == pytest.approx(
+            fit["spatial_over_temporal_exact"], rel=1e-6)
+        assert fit["max_log_residual"] < 1e-9
+
+    @pytest.mark.parametrize("z_grid", [
+        {"grid.z_min": "5.0", "grid.z_max": "5.0"},
+        # eight samples mirrored about the atom: four distances
+        {"grid.z_min": "-3.5", "grid.z_max": "3.5", "grid.z_count": "8"}],
+        ids=["single_plane", "mirrored"])
+    def test_too_few_axial_distances_rejected(self, tmp_path, capsys,
+                                              monkeypatch, z_grid):
+        err = self.refused_before_computing(tmp_path, capsys,
+                                            monkeypatch, z_grid)
+        assert "distinct axial distances" in err
+
+    @pytest.mark.parametrize("t_max", ["10.0", "50.0"])
+    def test_time_bounds_must_increase(self, tmp_path, capsys,
+                                       monkeypatch, t_max):
+        err = self.refused_before_computing(
+            tmp_path, capsys, monkeypatch,
+            {"grid.t_min": "50.0", "grid.t_max": t_max})
+        assert "grid.t_max above grid.t_min" in err
 
 
 class TestOmegadCommand:

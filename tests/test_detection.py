@@ -17,7 +17,6 @@ import pytest
 from hypothesis import assume, given, strategies as st
 
 from wgqed.detection import (
-    FreeSpaceParams,
     RadicandModel,
     alternative_prefactor_ratio,
     brute_force_amplitude,
@@ -25,7 +24,6 @@ from wgqed.detection import (
     correlation_amplitude,
     correlation_grid,
     fit_decay_rates,
-    free_space_g1,
     omega_d,
     pole,
     solve_emitter,
@@ -509,58 +507,3 @@ class TestBruteForce:
         res = pole(FILLED, 1.0, RATE, RadicandModel.SINGLE_INDEX)
         assert alternative_prefactor_ratio(
             FILLED, res, DensityModel.PHASE_VELOCITY) == math.inf
-
-
-class TestFreeSpace:
-    def test_rate_value(self):
-        params = FreeSpaceParams(dipole_magnitude=0.5,
-                                 dipole_angle=math.pi / 2.0,
-                                 transition_frequency=2.0)
-        # 4 w^3 p^2 / (3 c^3) over 4 pi, all remaining constants one
-        assert params.vacuum_decay_rate == pytest.approx(
-            2.0 / (3.0 * math.pi), rel=1e-12)
-
-    def test_causal_gate(self):
-        params = FreeSpaceParams(0.5, math.pi / 2.0, 2.0)
-        src = (0.0, 0.0, 0.0)
-        pt = (0.0, 0.0, 3.0)
-        assert free_space_g1(params, pt, src, 2.9) == 0.0
-        on_front = free_space_g1(params, pt, src, 3.0)
-        assert on_front > 0.0
-        assert free_space_g1(params, pt, src, 4.0) < on_front
-
-    def test_inverse_fourth_power_at_fixed_retarded_time(self):
-        params = FreeSpaceParams(0.5, math.pi / 2.0, 2.0)
-        src = (0.0, 0.0, 0.0)
-        g_near = free_space_g1(params, (0.0, 0.0, 2.0), src, 2.5)
-        g_far = free_space_g1(params, (0.0, 0.0, 4.0), src, 4.5)
-        assert g_near / g_far == pytest.approx(16.0, rel=1e-12)
-
-    def test_dark_along_the_dipole(self):
-        params = FreeSpaceParams(0.5, 0.0, 2.0)
-        assert free_space_g1(params, (0.0, 0.0, 3.0),
-                             (0.0, 0.0, 0.0), 5.0) == 0.0
-
-    def test_broadside_is_brightest(self):
-        src = (0.0, 0.0, 0.0)
-        pt = (0.0, 0.0, 3.0)
-        tilted = FreeSpaceParams(0.5, 1.0, 2.0)
-        broadside = FreeSpaceParams(0.5, math.pi / 2.0, 2.0)
-        assert (free_space_g1(broadside, pt, src, 5.0)
-                > free_space_g1(tilted, pt, src, 5.0))
-
-    def test_coincident_points_rejected(self):
-        params = FreeSpaceParams(0.5, math.pi / 2.0, 2.0)
-        with pytest.raises(DomainError):
-            free_space_g1(params, (1.0, 2.0, 3.0), (1.0, 2.0, 3.0),
-                          1.0)
-
-    def test_validation(self):
-        with pytest.raises(DomainError):
-            FreeSpaceParams(-0.1, 0.0, 2.0)
-        with pytest.raises(DomainError):
-            FreeSpaceParams(0.5, 0.0, -2.0)
-        with pytest.raises(DomainError):
-            FreeSpaceParams(0.5, 0.0, 2.0, vacuum_permittivity=0.0)
-        with pytest.raises(DomainError):
-            FreeSpaceParams(0.5, 0.0, 2.0, light_speed=0.0)

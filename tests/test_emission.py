@@ -40,7 +40,14 @@ from wgqed.modes import (
     cutoff_frequency,
     modes_below,
 )
-from wgqed.quantize import Atom, DensityModel, QuantizationBox, coupling_at
+from wgqed.quantize import (
+    Atom,
+    DensityModel,
+    QuantizationBox,
+    continuum_weight,
+    coupling_at,
+    couplings,
+)
 
 GUIDE = WaveguideSpec(width=math.pi, height=math.pi / 2.0)
 BOX = QuantizationBox(length=1.0)
@@ -133,52 +140,84 @@ class TestDecayRate:
 
 def trapezoid_pv_oracle(f, omega, lo, hi, n=60001):
     """PV integral of f(nu)/(omega - nu) by singularity subtraction on
-    a uniform grid plus the analytic log of the subtracted pole."""
+    a uniform grid plus the analytic log of the subtracted pole. ``f``
+    maps an array of frequencies to an array of values."""
     nu = np.linspace(lo, hi, n)
-    f_pole = f(omega)
+    f_pole = f(np.array([omega]))[0]
+    at_pole = np.abs(nu - omega) < 1e-9
     vals = np.empty(n)
-    for i, v in enumerate(nu):
-        if abs(v - omega) < 1e-9:
-            d = 1e-6
-            vals[i] = -(f(omega + d) - f(omega - d)) / (2.0 * d)
-        else:
-            vals[i] = (f(v) - f_pole) / (omega - v)
+    vals[~at_pole] = (f(nu[~at_pole]) - f_pole) / (omega - nu[~at_pole])
+    d = 1e-6
+    f_plus, f_minus = f(np.array([omega + d, omega - d]))
+    vals[at_pole] = -(f_plus - f_minus) / (2.0 * d)
     regular = np.trapezoid(vals, nu)
     return regular + f_pole * math.log((omega - lo) / (hi - omega))
 
 
 class TestLevelShift:
-    def weight_coupling_sq(self, spec, mode, atom, box, model, nu):
-        from wgqed.modes import cutoff_frequency
-        from wgqed.quantize import continuum_weight
-        nu_c = cutoff_frequency(spec, mode)
-        if nu > nu_c:
+    """The trapezoid oracles integrate in plain frequency on a uniform
+    grid; ``level_shift`` integrates in the axial variable by
+    Gauss-Legendre. Their integrand comes from the array coupling,
+    which ``test_oracle_integrand_matches_pointwise_definition`` ties
+    to the per-point ``coupling_at``."""
+
+    WINDOW = (1.05, 1.93)
+
+    @staticmethod
+    def weight_coupling_sq(spec, mode, atom, box, model, nu):
+        # continuum weight times |coupling|^2 summed over the
+        # directions of travel above cutoff; unit weight and the
+        # single decaying profile below it
+        g_sq = np.abs(couplings(spec, mode, nu, atom, box)) ** 2
+        above = nu > cutoff_frequency(spec, mode)
+        back_sq = np.abs(couplings(spec, mode, nu[above], atom, box,
+                                   direction=-1)) ** 2
+        g_sq[above] = (continuum_weight(spec, mode, nu[above], box, model)
+                       * (g_sq[above] + back_sq))
+        return g_sq
+
+    @staticmethod
+    def pointwise_weight_coupling_sq(spec, mode, atom, box, model, nu):
+        if nu > cutoff_frequency(spec, mode):
             w = continuum_weight(spec, mode, nu, box, model)
             return w * sum(
                 abs(coupling_at(spec, mode, nu, atom, box,
                                 direction=d)) ** 2 for d in (1, -1))
         return abs(coupling_at(spec, mode, nu, atom, box)) ** 2
 
+    @pytest.mark.parametrize("mode", [TE10, TM11])
+    def test_oracle_integrand_matches_pointwise_definition(self, mode):
+        # the 200 grid nodes closest to the pole, half on each side
+        atom = make_atom(1.5, 0.8)
+        model = DensityModel.PHASE_VELOCITY
+        grid = np.linspace(*self.WINDOW, 60001)
+        j = int(np.searchsorted(grid, 1.5))
+        nodes = np.concatenate((grid[j - 100:j + 100], [1.5]))
+        assert np.count_nonzero(nodes < 1.5) == 100
+        array = self.weight_coupling_sq(GUIDE, mode, atom, BOX, model,
+                                        nodes)
+        pointwise = [self.pointwise_weight_coupling_sq(
+            GUIDE, mode, atom, BOX, model, float(v)) for v in nodes]
+        np.testing.assert_allclose(array, pointwise, rtol=1e-14, atol=0.0)
+
     def test_against_trapezoid_oracle_single_mode(self):
         atom = make_atom(1.5, 0.8)
-        window = (1.05, 1.93)
         res = level_shift(GUIDE, atom, BOX, DensityModel.PHASE_VELOCITY,
-                          window=window)
+                          window=self.WINDOW)
 
         def f(nu):
             return self.weight_coupling_sq(
                 GUIDE, TE10, atom, BOX, DensityModel.PHASE_VELOCITY, nu)
 
-        oracle = -trapezoid_pv_oracle(f, 1.5, *window)
+        oracle = -trapezoid_pv_oracle(f, 1.5, *self.WINDOW)
         assert res.value == pytest.approx(oracle, rel=1e-6)
 
     def test_against_trapezoid_oracle_with_localized_channel(self):
         # the window sits below the second cutoff, so that channel
         # contributes through its decaying branch, pole included
         atom = make_atom(1.5, 0.8)
-        window = (1.05, 1.93)
         res = level_shift(GUIDE, atom, BOX, DensityModel.PHASE_VELOCITY,
-                          window=window, modes=[TE10, TM11])
+                          window=self.WINDOW, modes=[TE10, TM11])
         assert len(res.contributions) == 2
 
         def f(nu):
@@ -186,7 +225,7 @@ class TestLevelShift:
                 GUIDE, mode, atom, BOX, DensityModel.PHASE_VELOCITY, nu)
                 for mode in (TE10, TM11))
 
-        oracle = -trapezoid_pv_oracle(f, 1.5, *window)
+        oracle = -trapezoid_pv_oracle(f, 1.5, *self.WINDOW)
         assert res.value == pytest.approx(oracle, rel=1e-6)
 
     @pytest.mark.parametrize("model", list(DensityModel))
@@ -204,9 +243,8 @@ class TestLevelShift:
                           modes=modes)
 
         def f(nu):
-            return sum(self.weight_coupling_sq(GUIDE, mode, atom, BOX,
-                                               model, nu)
-                       for mode in modes)
+            return sum(self.pointwise_weight_coupling_sq(
+                GUIDE, mode, atom, BOX, model, nu) for mode in modes)
 
         # PV of f/(nu - omega) is minus the PV of f/(omega - nu)
         oracle, _ = quad(f, *window, weight="cauchy", wvar=1.5,

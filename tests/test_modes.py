@@ -7,7 +7,6 @@ import pytest
 
 from wgqed.errors import DomainError
 from wgqed.modes import (
-    AxialProfile,
     Branch,
     ModeIndex,
     Polarization,
@@ -350,39 +349,6 @@ class TestModeListing:
             math.sqrt(5.0))
 
 
-class TestAxialProfileSelection:
-    def test_folded_refused_above_cutoff(self):
-        with pytest.raises(DomainError):
-            field_at(GUIDE, TE10, 2.0, [1.0, 0.5, 0.3],
-                     profile=AxialProfile.FOLDED)
-
-    def test_one_sided_grows_behind_source_plane(self):
-        # raw half-space solution: decay ahead, growth behind
-        gamma = dispersion(GUIDE, TM11, 1.0).attenuation
-        ahead = field_at(GUIDE, TM11, 1.0, [1.2, 0.8, 0.7],
-                         profile=AxialProfile.ONE_SIDED)
-        behind = field_at(GUIDE, TM11, 1.0, [1.2, 0.8, -0.7],
-                          profile=AxialProfile.ONE_SIDED)
-        ratio = abs(behind.electric[2]) / abs(ahead.electric[2])
-        assert ratio == pytest.approx(math.exp(2.0 * gamma * 0.7),
-                                      rel=1e-12)
-
-    def test_one_sided_has_no_kink_sign(self):
-        # transverse E keeps its sign on both sides of the plane
-        above = field_at(GUIDE, TM11, 1.0, [1.2, 0.8, 0.4],
-                         profile=AxialProfile.ONE_SIDED)
-        below = field_at(GUIDE, TM11, 1.0, [1.2, 0.8, -0.4],
-                         profile=AxialProfile.ONE_SIDED)
-        assert np.sign(above.electric[0].real) == np.sign(
-            below.electric[0].real)
-
-    def test_one_sided_matches_traveling_wave_above_cutoff(self):
-        explicit = field_at(GUIDE, TE10, 2.0, [1.0, 0.5, 0.3],
-                            profile=AxialProfile.ONE_SIDED)
-        default = field_at(GUIDE, TE10, 2.0, [1.0, 0.5, 0.3])
-        np.testing.assert_array_equal(explicit.electric, default.electric)
-
-
 class TestModeResidualWrappers:
     def test_propagating_residuals_small(self):
         point = [1.1, 0.6, 0.4]
@@ -407,11 +373,6 @@ class TestModeResidualWrappers:
     def test_kink_stencil_refused(self):
         with pytest.raises(DomainError):
             mode_divergence_residual(GUIDE, TM11, 1.0, [1.1, 0.6, 1e-4])
-
-    def test_one_sided_profile_skips_kink_guard(self):
-        val = mode_helmholtz_residual(GUIDE, TM11, 1.0, [1.1, 0.6, 1e-4],
-                                      profile=AxialProfile.ONE_SIDED)
-        assert val < 1e-5
 
 
 class TestLowestCutoffScan:
