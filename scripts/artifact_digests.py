@@ -5,7 +5,10 @@ under both state density models and in both output formats, in
 process through ``wgqed.cli.main``. That is 20 artifacts plus the two
 JSON sidecars of the CSV ``corr`` runs. It then runs ``corr`` on the
 figure grid (4 x 200 x 200, x from 0.35a to 0.65a, paper model) as
-CSV with its sidecar and as JSON, for 25 files in all. Prints one
+CSV with its sidecar and as JSON. Last it runs the refusal corpus,
+fixed bad inputs on demo.conf, and writes each case's exit code and
+stderr to ``refusals.txt``; a case that raises out of ``main`` records
+the exception type instead. That is 26 files in all. Prints one
 ``sha256  name`` line per file, sorted by name, so two checkouts can
 be compared with ``diff``.
 
@@ -14,7 +17,9 @@ Usage:
 """
 
 import argparse
+import contextlib
 import hashlib
+import io
 import sys
 import tempfile
 from pathlib import Path
@@ -26,17 +31,66 @@ CONFIG = Path(__file__).resolve().parent.parent / "configs" / "demo.conf"
 COMMANDS = ("modes", "decay", "corr", "omegad", "validate")
 
 
+# name, arguments after the command, demo.conf keys replaced or added
+REFUSALS = (
+    ("corr_csv_to_stdout", ["corr"], {}),
+    ("corr_single_z_plane", ["corr"],
+     {"grid.z_min": "5.0", "grid.z_max": "5.0"}),
+    ("corr_t_bounds_reversed", ["corr"],
+     {"grid.t_min": "50.0", "grid.t_max": "10.0"}),
+    ("corr_x_outside_guide", ["corr"], {"grid.x_min": "-1.0"}),
+    ("corr_t_max_before_auto_start", ["corr"], {"grid.t_max": "1.0"}),
+    ("modes_max_mn_707", ["modes", "--max-mn", "707"], {}),
+    ("decay_box_length_1e308", ["decay"], {"box.length": "1e308"}),
+    ("decay_unknown_key", ["decay"], {"atom.omgea": "1.45"}),
+    ("corr_below_cutoff", ["corr"], {"atom.omega": "0.5"}),
+    ("omegad_consistent_no_crossing",
+     ["omegad", "--radicand", "consistent"], {}),
+    ("validate_fault_normalization",
+     ["validate", "--inject-fault", "normalization"], {}),
+    ("validate_square_guide_below_cutoff", ["validate"],
+     {"waveguide.b": "3.141592653589793", "atom.omega": "0.5"}),
+    ("corr_atom_far_from_grid", ["corr"], {"atom.z0": "300.0"}),
+)
+
+
+def derived_config(path: Path, items: dict) -> Path:
+    """demo.conf with ``items`` replacing or adding keys; writes it to
+    ``path``."""
+    kept = [line for line in CONFIG.read_text(encoding="utf-8").splitlines()
+            if line.split("=", 1)[0].strip() not in items]
+    path.write_text("\n".join(kept + [f"{k} = {v}" for k, v in items.items()])
+                    + "\n", encoding="utf-8")
+    return path
+
+
 def figure_config(path: Path) -> Path:
     """demo.conf with the figure grid; writes it to ``path``."""
     a = load_config(str(CONFIG)).waveguide_a
-    grid = {"grid.x_min": repr(0.35 * a), "grid.x_max": repr(0.65 * a),
-            "grid.x_count": "4", "grid.z_count": "200",
-            "grid.t_count": "200"}
-    kept = [line for line in CONFIG.read_text(encoding="utf-8").splitlines()
-            if line.split("=", 1)[0].strip() not in grid]
-    path.write_text("\n".join(kept + [f"{k} = {v}" for k, v in grid.items()])
-                    + "\n", encoding="utf-8")
-    return path
+    return derived_config(path, {
+        "grid.x_min": repr(0.35 * a), "grid.x_max": repr(0.65 * a),
+        "grid.x_count": "4", "grid.z_count": "200", "grid.t_count": "200"})
+
+
+def refusals(tmp: Path) -> str:
+    """Exit code and stderr of each refusal case, with ``tmp`` masked."""
+    blocks = []
+    for name, argv, items in REFUSALS:
+        config = derived_config(tmp / f"{name}.conf", items)
+        argv = [argv[0], "--config", str(config), *argv[1:]]
+        # every case but the one about a missing --out writes to a file
+        if name != "corr_csv_to_stdout":
+            argv += ["--out", str(tmp / f"{name}.out")]
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(err):
+            try:
+                outcome = f"exit {cli_main(argv)}"
+            except Exception as exc:
+                outcome = f"raised {type(exc).__name__}"
+        blocks.append(f"[{name}] {outcome}\n"
+                      + err.getvalue().replace(str(tmp), "TMP"))
+    return "".join(blocks)
 
 
 def main() -> int:
@@ -64,6 +118,9 @@ def main() -> int:
             written.append(out)
             if command == "corr" and out.suffix == ".csv":
                 written.append(out.with_name(out.name + ".json"))
+        out = args.outdir / "refusals.txt"
+        out.write_text(refusals(Path(tmp)), encoding="utf-8")
+        written.append(out)
     for path in sorted(written):
         digest = hashlib.sha256(path.read_bytes()).hexdigest()
         print(f"{digest}  {path.name}")

@@ -115,15 +115,16 @@ class RunConfig:
         return np.linspace(self.z_min, self.z_max, self.z_count)
 
     def t_values(self, decay_rate: float) -> np.ndarray:
-        """Time grid; auto bounds start just behind the far wavefront
-        and span a few lifetimes."""
+        """Time grid; auto bounds start just behind the front at the
+        axial sample farthest from the atom and span a few lifetimes."""
         if decay_rate <= 0.0:
             raise DomainError(
                 "the auto time grid needs a positive decay rate")
         root = math.sqrt(self.waveguide_eps * self.waveguide_mu)
         lo = self.t_min
         if lo is None:
-            lo = root * max(abs(self.z_min), abs(self.z_max)) \
+            lo = root * max(abs(self.z_min - self.atom_z0),
+                            abs(self.z_max - self.atom_z0)) \
                 + 1.0 / decay_rate
         hi = self.t_max
         if hi is None:

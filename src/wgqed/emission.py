@@ -313,6 +313,11 @@ def build_bins(spec: WaveguideSpec, atom: Atom, box: QuantizationBox,
     it yields two traveling cells, below it a single decaying cell.
     Choose windows that keep bin centers clear of the cutoffs
     themselves; a center landing in the degeneracy band raises.
+
+    These cells are also how the spectrum of the emitted photon is
+    read: ``photon_bin_amplitudes`` many lifetimes out gives each
+    cell's share, and the direction label separates the traveling
+    cells a far detector sees from the decaying ones.
     """
     lo, hi = window
     if not (0.0 < lo < hi):
@@ -386,74 +391,6 @@ def amplitudes_ode_oracle(times, bins, transition_frequency: float):
     gauge = np.exp(-1j * np.angle(g))[:, None]
     c_b = gauge * np.exp(1j * np.outer(detune, times)) * psi[1:]
     return psi[0], c_b
-
-
-@dataclass(frozen=True)
-class SpectralChannel:
-    """Long-time one-photon amplitude density over a frequency grid."""
-
-    mode: ModeIndex
-    direction: int
-    branch: Branch
-    frequencies: np.ndarray
-    density: np.ndarray
-    spacing: float
-
-
-def photon_state(spec: WaveguideSpec, atom: Atom, box: QuantizationBox,
-                 model: DensityModel, params: MarkovParameters, *,
-                 window, samples: int, modes,
-                 kind: str = "all") -> tuple:
-    """Emitted-photon spectral amplitudes after the decay completes.
-
-    For each channel the amplitude density over frequency is
-        conj(coupling) * sqrt(weight) / ((nu - center) + i rate / 2),
-    sampled on a midpoint grid so cutoff endpoints are never touched.
-    ``kind`` filters the channel branches: 'propagating', 'localized'
-    or 'all'.
-    """
-    if kind not in ("all", "propagating", "localized"):
-        raise DomainError("kind must be 'all', 'propagating' or "
-                          "'localized'")
-    if params.decay_total <= 0.0:
-        raise DomainError("photon state needs a positive decay rate")
-    lo, hi = window
-    if not (0.0 < lo < hi):
-        raise DomainError("window must satisfy 0 < low < high")
-    center = params.shifted_frequency
-    half_rate = 0.5 * params.decay_total
-    channels = []
-    for mode in modes:
-        nu_c = cutoff_frequency(spec, mode)
-        for branch, s_lo, s_hi in _split_by_cutoff((lo, hi), nu_c):
-            if branch is Branch.PROPAGATING and kind == "localized":
-                continue
-            if branch is Branch.LOCALIZED and kind == "propagating":
-                continue
-            n_seg = max(2, int(round(samples * (s_hi - s_lo) / (hi - lo))))
-            spacing = (s_hi - s_lo) / n_seg
-            freqs = s_lo + (np.arange(n_seg) + 0.5) * spacing
-            directions = (1, -1) if branch is Branch.PROPAGATING else (0,)
-            if branch is Branch.LOCALIZED:
-                w = _LOCALIZED_UNIT_WEIGHT
-            else:
-                w = continuum_weight(spec, mode, freqs, box, model)
-            for d in directions:
-                g = couplings(spec, mode, freqs, atom, box,
-                              direction=d if d != 0 else 1)
-                dens = (np.conj(g) * np.sqrt(w)
-                        / ((freqs - center) + 1j * half_rate))
-                channels.append(SpectralChannel(
-                    mode=mode, direction=d, branch=branch,
-                    frequencies=freqs, density=dens, spacing=spacing))
-    return tuple(channels)
-
-
-def photon_norm(channels) -> float:
-    """Total one-photon probability of sampled spectral channels, by
-    the midpoint rule."""
-    return math.fsum(float(np.sum(np.abs(ch.density) ** 2)) * ch.spacing
-                     for ch in channels)
 
 
 def dominant_channel(spec: WaveguideSpec, frequency: float, *,

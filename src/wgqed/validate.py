@@ -261,10 +261,9 @@ def _check_markov_oracle(config):
             tolerance = 0.05
             detail = "traveling-channel decay against the exponential"
         else:
-            lowest = min(
-                (cutoff_frequency(spec, m), m)
-                for m in (ModeIndex(Polarization.TE, 1, 0),
-                          ModeIndex(Polarization.TE, 0, 1)))[1]
+            # WaveguideSpec keeps height <= width, so TE(1,0) is a
+            # lowest pattern, square guides included
+            lowest = ModeIndex(Polarization.TE, 1, 0)
             nu_c = cutoff_frequency(spec, lowest)
             window = (0.4 * omega, 0.98 * nu_c)
             bins = build_bins(spec, atom, box, config.dos,

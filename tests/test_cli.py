@@ -475,6 +475,19 @@ class TestCorrCommand:
             fit["spatial_over_temporal_exact"], rel=1e-6)
         assert fit["max_log_residual"] < 1e-9
 
+    def test_auto_time_grid_measured_from_atom(self, tmp_path):
+        # samples 280 to 299 away from the atom: the automatic start
+        # must sit behind the front at 299, not at max |z| = 20
+        conf = write_config(tmp_path, **{"atom.z0": "300.0"})
+        out = tmp_path / "corr.json"
+        assert main(["corr", "--config", conf, "--out", str(out),
+                     "--format", "json", "--reproducible"]) == EXIT_OK
+        fit = json.loads(out.read_text())["fit"]
+        assert fit["fitted_temporal_slope"] == pytest.approx(
+            -fit["decay_rate"], rel=1e-9)
+        assert fit["fitted_spatial_slope"] == pytest.approx(
+            fit["spatial_rate"], rel=1e-9)
+
     @pytest.mark.parametrize("z_grid", [
         {"grid.z_min": "5.0", "grid.z_max": "5.0"},
         # eight samples mirrored about the atom: four distances
@@ -543,6 +556,21 @@ class TestValidateCommand:
         _, _, rows = read_table(out)
         failed = [r[0] for r in rows if r[1] == "false"]
         assert failed == ["energy_normalization"]
+
+    def test_square_guide_below_cutoff(self, tmp_path):
+        # TE(1,0) and TE(0,1) share the lowest cutoff; the below-cutoff
+        # oracle still runs on the first, and only the traveling-channel
+        # check fails
+        conf = write_config(tmp_path, **{
+            "waveguide.b": BASE["waveguide.a"], "atom.omega": "0.5"})
+        out = str(tmp_path / "val.csv")
+        assert main(["validate", "--config", conf, "--out", out,
+                     "--reproducible"]) == EXIT_VALIDATION
+        _, _, rows = read_table(out)
+        failed = [r[0] for r in rows if r[1] == "false"]
+        assert failed == ["correlation_consistency"]
+        oracle = next(r for r in rows if r[0] == "markov_oracle")
+        assert oracle[4] == "below-cutoff excitation stays on the atom"
 
     def test_unknown_fault_is_config_error(self, tmp_path):
         conf = write_config(tmp_path)

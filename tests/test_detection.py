@@ -221,6 +221,32 @@ class TestOmegaD:
         assert report.root_found == pytest.approx(
             self.exact_crossing(spec, rate), rel=1e-9)
 
+    @given(guide_strategy(), st.floats(min_value=1e-6, max_value=5.0),
+           st.sampled_from(list(RadicandModel)))
+    def test_scan_flips_sign_at_most_once(self, spec, rate, model):
+        # with beta_i = -n*rate/2 the pole equation forces
+        # beta_r = c*w/n and leaves w^2 * c*(1 - c/n^2) =
+        # p + (c - n^2)*rate^2/4: one positive root when both sides
+        # can be positive, none otherwise
+        n = spec.refractive_index
+        c = model.coefficient(spec)
+        p = (math.pi / spec.width) ** 2
+        lo, hi = 1e-3 * math.sqrt(p / c), 1e4 * math.sqrt(p / c)
+        numer = p + (c - n * n) * rate ** 2 / 4.0
+        denom = c * (1.0 - c / (n * n))
+        crossing = None
+        if denom > 0.0 and numer > 0.0:
+            crossing = math.sqrt(numer / denom)
+            assume(not lo / 1.01 < crossing < 1.01 * lo)
+            assume(not hi / 1.01 < crossing < 1.01 * hi)
+        excess = np.array([
+            abs(pole(spec, float(w), rate, model).spatial_rate) / rate - n
+            for w in np.geomspace(lo, hi, 600)])
+        flips = np.count_nonzero(np.sign(excess[:-1])
+                                 * np.sign(excess[1:]) < 0)
+        inside = crossing is not None and lo < crossing < hi
+        assert flips == (1 if inside else 0)
+
     def test_root_stable_under_scan_refinement(self):
         coarse = omega_d(FILLED, 0.1, scan_samples=600)
         fine = omega_d(FILLED, 0.1, scan_samples=2400)

@@ -29,11 +29,8 @@ from wgqed.emission import (
     excited_amplitude,
     level_shift,
     photon_bin_amplitudes,
-    photon_norm,
-    photon_state,
 )
 from wgqed.modes import (
-    Branch,
     ModeIndex,
     Polarization,
     WaveguideSpec,
@@ -475,7 +472,7 @@ class TestDiscretizedContinuum:
 
 
 class TestPhotonState:
-    def build(self, kind, modes, window=(1.25, 1.75), samples=2000):
+    def build(self, modes, window=(1.25, 1.75), count=2000):
         omega = 1.5
         dip = math.sqrt(1e-3 * GUIDE.cross_section_area / (4.0 * omega))
         atom = make_atom(omega, dip, x0=GUIDE.width / 2.0)
@@ -486,39 +483,31 @@ class TestPhotonState:
         params = MarkovParameters(decay_total=res.total,
                                   level_shift=shift.value,
                                   transition_frequency=omega)
-        return photon_state(GUIDE, atom, BOX,
-                            DensityModel.PHASE_VELOCITY, params,
-                            window=window, samples=samples, modes=modes,
-                            kind=kind)
+        bins = build_bins(GUIDE, atom, BOX, DensityModel.PHASE_VELOCITY,
+                          window=window, count=count, modes=modes)
+        # a thousand lifetimes out the decay has completed
+        amps = photon_bin_amplitudes(1000.0 / res.total, bins, params)
+        return bins, np.abs(amps) ** 2
 
     def test_norm_close_to_unity(self):
         # window spans 250 linewidths each way; the Lorentzian mass
         # outside it is about 1.3e-3
-        channels = self.build("propagating", [TE10], samples=20000)
-        assert len(channels) == 2
-        assert photon_norm(channels) == pytest.approx(1.0, abs=5e-3)
+        bins, prob = self.build([TE10], count=20000)
+        assert {b.direction for b in bins} == {1, -1}
+        assert math.fsum(prob.tolist()) == pytest.approx(1.0, abs=5e-3)
 
     def test_kind_filtering(self):
-        both = self.build("all", [TE10, TM11])
-        prop = self.build("propagating", [TE10, TM11])
-        loc = self.build("localized", [TE10, TM11])
-        assert len(both) == 3  # direction pair + one decaying channel
-        assert len(prop) == 2
-        assert len(loc) == 1
-        assert all(ch.branch is Branch.PROPAGATING for ch in prop)
-        assert all(ch.branch is Branch.LOCALIZED for ch in loc)
-        assert all(ch.mode == TM11 for ch in loc)
-
-    def test_bad_kind_rejected(self):
-        with pytest.raises(DomainError):
-            self.build("sideways", [TE10])
+        bins, _ = self.build([TE10, TM11])
+        # TE10 propagates over the whole window, TM11 nowhere in it
+        assert {b.direction for b in bins if b.mode == TE10} == {1, -1}
+        assert {b.direction for b in bins if b.mode == TM11} == {0}
+        assert len(bins) == 3 * 2000
 
     def test_localized_share_is_small_on_resonance(self):
-        both = self.build("all", [TE10, TM11])
-        prop_mass = photon_norm(
-            [ch for ch in both if ch.branch is Branch.PROPAGATING])
-        loc_mass = photon_norm(
-            [ch for ch in both if ch.branch is Branch.LOCALIZED])
+        bins, prob = self.build([TE10, TM11])
+        traveling = np.array([b.direction != 0 for b in bins])
+        prop_mass = math.fsum(prob[traveling].tolist())
+        loc_mass = math.fsum(prob[~traveling].tolist())
         assert loc_mass < 1e-3 * prop_mass
 
 
