@@ -5,12 +5,15 @@ under both state density models and in both output formats, in
 process through ``wgqed.cli.main``. That is 20 artifacts plus the two
 JSON sidecars of the CSV ``corr`` runs. It then runs ``corr`` on the
 figure grid (4 x 200 x 200, x from 0.35a to 0.65a, paper model) as
-CSV with its sidecar and as JSON. Last it runs the refusal corpus,
-fixed bad inputs on demo.conf, and writes each case's exit code and
-stderr to ``refusals.txt``; a case that raises out of ``main`` records
-the exception type instead. That is 26 files in all. Prints one
-``sha256  name`` line per file, sorted by name, so two checkouts can
-be compared with ``diff``.
+CSV with its sidecar and as JSON, and ``decay`` under both models at
+``output.digits = 17``, where a one-ulp change of a rate or a shift
+shows (the other artifacts round to 12 digits). Last it runs the
+refusal corpus, fixed bad inputs on demo.conf, and writes each case's
+exit code and stderr to ``refusals.txt``; a case that raises out of
+``main`` records the exception type instead. That is 28 files in all.
+Prints one ``sha256  name`` line per file, sorted by name, so two
+checkouts can be compared with ``diff``. The accepted lines are in
+``tests/data/artifact_digests.txt``.
 
 Usage:
     PYTHONPATH=src python scripts/artifact_digests.py OUTDIR
@@ -93,20 +96,24 @@ def refusals(tmp: Path) -> str:
     return "".join(blocks)
 
 
-def main() -> int:
+def main(argv=None) -> int:
     ap = argparse.ArgumentParser()
     ap.add_argument("outdir", type=Path)
-    args = ap.parse_args()
+    args = ap.parse_args(argv)
     args.outdir.mkdir(parents=True, exist_ok=True)
     written = []
     with tempfile.TemporaryDirectory() as tmp:
         figure = figure_config(Path(tmp) / "figure.conf")
+        digits17 = derived_config(Path(tmp) / "digits17.conf",
+                                  {"output.digits": "17"})
         runs = [(CONFIG, f"{command}_{dos}.{fmt}", command, dos)
                 for command in COMMANDS
                 for dos in ("paper", "dispersion")
                 for fmt in ("csv", "json")]
         runs += [(figure, f"corr_figure_paper.{fmt}", "corr", "paper")
                  for fmt in ("csv", "json")]
+        runs += [(digits17, f"decay_{dos}_digits17.csv", "decay", dos)
+                 for dos in ("paper", "dispersion")]
         for config, name, command, dos in runs:
             out = args.outdir / name
             rc = cli_main([command, "--config", str(config), "--dos", dos,

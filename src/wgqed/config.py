@@ -130,7 +130,12 @@ class RunConfig:
         if hi is None:
             hi = lo + 4.0 / decay_rate
         if not hi > lo:
-            raise ConfigError("time grid bounds must increase")
+            start = "grid.t_min" if self.t_min is not None \
+                else "the automatic grid.t_min"
+            end = "grid.t_max" if self.t_max is not None \
+                else "the automatic grid.t_max"
+            raise ConfigError(
+                f"corr needs {end} above {start}; got {lo!r} and {hi!r}")
         return np.linspace(lo, hi, self.t_count)
 
     def shift_window(self, decay_rate: float | None = None) -> tuple:

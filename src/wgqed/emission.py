@@ -23,8 +23,11 @@ up like an inverse square root, and both leave one regular numerator
 over (t^2 - q), so the principal value is taken by subtracting the
 pole rather than by excising it.
 
-Couplings come from ``quantize.couplings``, one array per quadrature
-segment or frequency grid; ``quantize.coupling_at`` stays the
+Couplings come from ``quantize.couplings``, one array per integrand
+call or frequency grid. A shift segment opens with one call per
+direction of travel, covering its 1-panel and 2-panel rules (and, for
+a principal value, the pole point and both halves), and makes one
+more per further panel doubling. ``quantize.coupling_at`` stays the
 per-point definition the tests check this module against.
 
 ``amplitudes_ode_oracle`` propagates the exact Schroedinger system of

@@ -6,7 +6,13 @@ rules, and no randomness or thread-dependent reduction order is used.
 
 Integrand convention: callables passed to the quadrature routines must
 accept a float ndarray of abscissae and return an ndarray of values
-(real or complex) of the same shape.
+(real or complex) of the same shape, element by element. Each call
+pays a fixed set-up cost, so the quadratures stack nodes: ``integrate``
+evaluates its 1-panel and 2-panel rules in one call, and
+``pv_integrate`` evaluates the pole point and both halves' 1-panel and
+2-panel rules in one call. Every further panel doubling is one call.
+Sums are taken over slices shaped as ``_panel_values`` shapes them, so
+the stacking changes no bit of any result.
 """
 
 from __future__ import annotations
@@ -40,19 +46,59 @@ def _gl_nodes(order: int):
     return x, w
 
 
-def _panel_values(f, a: float, b: float, order: int, panels: int):
-    x, w = _gl_nodes(order)
+def _panel_nodes(a: float, b: float, order: int, panels: int):
+    # nodes for all panels stacked into one array, panel by panel, and
+    # the panel half-widths that scale each panel's weights
+    x, _ = _gl_nodes(order)
     edges = np.linspace(a, b, panels + 1)
     half = 0.5 * (edges[1:] - edges[:-1])
     mid = 0.5 * (edges[1:] + edges[:-1])
-    # nodes for all panels stacked into one evaluation
-    pts = (mid[:, None] + half[:, None] * x[None, :]).ravel()
-    vals = np.asarray(f(pts)).reshape(panels, order)
+    return (mid[:, None] + half[:, None] * x[None, :]).ravel(), half
+
+
+def _panel_sum(vals, half, order: int):
+    _, w = _gl_nodes(order)
+    vals = np.asarray(vals).reshape(half.size, order)
     return np.sum(vals * w[None, :] * half[:, None])
+
+
+def _panel_values(f, a: float, b: float, order: int, panels: int):
+    pts, half = _panel_nodes(a, b, order, panels)
+    return _panel_sum(f(pts), half, order)
+
+
+def _opening(a: float, b: float):
+    """Nodes of the 1-panel and 2-panel rules on [a, b] in one array,
+    so one integrand call serves both, and the pair of their panel
+    half-width arrays."""
+    x0, half0 = _panel_nodes(a, b, QUAD_ORDER, 1)
+    x1, half1 = _panel_nodes(a, b, QUAD_ORDER, 2)
+    return np.concatenate((x0, x1)), (half0, half1)
+
+
+def _refine(f, a: float, b: float, opening, halves):
+    """Panel doubling on [a, b] from ``opening``, the integrand's values
+    at the nodes of ``_opening(a, b)``, which also returned ``halves``;
+    each level past the second is one call of ``f``."""
+    prev = _panel_sum(opening[:QUAD_ORDER], halves[0], QUAD_ORDER)
+    cur = _panel_sum(opening[QUAD_ORDER:], halves[1], QUAD_ORDER)
+    for k in range(1, QUAD_MAX_REFINEMENTS + 1):
+        if k > 1:
+            prev, cur = cur, _panel_values(f, a, b, QUAD_ORDER, 2 ** k)
+        scale = max(abs(cur), abs(prev), 1e-300)
+        change = abs(cur - prev) / scale
+        if change < QUAD_REL_TOL:
+            return cur, change
+    raise ConvergenceError(
+        f"quadrature did not reach rel_tol={QUAD_REL_TOL:g} after "
+        f"{QUAD_MAX_REFINEMENTS} refinements", last=cur, previous=prev)
 
 
 def integrate(f, a: float, b: float):
     """Integrate ``f`` over [a, b] with panel-doubling Gauss-Legendre.
+
+    The 1-panel and 2-panel rules, which every result compares, share
+    one call of ``f``; each further doubling is one more call.
 
     Returns ``(value, last_change)`` where ``last_change`` is the
     relative change produced by the final refinement. Raises
@@ -61,19 +107,8 @@ def integrate(f, a: float, b: float):
     """
     if b == a:
         return 0.0, 0.0
-    prev = _panel_values(f, a, b, QUAD_ORDER, 1)
-    cur = prev
-    for k in range(1, QUAD_MAX_REFINEMENTS + 1):
-        cur = _panel_values(f, a, b, QUAD_ORDER, 2 ** k)
-        scale = max(abs(cur), abs(prev), 1e-300)
-        change = abs(cur - prev) / scale
-        if change < QUAD_REL_TOL:
-            return cur, change
-        if k < QUAD_MAX_REFINEMENTS:
-            prev = cur
-    raise ConvergenceError(
-        f"quadrature did not reach rel_tol={QUAD_REL_TOL:g} after "
-        f"{QUAD_MAX_REFINEMENTS} refinements", last=cur, previous=prev)
+    x, halves = _opening(a, b)
+    return _refine(f, a, b, f(x), halves)
 
 
 def pv_integrate(g, pole: float, a: float, b: float):
@@ -87,16 +122,24 @@ def pv_integrate(g, pole: float, a: float, b: float):
 
     and the regular remainder is integrated on [a, pole] and
     [pole, b] separately, so no panel straddles the removable point.
+    One call of ``g`` covers the pole and the 1-panel and 2-panel
+    rules of both halves; each half then refines as ``integrate``
+    does, the left half first, one call per further doubling.
     """
     if not (a < pole < b):
         raise ValueError("pole must lie strictly inside the window")
-    g_pole = g(np.array([pole]))[0]
+    x_left, halves_left = _opening(a, pole)
+    x_right, halves_right = _opening(pole, b)
+    x = np.concatenate(([pole], x_left, x_right))
+    gx = np.asarray(g(x))
+    g_pole = gx[0]
 
     def remainder(x):
         return (g(x) - g_pole) / (x - pole)
 
-    left, _ = integrate(remainder, a, pole)
-    right, _ = integrate(remainder, pole, b)
+    r = (gx[1:] - g_pole) / (x[1:] - pole)
+    left, _ = _refine(remainder, a, pole, r[:x_left.size], halves_left)
+    right, _ = _refine(remainder, pole, b, r[x_left.size:], halves_right)
     return left + right + g_pole * math.log((b - pole) / (pole - a))
 
 

@@ -199,6 +199,16 @@ class TestAccessors:
         assert t[0] == pytest.approx(front + 1.0 / rate)
         assert t[-1] == pytest.approx(t[0] + 4.0 / rate)
 
+    def test_t_max_before_auto_start_names_both_bounds(self):
+        rate = 0.02
+        start = float(parse_config(config_text()).t_values(rate)[0])
+        cfg = parse_config(config_text(**{"grid.t_max": "1.0"}))
+        with pytest.raises(ConfigError) as info:
+            cfg.t_values(rate)
+        assert str(info.value) == (
+            f"corr needs grid.t_max above the automatic grid.t_min; "
+            f"got {start!r} and 1.0")
+
     def test_auto_window_hugs_line_when_rate_known(self):
         cfg = parse_config(config_text())
         lo, hi = cfg.shift_window(0.02)

@@ -11,11 +11,14 @@ exponential rates with no residue algebra involved.
 
 import cmath
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, strategies as st
 
+from wgqed import emission
+from wgqed.config import load_config
 from wgqed.detection import (
     RadicandModel,
     alternative_prefactor_ratio,
@@ -39,6 +42,7 @@ from wgqed.modes import WaveguideSpec
 from wgqed.numerics import principal_csqrt
 from wgqed.quantize import Atom, DensityModel, QuantizationBox
 
+DEMO = Path(__file__).resolve().parent.parent / "configs" / "demo.conf"
 FILLED = WaveguideSpec(width=math.pi, height=math.pi / 2.0,
                        permittivity=1.0, permeability=1.44)
 # single-channel window of FILLED runs from 0.8333 to 1.6667
@@ -188,6 +192,25 @@ class TestSolveEmitter:
         with pytest.raises(DomainError, match="traveling"):
             solve_emitter(FILLED, self.atom(0.5), self.BOX,
                           DensityModel.PHASE_VELOCITY)
+
+    @pytest.mark.parametrize("dos,limit", [
+        (DensityModel.PHASE_VELOCITY, 16), (DensityModel.GROUP_VELOCITY, 17)])
+    def test_demo_chain_coupling_calls(self, monkeypatch, dos, limit):
+        # each quadrature opens with one couplings call per direction,
+        # so the demo chain stays a handful of array calls
+        cfg = load_config(DEMO)
+        calls = []
+        couplings = emission.couplings
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return couplings(*args, **kwargs)
+
+        monkeypatch.setattr(emission, "couplings", counted)
+        solve_emitter(cfg.waveguide_spec(), cfg.atom(), cfg.box(), dos,
+                      cfg.radicand, max_index=cfg.max_mn,
+                      window=cfg.shift_window)
+        assert len(calls) <= limit
 
 
 class TestOmegaD:

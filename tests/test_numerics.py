@@ -10,11 +10,49 @@ from hypothesis import given, strategies as st
 
 from wgqed.errors import ConvergenceError, NoCrossingError
 from wgqed.numerics import (
+    QUAD_MAX_REFINEMENTS,
+    QUAD_ORDER,
+    QUAD_REL_TOL,
+    _panel_values,
     find_root,
     integrate,
     principal_csqrt,
     pv_integrate,
 )
+
+
+def reference_integrate(f, a, b):
+    """``integrate`` written level by level, one ``_panel_values`` call
+    per panel count. Returns (value, last_change, accepted level)."""
+    prev = _panel_values(f, a, b, QUAD_ORDER, 1)
+    for k in range(1, QUAD_MAX_REFINEMENTS + 1):
+        cur = _panel_values(f, a, b, QUAD_ORDER, 2 ** k)
+        change = abs(cur - prev) / max(abs(cur), abs(prev), 1e-300)
+        if change < QUAD_REL_TOL:
+            return cur, change, k
+        if k < QUAD_MAX_REFINEMENTS:
+            prev = cur
+    raise ConvergenceError("reference did not converge", last=cur,
+                           previous=prev)
+
+
+def lorentzian(center, width, freq=0.0):
+    # narrower peaks need more panel doublings on [0, 1]: width 1 is
+    # accepted at level 1, 0.1 at level 3 and 0.01 at level 6
+    return lambda x: (np.exp(1j * freq * x)
+                      / ((x - center) ** 2 + width ** 2))
+
+
+class Counted:
+    """An integrand that counts its calls."""
+
+    def __init__(self, f):
+        self.f = f
+        self.calls = 0
+
+    def __call__(self, x):
+        self.calls += 1
+        return self.f(x)
 
 
 class TestIntegrate:
@@ -57,6 +95,43 @@ class TestIntegrate:
         assert exc.value.previous is not None
         assert exc.value.last != exc.value.previous
 
+    @given(st.floats(-1.0, 0.0), st.floats(0.5, 2.0), st.floats(0.0, 1.0),
+           st.floats(0.01, 2.0), st.floats(0.0, 100.0), st.booleans())
+    def test_bit_identical_to_level_by_level_loop(self, a, length, center,
+                                                  width, freq, real):
+        # bounds off the dyadic grid, so panel widths round
+        b = a + length
+        f = lorentzian(center, width, freq)
+        if real:
+            f = (lambda g: lambda x: g(x).real)(f)
+        want, want_change, level = reference_integrate(f, a, b)
+        counted = Counted(f)
+        value, change = integrate(counted, a, b)
+        assert value == want and change == want_change
+        assert counted.calls == level
+
+    @pytest.mark.parametrize("width,level", [
+        (1.0, 1), (0.3, 2), (0.1, 3), (0.05, 4), (0.03, 5), (0.01, 6)])
+    def test_one_call_per_accepted_level(self, width, level):
+        # the 1-panel and 2-panel rules share the first call
+        f = lorentzian(0.37, width)
+        want, want_change, accepted = reference_integrate(f, 0.0, 1.0)
+        assert accepted == level
+        counted = Counted(f)
+        assert integrate(counted, 0.0, 1.0) == (want, want_change)
+        assert counted.calls == level
+
+    def test_nonconvergence_matches_level_by_level_loop(self):
+        f = lambda x: np.abs(x) ** 0.1
+        with pytest.raises(ConvergenceError) as want:
+            reference_integrate(f, -1.0, 1.0)
+        counted = Counted(f)
+        with pytest.raises(ConvergenceError) as got:
+            integrate(counted, -1.0, 1.0)
+        assert got.value.last == want.value.last
+        assert got.value.previous == want.value.previous
+        assert counted.calls == QUAD_MAX_REFINEMENTS
+
     def test_shared_rule_is_read_only(self):
         # every caller gets the same cached arrays
         from wgqed.numerics import _gl_nodes
@@ -90,6 +165,44 @@ class TestPVIntegrate:
     def test_pole_outside_rejected(self):
         with pytest.raises(ValueError):
             pv_integrate(np.ones_like, 5.0, 0.0, 3.0)
+
+    @staticmethod
+    def reference(g, pole, a, b):
+        # g(pole), the two halves of the remainder integrated level by
+        # level, and the log term; returns the accepted levels as well
+        g_pole = g(np.array([pole]))[0]
+
+        def remainder(x):
+            return (g(x) - g_pole) / (x - pole)
+
+        left, _, k_left = reference_integrate(remainder, a, pole)
+        right, _, k_right = reference_integrate(remainder, pole, b)
+        value = left + right + g_pole * math.log((b - pole) / (pole - a))
+        return value, k_left, k_right
+
+    @given(st.floats(-1.0, 0.0), st.floats(0.5, 2.0),
+           st.floats(0.01, 0.99), st.floats(0.0, 1.0),
+           st.floats(0.01, 2.0), st.floats(0.0, 100.0))
+    def test_bit_identical_to_reference(self, a, length, at, center,
+                                        width, freq):
+        b = a + length
+        pole = a + at * length
+        g = lorentzian(center, width, freq)
+        want, k_left, k_right = self.reference(g, pole, a, b)
+        counted = Counted(g)
+        assert pv_integrate(counted, pole, a, b) == want
+        # one call opens both halves, then one per further doubling
+        assert counted.calls == 1 + (k_left - 1) + (k_right - 1)
+
+    def test_one_call_when_both_halves_open_converged(self):
+        # the remainder of a quadratic numerator is linear, so both
+        # halves are accepted at level 1
+        g = lambda x: x * x + 1.0
+        want, k_left, k_right = self.reference(g, 1.0, 0.0, 3.0)
+        assert (k_left, k_right) == (1, 1)
+        counted = Counted(g)
+        assert pv_integrate(counted, 1.0, 0.0, 3.0) == want
+        assert counted.calls == 1
 
     def test_against_quadpack_cauchy_rule(self):
         # QUADPACK's QAWC computes the same principal value by its own
