@@ -5,12 +5,13 @@ under both state density models and in both output formats, in
 process through ``wgqed.cli.main``. That is 20 artifacts plus the two
 JSON sidecars of the CSV ``corr`` runs. It then runs ``corr`` on the
 figure grid (4 x 200 x 200, x from 0.35a to 0.65a, paper model) as
-CSV with its sidecar and as JSON, and ``decay`` under both models at
-``output.digits = 17``, where a one-ulp change of a rate or a shift
-shows (the other artifacts round to 12 digits). Last it runs the
-refusal corpus, fixed bad inputs on demo.conf, and writes each case's
-exit code and stderr to ``refusals.txt``; a case that raises out of
-``main`` records the exception type instead. That is 28 files in all.
+CSV with its sidecar and as JSON, and ``decay`` under both models and
+in both formats at ``output.digits = 17``, where a one-ulp change of a
+rate or a shift shows (the other artifacts round to 12 digits). Last
+it runs the refusal corpus, fixed bad inputs on demo.conf, and writes
+each case's exit code and stderr to ``refusals.txt``; a case that
+raises out of ``main`` records the exception type instead. That is 30
+files in all.
 Prints one ``sha256  name`` line per file, sorted by name, so two
 checkouts can be compared with ``diff``. The accepted lines are in
 ``tests/data/artifact_digests.txt``.
@@ -112,8 +113,9 @@ def main(argv=None) -> int:
                 for fmt in ("csv", "json")]
         runs += [(figure, f"corr_figure_paper.{fmt}", "corr", "paper")
                  for fmt in ("csv", "json")]
-        runs += [(digits17, f"decay_{dos}_digits17.csv", "decay", dos)
-                 for dos in ("paper", "dispersion")]
+        runs += [(digits17, f"decay_{dos}_digits17.{fmt}", "decay", dos)
+                 for dos in ("paper", "dispersion")
+                 for fmt in ("csv", "json")]
         for config, name, command, dos in runs:
             out = args.outdir / name
             rc = cli_main([command, "--config", str(config), "--dos", dos,

@@ -63,6 +63,8 @@ EXIT_CONVERGENCE = 4
 EXIT_VALIDATION = 5
 EXIT_NO_CROSSING = 6
 
+_DBL_MIN = sys.float_info.min
+
 
 def _fmt(value, digits: int) -> str:
     """One deterministic cell; empty string for missing values."""
@@ -83,7 +85,9 @@ def _json_value(value, digits: int):
     if isinstance(value, float):
         if not math.isfinite(value):
             return repr(value)
-        return float(format(value, f".{digits}g"))
+        rounded = float(format(value, f".{digits}g"))
+        # a finite value whose rounding overflows keeps all its digits
+        return rounded if math.isfinite(rounded) else value
     if isinstance(value, dict):
         return {k: _json_value(v, digits) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
@@ -138,12 +142,28 @@ def _csv_cells(values, digits: int) -> list[str]:
             else _fmt(v, digits) for v in values]
 
 
+def _json_cell(value, digits: int) -> str:
+    # what json.dumps writes for _json_value of one scalar
+    if type(value) is float and math.isfinite(value):
+        return repr(_json_value(value, digits))
+    return json.dumps(_json_value(value, digits))
+
+
 def _json_cells(values, digits: int) -> list[str]:
-    # what json.dumps writes for each _json_value; cells are scalars
-    spec = f".{digits}g"
-    return [repr(float(format(v, spec)))
-            if type(v) is float and math.isfinite(v)
-            else json.dumps(_json_value(v, digits)) for v in values]
+    # what json.dumps writes for each _json_value; cells are scalars.
+    # Up to 15 digits a normal float's CSV text round-trips, so its
+    # JSON text is the CSV text, except that integer-looking text
+    # ("12", "-0") gains ".0" and an exponent in [digits, 16) is
+    # written positionally. Subnormals and 16 or 17 digits take the
+    # shortest repr of the rounded value, and a finite value whose
+    # rounding overflows is written unrounded. Only a normal float's
+    # CSV text with a "." and no "e+" is reused; every other cell
+    # takes _json_cell.
+    if digits > 15:
+        return [_json_cell(v, digits) for v in values]
+    return [s if "." in s and "e+" not in s and type(v) is float
+            and abs(v) >= _DBL_MIN else _json_cell(v, digits)
+            for v, s in zip(values, _csv_cells(values, digits))]
 
 
 def _column_cells(column, render, digits: int) -> list[str]:

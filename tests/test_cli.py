@@ -14,6 +14,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from wgqed import cli
 from wgqed.cli import (
@@ -719,6 +720,7 @@ MIXED_ROWS = [
     (float("nan"), None, 0, float("inf"), ""),
     (float("-inf"), True, 10 ** 20, 1e-300, "a,b"),
     (np.float64(2.5e-17), False, None, -123456.789012345, None),
+    (1e13, 5e-324, -1, 1.7976931348623157e308, "x.y"),
 ]
 MIXED_COLUMNS = ("a", "b", "c", "d", "e")
 
@@ -838,6 +840,90 @@ class TestColumnRenderer:
             main(["modes", "--config", conf, "--format", "json",
                   "--out", str(out)])
         assert not out.exists()
+
+
+# --- the per-cell expression _json_cells used before it reused the
+# CSV text, kept as the oracle ---
+
+DBL_MIN = sys.float_info.min
+DBL_MAX = sys.float_info.max
+
+
+def _previous_json_cell(v, digits):
+    # the former _json_value inlined for one scalar cell
+    spec = f".{digits}g"
+    if type(v) is float and math.isfinite(v):
+        return repr(float(format(v, spec)))
+    if isinstance(v, float):
+        v = float(format(v, spec)) if math.isfinite(v) else repr(v)
+    return json.dumps(v)
+
+
+def _oracle_json_cell(v, digits):
+    """The previous expression, except that a finite value whose
+    rounding overflows is written unrounded."""
+    if (isinstance(v, float) and math.isfinite(v)
+            and math.isinf(float(format(v, f".{digits}g")))):
+        return json.dumps(float(v))
+    return _previous_json_cell(v, digits)
+
+
+def _strict_json(text):
+    def refuse(name):
+        raise ValueError(f"{name} is not a JSON number")
+    return json.loads(text, parse_constant=refuse)
+
+
+# one or more cells of each class, the reused CSV text first
+CELL_CLASSES = [
+    # normal floats whose CSV text has a "." and no "e+"
+    -2.5, 1.0 / 3.0, 1.5e-7, 123.456, 0.000123,
+    # subnormals and the normals next to them
+    5e-324, -5e-324, 2.5e-310, DBL_MIN, -DBL_MIN,
+    DBL_MIN * (1 + 1e-4), DBL_MIN * (1 - 1e-4),
+    # signed zeros and integer-valued floats
+    0.0, -0.0, 1.0, -7.0, 12.0, 1000.0, 999.95, 2.0 ** 53,
+    # exponents in [N, 16) and beyond
+    1.5e5, 1e13, -1.234e15, 9.999e15, 1e16, 1.5e17,
+    # near DBL_MAX
+    DBL_MAX, -DBL_MAX, 1.79e308, 1.7976e308, 1.797e308,
+    # non-finite
+    math.inf, -math.inf, math.nan,
+    # at 16 and 17 digits the text is not the shortest repr
+    9.41013511305455, 0.1,
+    # non-float cells
+    None, True, False, 0, -3, 10 ** 20, np.float64(2.5),
+    np.float64(1e13), np.float64(DBL_MAX), "x.y", "1.5",
+]
+
+
+class TestJsonCells:
+    """_json_cells writes what the previous per-cell expression did,
+    and a finite cell that rounds past DBL_MAX stays strict JSON."""
+
+    @given(st.lists(st.floats(), max_size=40), st.integers(3, 17))
+    def test_matches_previous_expression(self, values, digits):
+        assert cli._json_cells(values, digits) == \
+            [_oracle_json_cell(v, digits) for v in values]
+
+    @pytest.mark.parametrize("digits", range(3, 18))
+    def test_cell_classes(self, digits):
+        got = cli._json_cells(CELL_CLASSES, digits)
+        assert got == [_oracle_json_cell(v, digits)
+                       for v in CELL_CLASSES]
+
+    def test_overflowing_value_stays_strict_json(self):
+        # at 3 digits DBL_MAX rounds to 1.8e+308, past the largest float
+        assert cli._json_cells([DBL_MAX, -DBL_MAX], 3) == \
+            [repr(DBL_MAX), repr(-DBL_MAX)]
+        env = _demo_env()
+        env["discrepancies"]["huge"] = DBL_MAX
+        text = _rendered("json", env, {"a": [DBL_MAX, 1.0]}, digits=3,
+                         extra={"fit": {"huge": -DBL_MAX}})
+        doc = _strict_json(text)
+        assert doc["rows"] == [[DBL_MAX], [1.0]]
+        assert doc["envelope"]["discrepancies"]["huge"] == DBL_MAX
+        assert doc["fit"]["huge"] == -DBL_MAX
 
 
 def test_commands_do_not_import_scipy(tmp_path, child_env):
