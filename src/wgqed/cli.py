@@ -75,9 +75,9 @@ def _fmt(value, digits: int) -> str:
     if isinstance(value, int):
         return str(value)
     if isinstance(value, float):
-        if not math.isfinite(value):
-            return repr(value)
-        return format(value, f".{digits}g")
+        text = format(value, f".{digits}g")
+        # a finite value whose rounding overflows keeps all its digits
+        return repr(value) if math.isinf(float(text)) else text
     return str(value)
 
 
@@ -136,9 +136,10 @@ class Coded(NamedTuple):
 
 
 def _csv_cells(values, digits: int) -> list[str]:
-    # the text of _fmt, with the common finite float inlined
+    # the text of _fmt, with the common float inlined: below 1e308 no
+    # rounding overflows, and the range test also fails for inf and nan
     spec = f".{digits}g"
-    return [format(v, spec) if type(v) is float and math.isfinite(v)
+    return [format(v, spec) if type(v) is float and -1e308 < v < 1e308
             else _fmt(v, digits) for v in values]
 
 

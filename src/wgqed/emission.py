@@ -23,12 +23,14 @@ up like an inverse square root, and both leave one regular numerator
 over (t^2 - q), so the principal value is taken by subtracting the
 pole rather than by excising it.
 
-Couplings come from ``quantize.couplings``, one array per integrand
-call or frequency grid. A shift segment opens with one call per
-direction of travel, covering its 1-panel and 2-panel rules (and, for
-a principal value, the pole point and both halves), and makes one
-more per further panel doubling. ``quantize.coupling_at`` stays the
-per-point definition the tests check this module against.
+Couplings come from ``quantize.couplings``, stacked over modes and
+both directions of travel. The decay rate takes every traveling
+channel from one call, and so do the discretized cells. The shift's
+(mode, branch) segments refine in lockstep: one call covers the 1-panel
+and 2-panel rules of every segment (and, for a principal value, the
+pole point and both halves), and each further panel doubling is one
+call over the segments not yet accepted. ``quantize.coupling_at``
+stays the per-point definition the tests check this module against.
 
 ``amplitudes_ode_oracle`` propagates the exact Schroedinger system of
 a discretized continuum by diagonalizing its Hamiltonian once, with no
@@ -55,7 +57,7 @@ from .modes import (
     cutoff_frequency,
     modes_below,
 )
-from .numerics import integrate, pv_integrate
+from .numerics import _lockstep
 from .quantize import (
     Atom,
     DensityModel,
@@ -106,15 +108,16 @@ def decay_rate(spec: WaveguideSpec, atom: Atom, box: QuantizationBox,
     """
     atom.check_inside(spec)
     omega = atom.transition_frequency
+    listing = [mode for _, mode in modes_below(spec, omega,
+                                               max_index=max_index)]
+    g = couplings(spec, listing, [omega] * len(listing), atom, box,
+                  direction=(1, -1)).tolist()
     channels = []
-    for _, mode in modes_below(spec, omega, max_index=max_index):
+    for mode, *pair in zip(listing, *g):
         w = continuum_weight(spec, mode, omega, box, model)
-        for direction in (1, -1):
-            g = complex(couplings(spec, mode, omega, atom, box,
-                                  direction=direction))
-            channels.append(ChannelRate(
-                mode=mode, direction=direction, weight=w, coupling=g,
-                rate=2.0 * math.pi * w * abs(g) ** 2))
+        channels += [ChannelRate(mode=mode, direction=d, weight=w, coupling=c,
+                                 rate=2.0 * math.pi * w * abs(c) ** 2)
+                     for d, c in zip((1, -1), pair)]
     return DecayResult(total=math.fsum(c.rate for c in channels),
                        channels=tuple(channels),
                        model=model, oscillatory=not channels)
@@ -204,8 +207,10 @@ def level_shift(spec: WaveguideSpec, atom: Atom, box: QuantizationBox,
         R(t) = -(weight * t) * |coupling|^2 * (omega + nu) / nu,
 
     for both branches and both density models. A segment holding the
-    transition frequency has its pole at t0 = sqrt(q) and goes through
-    ``pv_integrate`` with numerator R(t)/(t + t0).
+    transition frequency has its pole at t0 = sqrt(q) and is a
+    principal value with numerator R(t)/(t + t0). All segments refine
+    in lockstep, one ``couplings`` call per level; the first error in
+    segment order is raised, as if they were integrated one by one.
     """
     lo, hi = window
     if not (0.0 < lo < hi):
@@ -216,7 +221,9 @@ def level_shift(spec: WaveguideSpec, atom: Atom, box: QuantizationBox,
         modes = [mode for _, mode in modes_below(spec, hi,
                                                  max_index=max_index)]
     eps_mu = spec.permittivity * spec.permeability
-    contributions = []
+    # per segment: mode, branch, span, sign, (t_a, t_b, pole) and the
+    # integrand's h, s, nu_c, band, t0 (nan without a pole) and q
+    segments, consts, refused = [], [], None
     for mode in modes:
         nu_c = cutoff_frequency(spec, mode)
         h = nu_c * spec.refractive_index
@@ -225,48 +232,58 @@ def level_shift(spec: WaveguideSpec, atom: Atom, box: QuantizationBox,
         # its edge, staying on the segment's side of the cutoff
         band = 2.0 * CUTOFF_REL_TOL * nu_c
         for branch, s_lo, s_hi in _split_by_cutoff((lo, hi), nu_c):
-            for edge in (s_lo, s_hi):
-                if abs(omega - edge) < _ENDPOINT_GUARD * omega:
-                    raise DomainError(
-                        "window or cutoff edge collides with the "
-                        "transition frequency; shift the window")
+            if any(abs(omega - edge) < _ENDPOINT_GUARD * omega
+                   for edge in (s_lo, s_hi)):
+                refused = DomainError(
+                    "window or cutoff edge collides with the "
+                    "transition frequency; shift the window")
+                break
             s = 1.0 if branch is Branch.PROPAGATING else -1.0
             q = s * (eps_mu * omega * omega - h * h)
-
-            # traveling profiles count once per direction of travel
-            directions = (1, -1) if branch is Branch.PROPAGATING else (1,)
-
-            def numerator(t):
-                nu = np.sqrt((h * h + s * t * t) / eps_mu)
-                nu = np.where(np.abs(nu - nu_c) < band, nu_c + s * band, nu)
-                csq = sum(np.abs(couplings(spec, mode, nu, atom, box,
-                                           direction=d)) ** 2
-                          for d in directions)
-                return (-_weight_times_t(spec, box, model, branch, nu, t)
-                        * csq * (omega + nu) / nu)
-
-            def t_of(nu):
-                return math.sqrt(max(s * (eps_mu * nu * nu - h * h),
-                                     0.0))
-
-            t_a, t_b = t_of(s_lo), t_of(s_hi)
+            t_a, t_b = (math.sqrt(max(s * (eps_mu * nu * nu - h * h), 0.0))
+                        for nu in (s_lo, s_hi))
             # t falls with nu below cutoff
             sign = 1.0
             if t_a > t_b:
                 t_a, t_b, sign = t_b, t_a, -1.0
-            if s_lo < omega < s_hi:
-                t0 = math.sqrt(q)
-                piece = pv_integrate(
-                    lambda t: numerator(t) / (t + t0), t0, t_a, t_b)
-            else:
-                piece, _ = integrate(
-                    lambda t: numerator(t) / (t * t - q), t_a, t_b)
-            contributions.append(ShiftContribution(
-                mode=mode, branch=branch, window=(s_lo, s_hi),
-                value=-sign * float(piece) + 0.0))
+            t0 = math.sqrt(q) if s_lo < omega < s_hi else None
+            segments.append((mode, branch, (s_lo, s_hi), sign,
+                             (t_a, t_b, t0)))
+            consts.append((h, s, nu_c, band,
+                           math.nan if t0 is None else t0, q))
+        if refused:
+            break
+    seg_modes = [seg[0] for seg in segments]
+    table = np.array(consts, dtype=float).reshape(-1, 6).T.copy()
+
+    def integrand(t, counts):
+        h, s, nu_c, band, t0, q = np.repeat(table, counts, axis=1)
+        nu = np.sqrt((h * h + s * t * t) / eps_mu)
+        nu = np.where(np.abs(nu - nu_c) < band, nu_c + s * band, nu)
+        ends = counts.cumsum()
+        g_sq = np.abs(couplings(spec, seg_modes,
+                                [nu[e - c:e] for c, e in zip(counts, ends)],
+                                atom, box, direction=(1, -1))) ** 2
+        # traveling profiles count once per direction of travel
+        traveling = s > 0.0
+        csq = np.where(traveling, g_sq[0] + g_sq[1], g_sq[0])
+        weight_t = np.where(
+            traveling,
+            _weight_times_t(spec, box, model, Branch.PROPAGATING, nu, t),
+            _weight_times_t(spec, box, model, Branch.LOCALIZED, nu, t))
+        return (-weight_t * csq * (omega + nu) / nu
+                / np.where(np.isnan(t0), t * t - q, t + t0))
+
+    pieces = _lockstep(integrand, [seg[4] for seg in segments])
+    if refused:
+        raise refused
+    contributions = tuple(
+        ShiftContribution(mode=mode, branch=branch, window=span,
+                          value=-sign * float(piece) + 0.0)
+        for (mode, branch, span, sign, _), (piece, _) in zip(segments,
+                                                             pieces))
     return ShiftResult(value=math.fsum(c.value for c in contributions),
-                       window=(lo, hi),
-                       contributions=tuple(contributions))
+                       window=(lo, hi), contributions=contributions)
 
 
 @dataclass(frozen=True)
@@ -330,10 +347,11 @@ def build_bins(spec: WaveguideSpec, atom: Atom, box: QuantizationBox,
     width = (hi - lo) / count
     bins = []
     centers = lo + (np.arange(count) + 0.5) * width
-    for mode in modes:
+    modes = list(modes)
+    g = couplings(spec, modes, [centers] * len(modes), atom, box,
+                  direction=(1, -1)).reshape(2, len(modes), count)
+    for mode, forward, backward in zip(modes, g[0], g[1]):
         nu_c = cutoff_frequency(spec, mode)
-        forward = couplings(spec, mode, centers, atom, box, direction=1)
-        backward = couplings(spec, mode, centers, atom, box, direction=-1)
         above = centers > nu_c
         weights = np.full(count, _LOCALIZED_UNIT_WEIGHT)
         weights[above] = continuum_weight(spec, mode, centers[above], box,
@@ -344,10 +362,10 @@ def build_bins(spec: WaveguideSpec, atom: Atom, box: QuantizationBox,
                 cells = ((1, g_fwd, w), (-1, g_bwd, w))
             else:
                 cells = ((0, g_fwd, w),)
-            for d, g, w in cells:
+            for d, g_cell, w in cells:
                 bins.append(ContinuumBin(mode=mode, direction=d,
                                          frequency=nu, width=width,
-                                         coupling=g, weight=w))
+                                         coupling=g_cell, weight=w))
     return tuple(bins)
 
 

@@ -7,12 +7,13 @@ rules, and no randomness or thread-dependent reduction order is used.
 Integrand convention: callables passed to the quadrature routines must
 accept a float ndarray of abscissae and return an ndarray of values
 (real or complex) of the same shape, element by element. Each call
-pays a fixed set-up cost, so the quadratures stack nodes: ``integrate``
-evaluates its 1-panel and 2-panel rules in one call, and
-``pv_integrate`` evaluates the pole point and both halves' 1-panel and
-2-panel rules in one call. Every further panel doubling is one call.
-Sums are taken over slices shaped as ``_panel_values`` shapes them, so
-the stacking changes no bit of any result.
+pays a fixed set-up cost, so the quadratures stack nodes. ``_lockstep``
+refines many segments at once: one call covers every segment's 1-panel
+and 2-panel rules and pole point, and each further panel doubling is
+one call over the segments not yet accepted. ``integrate`` and
+``pv_integrate`` are its one-segment uses. Each interval's rule is
+summed as one contiguous row, so the stacking changes no bit of any
+result.
 """
 
 from __future__ import annotations
@@ -46,52 +47,120 @@ def _gl_nodes(order: int):
     return x, w
 
 
-def _panel_nodes(a: float, b: float, order: int, panels: int):
-    # nodes for all panels stacked into one array, panel by panel, and
-    # the panel half-widths that scale each panel's weights
+def _panel_nodes(a, b, order: int, panels: int):
+    # one row of nodes per interval [a[i], b[i]], panel by panel, and
+    # the panel half-widths that scale each panel's weights; the edges
+    # are np.linspace's, which divides instead when the step underflows
     x, _ = _gl_nodes(order)
-    edges = np.linspace(a, b, panels + 1)
-    half = 0.5 * (edges[1:] - edges[:-1])
-    mid = 0.5 * (edges[1:] + edges[:-1])
-    return (mid[:, None] + half[:, None] * x[None, :]).ravel(), half
+    step = (b - a) / panels
+    if not step.all():
+        edges = np.linspace(a, b, panels + 1, axis=-1)
+    else:
+        edges = np.arange(panels + 1) * step[:, None] + a[:, None]
+        edges[:, -1] = b
+    half = 0.5 * (edges[:, 1:] - edges[:, :-1])
+    mid = 0.5 * (edges[:, 1:] + edges[:, :-1])
+    return (mid[..., None] + half[..., None] * x).reshape(a.size, -1), half
 
 
 def _panel_sum(vals, half, order: int):
+    # one composite sum per row; a row is summed as one contiguous
+    # run, so a stack of rows gives each row's bits of a lone sum
     _, w = _gl_nodes(order)
-    vals = np.asarray(vals).reshape(half.size, order)
-    return np.sum(vals * w[None, :] * half[:, None])
+    terms = vals.reshape(half.shape + (order,)) * w * half[..., None]
+    return terms.reshape(half.shape[0], -1).sum(axis=-1)
 
 
-def _panel_values(f, a: float, b: float, order: int, panels: int):
-    pts, half = _panel_nodes(a, b, order, panels)
-    return _panel_sum(f(pts), half, order)
+def _lockstep(f, segments):
+    """Panel doubling on many segments at once.
 
+    ``segments`` holds ``(a, b, pole)`` triples: with ``pole`` None
+    the integral of f over [a, b], with a pole the principal value of
+    f(x)/(x - pole) that ``pv_integrate`` defines. ``f(x, counts)``
+    gets the nodes of the segments still refining, grouped by segment
+    in segment order, ``counts[j]`` of them for segment j. The first
+    call holds every pole point and the 1-panel and 2-panel rules of
+    every interval; each further doubling is one call over the
+    intervals not yet accepted, each with its own stopping test.
 
-def _opening(a: float, b: float):
-    """Nodes of the 1-panel and 2-panel rules on [a, b] in one array,
-    so one integrand call serves both, and the pair of their panel
-    half-width arrays."""
-    x0, half0 = _panel_nodes(a, b, QUAD_ORDER, 1)
-    x1, half1 = _panel_nodes(a, b, QUAD_ORDER, 2)
-    return np.concatenate((x0, x1)), (half0, half1)
+    Returns ``(value, last_change)`` per segment, a principal value's
+    change being the larger of its halves'. Raises the
+    ConvergenceError of the first segment that does not converge.
+    """
+    if not segments:
+        return []
+    order = QUAD_ORDER
+    # intervals (segment, a, b, pole): a principal value refines its
+    # remainder on [a, pole] and [pole, b], so no panel straddles it
+    spans = []
+    for j, (a, b, pole) in enumerate(segments):
+        spans += ([(j, a, b, math.nan)] if pole is None else
+                  [(j, a, pole, pole), (j, pole, b, pole)])
+    owner, lo, hi, at = np.array(spans, dtype=float).reshape(-1, 4).T
+    owner = owner.astype(int)
+    pv = ~np.isnan(at)
+    lefts = np.flatnonzero(pv)[::2]
+    g_pole = None   # f(pole) per segment
 
+    def call(nodes, live):
+        # f on the live intervals' rows, each pole point in front of
+        # its segment at the opening; (f(x) - f(pole))/(x - pole) on
+        # the rows of a principal value
+        nonlocal g_pole
+        counts = np.bincount(owner[live], minlength=len(segments))
+        counts *= nodes.shape[1]
+        x = nodes.ravel()
+        if g_pole is None:
+            is_pole = np.zeros(x.size + lefts.size, dtype=bool)
+            is_pole[lefts * nodes.shape[1] + np.arange(lefts.size)] = True
+            x = np.empty(is_pole.size)
+            x[is_pole], x[~is_pole] = at[lefts], nodes.ravel()
+            counts[owner[lefts]] += 1
+        vals = np.asarray(f(x, counts))
+        if g_pole is None:
+            g_pole = np.zeros(len(segments), vals.dtype)
+            g_pole[owner[lefts]] = vals[is_pole]
+            vals = vals[~is_pole]
+        vals = vals.reshape(nodes.shape).astype(
+            np.result_type(vals.dtype, 1.0))
+        rem = pv[live]
+        vals[rem] = ((vals[rem] - g_pole[owner[live][rem], None])
+                     / (nodes[rem] - at[live][rem, None]))
+        return vals
 
-def _refine(f, a: float, b: float, opening, halves):
-    """Panel doubling on [a, b] from ``opening``, the integrand's values
-    at the nodes of ``_opening(a, b)``, which also returned ``halves``;
-    each level past the second is one call of ``f``."""
-    prev = _panel_sum(opening[:QUAD_ORDER], halves[0], QUAD_ORDER)
-    cur = _panel_sum(opening[QUAD_ORDER:], halves[1], QUAD_ORDER)
-    for k in range(1, QUAD_MAX_REFINEMENTS + 1):
-        if k > 1:
-            prev, cur = cur, _panel_values(f, a, b, QUAD_ORDER, 2 ** k)
-        scale = max(abs(cur), abs(prev), 1e-300)
-        change = abs(cur - prev) / scale
-        if change < QUAD_REL_TOL:
-            return cur, change
-    raise ConvergenceError(
-        f"quadrature did not reach rel_tol={QUAD_REL_TOL:g} after "
-        f"{QUAD_MAX_REFINEMENTS} refinements", last=cur, previous=prev)
+    live = np.arange(owner.size)
+    rows1, half1 = _panel_nodes(lo, hi, order, 1)
+    rows2, half2 = _panel_nodes(lo, hi, order, 2)
+    vals = call(np.concatenate((rows1, rows2), axis=1), live)
+    prev = _panel_sum(vals[:, :order], half1, order)
+    cur = _panel_sum(vals[:, order:], half2, order)
+    change = [None] * owner.size
+    for k in range(2, QUAD_MAX_REFINEMENTS + 2):
+        for i in live.tolist():
+            scale = max(abs(cur[i]), abs(prev[i]), 1e-300)
+            change[i] = abs(cur[i] - prev[i]) / scale
+        live = np.array([i for i in live.tolist()
+                         if not change[i] < QUAD_REL_TOL], dtype=int)
+        if not live.size or k > QUAD_MAX_REFINEMENTS:
+            break
+        nodes, half = _panel_nodes(lo[live], hi[live], order, 2 ** k)
+        prev[live] = cur[live]
+        cur[live] = _panel_sum(call(nodes, live), half, order)
+    if live.size:
+        raise ConvergenceError(
+            f"quadrature did not reach rel_tol={QUAD_REL_TOL:g} after "
+            f"{QUAD_MAX_REFINEMENTS} refinements", last=cur[live[0]],
+            previous=prev[live[0]])
+    out, i = [], 0
+    for j, (a, b, pole) in enumerate(segments):
+        if pole is None:
+            out.append((cur[i], change[i]))
+        else:
+            out.append((cur[i] + cur[i + 1] + g_pole[j]
+                        * math.log((b - pole) / (pole - a)),
+                        max(change[i], change[i + 1])))
+        i += 1 if pole is None else 2
+    return out
 
 
 def integrate(f, a: float, b: float):
@@ -107,8 +176,7 @@ def integrate(f, a: float, b: float):
     """
     if b == a:
         return 0.0, 0.0
-    x, halves = _opening(a, b)
-    return _refine(f, a, b, f(x), halves)
+    return _lockstep(lambda x, counts: f(x), [(a, b, None)])[0]
 
 
 def pv_integrate(g, pole: float, a: float, b: float):
@@ -123,24 +191,12 @@ def pv_integrate(g, pole: float, a: float, b: float):
     and the regular remainder is integrated on [a, pole] and
     [pole, b] separately, so no panel straddles the removable point.
     One call of ``g`` covers the pole and the 1-panel and 2-panel
-    rules of both halves; each half then refines as ``integrate``
-    does, the left half first, one call per further doubling.
+    rules of both halves; the halves then refine in lockstep, one
+    call per further doubling of those not yet accepted.
     """
     if not (a < pole < b):
         raise ValueError("pole must lie strictly inside the window")
-    x_left, halves_left = _opening(a, pole)
-    x_right, halves_right = _opening(pole, b)
-    x = np.concatenate(([pole], x_left, x_right))
-    gx = np.asarray(g(x))
-    g_pole = gx[0]
-
-    def remainder(x):
-        return (g(x) - g_pole) / (x - pole)
-
-    r = (gx[1:] - g_pole) / (x[1:] - pole)
-    left, _ = _refine(remainder, a, pole, r[:x_left.size], halves_left)
-    right, _ = _refine(remainder, pole, b, r[x_left.size:], halves_right)
-    return left + right + g_pole * math.log((b - pole) / (pole - a))
+    return _lockstep(lambda x, counts: g(x), [(a, b, pole)])[0][0]
 
 
 def principal_csqrt(w: complex) -> complex:

@@ -21,8 +21,10 @@ polarization special cases.
 The dipole coupling has two forms. ``coupling_at`` is the per-point
 definition: it normalizes the mode and samples its field at the atom,
 and the tests use it as the reference. ``couplings`` is the
-computational path: the same quantity in closed form, over a whole
-array of frequencies at once, and what the emission chain calls.
+computational path: the same quantity in closed form, over whole
+arrays of frequencies at once, and what the emission chain calls. One
+call takes a stack of modes through a per-node mode table and both
+directions of travel, which share every factor but the direction's.
 """
 
 from __future__ import annotations
@@ -40,6 +42,7 @@ from .modes import (
     ModeIndex,
     Polarization,
     WaveguideSpec,
+    cutoff_frequency,
     dispersion,
     field_at,
     transverse_wavenumber,
@@ -174,31 +177,42 @@ def coupling_at(spec: WaveguideSpec, mode: ModeIndex, frequency: float,
     return complex(-np.dot(atom.dipole_array(), sample.electric) / HBAR)
 
 
-def _axial(spec: WaveguideSpec, mode: ModeIndex, frequencies):
+def _axial(spec: WaveguideSpec, mode, frequencies, h=None):
     # ``dispersion`` over an array: the same checks and the same
     # sqrt(k^2 - h^2), so each element matches the scalar path to the
-    # bit. Returns the frequencies, h, k, the above-cutoff mask and the
-    # axial wavenumber above cutoff or the attenuation below it
+    # bit. With ``h`` given per element, ``mode`` maps an element's
+    # index to its pattern. Returns the frequencies, h, k, the
+    # above-cutoff mask and the axial wavenumber above cutoff or the
+    # attenuation below it
     nu = np.asarray(frequencies, dtype=float)
-    if np.any(nu <= 0.0):
+    if (nu <= 0.0).any():
         raise DomainError("frequency must be positive")
-    h = transverse_wavenumber(spec, mode)
+    h = transverse_wavenumber(spec, mode) if h is None else h
     nu_c = h / spec.refractive_index
-    degenerate = np.flatnonzero(np.abs(nu - nu_c) <= CUTOFF_REL_TOL * nu_c)
-    if degenerate.size:
+    degenerate = np.abs(nu - nu_c) <= CUTOFF_REL_TOL * nu_c
+    if degenerate.any():
+        i = int(np.flatnonzero(degenerate)[0])
+        mode = mode(i) if callable(mode) else mode
         raise DomainError(
-            f"frequency {float(nu.flat[degenerate[0]])!r} is degenerate "
-            f"with the cutoff {nu_c!r} of "
+            f"frequency {float(nu.flat[i])!r} is degenerate with the "
+            f"cutoff {cutoff_frequency(spec, mode)!r} of "
             f"{mode.polarization.value}({mode.m},{mode.n})")
     k = nu * spec.refractive_index
     return nu, h, k, nu > nu_c, np.sqrt(np.abs(k * k - h * h))
 
 
-def couplings(spec: WaveguideSpec, mode: ModeIndex, frequencies,
+def couplings(spec: WaveguideSpec, mode, frequencies,
               atom: Atom, box: QuantizationBox, *,
-              direction: int = 1) -> np.ndarray:
+              direction=1) -> np.ndarray:
     """``coupling_at`` element by element over an array of
     frequencies, in closed form.
+
+    ``mode`` may also be a sequence of modes, with ``frequencies`` a
+    sequence of as many arrays: the modes are then evaluated in one
+    stack, and the result holds each mode's couplings, flattened and
+    concatenated in order. ``direction`` may be a sequence of +1 and
+    -1, which adds a leading axis, one row per direction; the rows
+    share every factor but the direction's.
 
     Takes the source planes ``coupling_at`` takes: z = 0 above cutoff,
     and the atom's own plane below it, where the axial factor is one
@@ -215,32 +229,65 @@ def couplings(spec: WaveguideSpec, mode: ModeIndex, frequencies,
     DomainError as ``dispersion`` does.
     """
     atom.check_inside(spec)
-    if direction not in (1, -1):
+    pair = isinstance(direction, (tuple, list))
+    directions = tuple(direction) if pair else (direction,)
+    if not directions or any(d not in (1, -1) for d in directions):
         raise DomainError("direction must be +1 or -1")
-    nu, h, k, propagating, axial = _axial(spec, mode, frequencies)
+    single = isinstance(mode, ModeIndex)
+    shape = np.shape(frequencies) if single else (-1,)
+    modes, frequencies = ([mode], [frequencies]) if single else (
+        list(mode), frequencies)
+    parts = [np.asarray(f, dtype=float).ravel() for f in frequencies]
+    counts = [part.size for part in parts]
+    # the mode table, one column per mode repeated over its nodes: kx,
+    # ky, h, 1 for TM, index weight, polarization constant, and the
+    # sines and cosines of kx*x0 and ky*y0
+    table = np.array([(*transverse_wavenumbers(spec, m),
+                       transverse_wavenumber(spec, m),
+                       m.polarization is Polarization.TM, _index_weight(m),
+                       _polarization_constant(spec, m)) for m in modes],
+                     dtype=float).reshape(-1, 6).T
+    at = table[:2] * np.array(atom.position[:2])[:, None]
+    kx, ky, h, tm, weight, pol, sx, sy, cx, cy = np.repeat(
+        np.concatenate((table, np.sin(at), np.cos(at))), counts, axis=1)
+    nu, h, k, propagating, axial = _axial(
+        spec, lambda i: modes[int(np.searchsorted(np.cumsum(counts), i,
+                                                  "right"))],
+        np.concatenate(parts + [np.empty(0)]), h)
     h2 = h * h
-    per_area = (HBAR * nu * _index_weight(mode)
-                / (_polarization_constant(spec, mode)
-                   * spec.cross_section_area))
+    per_area = (HBAR * nu * weight
+                / (pol * spec.cross_section_area))
     amp = np.sqrt(np.where(propagating,
                            per_area * h2 / (k * k * box.length),
                            per_area * axial))
 
-    x0, y0, z0 = atom.position
-    kx, ky = transverse_wavenumbers(spec, mode)
-    sx, cx = np.sin(kx * x0), np.cos(kx * x0)
-    sy, cy = np.sin(ky * y0), np.cos(ky * y0)
-    if mode.polarization is Polarization.TM:
-        # -(gamma / h^2) with gamma = i * direction * beta; below
-        # cutoff these components are odd about the kink at the atom
-        slope = np.where(propagating, -1j * direction * axial / h2, 0.0)
-        e_x, e_y, e_z = slope * kx * cx * sy, slope * ky * sx * cy, sx * sy
-    else:
-        slope = 1j * nu * spec.permeability / h2
-        e_x, e_y, e_z = slope * ky * cx * sy, -slope * kx * sx * cy, 0.0
-    phase = np.where(propagating, np.exp(-1j * direction * axial * z0), 1.0)
     d_x, d_y, d_z = atom.dipole_array()
-    return -(d_x * e_x + d_y * e_y + d_z * e_z) * amp * phase / HBAR
+    tm = tm > 0.0
+    any_tm = bool(tm.any())
+    any_te = not (any_tm and tm.all())
+    if any_te:
+        # the TE field carries no direction of travel
+        slope = 1j * nu * spec.permeability / h2
+        e_x, e_y = slope * ky * cx * sy, -slope * kx * sx * cy
+        te_term = -(d_x * e_x + d_y * e_y + d_z * 0.0) * amp
+    z0 = atom.position[2]
+    # on the source plane z0 = +0.0 the phase exp(travel * z0) is 1 + 0j
+    on_plane = z0 == 0.0 and math.copysign(1.0, z0) > 0.0
+    out = []
+    for d in directions:
+        travel = -1j * d * axial if any_tm or not on_plane else None
+        term = te_term if any_te else None
+        if any_tm:
+            # -(gamma / h^2) with gamma = i * direction * beta; below
+            # cutoff these components are odd about the kink at the atom
+            slope = np.where(propagating, travel / h2, 0.0)
+            e_x, e_y = slope * kx * cx * sy, slope * ky * sx * cy
+            tm_term = -(d_x * e_x + d_y * e_y + d_z * (sx * sy)) * amp
+            term = np.where(tm, tm_term, term) if any_te else tm_term
+        phase = 1.0 + 0.0j if on_plane else np.where(
+            propagating, np.exp(travel * z0), 1.0)
+        out.append((term * phase / HBAR).reshape(shape))
+    return np.array(out) if pair else out[0]
 
 
 def continuum_weight(spec: WaveguideSpec, mode: ModeIndex,

@@ -926,6 +926,32 @@ class TestJsonCells:
         assert doc["fit"]["huge"] == -DBL_MAX
 
 
+
+class TestCsvCells:
+    """A CSV cell reads back finite exactly when its value is finite;
+    below 1e308 it is the N-digit text."""
+
+    @given(st.floats(allow_nan=False, allow_infinity=False),
+           st.integers(3, 17))
+    def test_finite_value_reads_back_finite(self, value, digits):
+        cell, = cli._csv_cells([value], digits)
+        assert math.isfinite(float(cell))
+        if abs(value) < 1e308:
+            assert cell == format(value, f".{digits}g")
+
+    @pytest.mark.parametrize("digits", range(3, 18))
+    def test_cell_classes(self, digits):
+        for value, cell in zip(CELL_CLASSES,
+                               cli._csv_cells(CELL_CLASSES, digits)):
+            assert cell == cli._fmt(value, digits)
+            if type(value) is float:
+                assert math.isfinite(float(cell)) == math.isfinite(value)
+
+    def test_overflowing_value_keeps_its_digits(self):
+        # at 3 digits DBL_MAX rounds to 1.8e+308, which reads back inf
+        assert cli._csv_cells([DBL_MAX, -DBL_MAX, 1e308], 3) == \
+            [repr(DBL_MAX), repr(-DBL_MAX), "1e+308"]
+
 def test_commands_do_not_import_scipy(tmp_path, child_env):
     # scipy serves only the tail correction of the brute-force
     # detection amplitude; no command may load it

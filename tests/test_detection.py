@@ -194,10 +194,11 @@ class TestSolveEmitter:
                           DensityModel.PHASE_VELOCITY)
 
     @pytest.mark.parametrize("dos,limit", [
-        (DensityModel.PHASE_VELOCITY, 16), (DensityModel.GROUP_VELOCITY, 17)])
+        (DensityModel.PHASE_VELOCITY, 3), (DensityModel.GROUP_VELOCITY, 3)])
     def test_demo_chain_coupling_calls(self, monkeypatch, dos, limit):
-        # each quadrature opens with one couplings call per direction,
-        # so the demo chain stays a handful of array calls
+        # the decay rate takes every channel from one stacked couplings
+        # call, and the level shift one per refinement level of all its
+        # segments together (two calls on the demo emitter)
         cfg = load_config(DEMO)
         calls = []
         couplings = emission.couplings

@@ -45,3 +45,29 @@ def test_traced_name_is_a_package_function(modname, attr):
 def test_reference_imports_cleanly():
     reference = load("reference")
     assert callable(reference.check_shift)
+
+
+WORKER = load("worker")
+ROOT = PERFBENCH.parent
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_sweep_ops_pass_the_benchmark_check(seed):
+    # every op of a sweep run, through the worker's own prepare, run
+    # and check: decay rate, the level shift against QUADPACK, the pole
+    sweep = WORKER.Sweep(None)
+    for op in WORKER.inputs.ops("sweep", seed, 20.0, ROOT):
+        cfg = sweep.prepare(op)
+        assert sweep.check(cfg, sweep.run(cfg)) == 0, op["omega"]
+
+
+@pytest.mark.parametrize("out_format", ["csv", "json"])
+def test_figure_op_passes_the_benchmark_check(tmp_path, out_format):
+    # one corr figure op in each format: row count, the artifact parses
+    # and the fitted slopes match the exact rates
+    figure = WORKER.Figure(tmp_path)
+    op = next(op for op in WORKER.inputs.ops("figure", 1, 20.0, ROOT)
+              if op["format"] == out_format)
+    prepared = figure.prepare(op)
+    assert figure.check(prepared, figure.run(prepared)) > 0
+    assert not list(tmp_path.glob("corr.*"))

@@ -323,6 +323,36 @@ class TestCouplingsArray:
         with pytest.raises(DomainError, match="outside"):
             couplings(GUIDE, TE10, [0.5, 2.0], atom, BOX)
 
+    @pytest.mark.parametrize("direction", [0, 2, (1, 0), ()])
+    def test_bad_direction_rejected(self, direction):
+        atom = Atom(position=(0.7, 0.5, 0.0), dipole=(0.0, 0.3, 0.0),
+                    transition_frequency=2.0)
+        with pytest.raises(DomainError, match="direction"):
+            couplings(GUIDE, TE10, [0.5, 2.0], atom, BOX,
+                      direction=direction)
+
+    @given(filled_guides(),
+           st.lists(st.sampled_from(MODES), min_size=1, max_size=4),
+           st.floats(min_value=0.05, max_value=0.95),
+           st.floats(min_value=-3.0, max_value=3.0),
+           st.lists(st.complex_numbers(max_magnitude=2.0, allow_nan=False,
+                                       allow_infinity=False),
+                    min_size=3, max_size=3))
+    def test_stack_is_the_per_mode_calls(self, spec, modes, x_frac, z0,
+                                         dipole):
+        # a stack of modes in both directions gives each mode's
+        # one-direction couplings, bit for bit
+        atom = Atom(position=(x_frac * spec.width, 0.3 * spec.height, z0),
+                    dipole=tuple(dipole), transition_frequency=1.0)
+        grids = [cutoff_frequency(spec, m) * np.array(CUTOFF_FRACTIONS[i:])
+                 for i, m in enumerate(modes)]
+        got = couplings(spec, modes, grids, atom, BOX, direction=(1, -1))
+        for row, d in zip(got, (1, -1)):
+            want = np.concatenate([couplings(spec, m, g, atom, BOX,
+                                             direction=d)
+                                   for m, g in zip(modes, grids)])
+            assert np.array_equal(row, want)
+
 
 class TestContinuumWeight:
     def test_phase_velocity_model(self):
