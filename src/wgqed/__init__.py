@@ -50,6 +50,7 @@ from .modes import (
 )
 from .quantize import (
     Atom,
+    Channels,
     DensityModel,
     QuantizationBox,
     coupling_at,
@@ -62,6 +63,7 @@ __version__ = "0.1.0"
 __all__ = [
     "Atom",
     "Branch",
+    "Channels",
     "ConfigError",
     "ConvergenceError",
     "DecayResult",

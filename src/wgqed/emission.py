@@ -23,14 +23,15 @@ up like an inverse square root, and both leave one regular numerator
 over (t^2 - q), so the principal value is taken by subtracting the
 pole rather than by excising it.
 
-Couplings come from ``quantize.couplings``, stacked over modes and
-both directions of travel. The decay rate takes every traveling
-channel from one call, and so do the discretized cells. The shift's
-(mode, branch) segments refine in lockstep: one call covers the 1-panel
-and 2-panel rules of every segment (and, for a principal value, the
-pole point and both halves), and each further panel doubling is one
-call over the segments not yet accepted. ``quantize.coupling_at``
-stays the per-point definition the tests check this module against.
+``decay_rate``, ``level_shift`` and ``build_bins`` each build one
+``quantize.Channels`` table and read cutoffs, couplings (both
+directions of travel) and weights off it; the decay rate and the cells
+take all of theirs from one call of each. The shift's (mode, branch)
+segments refine in lockstep: one call covers the 1-panel and 2-panel
+rules of every segment (and, for a principal value, the pole point and
+both halves), and each further panel doubling is one call over the
+segments not yet accepted. ``quantize.coupling_at`` stays the
+per-point definition the tests check this module against.
 
 ``amplitudes_ode_oracle`` propagates the exact Schroedinger system of
 a discretized continuum by diagonalizing its Hamiltonian once, with no
@@ -60,6 +61,7 @@ from .modes import (
 from .numerics import _lockstep
 from .quantize import (
     Atom,
+    Channels,
     DensityModel,
     QuantizationBox,
     continuum_weight,
@@ -108,16 +110,16 @@ def decay_rate(spec: WaveguideSpec, atom: Atom, box: QuantizationBox,
     """
     atom.check_inside(spec)
     omega = atom.transition_frequency
-    listing = [mode for _, mode in modes_below(spec, omega,
-                                               max_index=max_index)]
-    g = couplings(spec, listing, [omega] * len(listing), atom, box,
-                  direction=(1, -1)).tolist()
-    channels = []
-    for mode, *pair in zip(listing, *g):
-        w = continuum_weight(spec, mode, omega, box, model)
-        channels += [ChannelRate(mode=mode, direction=d, weight=w, coupling=c,
-                                 rate=2.0 * math.pi * w * abs(c) ** 2)
-                     for d, c in zip((1, -1), pair)]
+    chans = Channels(spec, atom, (mode for _, mode in modes_below(
+        spec, omega, max_index=max_index)))
+    counts = np.ones(len(chans.modes), dtype=int)
+    nodes = np.full(len(chans.modes), omega)
+    g = couplings(chans, counts, nodes, box).tolist()
+    weights = continuum_weight(chans, counts, nodes, box, model).tolist()
+    channels = [ChannelRate(mode=mode, direction=d, weight=w, coupling=c,
+                            rate=2.0 * math.pi * w * abs(c) ** 2)
+                for mode, w, *pair in zip(chans.modes, weights, *g)
+                for d, c in zip((1, -1), pair)]
     return DecayResult(total=math.fsum(c.rate for c in channels),
                        channels=tuple(channels),
                        model=model, oscillatory=not channels)
@@ -220,12 +222,13 @@ def level_shift(spec: WaveguideSpec, atom: Atom, box: QuantizationBox,
     if modes is None:
         modes = [mode for _, mode in modes_below(spec, hi,
                                                  max_index=max_index)]
+    chans = Channels(spec, atom, modes)
     eps_mu = spec.permittivity * spec.permeability
-    # per segment: mode, branch, span, sign, (t_a, t_b, pole) and the
-    # integrand's h, s, nu_c, band, t0 (nan without a pole) and q
+    # per segment: channel row, branch, span, sign, (t_a, t_b, pole) and
+    # the integrand's h, s, nu_c, band, t0 (nan without a pole) and q
     segments, consts, refused = [], [], None
-    for mode in modes:
-        nu_c = cutoff_frequency(spec, mode)
+    for row, nu_c in enumerate(chans.cutoff.tolist()):
+        # t <-> nu keeps nu_c * n; the table's hypot(kx, ky) may be an ulp off
         h = nu_c * spec.refractive_index
         # refined quadrature samples next to a cutoff-bounded segment
         # end can round into the degeneracy band; they are nudged to
@@ -247,23 +250,23 @@ def level_shift(spec: WaveguideSpec, atom: Atom, box: QuantizationBox,
             if t_a > t_b:
                 t_a, t_b, sign = t_b, t_a, -1.0
             t0 = math.sqrt(q) if s_lo < omega < s_hi else None
-            segments.append((mode, branch, (s_lo, s_hi), sign,
+            segments.append((row, branch, (s_lo, s_hi), sign,
                              (t_a, t_b, t0)))
             consts.append((h, s, nu_c, band,
                            math.nan if t0 is None else t0, q))
         if refused:
             break
-    seg_modes = [seg[0] for seg in segments]
+    rows = [seg[0] for seg in segments]
     table = np.array(consts, dtype=float).reshape(-1, 6).T.copy()
 
     def integrand(t, counts):
         h, s, nu_c, band, t0, q = np.repeat(table, counts, axis=1)
         nu = np.sqrt((h * h + s * t * t) / eps_mu)
         nu = np.where(np.abs(nu - nu_c) < band, nu_c + s * band, nu)
-        ends = counts.cumsum()
-        g_sq = np.abs(couplings(spec, seg_modes,
-                                [nu[e - c:e] for c, e in zip(counts, ends)],
-                                atom, box, direction=(1, -1))) ** 2
+        # a channel's segments are adjacent, so its nodes are too
+        per_channel = np.bincount(rows, counts, len(chans.modes))
+        g_sq = np.abs(couplings(chans, per_channel.astype(int), nu,
+                                box)) ** 2
         # traveling profiles count once per direction of travel
         traveling = s > 0.0
         csq = np.where(traveling, g_sq[0] + g_sq[1], g_sq[0])
@@ -278,10 +281,10 @@ def level_shift(spec: WaveguideSpec, atom: Atom, box: QuantizationBox,
     if refused:
         raise refused
     contributions = tuple(
-        ShiftContribution(mode=mode, branch=branch, window=span,
+        ShiftContribution(mode=chans.modes[row], branch=branch, window=span,
                           value=-sign * float(piece) + 0.0)
-        for (mode, branch, span, sign, _), (piece, _) in zip(segments,
-                                                             pieces))
+        for (row, branch, span, sign, _), (piece, _) in zip(segments,
+                                                            pieces))
     return ShiftResult(value=math.fsum(c.value for c in contributions),
                        window=(lo, hi), contributions=contributions)
 
@@ -347,25 +350,21 @@ def build_bins(spec: WaveguideSpec, atom: Atom, box: QuantizationBox,
     width = (hi - lo) / count
     bins = []
     centers = lo + (np.arange(count) + 0.5) * width
-    modes = list(modes)
-    g = couplings(spec, modes, [centers] * len(modes), atom, box,
-                  direction=(1, -1)).reshape(2, len(modes), count)
-    for mode, forward, backward in zip(modes, g[0], g[1]):
-        nu_c = cutoff_frequency(spec, mode)
-        above = centers > nu_c
-        weights = np.full(count, _LOCALIZED_UNIT_WEIGHT)
-        weights[above] = continuum_weight(spec, mode, centers[above], box,
-                                          model)
-        for nu, g_fwd, g_bwd, w in zip(centers.tolist(), forward.tolist(),
-                                       backward.tolist(), weights.tolist()):
-            if nu > nu_c:
-                cells = ((1, g_fwd, w), (-1, g_bwd, w))
-            else:
-                cells = ((0, g_fwd, w),)
-            for d, g_cell, w in cells:
-                bins.append(ContinuumBin(mode=mode, direction=d,
-                                         frequency=nu, width=width,
-                                         coupling=g_cell, weight=w))
+    chans = Channels(spec, atom, modes)
+    grid = np.broadcast_to(centers, (len(chans.modes), count))
+    g = couplings(chans, np.full(len(chans.modes), count), grid.ravel(),
+                  box).reshape(2, len(chans.modes), count)
+    above = grid > chans.cutoff[:, None]
+    weights = np.full(grid.shape, _LOCALIZED_UNIT_WEIGHT)
+    weights[above] = continuum_weight(chans, above.sum(axis=1),
+                                      grid[above], box, model)
+    for mode, *per_mode in zip(chans.modes, g[0].tolist(), g[1].tolist(),
+                               weights.tolist(), above.tolist()):
+        for nu, g_fwd, g_bwd, w, up in zip(centers.tolist(), *per_mode):
+            cells = ((1, g_fwd), (-1, g_bwd)) if up else ((0, g_fwd),)
+            bins += [ContinuumBin(mode=mode, direction=d, frequency=nu,
+                                  width=width, coupling=g_cell, weight=w)
+                     for d, g_cell in cells]
     return tuple(bins)
 
 

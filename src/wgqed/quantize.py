@@ -21,10 +21,10 @@ polarization special cases.
 The dipole coupling has two forms. ``coupling_at`` is the per-point
 definition: it normalizes the mode and samples its field at the atom,
 and the tests use it as the reference. ``couplings`` is the
-computational path: the same quantity in closed form, over whole
-arrays of frequencies at once, and what the emission chain calls. One
-call takes a stack of modes through a per-node mode table and both
-directions of travel, which share every factor but the direction's.
+computational path: the same quantity in closed form, in both
+directions of travel, over frequency nodes grouped by the channels of
+a ``Channels`` table of per-mode constants, which ``continuum_weight``
+reads as well and each call expands over its nodes with ``np.repeat``.
 """
 
 from __future__ import annotations
@@ -42,7 +42,6 @@ from .modes import (
     ModeIndex,
     Polarization,
     WaveguideSpec,
-    cutoff_frequency,
     dispersion,
     field_at,
     transverse_wavenumber,
@@ -177,42 +176,55 @@ def coupling_at(spec: WaveguideSpec, mode: ModeIndex, frequency: float,
     return complex(-np.dot(atom.dipole_array(), sample.electric) / HBAR)
 
 
-def _axial(spec: WaveguideSpec, mode, frequencies, h=None):
-    # ``dispersion`` over an array: the same checks and the same
+class Channels:
+    """Per-mode constants of ``modes`` at ``atom``, which must lie in
+    the cross section. ``columns`` holds, one column per mode, kx, ky,
+    h, 1 for TM, index weight, polarization constant, and the sines,
+    then cosines, of kx*x0 and ky*y0; ``cutoff`` the cutoffs."""
+
+    def __init__(self, spec: WaveguideSpec, atom: Atom, modes):
+        atom.check_inside(spec)
+        self.spec, self.atom, self.modes = spec, atom, tuple(modes)
+        table = np.array([(*transverse_wavenumbers(spec, m),
+                           transverse_wavenumber(spec, m),
+                           m.polarization is Polarization.TM,
+                           _index_weight(m), _polarization_constant(spec, m))
+                          for m in self.modes],
+                         dtype=float).reshape(-1, 6).T
+        at = table[:2] * np.array(atom.position[:2])[:, None]
+        self.columns = np.concatenate((table, np.sin(at), np.cos(at)))
+        self.cutoff = table[2] / spec.refractive_index
+
+
+def _axial(chans: Channels, counts, frequencies, h):
+    # ``dispersion`` over nodes grouped by channel, with h the nodes'
+    # transverse wavenumbers: the same checks and the same
     # sqrt(k^2 - h^2), so each element matches the scalar path to the
-    # bit. With ``h`` given per element, ``mode`` maps an element's
-    # index to its pattern. Returns the frequencies, h, k, the
-    # above-cutoff mask and the axial wavenumber above cutoff or the
-    # attenuation below it
+    # bit. Returns the frequencies, k, the above-cutoff mask and the
+    # axial wavenumber above cutoff or the attenuation below it
+    spec = chans.spec
     nu = np.asarray(frequencies, dtype=float)
     if (nu <= 0.0).any():
         raise DomainError("frequency must be positive")
-    h = transverse_wavenumber(spec, mode) if h is None else h
     nu_c = h / spec.refractive_index
     degenerate = np.abs(nu - nu_c) <= CUTOFF_REL_TOL * nu_c
     if degenerate.any():
         i = int(np.flatnonzero(degenerate)[0])
-        mode = mode(i) if callable(mode) else mode
+        row = int(np.searchsorted(np.cumsum(counts), i, "right"))
+        mode = chans.modes[row]
         raise DomainError(
-            f"frequency {float(nu.flat[i])!r} is degenerate with the "
-            f"cutoff {cutoff_frequency(spec, mode)!r} of "
+            f"frequency {float(nu[i])!r} is degenerate with the "
+            f"cutoff {float(chans.cutoff[row])!r} of "
             f"{mode.polarization.value}({mode.m},{mode.n})")
     k = nu * spec.refractive_index
-    return nu, h, k, nu > nu_c, np.sqrt(np.abs(k * k - h * h))
+    return nu, k, nu > nu_c, np.sqrt(np.abs(k * k - h * h))
 
 
-def couplings(spec: WaveguideSpec, mode, frequencies,
-              atom: Atom, box: QuantizationBox, *,
-              direction=1) -> np.ndarray:
-    """``coupling_at`` element by element over an array of
-    frequencies, in closed form.
-
-    ``mode`` may also be a sequence of modes, with ``frequencies`` a
-    sequence of as many arrays: the modes are then evaluated in one
-    stack, and the result holds each mode's couplings, flattened and
-    concatenated in order. ``direction`` may be a sequence of +1 and
-    -1, which adds a leading axis, one row per direction; the rows
-    share every factor but the direction's.
+def couplings(chans: Channels, counts, frequencies,
+              box: QuantizationBox) -> np.ndarray:
+    """``coupling_at`` in closed form over ``counts[j]`` frequency
+    nodes of channel j, in table order: one row per direction of
+    travel, +1 then -1, sharing every factor but the direction's.
 
     Takes the source planes ``coupling_at`` takes: z = 0 above cutoff,
     and the atom's own plane below it, where the axial factor is one
@@ -228,32 +240,10 @@ def couplings(spec: WaveguideSpec, mode, frequencies,
     frequency, or one within CUTOFF_REL_TOL of the cutoff, raises
     DomainError as ``dispersion`` does.
     """
-    atom.check_inside(spec)
-    pair = isinstance(direction, (tuple, list))
-    directions = tuple(direction) if pair else (direction,)
-    if not directions or any(d not in (1, -1) for d in directions):
-        raise DomainError("direction must be +1 or -1")
-    single = isinstance(mode, ModeIndex)
-    shape = np.shape(frequencies) if single else (-1,)
-    modes, frequencies = ([mode], [frequencies]) if single else (
-        list(mode), frequencies)
-    parts = [np.asarray(f, dtype=float).ravel() for f in frequencies]
-    counts = [part.size for part in parts]
-    # the mode table, one column per mode repeated over its nodes: kx,
-    # ky, h, 1 for TM, index weight, polarization constant, and the
-    # sines and cosines of kx*x0 and ky*y0
-    table = np.array([(*transverse_wavenumbers(spec, m),
-                       transverse_wavenumber(spec, m),
-                       m.polarization is Polarization.TM, _index_weight(m),
-                       _polarization_constant(spec, m)) for m in modes],
-                     dtype=float).reshape(-1, 6).T
-    at = table[:2] * np.array(atom.position[:2])[:, None]
+    spec, atom = chans.spec, chans.atom
     kx, ky, h, tm, weight, pol, sx, sy, cx, cy = np.repeat(
-        np.concatenate((table, np.sin(at), np.cos(at))), counts, axis=1)
-    nu, h, k, propagating, axial = _axial(
-        spec, lambda i: modes[int(np.searchsorted(np.cumsum(counts), i,
-                                                  "right"))],
-        np.concatenate(parts + [np.empty(0)]), h)
+        chans.columns, counts, axis=1)
+    nu, k, propagating, axial = _axial(chans, counts, frequencies, h)
     h2 = h * h
     per_area = (HBAR * nu * weight
                 / (pol * spec.cross_section_area))
@@ -274,7 +264,7 @@ def couplings(spec: WaveguideSpec, mode, frequencies,
     # on the source plane z0 = +0.0 the phase exp(travel * z0) is 1 + 0j
     on_plane = z0 == 0.0 and math.copysign(1.0, z0) > 0.0
     out = []
-    for d in directions:
+    for d in (1, -1):
         travel = -1j * d * axial if any_tm or not on_plane else None
         term = te_term if any_te else None
         if any_tm:
@@ -286,36 +276,36 @@ def couplings(spec: WaveguideSpec, mode, frequencies,
             term = np.where(tm, tm_term, term) if any_te else tm_term
         phase = 1.0 + 0.0j if on_plane else np.where(
             propagating, np.exp(travel * z0), 1.0)
-        out.append((term * phase / HBAR).reshape(shape))
-    return np.array(out) if pair else out[0]
+        out.append(term * phase / HBAR)
+    return np.array(out)
 
 
-def continuum_weight(spec: WaveguideSpec, mode: ModeIndex,
-                     frequency, box: QuantizationBox,
-                     model: DensityModel):
-    """States per unit angular frequency for one direction of travel.
+def continuum_weight(chans: Channels, counts, frequencies,
+                     box: QuantizationBox, model: DensityModel):
+    """States per unit angular frequency for one direction of travel,
+    over nodes grouped by channel as ``couplings`` takes them.
 
     Above cutoff the box spacing 2*pi/length in the axial wavenumber
     is converted to frequency per ``model``. The decaying branch has
     no axial wavenumber to count and is refused; consumers that treat
     those profiles as a frequency continuum supply their own unit
-    measure. A scalar frequency gives a float, an array of them an
-    array of weights, element for element equal to the scalar calls.
+    measure.
     """
-    nu, _, _, propagating, axial = _axial(spec, mode, frequency)
+    nu, _, propagating, axial = _axial(
+        chans, counts, frequencies, np.repeat(chans.columns[2], counts))
     below = np.flatnonzero(~propagating)
     if below.size:
+        mode = chans.modes[int(np.searchsorted(np.cumsum(counts),
+                                               below[0], "right"))]
         raise DomainError(
             "state-density conversion only applies above cutoff; "
             f"{mode.polarization.value}({mode.m},{mode.n}) decays at "
-            f"frequency {float(nu.flat[below[0]])!r}")
-    eps_mu = spec.permittivity * spec.permeability
+            f"frequency {float(nu[below[0]])!r}")
+    eps_mu = chans.spec.permittivity * chans.spec.permeability
     if model is DensityModel.PHASE_VELOCITY:
-        weight = np.full(nu.shape,
-                         box.length * math.sqrt(eps_mu) / (2.0 * math.pi))
-    else:
-        weight = box.length * eps_mu * nu / (2.0 * math.pi * axial)
-    return float(weight) if weight.ndim == 0 else weight
+        return np.full(nu.shape,
+                       box.length * math.sqrt(eps_mu) / (2.0 * math.pi))
+    return box.length * eps_mu * nu / (2.0 * math.pi * axial)
 
 
 def mode_overlap(spec: WaveguideSpec, mode_a: ModeIndex,

@@ -136,6 +136,10 @@ def _check_orthogonality(config):
         cross = abs(mode_overlap(spec, mode_a, mode_b, freq))
         self_a = abs(mode_overlap(spec, mode_a, mode_a, freq))
         self_b = abs(mode_overlap(spec, mode_b, mode_b, freq))
+        if not self_a * self_b:
+            return CheckResult(
+                name="mode_orthogonality", passed=False, measured=math.inf,
+                tolerance=tolerance, detail="self-overlaps underflow to zero")
         worst = max(worst, cross / math.sqrt(self_a * self_b))
     return CheckResult(name="mode_orthogonality",
                        passed=worst < tolerance, measured=worst,
@@ -186,16 +190,19 @@ def _check_box_invariance(config):
     spec = config.waveguide_spec()
     atom = config.atom()
     tolerance = 1e-14
-    worst = 0.0
-    for model in DensityModel:
-        totals = [decay_rate(spec, atom, QuantizationBox(length=length),
-                             model, max_index=config.max_mn).total
-                  for length in (1.0, 7.0)]
-        scale = max(abs(totals[0]), abs(totals[1]), 1e-300)
-        worst = max(worst, abs(totals[0] - totals[1]) / scale)
+    worst, detail = 0.0, ""
+    try:
+        for model in DensityModel:
+            totals = [decay_rate(spec, atom, QuantizationBox(length=length),
+                                 model, max_index=config.max_mn).total
+                      for length in (1.0, 7.0)]
+            scale = max(abs(totals[0]), abs(totals[1]), 1e-300)
+            worst = max(worst, abs(totals[0] - totals[1]) / scale)
+    except WgError as err:
+        worst, detail = math.inf, str(err)
     return CheckResult(name="box_length_invariance",
                        passed=worst < tolerance, measured=worst,
-                       tolerance=tolerance)
+                       tolerance=tolerance, detail=detail)
 
 
 def _check_pv_cancellation(config):

@@ -583,6 +583,34 @@ class TestValidateCommand:
         oracle = next(r for r in rows if r[0] == "markov_oracle")
         assert oracle[4] == "below-cutoff excitation stays on the atom"
 
+    def test_index_bound_fails_the_enumerating_checks(self, tmp_path):
+        # a bound the emitter's band reaches is each enumerating check's
+        # failure, with the refusal as its detail, not an abort
+        conf = write_config(tmp_path)
+        out = str(tmp_path / "val.csv")
+        assert main(["validate", "--config", conf, "--out", out,
+                     "--max-mn", "1", "--reproducible"]) == EXIT_VALIDATION
+        _, _, rows = read_table(out)
+        assert len(rows) == 10
+        # the detail names TE(1,0), whose comma the plain split cuts
+        failed = {r[0]: ",".join(r[4:]) for r in rows if r[1] == "false"}
+        assert set(failed) == {"box_length_invariance",
+                               "correlation_consistency", "markov_oracle"}
+        assert all("at the index bound 1" in d for d in failed.values())
+
+    def test_underflowing_self_overlaps_fail_orthogonality(self, tmp_path):
+        conf = write_config(tmp_path, **{"waveguide.mu": "1e-300"})
+        out = str(tmp_path / "val.csv")
+        with np.errstate(all="ignore"):
+            code = main(["validate", "--config", conf, "--out", out,
+                         "--reproducible"])
+        assert code == EXIT_VALIDATION
+        _, _, rows = read_table(out)
+        assert len(rows) == 10
+        row = next(r for r in rows if r[0] == "mode_orthogonality")
+        assert row[1:3] == ["false", "inf"]
+        assert "underflow" in row[4]
+
     def test_unknown_fault_is_config_error(self, tmp_path):
         conf = write_config(tmp_path)
         assert main(["validate", "--config", conf, "--inject-fault",

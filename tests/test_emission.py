@@ -39,6 +39,7 @@ from wgqed.modes import (
 )
 from wgqed.quantize import (
     Atom,
+    Channels,
     DensityModel,
     QuantizationBox,
     continuum_weight,
@@ -165,18 +166,20 @@ class TestLevelShift:
         # continuum weight times |coupling|^2 summed over the
         # directions of travel above cutoff; unit weight and the
         # single decaying profile below it
-        g_sq = np.abs(couplings(spec, mode, nu, atom, box)) ** 2
+        chans = Channels(spec, atom, [mode])
+        g_sq = np.abs(couplings(chans, [nu.size], nu, box)) ** 2
         above = nu > cutoff_frequency(spec, mode)
-        back_sq = np.abs(couplings(spec, mode, nu[above], atom, box,
-                                   direction=-1)) ** 2
-        g_sq[above] = (continuum_weight(spec, mode, nu[above], box, model)
-                       * (g_sq[above] + back_sq))
-        return g_sq
+        out = g_sq[0]
+        out[above] = (continuum_weight(chans, [above.sum()], nu[above], box,
+                                       model)
+                      * (g_sq[0][above] + g_sq[1][above]))
+        return out
 
     @staticmethod
     def pointwise_weight_coupling_sq(spec, mode, atom, box, model, nu):
         if nu > cutoff_frequency(spec, mode):
-            w = continuum_weight(spec, mode, nu, box, model)
+            w = float(continuum_weight(Channels(spec, atom, [mode]), [1],
+                                       [nu], box, model)[0])
             return w * sum(
                 abs(coupling_at(spec, mode, nu, atom, box,
                                 direction=d)) ** 2 for d in (1, -1))

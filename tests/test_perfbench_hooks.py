@@ -2,14 +2,16 @@
 
 ``perfbench/tracer.py`` patches every function named in its ``TRACED``
 table, and ``perfbench/reference.py`` imports library names directly.
-A deleted or renamed name would otherwise show up only as a crash of
-a traced benchmark run. Both files are loaded by path, so nothing
-under ``perfbench/`` needs to be importable as a package.
+A deleted or renamed name, or a changed call pattern of the chain,
+would otherwise show up only as a crash of a traced benchmark run.
+Both files are loaded by path, so nothing under ``perfbench/`` needs
+to be importable as a package.
 """
 
 import importlib
 import importlib.util
 import inspect
+import math
 from pathlib import Path
 
 import pytest
@@ -49,6 +51,19 @@ def test_reference_imports_cleanly():
 
 WORKER = load("worker")
 ROOT = PERFBENCH.parent
+
+
+def test_traced_demo_baseline_runs():
+    # what a ``run.py --trace 1`` run opens with: one traced level shift
+    # on the demo emitter and the traced chain against the plain one,
+    # after importing every layer the tracer patches, as run.py does
+    import wgqed.cli  # noqa: F401
+
+    baseline, overhead = WORKER._demo_baseline()
+    assert set(baseline) == {"coupling_at_calls", "integrate_calls",
+                             "pv_integrate_calls", "quadrature_nodes",
+                             "gl_nodes_cache_hits"}
+    assert math.isfinite(overhead)
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])

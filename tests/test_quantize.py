@@ -3,16 +3,16 @@
 The load-bearing oracle here is a brute-force quadrature of the mode
 energy functional over the quantization volume; the closed-form
 amplitudes must reproduce one quantum for every polarization and
-branch combination. The array coupling ``couplings`` is checked
-against ``coupling_at``, which normalizes the mode and samples its
-field point by point.
+branch combination. The array coupling ``couplings`` over a
+``Channels`` table is checked against ``coupling_at``, which
+normalizes the mode and samples its field point by point.
 """
 
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from wgqed.errors import DomainError
 from wgqed.modes import (
@@ -28,6 +28,7 @@ from wgqed.modes import (
 from wgqed.quantize import (
     HBAR,
     Atom,
+    Channels,
     DensityModel,
     QuantizationBox,
     continuum_weight,
@@ -262,6 +263,21 @@ CUTOFF_FRACTIONS = (0.05, 0.4, 0.9, 0.999, 1.0 - 3.0 * CUTOFF_REL_TOL,
                     1.0 + 3.0 * CUTOFF_REL_TOL, 1.001, 1.3, 2.5, 7.0)
 
 
+def one_mode(spec, mode, frequencies, atom, box):
+    """Both directions' couplings of one mode over a frequency array."""
+    nu = np.asarray(frequencies, dtype=float).ravel()
+    return couplings(Channels(spec, atom, [mode]), [nu.size], nu, box)
+
+
+def weights(spec, mode, frequencies, box, model, atom=None):
+    """Continuum weights of one mode over a frequency array."""
+    atom = atom or Atom(position=(0.0, 0.0, 0.0), dipole=(0.0, 0.0, 0.0),
+                        transition_frequency=1.0)
+    nu = np.asarray(frequencies, dtype=float).ravel()
+    return continuum_weight(Channels(spec, atom, [mode]), [nu.size], nu,
+                            box, model)
+
+
 class TestCouplingsArray:
     @given(filled_guides(),
            st.sampled_from(MODES),
@@ -274,131 +290,151 @@ class TestCouplingsArray:
                                        allow_nan=False,
                                        allow_infinity=False),
                     min_size=3, max_size=3),
-           st.sampled_from((1, -1)),
            st.floats(min_value=0.3, max_value=3.0))
     def test_matches_pointwise_definition(self, spec, mode, x_frac,
-                                          y_frac, z0, dipole, direction,
-                                          box_length):
+                                          y_frac, z0, dipole, box_length):
         atom = Atom(position=(x_frac * spec.width, y_frac * spec.height,
                               z0),
                     dipole=tuple(dipole), transition_frequency=1.0)
         box = QuantizationBox(length=box_length)
         nu = cutoff_frequency(spec, mode) * np.array(CUTOFF_FRACTIONS)
-        got = couplings(spec, mode, nu, atom, box, direction=direction)
-        want = np.array([coupling_at(spec, mode, float(f), atom, box,
-                                     direction=direction) for f in nu])
-        assert got.shape == nu.shape
-        scale = float(np.max(np.abs(want)))
-        assert scale > 0.0
-        assert np.max(np.abs(got - want)) <= 1e-13 * scale
+        got = one_mode(spec, mode, nu, atom, box)
+        assert got.shape == (2, nu.size)
+        for row, direction in zip(got, (1, -1)):
+            want = np.array([coupling_at(spec, mode, float(f), atom, box,
+                                         direction=direction)
+                             for f in nu])
+            scale = float(np.max(np.abs(want)))
+            assert scale > 0.0
+            assert np.max(np.abs(row - want)) <= 1e-13 * scale
 
     def test_scalar_frequency(self):
+        # one node per channel, as the decay rate asks for them
         atom = Atom(position=(0.7, 0.5, 0.3), dipole=(0.1, 0.3j, 0.2),
                     transition_frequency=2.0)
         for freq in (0.5, 4.0):
-            got = couplings(GUIDE, TM11, freq, atom, BOX, direction=-1)
-            assert got.shape == ()
-            assert complex(got) == pytest.approx(
-                coupling_at(GUIDE, TM11, freq, atom, BOX, direction=-1),
-                rel=1e-13)
+            got = one_mode(GUIDE, TM11, [freq], atom, BOX)
+            assert got.shape == (2, 1)
+            for g, direction in zip(got[:, 0].tolist(), (1, -1)):
+                assert g == pytest.approx(
+                    coupling_at(GUIDE, TM11, freq, atom, BOX,
+                                direction=direction), rel=1e-13)
 
     def test_frequency_in_degeneracy_band(self):
         atom = Atom(position=(0.7, 0.5, 0.0), dipole=(0.0, 0.3, 0.0),
                     transition_frequency=2.0)
         nu_c = cutoff_frequency(GUIDE, TE10)
         with pytest.raises(DomainError, match="degenerate with the cutoff"):
-            couplings(GUIDE, TE10, [0.5, nu_c * (1.0 + 0.5e-12), 2.0],
-                      atom, BOX)
+            one_mode(GUIDE, TE10, [0.5, nu_c * (1.0 + 0.5e-12), 2.0],
+                     atom, BOX)
+        # the message names the channel the node belongs to, past a
+        # channel without nodes
+        chans = Channels(GUIDE, atom, [TM11, TE10, TE10])
+        with pytest.raises(DomainError, match=r"of TE\(1,0\)$"):
+            couplings(chans, [1, 0, 2], [4.0, 2.0, nu_c], BOX)
 
     @pytest.mark.parametrize("bad", [0.0, -1.5])
     def test_non_positive_frequency(self, bad):
         atom = Atom(position=(0.7, 0.5, 0.0), dipole=(0.0, 0.3, 0.0),
                     transition_frequency=2.0)
         with pytest.raises(DomainError, match="positive"):
-            couplings(GUIDE, TE10, [2.0, bad], atom, BOX)
+            one_mode(GUIDE, TE10, [2.0, bad], atom, BOX)
 
     def test_atom_outside_rejected(self):
         atom = Atom(position=(5.0, 0.5, 0.0), dipole=(0.0, 0.3, 0.0),
                     transition_frequency=2.0)
         with pytest.raises(DomainError, match="outside"):
-            couplings(GUIDE, TE10, [0.5, 2.0], atom, BOX)
-
-    @pytest.mark.parametrize("direction", [0, 2, (1, 0), ()])
-    def test_bad_direction_rejected(self, direction):
-        atom = Atom(position=(0.7, 0.5, 0.0), dipole=(0.0, 0.3, 0.0),
-                    transition_frequency=2.0)
-        with pytest.raises(DomainError, match="direction"):
-            couplings(GUIDE, TE10, [0.5, 2.0], atom, BOX,
-                      direction=direction)
+            Channels(GUIDE, atom, [TE10])
 
     @given(filled_guides(),
-           st.lists(st.sampled_from(MODES), min_size=1, max_size=4),
+           st.lists(st.tuples(st.sampled_from(MODES),
+                              st.integers(min_value=0, max_value=10)),
+                    min_size=1, max_size=5),
            st.floats(min_value=0.05, max_value=0.95),
            st.floats(min_value=-3.0, max_value=3.0),
            st.lists(st.complex_numbers(max_magnitude=2.0, allow_nan=False,
                                        allow_infinity=False),
                     min_size=3, max_size=3))
-    def test_stack_is_the_per_mode_calls(self, spec, modes, x_frac, z0,
+    @example(GUIDE, [(TE10, 10), (TM11, 3), (TE10, 0), (TM11, 10)], 0.4,
+             0.7, [0.2, 0.1j, 0.3 - 0.2j])
+    def test_stack_is_the_per_mode_calls(self, spec, rows, x_frac, z0,
                                          dipole):
-        # a stack of modes in both directions gives each mode's
-        # one-direction couplings, bit for bit
+        # a table of mixed TE/TM channels, modes possibly repeated and
+        # channels possibly without nodes (a refinement level whose
+        # segments are all accepted for them), gives each channel's
+        # own couplings bit for bit, and the per-point definition
         atom = Atom(position=(x_frac * spec.width, 0.3 * spec.height, z0),
                     dipole=tuple(dipole), transition_frequency=1.0)
+        modes = [mode for mode, _ in rows]
         grids = [cutoff_frequency(spec, m) * np.array(CUTOFF_FRACTIONS[i:])
-                 for i, m in enumerate(modes)]
-        got = couplings(spec, modes, grids, atom, BOX, direction=(1, -1))
+                 for m, i in rows]
+        counts = [g.size for g in grids]
+        got = couplings(Channels(spec, atom, modes), counts,
+                        np.concatenate(grids + [np.empty(0)]), BOX)
+        assert got.shape == (2, sum(counts))
+        want = np.concatenate([one_mode(spec, m, g, atom, BOX)
+                               for m, g in zip(modes, grids)], axis=1)
+        assert np.array_equal(got, want)
         for row, d in zip(got, (1, -1)):
-            want = np.concatenate([couplings(spec, m, g, atom, BOX,
-                                             direction=d)
-                                   for m, g in zip(modes, grids)])
-            assert np.array_equal(row, want)
+            point = np.array([coupling_at(spec, m, f, atom, BOX,
+                                          direction=d)
+                              for m, g in zip(modes, grids)
+                              for f in g.tolist()])
+            scale = max(float(np.max(np.abs(point), initial=0.0)), 1e-300)
+            assert np.max(np.abs(row - point), initial=0.0) <= 1e-13 * scale
 
 
 class TestContinuumWeight:
     def test_phase_velocity_model(self):
-        w = continuum_weight(GUIDE, TE10, 2.0, BOX,
-                             DensityModel.PHASE_VELOCITY)
-        assert w == pytest.approx(1.0 / (2.0 * math.pi))
+        w = weights(GUIDE, TE10, [2.0], BOX, DensityModel.PHASE_VELOCITY)
+        assert w.tolist() == pytest.approx([1.0 / (2.0 * math.pi)])
 
     def test_group_velocity_model(self):
         beta = dispersion(GUIDE, TE10, 2.0).axial_wavenumber
-        w = continuum_weight(GUIDE, TE10, 2.0, BOX,
-                             DensityModel.GROUP_VELOCITY)
-        assert w == pytest.approx(2.0 / (2.0 * math.pi * beta))
+        w = weights(GUIDE, TE10, [2.0], BOX, DensityModel.GROUP_VELOCITY)
+        assert w.tolist() == pytest.approx([2.0 / (2.0 * math.pi * beta)])
 
     def test_group_velocity_diverges_toward_cutoff(self):
-        near = continuum_weight(GUIDE, TE10, 1.0 + 1e-6, BOX,
-                                DensityModel.GROUP_VELOCITY)
-        far = continuum_weight(GUIDE, TE10, 2.0, BOX,
-                               DensityModel.GROUP_VELOCITY)
+        near, far = weights(GUIDE, TE10, [1.0 + 1e-6, 2.0], BOX,
+                            DensityModel.GROUP_VELOCITY)
         assert near > 100.0 * far
 
     def test_localized_branch_refused(self):
-        # no axial wavenumber to count below cutoff
+        # no axial wavenumber to count below cutoff; the message names
+        # the channel of the first such node
+        atom = Atom(position=(0.7, 0.5, 0.0), dipole=(0.0, 0.3, 0.0),
+                    transition_frequency=2.0)
+        chans = Channels(GUIDE, atom, [TM11, TE10])
         for model in DensityModel:
             with pytest.raises(DomainError):
-                continuum_weight(GUIDE, TE10, 0.5, BOX, model)
-            with pytest.raises(DomainError, match="decays at frequency 0.5"):
-                continuum_weight(GUIDE, TE10, [2.0, 0.5, 3.0], BOX, model)
+                weights(GUIDE, TE10, [0.5], BOX, model)
+            with pytest.raises(DomainError,
+                               match=r"TE\(1,0\) decays at frequency 0.5"):
+                continuum_weight(chans, [1, 3], [4.0, 2.0, 0.5, 3.0], BOX,
+                                 model)
 
     def test_array_matches_scalar_bit_for_bit(self):
-        # the array form must reproduce the scalar calls exactly, and
-        # the scalar call the dispersion-based definition, so the
+        # a table of channels over many nodes reproduces one-node calls
+        # exactly, and those the dispersion-based definition, so the
         # artifacts built on either path carry the same bytes
         box = QuantizationBox(length=2.3)
-        for mode in (TE10, TM11):
-            nu_c = cutoff_frequency(GUIDE, mode)
-            nus = nu_c * np.linspace(1.0 + 1e-9, 40.0, 301)
-            for model in DensityModel:
-                arr = continuum_weight(GUIDE, mode, nus, box, model)
-                scalars = [continuum_weight(GUIDE, mode, nu, box, model)
-                           for nu in nus.tolist()]
-                assert arr.tolist() == scalars
-                assert all(type(w) is float for w in scalars)
-            eps_mu = GUIDE.permittivity * GUIDE.permeability
-            for nu, w in zip(nus.tolist(), continuum_weight(
-                    GUIDE, mode, nus, box,
-                    DensityModel.GROUP_VELOCITY).tolist()):
+        atom = Atom(position=(0.7, 0.5, 0.0), dipole=(0.0, 0.3, 0.0),
+                    transition_frequency=2.0)
+        grids = [cutoff_frequency(GUIDE, mode)
+                 * np.linspace(1.0 + 1e-9, 40.0, 301) for mode in MODES]
+        chans = Channels(GUIDE, atom, MODES)
+        eps_mu = GUIDE.permittivity * GUIDE.permeability
+        for model in DensityModel:
+            table = continuum_weight(chans, [g.size for g in grids],
+                                     np.concatenate(grids), box, model)
+            singles = [w for mode, nus in zip(MODES, grids)
+                       for nu in nus.tolist()
+                       for w in weights(GUIDE, mode, [nu], box,
+                                        model).tolist()]
+            assert table.tolist() == singles
+        for mode, nus, ws in zip(MODES, grids, np.split(
+                table, np.cumsum([g.size for g in grids])[:-1])):
+            for nu, w in zip(nus.tolist(), ws.tolist()):
                 beta = dispersion(GUIDE, mode, nu).axial_wavenumber
                 assert w == box.length * eps_mu * nu / (2.0 * math.pi
                                                          * beta)
@@ -413,7 +449,7 @@ class TestContinuumWeight:
             for length in (1.0, 2.3):
                 box = QuantizationBox(length=length)
                 g = coupling_at(GUIDE, TE10, 2.0, atom, box)
-                w = continuum_weight(GUIDE, TE10, 2.0, box, model)
+                w = float(weights(GUIDE, TE10, [2.0], box, model)[0])
                 products.append(abs(g) ** 2 * w)
             assert products[0] == pytest.approx(products[1], rel=1e-13)
 
@@ -423,9 +459,9 @@ class TestModelAsymptotics:
         # the dispersion Jacobian flattens to the bulk value high in
         # the band
         nu = 50.0 * cutoff_frequency(GUIDE, TE10)
-        phase = continuum_weight(GUIDE, TE10, nu, BOX,
-                                 DensityModel.PHASE_VELOCITY)
-        group = continuum_weight(GUIDE, TE10, nu, BOX,
-                                 DensityModel.GROUP_VELOCITY)
+        phase, = weights(GUIDE, TE10, [nu], BOX,
+                         DensityModel.PHASE_VELOCITY)
+        group, = weights(GUIDE, TE10, [nu], BOX,
+                         DensityModel.GROUP_VELOCITY)
         assert group / phase == pytest.approx(1.0, abs=1e-2)
         assert group > phase

@@ -1,11 +1,12 @@
 """The lockstep level shift against the per-segment schedule it replaced.
 
 ``level_shift`` refines every (mode, branch) segment together, with one
-stacked ``couplings`` call per refinement level. ``_previous_level_shift``
-below is the former implementation, kept as the oracle: each segment
-its own ``integrate`` or ``pv_integrate``, with one ``couplings`` call
-per direction of travel. Both must give the same bits for every
-contribution, and raise the same first error.
+``couplings`` call over its channel table per refinement level.
+``_previous_level_shift`` below is the former implementation, kept as
+the oracle: each segment its own ``integrate`` or ``pv_integrate``,
+with one one-mode ``couplings`` call per direction of travel. Both
+must give the same bits for every contribution, and raise the same
+first error.
 """
 
 import math
@@ -31,10 +32,19 @@ from wgqed.modes import (
     ModeIndex,
     Polarization,
     cutoff_frequency,
+    WaveguideSpec,
     modes_below,
+    transverse_wavenumber,
 )
 from wgqed.numerics import integrate, pv_integrate
-from wgqed.quantize import Atom, DensityModel, couplings
+from wgqed.quantize import (
+    Atom,
+    Channels,
+    DensityModel,
+    QuantizationBox,
+    continuum_weight,
+    couplings,
+)
 
 ROOT = Path(__file__).resolve().parent.parent
 DEMO = ROOT / "configs" / "demo.conf"
@@ -76,8 +86,8 @@ def _previous_level_shift(spec, atom, box, model, *, window, modes=None,
                 nu = np.sqrt((h * h + s * t * t) / eps_mu)
                 nu = np.where(np.abs(nu - nu_c) < band, nu_c + s * band, nu)
                 csq = sum(np.abs(emission.couplings(
-                    spec, mode, nu, atom, box, direction=d)) ** 2
-                    for d in directions)
+                    Channels(spec, atom, [mode]), [nu.size], nu,
+                    box)[(1, -1).index(d)]) ** 2 for d in directions)
                 return (-_weight_times_t(spec, box, model, branch, nu, t)
                         * csq * (omega + nu) / nu)
 
@@ -167,6 +177,24 @@ class TestBitIdentity:
                      DensityModel.GROUP_VELOCITY, window=(0.9, 2.6),
                      max_index=cfg.max_mn)
 
+    @pytest.mark.parametrize("model", list(DensityModel))
+    def test_guide_with_two_transverse_wavenumbers(self, model):
+        # on this filled guide the shift's nu_c * n and the couplings'
+        # hypot(kx, ky) differ by an ulp for TE(2,1) and TM(2,1); the
+        # t <-> nu map must keep the former
+        spec = WaveguideSpec(width=3.0, height=1.4, permittivity=2.25,
+                             permeability=1.0)
+        split = {ModeIndex(pol, 2, 1) for pol in Polarization}
+        for mode in split:
+            assert (cutoff_frequency(spec, mode) * spec.refractive_index
+                    != transverse_wavenumber(spec, mode))
+        atom = Atom(position=(1.1, 0.6, 0.3),
+                    dipole=(0.3 + 0.1j, 0.05, 0.2 - 0.4j),
+                    transition_frequency=1.45)
+        got = _assert_same(spec, atom, QuantizationBox(length=1.0), model,
+                           window=(0.9, 2.6))
+        assert split <= {c.mode for c in got.contributions if c.value}
+
     def test_decaying_patterns_only(self):
         # every cutoff above the window: localized segments alone
         cfg, atom = _demo(position=(1.1, 0.6, 0.3),
@@ -191,7 +219,7 @@ class TestBitIdentity:
         calls = []
 
         def counted(*args, **kwargs):
-            calls.append(kwargs["direction"])
+            calls.append(args)
             return couplings(*args, **kwargs)
 
         counts = []
@@ -218,13 +246,11 @@ def _rough(modes):
             return 1.0 + np.abs(np.sin(40.0 * nu)) ** 0.3
         return np.ones_like(nu)
 
-    def rough(spec, mode, frequencies, atom, box, *, direction=1):
-        g = couplings(spec, mode, frequencies, atom, box,
-                      direction=direction)
-        if isinstance(mode, ModeIndex):
-            return g * factor(mode, frequencies)
-        return g * np.concatenate([factor(m, f).ravel() for m, f in
-                                   zip(mode, frequencies)] + [[]])
+    def rough(chans, counts, frequencies, box):
+        g = couplings(chans, counts, frequencies, box)
+        per_channel = np.split(frequencies, np.cumsum(counts)[:-1])
+        return g * np.concatenate([factor(m, f) for m, f in
+                                   zip(chans.modes, per_channel)] + [[]])
 
     return rough
 
@@ -306,9 +332,12 @@ class TestStackedChannels:
         assert {c.mode.polarization for c in res.channels} == \
             set(Polarization)
         for c in res.channels:
-            g = complex(couplings(spec, c.mode, [2.3], atom, box,
-                                  direction=c.direction)[0])
+            chans = Channels(spec, atom, [c.mode])
+            g = complex(couplings(chans, [1], [2.3], box)[
+                (1, -1).index(c.direction), 0])
             assert c.coupling == g
+            assert c.weight == float(continuum_weight(chans, [1], [2.3], box,
+                                                      model)[0])
             assert c.rate == 2.0 * math.pi * c.weight * abs(g) ** 2
         assert res.total == math.fsum(c.rate for c in res.channels)
 
@@ -330,9 +359,9 @@ class TestStackedChannels:
         centers = 0.9 + (np.arange(57) + 0.5) * (2.0 / 57)
         want = {}
         for mode in modes:
-            for d in (1, -1):
-                g = couplings(spec, mode, centers, atom, box, direction=d)
+            g = couplings(Channels(spec, atom, [mode]), [57], centers, box)
+            for d, row in zip((1, -1), g.tolist()):
                 want.update(((mode, d, nu), c) for nu, c in
-                            zip(centers.tolist(), g.tolist()))
+                            zip(centers.tolist(), row))
         for b in bins:
             assert b.coupling == want[b.mode, b.direction or 1, b.frequency]
