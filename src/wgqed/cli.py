@@ -35,10 +35,8 @@ from .detection import (
     MIN_FIT_CELLS,
     RadicandModel,
     closed_form_crossing,
-    correlation_grid,
     fit_decay_rates,
     omega_d,
-    solve_emitter,
 )
 from .emission import decay_rate, level_shift
 from .errors import (
@@ -47,12 +45,7 @@ from .errors import (
     DomainError,
     NoCrossingError,
 )
-from .modes import (
-    ModeIndex,
-    Polarization,
-    cutoff_frequency,
-    transverse_wavenumber,
-)
+from .modes import by_cutoff, pattern_cutoffs, transverse_wavenumber
 from .quantize import DensityModel
 from .validate import run_checks
 
@@ -72,13 +65,16 @@ def _fmt(value, digits: int) -> str:
         return ""
     if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, int):
-        return str(value)
     if isinstance(value, float):
         text = format(value, f".{digits}g")
         # a finite value whose rounding overflows keeps all its digits
         return repr(value) if math.isinf(float(text)) else text
-    return str(value)
+    text = str(value)
+    # RFC 4180: a cell holding a separator, a quote or a line break is
+    # quoted, with its quotes doubled
+    if any(c in text for c in ',"\r\n'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
 
 
 def _json_value(value, digits: int):
@@ -246,26 +242,18 @@ def cmd_modes(config, args) -> int:
             f"over the limit of {MAX_GRID_POINTS}")
     spec = config.waveguide_spec()
     omega = config.atom_omega
-    table = []
-    for pol in (Polarization.TE, Polarization.TM):
-        for m in range(config.max_mn + 1):
-            for n in range(config.max_mn + 1):
-                try:
-                    mode = ModeIndex(pol, m, n)
-                except DomainError:
-                    continue
-                nu_c = cutoff_frequency(spec, mode)
-                branch = "traveling" if omega > nu_c else "decaying"
-                table.append((nu_c, pol.value, m, n,
-                              transverse_wavenumber(spec, mode),
-                              branch))
-    table.sort(key=lambda r: (r[0], r[1], r[2], r[3]))
-    nu_c, pol, m, n, h, branch = zip(*table)
+    nu_c, modes = zip(*sorted(
+        pattern_cutoffs(spec, config.max_mn, config.max_mn), key=by_cutoff))
     env = _envelope("modes", config, args.reproducible)
     _emit(args, config, env, {
-        "polarization": pol, "m": m, "n": n,
-        "transverse_wavenumber": h, "cutoff": nu_c,
-        "branch_at_omega": branch})
+        "polarization": [mode.polarization.value for mode in modes],
+        "m": [mode.m for mode in modes],
+        "n": [mode.n for mode in modes],
+        "transverse_wavenumber": [transverse_wavenumber(spec, mode)
+                                  for mode in modes],
+        "cutoff": nu_c,
+        "branch_at_omega": ["traveling" if omega > c else "decaying"
+                            for c in nu_c]})
     return EXIT_OK
 
 
@@ -336,15 +324,7 @@ def cmd_corr(config, args) -> int:
             f"corr needs grid.x_min and grid.x_max inside [0, "
             f"waveguide.a] = [0, {config.waveguide_a!r}]; got "
             f"{outside[0]!r}")
-    spec = config.waveguide_spec()
-    atom = config.atom()
-    sol = solve_emitter(spec, atom, config.box(), config.dos,
-                        config.radicand, max_index=config.max_mn,
-                        window=config.shift_window)
-    grid = correlation_grid(spec, atom, sol.pole, config.x_values(),
-                            config.z_values(),
-                            config.t_values(sol.decay.total),
-                            dos=config.dos, max_index=config.max_mn)
+    grid = config.correlation()
     fit = fit_decay_rates(grid)
     meta = grid.metadata
     sidecar = {

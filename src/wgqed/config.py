@@ -22,7 +22,7 @@ from enum import Enum
 
 import numpy as np
 
-from .detection import RadicandModel
+from .detection import RadicandModel, correlation_grid, solve_emitter
 from .emission import auto_shift_window
 from .errors import ConfigError, DomainError
 from .modes import WaveguideSpec
@@ -155,6 +155,18 @@ class RunConfig:
                 "auto shift window collapsed; set window.nu_min and "
                 "window.nu_max explicitly")
         return (lo, hi)
+
+    def correlation(self):
+        """The correlation map that ``corr`` writes and ``validate``
+        checks: the emitter chain, then the map on the configured grid."""
+        spec, atom = self.waveguide_spec(), self.atom()
+        sol = solve_emitter(spec, atom, self.box(), self.dos,
+                            self.radicand, max_index=self.max_mn,
+                            window=self.shift_window)
+        return correlation_grid(spec, atom, sol.pole, self.x_values(),
+                                self.z_values(),
+                                self.t_values(sol.decay.total),
+                                dos=self.dos, max_index=self.max_mn)
 
     def with_overrides(self, **overrides) -> "RunConfig":
         """Apply command line flag overrides, keyed by field name, on

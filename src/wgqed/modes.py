@@ -351,11 +351,28 @@ def mode_divergence_residual(spec: WaveguideSpec, mode: ModeIndex,
         disp.medium_wavenumber * scale)
 
 
+def pattern_cutoffs(spec: WaveguideSpec, m_top: int, n_top: int):
+    """(cutoff, mode) of every pattern with m <= m_top and n <= n_top,
+    scanned m, then n, then TE before TM."""
+    for m in range(m_top + 1):
+        for n in range(n_top + 1):
+            for pol in (Polarization.TE, Polarization.TM):
+                try:
+                    mode = ModeIndex(pol, m, n)
+                except DomainError:
+                    continue
+                yield cutoff_frequency(spec, mode), mode
+
+
+def by_cutoff(item):
+    """Sort key of a (cutoff, mode) pair: cutoff, then ``sort_key``."""
+    return (item[0],) + item[1].sort_key()
+
+
 def modes_below(spec: WaveguideSpec, frequency_limit: float,
                 max_index: int = 12):
     """Every mode with cutoff below ``frequency_limit``, as a list of
-    (cutoff, mode) pairs sorted by cutoff then polarization then
-    indices.
+    (cutoff, mode) pairs sorted ``by_cutoff``.
 
     Index counts are scanned up to ``max_index``; if a mode on that
     boundary still qualifies the enumeration might be incomplete and a
@@ -370,20 +387,13 @@ def modes_below(spec: WaveguideSpec, frequency_limit: float,
     m_top = int(min(max_index, reach * spec.width + 1.0))
     n_top = int(min(max_index, reach * spec.height + 1.0))
     found = []
-    for m in range(0, m_top + 1):
-        for n in range(0, n_top + 1):
-            for pol in (Polarization.TE, Polarization.TM):
-                try:
-                    mode = ModeIndex(pol, m, n)
-                except DomainError:
-                    continue
-                nu_c = cutoff_frequency(spec, mode)
-                if nu_c < frequency_limit:
-                    if m == max_index or n == max_index:
-                        raise DomainError(
-                            f"mode {pol.value}({m},{n}) at the index bound "
-                            f"{max_index} still lies below the frequency "
-                            "limit; increase max_index")
-                    found.append((nu_c, mode))
-    found.sort(key=lambda item: (item[0],) + item[1].sort_key())
+    for nu_c, mode in pattern_cutoffs(spec, m_top, n_top):
+        if nu_c < frequency_limit:
+            if max_index in (mode.m, mode.n):
+                raise DomainError(
+                    f"mode {mode.polarization.value}({mode.m},{mode.n}) "
+                    f"at the index bound {max_index} still lies below "
+                    "the frequency limit; increase max_index")
+            found.append((nu_c, mode))
+    found.sort(key=by_cutoff)
     return found

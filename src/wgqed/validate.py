@@ -4,7 +4,8 @@ Each check replays one of the library's invariants on the configured
 geometry and reports a measured number against a fixed tolerance.
 Checks that cannot run on the given configuration (an emitter below
 every cutoff has no correlation map, for instance) fail with a
-diagnostic rather than crashing or silently passing.
+diagnostic rather than crashing or silently passing, and a
+measurement that overflows fails with a detail that says so.
 
 The ``fault`` hook deliberately corrupts one internal constant so the
 battery can be shown to actually bite.
@@ -17,20 +18,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .detection import RadicandModel, correlation_grid, pole, solve_emitter
-from .emission import (
-    amplitudes_ode_oracle,
-    build_bins,
-    decay_rate,
-    modes_below,
-)
+from .detection import RadicandModel, pole
+from .emission import amplitudes_ode_oracle, build_bins, decay_rate
 from .errors import ConfigError, WgError
 from .modes import (
-    Branch,
     ModeIndex,
     Polarization,
     cutoff_frequency,
-    dispersion,
     field_at,
     mode_divergence_residual,
     mode_helmholtz_residual,
@@ -59,6 +53,18 @@ class CheckResult:
     detail: str = ""
 
 
+def _result(name, measured, tolerance, detail="", ok=True):
+    """Every row: plain floats, passed if ``ok`` and ``measured <
+    tolerance``. A non-finite measurement says so in its detail unless
+    the check failed it for its own reason (``ok=False``)."""
+    measured = float(measured)
+    if ok and not math.isfinite(measured):
+        detail = f"the measurement is not finite ({measured!r})"
+    return CheckResult(name=name, passed=bool(ok and measured < tolerance),
+                       measured=measured, tolerance=float(tolerance),
+                       detail=detail)
+
+
 def _probe_modes(spec):
     # one mode per polarization, plus a higher pattern, probed on both
     # sides of cutoff where the pattern supports it
@@ -77,8 +83,7 @@ def _check_residual(name, fn, config, tolerance=1e-5):
     worst = 0.0
     for mode, freq in _probe_modes(spec):
         worst = max(worst, fn(spec, mode, freq, point))
-    return CheckResult(name=name, passed=worst < tolerance,
-                       measured=worst, tolerance=tolerance)
+    return _result(name, worst, tolerance)
 
 
 def _gauss_nodes(lo, hi, count):
@@ -115,9 +120,7 @@ def _check_energy(config, fault):
             amp *= 1.0 + 5e-4
         energy = _energy_by_quadrature(spec, mode, freq, box, amp)
         worst = max(worst, abs(energy - HBAR * freq) / (HBAR * freq))
-    return CheckResult(name="energy_normalization",
-                       passed=worst < tolerance, measured=worst,
-                       tolerance=tolerance)
+    return _result("energy_normalization", worst, tolerance)
 
 
 def _check_orthogonality(config):
@@ -137,60 +140,55 @@ def _check_orthogonality(config):
         self_a = abs(mode_overlap(spec, mode_a, mode_a, freq))
         self_b = abs(mode_overlap(spec, mode_b, mode_b, freq))
         if not self_a * self_b:
-            return CheckResult(
-                name="mode_orthogonality", passed=False, measured=math.inf,
-                tolerance=tolerance, detail="self-overlaps underflow to zero")
+            return _result("mode_orthogonality", math.inf, tolerance,
+                           "self-overlaps underflow to zero", ok=False)
         worst = max(worst, cross / math.sqrt(self_a * self_b))
-    return CheckResult(name="mode_orthogonality",
-                       passed=worst < tolerance, measured=worst,
-                       tolerance=tolerance)
+    return _result("mode_orthogonality", worst, tolerance)
 
 
-def _pole_samples(config, count=200):
+def _pole_samples(config, count=200) -> list:
+    # seeded (frequency, rate) draws; both pole checks read these poles
     rng = np.random.default_rng(_SEED)
     spec = config.waveguide_spec()
     models = list(RadicandModel)
+    samples = []
     for k in range(count):
         omega = float(rng.uniform(0.05, 30.0))
         rate = float(rng.uniform(1e-4, 3.0))
-        yield spec, omega, rate, models[k % 2]
+        samples.append(pole(spec, omega, rate, models[k % 2]))
+    return samples
 
 
-def _check_pole_identity(config):
+def _check_pole_identity(samples):
     tolerance = 1e-12
     worst = 0.0
     signs_ok = True
-    for spec, omega, rate, model in _pole_samples(config):
-        res = pole(spec, omega, rate, model)
+    for res in samples:
         beta = complex(res.beta_r, res.beta_i)
         worst = max(worst, abs(beta ** 2 - res.radicand)
                     / abs(res.radicand))
         signs_ok = signs_ok and res.beta_r > 0.0 and res.beta_i <= 0.0
-    return CheckResult(
-        name="pole_identity", passed=worst < tolerance and signs_ok,
-        measured=worst, tolerance=tolerance,
-        detail="" if signs_ok else "sign convention violated")
+    return _result("pole_identity", worst, tolerance,
+                   "" if signs_ok else "sign convention violated",
+                   ok=signs_ok)
 
 
-def _check_pole_principal_root(config):
+def _check_pole_principal_root(samples):
     tolerance = 1e-12
     worst = 0.0
-    for spec, omega, rate, model in _pole_samples(config):
-        res = pole(spec, omega, rate, model)
+    for res in samples:
         ref = principal_csqrt(res.radicand)
         worst = max(worst,
                     abs(complex(res.beta_r, res.beta_i) - ref)
                     / abs(ref))
-    return CheckResult(name="pole_principal_root",
-                       passed=worst < tolerance, measured=worst,
-                       tolerance=tolerance)
+    return _result("pole_principal_root", worst, tolerance)
 
 
 def _check_box_invariance(config):
     spec = config.waveguide_spec()
     atom = config.atom()
     tolerance = 1e-14
-    worst, detail = 0.0, ""
+    worst = 0.0
     try:
         for model in DensityModel:
             totals = [decay_rate(spec, atom, QuantizationBox(length=length),
@@ -199,10 +197,9 @@ def _check_box_invariance(config):
             scale = max(abs(totals[0]), abs(totals[1]), 1e-300)
             worst = max(worst, abs(totals[0] - totals[1]) / scale)
     except WgError as err:
-        worst, detail = math.inf, str(err)
-    return CheckResult(name="box_length_invariance",
-                       passed=worst < tolerance, measured=worst,
-                       tolerance=tolerance, detail=detail)
+        return _result("box_length_invariance", math.inf, tolerance,
+                       str(err), ok=False)
+    return _result("box_length_invariance", worst, tolerance)
 
 
 def _check_pv_cancellation(config):
@@ -215,32 +212,20 @@ def _check_pv_cancellation(config):
     value = pv_integrate(
         lambda x: 1.0 + (x - 1.0) * np.cos(math.pi * x / 3.0),
         1.0, 0.0, 3.0)
-    measured = abs(value - math.log(2.0))
-    return CheckResult(name="pv_oddpart_cancellation",
-                       passed=measured < tolerance, measured=measured,
-                       tolerance=tolerance)
+    return _result("pv_oddpart_cancellation",
+                   abs(value - math.log(2.0)), tolerance)
 
 
 def _check_correlation(config):
+    # the run ``corr`` writes, so its discrepancy is what this checks
     tolerance = 1e-12
-    spec = config.waveguide_spec()
-    atom = config.atom()
     try:
-        sol = solve_emitter(spec, atom, config.box(), config.dos,
-                            config.radicand, max_index=config.max_mn,
-                            window=config.shift_window)
-        grid = correlation_grid(
-            spec, atom, sol.pole, config.x_values(), config.z_values(),
-            config.t_values(sol.decay.total), dos=config.dos,
-            max_index=config.max_mn)
+        grid = config.correlation()
     except WgError as err:
-        return CheckResult(name="correlation_consistency",
-                           passed=False, measured=math.inf,
-                           tolerance=tolerance, detail=str(err))
-    measured = grid.metadata.consistency_max_rel
-    return CheckResult(name="correlation_consistency",
-                       passed=measured < tolerance, measured=measured,
-                       tolerance=tolerance)
+        return _result("correlation_consistency", math.inf, tolerance,
+                       str(err), ok=False)
+    return _result("correlation_consistency",
+                   grid.metadata.consistency_max_rel, tolerance)
 
 
 def _check_markov_oracle(config):
@@ -255,16 +240,16 @@ def _check_markov_oracle(config):
                            max_index=config.max_mn)
         if not decay.oscillatory:
             rate = decay.total
-            modes = [m for _, m in modes_below(spec, omega,
-                                               max_index=config.max_mn)]
+            # the traveling modes, each listed once per direction
+            modes = list(dict.fromkeys(ch.mode for ch in decay.channels))
             span = 25.0 * rate
             window = (omega - span, omega + span)
             bins = build_bins(spec, atom, box, config.dos,
                               window=window, count=160, modes=modes)
             times = np.linspace(0.0, 2.0 / rate, 17)
             c_a, _ = amplitudes_ode_oracle(times, bins, omega)
-            measured = float(np.max(np.abs(
-                np.abs(c_a) ** 2 - np.exp(-rate * times))))
+            measured = np.max(np.abs(
+                np.abs(c_a) ** 2 - np.exp(-rate * times)))
             tolerance = 0.05
             detail = "traveling-channel decay against the exponential"
         else:
@@ -277,16 +262,13 @@ def _check_markov_oracle(config):
                               window=window, count=120, modes=[lowest])
             times = np.linspace(0.0, 10.0 / omega, 15)
             c_a, _ = amplitudes_ode_oracle(times, bins, omega)
-            measured = float(1.0 - np.min(np.abs(c_a) ** 2))
+            measured = 1.0 - np.min(np.abs(c_a) ** 2)
             tolerance = 0.5
             detail = "below-cutoff excitation stays on the atom"
     except WgError as err:
-        return CheckResult(name="markov_oracle", passed=False,
-                           measured=math.inf, tolerance=math.nan,
-                           detail=str(err))
-    return CheckResult(name="markov_oracle",
-                       passed=measured < tolerance, measured=measured,
-                       tolerance=tolerance, detail=detail)
+        return _result("markov_oracle", math.inf, math.nan, str(err),
+                       ok=False)
+    return _result("markov_oracle", measured, tolerance, detail)
 
 
 def run_checks(config, fault: str | None = None) -> tuple:
@@ -296,26 +278,23 @@ def run_checks(config, fault: str | None = None) -> tuple:
     if fault is not None and fault not in _FAULTS:
         raise ConfigError(
             f"unknown fault {fault!r}; known: {', '.join(_FAULTS)}")
-    raw = (
-        _check_residual("helmholtz_residual", mode_helmholtz_residual,
-                        config),
-        _check_residual("divergence_residual",
-                        mode_divergence_residual, config),
-        _check_orthogonality(config),
-        _check_energy(config, fault),
-        _check_pole_identity(config),
-        _check_pole_principal_root(config),
-        _check_box_invariance(config),
-        _check_pv_cancellation(config),
-        _check_correlation(config),
-        _check_markov_oracle(config),
-    )
-    # strip numpy scalar types so artifacts serialize uniformly
-    results = tuple(
-        CheckResult(name=r.name, passed=bool(r.passed),
-                    measured=float(r.measured),
-                    tolerance=float(r.tolerance), detail=r.detail)
-        for r in raw)
+    # overflow and underflow show in the rows, not as warnings
+    with np.errstate(all="ignore"):
+        poles = _pole_samples(config)
+        results = (
+            _check_residual("helmholtz_residual",
+                            mode_helmholtz_residual, config),
+            _check_residual("divergence_residual",
+                            mode_divergence_residual, config),
+            _check_orthogonality(config),
+            _check_energy(config, fault),
+            _check_pole_identity(poles),
+            _check_pole_principal_root(poles),
+            _check_box_invariance(config),
+            _check_pv_cancellation(config),
+            _check_correlation(config),
+            _check_markov_oracle(config),
+        )
     names = [r.name for r in results]
     assert len(names) == len(set(names))
     return results

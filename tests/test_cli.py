@@ -5,18 +5,20 @@ paths; the byte-level determinism contract gets its own end-to-end
 rehearsal in the acceptance suite.
 """
 
+import csv
 import json
 import math
 import subprocess
 import sys
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from wgqed import cli
+from wgqed import cli, config as config_module, validate
 from wgqed.cli import (
     EXIT_CONFIG,
     EXIT_DOMAIN,
@@ -245,19 +247,16 @@ class TestAccessors:
 
 
 def read_table(path):
-    header = None
-    rows = []
     meta = {}
-    with open(path) as fh:
+    body = []
+    with open(path, newline="") as fh:
         for line in fh:
-            line = line.rstrip("\n")
             if line.startswith("# "):
-                key, _, value = line[2:].partition(" = ")
+                key, _, value = line[2:].rstrip("\n").partition(" = ")
                 meta[key] = value
-            elif header is None:
-                header = line.split(",")
             else:
-                rows.append(line.split(","))
+                body.append(line)
+    header, *rows = csv.reader(body)
     return meta, header, rows
 
 
@@ -421,7 +420,7 @@ class TestCorrCommand:
         def chain(*args, **kwargs):
             raise AssertionError("the emitter chain ran")
 
-        monkeypatch.setattr(cli, "solve_emitter", chain)
+        monkeypatch.setattr(config_module, "solve_emitter", chain)
         conf = write_config(tmp_path, **items)
         out = tmp_path / "corr.csv"
         assert main(["corr", "--config", conf, "--out", str(out)]) \
@@ -592,24 +591,71 @@ class TestValidateCommand:
                      "--max-mn", "1", "--reproducible"]) == EXIT_VALIDATION
         _, _, rows = read_table(out)
         assert len(rows) == 10
-        # the detail names TE(1,0), whose comma the plain split cuts
-        failed = {r[0]: ",".join(r[4:]) for r in rows if r[1] == "false"}
+        # the detail names TE(1,0); its quoted comma stays in the cell
+        assert all(len(r) == 5 for r in rows)
+        failed = {r[0]: r[4] for r in rows if r[1] == "false"}
         assert set(failed) == {"box_length_invariance",
                                "correlation_consistency", "markov_oracle"}
         assert all("at the index bound 1" in d for d in failed.values())
 
-    def test_underflowing_self_overlaps_fail_orthogonality(self, tmp_path):
+    def test_underflowing_self_overlaps_fail_orthogonality(self, tmp_path,
+                                                           capsys):
         conf = write_config(tmp_path, **{"waveguide.mu": "1e-300"})
         out = str(tmp_path / "val.csv")
-        with np.errstate(all="ignore"):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
             code = main(["validate", "--config", conf, "--out", out,
                          "--reproducible"])
         assert code == EXIT_VALIDATION
+        assert [str(w.message) for w in caught] == []
+        assert capsys.readouterr().err == ""
         _, _, rows = read_table(out)
         assert len(rows) == 10
         row = next(r for r in rows if r[0] == "mode_orthogonality")
         assert row[1:3] == ["false", "inf"]
         assert "underflow" in row[4]
+        # a measurement that overflows says so, whatever the check
+        # would report of a finite one
+        by_name = {r[0]: r for r in rows}
+        for name, text in (("energy_normalization", "inf"),
+                           ("markov_oracle", "nan")):
+            assert by_name[name][1:3] == ["false", text]
+            assert by_name[name][4] == \
+                f"the measurement is not finite ({text})"
+
+    @pytest.mark.parametrize("dos", ["paper", "dispersion"])
+    def test_correlation_check_reads_the_corr_run(self, tmp_path, dos):
+        val, corr = str(tmp_path / "val.csv"), str(tmp_path / "corr.csv")
+        assert main(["validate", "--config", str(DEMO), "--dos", dos,
+                     "--out", val, "--reproducible"]) == EXIT_OK
+        assert main(["corr", "--config", str(DEMO), "--dos", dos,
+                     "--out", corr, "--reproducible"]) == EXIT_OK
+        _, _, rows = read_table(val)
+        measured = next(r[2] for r in rows
+                        if r[0] == "correlation_consistency")
+        meta, _, _ = read_table(corr)
+        assert measured == meta["discrepancy.grid_consistency_max_rel"]
+
+    def test_sample_poles_computed_once(self, monkeypatch):
+        calls = []
+        pole_fn = validate.pole
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return pole_fn(*args, **kwargs)
+
+        monkeypatch.setattr(validate, "pole", counted)
+        run_checks(load_config(str(DEMO)))
+        assert len(calls) == 200
+
+    @pytest.mark.parametrize("mu", ["1.44", "1e-300"])
+    def test_rows_hold_plain_types(self, mu):
+        text = DEMO.read_text(encoding="utf-8").replace(
+            "waveguide.mu = 1.44", f"waveguide.mu = {mu}")
+        for row in run_checks(parse_config(text)):
+            assert type(row.measured) is float
+            assert type(row.tolerance) is float
+            assert type(row.passed) is bool
 
     def test_unknown_fault_is_config_error(self, tmp_path):
         conf = write_config(tmp_path)
@@ -789,6 +835,20 @@ class TestColumnRenderer:
         assert _rendered(out_format, env, {"e": plain["e"]}, digits) \
             == REFERENCE[out_format](env, ("e",), one_column, digits)
 
+    @pytest.mark.parametrize("digits", [4, 12, 17])
+    def test_csv_reader_round_trip(self, digits):
+        # a string cell comes back whole, its separator and quotes
+        # included; every other cell reads back as its text
+        env = _demo_env()
+        plain = dict(zip(MIXED_COLUMNS, zip(*MIXED_ROWS)))
+        text = _rendered("csv", env, plain, digits)
+        body = [line for line in text.splitlines() if
+                not line.startswith("# ")]
+        header, *rows = csv.reader(body)
+        assert header == list(MIXED_COLUMNS)
+        assert rows == [[c if isinstance(c, str) else cli._fmt(c, digits)
+                         for c in row] for row in MIXED_ROWS]
+
     @pytest.mark.parametrize("out_format", ["csv", "json"])
     @pytest.mark.parametrize("extra", [None, {"summary": {"n": 0}}])
     def test_empty_table(self, out_format, extra):
@@ -822,7 +882,7 @@ class TestColumnRenderer:
         # x-outer, t-inner loop (the fit needs at least eight causal
         # cells along z and along t)
         seen = {}
-        grid_fn, emit_fn = cli.correlation_grid, cli._emit
+        grid_fn, emit_fn = config_module.correlation_grid, cli._emit
 
         def grid_spy(*args, **kwargs):
             seen["grid"] = grid_fn(*args, **kwargs)
@@ -832,7 +892,7 @@ class TestColumnRenderer:
             seen.update(env=env, extra=extra, digits=config.digits)
             return emit_fn(args, config, env, table, extra)
 
-        monkeypatch.setattr(cli, "correlation_grid", grid_spy)
+        monkeypatch.setattr(config_module, "correlation_grid", grid_spy)
         monkeypatch.setattr(cli, "_emit", emit_spy)
         conf = write_config(tmp_path, **{
             "grid.x_min": "1.2", "grid.x_max": "1.9",
