@@ -25,7 +25,6 @@ import json
 import math
 import sys
 from collections.abc import Sequence
-from typing import NamedTuple
 
 import numpy as np
 
@@ -33,6 +32,7 @@ from . import __version__
 from .config import FORMATS, MAX_GRID_POINTS, load_config
 from .detection import (
     MIN_FIT_CELLS,
+    CorrelationGrid,
     RadicandModel,
     closed_form_crossing,
     fit_decay_rates,
@@ -123,20 +123,19 @@ def _envelope_lines(env: dict, digits: int):
         yield f"# timestamp = {env['timestamp']}"
 
 
-class Coded(NamedTuple):
-    """A column held as its distinct values plus, for each row, the
-    position of the row's value among them."""
-
-    values: Sequence
-    index: Sequence[int]
-
-
 def _csv_cells(values, digits: int) -> list[str]:
     # the text of _fmt, with the common float inlined: below 1e308 no
     # rounding overflows, and the range test also fails for inf and nan
     spec = f".{digits}g"
     return [format(v, spec) if type(v) is float and -1e308 < v < 1e308
             else _fmt(v, digits) for v in values]
+
+
+def _csv_exact(values: np.ndarray, digits: int) -> bool:
+    """Whether ``"%.{digits}g" % v`` is the _fmt text of every value:
+    it is the same C routine as ``format``, and _fmt departs from it
+    only where a finite value's rounding may overflow."""
+    return not np.any(np.isfinite(values) & (np.abs(values) >= 1e308))
 
 
 def _json_cell(value, digits: int) -> str:
@@ -163,25 +162,94 @@ def _json_cells(values, digits: int) -> list[str]:
             for v, s in zip(values, _csv_cells(values, digits))]
 
 
-def _column_cells(column, render, digits: int) -> list[str]:
-    if isinstance(column, Coded):
-        distinct = render(column.values, digits)
-        return [distinct[i] for i in column.index]
-    return render(column, digits)
+def _json_exact(values: np.ndarray, digits: int) -> bool:
+    """Whether ``"%.{digits}g" % v`` is the _json_cell text of every
+    value. Up to 15 digits it is for a normal value more than
+    |v| * 10**(1 - digits) from every integer: no value is more than
+    0.5 from one, so it lies below 10**(digits - 1) and its text has no
+    "e+", and it does not round to an integer, so its text does not
+    read as one."""
+    if digits > 15:
+        return False
+    size = np.abs(values)
+    with np.errstate(invalid="ignore"):
+        off_integer = np.abs(values - np.rint(values))
+    return bool(np.all((size >= _DBL_MIN)
+                       & (off_integer > size * 10.0 ** (1 - digits))))
 
 
-def _csv_chunks(env: dict, table: dict, digits: int,
+GRID_COLUMNS = ("x", "z", "t", "g1", "inside_cone")
+
+
+def _grid_rows(grid: CorrelationGrid, render, exact, digits: int,
+               cell_sep: str, row_sep: str) -> str:
+    """The rows of ``grid``, x outermost and t innermost as in
+    ``values.ravel()``, from one row template per (z, t) cell filled by
+    a single ``%``. Each axis value and the cone flags are rendered
+    once; g1 takes ``"%.{digits}g"`` where ``exact`` holds for all of
+    it and its per-cell texts otherwise."""
+    values, inside = grid.values, grid.inside_cone
+    # correlation_grid multiplies by the cone mask, so the cells
+    # outside it are +0.0 and the template carries their text
+    outside = values[:, ~inside]
+    zeros_outside = not (outside.any() or np.signbit(outside).any())
+    live = (values[:, inside] if zeros_outside else values).ravel()
+    if exact(live, digits):
+        slot, cells = f"%.{digits}g", tuple(live.tolist())
+    else:
+        slot, cells = "%s", tuple(render(live.tolist(), digits))
+    zero, false, true = render([0.0, False, True], digits)
+    out_cell = zero if zeros_outside else slot
+    # one row template per (z, t) cell, shared by every x; rendered
+    # numbers and flags hold no "%"
+    z_heads = [z + cell_sep
+               for z in render(grid.z_values.tolist(), digits)]
+    t_tails = [(f"{t}{cell_sep}{out_cell}{cell_sep}{false}",
+                f"{t}{cell_sep}{slot}{cell_sep}{true}")
+               for t in render(grid.t_values.tolist(), digits)]
+    block = [head + tail[cell]
+             for head, flags in zip(z_heads, inside.tolist())
+             for tail, cell in zip(t_tails, flags)]
+    # the template alternates each row's x head with its block row; one
+    # join of shared pieces keeps it the only large string besides the
+    # filled text, where a string per x left the heap fragmented
+    x_heads = []
+    for x in render(grid.x_values.tolist(), digits):
+        x_heads += [row_sep + x + cell_sep] * len(block)
+    x_heads[0] = x_heads[0][len(row_sep):]
+    pieces = [""] * (2 * len(x_heads))
+    pieces[0::2], pieces[1::2] = x_heads, block * values.shape[0]
+    template = "".join(pieces)
+    # the piece lists hold a pointer per row; drop them before the fill
+    del pieces, x_heads, block
+    return template % cells
+
+
+def _table_text(table, render, exact, digits: int, cell_sep: str,
+                row_sep: str) -> tuple[Sequence[str], str | None]:
+    """The column names of ``table`` and its rows as one text, None
+    when it has no rows."""
+    if isinstance(table, CorrelationGrid):
+        return GRID_COLUMNS, _grid_rows(table, render, exact, digits,
+                                        cell_sep, row_sep)
+    cells = [render(col, digits) for col in table.values()]
+    rows = list(map(cell_sep.join, zip(*cells)))
+    return list(table), row_sep.join(rows) if rows else None
+
+
+def _csv_chunks(env: dict, table, digits: int,
                 extra: dict | None) -> list[str]:
     lines = list(_envelope_lines(env, digits))
     for key in sorted(extra or {}):
         for sub in sorted(extra[key]):
             lines.append(
                 f"# {key}.{sub} = {_fmt(extra[key][sub], digits)}")
-    lines.append(",".join(table))
-    cells = [_column_cells(col, _csv_cells, digits)
-             for col in table.values()]
-    lines.extend(map(",".join, zip(*cells)))
-    return ["\n".join(lines), "\n"]
+    columns, rows = _table_text(table, _csv_cells, _csv_exact, digits,
+                                ",", "\n")
+    lines.append(",".join(columns))
+    if rows is None:
+        return ["\n".join(lines), "\n"]
+    return ["\n".join(lines), "\n", rows, "\n"]
 
 
 # the top level key sits at indent 2; nested keys and string values
@@ -189,25 +257,24 @@ def _csv_chunks(env: dict, table: dict, digits: int,
 _JSON_ROWS = '\n  "rows": []'
 
 
-def _json_chunks(env: dict, table: dict, digits: int,
+def _json_chunks(env: dict, table, digits: int,
                  extra: dict | None) -> list[str]:
+    # the rows take the layout indent=2 gives a list of lists
+    columns, rows = _table_text(table, _json_cells, _json_exact, digits,
+                                ",\n      ", "\n    ],\n    [\n      ")
     doc = {
         "envelope": _json_value(env, digits),
-        "columns": list(table),
+        "columns": list(columns),
         "rows": [],
     }
     if extra:
         doc.update(_json_value(extra, digits))
     text = json.dumps(doc, sort_keys=True, indent=2) + "\n"
-    cells = [_column_cells(col, _json_cells, digits)
-             for col in table.values()]
-    rows = list(map(",\n      ".join, zip(*cells)))
-    if not rows:
+    if rows is None:
         return [text]
-    # splice the rows in the layout indent=2 gives a list of lists
     head, _, tail = text.partition(_JSON_ROWS)
-    return [head, '\n  "rows": [\n    [\n      ',
-            "\n    ],\n    [\n      ".join(rows), "\n    ]\n  ]", tail]
+    return [head, '\n  "rows": [\n    [\n      ', rows, "\n    ]\n  ]",
+            tail]
 
 
 def _write(path, chunks):
@@ -225,10 +292,12 @@ def _write(path, chunks):
 
 
 def _emit(args, config, env, table, extra=None):
-    """Render one tabular artifact. ``table`` maps column names to
-    columns, each a sequence of scalar cells or a ``Coded`` column;
-    ``extra`` holds named flat dicts that land as top level objects in
-    JSON and as comment lines in CSV."""
+    """Render one tabular artifact. ``table`` is either a dict mapping
+    column names to columns, each a sequence of scalar cells rendered
+    cell by cell, or a ``CorrelationGrid``, whose rows run over x, then
+    z, then t under the columns of GRID_COLUMNS and are rendered as one
+    filled template. ``extra`` holds named flat dicts that land as top
+    level objects in JSON and as comment lines in CSV."""
     chunks = _csv_chunks if config.out_format == "csv" else _json_chunks
     _write(args.out, chunks(env, table, config.digits, extra))
 
@@ -349,28 +418,14 @@ def cmd_corr(config, args) -> int:
     }
     env = _envelope("corr", config, args.reproducible,
                     discrepancies=discrepancies)
-    # rows run over x, then z, then t, as in values.ravel()
-    nx, nz, nt = grid.values.shape
-    table = {
-        "x": Coded(grid.x_values.tolist(),
-                   np.repeat(np.arange(nx), nz * nt).tolist()),
-        "z": Coded(grid.z_values.tolist(),
-                   np.tile(np.repeat(np.arange(nz), nt), nx).tolist()),
-        "t": Coded(grid.t_values.tolist(),
-                   np.tile(np.arange(nt), nx * nz).tolist()),
-        "g1": grid.values.ravel().tolist(),
-        "inside_cone": Coded((False, True),
-                             np.tile(grid.inside_cone.ravel(), nx)
-                             .astype(int).tolist()),
-    }
     if config.out_format == "csv":
-        _emit(args, config, env, table)
+        _emit(args, config, env, grid)
         side_doc = {"envelope": _json_value(env, config.digits),
                     "fit": _json_value(sidecar, config.digits)}
         _write(args.out + ".json",
                [json.dumps(side_doc, sort_keys=True, indent=2), "\n"])
     else:
-        _emit(args, config, env, table, extra={"fit": sidecar})
+        _emit(args, config, env, grid, extra={"fit": sidecar})
     return EXIT_OK
 
 

@@ -196,6 +196,11 @@ class Channels:
         self.cutoff = table[2] / spec.refractive_index
 
 
+def _node_row(counts, index: int) -> int:
+    # the channel of node ``index``, over nodes grouped by channel
+    return int(np.searchsorted(np.cumsum(counts), index, "right"))
+
+
 def _axial(chans: Channels, counts, frequencies, h):
     # ``dispersion`` over nodes grouped by channel, with h the nodes'
     # transverse wavenumbers: the same checks and the same
@@ -210,7 +215,7 @@ def _axial(chans: Channels, counts, frequencies, h):
     degenerate = np.abs(nu - nu_c) <= CUTOFF_REL_TOL * nu_c
     if degenerate.any():
         i = int(np.flatnonzero(degenerate)[0])
-        row = int(np.searchsorted(np.cumsum(counts), i, "right"))
+        row = _node_row(counts, i)
         mode = chans.modes[row]
         raise DomainError(
             f"frequency {float(nu[i])!r} is degenerate with the "
@@ -238,18 +243,27 @@ def couplings(chans: Channels, counts, frequencies,
     (TE), A the cross-section area, k the medium wavenumber and L the
     box length. Frequencies may lie on either branch. A non-positive
     frequency, or one within CUTOFF_REL_TOL of the cutoff, raises
-    DomainError as ``dispersion`` does.
+    DomainError as ``dispersion`` does, and so does an amplitude that
+    is not finite, naming the mode.
     """
     spec, atom = chans.spec, chans.atom
     kx, ky, h, tm, weight, pol, sx, sy, cx, cy = np.repeat(
         chans.columns, counts, axis=1)
     nu, k, propagating, axial = _axial(chans, counts, frequencies, h)
     h2 = h * h
-    per_area = (HBAR * nu * weight
-                / (pol * spec.cross_section_area))
-    amp = np.sqrt(np.where(propagating,
-                           per_area * h2 / (k * k * box.length),
-                           per_area * axial))
+    with np.errstate(over="ignore", invalid="ignore"):
+        per_area = (HBAR * nu * weight
+                    / (pol * spec.cross_section_area))
+        amp = np.sqrt(np.where(propagating,
+                               per_area * h2 / (k * k * box.length),
+                               per_area * axial))
+    if not np.isfinite(amp).all():
+        i = int(np.flatnonzero(~np.isfinite(amp))[0])
+        mode = chans.modes[_node_row(counts, i)]
+        raise DomainError(
+            f"the one-quantum amplitude of {mode.polarization.value}"
+            f"({mode.m},{mode.n}) is not finite at frequency "
+            f"{float(nu[i])!r}")
 
     d_x, d_y, d_z = atom.dipole_array()
     tm = tm > 0.0
@@ -295,8 +309,7 @@ def continuum_weight(chans: Channels, counts, frequencies,
         chans, counts, frequencies, np.repeat(chans.columns[2], counts))
     below = np.flatnonzero(~propagating)
     if below.size:
-        mode = chans.modes[int(np.searchsorted(np.cumsum(counts),
-                                               below[0], "right"))]
+        mode = chans.modes[_node_row(counts, below[0])]
         raise DomainError(
             "state-density conversion only applies above cutoff; "
             f"{mode.polarization.value}({mode.m},{mode.n}) decays at "

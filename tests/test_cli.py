@@ -6,6 +6,7 @@ rehearsal in the acceptance suite.
 """
 
 import csv
+import itertools
 import json
 import math
 import subprocess
@@ -25,10 +26,10 @@ from wgqed.cli import (
     EXIT_NO_CROSSING,
     EXIT_OK,
     EXIT_VALIDATION,
-    Coded,
     main,
 )
 from wgqed.config import RunConfig, load_config, parse_config
+from wgqed.detection import CorrelationGrid
 from wgqed.errors import ConfigError
 from wgqed.validate import run_checks
 
@@ -616,12 +617,26 @@ class TestValidateCommand:
         assert "underflow" in row[4]
         # a measurement that overflows says so, whatever the check
         # would report of a finite one
-        by_name = {r[0]: r for r in rows}
-        for name, text in (("energy_normalization", "inf"),
-                           ("markov_oracle", "nan")):
-            assert by_name[name][1:3] == ["false", text]
-            assert by_name[name][4] == \
-                f"the measurement is not finite ({text})"
+        row = next(r for r in rows if r[0] == "energy_normalization")
+        assert row[1:3] == ["false", "inf"]
+        assert row[4] == "the measurement is not finite (inf)"
+
+    def test_overflowing_amplitude_fails_markov_oracle(self, tmp_path):
+        # the oracle's bins below cutoff refuse the overflowing
+        # one-quantum amplitude, and the refusal is the row's detail;
+        # decay has no such bins and still succeeds
+        conf = write_config(tmp_path, **{"waveguide.mu": "1e-300"})
+        out = str(tmp_path / "val.csv")
+        assert main(["validate", "--config", conf, "--out", out,
+                     "--reproducible"]) == EXIT_VALIDATION
+        _, _, rows = read_table(out)
+        assert len(rows) == 10
+        row = next(r for r in rows if r[0] == "markov_oracle")
+        assert row[1:4] == ["false", "inf", "nan"]
+        assert row[4].startswith(
+            "the one-quantum amplitude of TE(1,0) is not finite")
+        assert main(["decay", "--config", conf, "--out",
+                     str(tmp_path / "decay.csv")]) == EXIT_OK
 
     @pytest.mark.parametrize("dos", ["paper", "dispersion"])
     def test_correlation_check_reads_the_corr_run(self, tmp_path, dos):
@@ -809,15 +824,6 @@ def _rendered(out_format, env, table, digits=12, extra=None):
     return "".join(chunks(env, table, digits, extra))
 
 
-def _coded(values):
-    # distinct by type and repr, so that 0.0 and -0.0 stay apart
-    keys = [(type(v), repr(v)) for v in values]
-    distinct = list(dict.fromkeys(keys))
-    first = {key: values[keys.index(key)] for key in distinct}
-    return Coded([first[key] for key in distinct],
-                 [distinct.index(key) for key in keys])
-
-
 class TestColumnRenderer:
     """The column renderer is byte-equal to the row-tuple one."""
 
@@ -826,14 +832,16 @@ class TestColumnRenderer:
     def test_mixed_cells(self, out_format, digits):
         env = _demo_env()
         plain = dict(zip(MIXED_COLUMNS, zip(*MIXED_ROWS)))
-        coded = {name: _coded(col) for name, col in plain.items()}
         want = REFERENCE[out_format](env, MIXED_COLUMNS, MIXED_ROWS,
                                      digits)
         assert _rendered(out_format, env, plain, digits) == want
-        assert _rendered(out_format, env, coded, digits) == want
         one_column = [row[-1:] for row in MIXED_ROWS]
         assert _rendered(out_format, env, {"e": plain["e"]}, digits) \
             == REFERENCE[out_format](env, ("e",), one_column, digits)
+        # rows whose text is empty are still rows
+        assert _rendered(out_format, env, {"e": [None, None]}, digits) \
+            == REFERENCE[out_format](env, ("e",), [(None,), (None,)],
+                                     digits)
 
     @pytest.mark.parametrize("digits", [4, 12, 17])
     def test_csv_reader_round_trip(self, digits):
@@ -853,7 +861,7 @@ class TestColumnRenderer:
     @pytest.mark.parametrize("extra", [None, {"summary": {"n": 0}}])
     def test_empty_table(self, out_format, extra):
         env = _demo_env()
-        table = {"a": [], "b": Coded([1.0], [])}
+        table = {"a": [], "b": []}
         got = _rendered(out_format, env, table, extra=extra)
         assert got == REFERENCE[out_format](env, ("a", "b"), [], 12,
                                             extra)
@@ -1039,6 +1047,137 @@ class TestCsvCells:
         # at 3 digits DBL_MAX rounds to 1.8e+308, which reads back inf
         assert cli._csv_cells([DBL_MAX, -DBL_MAX, 1e308], 3) == \
             [repr(DBL_MAX), repr(-DBL_MAX), "1e+308"]
+
+
+# --- the correlation grid's one-fill renderer against the row-tuple
+# one ---
+
+def _grid_reference(out_format, env, grid, digits, extra=None):
+    inside = np.broadcast_to(grid.inside_cone, grid.values.shape)
+    rows = [(x, z, t, g, cell) for (x, z, t), g, cell in zip(
+        itertools.product(grid.x_values.tolist(), grid.z_values.tolist(),
+                          grid.t_values.tolist()),
+        grid.values.ravel().tolist(), inside.ravel().tolist())]
+    return REFERENCE[out_format](env, cli.GRID_COLUMNS, rows, digits,
+                                 extra)
+
+
+# g1 cells that the one-fill text may get wrong: signed zeros,
+# subnormals, overflowing rounding, non-finite and integer-valued
+# values, values at or past 10**(digits - 1), and values that round up
+# to 0.5 and 1
+GRID_EDGES = [
+    0.0, -0.0, 5e-324, -2.5e-310, DBL_MIN, DBL_MAX, -DBL_MAX, 1e308,
+    math.inf, -math.inf, math.nan, 1.0, -7.0, 2.0 ** 53, 1e15,
+    123456.0, 12345.678, 999.95, 0.4999, 0.9999,
+    math.nextafter(0.5, 0.0), math.nextafter(1.0, 0.0),
+]
+
+
+def _grid_cases():
+    rng = np.random.default_rng(23)
+    shape = (2, 3, 4)
+
+    def grid(values, inside):
+        x, z, t = (rng.uniform(-1.0, 3.0, n) for n in shape)
+        z[0], t[0] = -0.0, 2.0
+        return CorrelationGrid(x_values=x, z_values=z, t_values=t,
+                               values=values, inside_cone=inside,
+                               metadata=None)
+
+    def smooth():
+        inside = rng.random(shape[1:]) < 0.6
+        inside[0, -1], inside[-1, 0] = True, False
+        return rng.uniform(1e-6, 0.4, shape), inside
+
+    values, inside = smooth()
+    yield "front", grid(np.where(inside, values, 0.0), inside)
+    yield "unmasked", grid(values, inside)
+    yield "negative_zero_outside", grid(np.where(inside, values, -0.0),
+                                        inside)
+    yield "all_inside", grid(values, np.ones(shape[1:], bool))
+    yield "all_outside", grid(np.zeros(shape), np.zeros(shape[1:], bool))
+    for edge in GRID_EDGES:
+        values, inside = smooth()
+        values = np.where(inside, values, 0.0)
+        values[1, 0, -1] = edge
+        yield f"edge {edge!r}", grid(values, inside)
+
+
+class TestGridRenderer:
+    """A correlation grid renders as the row-tuple renderer writes its
+    rows, on the one-fill path and on the per-cell fallback."""
+
+    @pytest.mark.parametrize("out_format", ["csv", "json"])
+    @pytest.mark.parametrize("digits", [3, 12, 15, 16, 17])
+    def test_matches_row_tuples(self, monkeypatch, out_format, digits):
+        name = f"_{out_format}_exact"
+        exact, taken = getattr(cli, name), set()
+
+        def spy(values, d):
+            taken.add(exact(values, d))
+            return exact(values, d)
+
+        monkeypatch.setattr(cli, name, spy)
+        env = _demo_env()
+        for case, grid in _grid_cases():
+            assert _rendered(out_format, env, grid, digits) == \
+                _grid_reference(out_format, env, grid, digits), case
+        # JSON reuses the fill text up to 15 digits only
+        assert taken == ({False, True} if out_format == "csv"
+                         or digits <= 15 else {False})
+
+    @given(st.floats(), st.integers(3, 17))
+    def test_exact_value_fills_its_cell_text(self, value, digits):
+        one, text = np.array([value]), f"%.{digits}g" % value
+        if cli._csv_exact(one, digits):
+            assert text == cli._fmt(value, digits)
+        if cli._json_exact(one, digits):
+            assert text == cli._json_cell(value, digits)
+
+
+class TestGridFastPath:
+    """On the figure grid the per-cell renderers see the axes, the cone
+    flags and the envelope, never g1."""
+
+    @pytest.mark.parametrize("out_format, front", [
+        ("csv", False), ("json", False), ("json", True)])
+    def test_per_cell_work_bounded_by_axes(self, tmp_path, monkeypatch,
+                                           out_format, front):
+        counts = dict.fromkeys(
+            ("_fmt", "_json_cell", "_csv_cells", "_json_cells"), 0)
+
+        def counted(name):
+            fn = getattr(cli, name)
+
+            def wrapper(value, digits):
+                counts[name] += len(value) if name.endswith("s") else 1
+                return fn(value, digits)
+            return wrapper
+
+        for name in counts:
+            monkeypatch.setattr(cli, name, counted(name))
+        grids = []
+        grid_fn = config_module.correlation_grid
+        monkeypatch.setattr(
+            config_module, "correlation_grid",
+            lambda *a, **k: grids.append(grid_fn(*a, **k)) or grids[-1])
+        # an explicit t_min puts the front inside the grid
+        window = {"grid.t_min": "0.5", "grid.t_max": "60.0"} \
+            if front else {}
+        conf = write_config(tmp_path, **{
+            "grid.x_count": "4", "grid.z_count": "200",
+            "grid.t_count": "200", **window})
+        out = str(tmp_path / f"corr.{out_format}")
+        assert main(["corr", "--config", conf, "--format", out_format,
+                     "--out", out, "--reproducible"]) == EXIT_OK
+        grid, = grids
+        inside = grid.inside_cone
+        assert inside.all() != front and inside.any()
+        envelope = len(dict(load_config(conf).effective_items())) + 2
+        # the axes, the zero outside the cone and the two flags
+        bound = sum(grid.values.shape) + 3 + envelope
+        assert max(counts.values()) <= bound, counts
 
 def test_commands_do_not_import_scipy(tmp_path, child_env):
     # scipy serves only the tail correction of the brute-force

@@ -9,6 +9,7 @@ normalizes the mode and samples its field point by point.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -332,6 +333,23 @@ class TestCouplingsArray:
         chans = Channels(GUIDE, atom, [TM11, TE10, TE10])
         with pytest.raises(DomainError, match=r"of TE\(1,0\)$"):
             couplings(chans, [1, 0, 2], [4.0, 2.0, nu_c], BOX)
+
+    def test_overflowing_amplitude_names_its_mode(self):
+        # permeability 1e-300 overflows hbar * nu / mu below cutoff;
+        # the refusal names the channel past one without nodes, and no
+        # NaN coupling or numpy warning comes first
+        spec = WaveguideSpec(width=math.pi, height=math.pi / 2.0,
+                             permeability=1e-300)
+        atom = Atom(position=(1.5, 0.7, 0.0), dipole=(0.0, 0.3, 0.0),
+                    transition_frequency=1.45)
+        nu_c = cutoff_frequency(spec, TE10)
+        chans = Channels(spec, atom, [TM11, TE10])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError,
+                               match=r"amplitude of TE\(1,0\) is not "
+                                     r"finite at frequency"):
+                couplings(chans, [0, 2], [0.4 * nu_c, 0.9 * nu_c], BOX)
 
     @pytest.mark.parametrize("bad", [0.0, -1.5])
     def test_non_positive_frequency(self, bad):
