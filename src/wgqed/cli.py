@@ -181,30 +181,26 @@ def _json_exact(values: np.ndarray, digits: int) -> bool:
 GRID_COLUMNS = ("x", "z", "t", "g1", "inside_cone")
 
 
-def _grid_rows(grid: CorrelationGrid, render, exact, digits: int,
-               cell_sep: str, row_sep: str) -> str:
+def _grid_rows(grid: CorrelationGrid, render, digits: int, cell_sep: str,
+               row_sep: str) -> str:
     """The rows of ``grid``, x outermost and t innermost as in
     ``values.ravel()``, from one row template per (z, t) cell filled by
     a single ``%``. Each axis value and the cone flags are rendered
-    once; g1 takes ``"%.{digits}g"`` where ``exact`` holds for all of
-    it and its per-cell texts otherwise."""
+    once; g1 takes ``"%.{digits}g"`` where the format's exactness test
+    holds for all of it and its per-cell texts otherwise."""
+    exact = {_csv_cells: _csv_exact, _json_cells: _json_exact}[render]
     values, inside = grid.values, grid.inside_cone
-    # correlation_grid multiplies by the cone mask, so the cells
-    # outside it are +0.0 and the template carries their text
-    outside = values[:, ~inside]
-    zeros_outside = not (outside.any() or np.signbit(outside).any())
-    live = (values[:, inside] if zeros_outside else values).ravel()
+    live = values.ravel()
     if exact(live, digits):
         slot, cells = f"%.{digits}g", tuple(live.tolist())
     else:
         slot, cells = "%s", tuple(render(live.tolist(), digits))
-    zero, false, true = render([0.0, False, True], digits)
-    out_cell = zero if zeros_outside else slot
+    false, true = render([False, True], digits)
     # one row template per (z, t) cell, shared by every x; rendered
     # numbers and flags hold no "%"
     z_heads = [z + cell_sep
                for z in render(grid.z_values.tolist(), digits)]
-    t_tails = [(f"{t}{cell_sep}{out_cell}{cell_sep}{false}",
+    t_tails = [(f"{t}{cell_sep}{slot}{cell_sep}{false}",
                 f"{t}{cell_sep}{slot}{cell_sep}{true}")
                for t in render(grid.t_values.tolist(), digits)]
     block = [head + tail[cell]
@@ -225,13 +221,13 @@ def _grid_rows(grid: CorrelationGrid, render, exact, digits: int,
     return template % cells
 
 
-def _table_text(table, render, exact, digits: int, cell_sep: str,
+def _table_text(table, render, digits: int, cell_sep: str,
                 row_sep: str) -> tuple[Sequence[str], str | None]:
     """The column names of ``table`` and its rows as one text, None
     when it has no rows."""
     if isinstance(table, CorrelationGrid):
-        return GRID_COLUMNS, _grid_rows(table, render, exact, digits,
-                                        cell_sep, row_sep)
+        return GRID_COLUMNS, _grid_rows(table, render, digits, cell_sep,
+                                        row_sep)
     cells = [render(col, digits) for col in table.values()]
     rows = list(map(cell_sep.join, zip(*cells)))
     return list(table), row_sep.join(rows) if rows else None
@@ -244,8 +240,7 @@ def _csv_chunks(env: dict, table, digits: int,
         for sub in sorted(extra[key]):
             lines.append(
                 f"# {key}.{sub} = {_fmt(extra[key][sub], digits)}")
-    columns, rows = _table_text(table, _csv_cells, _csv_exact, digits,
-                                ",", "\n")
+    columns, rows = _table_text(table, _csv_cells, digits, ",", "\n")
     lines.append(",".join(columns))
     if rows is None:
         return ["\n".join(lines), "\n"]
@@ -260,8 +255,8 @@ _JSON_ROWS = '\n  "rows": []'
 def _json_chunks(env: dict, table, digits: int,
                  extra: dict | None) -> list[str]:
     # the rows take the layout indent=2 gives a list of lists
-    columns, rows = _table_text(table, _json_cells, _json_exact, digits,
-                                ",\n      ", "\n    ],\n    [\n      ")
+    columns, rows = _table_text(table, _json_cells, digits, ",\n      ",
+                                "\n    ],\n    [\n      ")
     doc = {
         "envelope": _json_value(env, digits),
         "columns": list(columns),

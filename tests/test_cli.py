@@ -1140,10 +1140,9 @@ class TestGridFastPath:
     """On the figure grid the per-cell renderers see the axes, the cone
     flags and the envelope, never g1."""
 
-    @pytest.mark.parametrize("out_format, front", [
-        ("csv", False), ("json", False), ("json", True)])
+    @pytest.mark.parametrize("out_format", ["csv", "json"])
     def test_per_cell_work_bounded_by_axes(self, tmp_path, monkeypatch,
-                                           out_format, front):
+                                           out_format):
         counts = dict.fromkeys(
             ("_fmt", "_json_cell", "_csv_cells", "_json_cells"), 0)
 
@@ -1162,22 +1161,19 @@ class TestGridFastPath:
         monkeypatch.setattr(
             config_module, "correlation_grid",
             lambda *a, **k: grids.append(grid_fn(*a, **k)) or grids[-1])
-        # an explicit t_min puts the front inside the grid
-        window = {"grid.t_min": "0.5", "grid.t_max": "60.0"} \
-            if front else {}
         conf = write_config(tmp_path, **{
             "grid.x_count": "4", "grid.z_count": "200",
-            "grid.t_count": "200", **window})
+            "grid.t_count": "200"})
         out = str(tmp_path / f"corr.{out_format}")
         assert main(["corr", "--config", conf, "--format", out_format,
                      "--out", out, "--reproducible"]) == EXIT_OK
         grid, = grids
-        inside = grid.inside_cone
-        assert inside.all() != front and inside.any()
+        assert grid.inside_cone.all()
         envelope = len(dict(load_config(conf).effective_items())) + 2
-        # the axes, the zero outside the cone and the two flags
-        bound = sum(grid.values.shape) + 3 + envelope
+        # the axes and the two flags
+        bound = sum(grid.values.shape) + 2 + envelope
         assert max(counts.values()) <= bound, counts
+
 
 def test_commands_do_not_import_scipy(tmp_path, child_env):
     # scipy serves only the tail correction of the brute-force
