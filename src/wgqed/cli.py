@@ -20,9 +20,11 @@ Exit codes: 0 success, 2 configuration error, 3 domain error,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import datetime
 import json
 import math
+import os
 import sys
 from collections.abc import Sequence
 
@@ -182,59 +184,66 @@ GRID_COLUMNS = ("x", "z", "t", "g1", "inside_cone")
 
 
 def _grid_rows(grid: CorrelationGrid, render, digits: int, cell_sep: str,
-               row_sep: str) -> str:
-    """The rows of ``grid``, x outermost and t innermost as in
-    ``values.ravel()``, from one row template per (z, t) cell filled by
-    a single ``%``. Each axis value and the cone flags are rendered
-    once; g1 takes ``"%.{digits}g"`` where the format's exactness test
-    holds for all of it and its per-cell texts otherwise."""
+               row_sep: str) -> bytearray:
+    """The rows of ``grid`` as UTF-8 bytes, x outermost and t innermost
+    as in ``values.ravel()``, from one template filled by a single bytes
+    ``%``. Each axis value and the cone flags are rendered once and
+    each t tail once per flag; a z row shares a whole tail list unless
+    it crosses the light front, and each (x, z) block is one join of
+    its row head over those tails. g1 takes ``"%.{digits}g"``, which
+    bytes ``%`` formats with the same C routine as str ``%``, where the
+    format's exactness test holds for all of it, and its per-cell texts
+    otherwise."""
     exact = {_csv_cells: _csv_exact, _json_cells: _json_exact}[render]
-    values, inside = grid.values, grid.inside_cone
-    live = values.ravel()
-    if exact(live, digits):
-        slot, cells = f"%.{digits}g", tuple(live.tolist())
-    else:
-        slot, cells = "%s", tuple(render(live.tolist(), digits))
-    false, true = render([False, True], digits)
-    # one row template per (z, t) cell, shared by every x; rendered
-    # numbers and flags hold no "%"
-    z_heads = [z + cell_sep
-               for z in render(grid.z_values.tolist(), digits)]
-    t_tails = [(f"{t}{cell_sep}{slot}{cell_sep}{false}",
-                f"{t}{cell_sep}{slot}{cell_sep}{true}")
-               for t in render(grid.t_values.tolist(), digits)]
-    block = [head + tail[cell]
-             for head, flags in zip(z_heads, inside.tolist())
-             for tail, cell in zip(t_tails, flags)]
-    # the template alternates each row's x head with its block row; one
-    # join of shared pieces keeps it the only large string besides the
-    # filled text, where a string per x left the heap fragmented
-    x_heads = []
-    for x in render(grid.x_values.tolist(), digits):
-        x_heads += [row_sep + x + cell_sep] * len(block)
-    x_heads[0] = x_heads[0][len(row_sep):]
-    pieces = [""] * (2 * len(x_heads))
-    pieces[0::2], pieces[1::2] = x_heads, block * values.shape[0]
-    template = "".join(pieces)
-    # the piece lists hold a pointer per row; drop them before the fill
-    del pieces, x_heads, block
-    return template % cells
+    live = grid.values.ravel()
+    fill = exact(live, digits)
+    slot = f"%.{digits}g".encode() if fill else b"%s"
+
+    def encoded(values):
+        return [text.encode() for text in render(values, digits)]
+
+    sep, row_sep = cell_sep.encode(), row_sep.encode()
+    false, true = encoded([False, True])
+    # rendered numbers and flags hold no "%"
+    t_text = encoded(grid.t_values.tolist())
+    outside = [t + sep + slot + sep + false for t in t_text]
+    inside = [t + sep + slot + sep + true for t in t_text]
+    z_tails = [inside if all(flags) else outside if not any(flags)
+               else [i if cell else o
+                     for o, i, cell in zip(outside, inside, flags)]
+               for flags in grid.inside_cone.tolist()]
+    z_heads = [z + sep for z in encoded(grid.z_values.tolist())]
+    # one growing buffer, not a list of blocks joined at the end: freed
+    # blocks left the heap fragmented, and the JSON parse of perfbench's
+    # figure check after the op then peaked ~6 MB higher in about half
+    # of the runs
+    template = bytearray()
+    for x in encoded(grid.x_values.tolist()):
+        for z, tails in zip(z_heads, z_tails):
+            head = row_sep + x + sep + z
+            template += head
+            template += head.join(tails)
+    del template[:len(row_sep)]
+    if fill:
+        return template % tuple(live.tolist())
+    return template % tuple(encoded(live.tolist()))
 
 
 def _table_text(table, render, digits: int, cell_sep: str,
-                row_sep: str) -> tuple[Sequence[str], str | None]:
-    """The column names of ``table`` and its rows as one text, None
-    when it has no rows."""
+                row_sep: str) -> tuple[Sequence[str],
+                                       bytes | bytearray | None]:
+    """The column names of ``table`` and its rows as one UTF-8 text,
+    None when it has no rows."""
     if isinstance(table, CorrelationGrid):
         return GRID_COLUMNS, _grid_rows(table, render, digits, cell_sep,
                                         row_sep)
     cells = [render(col, digits) for col in table.values()]
     rows = list(map(cell_sep.join, zip(*cells)))
-    return list(table), row_sep.join(rows) if rows else None
+    return list(table), row_sep.join(rows).encode() if rows else None
 
 
 def _csv_chunks(env: dict, table, digits: int,
-                extra: dict | None) -> list[str]:
+                extra: dict | None) -> list[bytes]:
     lines = list(_envelope_lines(env, digits))
     for key in sorted(extra or {}):
         for sub in sorted(extra[key]):
@@ -242,9 +251,10 @@ def _csv_chunks(env: dict, table, digits: int,
                 f"# {key}.{sub} = {_fmt(extra[key][sub], digits)}")
     columns, rows = _table_text(table, _csv_cells, digits, ",", "\n")
     lines.append(",".join(columns))
+    head = ("\n".join(lines) + "\n").encode()
     if rows is None:
-        return ["\n".join(lines), "\n"]
-    return ["\n".join(lines), "\n", rows, "\n"]
+        return [head]
+    return [head, rows, b"\n"]
 
 
 # the top level key sits at indent 2; nested keys and string values
@@ -253,7 +263,7 @@ _JSON_ROWS = '\n  "rows": []'
 
 
 def _json_chunks(env: dict, table, digits: int,
-                 extra: dict | None) -> list[str]:
+                 extra: dict | None) -> list[bytes]:
     # the rows take the layout indent=2 gives a list of lists
     columns, rows = _table_text(table, _json_cells, digits, ",\n      ",
                                 "\n    ],\n    [\n      ")
@@ -266,35 +276,53 @@ def _json_chunks(env: dict, table, digits: int,
         doc.update(_json_value(extra, digits))
     text = json.dumps(doc, sort_keys=True, indent=2) + "\n"
     if rows is None:
-        return [text]
+        return [text.encode()]
     head, _, tail = text.partition(_JSON_ROWS)
-    return [head, '\n  "rows": [\n    [\n      ', rows, "\n    ]\n  ]",
-            tail]
+    return [head.encode(), b'\n  "rows": [\n    [\n      ', rows,
+            b"\n    ]\n  ]", tail.encode()]
 
 
-def _write(path, chunks):
-    """Write rendered chunks; the text is complete before the file is
-    opened, so a failed render leaves no partial artifact."""
-    if path is None:
-        sys.stdout.writelines(chunks)
-        return
-    try:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.writelines(chunks)
-    except OSError as err:
-        raise ConfigError(f"cannot write artifact {path!r}: {err}") \
-            from err
+def _write(outputs):
+    """Write each ``(path, chunks)`` pair of UTF-8 byte chunks, a None
+    path meaning standard output. Every text is rendered before the
+    first file opens, and a failed open or write removes each file this
+    call opened, so no artifact is left partial or without its
+    sidecar."""
+    written = []
+    for path, chunks in outputs:
+        if path is None:
+            # the same text through the stream's own layer, which may
+            # be a StringIO with no bytes under it
+            sys.stdout.writelines(chunk.decode() for chunk in chunks)
+            continue
+        try:
+            with open(path, "wb") as fh:
+                written.append(path)
+                fh.writelines(chunks)
+        except OSError as err:
+            for done in written:
+                with contextlib.suppress(OSError):
+                    os.remove(done)
+            raise ConfigError(f"cannot write artifact {path!r}: {err}") \
+                from err
 
 
-def _emit(args, config, env, table, extra=None):
+def _emit(args, config, env, table, extra=None, sidecar=None):
     """Render one tabular artifact. ``table`` is either a dict mapping
     column names to columns, each a sequence of scalar cells rendered
     cell by cell, or a ``CorrelationGrid``, whose rows run over x, then
     z, then t under the columns of GRID_COLUMNS and are rendered as one
     filled template. ``extra`` holds named flat dicts that land as top
-    level objects in JSON and as comment lines in CSV."""
+    level objects in JSON and as comment lines in CSV. ``sidecar``, a
+    dict, is written as a JSON document at ``<out>.json``, together
+    with the table or not at all."""
     chunks = _csv_chunks if config.out_format == "csv" else _json_chunks
-    _write(args.out, chunks(env, table, config.digits, extra))
+    outputs = [(args.out, chunks(env, table, config.digits, extra))]
+    if sidecar is not None:
+        doc = json.dumps(_json_value(sidecar, config.digits),
+                         sort_keys=True, indent=2)
+        outputs.append((args.out + ".json", [(doc + "\n").encode()]))
+    _write(outputs)
 
 
 def cmd_modes(config, args) -> int:
@@ -414,11 +442,8 @@ def cmd_corr(config, args) -> int:
     env = _envelope("corr", config, args.reproducible,
                     discrepancies=discrepancies)
     if config.out_format == "csv":
-        _emit(args, config, env, grid)
-        side_doc = {"envelope": _json_value(env, config.digits),
-                    "fit": _json_value(sidecar, config.digits)}
-        _write(args.out + ".json",
-               [json.dumps(side_doc, sort_keys=True, indent=2), "\n"])
+        _emit(args, config, env, grid,
+              sidecar={"envelope": env, "fit": sidecar})
     else:
         _emit(args, config, env, grid, extra={"fit": sidecar})
     return EXIT_OK

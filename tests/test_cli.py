@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from wgqed import cli, config as config_module, validate
 from wgqed.cli import (
@@ -383,6 +383,19 @@ class TestCorrCommand:
         assert float(
             side["envelope"]["discrepancies"]
             ["grid_consistency_max_rel"]) < 1e-10
+
+    def test_failed_sidecar_leaves_no_table(self, tmp_path, capsys):
+        # a directory where the sidecar goes: the table is not left
+        # behind without it
+        conf = write_config(tmp_path)
+        out = tmp_path / "corr.csv"
+        (tmp_path / "corr.csv.json").mkdir()
+        assert main(["corr", "--config", conf, "--out", str(out)]) \
+            == EXIT_CONFIG
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1
+        assert "cannot write artifact" in err and "corr.csv.json" in err
 
     def test_temporal_slope_on_dense_line(self, tmp_path):
         # 200 time samples on one axial row
@@ -763,6 +776,19 @@ class TestExitCodes:
         assert len(err.strip().splitlines()) == 1
         assert "cannot write" in err
 
+    @pytest.mark.parametrize("argv", [
+        [command, "--format", fmt]
+        for command in ("modes", "decay", "omegad", "validate")
+        for fmt in ("csv", "json")] + [["corr", "--format", "json"]],
+        ids=" ".join)
+    def test_stdout_matches_out_file(self, tmp_path, capsysbinary, argv):
+        argv = argv + ["--config", str(DEMO), "--reproducible"]
+        assert main(argv) == EXIT_OK
+        shown = capsysbinary.readouterr().out
+        out = tmp_path / "artifact"
+        assert main(argv + ["--out", str(out)]) == EXIT_OK
+        assert shown == out.read_bytes()
+
     def test_reproducible_runs_identical(self, tmp_path):
         conf = write_config(tmp_path)
         outs = []
@@ -821,7 +847,7 @@ def _demo_env():
 
 def _rendered(out_format, env, table, digits=12, extra=None):
     chunks = cli._csv_chunks if out_format == "csv" else cli._json_chunks
-    return "".join(chunks(env, table, digits, extra))
+    return b"".join(chunks(env, table, digits, extra)).decode()
 
 
 class TestColumnRenderer:
@@ -896,9 +922,9 @@ class TestColumnRenderer:
             seen["grid"] = grid_fn(*args, **kwargs)
             return seen["grid"]
 
-        def emit_spy(args, config, env, table, extra=None):
+        def emit_spy(args, config, env, table, extra=None, **kwargs):
             seen.update(env=env, extra=extra, digits=config.digits)
-            return emit_fn(args, config, env, table, extra)
+            return emit_fn(args, config, env, table, extra, **kwargs)
 
         monkeypatch.setattr(config_module, "correlation_grid", grid_spy)
         monkeypatch.setattr(cli, "_emit", emit_spy)
@@ -1102,6 +1128,11 @@ def _grid_cases():
         values = np.where(inside, values, 0.0)
         values[1, 0, -1] = edge
         yield f"edge {edge!r}", grid(values, inside)
+    # z rows all inside, all outside and crossing the front
+    values, inside = smooth()
+    inside[:] = [[True] * 4, [False] * 4, [False, True, False, True]]
+    yield "row_kinds", grid(values, inside)
+    yield "row_kinds_front", grid(np.where(inside, values, 0.0), inside)
 
 
 class TestGridRenderer:
@@ -1128,8 +1159,19 @@ class TestGridRenderer:
                          or digits <= 15 else {False})
 
     @given(st.floats(), st.integers(3, 17))
+    @example(math.inf, 12)
+    @example(-math.inf, 3)
+    @example(math.nan, 17)
+    @example(-0.0, 12)
+    @example(5e-324, 17)
+    @example(-2.5e-310, 3)
     def test_exact_value_fills_its_cell_text(self, value, digits):
         one, text = np.array([value]), f"%.{digits}g" % value
+        # the grid template is a bytearray filled by bytes %, which
+        # writes the str text
+        spec = f"%.{digits}g".encode()
+        assert (spec % (value,)).decode() == text
+        assert (bytearray(spec) % (value,)).decode() == text
         if cli._csv_exact(one, digits):
             assert text == cli._fmt(value, digits)
         if cli._json_exact(one, digits):
