@@ -22,11 +22,14 @@ from __future__ import annotations
 import argparse
 import contextlib
 import datetime
+import functools
+import itertools
 import json
 import math
 import os
+import stat
 import sys
-from collections.abc import Sequence
+from collections.abc import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -182,22 +185,27 @@ def _json_exact(values: np.ndarray, digits: int) -> bool:
 
 GRID_COLUMNS = ("x", "z", "t", "g1", "inside_cone")
 
+# cells in one streamed block of the corr grid, rounded down to whole
+# z rows: enough to spread each block's set-up over many cells, few
+# enough that its ~0.5-1 MB of text is filled and written while still
+# in cache
+GRID_BLOCK_CELLS = 8_192
+
 
 def _grid_rows(grid: CorrelationGrid, render, digits: int, cell_sep: str,
-               row_sep: str) -> bytearray:
-    """The rows of ``grid`` as UTF-8 bytes, x outermost and t innermost
-    as in ``values.ravel()``, from one template filled by a single bytes
-    ``%``. Each axis value and the cone flags are rendered once and
-    each t tail once per flag; a z row shares a whole tail list unless
-    it crosses the light front, and each (x, z) block is one join of
-    its row head over those tails. g1 takes ``"%.{digits}g"``, which
-    bytes ``%`` formats with the same C routine as str ``%``, where the
-    format's exactness test holds for all of it, and its per-cell texts
-    otherwise."""
+               row_sep: str) -> Iterator[bytes | bytearray]:
+    """Yield the rows of ``grid`` as UTF-8 byte blocks, x outermost and
+    t innermost as in ``values.ravel()``. A block holds whole z rows of
+    one x value, at most GRID_BLOCK_CELLS cells unless one z row alone
+    is longer, and is one template filled by a single bytes ``%``. Each
+    axis value and the cone flags are rendered once and each t tail
+    once per flag and slot; a z row shares a whole tail list unless it
+    crosses the light front. g1 takes ``"%.{digits}g"``, which bytes
+    ``%`` formats with the same C routine as str ``%``, in each block
+    where the format's exactness test holds for all of its values, and
+    its per-cell texts in the other blocks. Only the first block starts
+    without a row separator, so the blocks join to the whole table."""
     exact = {_csv_cells: _csv_exact, _json_cells: _json_exact}[render]
-    live = grid.values.ravel()
-    fill = exact(live, digits)
-    slot = f"%.{digits}g".encode() if fill else b"%s"
 
     def encoded(values):
         return [text.encode() for text in render(values, digits)]
@@ -206,44 +214,56 @@ def _grid_rows(grid: CorrelationGrid, render, digits: int, cell_sep: str,
     false, true = encoded([False, True])
     # rendered numbers and flags hold no "%"
     t_text = encoded(grid.t_values.tolist())
-    outside = [t + sep + slot + sep + false for t in t_text]
-    inside = [t + sep + slot + sep + true for t in t_text]
-    z_tails = [inside if all(flags) else outside if not any(flags)
-               else [i if cell else o
-                     for o, i, cell in zip(outside, inside, flags)]
-               for flags in grid.inside_cone.tolist()]
+    flags = grid.inside_cone.tolist()
     z_heads = [z + sep for z in encoded(grid.z_values.tolist())]
-    # one growing buffer, not a list of blocks joined at the end: freed
-    # blocks left the heap fragmented, and the JSON parse of perfbench's
-    # figure check after the op then peaked ~6 MB higher in about half
-    # of the runs
-    template = bytearray()
-    for x in encoded(grid.x_values.tolist()):
-        for z, tails in zip(z_heads, z_tails):
-            head = row_sep + x + sep + z
-            template += head
-            template += head.join(tails)
-    del template[:len(row_sep)]
-    if fill:
-        return template % tuple(live.tolist())
-    return template % tuple(encoded(live.tolist()))
+
+    @functools.cache
+    def z_tails(slot):
+        # the t tails of every z row for one g1 slot, built on first use
+        outside = [t + sep + slot + sep + false for t in t_text]
+        inside = [t + sep + slot + sep + true for t in t_text]
+        return [inside if all(row) else outside if not any(row)
+                else [i if cell else o
+                      for o, i, cell in zip(outside, inside, row)]
+                for row in flags]
+
+    spec = f"%.{digits}g".encode()
+    z_count, t_count = grid.values.shape[1:]
+    step = max(1, GRID_BLOCK_CELLS // t_count)
+    lead = len(row_sep)
+    for x, plane in zip(encoded(grid.x_values.tolist()), grid.values):
+        for start in range(0, z_count, step):
+            stop = start + step
+            block = plane[start:stop]
+            fill = exact(block, digits)
+            tails = z_tails(spec if fill else b"%s")
+            template = bytearray()
+            for z, row in zip(z_heads[start:stop], tails[start:stop]):
+                head = row_sep + x + sep + z
+                template += head
+                template += head.join(row)
+            del template[:lead]
+            lead = 0
+            cells = block.ravel().tolist()
+            yield template % tuple(cells if fill else encoded(cells))
 
 
 def _table_text(table, render, digits: int, cell_sep: str,
                 row_sep: str) -> tuple[Sequence[str],
-                                       bytes | bytearray | None]:
-    """The column names of ``table`` and its rows as one UTF-8 text,
-    None when it has no rows."""
+                                       Iterable[bytes | bytearray] | None]:
+    """The column names of ``table`` and its rows as UTF-8 byte chunks
+    that join to one text, None when it has no rows. A grid's chunks
+    are rendered as they are consumed."""
     if isinstance(table, CorrelationGrid):
         return GRID_COLUMNS, _grid_rows(table, render, digits, cell_sep,
                                         row_sep)
     cells = [render(col, digits) for col in table.values()]
     rows = list(map(cell_sep.join, zip(*cells)))
-    return list(table), row_sep.join(rows).encode() if rows else None
+    return list(table), (row_sep.join(rows).encode(),) if rows else None
 
 
 def _csv_chunks(env: dict, table, digits: int,
-                extra: dict | None) -> list[bytes]:
+                extra: dict | None) -> Iterable[bytes | bytearray]:
     lines = list(_envelope_lines(env, digits))
     for key in sorted(extra or {}):
         for sub in sorted(extra[key]):
@@ -253,8 +273,8 @@ def _csv_chunks(env: dict, table, digits: int,
     lines.append(",".join(columns))
     head = ("\n".join(lines) + "\n").encode()
     if rows is None:
-        return [head]
-    return [head, rows, b"\n"]
+        return (head,)
+    return itertools.chain((head,), rows, (b"\n",))
 
 
 # the top level key sits at indent 2; nested keys and string values
@@ -263,7 +283,7 @@ _JSON_ROWS = '\n  "rows": []'
 
 
 def _json_chunks(env: dict, table, digits: int,
-                 extra: dict | None) -> list[bytes]:
+                 extra: dict | None) -> Iterable[bytes | bytearray]:
     # the rows take the layout indent=2 gives a list of lists
     columns, rows = _table_text(table, _json_cells, digits, ",\n      ",
                                 "\n    ],\n    [\n      ")
@@ -276,46 +296,74 @@ def _json_chunks(env: dict, table, digits: int,
         doc.update(_json_value(extra, digits))
     text = json.dumps(doc, sort_keys=True, indent=2) + "\n"
     if rows is None:
-        return [text.encode()]
+        return (text.encode(),)
     head, _, tail = text.partition(_JSON_ROWS)
-    return [head.encode(), b'\n  "rows": [\n    [\n      ', rows,
-            b"\n    ]\n  ]", tail.encode()]
+    return itertools.chain(
+        (head.encode(), b'\n  "rows": [\n    [\n      '), rows,
+        (b"\n    ]\n  ]", tail.encode()))
 
 
 def _write(outputs):
-    """Write each ``(path, chunks)`` pair of UTF-8 byte chunks, a None
-    path meaning standard output. Every text is rendered before the
-    first file opens, and a failed open or write removes each file this
-    call opened, so no artifact is left partial or without its
-    sidecar."""
-    written = []
-    for path, chunks in outputs:
-        if path is None:
-            # the same text through the stream's own layer, which may
-            # be a StringIO with no bytes under it
-            sys.stdout.writelines(chunk.decode() for chunk in chunks)
-            continue
-        try:
+    """Write each ``(path, chunks)`` pair, ``chunks`` an iterable of
+    UTF-8 byte chunks and a None path meaning standard output, in
+    order. The callers render every envelope, header, tail and sidecar
+    before this opens a file; only a corr grid's blocks are rendered
+    while its file is written. Any exception raised while opening,
+    rendering or writing removes each regular file this call created
+    or truncated, so no artifact is left partial or without its
+    sidecar, and is raised again, an ``OSError`` as a ConfigError.
+    Standard output and targets that are not regular files, such as
+    devices, FIFOs and symbolic links, are never removed."""
+    made = []
+    path = None
+    try:
+        for path, chunks in outputs:
+            if path is None:
+                _write_stdout(chunks)
+                continue
             with open(path, "wb") as fh:
-                written.append(path)
+                entry = os.fstat(fh.fileno())
+                if (stat.S_ISREG(entry.st_mode)
+                        and os.path.samestat(os.lstat(path), entry)):
+                    made.append(path)
                 fh.writelines(chunks)
-        except OSError as err:
-            for done in written:
-                with contextlib.suppress(OSError):
-                    os.remove(done)
-            raise ConfigError(f"cannot write artifact {path!r}: {err}") \
+    except BaseException as err:
+        for done in made:
+            with contextlib.suppress(OSError):
+                os.remove(done)
+        if isinstance(err, OSError):
+            where = "to standard output" if path is None else repr(path)
+            raise ConfigError(f"cannot write artifact {where}: {err}") \
                 from err
+        raise
+
+
+def _write_stdout(chunks):
+    # the same text through the stream's own layer, which may be a
+    # StringIO with no bytes under it; the flush makes a closed pipe
+    # fail here rather than at exit
+    try:
+        sys.stdout.writelines(chunk.decode() for chunk in chunks)
+        sys.stdout.flush()
+    except OSError:
+        # what is still buffered goes to the null device, so the flush
+        # at interpreter exit neither fails nor reports
+        with contextlib.suppress(OSError):
+            null = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(null, sys.stdout.fileno())
+            os.close(null)
+        raise
 
 
 def _emit(args, config, env, table, extra=None, sidecar=None):
     """Render one tabular artifact. ``table`` is either a dict mapping
     column names to columns, each a sequence of scalar cells rendered
     cell by cell, or a ``CorrelationGrid``, whose rows run over x, then
-    z, then t under the columns of GRID_COLUMNS and are rendered as one
-    filled template. ``extra`` holds named flat dicts that land as top
-    level objects in JSON and as comment lines in CSV. ``sidecar``, a
-    dict, is written as a JSON document at ``<out>.json``, together
-    with the table or not at all."""
+    z, then t under the columns of GRID_COLUMNS and are rendered and
+    written a block at a time by _grid_rows. ``extra`` holds named
+    flat dicts that land as top level objects in JSON and as comment
+    lines in CSV. ``sidecar``, a dict, is written as a JSON document at
+    ``<out>.json``, together with the table or not at all."""
     chunks = _csv_chunks if config.out_format == "csv" else _json_chunks
     outputs = [(args.out, chunks(env, table, config.digits, extra))]
     if sidecar is not None:

@@ -32,10 +32,10 @@ _REQUIRED = object()
 
 FORMATS = ("csv", "json")
 
-# largest x * z * t correlation grid a run may ask for; corr holds its
-# row template, the g1 values and the filled text at once, which at
-# 4 x 250 x 1000 peaks at ~220 MB resident for CSV and ~310 MB for
-# JSON (CPython 3.11, numpy 2.4)
+# largest x * z * t correlation grid a run may ask for; corr holds the
+# grid and streams its rows a block at a time, which at 4 x 250 x 1000
+# peaks at ~56 MB resident for CSV and for JSON (CPython 3.11,
+# numpy 2.4)
 MAX_GRID_POINTS = 1_000_000
 
 

@@ -291,7 +291,9 @@ def _amplitude_arrays(spec, atom, pole_result, x, delta_z, time, dos):
            + 0.5 * pole_result.decay_rate) * t)
     profile = (_transverse_profile(spec, x)
                * _transverse_profile(spec, x0))
-    return np.where(inside, const * profile * envelope, 0.0 + 0.0j)
+    amp = np.asarray(const * profile * envelope)
+    np.copyto(amp, 0.0, where=~inside)
+    return amp
 
 
 def correlation_amplitude(spec: WaveguideSpec, atom: Atom,
@@ -375,12 +377,17 @@ def correlation_grid(spec: WaveguideSpec, atom: Atom,
     front = _front_speed_factor(spec)
     inside = t[np.newaxis, :] >= front * dz[:, np.newaxis]
 
+    # grid-sized arrays are updated in place and dropped once read: at
+    # the grid limit each costs 8 MB, or 16 MB complex
+
     # path one: squared magnitude of the complex amplitude
     amp = _amplitude_arrays(
         spec, atom, pole_result, x[:, np.newaxis, np.newaxis],
         dz[np.newaxis, :, np.newaxis], t[np.newaxis, np.newaxis, :],
         dos)
-    squared = np.abs(amp) ** 2
+    squared = np.abs(amp)
+    del amp
+    squared **= 2
 
     # path two: closed form, real arithmetic throughout; the signed
     # spatial rate is nonpositive, so both factors damp
@@ -392,14 +399,17 @@ def correlation_grid(spec: WaveguideSpec, atom: Atom,
     decay = np.exp(
         pole_result.spatial_rate * dz[np.newaxis, :, np.newaxis]
         - pole_result.decay_rate * t[np.newaxis, np.newaxis, :])
-    closed = (const_sq * profile_sq[:, np.newaxis, np.newaxis]
-              * decay * inside[np.newaxis, :, :])
+    closed = const_sq * profile_sq[:, np.newaxis, np.newaxis] * decay
+    closed *= inside
 
     live = closed > 0.0
     consistency = 0.0
     if np.any(live):
-        consistency = float(np.max(
-            np.abs(squared[live] - closed[live]) / closed[live]))
+        # squared becomes the relative gap, read at the live cells only
+        squared -= closed
+        np.abs(squared, out=squared)
+        np.divide(squared, closed, out=squared, where=live)
+        consistency = float(np.max(squared, where=live, initial=0.0))
     meta = CorrelationMetadata(
         shifted_frequency=pole_result.shifted_frequency,
         decay_rate=pole_result.decay_rate,

@@ -9,8 +9,11 @@ import csv
 import itertools
 import json
 import math
+import os
+import stat
 import subprocess
 import sys
+import threading
 import time
 import warnings
 from pathlib import Path
@@ -397,6 +400,53 @@ class TestCorrCommand:
         assert len(err.strip().splitlines()) == 1
         assert "cannot write artifact" in err and "corr.csv.json" in err
 
+    @pytest.mark.parametrize("error", [OSError, RuntimeError])
+    @pytest.mark.parametrize("out_format", ["csv", "json"])
+    def test_failed_stream_leaves_no_artifact(self, tmp_path, capsys,
+                                              monkeypatch, error,
+                                              out_format):
+        # the grid fails after its first block is written
+        grid_rows = cli._grid_rows
+
+        def broken(*args, **kwargs):
+            yield next(grid_rows(*args, **kwargs))
+            raise error("render failed")
+
+        monkeypatch.setattr(cli, "_grid_rows", broken)
+        monkeypatch.setattr(cli, "GRID_BLOCK_CELLS", 100)
+        conf = write_config(tmp_path)
+        out = tmp_path / f"c.{out_format}"
+        argv = ["corr", "--config", conf, "--format", out_format,
+                "--out", str(out)]
+        if error is OSError:
+            assert main(argv) == EXIT_CONFIG
+            err = capsys.readouterr().err
+            assert len(err.strip().splitlines()) == 1
+            assert "cannot write artifact" in err
+        else:
+            with pytest.raises(RuntimeError):
+                main(argv)
+        assert sorted(tmp_path.iterdir()) == [tmp_path / "run.conf"]
+
+    def test_failed_stream_keeps_a_linked_target(self, tmp_path,
+                                                 monkeypatch):
+        # a symbolic link is written through and never removed, so the
+        # link and the file it names both survive the failure
+        grid_rows = cli._grid_rows
+
+        def broken(*args, **kwargs):
+            yield next(grid_rows(*args, **kwargs))
+            raise OSError("render failed")
+
+        monkeypatch.setattr(cli, "_grid_rows", broken)
+        conf = write_config(tmp_path)
+        target, link = tmp_path / "target.json", tmp_path / "c.json"
+        target.write_bytes(b"old")
+        link.symlink_to(target)
+        assert main(["corr", "--config", conf, "--format", "json",
+                     "--out", str(link)]) == EXIT_CONFIG
+        assert link.is_symlink() and target.is_file()
+
     def test_temporal_slope_on_dense_line(self, tmp_path):
         # 200 time samples on one axial row
         conf = write_config(tmp_path, **{
@@ -776,6 +826,48 @@ class TestExitCodes:
         assert len(err.strip().splitlines()) == 1
         assert "cannot write" in err
 
+    @pytest.mark.parametrize("argv, head", [
+        (["modes", "--max-mn", "60"], 100),
+        (["corr", "--format", "json"], 100),
+        (["omegad"], 0)], ids=str)
+    def test_closed_stdout_pipe_is_one_line(self, child_env, argv, head):
+        # the first two artifacts are far larger than a pipe buffer, so
+        # the writer meets the read end closed after ``head`` bytes; the
+        # small one is still buffered when the child writes it, long
+        # after the read end closed. Standard output is buffered, as
+        # it is unless PYTHONUNBUFFERED is set.
+        child_env.pop("PYTHONUNBUFFERED", None)
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "wgqed", *argv, "--config", str(DEMO)],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+            env=child_env)
+        proc.stdout.read(head)
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == EXIT_CONFIG
+        assert len(err.strip().splitlines()) == 1, err
+        assert "cannot write artifact" in err
+        assert "Traceback" not in err and "ignored" not in err
+
+    def test_fifo_target_survives_failed_write(self, tmp_path, capsys):
+        # the reader opens and closes at once, so the write fails
+        # with EPIPE; the FIFO is not removed
+        fifo = tmp_path / "modes.csv"
+        os.mkfifo(fifo)
+        reader = threading.Thread(
+            target=lambda: os.close(os.open(fifo, os.O_RDONLY)),
+            daemon=True)
+        reader.start()
+        conf = write_config(tmp_path)
+        assert main(["modes", "--config", conf, "--max-mn", "60",
+                     "--out", str(fifo)]) == EXIT_CONFIG
+        reader.join(timeout=10)
+        assert stat.S_ISFIFO(os.lstat(fifo).st_mode)
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1
+        assert "cannot write artifact" in err
+
     @pytest.mark.parametrize("argv", [
         [command, "--format", fmt]
         for command in ("modes", "decay", "omegad", "validate")
@@ -1135,6 +1227,22 @@ def _grid_cases():
     yield "row_kinds_front", grid(np.where(inside, values, 0.0), inside)
 
 
+def _block_grid(shape, rng, inside=0.7):
+    x, z, t = (rng.uniform(-1.0, 3.0, n) for n in shape)
+    cone = rng.random(shape[1:]) < inside
+    values = np.where(cone, rng.uniform(1e-6, 0.4, shape), 0.0)
+    return CorrelationGrid(x_values=x, z_values=z, t_values=t,
+                           values=values, inside_cone=cone, metadata=None)
+
+
+def _block_cases():
+    # against a seven-cell block: two z rows a block over five, three
+    # over seven, and t rows of nine and of exactly seven cells
+    rng = np.random.default_rng(25)
+    for shape in ((2, 5, 3), (1, 7, 2), (3, 2, 9), (2, 3, 7)):
+        yield f"shape {shape}", _block_grid(shape, rng)
+
+
 class TestGridRenderer:
     """A correlation grid renders as the row-tuple renderer writes its
     rows, on the one-fill path and on the per-cell fallback."""
@@ -1157,6 +1265,41 @@ class TestGridRenderer:
         # JSON reuses the fill text up to 15 digits only
         assert taken == ({False, True} if out_format == "csv"
                          or digits <= 15 else {False})
+
+    @pytest.mark.parametrize("out_format", ["csv", "json"])
+    @pytest.mark.parametrize("digits", [3, 12, 15, 16, 17])
+    def test_small_blocks_match_row_tuples(self, monkeypatch, out_format,
+                                           digits):
+        # seven cells a block: one z row a block for the four-cell t
+        # rows of _grid_cases, z counts that are not a multiple of the
+        # rows per block, and t rows longer than a block
+        monkeypatch.setattr(cli, "GRID_BLOCK_CELLS", 7)
+        env = _demo_env()
+        for case, grid in itertools.chain(_grid_cases(), _block_cases()):
+            assert _rendered(out_format, env, grid, digits) == \
+                _grid_reference(out_format, env, grid, digits), case
+
+    @pytest.mark.parametrize("out_format, value", [
+        ("csv", DBL_MAX), ("json", 1.0)])
+    def test_only_the_inexact_block_renders_per_cell(
+            self, monkeypatch, out_format, value):
+        monkeypatch.setattr(cli, "GRID_BLOCK_CELLS", 7)
+        name = f"_{out_format}_exact"
+        exact, taken = getattr(cli, name), []
+
+        def spy(values, d):
+            taken.append(exact(values, d))
+            return taken[-1]
+
+        monkeypatch.setattr(cli, name, spy)
+        grid = _block_grid((2, 5, 3), np.random.default_rng(7),
+                           inside=1.0)
+        grid.values[1, 2, 1] = value
+        env = _demo_env()
+        assert _rendered(out_format, env, grid, 12) == \
+            _grid_reference(out_format, env, grid, 12)
+        # z rows 0-1, 2-3 and 4 of each x value, the value in the fifth
+        assert taken == [True] * 4 + [False, True]
 
     @given(st.floats(), st.integers(3, 17))
     @example(math.inf, 12)
@@ -1198,6 +1341,19 @@ class TestGridFastPath:
 
         for name in counts:
             monkeypatch.setattr(cli, name, counted(name))
+        # rows in each chunk as it reaches the file: the grid streams
+        # in blocks of at most GRID_BLOCK_CELLS rows
+        row_mark = b"\n" if out_format == "csv" else b"\n    ["
+        chunk_rows, write = [], cli._write
+
+        def write_spy(outputs):
+            def seen(chunks):
+                for chunk in chunks:
+                    chunk_rows.append(chunk.count(row_mark))
+                    yield chunk
+            write([(path, seen(chunks)) for path, chunks in outputs])
+
+        monkeypatch.setattr(cli, "_write", write_spy)
         grids = []
         grid_fn = config_module.correlation_grid
         monkeypatch.setattr(
@@ -1215,6 +1371,8 @@ class TestGridFastPath:
         # the axes and the two flags
         bound = sum(grid.values.shape) + 2 + envelope
         assert max(counts.values()) <= bound, counts
+        assert sum(chunk_rows) >= grid.values.size
+        assert max(chunk_rows) <= cli.GRID_BLOCK_CELLS < grid.values.size
 
 
 def test_commands_do_not_import_scipy(tmp_path, child_env):
