@@ -23,10 +23,14 @@ up like an inverse square root, and both leave one regular numerator
 over (t^2 - q), so the principal value is taken by subtracting the
 pole rather than by excising it.
 
-``decay_rate``, ``level_shift`` and ``build_bins`` each build one
+``decay_rate``, ``level_shift`` and ``build_bins`` each make one
 ``quantize.Channels`` table and read cutoffs, couplings (both
 directions of travel) and weights off it; the decay rate and the cells
-take all of theirs from one call of each. The shift's (mode, branch)
+take all of theirs from one call of each. The table's arrays, like
+the sorted scan behind ``modes.modes_below``, are built once per
+guide, atom position and mode list and then shared read-only, so a
+frequency sweep or root find on one emitter scans and tabulates its
+modes once, not twice per frequency. The shift's (mode, branch)
 segments refine in lockstep: one call covers the 1-panel and 2-panel
 rules of every segment (and, for a principal value, the pole point and
 both halves), and each further panel doubling is one call over the

@@ -24,6 +24,8 @@ components vanish.
 
 from __future__ import annotations
 
+import bisect
+import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -369,6 +371,18 @@ def by_cutoff(item):
     return (item[0],) + item[1].sort_key()
 
 
+@functools.lru_cache(maxsize=64)
+def _scan_by_cutoff(spec: WaveguideSpec, m_top: int, n_top: int):
+    # ``pattern_cutoffs`` sorted ``by_cutoff`` as a tuple of pairs, with
+    # the cutoffs alone for bisecting and each pair's scan position
+    scan = sorted(((nu_c, mode, i) for i, (nu_c, mode) in
+                   enumerate(pattern_cutoffs(spec, m_top, n_top))),
+                  key=by_cutoff)
+    return (tuple((nu_c, mode) for nu_c, mode, _ in scan),
+            tuple(nu_c for nu_c, _, _ in scan),
+            tuple(i for _, _, i in scan))
+
+
 def modes_below(spec: WaveguideSpec, frequency_limit: float,
                 max_index: int = 12):
     """Every mode with cutoff below ``frequency_limit``, as a list of
@@ -376,9 +390,14 @@ def modes_below(spec: WaveguideSpec, frequency_limit: float,
 
     Index counts are scanned up to ``max_index``; if a mode on that
     boundary still qualifies the enumeration might be incomplete and a
-    DomainError asks for a larger bound. Below that bound only counts
-    that can qualify are scanned: m*pi/width, and likewise
-    n*pi/height, must stay below frequency_limit * refractive_index.
+    DomainError, naming the first such mode in scan order, asks for a
+    larger bound. Below that bound only counts that can qualify are
+    scanned: m*pi/width, and likewise n*pi/height, must stay below
+    frequency_limit * refractive_index.
+
+    The sorted scan is kept per (spec, top m, top n) for the 64 most
+    recent keys, so repeated calls on one guide bisect it instead of
+    scanning again; each call returns a new list.
     """
     if frequency_limit <= 0.0:
         raise DomainError("frequency limit must be positive")
@@ -386,14 +405,17 @@ def modes_below(spec: WaveguideSpec, frequency_limit: float,
     # one extra count absorbs rounding in the bound
     m_top = int(min(max_index, reach * spec.width + 1.0))
     n_top = int(min(max_index, reach * spec.height + 1.0))
-    found = []
-    for nu_c, mode in pattern_cutoffs(spec, m_top, n_top):
-        if nu_c < frequency_limit:
-            if max_index in (mode.m, mode.n):
-                raise DomainError(
-                    f"mode {mode.polarization.value}({mode.m},{mode.n}) "
-                    f"at the index bound {max_index} still lies below "
-                    "the frequency limit; increase max_index")
-            found.append((nu_c, mode))
-    found.sort(key=by_cutoff)
-    return found
+    pairs, cutoffs, scan_order = _scan_by_cutoff(spec, m_top, n_top)
+    count = bisect.bisect_left(cutoffs, frequency_limit)
+    # a boundary mode needs a top count at the bound
+    if max_index in (m_top, n_top):
+        boundary = [(i, mode) for i, (_, mode) in
+                    zip(scan_order, pairs[:count])
+                    if max_index in (mode.m, mode.n)]
+        if boundary:
+            _, mode = min(boundary, key=lambda item: item[0])
+            raise DomainError(
+                f"mode {mode.polarization.value}({mode.m},{mode.n}) "
+                f"at the index bound {max_index} still lies below "
+                "the frequency limit; increase max_index")
+    return list(pairs[:count])

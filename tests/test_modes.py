@@ -306,13 +306,25 @@ class TestModeListing:
         with pytest.raises(DomainError):
             modes_below(GUIDE, 50.0, max_index=3)
 
+    def test_mutating_a_listing_leaves_later_calls_alone(self):
+        listing = modes_below(GUIDE, 3.0)
+        expected = list(listing)
+        listing.reverse()
+        listing.append((0.5, TE10))
+        listing[0] = (0.0, TM11)
+        assert modes_below(GUIDE, 3.0) == expected
+        # the same scan serves a neighboring limit
+        assert modes_below(GUIDE, 2.9) == expected
+
     @staticmethod
     def full_scan(spec, limit, max_index):
-        # every index pair up to the bound, as the enumeration once did
+        # every index pair up to the bound, as the enumeration once did:
+        # the list sorted by cutoff, or the refusal of the first boundary
+        # mode in scan order (m, then n, then TE before TM)
         found = []
         for m in range(max_index + 1):
             for n in range(max_index + 1):
-                for pol in Polarization:
+                for pol in (Polarization.TE, Polarization.TM):
                     try:
                         mode = ModeIndex(pol, m, n)
                     except DomainError:
@@ -320,7 +332,10 @@ class TestModeListing:
                     nu_c = cutoff_frequency(spec, mode)
                     if nu_c < limit:
                         if max_index in (m, n):
-                            return "incomplete"
+                            return (f"mode {pol.value}({m},{n}) at the "
+                                    f"index bound {max_index} still lies "
+                                    "below the frequency limit; increase "
+                                    "max_index")
                         found.append((nu_c, mode))
         return sorted(found,
                       key=lambda item: (item[0],) + item[1].sort_key())
@@ -335,11 +350,14 @@ class TestModeListing:
         lowest = cutoff_frequency(spec, TE10)
         limits = [0.5 * lowest, lowest, math.nextafter(lowest, math.inf),
                   2.0, 3.7, 7.3, 12.0, 40.0]
-        for limit in limits:
+        # interleaved, then again in reverse: most calls reuse a scan
+        # that an earlier limit sorted
+        for limit in limits[1::2] + limits[::2] + limits[::-1]:
             expected = self.full_scan(spec, limit, max_index)
-            if expected == "incomplete":
-                with pytest.raises(DomainError):
+            if isinstance(expected, str):
+                with pytest.raises(DomainError) as refusal:
                     modes_below(spec, limit, max_index=max_index)
+                assert str(refusal.value) == expected
             else:
                 assert modes_below(spec, limit,
                                    max_index=max_index) == expected

@@ -25,6 +25,8 @@ from wgqed.modes import (
     cutoff_frequency,
     dispersion,
     field_at,
+    transverse_wavenumber,
+    transverse_wavenumbers,
 )
 from wgqed.quantize import (
     HBAR,
@@ -400,6 +402,71 @@ class TestCouplingsArray:
                               for f in g.tolist()])
             scale = max(float(np.max(np.abs(point), initial=0.0)), 1e-300)
             assert np.max(np.abs(row - point), initial=0.0) <= 1e-13 * scale
+
+
+def reference_table(spec, atom, modes):
+    """``Channels``' columns and cutoffs built afresh, mode by mode."""
+    table = np.array([(*transverse_wavenumbers(spec, m),
+                       transverse_wavenumber(spec, m),
+                       m.polarization is Polarization.TM,
+                       (1 if m.m == 0 else 2) * (1 if m.n == 0 else 2),
+                       spec.permittivity
+                       if m.polarization is Polarization.TM
+                       else spec.permeability)
+                      for m in modes], dtype=float).reshape(-1, 6).T
+    at = table[:2] * np.array(atom.position[:2])[:, None]
+    return (np.concatenate((table, np.sin(at), np.cos(at))),
+            table[2] / spec.refractive_index)
+
+
+class TestChannelTable:
+    SPEC = WaveguideSpec(width=2.3, height=0.7, permittivity=2.1,
+                         permeability=1.3)
+
+    def test_signed_zero_positions_keep_their_own_tables(self):
+        # sin(kx * x0) carries the sign of x0 = +-0.0, so a key that
+        # equates the two would hand one the other's sign bits; visit
+        # the four corners at the origin twice, in two orders
+        modes = [TE10, ModeIndex(Polarization.TE, 0, 1), TM11]
+        corners = [(x, y) for x in (0.0, -0.0) for y in (0.0, -0.0)]
+        for x0, y0 in corners + corners[::-1]:
+            atom = Atom(position=(x0, y0, 0.0), dipole=(0.0, 0.3, 0.0),
+                        transition_frequency=2.0)
+            chans = Channels(self.SPEC, atom, modes)
+            columns, cutoff = reference_table(self.SPEC, atom, modes)
+            assert chans.columns.tobytes() == columns.tobytes()
+            assert chans.cutoff.tobytes() == cutoff.tobytes()
+            signs = np.signbit(chans.columns[6:8])
+            assert (signs == [[math.copysign(1.0, x0) < 0.0],
+                              [math.copysign(1.0, y0) < 0.0]]).all()
+
+    @given(st.lists(st.sampled_from(MODES), max_size=4),
+           st.sampled_from([0.0, -0.0, 0.3, 1, 2.3]),
+           st.sampled_from([0.0, -0.0, 0.45, 0.7]))
+    def test_matches_a_fresh_build(self, modes, x0, y0):
+        atom = Atom(position=(x0, y0, 1.0), dipole=(0.0, 0.3, 0.0),
+                    transition_frequency=2.0)
+        columns, cutoff = reference_table(self.SPEC, atom, modes)
+        for _ in range(2):
+            chans = Channels(self.SPEC, atom, modes)
+            assert chans.columns.shape == columns.shape
+            assert chans.columns.tobytes() == columns.tobytes()
+            assert chans.cutoff.tobytes() == cutoff.tobytes()
+
+    def test_arrays_are_read_only(self):
+        atom = Atom(position=(0.7, 0.5, 0.0), dipole=(0.0, 0.3, 0.0),
+                    transition_frequency=2.0)
+        chans = Channels(GUIDE, atom, [TE10, TM11])
+        with pytest.raises(ValueError):
+            chans.columns[0, 0] = 1.0
+        with pytest.raises(ValueError):
+            chans.columns *= 2.0
+        with pytest.raises(ValueError):
+            chans.cutoff[1] = 0.5
+        columns, cutoff = reference_table(GUIDE, atom, [TE10, TM11])
+        again = Channels(GUIDE, atom, [TE10, TM11])
+        assert again.columns.tobytes() == columns.tobytes()
+        assert again.cutoff.tobytes() == cutoff.tobytes()
 
 
 class TestContinuumWeight:
