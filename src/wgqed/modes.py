@@ -393,12 +393,15 @@ def modes_below(spec: WaveguideSpec, frequency_limit: float,
     DomainError, naming the first such mode in scan order, asks for a
     larger bound. Below that bound only counts that can qualify are
     scanned: m*pi/width, and likewise n*pi/height, must stay below
-    frequency_limit * refractive_index.
+    frequency_limit * refractive_index. A limit that is not a positive
+    finite number raises DomainError.
 
     The sorted scan is kept per (spec, top m, top n) for the 64 most
     recent keys, so repeated calls on one guide bisect it instead of
     scanning again; each call returns a new list.
     """
+    if not math.isfinite(frequency_limit):
+        raise DomainError("frequency limit must be finite")
     if frequency_limit <= 0.0:
         raise DomainError("frequency limit must be positive")
     reach = frequency_limit * spec.refractive_index / math.pi

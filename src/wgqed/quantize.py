@@ -92,7 +92,7 @@ class Atom:
     dipole
         Complex transition dipole vector.
     transition_frequency
-        Angular frequency of the bare transition, positive.
+        Angular frequency of the bare transition, positive and finite.
     """
 
     position: tuple
@@ -102,6 +102,8 @@ class Atom:
     def __post_init__(self):
         if len(self.position) != 3 or len(self.dipole) != 3:
             raise DomainError("position and dipole must have 3 components")
+        if not math.isfinite(self.transition_frequency):
+            raise DomainError("transition frequency must be finite")
         if self.transition_frequency <= 0.0:
             raise DomainError("transition frequency must be positive")
 

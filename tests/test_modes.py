@@ -306,6 +306,12 @@ class TestModeListing:
         with pytest.raises(DomainError):
             modes_below(GUIDE, 50.0, max_index=3)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_limit_refused(self, bad):
+        # a bisected prefix would read NaN as no mode or every mode
+        with pytest.raises(DomainError, match="finite"):
+            modes_below(GUIDE, bad)
+
     def test_mutating_a_listing_leaves_later_calls_alone(self):
         listing = modes_below(GUIDE, 3.0)
         expected = list(listing)

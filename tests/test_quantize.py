@@ -242,6 +242,13 @@ class TestCoupling:
             Atom(position=(1.0, 0.5, 0.0), dipole=(0.0, 0.3, 0.0),
                  transition_frequency=-1.0)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_transition_frequency_refused(self, bad):
+        # NaN passed the positivity test and gave a zero decay rate
+        with pytest.raises(DomainError, match="finite"):
+            Atom(position=(1.0, 0.5, 0.0), dipole=(0.0, 0.3, 0.0),
+                 transition_frequency=bad)
+
 
 def filled_guides():
     widths = st.floats(min_value=0.5, max_value=5.0)
