@@ -373,14 +373,10 @@ def by_cutoff(item):
 
 @functools.lru_cache(maxsize=64)
 def _scan_by_cutoff(spec: WaveguideSpec, m_top: int, n_top: int):
-    # ``pattern_cutoffs`` sorted ``by_cutoff`` as a tuple of pairs, with
-    # the cutoffs alone for bisecting and each pair's scan position
-    scan = sorted(((nu_c, mode, i) for i, (nu_c, mode) in
-                   enumerate(pattern_cutoffs(spec, m_top, n_top))),
-                  key=by_cutoff)
-    return (tuple((nu_c, mode) for nu_c, mode, _ in scan),
-            tuple(nu_c for nu_c, _, _ in scan),
-            tuple(i for _, _, i in scan))
+    # ``pattern_cutoffs`` sorted ``by_cutoff``, and its cutoffs alone for
+    # bisecting
+    pairs = tuple(sorted(pattern_cutoffs(spec, m_top, n_top), key=by_cutoff))
+    return pairs, tuple(nu_c for nu_c, _ in pairs)
 
 
 def modes_below(spec: WaveguideSpec, frequency_limit: float,
@@ -408,17 +404,16 @@ def modes_below(spec: WaveguideSpec, frequency_limit: float,
     # one extra count absorbs rounding in the bound
     m_top = int(min(max_index, reach * spec.width + 1.0))
     n_top = int(min(max_index, reach * spec.height + 1.0))
-    pairs, cutoffs, scan_order = _scan_by_cutoff(spec, m_top, n_top)
-    count = bisect.bisect_left(cutoffs, frequency_limit)
-    # a boundary mode needs a top count at the bound
-    if max_index in (m_top, n_top):
-        boundary = [(i, mode) for i, (_, mode) in
-                    zip(scan_order, pairs[:count])
-                    if max_index in (mode.m, mode.n)]
-        if boundary:
-            _, mode = min(boundary, key=lambda item: item[0])
-            raise DomainError(
-                f"mode {mode.polarization.value}({mode.m},{mode.n}) "
-                f"at the index bound {max_index} still lies below "
-                "the frequency limit; increase max_index")
-    return list(pairs[:count])
+    pairs, cutoffs = _scan_by_cutoff(spec, m_top, n_top)
+    found = list(pairs[:bisect.bisect_left(cutoffs, frequency_limit)])
+    # only a top count at the bound can put a listed mode on it
+    if max_index in (m_top, n_top) and any(
+            max_index in (mode.m, mode.n) for _, mode in found):
+        mode = next(mode for nu_c, mode in pattern_cutoffs(spec, m_top, n_top)
+                    if nu_c < frequency_limit
+                    and max_index in (mode.m, mode.n))
+        raise DomainError(
+            f"mode {mode.polarization.value}({mode.m},{mode.n}) "
+            f"at the index bound {max_index} still lies below "
+            "the frequency limit; increase max_index")
+    return found
