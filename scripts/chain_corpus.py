@@ -17,7 +17,7 @@ grow without bound.
 
 Every emitter then goes through four stages: ``solve_emitter``,
 ``level_shift`` over an explicit mode list, ``build_bins`` and
-``correlation_grid``. Their outputs fall in six classes:
+``correlation_grid``. Their outputs fall in seven classes:
 
     decay        ``solve_emitter``'s golden-rule channels and total
     shift        its windowed level shift, per (mode, branch) piece,
@@ -27,7 +27,13 @@ Every emitter then goes through four stages: ``solve_emitter``,
     pole         its emission pole
     bins         ``build_bins`` over the lowest two patterns and one
                  above the transition
-    correlation  ``correlation_grid`` metadata on a 1 x 2 x 2 grid
+    correlation  ``correlation_grid`` on a 1 x 2 x 2 grid with one
+                 cell before the light front: its ``values``, its
+                 ``inside_cone`` mask as 0/1 digits, and every
+                 metadata field but the consistency figure
+    consistency  that grid's ``consistency_max_rel``, which measures
+                 the arithmetic and not the map, kept apart so that a
+                 change of how it is measured moves this class alone
     refusals     the stage, type and message of each ``WgError``
 
 Numbers are written as ``float.hex`` text, so a change of one bit,
@@ -60,7 +66,8 @@ from wgqed.quantize import Atom, DensityModel, QuantizationBox
 
 SEED = 26
 CORPUS_SIZE = 200
-CLASSES = ("decay", "shift", "pole", "bins", "correlation", "refusals")
+CLASSES = ("decay", "shift", "pole", "bins", "correlation", "consistency",
+           "refusals")
 
 GUIDES = (
     WaveguideSpec(width=math.pi, height=math.pi / 2.0, permittivity=1.0,
@@ -194,18 +201,23 @@ def run_emitter(i, spec, atom, dos, radicand, max_index, out):
     z0 = float(atom.position[2])
     front = spec.refractive_index
     try:
-        meta = correlation_grid(
+        # the cell at z0 + 4 and t = 3 * front lies before the front
+        grid = correlation_grid(
             spec, atom, sol.pole, [0.5 * spec.width], [z0 + 1.0, z0 + 4.0],
-            [5.0 * front, 10.0 * front], dos=dos,
-            max_index=max_index).metadata
-        out["correlation"].append(
-            f"{i} {hx(meta.shifted_frequency)} {hx(meta.decay_rate)} "
-            f"{hx(meta.spatial_rate)} {hx(meta.beta_r)} {hx(meta.beta_i)} "
-            f"{' '.join(map(hx, meta.source_position))} "
-            f"{hx(meta.front_speed_factor)} {hx(meta.consistency_max_rel)} "
-            f"{hx(meta.alternative_prefactor_ratio)}")
+            [3.0 * front, 10.0 * front], dos=dos, max_index=max_index)
     except WgError as exc:
         refused("correlation", exc)
+        return
+    meta = grid.metadata
+    out["correlation"].append(
+        f"{i} {' '.join(map(hx, grid.values.ravel()))} "
+        f"{''.join('01'[int(b)] for b in grid.inside_cone.ravel())} "
+        f"{hx(meta.shifted_frequency)} {hx(meta.decay_rate)} "
+        f"{hx(meta.spatial_rate)} {hx(meta.beta_r)} {hx(meta.beta_i)} "
+        f"{' '.join(map(hx, meta.source_position))} "
+        f"{hx(meta.front_speed_factor)} "
+        f"{hx(meta.alternative_prefactor_ratio)}")
+    out["consistency"].append(f"{i} {hx(meta.consistency_max_rel)}")
 
 
 def corpus_text() -> dict:

@@ -3,7 +3,8 @@
 ``scripts/chain_corpus.py`` runs a fixed, seeded corpus of emitters
 through the chain in this process and prints one ``sha256  class``
 line per output class (decay channels, shift contributions, poles,
-``build_bins`` cells, correlation metadata and refusals), each over
+``build_bins`` cells, correlation maps and metadata, the correlation
+consistency figure and refusals), each over
 ``float.hex`` text. ``tests/data/chain_corpus.txt`` holds those lines
 as last accepted, so a change that moves one bit of one output fails
 here and names its class. A change that means to move an output

@@ -32,7 +32,7 @@ from wgqed.cli import (
     main,
 )
 from wgqed.config import RunConfig, load_config, parse_config
-from wgqed.detection import CorrelationGrid
+from wgqed.detection import CorrelationGrid, PoleResult
 from wgqed.errors import ConfigError
 from wgqed.validate import run_checks
 
@@ -713,6 +713,21 @@ class TestValidateCommand:
                         if r[0] == "correlation_consistency")
         meta, _, _ = read_table(corr)
         assert measured == meta["discrepancy.grid_consistency_max_rel"]
+
+    def test_correlation_check_catches_a_skewed_spatial_rate(
+            self, monkeypatch):
+        # the closed form reads the axial rate through spatial_rate and
+        # the complex amplitude reads beta_i; a rate off by 1e-9
+        # relative must push the figure past the check's tolerance
+        rate = PoleResult.spatial_rate.fget
+        monkeypatch.setattr(PoleResult, "spatial_rate", property(
+            lambda pole: rate(pole) * (1.0 + 1e-9)))
+        cfg = load_config(str(DEMO))
+        assert cfg.correlation().metadata.consistency_max_rel > 1e-12
+        row = next(r for r in run_checks(cfg)
+                   if r.name == "correlation_consistency")
+        assert not row.passed
+        assert row.measured > row.tolerance == 1e-12
 
     def test_sample_poles_computed_once(self, monkeypatch):
         calls = []
