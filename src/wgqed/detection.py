@@ -317,6 +317,15 @@ def correlation_amplitude(spec: WaveguideSpec, atom: Atom,
 
 @dataclass(frozen=True)
 class CorrelationMetadata:
+    """Pole, models and discrepancies behind a ``CorrelationGrid``.
+
+    ``consistency_max_rel`` checks the real map against the squared
+    complex residue amplitude, factor by factor on the axes: the sum,
+    over the transverse, axial and temporal factors, of the worst
+    relative gap where the real factor is positive. The map is their
+    product, so the sum bounds its own gap to first order.
+    """
+
     shifted_frequency: float
     decay_rate: float
     spatial_rate: float
@@ -336,8 +345,8 @@ class CorrelationGrid:
 
     ``values`` has shape (len(x), len(z), len(t)) and holds the
     squared detection amplitude; ``inside_cone`` marks the causal
-    (z, t) cells. Metadata records the models used and the measured
-    agreement between the squared-amplitude and closed-form paths.
+    (z, t) cells. Metadata records the pole, the models used and the
+    discrepancies.
     """
 
     x_values: np.ndarray
@@ -357,9 +366,9 @@ def correlation_grid(spec: WaveguideSpec, atom: Atom,
 
     Requires the line center to sit in the single-channel window (the
     fundamental pattern propagating alone) and the dipole to have a
-    transverse-y component to feed it. The grid is computed twice, as
-    |amplitude|^2 and as the closed-form double exponential, and the
-    worst relative disagreement lands in the metadata.
+    transverse-y component to feed it. The map is the closed-form
+    double exponential in real arithmetic; its agreement with the
+    complex amplitude is measured on the axes, never on the grid.
     """
     dominant_channel(spec, pole_result.shifted_frequency,
                      max_index=max_index)
@@ -377,39 +386,30 @@ def correlation_grid(spec: WaveguideSpec, atom: Atom,
     front = _front_speed_factor(spec)
     inside = t[np.newaxis, :] >= front * dz[:, np.newaxis]
 
-    # grid-sized arrays are updated in place and dropped once read: at
-    # the grid limit each costs 8 MB, or 16 MB complex
-
-    # path one: squared magnitude of the complex amplitude
-    amp = _amplitude_arrays(
-        spec, atom, pole_result, x[:, np.newaxis, np.newaxis],
-        dz[np.newaxis, :, np.newaxis], t[np.newaxis, np.newaxis, :],
-        dos)
-    squared = np.abs(amp)
-    del amp
-    squared **= 2
-
-    # path two: closed form, real arithmetic throughout; the signed
-    # spatial rate is nonpositive, so both factors damp
-    const_sq = abs(_amplitude_constant(spec, atom, pole_result,
-                                       dos)) ** 2
-    profile_sq = (_transverse_profile(spec, x) ** 2
-                  * _transverse_profile(spec, float(atom.position[0]))
-                  ** 2)
+    # real arithmetic throughout; the signed spatial rate is
+    # nonpositive, so both exponentials damp
+    const = _amplitude_constant(spec, atom, pole_result, dos)
+    profile = _transverse_profile(spec, x)
+    source = _transverse_profile(spec, float(atom.position[0]))
+    x_sq = abs(const) ** 2 * (profile ** 2 * source ** 2)
     decay = np.exp(
         pole_result.spatial_rate * dz[np.newaxis, :, np.newaxis]
         - pole_result.decay_rate * t[np.newaxis, np.newaxis, :])
-    closed = const_sq * profile_sq[:, np.newaxis, np.newaxis] * decay
+    closed = x_sq[:, np.newaxis, np.newaxis] * decay
     closed *= inside
 
-    live = closed > 0.0
-    consistency = 0.0
-    if np.any(live):
-        # squared becomes the relative gap, read at the live cells only
-        squared -= closed
-        np.abs(squared, out=squared)
-        np.divide(squared, closed, out=squared, where=live)
-        consistency = float(np.max(squared, where=live, initial=0.0))
+    gaps = []
+    for amp, real in (
+            (const * (profile * source), x_sq),
+            (np.exp((1j * pole_result.beta_r + pole_result.beta_i) * dz),
+             np.exp(pole_result.spatial_rate * dz)),
+            (np.exp(-(1j * pole_result.shifted_frequency
+                      + 0.5 * pole_result.decay_rate) * t),
+             np.exp(-pole_result.decay_rate * t))):
+        live = real > 0.0
+        gaps.append(np.max(
+            np.abs(np.abs(amp[live]) ** 2 - real[live]) / real[live],
+            initial=0.0))
     meta = CorrelationMetadata(
         shifted_frequency=pole_result.shifted_frequency,
         decay_rate=pole_result.decay_rate,
@@ -420,7 +420,7 @@ def correlation_grid(spec: WaveguideSpec, atom: Atom,
         radicand_model=pole_result.model,
         source_position=tuple(float(v) for v in atom.position),
         front_speed_factor=front,
-        consistency_max_rel=consistency,
+        consistency_max_rel=math.fsum(gaps),
         alternative_prefactor_ratio=alternative_prefactor_ratio(
             spec, pole_result, dos))
     return CorrelationGrid(x_values=x, z_values=z, t_values=t,

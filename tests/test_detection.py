@@ -412,9 +412,11 @@ class TestCorrelationGrid:
         assert grid.metadata.consistency_max_rel <= 1e-12
 
     def test_matches_fresh_array_expressions(self):
-        # the grid updates its arrays in place; the former expressions,
-        # one fresh array per step, give the same bits on a grid that
-        # straddles the light front
+        # on a grid that straddles the light front: the map equals the
+        # closed form, one fresh array per step, byte for byte; the
+        # consistency figure equals a fresh per-axis expression bit for
+        # bit; and the grid-wide complex amplitude, kept here as the
+        # oracle, agrees with the map within validate's tolerance
         from wgqed import detection
 
         atom = filled_atom()
@@ -424,15 +426,16 @@ class TestCorrelationGrid:
         grid = correlation_grid(FILLED, atom, self.POLE, x, z, t)
         assert 0 < grid.inside_cone.sum() < grid.inside_cone.size
 
+        p = self.POLE
         dz = np.abs(z - atom.position[2])
         inside = t[None, :] >= detection._front_speed_factor(FILLED) \
             * dz[:, None]
         const = detection._amplitude_constant(
-            FILLED, atom, self.POLE, DensityModel.PHASE_VELOCITY)
+            FILLED, atom, p, DensityModel.PHASE_VELOCITY)
         envelope = np.exp(
-            (1j * self.POLE.beta_r + self.POLE.beta_i) * dz[None, :, None]
-            - (1j * self.POLE.shifted_frequency
-               + 0.5 * self.POLE.decay_rate) * t[None, None, :])
+            (1j * p.beta_r + p.beta_i) * dz[None, :, None]
+            - (1j * p.shifted_frequency + 0.5 * p.decay_rate)
+            * t[None, None, :])
         profile = (detection._transverse_profile(FILLED, x[:, None, None])
                    * detection._transverse_profile(FILLED,
                                                    atom.position[0]))
@@ -442,13 +445,45 @@ class TestCorrelationGrid:
                       * detection._transverse_profile(
                           FILLED, atom.position[0]) ** 2)
         closed = (abs(const) ** 2 * profile_sq[:, None, None]
-                  * np.exp(self.POLE.spatial_rate * dz[None, :, None]
-                           - self.POLE.decay_rate * t[None, None, :])
+                  * np.exp(p.spatial_rate * dz[None, :, None]
+                           - p.decay_rate * t[None, None, :])
                   * inside[None, :, :])
         live = closed > 0.0
         assert grid.values.tobytes() == closed.tobytes()
-        assert grid.metadata.consistency_max_rel == float(np.max(
-            np.abs(squared[live] - closed[live]) / closed[live]))
+        assert np.max(np.abs(squared[live] - closed[live])
+                      / closed[live]) <= 1e-12
+
+        def worst_gap(amp, real):
+            on = real > 0.0
+            return np.max(np.abs(np.abs(amp[on]) ** 2 - real[on])
+                          / real[on], initial=0.0)
+
+        axes = (
+            worst_gap(const * profile[:, 0, 0], abs(const) ** 2
+                      * profile_sq),
+            worst_gap(np.exp((1j * p.beta_r + p.beta_i) * dz),
+                      np.exp(p.spatial_rate * dz)),
+            worst_gap(np.exp(-(1j * p.shifted_frequency
+                               + 0.5 * p.decay_rate) * t),
+                      np.exp(-p.decay_rate * t)))
+        assert grid.metadata.consistency_max_rel == math.fsum(axes)
+
+    def test_subnormal_cells_agree(self):
+        # late cells of the demo map are subnormal; scaling one by
+        # const^2 P^2 after its exponential rounded to a few bits made
+        # the grid-wide figure read 6e-3 here, while each axis factor
+        # rounds the same value both ways
+        cfg = load_config(str(DEMO))
+        spec, atom = cfg.waveguide_spec(), cfg.atom()
+        sol = solve_emitter(spec, atom, cfg.box(), cfg.dos, cfg.radicand,
+                            max_index=cfg.max_mn, window=cfg.shift_window)
+        grid = correlation_grid(
+            spec, atom, sol.pole, [atom.position[0]],
+            np.linspace(1.0, 100.0, 17), np.linspace(32000.0, 34000.0, 17),
+            dos=cfg.dos, max_index=cfg.max_mn)
+        live = grid.values[grid.values > 0.0]
+        assert live.size and live.min() < np.finfo(float).tiny
+        assert grid.metadata.consistency_max_rel <= 1e-12
 
     def test_shapes_and_cone_mask(self):
         grid = self.make_grid()
