@@ -119,6 +119,9 @@ def pole(spec: WaveguideSpec, shifted_frequency: float,
     with the branch beta_r > 0, beta_i <= 0, using cancellation-free
     forms on both sides of the sign change of the real part.
     """
+    if not (math.isfinite(shifted_frequency)
+            and math.isfinite(decay_rate)):
+        raise DomainError("line center and decay rate must be finite")
     if shifted_frequency <= 0.0:
         raise DomainError("line center must be positive")
     if decay_rate < 0.0:
@@ -380,8 +383,13 @@ def correlation_grid(spec: WaveguideSpec, atom: Atom,
     x = np.asarray(x_values, dtype=float).reshape(-1)
     z = np.asarray(z_values, dtype=float).reshape(-1)
     t = np.asarray(t_values, dtype=float).reshape(-1)
-    for xv in x:
-        _check_cross_section(spec, (xv, 0.0, 0.0))
+    outside = np.flatnonzero(~((x >= 0.0) & (x <= spec.width)))
+    if outside.size:
+        # raises, naming the first x outside the cross section
+        _check_cross_section(spec, (x[outside[0]], 0.0, 0.0))
+    for name, samples in (("axial", z), ("time", t)):
+        if not np.isfinite(samples).all():
+            raise DomainError(f"{name} samples must be finite")
     dz = np.abs(z - float(atom.position[2]))
     front = _front_speed_factor(spec)
     inside = t[np.newaxis, :] >= front * dz[:, np.newaxis]
@@ -650,6 +658,8 @@ def omega_d(spec: WaveguideSpec, decay_rate: float,
     either case (raised errors carry the range; successful reports
     carry both values and their relative discrepancy).
     """
+    if not math.isfinite(decay_rate):
+        raise DomainError("decay rate must be finite")
     if decay_rate <= 0.0:
         raise DomainError("decay rate must be positive")
     if scan_samples < 8:

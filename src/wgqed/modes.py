@@ -69,6 +69,12 @@ class WaveguideSpec:
     permeability: float = 1.0
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (self.width, self.height,
+                                       self.permittivity,
+                                       self.permeability))):
+            raise DomainError(
+                "cross section extents and material constants must be "
+                "finite")
         if not (self.width > 0.0 and self.height > 0.0):
             raise DomainError("cross section extents must be positive")
         if self.height > self.width:

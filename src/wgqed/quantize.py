@@ -78,6 +78,8 @@ class QuantizationBox:
     length: float = 1.0
 
     def __post_init__(self):
+        if not math.isfinite(self.length):
+            raise DomainError("box length must be finite")
         if self.length <= 0.0:
             raise DomainError("box length must be positive")
 

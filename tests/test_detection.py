@@ -103,12 +103,21 @@ class TestPole:
             pole(FILLED, 0.5, 0.0, RadicandModel.SINGLE_INDEX)
 
     def test_input_validation(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match="line center must be "
+                           "positive"):
             pole(FILLED, -1.0, 0.1)
         with pytest.raises(DomainError):
             pole(FILLED, 0.0, 0.1)
         with pytest.raises(DomainError):
             pole(FILLED, 1.0, -0.1)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_inputs_refused(self, bad):
+        # a NaN line center gave beta = nan + nan i
+        with pytest.raises(DomainError, match="must be finite"):
+            pole(FILLED, bad, 0.02)
+        with pytest.raises(DomainError, match="must be finite"):
+            pole(FILLED, 1.0, bad)
 
     @pytest.mark.parametrize("model", list(RadicandModel))
     def test_narrow_line_ratio_is_dispersion_slope(self, model):
@@ -321,6 +330,12 @@ class TestOmegaD:
             omega_d(FILLED, 0.1, scan_samples=4)
         with pytest.raises(DomainError):
             closed_form_crossing(FILLED, 0.0)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_rate_refused(self, bad):
+        # a NaN rate scanned every line center and found no crossing
+        with pytest.raises(DomainError, match="must be finite"):
+            omega_d(FILLED, bad)
 
 
 class TestCorrelationAmplitude:
@@ -536,6 +551,23 @@ class TestCorrelationGrid:
         dark = pole(FILLED, 0.5, RATE)
         with pytest.raises(PurelyEvanescentError):
             correlation_grid(FILLED, atom, dark, [1.0], [5.0], [40.0])
+
+    @pytest.mark.parametrize("axis", ["z", "t"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_samples_refused(self, axis, bad):
+        # an infinite time passed as a causal cell of value zero
+        samples = {"z": [1.0, 5.0], "t": [40.0, 50.0]}
+        samples[axis][1] = bad
+        with pytest.raises(DomainError, match="samples must be finite"):
+            correlation_grid(FILLED, filled_atom(), self.POLE, [1.0],
+                             samples["z"], samples["t"])
+
+    def test_first_x_outside_is_named(self):
+        with pytest.raises(DomainError) as exc:
+            correlation_grid(FILLED, filled_atom(), self.POLE,
+                             [1.0, 4.0, math.nan, -1.0], [5.0], [40.0])
+        assert str(exc.value) == (
+            "detection point (4.0, 0.0) lies outside the cross section")
 
     def test_fit_needs_enough_causal_cells(self):
         atom = filled_atom()

@@ -45,6 +45,16 @@ class TestSpecValidation:
         with pytest.raises(DomainError):
             WaveguideSpec(width=0.0, height=-1.0)
 
+    @pytest.mark.parametrize("field", ["width", "height", "permittivity",
+                                       "permeability"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_fields_refused(self, field, bad):
+        # an infinite width passed every other check
+        values = {"width": 2.0, "height": 1.0, "permittivity": 1.0,
+                  "permeability": 1.0, field: bad}
+        with pytest.raises(DomainError, match="must be finite"):
+            WaveguideSpec(**values)
+
     def test_square_guide_allowed(self):
         spec = WaveguideSpec(width=2.0, height=2.0)
         assert spec.cross_section_area == 4.0

@@ -243,6 +243,13 @@ class TestCoupling:
                  transition_frequency=-1.0)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_box_length_refused(self, bad):
+        # an infinite box gave a NaN total decay rate; a NaN one was
+        # refused only later, as a one-quantum amplitude not finite
+        with pytest.raises(DomainError, match="must be finite"):
+            QuantizationBox(length=bad)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_transition_frequency_refused(self, bad):
         # NaN passed the positivity test and gave a zero decay rate
         with pytest.raises(DomainError, match="finite"):
