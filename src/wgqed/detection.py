@@ -34,8 +34,8 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 
@@ -81,8 +81,7 @@ def _lowest_transverse_sq(spec: WaveguideSpec) -> float:
     return (math.pi / spec.width) ** 2
 
 
-@dataclass(frozen=True)
-class PoleResult:
+class PoleResult(NamedTuple):
     """Complex axial propagation constant at the emission pole.
 
     beta_r is the oscillation wavenumber (positive), beta_i the
@@ -152,8 +151,7 @@ def pole(spec: WaveguideSpec, shifted_frequency: float,
                       decay_rate=decay_rate, model=model)
 
 
-@dataclass(frozen=True)
-class EmitterSolution:
+class EmitterSolution(NamedTuple):
     """One emitter through the weak-coupling chain: golden-rule decay,
     windowed level shift (the window rides on ``shift``), the Markov
     parameters they make, and the emission pole."""
@@ -318,8 +316,7 @@ def correlation_amplitude(spec: WaveguideSpec, atom: Atom,
                                      float(time), dos))
 
 
-@dataclass(frozen=True)
-class CorrelationMetadata:
+class CorrelationMetadata(NamedTuple):
     """Pole, models and discrepancies behind a ``CorrelationGrid``.
 
     ``consistency_max_rel`` checks the real map against the squared
@@ -342,8 +339,7 @@ class CorrelationMetadata:
     alternative_prefactor_ratio: float
 
 
-@dataclass(frozen=True)
-class CorrelationGrid:
+class CorrelationGrid(NamedTuple):
     """First-order correlation sampled on an (x, z, t) lattice.
 
     ``values`` has shape (len(x), len(z), len(t)) and holds the
@@ -436,8 +432,7 @@ def correlation_grid(spec: WaveguideSpec, atom: Atom,
                            metadata=meta)
 
 
-@dataclass(frozen=True)
-class RateFit:
+class RateFit(NamedTuple):
     """Log-linear decay rates read back off a correlation grid."""
 
     temporal_rate: float
@@ -629,8 +624,7 @@ def closed_form_crossing(spec: WaveguideSpec, decay_rate: float) -> float:
     return math.sqrt(num / den)
 
 
-@dataclass(frozen=True)
-class OmegaDReport:
+class OmegaDReport(NamedTuple):
     """Where the axial decay rate equals front speed times the
     temporal one."""
 

@@ -48,7 +48,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -82,8 +82,7 @@ _ENDPOINT_GUARD = 1e-9
 _LOCALIZED_UNIT_WEIGHT = 1.0
 
 
-@dataclass(frozen=True)
-class ChannelRate:
+class ChannelRate(NamedTuple):
     """Golden-rule rate of one resonant propagating channel."""
 
     mode: ModeIndex
@@ -93,8 +92,7 @@ class ChannelRate:
     rate: float
 
 
-@dataclass(frozen=True)
-class DecayResult:
+class DecayResult(NamedTuple):
     total: float
     channels: tuple
     model: DensityModel
@@ -129,16 +127,14 @@ def decay_rate(spec: WaveguideSpec, atom: Atom, box: QuantizationBox,
                        model=model, oscillatory=not channels)
 
 
-@dataclass(frozen=True)
-class ShiftContribution:
+class ShiftContribution(NamedTuple):
     mode: ModeIndex
     branch: Branch
     window: tuple
     value: float
 
 
-@dataclass(frozen=True)
-class ShiftResult:
+class ShiftResult(NamedTuple):
     value: float
     window: tuple
     contributions: tuple
@@ -293,8 +289,7 @@ def level_shift(spec: WaveguideSpec, atom: Atom, box: QuantizationBox,
                        window=(lo, hi), contributions=contributions)
 
 
-@dataclass(frozen=True)
-class MarkovParameters:
+class MarkovParameters(NamedTuple):
     """Weak-coupling summary of the emitter: rate, shift, bare line."""
 
     decay_total: float
@@ -312,8 +307,7 @@ def excited_amplitude(times, params: MarkovParameters) -> np.ndarray:
     return np.exp((1j * params.level_shift - 0.5 * params.decay_total) * t)
 
 
-@dataclass(frozen=True)
-class ContinuumBin:
+class ContinuumBin(NamedTuple):
     """One cell of a discretized continuum channel.
 
     direction is +1/-1 for traveling cells and 0 for decaying ones.

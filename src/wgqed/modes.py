@@ -29,6 +29,7 @@ import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 
@@ -132,8 +133,7 @@ def cutoff_frequency(spec: WaveguideSpec, mode: ModeIndex) -> float:
     return transverse_wavenumber(spec, mode) / spec.refractive_index
 
 
-@dataclass(frozen=True)
-class ModeDispersion:
+class ModeDispersion(NamedTuple):
     """Axial behaviour of one mode at one angular frequency."""
 
     spec: WaveguideSpec
@@ -181,8 +181,7 @@ def dispersion(spec: WaveguideSpec, mode: ModeIndex,
                           Branch.LOCALIZED, None, gamma)
 
 
-@dataclass(frozen=True)
-class ModeField:
+class ModeField(NamedTuple):
     """Complex field sample(s); trailing axis is the (x, y, z) triple."""
 
     electric: np.ndarray

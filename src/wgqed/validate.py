@@ -14,7 +14,7 @@ battery can be shown to actually bite.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -42,8 +42,7 @@ _FAULTS = ("normalization",)
 _SEED = 20260822
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     """One named invariant with its measured value."""
 
     name: str

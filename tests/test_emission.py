@@ -9,7 +9,6 @@ Cauchy-weight rule, both in plain frequency (check the axial-variable
 shift integrals).
 """
 
-import dataclasses
 import math
 from pathlib import Path
 
@@ -360,7 +359,7 @@ def _oracle_case(case):
                       count=160, modes=modes)
     if case == "random_phases":
         rng = np.random.default_rng(20261018)
-        bins = [dataclasses.replace(b, coupling=b.coupling * complex(
+        bins = [b._replace(coupling=b.coupling * complex(
                     math.cos(p), math.sin(p)))
                 for b, p in zip(bins, rng.uniform(0.0, 2.0 * math.pi,
                                                   len(bins)).tolist())]
