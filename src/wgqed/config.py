@@ -15,7 +15,6 @@ on (the emitter frequency, the fitted decay rate) are known.
 
 from __future__ import annotations
 
-import difflib
 import math
 from dataclasses import Field, dataclass, field, fields, replace
 from enum import Enum
@@ -252,6 +251,8 @@ def parse_config(text: str) -> RunConfig:
         key, _, value = line.partition("=")
         key, value = key.strip(), value.strip()
         if key not in SCHEMA:
+            # imported here: its only use, and a clean run never needs it
+            import difflib
             hint = difflib.get_close_matches(key, SCHEMA, n=1)
             extra = f"; did you mean {hint[0]!r}?" if hint else ""
             raise ConfigError(

@@ -1390,9 +1390,9 @@ class TestGridFastPath:
         assert max(chunk_rows) <= cli.GRID_BLOCK_CELLS < grid.values.size
 
 
-def test_commands_do_not_import_scipy(tmp_path, child_env):
-    # scipy serves only the tail correction of the brute-force
-    # detection amplitude; no command may load it
+def _modules_after_commands(tmp_path, child_env):
+    # every module a child process holds after running the five
+    # commands on demo.conf in process
     demo = Path(__file__).resolve().parent.parent / "configs" / "demo.conf"
     script = (
         "import sys\n"
@@ -1401,9 +1401,24 @@ def test_commands_do_not_import_scipy(tmp_path, child_env):
         f"    rc = main([command, '--config', {str(demo)!r}, '--out',\n"
         f"               {str(tmp_path)!r} + '/' + command + '.csv'])\n"
         "    assert rc == 0, command\n"
-        "print(sorted(m for m in sys.modules if m.startswith('scipy')))\n"
+        "print('\\n'.join(sorted(sys.modules)))\n"
     )
     proc = subprocess.run([sys.executable, "-c", script],
                           capture_output=True, text=True, env=child_env)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    return proc.stdout.split()
+
+
+def test_commands_do_not_import_scipy(tmp_path, child_env):
+    # scipy serves only the tail correction of the brute-force
+    # detection amplitude; no command may load it
+    modules = _modules_after_commands(tmp_path, child_env)
+    assert "wgqed.cli" in modules
+    assert [m for m in modules if m.startswith("scipy")] == []
+
+
+def test_commands_do_not_import_difflib(tmp_path, child_env):
+    # difflib serves only the hint for an unknown configuration key
+    modules = _modules_after_commands(tmp_path, child_env)
+    assert "wgqed.config" in modules
+    assert "difflib" not in modules
