@@ -127,26 +127,34 @@ def pole(spec: WaveguideSpec, shifted_frequency: float,
         raise DomainError("decay rate must be nonnegative")
     c = model.coefficient(spec)
     p = _lowest_transverse_sq(spec)
-    a_part = c * (shifted_frequency ** 2 - 0.25 * decay_rate ** 2) - p
+    try:
+        a_part = c * (shifted_frequency ** 2 - 0.25 * decay_rate ** 2) - p
+    except OverflowError:
+        a_part = math.inf
     b_part = 0.5 * c * shifted_frequency * decay_rate
     if b_part == 0.0:
         if a_part <= 0.0:
             raise PurelyEvanescentError(
                 "zero decay rate below the fundamental cutoff leaves "
                 "no oscillating part to propagate")
-        return PoleResult(beta_r=math.sqrt(a_part), beta_i=0.0,
-                          radicand=complex(a_part, 0.0),
-                          shifted_frequency=shifted_frequency,
-                          decay_rate=decay_rate, model=model)
-    r = math.hypot(a_part, 2.0 * b_part)
-    if a_part >= 0.0:
-        beta_r = math.sqrt(0.5 * (a_part + r))
-        beta_i = -b_part * math.sqrt(2.0 / (r + a_part))
+        beta_r, beta_i = math.sqrt(a_part), 0.0
+        radicand = complex(a_part, 0.0)
     else:
-        beta_i = -math.sqrt(0.5 * (r - a_part))
-        beta_r = b_part * math.sqrt(2.0 / (r - a_part))
-    return PoleResult(beta_r=beta_r, beta_i=beta_i,
-                      radicand=complex(a_part, -2.0 * b_part),
+        r = math.hypot(a_part, 2.0 * b_part)
+        if a_part >= 0.0:
+            beta_r = math.sqrt(0.5 * (a_part + r))
+            beta_i = -b_part * math.sqrt(2.0 / (r + a_part))
+        else:
+            beta_i = -math.sqrt(0.5 * (r - a_part))
+            beta_r = b_part * math.sqrt(2.0 / (r - a_part))
+        radicand = complex(a_part, -2.0 * b_part)
+    # an overflow anywhere above (the radicand, its modulus or the
+    # reciprocal of a subnormal one) ends in a non-finite constant
+    if not (math.isfinite(beta_r) and math.isfinite(beta_i)):
+        raise DomainError(
+            f"line center {shifted_frequency!r} and decay rate "
+            f"{decay_rate!r} overflow the pole arithmetic")
+    return PoleResult(beta_r=beta_r, beta_i=beta_i, radicand=radicand,
                       shifted_frequency=shifted_frequency,
                       decay_rate=decay_rate, model=model)
 
@@ -232,6 +240,12 @@ def _check_cross_section(spec: WaveguideSpec, point):
             "section")
 
 
+def _check_finite(axial, time):
+    for name, samples in (("axial", axial), ("time", time)):
+        if not np.isfinite(samples).all():
+            raise DomainError(f"{name} samples must be finite")
+
+
 def _complex_pole_frequency(pole_result: PoleResult) -> complex:
     return complex(pole_result.shifted_frequency,
                    -0.5 * pole_result.decay_rate)
@@ -310,10 +324,11 @@ def correlation_amplitude(spec: WaveguideSpec, atom: Atom,
     carried on the fundamental channel's transverse profile.
     """
     _check_cross_section(spec, point)
-    delta_z = abs(float(point[2]) - float(atom.position[2]))
+    z, t = float(point[2]), float(time)
+    _check_finite(z, t)
+    delta_z = abs(z - float(atom.position[2]))
     return complex(_amplitude_arrays(spec, atom, pole_result,
-                                     float(point[0]), delta_z,
-                                     float(time), dos))
+                                     float(point[0]), delta_z, t, dos))
 
 
 class CorrelationMetadata(NamedTuple):
@@ -383,9 +398,7 @@ def correlation_grid(spec: WaveguideSpec, atom: Atom,
     if outside.size:
         # raises, naming the first x outside the cross section
         _check_cross_section(spec, (x[outside[0]], 0.0, 0.0))
-    for name, samples in (("axial", z), ("time", t)):
-        if not np.isfinite(samples).all():
-            raise DomainError(f"{name} samples must be finite")
+    _check_finite(z, t)
     dz = np.abs(z - float(atom.position[2]))
     front = _front_speed_factor(spec)
     inside = t[np.newaxis, :] >= front * dz[:, np.newaxis]
@@ -447,6 +460,17 @@ class RateFit(NamedTuple):
 MIN_FIT_CELLS = 8
 
 
+def _refuse_fit(rate, causal, message):
+    # with ``causal`` >= MIN_FIT_CELLS cells inside the cone the fit
+    # lacks cells because they underflowed to +0.0, and a later or
+    # longer time range would only underflow more of them
+    if causal >= MIN_FIT_CELLS:
+        message = (f"too few causal cells are above zero to fit the "
+                   f"{rate} rate: the rest underflowed; use an earlier "
+                   f"or shorter time range")
+    raise DomainError(message)
+
+
 def fit_decay_rates(grid: CorrelationGrid) -> RateFit:
     """Fit the two exponential rates from a sampled grid.
 
@@ -472,9 +496,9 @@ def fit_decay_rates(grid: CorrelationGrid) -> RateFit:
             z_idx = j
             break
     if z_idx is None:
-        raise DomainError(
-            "no axial sample has enough causal cells to fit a "
-            "temporal rate; widen the time range")
+        _refuse_fit("temporal", grid.inside_cone.sum(axis=1).max(),
+                    "no axial sample has enough causal cells to fit a "
+                    "temporal rate; widen the time range")
     t_mask = grid.inside_cone[z_idx] & (values[z_idx] > 0.0)
     t_fit = np.polyfit(t[t_mask], np.log(values[z_idx][t_mask]), 1)
     t_resid = float(np.max(np.abs(
@@ -483,10 +507,10 @@ def fit_decay_rates(grid: CorrelationGrid) -> RateFit:
     t_idx = len(t) - 1
     z_mask = grid.inside_cone[:, t_idx] & (values[:, t_idx] > 0.0)
     if np.count_nonzero(z_mask) < MIN_FIT_CELLS:
-        raise DomainError(
-            "not enough causal axial samples at the latest time to "
-            "fit a spatial rate; extend the time range or shrink the "
-            "axial range")
+        _refuse_fit("spatial", np.count_nonzero(grid.inside_cone[:, t_idx]),
+                    "not enough causal axial samples at the latest time "
+                    "to fit a spatial rate; extend the time range or "
+                    "shrink the axial range")
     z_fit = np.polyfit(dz[z_mask], np.log(values[z_mask, t_idx]), 1)
     z_resid = float(np.max(np.abs(
         np.polyval(z_fit, dz[z_mask]) - np.log(values[z_mask, t_idx]))))
@@ -664,6 +688,8 @@ def omega_d(spec: WaveguideSpec, decay_rate: float,
     if scan is None:
         scan = (1.0e-3 * nu_ref, 1.0e4 * nu_ref)
     lo, hi = scan
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise DomainError("scan range bounds must be finite")
     if not (0.0 < lo < hi):
         raise DomainError("scan range must satisfy 0 < low < high")
 
@@ -672,7 +698,13 @@ def omega_d(spec: WaveguideSpec, decay_rate: float,
         return abs(res.spatial_rate) / decay_rate - target
 
     grid = np.geomspace(lo, hi, scan_samples)
-    vals = np.array([excess(w) for w in grid])
+    try:
+        vals = np.array([excess(w) for w in grid])
+    except DomainError as err:
+        # lo > 0 and a positive rate leave overflow as the only refusal
+        raise DomainError(
+            f"scan range ({float(lo)!r}, {float(hi)!r}) reaches an "
+            f"unrepresentable pole: {err}") from err
     flips = np.nonzero(np.sign(vals[:-1]) * np.sign(vals[1:]) < 0)[0]
     if flips.size == 0:
         ratios = vals + target

@@ -11,6 +11,7 @@ exponential rates with no residue algebra involved.
 
 import cmath
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -118,6 +119,21 @@ class TestPole:
             pole(FILLED, bad, 0.02)
         with pytest.raises(DomainError, match="must be finite"):
             pole(FILLED, 1.0, bad)
+
+    @pytest.mark.parametrize("center,rate", [
+        (1e154, 0.02),   # gave beta_r = inf
+        (1e200, 0.02),   # raised a bare OverflowError
+        (1.0, 1e200)])
+    def test_overflowing_pole_refused(self, center, rate):
+        with pytest.raises(DomainError, match="overflow the pole"):
+            pole(FILLED, center, rate)
+
+    def test_subnormal_radicand_at_cutoff_refused(self):
+        # on the vacuum guide's cutoff 1.0 the radicand's modulus is
+        # subnormal and its reciprocal overflows: gave beta_i = -inf
+        vacuum = WaveguideSpec(width=math.pi, height=math.pi / 2.0)
+        with pytest.raises(DomainError, match="overflow the pole"):
+            pole(vacuum, 1.0, 1e-310)
 
     @pytest.mark.parametrize("model", list(RadicandModel))
     def test_narrow_line_ratio_is_dispersion_slope(self, model):
@@ -337,6 +353,23 @@ class TestOmegaD:
         with pytest.raises(DomainError, match="must be finite"):
             omega_d(FILLED, bad)
 
+    @pytest.mark.parametrize("scan", [(0.5, math.inf), (math.nan, 2.0),
+                                      (-math.inf, 2.0)])
+    def test_non_finite_scan_refused(self, scan):
+        # (0.5, inf) printed numpy's RuntimeWarning from the scan grid
+        # and then blamed the line center
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError,
+                               match="scan range bounds must be finite"):
+                omega_d(FILLED, 0.05, scan=scan)
+
+    def test_overflowing_scan_refused(self):
+        # raised a bare OverflowError from the pole
+        with pytest.raises(DomainError, match=r"scan range \(0\.001, "
+                           r"1e\+308\) reaches an unrepresentable pole"):
+            omega_d(FILLED, 0.05, scan=(1e-3, 1e308))
+
 
 class TestCorrelationAmplitude:
     POLE = pole(FILLED, CENTER, RATE, RadicandModel.SINGLE_INDEX)
@@ -410,6 +443,18 @@ class TestCorrelationAmplitude:
         with pytest.raises(DomainError):
             correlation_amplitude(FILLED, atom, self.POLE,
                                   (4.0, 0.5, 5.0), 40.0)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_samples_refused(self, bad):
+        # each returned 0j, as if the point lay before the front
+        atom = filled_atom()
+        with pytest.raises(DomainError, match="time samples must be finite"):
+            correlation_amplitude(FILLED, atom, self.POLE,
+                                  (1.0, 0.5, 5.0), bad)
+        with pytest.raises(DomainError,
+                           match="axial samples must be finite"):
+            correlation_amplitude(FILLED, atom, self.POLE,
+                                  (1.0, 0.5, bad), 40.0)
 
 
 class TestCorrelationGrid:
@@ -577,6 +622,24 @@ class TestCorrelationGrid:
         grid = correlation_grid(FILLED, atom, self.POLE, x, z, t)
         with pytest.raises(DomainError):
             fit_decay_rates(grid)
+
+    @pytest.mark.parametrize("rate,t_values", [
+        # every causal cell of every axial sample is below e^-745
+        ("temporal", np.linspace(16000.0, 20000.0, 10)),
+        # the latest time's cells are, while earlier times fit
+        ("spatial", np.linspace(200.0, 20000.0, 20))])
+    def test_fit_names_underflow(self, rate, t_values):
+        # the message said to extend the time range, which only
+        # underflows more cells
+        grid = correlation_grid(FILLED, filled_atom(), self.POLE, [1.0],
+                                np.linspace(1.0, 100.0, 20), t_values)
+        assert grid.inside_cone.all()
+        with pytest.raises(DomainError) as exc:
+            fit_decay_rates(grid)
+        assert str(exc.value) == (
+            f"too few causal cells are above zero to fit the {rate} "
+            "rate: the rest underflowed; use an earlier or shorter time "
+            "range")
 
 
 class TestBruteForce:
