@@ -701,7 +701,8 @@ def omega_d(spec: WaveguideSpec, decay_rate: float,
     try:
         vals = np.array([excess(w) for w in grid])
     except DomainError as err:
-        # lo > 0 and a positive rate leave overflow as the only refusal
+        # lo > 0 and a positive rate leave only a pole whose arithmetic
+        # overflows or underflows to refuse
         raise DomainError(
             f"scan range ({float(lo)!r}, {float(hi)!r}) reaches an "
             f"unrepresentable pole: {err}") from err
