@@ -290,27 +290,6 @@ def alternative_prefactor_ratio(spec: WaveguideSpec,
     return mine / candidate
 
 
-def _amplitude_arrays(spec, atom, pole_result, x, delta_z, time, dos):
-    """Vectorized residue amplitude over broadcastable x, |z - z0|, t."""
-    const = _amplitude_constant(spec, atom, pole_result, dos)
-    x0 = float(atom.position[0])
-    dz = np.asarray(delta_z, dtype=float)
-    t = np.asarray(time, dtype=float)
-    front = _front_speed_factor(spec)
-    inside = t >= front * dz
-    # oscillation at beta_r, axial damping at |beta_i| (beta_i <= 0),
-    # and the complex resonance envelope in time
-    envelope = np.exp(
-        (1j * pole_result.beta_r + pole_result.beta_i) * dz
-        - (1j * pole_result.shifted_frequency
-           + 0.5 * pole_result.decay_rate) * t)
-    profile = (_transverse_profile(spec, x)
-               * _transverse_profile(spec, x0))
-    amp = np.asarray(const * profile * envelope)
-    np.copyto(amp, 0.0, where=~inside)
-    return amp
-
-
 def correlation_amplitude(spec: WaveguideSpec, atom: Atom,
                           pole_result: PoleResult, point, time: float, *,
                           dos: DensityModel = DensityModel.PHASE_VELOCITY
@@ -326,9 +305,19 @@ def correlation_amplitude(spec: WaveguideSpec, atom: Atom,
     _check_cross_section(spec, point)
     z, t = float(point[2]), float(time)
     _check_finite(z, t)
-    delta_z = abs(z - float(atom.position[2]))
-    return complex(_amplitude_arrays(spec, atom, pole_result,
-                                     float(point[0]), delta_z, t, dos))
+    dz = abs(z - float(atom.position[2]))
+    if not t >= _front_speed_factor(spec) * dz:
+        return 0j
+    const = _amplitude_constant(spec, atom, pole_result, dos)
+    # oscillation at beta_r, axial damping at |beta_i| (beta_i <= 0),
+    # and the complex resonance envelope in time
+    envelope = np.exp(
+        (1j * pole_result.beta_r + pole_result.beta_i) * dz
+        - (1j * pole_result.shifted_frequency
+           + 0.5 * pole_result.decay_rate) * t)
+    profile = (_transverse_profile(spec, float(point[0]))
+               * _transverse_profile(spec, float(atom.position[0])))
+    return complex(const * profile * envelope)
 
 
 class CorrelationMetadata(NamedTuple):

@@ -114,10 +114,10 @@ def decay_rate(spec: WaveguideSpec, atom: Atom, box: QuantizationBox,
     omega = atom.transition_frequency
     chans = Channels(spec, atom, (mode for _, mode in modes_below(
         spec, omega, max_index=max_index)))
-    counts = np.ones(len(chans.modes), dtype=int)
+    rows = np.arange(len(chans.modes))
     nodes = np.full(len(chans.modes), omega)
-    g = couplings(chans, counts, nodes, box).tolist()
-    weights = continuum_weight(chans, counts, nodes, box, model).tolist()
+    g = couplings(chans, rows, nodes, box).tolist()
+    weights = continuum_weight(chans, rows, nodes, box, model).tolist()
     channels = [ChannelRate(mode=mode, direction=d, weight=w, coupling=c,
                             rate=2.0 * math.pi * w * abs(c) ** 2)
                 for mode, w, *pair in zip(chans.modes, weights, *g)
@@ -256,17 +256,14 @@ def level_shift(spec: WaveguideSpec, atom: Atom, box: QuantizationBox,
                            math.nan if t0 is None else t0, q))
         if refused:
             break
-    rows = [seg[0] for seg in segments]
-    table = np.array(consts, dtype=float).reshape(-1, 6).T.copy()
+    rows = np.array([seg[0] for seg in segments], dtype=int)
+    table = np.array(consts, dtype=float).reshape(-1, 6).T
 
-    def integrand(t, counts):
-        h, s, nu_c, band, t0, q = np.repeat(table, counts, axis=1)
+    def integrand(t, seg):
+        h, s, nu_c, band, t0, q = table.take(seg, axis=1)
         nu = np.sqrt((h * h + s * t * t) / eps_mu)
         nu = np.where(np.abs(nu - nu_c) < band, nu_c + s * band, nu)
-        # a channel's segments are adjacent, so its nodes are too
-        per_channel = np.bincount(rows, counts, len(chans.modes))
-        g_sq = np.abs(couplings(chans, per_channel.astype(int), nu,
-                                box)) ** 2
+        g_sq = np.abs(couplings(chans, rows[seg], nu, box)) ** 2
         # traveling profiles count once per direction of travel
         traveling = s > 0.0
         csq = np.where(traveling, g_sq[0] + g_sq[1], g_sq[0])
@@ -349,12 +346,13 @@ def build_bins(spec: WaveguideSpec, atom: Atom, box: QuantizationBox,
     bins = []
     centers = lo + (np.arange(count) + 0.5) * width
     chans = Channels(spec, atom, modes)
-    grid = np.broadcast_to(centers, (len(chans.modes), count))
-    g = couplings(chans, np.full(len(chans.modes), count), grid.ravel(),
-                  box).reshape(2, len(chans.modes), count)
+    n = len(chans.modes)
+    grid = np.broadcast_to(centers, (n, count))
+    g = couplings(chans, np.repeat(np.arange(n), count), grid.ravel(),
+                  box).reshape(2, n, count)
     above = grid > chans.cutoff[:, None]
     weights = np.full(grid.shape, _LOCALIZED_UNIT_WEIGHT)
-    weights[above] = continuum_weight(chans, above.sum(axis=1),
+    weights[above] = continuum_weight(chans, np.nonzero(above)[0],
                                       grid[above], box, model)
     for mode, *per_mode in zip(chans.modes, g[0].tolist(), g[1].tolist(),
                                weights.tolist(), above.tolist()):

@@ -10,10 +10,11 @@ accept a float ndarray of abscissae and return an ndarray of values
 pays a fixed set-up cost, so the quadratures stack nodes. ``_lockstep``
 refines many segments at once: one call covers every segment's 1-panel
 and 2-panel rules and pole point, and each further panel doubling is
-one call over the segments not yet accepted. ``integrate`` and
-``pv_integrate`` are its one-segment uses. Each interval's rule is
-summed as one contiguous row, so the stacking changes no bit of any
-result.
+one call over the segments not yet accepted. Its integrand also gets
+each node's segment index, so the nodes may come in any order.
+``integrate`` and ``pv_integrate`` are its one-segment uses. Each
+interval's rule is summed as one contiguous row, so the stacking
+changes no bit of any result.
 """
 
 from __future__ import annotations
@@ -76,11 +77,11 @@ def _lockstep(f, segments):
 
     ``segments`` holds ``(a, b, pole)`` triples: with ``pole`` None
     the integral of f over [a, b], with a pole the principal value of
-    f(x)/(x - pole) that ``pv_integrate`` defines. ``f(x, counts)``
-    gets the nodes of the segments still refining, grouped by segment
-    in segment order, ``counts[j]`` of them for segment j. The first
-    call holds every pole point and the 1-panel and 2-panel rules of
-    every interval; each further doubling is one call over the
+    f(x)/(x - pole) that ``pv_integrate`` defines. ``f(x, seg)`` gets
+    the nodes of the segments still refining, in no promised order,
+    with ``seg[i]`` the index of the segment of node i. The first
+    call holds the 1-panel and 2-panel rules of every interval, then
+    every pole point; each further doubling is one call over the
     intervals not yet accepted, each with its own stopping test.
 
     Returns ``(value, last_change)`` per segment, a principal value's
@@ -103,24 +104,19 @@ def _lockstep(f, segments):
     g_pole = None   # f(pole) per segment
 
     def call(nodes, live):
-        # f on the live intervals' rows, each pole point in front of
-        # its segment at the opening; (f(x) - f(pole))/(x - pole) on
-        # the rows of a principal value
+        # f on the live intervals' rows, and on the pole points after
+        # them at the opening; (f(x) - f(pole))/(x - pole) on the rows
+        # of a principal value
         nonlocal g_pole
-        counts = np.bincount(owner[live], minlength=len(segments))
-        counts *= nodes.shape[1]
-        x = nodes.ravel()
+        x, seg = nodes.ravel(), np.repeat(owner[live], nodes.shape[1])
         if g_pole is None:
-            is_pole = np.zeros(x.size + lefts.size, dtype=bool)
-            is_pole[lefts * nodes.shape[1] + np.arange(lefts.size)] = True
-            x = np.empty(is_pole.size)
-            x[is_pole], x[~is_pole] = at[lefts], nodes.ravel()
-            counts[owner[lefts]] += 1
-        vals = np.asarray(f(x, counts))
+            x = np.concatenate((x, at[lefts]))
+            seg = np.concatenate((seg, owner[lefts]))
+        vals = np.asarray(f(x, seg))
         if g_pole is None:
             g_pole = np.zeros(len(segments), vals.dtype)
-            g_pole[owner[lefts]] = vals[is_pole]
-            vals = vals[~is_pole]
+            g_pole[owner[lefts]] = vals[nodes.size:]
+            vals = vals[:nodes.size]
         vals = vals.reshape(nodes.shape).astype(
             np.result_type(vals.dtype, 1.0))
         rem = pv[live]
@@ -176,7 +172,7 @@ def integrate(f, a: float, b: float):
     """
     if b == a:
         return 0.0, 0.0
-    return _lockstep(lambda x, counts: f(x), [(a, b, None)])[0]
+    return _lockstep(lambda x, seg: f(x), [(a, b, None)])[0]
 
 
 def pv_integrate(g, pole: float, a: float, b: float):
@@ -196,7 +192,7 @@ def pv_integrate(g, pole: float, a: float, b: float):
     """
     if not (a < pole < b):
         raise ValueError("pole must lie strictly inside the window")
-    return _lockstep(lambda x, counts: g(x), [(a, b, pole)])[0][0]
+    return _lockstep(lambda x, seg: g(x), [(a, b, pole)])[0][0]
 
 
 def principal_csqrt(w: complex) -> complex:

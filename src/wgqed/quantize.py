@@ -22,9 +22,10 @@ The dipole coupling has two forms. ``coupling_at`` is the per-point
 definition: it normalizes the mode and samples its field at the atom,
 and the tests use it as the reference. ``couplings`` is the
 computational path: the same quantity in closed form, in both
-directions of travel, over frequency nodes grouped by the channels of
-a ``Channels`` table of per-mode constants, which ``continuum_weight``
-reads as well and each call expands over its nodes with ``np.repeat``.
+directions of travel, over frequency nodes that each name their row of
+a ``Channels`` table of per-mode constants. ``continuum_weight`` reads
+the same table; both gather its columns by those rows, so the nodes
+may come in any order.
 """
 
 from __future__ import annotations
@@ -215,13 +216,8 @@ class Channels:
         self.columns, self.cutoff = _channel_table(spec, self.modes, xy)
 
 
-def _node_row(counts, index: int) -> int:
-    # the channel of node ``index``, over nodes grouped by channel
-    return int(np.searchsorted(np.cumsum(counts), index, "right"))
-
-
-def _axial(chans: Channels, counts, frequencies, h):
-    # ``dispersion`` over nodes grouped by channel, with h the nodes'
+def _axial(chans: Channels, rows, frequencies, h):
+    # ``dispersion`` over nodes of channels ``rows``, with h the nodes'
     # transverse wavenumbers: the same checks and the same
     # sqrt(k^2 - h^2), so each element matches the scalar path to the
     # bit. Returns the frequencies, k, the above-cutoff mask and the
@@ -234,7 +230,7 @@ def _axial(chans: Channels, counts, frequencies, h):
     degenerate = np.abs(nu - nu_c) <= CUTOFF_REL_TOL * nu_c
     if degenerate.any():
         i = int(np.flatnonzero(degenerate)[0])
-        row = _node_row(counts, i)
+        row = rows[i]
         mode = chans.modes[row]
         raise DomainError(
             f"frequency {float(nu[i])!r} is degenerate with the "
@@ -244,11 +240,11 @@ def _axial(chans: Channels, counts, frequencies, h):
     return nu, k, nu > nu_c, np.sqrt(np.abs(k * k - h * h))
 
 
-def couplings(chans: Channels, counts, frequencies,
+def couplings(chans: Channels, rows, frequencies,
               box: QuantizationBox) -> np.ndarray:
-    """``coupling_at`` in closed form over ``counts[j]`` frequency
-    nodes of channel j, in table order: one row per direction of
-    travel, +1 then -1, sharing every factor but the direction's.
+    """``coupling_at`` in closed form at each frequency node, on the
+    channel of table row ``rows[i]`` for node i: one row per direction
+    of travel, +1 then -1, sharing every factor but the direction's.
 
     Takes the source planes ``coupling_at`` takes: z = 0 above cutoff,
     and the atom's own plane below it, where the axial factor is one
@@ -266,9 +262,9 @@ def couplings(chans: Channels, counts, frequencies,
     is not finite, naming the mode.
     """
     spec, atom = chans.spec, chans.atom
-    kx, ky, h, tm, weight, pol, sx, sy, cx, cy = np.repeat(
-        chans.columns, counts, axis=1)
-    nu, k, propagating, axial = _axial(chans, counts, frequencies, h)
+    kx, ky, h, tm, weight, pol, sx, sy, cx, cy = chans.columns.take(
+        rows, axis=1)
+    nu, k, propagating, axial = _axial(chans, rows, frequencies, h)
     h2 = h * h
     with np.errstate(over="ignore", invalid="ignore"):
         per_area = (HBAR * nu * weight
@@ -278,7 +274,7 @@ def couplings(chans: Channels, counts, frequencies,
                                per_area * axial))
     if not np.isfinite(amp).all():
         i = int(np.flatnonzero(~np.isfinite(amp))[0])
-        mode = chans.modes[_node_row(counts, i)]
+        mode = chans.modes[rows[i]]
         raise DomainError(
             f"the one-quantum amplitude of {mode.polarization.value}"
             f"({mode.m},{mode.n}) is not finite at frequency "
@@ -313,10 +309,10 @@ def couplings(chans: Channels, counts, frequencies,
     return np.array(out)
 
 
-def continuum_weight(chans: Channels, counts, frequencies,
+def continuum_weight(chans: Channels, rows, frequencies,
                      box: QuantizationBox, model: DensityModel):
     """States per unit angular frequency for one direction of travel,
-    over nodes grouped by channel as ``couplings`` takes them.
+    over nodes with their channel rows as ``couplings`` takes them.
 
     Above cutoff the box spacing 2*pi/length in the axial wavenumber
     is converted to frequency per ``model``. The decaying branch has
@@ -324,11 +320,11 @@ def continuum_weight(chans: Channels, counts, frequencies,
     those profiles as a frequency continuum supply their own unit
     measure.
     """
-    nu, _, propagating, axial = _axial(
-        chans, counts, frequencies, np.repeat(chans.columns[2], counts))
+    nu, _, propagating, axial = _axial(chans, rows, frequencies,
+                                       chans.columns[2, rows])
     below = np.flatnonzero(~propagating)
     if below.size:
-        mode = chans.modes[_node_row(counts, below[0])]
+        mode = chans.modes[rows[below[0]]]
         raise DomainError(
             "state-density conversion only applies above cutoff; "
             f"{mode.polarization.value}({mode.m},{mode.n}) decays at "

@@ -78,10 +78,13 @@ def _probe_modes(spec):
 
 def _check_residual(name, fn, config, tolerance=1e-5):
     spec = config.waveguide_spec()
-    point = (0.37 * spec.width, 0.41 * spec.height, 0.23)
+    # the axial offset and the stencil step in units of the inverse
+    # TE(1,0) transverse wavenumber, so both scale with the guide
+    unit = spec.width / math.pi
+    point = (0.37 * spec.width, 0.41 * spec.height, 0.23 * unit)
     worst = 0.0
     for mode, freq in _probe_modes(spec):
-        worst = max(worst, fn(spec, mode, freq, point))
+        worst = max(worst, fn(spec, mode, freq, point, 1e-3 * unit))
     return _result(name, worst, tolerance)
 
 

@@ -750,6 +750,25 @@ class TestValidateCommand:
             assert type(row.tolerance) is float
             assert type(row.passed) is bool
 
+    @pytest.mark.parametrize("scale", [1e-3, 1e-2, 1e3, 1e4])
+    def test_residual_checks_scale_with_the_guide(self, scale):
+        # guide and atom scaled by s, the transition by 1/s: the probe
+        # point and the stencil step scale along, so the residual rows
+        # read what they read on the demo instead of refusing a
+        # stencil that straddles a wall or sampling rounding noise
+        lengths = ("waveguide.a", "waveguide.b", "atom.x0", "atom.y0")
+        text = config_text(
+            **{k: repr(float(BASE[k]) * scale) for k in lengths},
+            **{"atom.omega": repr(1.45 / scale)})
+        names = ("helmholtz_residual", "divergence_residual")
+        want = [r for r in run_checks(parse_config(config_text()))
+                if r.name in names]
+        got = [r for r in run_checks(parse_config(text)) if r.name in names]
+        assert [r.name for r in got] == list(names)
+        for row, demo in zip(got, want):
+            assert row.passed
+            assert row.measured == pytest.approx(demo.measured, rel=1e-2)
+
     def test_unknown_fault_is_config_error(self, tmp_path):
         conf = write_config(tmp_path)
         assert main(["validate", "--config", conf, "--inject-fault",

@@ -166,18 +166,18 @@ class TestLevelShift:
         # directions of travel above cutoff; unit weight and the
         # single decaying profile below it
         chans = Channels(spec, atom, [mode])
-        g_sq = np.abs(couplings(chans, [nu.size], nu, box)) ** 2
+        g_sq = np.abs(couplings(chans, np.zeros(nu.size, int), nu, box)) ** 2
         above = nu > cutoff_frequency(spec, mode)
         out = g_sq[0]
-        out[above] = (continuum_weight(chans, [above.sum()], nu[above], box,
-                                       model)
+        out[above] = (continuum_weight(chans, np.zeros(above.sum(), int),
+                                       nu[above], box, model)
                       * (g_sq[0][above] + g_sq[1][above]))
         return out
 
     @staticmethod
     def pointwise_weight_coupling_sq(spec, mode, atom, box, model, nu):
         if nu > cutoff_frequency(spec, mode):
-            w = float(continuum_weight(Channels(spec, atom, [mode]), [1],
+            w = float(continuum_weight(Channels(spec, atom, [mode]), [0],
                                        [nu], box, model)[0])
             return w * sum(
                 abs(coupling_at(spec, mode, nu, atom, box,

@@ -14,6 +14,7 @@ from wgqed.numerics import (
     QUAD_ORDER,
     QUAD_REL_TOL,
     _gl_nodes,
+    _lockstep,
     find_root,
     integrate,
     principal_csqrt,
@@ -240,6 +241,44 @@ class TestPVIntegrate:
                       epsabs=0.0, epsrel=1e-13)
         assert pv_integrate(np.cos, 1.0, 0.0, 3.0) == pytest.approx(
             ref, rel=1e-12)
+
+
+class TestLockstep:
+    # plain and principal-value segments, overlapping, out of order and
+    # refined to different depths: peaks of width 1, 0.1 and 0.01
+    SEGMENTS = [(0.0, 1.0, None), (-1.0, 2.0, 0.3), (2.0, 5.0, None),
+                (1.0, 3.0, 2.5)]
+    CENTERS = np.array([0.5, 0.9, 3.1, 1.7])
+    WIDTHS = np.array([0.01, 1.0, 0.1, 0.01])
+
+    def peak(self, x, seg):
+        return 1.0 / ((x - self.CENTERS[seg]) ** 2 + self.WIDTHS[seg] ** 2)
+
+    def test_each_node_names_its_segment(self):
+        calls = []
+
+        def recording(x, seg):
+            calls.append((x.copy(), seg.copy()))
+            return self.peak(x, seg)
+
+        got = _lockstep(recording, self.SEGMENTS)
+        assert len(calls) > 2
+        lo, hi = (np.array([s[i] for s in self.SEGMENTS]) for i in (0, 1))
+        for x, seg in calls:
+            assert x.shape == seg.shape
+            assert ((lo[seg] <= x) & (x <= hi[seg])).all()
+        # the opening carries every pole point, once, with its owner
+        x, seg = calls[0]
+        for j, (_, _, at) in enumerate(self.SEGMENTS):
+            assert np.count_nonzero((x == at) & (seg == j)) == (
+                0 if at is None else 1)
+        # and each segment gets the bits of its lone integral
+        for j, (a, b, at) in enumerate(self.SEGMENTS):
+            def alone(x, j=j):
+                return self.peak(x, np.full(x.shape, j))
+            want = (integrate(alone, a, b) if at is None
+                    else (pv_integrate(alone, at, a, b),))
+            assert got[j][0] == want[0]
 
 
 class TestPrincipalCsqrt:

@@ -283,7 +283,8 @@ CUTOFF_FRACTIONS = (0.05, 0.4, 0.9, 0.999, 1.0 - 3.0 * CUTOFF_REL_TOL,
 def one_mode(spec, mode, frequencies, atom, box):
     """Both directions' couplings of one mode over a frequency array."""
     nu = np.asarray(frequencies, dtype=float).ravel()
-    return couplings(Channels(spec, atom, [mode]), [nu.size], nu, box)
+    return couplings(Channels(spec, atom, [mode]), np.zeros(nu.size, int),
+                     nu, box)
 
 
 def weights(spec, mode, frequencies, box, model, atom=None):
@@ -291,8 +292,8 @@ def weights(spec, mode, frequencies, box, model, atom=None):
     atom = atom or Atom(position=(0.0, 0.0, 0.0), dipole=(0.0, 0.0, 0.0),
                         transition_frequency=1.0)
     nu = np.asarray(frequencies, dtype=float).ravel()
-    return continuum_weight(Channels(spec, atom, [mode]), [nu.size], nu,
-                            box, model)
+    return continuum_weight(Channels(spec, atom, [mode]),
+                            np.zeros(nu.size, int), nu, box, model)
 
 
 class TestCouplingsArray:
@@ -348,7 +349,7 @@ class TestCouplingsArray:
         # channel without nodes
         chans = Channels(GUIDE, atom, [TM11, TE10, TE10])
         with pytest.raises(DomainError, match=r"of TE\(1,0\)$"):
-            couplings(chans, [1, 0, 2], [4.0, 2.0, nu_c], BOX)
+            couplings(chans, [0, 2, 2], [4.0, 2.0, nu_c], BOX)
 
     def test_overflowing_amplitude_names_its_mode(self):
         # permeability 1e-300 overflows hbar * nu / mu below cutoff;
@@ -365,7 +366,7 @@ class TestCouplingsArray:
             with pytest.raises(DomainError,
                                match=r"amplitude of TE\(1,0\) is not "
                                      r"finite at frequency"):
-                couplings(chans, [0, 2], [0.4 * nu_c, 0.9 * nu_c], BOX)
+                couplings(chans, [1, 1], [0.4 * nu_c, 0.9 * nu_c], BOX)
 
     @pytest.mark.parametrize("bad", [0.0, -1.5])
     def test_non_positive_frequency(self, bad):
@@ -402,10 +403,10 @@ class TestCouplingsArray:
         modes = [mode for mode, _ in rows]
         grids = [cutoff_frequency(spec, m) * np.array(CUTOFF_FRACTIONS[i:])
                  for m, i in rows]
-        counts = [g.size for g in grids]
-        got = couplings(Channels(spec, atom, modes), counts,
+        node_rows = np.repeat(np.arange(len(grids)), [g.size for g in grids])
+        got = couplings(Channels(spec, atom, modes), node_rows,
                         np.concatenate(grids + [np.empty(0)]), BOX)
-        assert got.shape == (2, sum(counts))
+        assert got.shape == (2, node_rows.size)
         want = np.concatenate([one_mode(spec, m, g, atom, BOX)
                                for m, g in zip(modes, grids)], axis=1)
         assert np.array_equal(got, want)
@@ -416,6 +417,27 @@ class TestCouplingsArray:
                               for f in g.tolist()])
             scale = max(float(np.max(np.abs(point), initial=0.0)), 1e-300)
             assert np.max(np.abs(row - point), initial=0.0) <= 1e-13 * scale
+
+    @pytest.mark.parametrize("z0", [0.0, 0.7])
+    def test_node_order_is_free(self, z0):
+        # each node names its channel, so shuffling the nodes together
+        # with their rows shuffles the couplings and weights, bit for
+        # bit, on both branches and both polarizations
+        atom = Atom(position=(0.7, 0.5, z0), dipole=(0.2, 0.3j, 0.1 - 0.4j),
+                    transition_frequency=2.0)
+        chans = Channels(GUIDE, atom, MODES)
+        rows = np.repeat(np.arange(len(MODES)), len(CUTOFF_FRACTIONS))
+        nu = (chans.cutoff[:, None] * CUTOFF_FRACTIONS).ravel()
+        perm = np.random.default_rng(7).permutation(rows.size)
+        assert np.array_equal(couplings(chans, rows[perm], nu[perm], BOX),
+                              couplings(chans, rows, nu, BOX)[:, perm])
+        up = nu > chans.cutoff[rows]
+        rows, nu = rows[up], nu[up]
+        perm = np.random.default_rng(8).permutation(rows.size)
+        for model in DensityModel:
+            assert np.array_equal(
+                continuum_weight(chans, rows[perm], nu[perm], BOX, model),
+                continuum_weight(chans, rows, nu, BOX, model)[perm])
 
 
 def reference_table(spec, atom, modes):
@@ -509,8 +531,8 @@ class TestContinuumWeight:
                 weights(GUIDE, TE10, [0.5], BOX, model)
             with pytest.raises(DomainError,
                                match=r"TE\(1,0\) decays at frequency 0.5"):
-                continuum_weight(chans, [1, 3], [4.0, 2.0, 0.5, 3.0], BOX,
-                                 model)
+                continuum_weight(chans, [0, 1, 1, 1], [4.0, 2.0, 0.5, 3.0],
+                                 BOX, model)
 
     def test_array_matches_scalar_bit_for_bit(self):
         # a table of channels over many nodes reproduces one-node calls
@@ -524,8 +546,10 @@ class TestContinuumWeight:
         chans = Channels(GUIDE, atom, MODES)
         eps_mu = GUIDE.permittivity * GUIDE.permeability
         for model in DensityModel:
-            table = continuum_weight(chans, [g.size for g in grids],
-                                     np.concatenate(grids), box, model)
+            table = continuum_weight(
+                chans, np.repeat(np.arange(len(grids)),
+                                 [g.size for g in grids]),
+                np.concatenate(grids), box, model)
             singles = [w for mode, nus in zip(MODES, grids)
                        for nu in nus.tolist()
                        for w in weights(GUIDE, mode, [nu], box,

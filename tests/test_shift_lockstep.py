@@ -86,8 +86,8 @@ def _previous_level_shift(spec, atom, box, model, *, window, modes=None,
                 nu = np.sqrt((h * h + s * t * t) / eps_mu)
                 nu = np.where(np.abs(nu - nu_c) < band, nu_c + s * band, nu)
                 csq = sum(np.abs(emission.couplings(
-                    Channels(spec, atom, [mode]), [nu.size], nu,
-                    box)[(1, -1).index(d)]) ** 2 for d in directions)
+                    Channels(spec, atom, [mode]), np.zeros(nu.size, int),
+                    nu, box)[(1, -1).index(d)]) ** 2 for d in directions)
                 return (-_weight_times_t(spec, box, model, branch, nu, t)
                         * csq * (omega + nu) / nu)
 
@@ -240,17 +240,12 @@ def _rough(modes):
     listed modes, so their segments never meet the stopping test;
     a factor of the mode and frequency alone, whatever the stacking."""
 
-    def factor(mode, nu):
-        nu = np.asarray(nu, dtype=float)
-        if mode in modes:
-            return 1.0 + np.abs(np.sin(40.0 * nu)) ** 0.3
-        return np.ones_like(nu)
-
-    def rough(chans, counts, frequencies, box):
-        g = couplings(chans, counts, frequencies, box)
-        per_channel = np.split(frequencies, np.cumsum(counts)[:-1])
-        return g * np.concatenate([factor(m, f) for m, f in
-                                   zip(chans.modes, per_channel)] + [[]])
+    def rough(chans, rows, frequencies, box):
+        on = np.isin(rows, [j for j, m in enumerate(chans.modes)
+                            if m in modes])
+        factor = 1.0 + np.abs(np.sin(40.0 * frequencies)) ** 0.3
+        return (couplings(chans, rows, frequencies, box)
+                * np.where(on, factor, 1.0))
 
     return rough
 
@@ -333,10 +328,10 @@ class TestStackedChannels:
             set(Polarization)
         for c in res.channels:
             chans = Channels(spec, atom, [c.mode])
-            g = complex(couplings(chans, [1], [2.3], box)[
+            g = complex(couplings(chans, [0], [2.3], box)[
                 (1, -1).index(c.direction), 0])
             assert c.coupling == g
-            assert c.weight == float(continuum_weight(chans, [1], [2.3], box,
+            assert c.weight == float(continuum_weight(chans, [0], [2.3], box,
                                                       model)[0])
             assert c.rate == 2.0 * math.pi * c.weight * abs(g) ** 2
         assert res.total == math.fsum(c.rate for c in res.channels)
@@ -359,7 +354,8 @@ class TestStackedChannels:
         centers = 0.9 + (np.arange(57) + 0.5) * (2.0 / 57)
         want = {}
         for mode in modes:
-            g = couplings(Channels(spec, atom, [mode]), [57], centers, box)
+            g = couplings(Channels(spec, atom, [mode]), np.zeros(57, int),
+                          centers, box)
             for d, row in zip((1, -1), g.tolist()):
                 want.update(((mode, d, nu), c) for nu, c in
                             zip(centers.tolist(), row))
