@@ -50,8 +50,6 @@ REFUSALS = (
     ("corr_below_cutoff", ["corr"], {"atom.omega": "0.5"}),
     ("omegad_consistent_no_crossing",
      ["omegad", "--radicand", "consistent"], {}),
-    ("validate_fault_normalization",
-     ["validate", "--inject-fault", "normalization"], {}),
     ("validate_square_guide_below_cutoff", ["validate"],
      {"waveguide.b": "3.141592653589793", "atom.omega": "0.5"}),
     ("corr_atom_far_from_grid", ["corr"], {"atom.z0": "300.0"}),

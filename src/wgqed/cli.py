@@ -36,7 +36,6 @@ import numpy as np
 from . import __version__
 from .config import FORMATS, MAX_GRID_POINTS, load_config
 from .detection import (
-    MIN_FIT_CELLS,
     CorrelationGrid,
     RadicandModel,
     closed_form_crossing,
@@ -185,10 +184,10 @@ def _json_exact(values: np.ndarray, digits: int) -> bool:
 
 GRID_COLUMNS = ("x", "z", "t", "g1", "inside_cone")
 
-# cells in one streamed block of the corr grid, rounded down to whole
-# z rows: enough to spread each block's set-up over many cells, few
-# enough that its ~0.5-1 MB of text is filled and written while still
-# in cache
+# cells in one streamed block of a table, rounded down to whole rows,
+# z rows for the corr grid: enough to spread each block's set-up over
+# many cells, few enough that its ~0.5-1 MB of text is filled and
+# written while still in cache
 GRID_BLOCK_CELLS = 8_192
 
 
@@ -252,14 +251,23 @@ def _table_text(table, render, digits: int, cell_sep: str,
                 row_sep: str) -> tuple[Sequence[str],
                                        Iterable[bytes | bytearray] | None]:
     """The column names of ``table`` and its rows as UTF-8 byte chunks
-    that join to one text, None when it has no rows. A grid's chunks
-    are rendered as they are consumed."""
+    that join to one text, None when it has no rows, rendered as they
+    are consumed: a dict's in blocks of whole rows, at most
+    GRID_BLOCK_CELLS cells each unless one row is longer."""
     if isinstance(table, CorrelationGrid):
         return GRID_COLUMNS, _grid_rows(table, render, digits, cell_sep,
                                         row_sep)
-    cells = [render(col, digits) for col in table.values()]
-    rows = list(map(cell_sep.join, zip(*cells)))
-    return list(table), (row_sep.join(rows).encode(),) if rows else None
+    columns = list(table.values())
+    count = min(map(len, columns), default=0)
+
+    def blocks():
+        step = max(1, GRID_BLOCK_CELLS // len(columns))
+        for start in range(0, count, step):
+            cells = [render(col[start:start + step], digits)
+                     for col in columns]
+            text = row_sep.join(map(cell_sep.join, zip(*cells)))
+            yield ((row_sep if start else "") + text).encode()
+    return list(table), blocks() if count else None
 
 
 def _csv_chunks(env: dict, table, digits: int,
@@ -307,7 +315,7 @@ def _write(outputs):
     """Write each ``(path, chunks)`` pair, ``chunks`` an iterable of
     UTF-8 byte chunks and a None path meaning standard output, in
     order. The callers render every envelope, header, tail and sidecar
-    before this opens a file; only a corr grid's blocks are rendered
+    before this opens a file; only a table's row blocks are rendered
     while its file is written. Any exception raised while opening,
     rendering or writing removes each regular file this call created
     or truncated, so no artifact is left partial or without its
@@ -356,14 +364,14 @@ def _write_stdout(chunks):
 
 
 def _emit(args, config, env, table, extra=None, sidecar=None):
-    """Render one tabular artifact. ``table`` is either a dict mapping
-    column names to columns, each a sequence of scalar cells rendered
-    cell by cell, or a ``CorrelationGrid``, whose rows run over x, then
-    z, then t under the columns of GRID_COLUMNS and are rendered and
-    written a block at a time by _grid_rows. ``extra`` holds named
-    flat dicts that land as top level objects in JSON and as comment
-    lines in CSV. ``sidecar``, a dict, is written as a JSON document at
-    ``<out>.json``, together with the table or not at all."""
+    """Render one tabular artifact, a block of rows at a time. ``table``
+    is either a dict mapping column names to columns, each a sequence
+    of scalar cells rendered cell by cell, or a ``CorrelationGrid``,
+    whose rows run over x, then z, then t under the columns of
+    GRID_COLUMNS. ``extra`` holds named flat dicts that land as top
+    level objects in JSON and as comment lines in CSV. ``sidecar``, a
+    dict, is written as a JSON document at ``<out>.json``, together
+    with the table or not at all."""
     chunks = _csv_chunks if config.out_format == "csv" else _json_chunks
     outputs = [(args.out, chunks(env, table, config.digits, extra))]
     if sidecar is not None:
@@ -443,27 +451,6 @@ def cmd_corr(config, args) -> int:
         raise ConfigError(
             "corr with CSV output needs --out, since the fit goes to "
             "a JSON sidecar next to the table")
-    # the axial fit runs against |z - z0|, so mirrored samples count
-    # once
-    distances = np.unique(np.abs(config.z_values() - config.atom_z0)).size
-    if min(distances, config.t_count) < MIN_FIT_CELLS:
-        raise ConfigError(
-            f"corr needs at least {MIN_FIT_CELLS} distinct axial "
-            f"distances |z - atom.z0| and grid.t_count of at least "
-            f"{MIN_FIT_CELLS} to fit its two rates; got {distances} and "
-            f"{config.t_count}")
-    if (config.t_min is not None and config.t_max is not None
-            and not config.t_max > config.t_min):
-        raise ConfigError(
-            f"corr needs grid.t_max above grid.t_min; got "
-            f"{config.t_min!r} and {config.t_max!r}")
-    outside = [x for x in (config.x_min, config.x_max)
-               if x is not None and not 0.0 <= x <= config.waveguide_a]
-    if outside:
-        raise ConfigError(
-            f"corr needs grid.x_min and grid.x_max inside [0, "
-            f"waveguide.a] = [0, {config.waveguide_a!r}]; got "
-            f"{outside[0]!r}")
     grid = config.correlation()
     fit = fit_decay_rates(grid)
     meta = grid.metadata
@@ -534,7 +521,7 @@ def cmd_omegad(config, args) -> int:
 
 
 def cmd_validate(config, args) -> int:
-    results = run_checks(config, fault=args.inject_fault)
+    results = run_checks(config)
     table = {
         "check": [r.name for r in results],
         "passed": [r.passed for r in results],
@@ -586,11 +573,6 @@ def build_parser() -> argparse.ArgumentParser:
     for name, handler, help_text in handlers:
         p = sub.add_parser(name, parents=[common], help=help_text)
         p.set_defaults(handler=handler)
-        if name == "validate":
-            p.add_argument("--inject-fault", dest="inject_fault",
-                           metavar="NAME", help=argparse.SUPPRESS)
-        else:
-            p.set_defaults(inject_fault=None)
     return parser
 
 

@@ -21,7 +21,8 @@ from enum import Enum
 
 import numpy as np
 
-from .detection import RadicandModel, correlation_grid, solve_emitter
+from .detection import (MIN_FIT_CELLS, RadicandModel, correlation_grid,
+                        solve_emitter)
 from .emission import auto_shift_window
 from .errors import ConfigError, DomainError
 from .modes import WaveguideSpec
@@ -31,10 +32,11 @@ _REQUIRED = object()
 
 FORMATS = ("csv", "json")
 
-# largest x * z * t correlation grid a run may ask for; corr holds the
-# grid and streams its rows a block at a time, which at 4 x 250 x 1000
-# peaks at ~56 MB resident for CSV and for JSON (CPython 3.11,
-# numpy 2.4)
+# largest x * z * t correlation grid and modes table a run may ask
+# for; each streams its rows a block at a time, so a run peaks at
+# ~56 MB resident on a 4 x 250 x 1000 grid and at ~330 MB on the
+# 981,400 rows of modes --max-mn 700, for CSV and for JSON
+# (CPython 3.11, numpy 2.4)
 MAX_GRID_POINTS = 1_000_000
 
 
@@ -159,7 +161,32 @@ class RunConfig:
 
     def correlation(self):
         """The correlation map that ``corr`` writes and ``validate``
-        checks: the emitter chain, then the map on the configured grid."""
+        checks: the emitter chain, then the map on the configured grid.
+        Before the chain, a ConfigError refuses a grid the fits cannot
+        use: too few distinct |z - atom.z0| or times, explicit time
+        bounds that do not increase, or x bounds outside [0, a]."""
+        # the axial fit runs against |z - z0|, so mirrored samples count
+        # once; np.unique would import numpy.ma into every run
+        distances = np.sort(np.abs(self.z_values() - self.atom_z0))
+        distinct = 1 + int(np.count_nonzero(distances[1:] != distances[:-1]))
+        if min(distinct, self.t_count) < MIN_FIT_CELLS:
+            raise ConfigError(
+                f"corr needs at least {MIN_FIT_CELLS} distinct axial "
+                f"distances |z - atom.z0| and grid.t_count of at least "
+                f"{MIN_FIT_CELLS} to fit its two rates; got {distinct} and "
+                f"{self.t_count}")
+        if (self.t_min is not None and self.t_max is not None
+                and not self.t_max > self.t_min):
+            raise ConfigError(
+                f"corr needs grid.t_max above grid.t_min; got "
+                f"{self.t_min!r} and {self.t_max!r}")
+        outside = [x for x in (self.x_min, self.x_max)
+                   if x is not None and not 0.0 <= x <= self.waveguide_a]
+        if outside:
+            raise ConfigError(
+                f"corr needs grid.x_min and grid.x_max inside [0, "
+                f"waveguide.a] = [0, {self.waveguide_a!r}]; got "
+                f"{outside[0]!r}")
         spec, atom = self.waveguide_spec(), self.atom()
         sol = solve_emitter(spec, atom, self.box(), self.dos,
                             self.radicand, max_index=self.max_mn,

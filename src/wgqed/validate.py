@@ -6,9 +6,6 @@ Checks that cannot run on the given configuration (an emitter below
 every cutoff has no correlation map, for instance) fail with a
 diagnostic rather than crashing or silently passing, and a
 measurement that overflows fails with a detail that says so.
-
-The ``fault`` hook deliberately corrupts one internal constant so the
-battery can be shown to actually bite.
 """
 
 from __future__ import annotations
@@ -20,7 +17,7 @@ import numpy as np
 
 from .detection import RadicandModel, pole
 from .emission import amplitudes_ode_oracle, build_bins, decay_rate
-from .errors import ConfigError, WgError
+from .errors import WgError
 from .modes import (
     ModeIndex,
     Polarization,
@@ -38,7 +35,6 @@ from .quantize import (
     normalize,
 )
 
-_FAULTS = ("normalization",)
 _SEED = 20260822
 
 
@@ -109,7 +105,7 @@ def _energy_by_quadrature(spec, mode, freq, box, amplitude):
     return box.length * float(np.einsum("i,j,ij->", wxs, wys, density))
 
 
-def _check_energy(config, fault):
+def _check_energy(config):
     spec = config.waveguide_spec()
     box = QuantizationBox(length=1.0)
     tolerance = 1e-10
@@ -118,8 +114,6 @@ def _check_energy(config, fault):
                  ModeIndex(Polarization.TM, 1, 1)):
         freq = 1.7 * cutoff_frequency(spec, mode)
         amp = normalize(spec, mode, freq, box)
-        if fault == "normalization":
-            amp *= 1.0 + 5e-4
         energy = _energy_by_quadrature(spec, mode, freq, box, amp)
         worst = max(worst, abs(energy - HBAR * freq) / (HBAR * freq))
     return _result("energy_normalization", worst, tolerance)
@@ -273,13 +267,9 @@ def _check_markov_oracle(config):
     return _result("markov_oracle", measured, tolerance, detail)
 
 
-def run_checks(config, fault: str | None = None) -> tuple:
+def run_checks(config) -> tuple:
     """Run every named check once and return the results in a fixed
-    order. ``fault`` selects a deliberate corruption, for proving the
-    battery detects what it claims to."""
-    if fault is not None and fault not in _FAULTS:
-        raise ConfigError(
-            f"unknown fault {fault!r}; known: {', '.join(_FAULTS)}")
+    order."""
     # overflow and underflow show in the rows, not as warnings
     with np.errstate(all="ignore"):
         poles = _pole_samples(config)
@@ -289,7 +279,7 @@ def run_checks(config, fault: str | None = None) -> tuple:
             _check_residual("divergence_residual",
                             mode_divergence_residual, config),
             _check_orthogonality(config),
-            _check_energy(config, fault),
+            _check_energy(config),
             _check_pole_identity(poles),
             _check_pole_principal_root(poles),
             _check_box_invariance(config),

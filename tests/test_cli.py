@@ -609,6 +609,16 @@ class TestOmegadCommand:
         assert len(rows) == 2
 
 
+# grids corr refuses: the first three before the emitter chain runs,
+# the last once the decay rate places the automatic time grid
+CORR_REFUSALS = [
+    {"grid.z_min": "5.0", "grid.z_max": "5.0"},
+    {"grid.x_min": "-1.0"},
+    {"grid.t_min": "50.0", "grid.t_max": "10.0"},
+    {"grid.t_max": "1.0"},
+]
+
+
 class TestValidateCommand:
     def test_all_pass_each_name_once(self, tmp_path):
         conf = write_config(tmp_path)
@@ -621,12 +631,17 @@ class TestValidateCommand:
         assert all(r[1] == "true" for r in rows)
         assert meta["summary.failures"] == "0"
 
-    def test_fault_injection_bites_normalization(self, tmp_path):
+    def test_fault_injection_bites_normalization(self, tmp_path,
+                                                 monkeypatch):
+        # one-quantum amplitudes off by 5e-4 relative: only the energy
+        # check reads them, and it must fail
+        normalize = validate.normalize
+        monkeypatch.setattr(validate, "normalize", lambda *a, **k: (
+            normalize(*a, **k) * (1.0 + 5e-4)))
         conf = write_config(tmp_path)
         out = str(tmp_path / "val.csv")
         assert main(["validate", "--config", conf, "--out", out,
-                     "--reproducible", "--inject-fault",
-                     "normalization"]) == EXIT_VALIDATION
+                     "--reproducible"]) == EXIT_VALIDATION
         _, _, rows = read_table(out)
         failed = [r[0] for r in rows if r[1] == "false"]
         assert failed == ["energy_normalization"]
@@ -729,6 +744,39 @@ class TestValidateCommand:
         assert not row.passed
         assert row.measured > row.tolerance == 1e-12
 
+    @pytest.mark.parametrize("items", CORR_REFUSALS,
+                             ids=lambda items: ",".join(items))
+    def test_correlation_check_refuses_as_corr_does(self, tmp_path,
+                                                    capsys, items):
+        # the grids corr refuses fail the row that reads its map, with
+        # corr's own message, and nothing else
+        conf = write_config(tmp_path, **items)
+        assert main(["corr", "--config", conf, "--out",
+                     str(tmp_path / "corr.csv")]) == EXIT_CONFIG
+        refusal = capsys.readouterr().err.removeprefix(
+            "configuration error: ").rstrip("\n")
+        out = str(tmp_path / "val.csv")
+        assert main(["validate", "--config", conf, "--out", out,
+                     "--reproducible"]) == EXIT_VALIDATION
+        meta, header, rows = read_table(out)
+        detail = header.index("detail")
+        assert {r[0]: r[detail] for r in rows if r[1] == "false"} \
+            == {"correlation_consistency": refusal}
+        assert meta["summary.failures"] == "1"
+
+    @pytest.mark.parametrize("items", CORR_REFUSALS[:3],
+                             ids=lambda items: ",".join(items))
+    def test_correlation_check_refuses_before_computing(self, monkeypatch,
+                                                        items):
+        def chain(*args, **kwargs):
+            raise AssertionError("the emitter chain ran")
+
+        monkeypatch.setattr(config_module, "solve_emitter", chain)
+        row = next(r for r in run_checks(parse_config(config_text(**items)))
+                   if r.name == "correlation_consistency")
+        assert not row.passed
+        assert row.detail.startswith("corr needs")
+
     def test_sample_poles_computed_once(self, monkeypatch):
         calls = []
         pole_fn = validate.pole
@@ -768,16 +816,6 @@ class TestValidateCommand:
         for row, demo in zip(got, want):
             assert row.passed
             assert row.measured == pytest.approx(demo.measured, rel=1e-2)
-
-    def test_unknown_fault_is_config_error(self, tmp_path):
-        conf = write_config(tmp_path)
-        assert main(["validate", "--config", conf, "--inject-fault",
-                     "bogus"]) == EXIT_CONFIG
-
-    def test_run_checks_fault_vocabulary(self):
-        cfg = parse_config(config_text())
-        with pytest.raises(ConfigError, match="unknown fault"):
-            run_checks(cfg, fault="flip_sign")
 
 
 class TestExitCodes:
@@ -1088,6 +1126,47 @@ class TestColumnRenderer:
             main(["modes", "--config", conf, "--format", "json",
                   "--out", str(out)])
         assert not out.exists()
+
+
+class TestTableBlocks:
+    """A dict table streams in blocks of whole rows, as the grid does."""
+
+    @pytest.mark.parametrize("out_format", ["csv", "json"])
+    def test_modes_blocks_join_to_one_table(self, tmp_path, monkeypatch,
+                                            capsysbinary, out_format):
+        # the cells of each row block as it is consumed
+        chunks, table_text = [], cli._table_text
+
+        def spy(table, render, digits, cell_sep, row_sep):
+            columns, rows = table_text(table, render, digits, cell_sep,
+                                       row_sep)
+            sep = row_sep.encode()
+
+            def seen():
+                for chunk in rows:
+                    count = chunk.removeprefix(sep).count(sep) + 1
+                    chunks.append(count * len(columns))
+                    yield chunk
+            return columns, seen()
+
+        monkeypatch.setattr(cli, "_table_text", spy)
+        argv = ["modes", "--config", str(DEMO), "--format", out_format,
+                "--reproducible"]
+        whole = tmp_path / "whole"
+        assert main(argv + ["--out", str(whole)]) == EXIT_OK
+        # demo.conf's table fits one default block: one join of its rows
+        cells, = chunks
+        chunks.clear()
+        monkeypatch.setattr(cli, "GRID_BLOCK_CELLS", 100)
+        out = tmp_path / "blocks"
+        assert main(argv + ["--out", str(out)]) == EXIT_OK
+        assert main(argv) == EXIT_OK
+        assert out.read_bytes() == whole.read_bytes()
+        assert capsysbinary.readouterr().out == whole.read_bytes()
+        # both runs, each in several blocks of at most 100 cells
+        assert sum(chunks) == 2 * cells
+        assert len(chunks) > 2
+        assert max(chunks) <= 100
 
 
 # --- the per-cell expression _json_cells used before it reused the
@@ -1434,6 +1513,21 @@ def test_commands_do_not_import_scipy(tmp_path, child_env):
     modules = _modules_after_commands(tmp_path, child_env)
     assert "wgqed.cli" in modules
     assert [m for m in modules if m.startswith("scipy")] == []
+
+
+def test_corr_does_not_import_numpy_ma(tmp_path, child_env):
+    # np.unique would bring numpy.ma, ~15 ms of a fresh run, to the
+    # corr grid check; the module list comes from -X importtime
+    proc = subprocess.run(
+        [sys.executable, "-X", "importtime", "-m", "wgqed", "corr",
+         "--config", str(DEMO), "--out", str(tmp_path / "corr.csv")],
+        capture_output=True, text=True, env=child_env)
+    assert proc.returncode == 0, proc.stderr
+    imported = [line.rsplit("|", 1)[-1].strip()
+                for line in proc.stderr.splitlines()
+                if line.startswith("import time:")]
+    assert "wgqed.config" in imported
+    assert "numpy.ma" not in imported
 
 
 def test_commands_do_not_import_difflib(tmp_path, child_env):
