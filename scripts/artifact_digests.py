@@ -7,10 +7,12 @@ JSON sidecars of the CSV ``corr`` runs. It then runs ``corr`` on the
 figure grid (4 x 200 x 200, x from 0.35a to 0.65a, paper model) as
 CSV with its sidecar and as JSON, and ``decay`` under both models and
 in both formats at ``output.digits = 17``, where a one-ulp change of a
-rate or a shift shows (the other artifacts round to 12 digits). Last
+rate or a shift shows (the other artifacts round to 12 digits), and
+``modes --max-mn 60`` in both formats: 7,320 rows, with every
+degenerate TE/TM pair and the ties of the demo guide's a = 2b. Last
 it runs the refusal corpus, fixed bad inputs on demo.conf, and writes
 each case's exit code and stderr to ``refusals.txt``; a case that
-raises out of ``main`` records the exception type instead. That is 30
+raises out of ``main`` records the exception type instead. That is 32
 files in all.
 Prints one ``sha256  name`` line per file, sorted by name, so two
 checkouts can be compared with ``diff``. The accepted lines are in
@@ -105,20 +107,23 @@ def main(argv=None) -> int:
         figure = figure_config(Path(tmp) / "figure.conf")
         digits17 = derived_config(Path(tmp) / "digits17.conf",
                                   {"output.digits": "17"})
-        runs = [(CONFIG, f"{command}_{dos}.{fmt}", command, dos)
+        # config, file name, command, density model, further arguments
+        runs = [(CONFIG, f"{command}_{dos}.{fmt}", command, dos, [])
                 for command in COMMANDS
                 for dos in ("paper", "dispersion")
                 for fmt in ("csv", "json")]
-        runs += [(figure, f"corr_figure_paper.{fmt}", "corr", "paper")
+        runs += [(figure, f"corr_figure_paper.{fmt}", "corr", "paper", [])
                  for fmt in ("csv", "json")]
-        runs += [(digits17, f"decay_{dos}_digits17.{fmt}", "decay", dos)
+        runs += [(digits17, f"decay_{dos}_digits17.{fmt}", "decay", dos, [])
                  for dos in ("paper", "dispersion")
                  for fmt in ("csv", "json")]
-        for config, name, command, dos in runs:
+        runs += [(CONFIG, f"modes_paper_max_mn60.{fmt}", "modes", "paper",
+                  ["--max-mn", "60"]) for fmt in ("csv", "json")]
+        for config, name, command, dos, more in runs:
             out = args.outdir / name
             rc = cli_main([command, "--config", str(config), "--dos", dos,
                            "--format", out.suffix[1:], "--reproducible",
-                           "--out", str(out)])
+                           "--out", str(out), *more])
             if rc != EXIT_OK:
                 print(f"{out.name}: exit {rc}", file=sys.stderr)
                 return rc
