@@ -61,7 +61,7 @@ from pathlib import Path
 from wgqed.detection import RadicandModel, correlation_grid, solve_emitter
 from wgqed.emission import build_bins, level_shift
 from wgqed.errors import WgError
-from wgqed.modes import WaveguideSpec, by_cutoff, pattern_cutoffs
+from wgqed.modes import WaveguideSpec, leading_modes, mode_table
 from wgqed.quantize import Atom, DensityModel, QuantizationBox
 
 SEED = 26
@@ -91,8 +91,9 @@ def label(mode) -> str:
     return f"{mode.polarization.value}({mode.m},{mode.n})"
 
 
-# (cutoff, mode) of each guide's low patterns, sorted ``by_cutoff``
-PATTERNS = {spec: sorted(pattern_cutoffs(spec, 4, 4), key=by_cutoff)
+# (cutoff, mode) of each guide's low patterns, in ``mode_table`` order
+PATTERNS = {spec: list(leading_modes(spec, 4, 4,
+                                     len(mode_table(spec, 4, 4)[-1])))
             for spec in GUIDES}
 
 

@@ -49,7 +49,7 @@ from .errors import (
     DomainError,
     NoCrossingError,
 )
-from .modes import by_cutoff, pattern_cutoffs, transverse_wavenumber
+from .modes import POLARIZATIONS, mode_table
 from .quantize import DensityModel
 from .validate import run_checks
 
@@ -127,11 +127,23 @@ def _envelope_lines(env: dict, digits: int):
         yield f"# timestamp = {env['timestamp']}"
 
 
+# cells of these types have one text per value (floats do not: 0.0 ==
+# -0.0), so each distinct one is rendered once while among the 4,096
+# most recent, keyed by type and value so that True and 1 stay apart
+_ONE_TEXT_TYPES = frozenset({str, int, bool, type(None)})
+
+
+@functools.lru_cache(maxsize=4096, typed=True)
+def _text_once(render, value, digits: int) -> str:
+    return render(value, digits)
+
+
 def _csv_cells(values, digits: int) -> list[str]:
     # the text of _fmt, with the common float inlined: below 1e308 no
     # rounding overflows, and the range test also fails for inf and nan
     spec = f".{digits}g"
     return [format(v, spec) if type(v) is float and -1e308 < v < 1e308
+            else _text_once(_fmt, v, digits) if type(v) in _ONE_TEXT_TYPES
             else _fmt(v, digits) for v in values]
 
 
@@ -151,19 +163,18 @@ def _json_cell(value, digits: int) -> str:
 
 def _json_cells(values, digits: int) -> list[str]:
     # what json.dumps writes for each _json_value; cells are scalars.
-    # Up to 15 digits a normal float's CSV text round-trips, so its
-    # JSON text is the CSV text, except that integer-looking text
-    # ("12", "-0") gains ".0" and an exponent in [digits, 16) is
-    # written positionally. Subnormals and 16 or 17 digits take the
-    # shortest repr of the rounded value, and a finite value whose
-    # rounding overflows is written unrounded. Only a normal float's
-    # CSV text with a "." and no "e+" is reused; every other cell
-    # takes _json_cell.
-    if digits > 15:
-        return [_json_cell(v, digits) for v in values]
-    return [s if "." in s and "e+" not in s and type(v) is float
-            and abs(v) >= _DBL_MIN else _json_cell(v, digits)
-            for v, s in zip(values, _csv_cells(values, digits))]
+    # Up to 15 digits a normal float's "%.{digits}g" text round-trips
+    # and is its JSON text, unless it looks like an integer ("12", "-0"
+    # gains ".0") or has an exponent in [digits, 16) (written
+    # positionally). So only such a text with a "." and no "e+" is
+    # reused; inf, nan and values past 1e308 fail that test. Subnormals,
+    # 16 or 17 digits and every other cell take _json_cell.
+    spec = f".{digits}g"
+    return [s if digits <= 15 and type(v) is float and "." in
+            (s := format(v, spec)) and "e+" not in s and abs(v) >= _DBL_MIN
+            else _text_once(_json_cell, v, digits)
+            if type(v) in _ONE_TEXT_TYPES else _json_cell(v, digits)
+            for v in values]
 
 
 def _json_exact(values: np.ndarray, digits: int) -> bool:
@@ -388,18 +399,13 @@ def cmd_modes(config, args) -> int:
         raise ConfigError(
             f"a modes table for max_mn = {config.max_mn} has {size} rows, "
             f"over the limit of {MAX_GRID_POINTS}")
-    spec = config.waveguide_spec()
-    omega = config.atom_omega
-    nu_c, modes = zip(*sorted(
-        pattern_cutoffs(spec, config.max_mn, config.max_mn), key=by_cutoff))
+    codes, m, n, h, nu_c = (column.tolist() for column in mode_table(
+        config.waveguide_spec(), config.max_mn, config.max_mn))
+    labels, omega = [pol.value for pol in POLARIZATIONS], config.atom_omega
     env = _envelope("modes", config, args.reproducible)
     _emit(args, config, env, {
-        "polarization": [mode.polarization.value for mode in modes],
-        "m": [mode.m for mode in modes],
-        "n": [mode.n for mode in modes],
-        "transverse_wavenumber": [transverse_wavenumber(spec, mode)
-                                  for mode in modes],
-        "cutoff": nu_c,
+        "polarization": [labels[code] for code in codes], "m": m, "n": n,
+        "transverse_wavenumber": h, "cutoff": nu_c,
         "branch_at_omega": ["traveling" if omega > c else "decaying"
                             for c in nu_c]})
     return EXIT_OK

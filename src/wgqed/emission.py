@@ -27,7 +27,7 @@ pole rather than by excising it.
 ``quantize.Channels`` table and read cutoffs, couplings (both
 directions of travel) and weights off it; the decay rate and the cells
 take all of theirs from one call of each. The table's arrays, like
-the sorted scan behind ``modes.modes_below``, are built once per
+the mode table behind ``modes.modes_below``, are built once per
 guide, atom position and mode list and then shared read-only, so a
 frequency sweep or root find on one emitter scans and tabulates its
 modes once, not twice per frequency. The shift's (mode, branch)

@@ -107,15 +107,10 @@ class ModeIndex:
     def __post_init__(self):
         if self.m < 0 or self.n < 0:
             raise DomainError("mode indices must be non-negative")
-        if self.polarization is Polarization.TM:
-            if self.m < 1 or self.n < 1:
-                raise DomainError("TM modes need m >= 1 and n >= 1")
-        else:
-            if self.m == 0 and self.n == 0:
-                raise DomainError("TE(0,0) does not exist")
-
-    def sort_key(self):
-        return (self.polarization.value, self.m, self.n)
+        if self.polarization is Polarization.TM and min(self.m, self.n) < 1:
+            raise DomainError("TM modes need m >= 1 and n >= 1")
+        if self.m == 0 and self.n == 0:
+            raise DomainError("TE(0,0) does not exist")
 
 
 def transverse_wavenumbers(spec: WaveguideSpec, mode: ModeIndex):
@@ -124,8 +119,7 @@ def transverse_wavenumbers(spec: WaveguideSpec, mode: ModeIndex):
 
 
 def transverse_wavenumber(spec: WaveguideSpec, mode: ModeIndex) -> float:
-    kx, ky = transverse_wavenumbers(spec, mode)
-    return math.hypot(kx, ky)
+    return math.hypot(*transverse_wavenumbers(spec, mode))
 
 
 def cutoff_frequency(spec: WaveguideSpec, mode: ModeIndex) -> float:
@@ -277,9 +271,7 @@ def helmholtz_residual(field_fn, wavenumber_sq: float, point,
     p = np.asarray(point, dtype=float)
     center = np.asarray(field_fn(p))
     lap = np.zeros_like(center, dtype=complex)
-    for ax in range(3):
-        offset = np.zeros(3)
-        offset[ax] = step
+    for offset in step * np.eye(3):
         lap += (np.asarray(field_fn(p + offset)) - 2.0 * center
                 + np.asarray(field_fn(p - offset))) / step ** 2
     return float(np.max(np.abs(lap + wavenumber_sq * center)))
@@ -292,9 +284,7 @@ def divergence_residual(field_fn, point, step: float = 1e-3) -> float:
     """
     p = np.asarray(point, dtype=float)
     div = 0.0 + 0.0j
-    for ax in range(3):
-        offset = np.zeros(3)
-        offset[ax] = step
+    for ax, offset in enumerate(step * np.eye(3)):
         div += (np.asarray(field_fn(p + offset))[..., ax]
                 - np.asarray(field_fn(p - offset))[..., ax]) / (2.0 * step)
     return abs(div)
@@ -358,48 +348,52 @@ def mode_divergence_residual(spec: WaveguideSpec, mode: ModeIndex,
         disp.medium_wavenumber * scale)
 
 
-def pattern_cutoffs(spec: WaveguideSpec, m_top: int, n_top: int):
-    """(cutoff, mode) of every pattern with m <= m_top and n <= n_top,
-    scanned m, then n, then TE before TM."""
-    for m in range(m_top + 1):
-        for n in range(n_top + 1):
-            for pol in (Polarization.TE, Polarization.TM):
-                try:
-                    mode = ModeIndex(pol, m, n)
-                except DomainError:
-                    continue
-                yield cutoff_frequency(spec, mode), mode
-
-
-def by_cutoff(item):
-    """Sort key of a (cutoff, mode) pair: cutoff, then ``sort_key``."""
-    return (item[0],) + item[1].sort_key()
+POLARIZATIONS = (Polarization.TE, Polarization.TM)
 
 
 @functools.lru_cache(maxsize=64)
-def _scan_by_cutoff(spec: WaveguideSpec, m_top: int, n_top: int):
-    # ``pattern_cutoffs`` sorted ``by_cutoff``, and its cutoffs alone for
-    # bisecting
-    pairs = tuple(sorted(pattern_cutoffs(spec, m_top, n_top), key=by_cutoff))
-    return pairs, tuple(nu_c for nu_c, _ in pairs)
+def mode_table(spec: WaveguideSpec, m_top: int, n_top: int) -> tuple:
+    """Every pattern with m <= m_top and n <= n_top as read-only arrays
+    (polarization code, m, n, h, cutoff), one row each, sorted by
+    cutoff, then code, m and n; the code indexes POLARIZATIONS, so TE
+    sorts first. Kept for the 64 most recent keys. h is ``math.hypot``
+    as in ``transverse_wavenumber``; ``np.hypot`` can be an ulp off."""
+    m, n, pol = np.meshgrid(np.arange(m_top + 1), np.arange(n_top + 1),
+                            (0, 1), indexing="ij")
+    # TE needs a positive count, TM two
+    keep = np.where(pol == 0, (m > 0) | (n > 0), (m > 0) & (n > 0))
+    m, n, pol = m[keep], n[keep], pol[keep]
+    h = np.fromiter(map(math.hypot, (m * math.pi / spec.width).tolist(),
+                        (n * math.pi / spec.height).tolist()), float, len(m))
+    cutoff = h / spec.refractive_index
+    order = np.lexsort((n, m, pol, cutoff))
+    table = tuple(column[order] for column in (pol, m, n, h, cutoff))
+    for column in table:
+        column.flags.writeable = False
+    return table
+
+
+@functools.lru_cache(maxsize=256)
+def leading_modes(spec: WaveguideSpec, m_top: int, n_top: int, count: int):
+    """(cutoff, mode) of the first ``count`` rows of ``mode_table``."""
+    columns = (col[:count].tolist() for col in mode_table(spec, m_top, n_top))
+    return tuple((nu_c, ModeIndex(POLARIZATIONS[code], m, n))
+                 for code, m, n, _, nu_c in zip(*columns))
 
 
 def modes_below(spec: WaveguideSpec, frequency_limit: float,
                 max_index: int = 12):
-    """Every mode with cutoff below ``frequency_limit``, as a list of
-    (cutoff, mode) pairs sorted ``by_cutoff``.
+    """Every mode with cutoff below ``frequency_limit``, as a new list
+    of (cutoff, mode) pairs in ``mode_table`` order.
 
     Index counts are scanned up to ``max_index``; if a mode on that
     boundary still qualifies the enumeration might be incomplete and a
-    DomainError, naming the first such mode in scan order, asks for a
-    larger bound. Below that bound only counts that can qualify are
-    scanned: m*pi/width, and likewise n*pi/height, must stay below
-    frequency_limit * refractive_index. A limit that is not a positive
-    finite number raises DomainError.
-
-    The sorted scan is kept per (spec, top m, top n) for the 64 most
-    recent keys, so repeated calls on one guide bisect it instead of
-    scanning again; each call returns a new list.
+    DomainError, naming the first such mode in scan order (m, then n,
+    then TE before TM), asks for a larger bound. Below that bound only
+    counts that can qualify are scanned: m*pi/width, and likewise
+    n*pi/height, must stay below frequency_limit * refractive_index. A
+    limit that is not a positive finite number raises DomainError.
+    Repeated calls bisect the cached table and reuse cached pairs.
     """
     if not math.isfinite(frequency_limit):
         raise DomainError("frequency limit must be finite")
@@ -409,16 +403,17 @@ def modes_below(spec: WaveguideSpec, frequency_limit: float,
     # one extra count absorbs rounding in the bound
     m_top = int(min(max_index, reach * spec.width + 1.0))
     n_top = int(min(max_index, reach * spec.height + 1.0))
-    pairs, cutoffs = _scan_by_cutoff(spec, m_top, n_top)
-    found = list(pairs[:bisect.bisect_left(cutoffs, frequency_limit)])
-    # only a top count at the bound can put a listed mode on it
-    if max_index in (m_top, n_top) and any(
-            max_index in (mode.m, mode.n) for _, mode in found):
-        mode = next(mode for nu_c, mode in pattern_cutoffs(spec, m_top, n_top)
-                    if nu_c < frequency_limit
-                    and max_index in (mode.m, mode.n))
-        raise DomainError(
-            f"mode {mode.polarization.value}({mode.m},{mode.n}) "
-            f"at the index bound {max_index} still lies below "
-            "the frequency limit; increase max_index")
-    return found
+    table = mode_table(spec, m_top, n_top)
+    count = bisect.bisect_left(table[-1], frequency_limit)
+    # only a top count at the bound can put a listed mode on it; the
+    # first in scan order is the least (m, n, code)
+    if max_index in (m_top, n_top):
+        rows = zip(*(column[:count].tolist() for column in table[:3]))
+        bound = [(m, n, code) for code, m, n in rows if max_index in (m, n)]
+        if bound:
+            m, n, code = min(bound)
+            raise DomainError(
+                f"mode {POLARIZATIONS[code].value}({m},{n}) at the index "
+                f"bound {max_index} still lies below the frequency "
+                "limit; increase max_index")
+    return list(leading_modes(spec, m_top, n_top, count))

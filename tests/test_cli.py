@@ -1033,6 +1033,20 @@ class TestColumnRenderer:
             == REFERENCE[out_format](env, ("e",), [(None,), (None,)],
                                      digits)
 
+    @pytest.mark.parametrize("out_format", ["csv", "json"])
+    @pytest.mark.parametrize("digits", [4, 12, 17])
+    def test_equal_cells_of_other_types_keep_their_text(self, out_format,
+                                                        digits):
+        # True == 1 == 1.0 and 0.0 == -0.0, in both orders, also for a
+        # float subclass
+        cells = [True, 1, 1.0, "1", False, 0, 0.0, -0.0, None, "",
+                 np.float64(-0.0), np.float64(0.0), np.float64(1.0)]
+        column = cells + cells[::-1]
+        env = _demo_env()
+        assert _rendered(out_format, env, {"v": column}, digits) \
+            == REFERENCE[out_format](env, ("v",), [(c,) for c in column],
+                                     digits)
+
     @pytest.mark.parametrize("digits", [4, 12, 17])
     def test_csv_reader_round_trip(self, digits):
         # a string cell comes back whole, its separator and quotes

@@ -16,9 +16,12 @@ from wgqed.modes import (
     divergence_residual,
     field_at,
     field_evaluator,
+    POLARIZATIONS,
     helmholtz_residual,
+    leading_modes,
     mode_divergence_residual,
     mode_helmholtz_residual,
+    mode_table,
     modes_below,
     transverse_wavenumber,
 )
@@ -353,8 +356,8 @@ class TestModeListing:
                                     "below the frequency limit; increase "
                                     "max_index")
                         found.append((nu_c, mode))
-        return sorted(found,
-                      key=lambda item: (item[0],) + item[1].sort_key())
+        return sorted(found, key=lambda item: (
+            item[0], item[1].polarization.value, item[1].m, item[1].n))
 
     @pytest.mark.parametrize("spec", [
         GUIDE,
@@ -381,6 +384,70 @@ class TestModeListing:
     def test_wavenumber_helper(self):
         assert transverse_wavenumber(GUIDE, TM11) == pytest.approx(
             math.sqrt(5.0))
+
+
+DEMO_GUIDE = WaveguideSpec(width=math.pi, height=math.pi / 2.0,
+                           permittivity=1.0, permeability=1.44)
+FILLED_GUIDE = WaveguideSpec(width=2.3, height=0.7, permittivity=2.1,
+                             permeability=1.3)
+SQUARE_GUIDE = WaveguideSpec(width=2.0, height=2.0)
+
+
+class TestModeTable:
+    @staticmethod
+    def pattern_scan(spec, m_top, n_top):
+        # the per-pattern scan the table replaced, m, then n, then TE
+        # before TM, sorted by (cutoff, polarization, m, n)
+        found = []
+        for m in range(m_top + 1):
+            for n in range(n_top + 1):
+                for pol in (Polarization.TE, Polarization.TM):
+                    try:
+                        mode = ModeIndex(pol, m, n)
+                    except DomainError:
+                        continue
+                    found.append((cutoff_frequency(spec, mode),
+                                  pol.value, m, n))
+        return sorted(found)
+
+    @pytest.mark.parametrize("spec", [DEMO_GUIDE, FILLED_GUIDE,
+                                      SQUARE_GUIDE])
+    @pytest.mark.parametrize("tops", [(30, 30), (7, 3)])
+    def test_matches_sorted_pattern_scan(self, spec, tops):
+        codes, m, n, h, cutoff = (column.tolist()
+                                  for column in mode_table(spec, *tops))
+        want = self.pattern_scan(spec, *tops)
+        assert [float.hex(c) for c in cutoff] \
+            == [float.hex(c) for c, *_ in want]
+        rows = [(POLARIZATIONS[code].value, m_, n_)
+                for code, m_, n_ in zip(codes, m, n)]
+        assert rows == [tuple(key) for _, *key in want]
+        # h is transverse_wavenumber's math.hypot, bit for bit
+        assert h == [transverse_wavenumber(
+            spec, ModeIndex(Polarization(pol), m_, n_))
+            for pol, m_, n_ in rows]
+
+    def test_shared_arrays_are_read_only(self):
+        # every caller gets the same cached arrays
+        table = mode_table(DEMO_GUIDE, 6, 6)
+        assert mode_table(DEMO_GUIDE, 6, 6) is table
+        assert len(table) == 5
+        for column in table:
+            with pytest.raises(ValueError):
+                column[0] = column[-1]
+
+    def test_leading_modes_are_the_table_rows(self):
+        codes, m, n, _, cutoff = mode_table(FILLED_GUIDE, 5, 5)
+        pairs = leading_modes(FILLED_GUIDE, 5, 5, 9)
+        assert leading_modes(FILLED_GUIDE, 5, 5, 9) is pairs
+        assert pairs == tuple(
+            (c, ModeIndex(POLARIZATIONS[code], m_, n_)) for c, code, m_, n_
+            in zip(cutoff[:9].tolist(), codes[:9].tolist(), m[:9].tolist(),
+                   n[:9].tolist()))
+        # the scan refusal reads the same rows
+        with pytest.raises(DomainError, match=r"TE\(0,5\) at the index "
+                           r"bound 5"):
+            modes_below(FILLED_GUIDE, 1e3, max_index=5)
 
 
 class TestModeResidualWrappers:
