@@ -208,11 +208,12 @@ def _g_tables():
     text the mask of its bytes below each text length."""
     powers = np.arange(_POW10_LOW, 1 - _POW10_LOW).tolist()
     pow10 = np.array([float(f"1e{k}") for k in powers])
-    q = np.arange(10_000)
-    chars = q[:, None] // np.array([1000, 100, 10, 1]) % 10 + ord("0")
-    ascii = chars.astype(np.uint8).view("<u4").ravel()
-    last = np.where(q == 0, -99, 3 - (q % 10 == 0) - (q % 100 == 0)
-                    - (q % 1000 == 0))
+    # the digits of each q < 10**4, most significant first
+    digits = np.meshgrid(*[np.arange(10, dtype=np.uint8)] * 4, indexing="ij")
+    chars = np.stack(digits, axis=-1) + ord("0")
+    ascii = chars.reshape(-1, 4).view("<u4").ravel()
+    last = np.select([digit > 0 for digit in digits[::-1]], [3, 2, 1, 0],
+                     -99).ravel()
     size = np.arange(_G_WIDTH + 1) - 4 * np.arange(_G_WIDTH // 4)[:, None]
     keep = ((1 << 8 * np.clip(size, 0, 4)) - 1).astype("<u4")
     return pow10, ascii, last, keep

@@ -1514,13 +1514,16 @@ def _g_oracle(values, digits):
 
 def _g_fixed_cases():
     powers = np.array([float(f"1e{k}") for k in range(-300, 301)])
+    # log10 rounds to k for some of these just below 10**k
+    near = np.outer([1 - 6e-14, 1 - 1e-14, 1 - 1e-15, 1 + 1e-15, 1 + 1e-14],
+                    powers).ravel()
     specials = [0.5, 2.5, 0.125, 1e-4, 9.9999999999995e-5, 9.99995e-5,
                 1.5e-5, 1e100, 1.5e-100, 1e-300, 1e300, 1.7e308, DBL_MAX,
                 DBL_MIN, 5e-324, 2.5e-310, 0.0, -0.0, math.inf, -math.inf,
                 math.nan, 1.0, 0.1, 123456789012345.0]
     return np.concatenate([
         powers, np.nextafter(powers, 0.0), np.nextafter(powers, np.inf),
-        np.array(specials), -np.array(specials),
+        near, np.array(specials), -np.array(specials),
         np.nextafter(1e-4, [0.0, 1.0])])
 
 
@@ -1540,6 +1543,19 @@ class TestGKernel:
     def test_fixed_cases(self, digits):
         values = np.concatenate([_g_fixed_cases(), _g_switches(digits),
                                  _g_switches(digits) * 1e-5])
+        assert cli._g_texts(values, digits).tolist() == \
+            _g_oracle(values, digits)
+
+    @pytest.mark.parametrize("digits", range(3, 15))
+    def test_near_ties(self, digits):
+        # the doubles next to decimal ties one digit past the last kept:
+        # where the rounding test must send a cell to the C routine
+        rng = np.random.default_rng(digits)
+        heads = rng.integers(10 ** (digits - 1), 10 ** digits, 4000)
+        ties = np.array([float(f"{h}5e{k}") for h, k in zip(
+            heads.tolist(), rng.integers(-30, 30, heads.size).tolist())])
+        values = np.concatenate([ties, np.nextafter(ties, 0.0),
+                                 np.nextafter(ties, np.inf)])
         assert cli._g_texts(values, digits).tolist() == \
             _g_oracle(values, digits)
 
