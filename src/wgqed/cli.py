@@ -191,147 +191,20 @@ def _json_exact(values: np.ndarray, digits: int) -> np.ndarray:
     return (size >= _DBL_MIN) & (off_integer > size * 10.0 ** (1 - digits))
 
 
-# the kernel's fast path covers up to G_FAST_DIGITS digits, where its
-# rounding test still passes ~99% of cells; a text is at most 19 bytes
-# ("0.000" and 13 digits, or 13 digits, a point and "e-308")
-G_FAST_DIGITS = 13
-_G_WIDTH = 20
-_POW10_LOW = -330
-
-
-@functools.cache
-def _g_tables():
-    """The kernel's tables, built on first use: float("1e{k}") for k
-    from _POW10_LOW to -_POW10_LOW, each correctly rounded; the four
-    ASCII digits of each q < 10**4 as one little-endian word, and the
-    index of its last nonzero digit (-99 for 0); and for each word of a
-    text the mask of its bytes below each text length."""
-    powers = np.arange(_POW10_LOW, 1 - _POW10_LOW).tolist()
-    pow10 = np.array([float(f"1e{k}") for k in powers])
-    # the digits of each q < 10**4, most significant first
-    digits = np.meshgrid(*[np.arange(10, dtype=np.uint8)] * 4, indexing="ij")
-    chars = np.stack(digits, axis=-1) + ord("0")
-    ascii = chars.reshape(-1, 4).view("<u4").ravel()
-    last = np.select([digit > 0 for digit in digits[::-1]], [3, 2, 1, 0],
-                     -99).ravel()
-    size = np.arange(_G_WIDTH + 1) - 4 * np.arange(_G_WIDTH // 4)[:, None]
-    keep = ((1 << 8 * np.clip(size, 0, 4)) - 1).astype("<u4")
-    return pow10, ascii, last, keep
-
-
-def _g_fast(values: np.ndarray, digits: int) -> tuple[np.ndarray,
-                                                      np.ndarray]:
-    """The fast path of _g_texts for 1 <= digits <= G_FAST_DIGITS: the
-    ``"%.{digits}g"`` text of each value of a 1-d float64 array, and
-    where that text is proven. Only values in [DBL_MIN, 1e300) are
-    tried. With e = floor(log10 v), the digits are M = rint(m) for m =
-    v * 10**(digits - 1 - e); the table power and the product each
-    round once, so m is within 2.2e-16 * 10**digits of its exact value,
-    and M is proven where m lies more than twice that from a half
-    integer. The texts are laid out per exponent, after one stable
-    sort, as ``%g`` does: fixed notation for -4 <= X < digits, X the
-    exponent of M, else a mantissa and "e", a sign and at least two
-    exponent digits; trailing zeros and a bare point are dropped."""
-    pow10, ascii, last_nz, keep = _g_tables()
-    n, d = values.size, digits
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        tried = (values >= _DBL_MIN) & (values < 1e300)
-        v = np.where(tried, values, 1.0)
-        e = np.floor(np.log10(v)).astype(np.intp)
-        # log10 can be one off next to a power of ten
-        e -= v < pow10[e - _POW10_LOW]
-        e += v >= pow10[e + 1 - _POW10_LOW]
-        m = v * pow10[d - 1 - e - _POW10_LOW]
-        proven = tried & (np.abs(m - np.floor(m) - 0.5)
-                          > 4.5e-16 * 10.0 ** d)
-        mant = np.rint(m)
-    carry = mant == 10.0 ** d
-    e += carry
-    # cells not proven get a harmless mantissa, their text is replaced
-    mant = np.where(proven & ~carry, mant, 10.0 ** (d - 1)).astype(np.int64)
-    order = np.argsort(e.astype(np.int16), kind="stable")
-    exponents, mant = e[order], mant[order]
-    # the d digits, right-aligned in whole words, and kept: how many
-    # remain once trailing zeros are dropped
-    words = -(-d // 4)
-    quads = np.empty((n, words), "<u4")
-    kept = np.full(n, -99)
-    for j in range(words - 1, -1, -1):
-        high = mant // 10_000 if j else 0
-        q = mant - high * 10_000
-        mant = high
-        quads[:, j] = ascii[q]
-        np.maximum(kept, last_nz[q] + (4 * j + 1 + d - 4 * words), out=kept)
-    digs = quads.view(np.uint8)[:, 4 * words - d:]
-    out = np.zeros((n, _G_WIDTH), np.uint8)
-    end = np.empty(n, np.intp)
-    cuts = np.flatnonzero(exponents[1:] != exponents[:-1]) + 1
-    tails = []
-    for a, b in itertools.pairwise([0, *cuts.tolist(), n]):
-        x, k, rows = int(exponents[a]), kept[a:b], out[a:b]
-        if 0 <= x < d:
-            rows[:, :x + 1] = digs[a:b, :x + 1]
-            rows[:, x + 1] = ord(".")
-            rows[:, x + 2:d + 1] = digs[a:b, x + 1:]
-            end[a:b] = np.where(k > x + 1, k + 1, x + 1)
-        elif -4 <= x < 0:
-            rows[:, :1 - x] = np.frombuffer(b"0.000"[:1 - x], np.uint8)
-            rows[:, 1 - x:1 - x + d] = digs[a:b]
-            end[a:b] = 1 - x + k
-        else:
-            rows[:, 0] = digs[a:b, 0]
-            rows[:, 1] = ord(".")
-            rows[:, 2:d + 1] = digs[a:b, 1:]
-            end[a:b] = np.where(k > 1, k + 1, 1)
-            tails.append((a, b, np.frombuffer(b"e%+03d" % x, np.uint8)))
-    for j, word in enumerate(out.view("<u4").T):
-        word &= keep[j][end]
-    flat = out.ravel()
-    for a, b, tail in tails:
-        at = np.arange(a * _G_WIDTH, b * _G_WIDTH, _G_WIDTH) + end[a:b]
-        flat[at[:, None] + np.arange(tail.size)] = tail
-    texts = np.empty(n, f"S{_G_WIDTH}")
-    texts[order] = out.view(f"S{_G_WIDTH}").ravel()
-    return texts, proven
-
-
-def _g_texts(values: np.ndarray, digits: int) -> np.ndarray:
-    """``b"%.{digits}g" % v`` for each value of a float64 array, in a
-    1-d NUL-padded bytes array whose ``tolist()`` is those bytes. Texts
-    that _g_fast does not prove, and all of them above G_FAST_DIGITS
-    digits, come from _c_texts: the sign bit, zeros, subnormals, inf,
-    nan, values from 1e300 on and values next to a rounding tie."""
-    values = values.ravel()
-    if digits > G_FAST_DIGITS or not values.size:
-        return _c_texts(values, digits)
-    texts, proven = _g_fast(values, digits)
-    slow = np.flatnonzero(~proven)
-    if slow.size:
-        exact = _c_texts(values[slow], digits)
-        texts = texts.astype(np.promote_types(texts.dtype, exact.dtype))
-        texts[slow] = exact
-    return texts
-
-
-def _c_texts(values: np.ndarray, digits: int) -> np.ndarray:
-    # the C routine of format, by one bytes % over a NUL-separated
-    # template; no rendered number holds a NUL
-    if not values.size:
-        return np.empty(0, "S1")
-    template = b"\0".join([f"%.{digits}g".encode()] * values.size)
-    return np.array((template % tuple(values.tolist())).split(b"\0"))
-
-
 def _float_texts(values: np.ndarray, render, digits: int) -> np.ndarray:
     """The ``render`` text of each value of a float64 array, UTF-8 in a
-    NUL-padded bytes array: _g_texts where the format's exactness mask
-    holds, ``render`` for each other value."""
+    NUL-padded bytes array: ``gformat.g_texts`` where the format's
+    exactness mask holds, ``render`` for each other value."""
+    # imported on first use: a command that renders no float array
+    # neither compiles nor loads the kernel
+    from .gformat import g_texts
+
     values = values.ravel()
     exact = {_csv_cells: _csv_exact, _json_cells: _json_exact}[render](
         values, digits)
     if exact.all():
-        return _g_texts(values, digits)
-    fast = _g_texts(values[exact], digits)
+        return g_texts(values, digits)
+    fast = g_texts(values[exact], digits)
     slow = np.array([text.encode()
                      for text in render(values[~exact].tolist(), digits)])
     texts = np.empty(values.size, np.promote_types(fast.dtype, slow.dtype))
@@ -357,12 +230,12 @@ def _grid_rows(grid: CorrelationGrid, render, digits: int, cell_sep: str,
     filled by a single bytes ``%``. Each axis value and the cone flags
     are rendered once and each t tail once per flag; a z row shares a
     whole tail list unless it crosses the light front. The g1 texts of
-    a block come from _float_texts: the vectorized ``"%.{digits}g"``
-    kernel for each cell inside the format's exactness mask, whose
-    bytes are those of the C ``%``, and the per-cell renderer for each
-    other cell, such as JSON's zeros outside the cone. Only the first
-    block starts without a row separator, so the blocks join to the
-    whole table."""
+    a block come from _float_texts: ``gformat.g_texts``, the bytes of
+    the C ``"%.{digits}g"`` from one vectorized pass, for each cell
+    inside the format's exactness mask, and the per-cell renderer for
+    each other cell, such as JSON's zeros outside the cone. Only the
+    first block starts without a row separator, so the blocks join to
+    the whole table."""
     def encoded(values):
         return [text.encode() for text in render(values, digits)]
 
@@ -373,7 +246,8 @@ def _grid_rows(grid: CorrelationGrid, render, digits: int, cell_sep: str,
     outside = [t + sep + b"%s" + sep + false for t in t_text]
     inside = [t + sep + b"%s" + sep + true for t in t_text]
     tails = [inside if all(row) else outside if not any(row)
-             else [i if cell else o for o, i, cell in zip(outside, inside, row)]
+             else [i if cell else o
+                   for o, i, cell in zip(outside, inside, row)]
              for row in grid.inside_cone.tolist()]
     z_heads = [z + sep for z in encoded(grid.z_values.tolist())]
     z_count, t_count = grid.values.shape[1:]
@@ -520,10 +394,10 @@ def _emit(args, config, env, table, extra=None, sidecar=None):
     is either a dict mapping column names to columns, each a float64
     array or a sequence of scalar cells rendered cell by cell, or a
     ``CorrelationGrid``, whose rows run over x, then z, then t under the
-    columns of GRID_COLUMNS. ``extra`` holds named flat dicts that land as top
-    level objects in JSON and as comment lines in CSV. ``sidecar``, a
-    dict, is written as a JSON document at ``<out>.json``, together
-    with the table or not at all."""
+    columns of GRID_COLUMNS. ``extra`` holds named flat dicts that land
+    as top level objects in JSON and as comment lines in CSV.
+    ``sidecar``, a dict, is written as a JSON document at
+    ``<out>.json``, together with the table or not at all."""
     chunks = _csv_chunks if config.out_format == "csv" else _json_chunks
     outputs = [(args.out, chunks(env, table, config.digits, extra))]
     if sidecar is not None:

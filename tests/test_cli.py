@@ -1506,110 +1506,6 @@ class TestGridFastPath:
         assert max(chunk_rows) <= cli.GRID_BLOCK_CELLS < grid.values.size
 
 
-# --- the vectorized %g kernel against the C routine ---
-
-def _g_oracle(values, digits):
-    return [b"%.*g" % (digits, v) for v in values.tolist()]
-
-
-def _g_fixed_cases():
-    powers = np.array([float(f"1e{k}") for k in range(-300, 301)])
-    # log10 rounds to k for some of these just below 10**k
-    near = np.outer([1 - 6e-14, 1 - 1e-14, 1 - 1e-15, 1 + 1e-15, 1 + 1e-14],
-                    powers).ravel()
-    specials = [0.5, 2.5, 0.125, 1e-4, 9.9999999999995e-5, 9.99995e-5,
-                1.5e-5, 1e100, 1.5e-100, 1e-300, 1e300, 1.7e308, DBL_MAX,
-                DBL_MIN, 5e-324, 2.5e-310, 0.0, -0.0, math.inf, -math.inf,
-                math.nan, 1.0, 0.1, 123456789012345.0]
-    return np.concatenate([
-        powers, np.nextafter(powers, 0.0), np.nextafter(powers, np.inf),
-        near, np.array(specials), -np.array(specials),
-        np.nextafter(1e-4, [0.0, 1.0])])
-
-
-def _g_switches(digits):
-    # the 10**(digits - 1) and 10**digits switches, and the values that
-    # round up across them
-    edges = np.array([10.0 ** (digits - 1), 10.0 ** digits,
-                      10.0 ** digits - 0.5, 10.0 ** (digits - 1) - 0.5])
-    return np.concatenate([edges, np.nextafter(edges, 0.0),
-                           np.nextafter(edges, np.inf)])
-
-
-class TestGKernel:
-    """_g_texts writes ``b"%.{digits}g" % v`` for every float64."""
-
-    @pytest.mark.parametrize("digits", range(2, 18))
-    def test_fixed_cases(self, digits):
-        values = np.concatenate([_g_fixed_cases(), _g_switches(digits),
-                                 _g_switches(digits) * 1e-5])
-        assert cli._g_texts(values, digits).tolist() == \
-            _g_oracle(values, digits)
-
-    @pytest.mark.parametrize("digits", range(3, 15))
-    def test_near_ties(self, digits):
-        # the doubles next to decimal ties one digit past the last kept:
-        # where the rounding test must send a cell to the C routine
-        rng = np.random.default_rng(digits)
-        heads = rng.integers(10 ** (digits - 1), 10 ** digits, 4000)
-        ties = np.array([float(f"{h}5e{k}") for h, k in zip(
-            heads.tolist(), rng.integers(-30, 30, heads.size).tolist())])
-        values = np.concatenate([ties, np.nextafter(ties, 0.0),
-                                 np.nextafter(ties, np.inf)])
-        assert cli._g_texts(values, digits).tolist() == \
-            _g_oracle(values, digits)
-
-    def test_exact_ties_round_half_even(self):
-        values = np.array([0.5, 2.5, 0.125, 0.375])
-        assert cli._g_texts(values, 2).tolist() == \
-            [b"0.5", b"2.5", b"0.12", b"0.38"]
-        assert cli._g_texts(values, 1).tolist() == \
-            [b"0.5", b"2", b"0.1", b"0.4"]
-
-    def test_layout_switches(self):
-        values = np.array([9.9999999999995e-5, 1e-4, 9.99999e-5, 1e-5,
-                           123456789012.0, 1234567890123.0, 1e-300,
-                           1.25e+300])
-        assert cli._g_texts(values, 12).tolist() == [
-            b"0.0001", b"0.0001", b"9.99999e-05", b"1e-05",
-            b"123456789012", b"1.23456789012e+12", b"1e-300",
-            b"1.25e+300"]
-
-    @given(st.lists(st.integers(0, 2 ** 64 - 1), min_size=1, max_size=60),
-           st.integers(3, 17))
-    def test_any_bit_pattern(self, bits, digits):
-        values = np.array(bits, np.uint64).view(np.float64)
-        assert cli._g_texts(values, digits).tolist() == \
-            _g_oracle(values, digits)
-
-    @given(st.lists(st.floats(1e-6, 1e3), min_size=1, max_size=60),
-           st.integers(3, 17))
-    def test_grid_like_values(self, values, digits):
-        values = np.array(values)
-        assert cli._g_texts(values, digits).tolist() == \
-            _g_oracle(values, digits)
-
-    def test_no_warning_escapes(self):
-        values = np.concatenate([_g_fixed_cases(), _g_switches(12)])
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            for digits in (3, 12, 13, 14, 17):
-                cli._g_texts(values, digits)
-
-    def test_fast_path_covers_the_figure_grid(self, tmp_path):
-        # a silent fall back to the C routine for every cell fails here
-        conf = write_config(tmp_path, **{
-            "grid.x_min": repr(0.35 * math.pi),
-            "grid.x_max": repr(0.65 * math.pi),
-            "grid.x_count": "4", "grid.z_count": "200",
-            "grid.t_count": "200"})
-        values = load_config(conf).correlation().values.ravel()
-        texts, proven = cli._g_fast(values, 12)
-        assert proven.mean() >= 0.99
-        assert texts[proven].tolist() == \
-            _g_oracle(values[proven], 12)
-
-
 def _modules_after_commands(tmp_path, child_env):
     # every module a child process holds after running the five
     # commands on demo.conf in process
