@@ -191,10 +191,10 @@ def _json_exact(values: np.ndarray, digits: int) -> np.ndarray:
     return (size >= _DBL_MIN) & (off_integer > size * 10.0 ** (1 - digits))
 
 
-def _float_texts(values: np.ndarray, render, digits: int) -> np.ndarray:
-    """The ``render`` text of each value of a float64 array, UTF-8 in a
-    NUL-padded bytes array: ``gformat.g_texts`` where the format's
-    exactness mask holds, ``render`` for each other value."""
+def _float_texts(values: np.ndarray, render, digits: int) -> list[bytes]:
+    """The ``render`` text of each value of a float64 array, UTF-8
+    encoded: ``gformat.g_texts`` where the format's exactness mask
+    holds, ``render`` for each other value."""
     # imported on first use: a command that renders no float array
     # neither compiles nor loads the kernel
     from .gformat import g_texts
@@ -202,13 +202,12 @@ def _float_texts(values: np.ndarray, render, digits: int) -> np.ndarray:
     values = values.ravel()
     exact = {_csv_cells: _csv_exact, _json_cells: _json_exact}[render](
         values, digits)
-    if exact.all():
-        return g_texts(values, digits)
-    fast = g_texts(values[exact], digits)
-    slow = np.array([text.encode()
-                     for text in render(values[~exact].tolist(), digits)])
-    texts = np.empty(values.size, np.promote_types(fast.dtype, slow.dtype))
-    texts[exact], texts[~exact] = fast, slow
+    if not exact.any():
+        return [text.encode() for text in render(values.tolist(), digits)]
+    texts = g_texts(values, digits)
+    odd = np.flatnonzero(~exact)
+    for i, text in zip(odd.tolist(), render(values[odd].tolist(), digits)):
+        texts[i] = text.encode()
     return texts
 
 
@@ -264,7 +263,7 @@ def _grid_rows(grid: CorrelationGrid, render, digits: int, cell_sep: str,
             del template[:lead]
             lead = 0
             cells = _float_texts(plane[start:stop], render, digits)
-            yield template % tuple(cells.tolist())
+            yield template % tuple(cells)
 
 
 def _table_text(table, render, digits: int, cell_sep: str,
@@ -283,8 +282,8 @@ def _table_text(table, render, digits: int, cell_sep: str,
 
     def cells(column):
         if isinstance(column, np.ndarray):
-            return [text.decode() for text in
-                    _float_texts(column, render, digits).tolist()]
+            return [text.decode()
+                    for text in _float_texts(column, render, digits)]
         return render(column, digits)
 
     def blocks():

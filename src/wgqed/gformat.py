@@ -74,9 +74,10 @@ def _fast_texts(values: np.ndarray,
         proven = tried & (np.abs(m - np.floor(m) - 0.5)
                           > 4.5e-16 * 10.0 ** d)
         mant = np.rint(m)
+    # M = 10**d carries into the exponent; cells not proven get the same
+    # harmless 10**(d - 1), as g_texts replaces their text
     carry = mant == 10.0 ** d
     e += carry
-    # cells not proven get a harmless mantissa, their text is replaced
     mant = np.where(proven & ~carry, mant, 10.0 ** (d - 1)).astype(np.int64)
     order = np.argsort(e.astype(np.int16), kind="stable")
     exponents, mant = e[order], mant[order]
@@ -124,9 +125,8 @@ def _fast_texts(values: np.ndarray,
     return texts, proven
 
 
-def g_texts(values: np.ndarray, digits: int) -> np.ndarray:
-    """``b"%.{digits}g" % v`` for each value of a float64 array, in a
-    1-d NUL-padded bytes array whose ``tolist()`` is those bytes. Texts
+def g_texts(values: np.ndarray, digits: int) -> list[bytes]:
+    """``b"%.{digits}g" % v`` for each value of a float64 array. Texts
     that _fast_texts does not prove, and all of them above FAST_DIGITS
     digits, come from _c_texts: the sign bit, zeros, subnormals, inf,
     nan, values from 1e300 on and values next to a rounding tie."""
@@ -134,18 +134,17 @@ def g_texts(values: np.ndarray, digits: int) -> np.ndarray:
     if digits > FAST_DIGITS or not values.size:
         return _c_texts(values, digits)
     texts, proven = _fast_texts(values, digits)
+    texts = texts.tolist()
     slow = np.flatnonzero(~proven)
-    if slow.size:
-        exact = _c_texts(values[slow], digits)
-        texts = texts.astype(np.promote_types(texts.dtype, exact.dtype))
-        texts[slow] = exact
+    for i, text in zip(slow.tolist(), _c_texts(values[slow], digits)):
+        texts[i] = text
     return texts
 
 
-def _c_texts(values: np.ndarray, digits: int) -> np.ndarray:
+def _c_texts(values: np.ndarray, digits: int) -> list[bytes]:
     # the C routine of format, by one bytes % over a NUL-separated
     # template; no rendered number holds a NUL
     if not values.size:
-        return np.empty(0, "S1")
+        return []
     template = b"\0".join([f"%.{digits}g".encode()] * values.size)
-    return np.array((template % tuple(values.tolist())).split(b"\0"))
+    return (template % tuple(values.tolist())).split(b"\0")

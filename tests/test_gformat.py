@@ -32,8 +32,8 @@ def _g_oracle(values, digits):
 def _g_fixed_cases():
     powers = np.array([float(f"1e{k}") for k in range(-300, 301)])
     # log10 rounds to k for some of these just below 10**k
-    near = np.outer([1 - 6e-14, 1 - 1e-14, 1 - 1e-15, 1 + 1e-15, 1 + 1e-14],
-                    powers).ravel()
+    near = np.outer([1 - 6e-14, 1 - 1e-14, 1 - 1e-15, 1 + 1e-15, 1 + 1e-14,
+                     1 + 6e-14, 1 + 1e-13], powers).ravel()
     specials = [0.5, 2.5, 0.125, 1e-4, 9.9999999999995e-5, 9.99995e-5,
                 1.5e-5, 1e100, 1.5e-100, 1e-300, 1e300, 1.7e308, DBL_MAX,
                 DBL_MIN, 5e-324, 2.5e-310, 0.0, -0.0, math.inf, -math.inf,
@@ -60,7 +60,7 @@ class TestGTexts:
     def test_fixed_cases(self, digits):
         values = np.concatenate([_g_fixed_cases(), _g_switches(digits),
                                  _g_switches(digits) * 1e-5])
-        assert gformat.g_texts(values, digits).tolist() == \
+        assert gformat.g_texts(values, digits) == \
             _g_oracle(values, digits)
 
     @pytest.mark.parametrize("digits", range(3, 15))
@@ -73,21 +73,39 @@ class TestGTexts:
             heads.tolist(), rng.integers(-30, 30, heads.size).tolist())])
         values = np.concatenate([ties, np.nextafter(ties, 0.0),
                                  np.nextafter(ties, np.inf)])
-        assert gformat.g_texts(values, digits).tolist() == \
+        assert gformat.g_texts(values, digits) == \
             _g_oracle(values, digits)
+
+    @pytest.mark.parametrize("step", [-np.inf, np.inf])
+    def test_log10_one_ulp_off(self, monkeypatch, step):
+        # a libm whose log10 is one ulp off next to 10**k
+        log10 = np.log10
+        monkeypatch.setattr(np, "log10",
+                            lambda v: np.nextafter(log10(v), step))
+        values = _g_fixed_cases()
+        for digits in (3, 12, 13):
+            assert gformat.g_texts(values, digits) == \
+                _g_oracle(values, digits)
+
+    @pytest.mark.parametrize("digits", [3, 12, 17])
+    def test_empty_and_shaped_blocks(self, digits):
+        assert gformat.g_texts(np.empty(0), digits) == []
+        block = np.linspace(0.01, 3.0, 24).reshape(2, 3, 4)
+        assert gformat.g_texts(block, digits) == _g_oracle(block.ravel(),
+                                                           digits)
 
     def test_exact_ties_round_half_even(self):
         values = np.array([0.5, 2.5, 0.125, 0.375])
-        assert gformat.g_texts(values, 2).tolist() == \
+        assert gformat.g_texts(values, 2) == \
             [b"0.5", b"2.5", b"0.12", b"0.38"]
-        assert gformat.g_texts(values, 1).tolist() == \
+        assert gformat.g_texts(values, 1) == \
             [b"0.5", b"2", b"0.1", b"0.4"]
 
     def test_layout_switches(self):
         values = np.array([9.9999999999995e-5, 1e-4, 9.99999e-5, 1e-5,
                            123456789012.0, 1234567890123.0, 1e-300,
                            1.25e+300])
-        assert gformat.g_texts(values, 12).tolist() == [
+        assert gformat.g_texts(values, 12) == [
             b"0.0001", b"0.0001", b"9.99999e-05", b"1e-05",
             b"123456789012", b"1.23456789012e+12", b"1e-300",
             b"1.25e+300"]
@@ -96,14 +114,14 @@ class TestGTexts:
            st.integers(3, 17))
     def test_any_bit_pattern(self, bits, digits):
         values = np.array(bits, np.uint64).view(np.float64)
-        assert gformat.g_texts(values, digits).tolist() == \
+        assert gformat.g_texts(values, digits) == \
             _g_oracle(values, digits)
 
     @given(st.lists(st.floats(1e-6, 1e3), min_size=1, max_size=60),
            st.integers(3, 17))
     def test_grid_like_values(self, values, digits):
         values = np.array(values)
-        assert gformat.g_texts(values, digits).tolist() == \
+        assert gformat.g_texts(values, digits) == \
             _g_oracle(values, digits)
 
     def test_no_warning_escapes(self):
