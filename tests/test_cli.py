@@ -1408,7 +1408,7 @@ class TestGridRenderer:
 
     @pytest.mark.parametrize("out_format, value", [
         ("csv", DBL_MAX), ("json", 1.0)])
-    def test_only_the_inexact_cell_renders_per_cell(
+    def test_only_the_inexact_block_renders_per_cell(
             self, monkeypatch, out_format, value):
         monkeypatch.setattr(cli, "GRID_BLOCK_CELLS", 7)
         name = f"_{out_format}_exact"
@@ -1425,8 +1425,10 @@ class TestGridRenderer:
         env = _demo_env()
         assert _rendered(out_format, env, grid, 12) == \
             _grid_reference(out_format, env, grid, 12)
-        # z rows 0-1, 2-3 and 4 of each x value; the masks cover each
-        # cell once, in order, and refuse the value alone
+        # z rows 0-1, 2-3 and 4 of each x value, the value in the fifth;
+        # the masks cover each cell once, in order, and refuse the value
+        # alone, so only its block, and in it only its cell, renders per
+        # cell
         assert [mask.size for mask in taken] == [6, 6, 3] * 2
         refused = np.flatnonzero(~np.concatenate(taken))
         assert refused.tolist() == [np.ravel_multi_index(
