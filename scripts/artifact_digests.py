@@ -13,10 +13,10 @@ degenerate TE/TM pair and the ties of the demo guide's a = 2b. It
 runs ``corr`` on the demo grid with its time axis starting inside the
 light front (``grid.t_min = 0.5``), so that its +0.0 cells outside the
 cone sit next to positive ones, as CSV and JSON at 12 digits and as
-CSV at ``output.digits`` 13 and 14. Last it runs the refusal corpus,
-fixed bad inputs on demo.conf, and writes each case's exit code and
-stderr to ``refusals.txt``; a case that raises out of ``main`` records
-the exception type instead. That is 39 files in all.
+CSV at ``output.digits`` 13, 14 and 15. Last it runs the refusal
+corpus, fixed bad inputs on demo.conf, and writes each case's exit
+code and stderr to ``refusals.txt``; a case that raises out of
+``main`` records the exception type instead. That is 41 files in all.
 Prints one ``sha256  name`` line per file, sorted by name, so two
 checkouts can be compared with ``diff``. The accepted lines are in
 ``tests/data/artifact_digests.txt``.
@@ -114,7 +114,7 @@ def main(argv=None) -> int:
         fronts = {digits: derived_config(
             Path(tmp) / f"front{digits}.conf",
             {**front, "output.digits": str(digits)})
-            for digits in (12, 13, 14)}
+            for digits in (12, 13, 14, 15)}
         # config, file name, command, density model, further arguments
         runs = [(CONFIG, f"{command}_{dos}.{fmt}", command, dos, [])
                 for command in COMMANDS
@@ -130,7 +130,7 @@ def main(argv=None) -> int:
         runs += [(fronts[12], f"corr_front_paper.{fmt}", "corr", "paper", [])
                  for fmt in ("csv", "json")]
         runs += [(fronts[digits], f"corr_front_paper_digits{digits}.csv",
-                  "corr", "paper", []) for digits in (13, 14)]
+                  "corr", "paper", []) for digits in (13, 14, 15)]
         for config, name, command, dos, more in runs:
             out = args.outdir / name
             rc = cli_main([command, "--config", str(config), "--dos", dos,
