@@ -60,8 +60,6 @@ EXIT_CONVERGENCE = 4
 EXIT_VALIDATION = 5
 EXIT_NO_CROSSING = 6
 
-_DBL_MIN = sys.float_info.min
-
 
 def _fmt(value, digits: int) -> str:
     """One deterministic cell; empty string for missing values."""
@@ -134,24 +132,8 @@ _ONE_TEXT_TYPES = frozenset({str, int, bool, type(None)})
 
 
 @functools.lru_cache(maxsize=4096, typed=True)
-def _text_once(render, value, digits: int) -> str:
-    return render(value, digits)
-
-
-def _csv_cells(values, digits: int) -> list[str]:
-    # the text of _fmt, with the common float inlined: below 1e308 no
-    # rounding overflows, and the range test also fails for inf and nan
-    spec = f".{digits}g"
-    return [format(v, spec) if type(v) is float and -1e308 < v < 1e308
-            else _text_once(_fmt, v, digits) if type(v) in _ONE_TEXT_TYPES
-            else _fmt(v, digits) for v in values]
-
-
-def _csv_exact(values: np.ndarray, digits: int) -> np.ndarray:
-    """Where ``"%.{digits}g" % v`` is the _fmt text of a value: it is
-    the same C routine as ``format``, and _fmt departs from it only
-    where a finite value's rounding may overflow."""
-    return ~(np.isfinite(values) & (np.abs(values) >= 1e308))
+def _text_once(render, value, digits: int) -> bytes:
+    return render(value, digits).encode()
 
 
 def _json_cell(value, digits: int) -> str:
@@ -161,54 +143,18 @@ def _json_cell(value, digits: int) -> str:
     return json.dumps(_json_value(value, digits))
 
 
-def _json_cells(values, digits: int) -> list[str]:
-    # what json.dumps writes for each _json_value; cells are scalars.
-    # Up to 15 digits a normal float's "%.{digits}g" text round-trips
-    # and is its JSON text, unless it looks like an integer ("12", "-0"
-    # gains ".0") or has an exponent in [digits, 16) (written
-    # positionally). So only such a text with a "." and no "e+" is
-    # reused; inf, nan and values past 1e308 fail that test. Subnormals,
-    # 16 or 17 digits and every other cell take _json_cell.
-    spec = f".{digits}g"
-    return [s if digits <= 15 and type(v) is float and "." in
-            (s := format(v, spec)) and "e+" not in s and abs(v) >= _DBL_MIN
-            else _text_once(_json_cell, v, digits)
-            if type(v) in _ONE_TEXT_TYPES else _json_cell(v, digits)
-            for v in values]
-
-
-def _json_exact(values: np.ndarray, digits: int) -> np.ndarray:
-    """Where ``"%.{digits}g" % v`` is the _json_cell text of a value. Up
-    to 15 digits it is for a normal value more than |v| * 10**(1 -
-    digits) from every integer: no value is more than 0.5 from one, so
-    it lies below 10**(digits - 1) and its text has no "e+", and it does
-    not round to an integer, so its text does not read as one."""
-    if digits > 15:
-        return np.zeros(values.shape, bool)
-    size = np.abs(values)
-    with np.errstate(invalid="ignore"):
-        off_integer = np.abs(values - np.rint(values))
-    return (size >= _DBL_MIN) & (off_integer > size * 10.0 ** (1 - digits))
-
-
-def _float_texts(values: np.ndarray, render, digits: int) -> list[bytes]:
-    """The ``render`` text of each value of a float64 array, UTF-8
-    encoded: ``gformat.g_texts`` where the format's exactness mask
-    holds, ``render`` for each other value."""
-    # imported on first use: a command that renders no float array
-    # neither compiles nor loads the kernel
-    from .gformat import g_texts
-
-    values = values.ravel()
-    exact = {_csv_cells: _csv_exact, _json_cells: _json_exact}[render](
-        values, digits)
-    if not exact.any():
-        return [text.encode() for text in render(values.tolist(), digits)]
-    texts = g_texts(values, digits)
-    odd = np.flatnonzero(~exact)
-    for i, text in zip(odd.tolist(), render(values[odd].tolist(), digits)):
-        texts[i] = text.encode()
-    return texts
+def _cells(values, digits: int, json: bool) -> list[bytes]:
+    """The UTF-8 text of each cell in one format: ``gformat.cell_texts``
+    for a float64 array, and ``_json_cell`` or ``_fmt`` of each cell of
+    any other sequence."""
+    if isinstance(values, np.ndarray):
+        # imported on first use: a command that renders no float array
+        # neither compiles nor loads the kernel
+        from .gformat import cell_texts
+        return cell_texts(values, digits, json)
+    render = _json_cell if json else _fmt
+    return [_text_once(render, v, digits) if type(v) in _ONE_TEXT_TYPES
+            else render(v, digits).encode() for v in values]
 
 
 GRID_COLUMNS = ("x", "z", "t", "g1", "inside_cone")
@@ -220,39 +166,32 @@ GRID_COLUMNS = ("x", "z", "t", "g1", "inside_cone")
 GRID_BLOCK_CELLS = 8_192
 
 
-def _grid_rows(grid: CorrelationGrid, render, digits: int, cell_sep: str,
-               row_sep: str) -> Iterator[bytes | bytearray]:
+def _grid_rows(grid: CorrelationGrid, digits: int, json: bool,
+               cell_sep: str, row_sep: str) -> Iterator[bytes | bytearray]:
     """Yield the rows of ``grid`` as UTF-8 byte blocks, x outermost and
     t innermost as in ``values.ravel()``. A block holds whole z rows of
     one x value, at most GRID_BLOCK_CELLS cells unless one z row alone
     is longer, and is one template with a ``%s`` slot per g1 cell,
-    filled by a single bytes ``%``. Each axis value and the cone flags
-    are rendered once and each t tail once per flag; a z row shares a
-    whole tail list unless it crosses the light front. The g1 texts of
-    a block come from _float_texts: ``gformat.g_texts``, the bytes of
-    the C ``"%.{digits}g"`` from one vectorized pass, for each cell
-    inside the format's exactness mask, and the per-cell renderer for
-    each other cell, such as JSON's zeros outside the cone. Only the
-    first block starts without a row separator, so the blocks join to
-    the whole table."""
-    def encoded(values):
-        return [text.encode() for text in render(values, digits)]
-
+    filled by a single bytes ``%``. Every text comes from _cells: the
+    axes, the g1 cells of a block and the cone flags, each rendered
+    once, and each t tail once per flag; a z row shares a whole tail
+    list unless it crosses the light front. Only the first block starts
+    without a row separator, so the blocks join to the whole table."""
     sep, row_sep = cell_sep.encode(), row_sep.encode()
-    false, true = encoded([False, True])
+    false, true = _cells([False, True], digits, json)
     # rendered numbers and flags hold no "%"
-    t_text = encoded(grid.t_values.tolist())
+    t_text = _cells(grid.t_values, digits, json)
     outside = [t + sep + b"%s" + sep + false for t in t_text]
     inside = [t + sep + b"%s" + sep + true for t in t_text]
     tails = [inside if all(row) else outside if not any(row)
              else [i if cell else o
                    for o, i, cell in zip(outside, inside, row)]
              for row in grid.inside_cone.tolist()]
-    z_heads = [z + sep for z in encoded(grid.z_values.tolist())]
+    z_heads = [z + sep for z in _cells(grid.z_values, digits, json)]
     z_count, t_count = grid.values.shape[1:]
     step = max(1, GRID_BLOCK_CELLS // t_count)
     lead = len(row_sep)
-    for x, plane in zip(encoded(grid.x_values.tolist()), grid.values):
+    for x, plane in zip(_cells(grid.x_values, digits, json), grid.values):
         for start in range(0, z_count, step):
             stop = start + step
             template = bytearray()
@@ -262,36 +201,31 @@ def _grid_rows(grid: CorrelationGrid, render, digits: int, cell_sep: str,
                 template += head.join(row)
             del template[:lead]
             lead = 0
-            cells = _float_texts(plane[start:stop], render, digits)
-            yield template % tuple(cells)
+            yield template % tuple(_cells(plane[start:stop], digits, json))
 
 
-def _table_text(table, render, digits: int, cell_sep: str,
+def _table_text(table, digits: int, json: bool, cell_sep: str,
                 row_sep: str) -> tuple[Sequence[str],
                                        Iterable[bytes | bytearray] | None]:
-    """The column names of ``table`` and its rows as UTF-8 byte chunks
-    that join to one text, None when it has no rows, rendered as they
-    are consumed: a dict's in blocks of whole rows, at most
-    GRID_BLOCK_CELLS cells each unless one row is longer, a float64
-    array column by _float_texts and any other by ``render``."""
+    """The column names of ``table`` and its rows in one format as UTF-8
+    byte chunks that join to one text, None when it has no rows,
+    rendered as they are consumed: a grid's by _grid_rows, a dict's in
+    blocks of whole rows, at most GRID_BLOCK_CELLS cells each unless
+    one row is longer, each column's cells by _cells."""
     if isinstance(table, CorrelationGrid):
-        return GRID_COLUMNS, _grid_rows(table, render, digits, cell_sep,
+        return GRID_COLUMNS, _grid_rows(table, digits, json, cell_sep,
                                         row_sep)
     columns = list(table.values())
     count = min(map(len, columns), default=0)
-
-    def cells(column):
-        if isinstance(column, np.ndarray):
-            return [text.decode()
-                    for text in _float_texts(column, render, digits)]
-        return render(column, digits)
+    cell_sep, row_sep = cell_sep.encode(), row_sep.encode()
 
     def blocks():
         step = max(1, GRID_BLOCK_CELLS // len(columns))
         for start in range(0, count, step):
             text = row_sep.join(map(cell_sep.join, zip(
-                *(cells(col[start:start + step]) for col in columns))))
-            yield ((row_sep if start else "") + text).encode()
+                *(_cells(col[start:start + step], digits, json)
+                  for col in columns))))
+            yield row_sep + text if start else text
     return list(table), blocks() if count else None
 
 
@@ -302,7 +236,7 @@ def _csv_chunks(env: dict, table, digits: int,
         for sub in sorted(extra[key]):
             lines.append(
                 f"# {key}.{sub} = {_fmt(extra[key][sub], digits)}")
-    columns, rows = _table_text(table, _csv_cells, digits, ",", "\n")
+    columns, rows = _table_text(table, digits, False, ",", "\n")
     lines.append(",".join(columns))
     head = ("\n".join(lines) + "\n").encode()
     if rows is None:
@@ -318,7 +252,7 @@ _JSON_ROWS = '\n  "rows": []'
 def _json_chunks(env: dict, table, digits: int,
                  extra: dict | None) -> Iterable[bytes | bytearray]:
     # the rows take the layout indent=2 gives a list of lists
-    columns, rows = _table_text(table, _json_cells, digits, ",\n      ",
+    columns, rows = _table_text(table, digits, True, ",\n      ",
                                 "\n    ],\n    [\n      ")
     doc = {
         "envelope": _json_value(env, digits),
@@ -417,7 +351,7 @@ def cmd_modes(config, args) -> int:
                                       config.max_mn, config.max_mn)
     labels, omega = [pol.value for pol in POLARIZATIONS], config.atom_omega
     env = _envelope("modes", config, args.reproducible)
-    # the float columns stay arrays, which _table_text renders whole
+    # the float columns stay arrays, which _cells renders whole
     _emit(args, config, env, {
         "polarization": [labels[code] for code in codes.tolist()],
         "m": m.tolist(), "n": n.tolist(),

@@ -22,7 +22,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
-from wgqed import cli, config as config_module, validate
+from wgqed import cli, config as config_module, gformat, validate
 from wgqed.cli import (
     EXIT_CONFIG,
     EXIT_DOMAIN,
@@ -1130,10 +1130,10 @@ class TestColumnRenderer:
         assert out.read_text(encoding="utf-8") == want
 
     def test_failed_render_writes_nothing(self, tmp_path, monkeypatch):
-        def broken(values, digits):
+        def broken(values, digits, json):
             raise RuntimeError("render failed")
 
-        monkeypatch.setattr(cli, "_json_cells", broken)
+        monkeypatch.setattr(cli, "_cells", broken)
         conf = write_config(tmp_path)
         out = tmp_path / "modes.json"
         with pytest.raises(RuntimeError):
@@ -1151,8 +1151,8 @@ class TestTableBlocks:
         # the cells of each row block as it is consumed
         chunks, table_text = [], cli._table_text
 
-        def spy(table, render, digits, cell_sep, row_sep):
-            columns, rows = table_text(table, render, digits, cell_sep,
+        def spy(table, digits, json, cell_sep, row_sep):
+            columns, rows = table_text(table, digits, json, cell_sep,
                                        row_sep)
             sep = row_sep.encode()
 
@@ -1183,7 +1183,7 @@ class TestTableBlocks:
         assert max(chunks) <= 100
 
 
-# --- the per-cell expression _json_cells used before it reused the
+# --- the per-cell expression JSON cells used before they reused the
 # CSV text, kept as the oracle ---
 
 DBL_MIN = sys.float_info.min
@@ -1238,25 +1238,41 @@ CELL_CLASSES = [
 ]
 
 
+def _cells(values, digits, json):
+    return [text.decode() for text in cli._cells(values, digits, json)]
+
+
+def _float_cells(values, digits, json):
+    # the float cells as one float64 array, through gformat
+    floats = np.array([v for v in values if type(v) is float])
+    return _cells(floats, digits, json)
+
+
 class TestJsonCells:
-    """_json_cells writes what the previous per-cell expression did,
-    and a finite cell that rounds past DBL_MAX stays strict JSON."""
+    """JSON cells, per cell and from a float64 array, are what the
+    previous per-cell expression wrote, and a finite cell that rounds
+    past DBL_MAX stays strict JSON."""
 
     @given(st.lists(st.floats(), max_size=40), st.integers(3, 17))
     def test_matches_previous_expression(self, values, digits):
-        assert cli._json_cells(values, digits) == \
-            [_oracle_json_cell(v, digits) for v in values]
+        want = [_oracle_json_cell(v, digits) for v in values]
+        assert _cells(values, digits, True) == want
+        assert _float_cells(values, digits, True) == want
 
     @pytest.mark.parametrize("digits", range(3, 18))
     def test_cell_classes(self, digits):
-        got = cli._json_cells(CELL_CLASSES, digits)
+        got = _cells(CELL_CLASSES, digits, True)
         assert got == [_oracle_json_cell(v, digits)
                        for v in CELL_CLASSES]
+        assert _float_cells(CELL_CLASSES, digits, True) == \
+            [_oracle_json_cell(v, digits) for v in CELL_CLASSES
+             if type(v) is float]
 
     def test_overflowing_value_stays_strict_json(self):
         # at 3 digits DBL_MAX rounds to 1.8e+308, past the largest float
-        assert cli._json_cells([DBL_MAX, -DBL_MAX], 3) == \
-            [repr(DBL_MAX), repr(-DBL_MAX)]
+        for cells in (_cells, _float_cells):
+            assert cells([DBL_MAX, -DBL_MAX], 3, True) == \
+                [repr(DBL_MAX), repr(-DBL_MAX)]
         env = _demo_env()
         env["discrepancies"]["huge"] = DBL_MAX
         text = _rendered("json", env, {"a": [DBL_MAX, 1.0]}, digits=3,
@@ -1275,7 +1291,8 @@ class TestCsvCells:
     @given(st.floats(allow_nan=False, allow_infinity=False),
            st.integers(3, 17))
     def test_finite_value_reads_back_finite(self, value, digits):
-        cell, = cli._csv_cells([value], digits)
+        cell, = _cells([value], digits, False)
+        assert _float_cells([value], digits, False) == [cell]
         assert math.isfinite(float(cell))
         if abs(value) < 1e308:
             assert cell == format(value, f".{digits}g")
@@ -1283,15 +1300,18 @@ class TestCsvCells:
     @pytest.mark.parametrize("digits", range(3, 18))
     def test_cell_classes(self, digits):
         for value, cell in zip(CELL_CLASSES,
-                               cli._csv_cells(CELL_CLASSES, digits)):
+                               _cells(CELL_CLASSES, digits, False)):
             assert cell == cli._fmt(value, digits)
             if type(value) is float:
                 assert math.isfinite(float(cell)) == math.isfinite(value)
+        assert _float_cells(CELL_CLASSES, digits, False) == \
+            [cli._fmt(v, digits) for v in CELL_CLASSES if type(v) is float]
 
     def test_overflowing_value_keeps_its_digits(self):
         # at 3 digits DBL_MAX rounds to 1.8e+308, which reads back inf
-        assert cli._csv_cells([DBL_MAX, -DBL_MAX, 1e308], 3) == \
-            [repr(DBL_MAX), repr(-DBL_MAX), "1e+308"]
+        for cells in (_cells, _float_cells):
+            assert cells([DBL_MAX, -DBL_MAX, 1e308], 3, False) == \
+                [repr(DBL_MAX), repr(-DBL_MAX), "1e+308"]
 
 
 # --- the correlation grid's one-fill renderer against the row-tuple
@@ -1377,21 +1397,33 @@ class TestGridRenderer:
     @pytest.mark.parametrize("out_format", ["csv", "json"])
     @pytest.mark.parametrize("digits", [3, 12, 15, 16, 17])
     def test_matches_row_tuples(self, monkeypatch, out_format, digits):
-        name = f"_{out_format}_exact"
-        exact, taken = getattr(cli, name), set()
+        name = f"_{out_format}_rule"
+        rule, taken = getattr(gformat, name), set()
 
-        def spy(values, d):
-            taken.update(exact(values, d).tolist())
-            return exact(values, d)
+        def spy(value, text):
+            taken.add(value)
+            return rule(value, text)
 
-        monkeypatch.setattr(cli, name, spy)
+        monkeypatch.setattr(gformat, name, spy)
         env = _demo_env()
         for case, grid in _grid_cases():
             assert _rendered(out_format, env, grid, digits) == \
                 _grid_reference(out_format, env, grid, digits), case
-        # JSON reuses the kernel text up to 15 digits only
-        assert taken == ({False, True} if out_format == "csv"
-                         or digits <= 15 else {False})
+        # the per-cell rule takes what the format's mask refuses: in CSV
+        # the values whose rounding may overflow; in JSON never a zero
+        # or a smooth g1 value, up to 15 digits integer-valued ones such
+        # as t = 2.0, from 16 digits on the non-finite ones and those
+        # whose rounding overflows alone
+        smooth = [v for v in taken if 1e-6 < v < 0.4]
+        finite = {v for v in taken if math.isfinite(v)}
+        if out_format == "csv":
+            assert taken == {DBL_MAX, -DBL_MAX, 1e308}
+        elif digits <= 15:
+            assert {1.0, 2.0} <= taken
+        else:
+            assert len(taken) > len(finite)
+            assert finite == ({DBL_MAX, -DBL_MAX} if digits == 16 else set())
+        assert 0.0 not in taken and not smooth
 
     @pytest.mark.parametrize("out_format", ["csv", "json"])
     @pytest.mark.parametrize("digits", [3, 12, 15, 16, 17])
@@ -1411,28 +1443,35 @@ class TestGridRenderer:
     def test_only_the_inexact_block_renders_per_cell(
             self, monkeypatch, out_format, value):
         monkeypatch.setattr(cli, "GRID_BLOCK_CELLS", 7)
-        name = f"_{out_format}_exact"
-        exact, taken = getattr(cli, name), []
+        name = f"_{out_format}_rule"
+        cell_texts, rule = gformat.cell_texts, getattr(gformat, name)
+        blocks, taken = [], []
 
-        def spy(values, d):
-            taken.append(exact(values, d))
-            return taken[-1]
+        def texts_spy(values, digits, json):
+            blocks.append(values)
+            return cell_texts(values, digits, json)
 
-        monkeypatch.setattr(cli, name, spy)
+        def rule_spy(v, text):
+            taken.append((len(blocks), v))
+            return rule(v, text)
+
+        monkeypatch.setattr(gformat, "cell_texts", texts_spy)
+        monkeypatch.setattr(gformat, name, rule_spy)
         grid = _block_grid((2, 5, 3), np.random.default_rng(7),
                            inside=1.0)
         grid.values[1, 2, 1] = value
         env = _demo_env()
         assert _rendered(out_format, env, grid, 12) == \
             _grid_reference(out_format, env, grid, 12)
-        # z rows 0-1, 2-3 and 4 of each x value, the value in the fifth;
-        # the masks cover each cell once, in order, and refuse the value
-        # alone, so only its block, and in it only its cell, renders per
-        # cell
-        assert [mask.size for mask in taken] == [6, 6, 3] * 2
-        refused = np.flatnonzero(~np.concatenate(taken))
-        assert refused.tolist() == [np.ravel_multi_index(
-            (1, 2, 1), grid.values.shape)]
+        # the t, z and x axes, then z rows 0-1, 2-3 and 4 of each x
+        # value, the value in the fifth: the blocks cover each cell
+        # once, in order, and the rule takes the value alone, so only
+        # its cell renders per cell
+        assert [values.size for values in blocks] == \
+            [3, 5, 2] + [6, 6, 3] * 2
+        assert np.concatenate([b.ravel() for b in blocks[3:]]).tolist() \
+            == grid.values.ravel().tolist()
+        assert taken == [(8, value)]
 
     @given(st.floats(), st.integers(3, 17))
     @example(math.inf, 12)
@@ -1448,32 +1487,34 @@ class TestGridRenderer:
         spec = f"%.{digits}g".encode()
         assert (spec % (value,)).decode() == text
         assert (bytearray(spec) % (value,)).decode() == text
-        if cli._csv_exact(one, digits):
-            assert text == cli._fmt(value, digits)
-        if cli._json_exact(one, digits):
-            assert text == cli._json_cell(value, digits)
+        # and the array path writes each format's cell
+        assert gformat.cell_texts(one, digits, False) == \
+            [cli._fmt(value, digits).encode()]
+        assert gformat.cell_texts(one, digits, True) == \
+            [cli._json_cell(value, digits).encode()]
 
 
 class TestGridFastPath:
-    """On the figure grid the per-cell renderers see the axes, the cone
-    flags and the envelope, never g1."""
+    """On the figure grid the per-cell renderers and rules see at most
+    the axes, the cone flags and the envelope, never g1."""
 
     @pytest.mark.parametrize("out_format", ["csv", "json"])
     def test_per_cell_work_bounded_by_axes(self, tmp_path, monkeypatch,
                                            out_format):
-        counts = dict.fromkeys(
-            ("_fmt", "_json_cell", "_csv_cells", "_json_cells"), 0)
+        modules = {"_fmt": cli, "_json_cell": cli, "_csv_rule": gformat,
+                   "_json_rule": gformat}
+        counts = dict.fromkeys(modules, 0)
 
         def counted(name):
-            fn = getattr(cli, name)
+            fn = getattr(modules[name], name)
 
-            def wrapper(value, digits):
-                counts[name] += len(value) if name.endswith("s") else 1
-                return fn(value, digits)
+            def wrapper(*args):
+                counts[name] += 1
+                return fn(*args)
             return wrapper
 
-        for name in counts:
-            monkeypatch.setattr(cli, name, counted(name))
+        for name in modules:
+            monkeypatch.setattr(modules[name], name, counted(name))
         # rows in each chunk as it reaches the file: the grid streams
         # in blocks of at most GRID_BLOCK_CELLS rows
         row_mark = b"\n" if out_format == "csv" else b"\n    ["
