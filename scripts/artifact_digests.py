@@ -58,6 +58,9 @@ REFUSALS = (
     ("validate_square_guide_below_cutoff", ["validate"],
      {"waveguide.b": "3.141592653589793", "atom.omega": "0.5"}),
     ("corr_atom_far_from_grid", ["corr"], {"atom.z0": "300.0"}),
+    ("validate_flat_guide", ["validate"],
+     {"waveguide.a": "10.0", "waveguide.b": "0.001", "atom.x0": "5.0",
+      "atom.y0": "0.0005"}),
 )
 
 
