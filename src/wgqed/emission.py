@@ -26,15 +26,16 @@ pole rather than by excising it.
 ``decay_rate``, ``level_shift`` and ``build_bins`` each make one
 ``quantize.Channels`` table and read cutoffs, couplings (both
 directions of travel) and weights off it; the decay rate and the cells
-take all of theirs from one call of each. The table's arrays, like
-the mode table behind ``modes.modes_below``, are built once per
-guide, atom position and mode list and then shared read-only, so a
-frequency sweep or root find on one emitter scans and tabulates its
-modes once, not twice per frequency. The shift's (mode, branch)
-segments refine in lockstep: one call covers the 1-panel and 2-panel
-rules of every segment (and, for a principal value, the pole point and
-both halves), and each further panel doubling is one call over the
-segments not yet accepted. ``quantize.coupling_at`` stays the
+take all of theirs from one call of each. Every continuum measure,
+the unit one of decaying profiles included, comes from ``quantize``.
+The table's arrays, like the mode table behind ``modes.modes_below``,
+are built once per guide, atom position and mode list and then shared
+read-only, so a frequency sweep or root find on one emitter scans and
+tabulates its modes once, not twice per frequency. The shift's (mode,
+branch) segments refine in lockstep: one call covers the 1-panel and
+2-panel rules of every segment (and, for a principal value, the pole
+point and both halves), and each further panel doubling is one call
+over the segments not yet accepted. ``quantize.coupling_at`` stays the
 per-point definition the tests check this module against.
 
 ``amplitudes_ode_oracle`` propagates the exact Schroedinger system of
@@ -68,6 +69,7 @@ from .quantize import (
     Channels,
     DensityModel,
     QuantizationBox,
+    _weight_times_t,
     continuum_weight,
     couplings,
 )
@@ -76,10 +78,6 @@ from .quantize import (
 # frequency put the integrable pole on the boundary, where no
 # principal value exists
 _ENDPOINT_GUARD = 1e-9
-
-# decaying profiles are normalized per unit frequency already, so
-# their continuum measure is plain d(nu)
-_LOCALIZED_UNIT_WEIGHT = 1.0
 
 
 class ChannelRate(NamedTuple):
@@ -175,18 +173,6 @@ def auto_shift_window(spec: WaveguideSpec, transition_frequency: float,
     return (omega / 5.0, min(5.0 * omega, edge))
 
 
-def _weight_times_t(spec, box, model, branch, nu, t):
-    # continuum weight times the axial variable, in closed form: the
-    # group-velocity weight recomputed from nu would divide by an axial
-    # wavenumber carrying rounding ~eps*h^2/t^2 near the cutoff
-    if branch is Branch.LOCALIZED:
-        return _LOCALIZED_UNIT_WEIGHT * t
-    eps_mu = spec.permittivity * spec.permeability
-    if model is DensityModel.PHASE_VELOCITY:
-        return box.length * math.sqrt(eps_mu) * t / (2.0 * math.pi)
-    return box.length * eps_mu * nu / (2.0 * math.pi)
-
-
 def level_shift(spec: WaveguideSpec, atom: Atom, box: QuantizationBox,
                 model: DensityModel, *, window, modes=None,
                 max_index: int = 12) -> ShiftResult:
@@ -267,10 +253,7 @@ def level_shift(spec: WaveguideSpec, atom: Atom, box: QuantizationBox,
         # traveling profiles count once per direction of travel
         traveling = s > 0.0
         csq = np.where(traveling, g_sq[0] + g_sq[1], g_sq[0])
-        weight_t = np.where(
-            traveling,
-            _weight_times_t(spec, box, model, Branch.PROPAGATING, nu, t),
-            _weight_times_t(spec, box, model, Branch.LOCALIZED, nu, t))
+        weight_t = _weight_times_t(spec, box, model, traveling, nu, t)
         return (-weight_t * csq * (omega + nu) / nu
                 / np.where(np.isnan(t0), t * t - q, t + t0))
 
@@ -348,12 +331,11 @@ def build_bins(spec: WaveguideSpec, atom: Atom, box: QuantizationBox,
     chans = Channels(spec, atom, modes)
     n = len(chans.modes)
     grid = np.broadcast_to(centers, (n, count))
-    g = couplings(chans, np.repeat(np.arange(n), count), grid.ravel(),
-                  box).reshape(2, n, count)
+    rows = np.repeat(np.arange(n), count)
+    g = couplings(chans, rows, grid.ravel(), box).reshape(2, n, count)
+    weights = continuum_weight(chans, rows, grid.ravel(), box,
+                               model).reshape(n, count)
     above = grid > chans.cutoff[:, None]
-    weights = np.full(grid.shape, _LOCALIZED_UNIT_WEIGHT)
-    weights[above] = continuum_weight(chans, np.nonzero(above)[0],
-                                      grid[above], box, model)
     for mode, *per_mode in zip(chans.modes, g[0].tolist(), g[1].tolist(),
                                weights.tolist(), above.tolist()):
         for nu, g_fwd, g_bwd, w, up in zip(centers.tolist(), *per_mode):

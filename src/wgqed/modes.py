@@ -20,6 +20,11 @@ the axial derivative must change sign across the source plane,
 otherwise the field would not stay divergence free on both sides. The
 evaluator handles that sign internally; at the kink itself those
 components vanish.
+
+``mode_helmholtz_residual`` and ``mode_divergence_residual`` check
+that the fields solve the wave equation and carry no electric
+divergence, by central differences. Each takes its 7-point stencil
+from one ``field_at`` call on an array of points.
 """
 
 from __future__ import annotations
@@ -246,53 +251,16 @@ def field_at(spec: WaveguideSpec, mode: ModeIndex, frequency: float,
     return ModeField(electric=electric, magnetic=magnetic)
 
 
-def field_evaluator(spec, mode, frequency, which="electric"):
-    """Point-wise callable returning one field vector, for use with the
-    finite-difference residual checks below."""
-    if which not in ("electric", "magnetic"):
-        raise ValueError("which must be 'electric' or 'magnetic'")
-
-    def evaluate(point):
-        sample = field_at(spec, mode, frequency, point)
-        return sample.electric if which == "electric" else sample.magnetic
-
-    return evaluate
-
-
-def helmholtz_residual(field_fn, wavenumber_sq: float, point,
-                       step: float = 1e-3) -> float:
-    """Max-abs residual of (laplacian + wavenumber_sq) applied to a
-    vector field, by central second differences.
-
-    The stencil spans +-step along each axis; keep the point farther
-    than that from the walls and from any profile kink, or the
-    residual measures the discontinuity instead of the field equation.
-    """
+def _stencil(spec: WaveguideSpec, mode: ModeIndex, frequency: float,
+             point, step: float) -> tuple:
+    """``dispersion`` and one ``field_at`` call on the 7-point stencil
+    about ``point``: rows centre, +x, +y, +z, -x, -y, -z. A stencil
+    within 2*step of a wall or, below cutoff, of the profile kink at
+    z = 0 is refused, since it would measure the discontinuity instead
+    of the field equation."""
+    disp = dispersion(spec, mode, frequency)
     p = np.asarray(point, dtype=float)
-    center = np.asarray(field_fn(p))
-    lap = np.zeros_like(center, dtype=complex)
-    for offset in step * np.eye(3):
-        lap += (np.asarray(field_fn(p + offset)) - 2.0 * center
-                + np.asarray(field_fn(p - offset))) / step ** 2
-    return float(np.max(np.abs(lap + wavenumber_sq * center)))
-
-
-def divergence_residual(field_fn, point, step: float = 1e-3) -> float:
-    """Abs divergence of a vector field by central first differences.
-
-    Same stencil caveat as helmholtz_residual.
-    """
-    p = np.asarray(point, dtype=float)
-    div = 0.0 + 0.0j
-    for ax, offset in enumerate(step * np.eye(3)):
-        div += (np.asarray(field_fn(p + offset))[..., ax]
-                - np.asarray(field_fn(p - offset))[..., ax]) / (2.0 * step)
-    return abs(div)
-
-
-def _check_stencil_clearance(spec: WaveguideSpec, disp: ModeDispersion,
-                             point, step: float):
-    x, y, z = (float(point[0]), float(point[1]), float(point[2]))
+    x, y, z = p.tolist()
     margin = 2.0 * step
     if not (margin <= x <= spec.width - margin
             and margin <= y <= spec.height - margin):
@@ -303,6 +271,9 @@ def _check_stencil_clearance(spec: WaveguideSpec, disp: ModeDispersion,
         raise DomainError(
             "stencil straddles the profile kink; move the point at "
             f"least {margin!r} from the source plane z = 0")
+    offsets = step * np.eye(3)
+    points = np.concatenate((p[None], p + offsets, p - offsets))
+    return disp, field_at(spec, mode, frequency, points)
 
 
 def mode_helmholtz_residual(spec: WaveguideSpec, mode: ModeIndex,
@@ -311,22 +282,22 @@ def mode_helmholtz_residual(spec: WaveguideSpec, mode: ModeIndex,
     """Normalized wave-equation residual of all six field components.
 
     The field is ``field_at``'s default: unit amplitude, source plane
-    z = 0, traveling toward +z above cutoff. Returns max |laplacian F
-    + k^2 F| over the electric and magnetic components, divided by
-    k^2 times the largest component magnitude at the point. Points
-    whose +-2*step stencil touches a wall or, below cutoff, the
+    z = 0, traveling toward +z above cutoff. The laplacian is taken by
+    central second differences with spacing ``step``. Returns max
+    |laplacian F + k^2 F| over the electric and magnetic components,
+    divided by k^2 times the largest component magnitude at the point.
+    Points whose +-2*step stencil touches a wall or, below cutoff, the
     profile kink at z = 0 are refused rather than measured.
     """
-    disp = dispersion(spec, mode, frequency)
-    _check_stencil_clearance(spec, disp, point, step)
+    disp, rows = _stencil(spec, mode, frequency, point, step)
     k_sq = disp.medium_wavenumber ** 2
-    center = field_at(spec, mode, frequency, point)
-    scale = max(float(np.max(np.abs(center.electric))),
-                float(np.max(np.abs(center.magnetic))))
-    worst = 0.0
-    for which in ("electric", "magnetic"):
-        fn = field_evaluator(spec, mode, frequency, which)
-        worst = max(worst, helmholtz_residual(fn, k_sq, point, step))
+    worst = scale = 0.0
+    for f in rows:
+        lap = np.zeros(3, dtype=complex)
+        for ax in range(3):
+            lap += (f[1 + ax] - 2.0 * f[0] + f[4 + ax]) / step ** 2
+        worst = max(worst, float(np.max(np.abs(lap + k_sq * f[0]))))
+        scale = max(scale, float(np.max(np.abs(f[0]))))
     return worst / (k_sq * scale)
 
 
@@ -335,17 +306,16 @@ def mode_divergence_residual(spec: WaveguideSpec, mode: ModeIndex,
                              step: float = 1e-3) -> float:
     """Normalized electric-field divergence at a point.
 
-    |div E| by central differences, divided by k times the largest
-    electric component magnitude there. Same stencil clearance rules
-    as mode_helmholtz_residual.
+    |div E| by central first differences, divided by k times the
+    largest electric component magnitude there. Same stencil
+    clearance rules as mode_helmholtz_residual.
     """
-    disp = dispersion(spec, mode, frequency)
-    _check_stencil_clearance(spec, disp, point, step)
-    center = field_at(spec, mode, frequency, point)
-    scale = float(np.max(np.abs(center.electric)))
-    fn = field_evaluator(spec, mode, frequency, "electric")
-    return divergence_residual(fn, point, step) / (
-        disp.medium_wavenumber * scale)
+    disp, (e, _) = _stencil(spec, mode, frequency, point, step)
+    div = 0j
+    for ax in range(3):
+        div += (e[1 + ax, ax] - e[4 + ax, ax]) / (2.0 * step)
+    return abs(div) / (disp.medium_wavenumber
+                       * float(np.max(np.abs(e[0]))))
 
 
 POLARIZATIONS = (Polarization.TE, Polarization.TM)

@@ -26,10 +26,17 @@ directions of travel, over frequency nodes that each name their row of
 a ``Channels`` table of per-mode constants. ``continuum_weight`` reads
 the same table; both gather its columns by those rows, so the nodes
 may come in any order.
+
+``continuum_weight`` is the one continuum measure of the chain: the
+density model's states per unit frequency above cutoff, and the unit
+measure d(nu) on the decaying profiles, which are normalized per unit
+frequency already. ``_weight_times_t`` is the same measure times the
+axial variable, in closed form, for the level shift's integrals.
 """
 
 from __future__ import annotations
 
+import cmath
 import functools
 import math
 from dataclasses import dataclass
@@ -53,6 +60,10 @@ from .numerics import _gl_nodes
 
 # natural units throughout
 HBAR = 1.0
+
+# decaying profiles are normalized per unit frequency already, so
+# their continuum measure is plain d(nu)
+_LOCALIZED_UNIT_WEIGHT = 1.0
 
 
 class DensityModel(Enum):
@@ -90,10 +101,10 @@ class Atom:
     """Two-level emitter inside the guide.
 
     position
-        Cartesian (x, y, z); the transverse part must lie inside the
-        cross section.
+        Cartesian (x, y, z), finite; the transverse part must lie
+        inside the cross section.
     dipole
-        Complex transition dipole vector.
+        Complex transition dipole vector with finite components.
     transition_frequency
         Angular frequency of the bare transition, positive and finite.
     """
@@ -105,6 +116,10 @@ class Atom:
     def __post_init__(self):
         if len(self.position) != 3 or len(self.dipole) != 3:
             raise DomainError("position and dipole must have 3 components")
+        if not all(map(math.isfinite, self.position)):
+            raise DomainError("atom position must be finite")
+        if not all(map(cmath.isfinite, self.dipole)):
+            raise DomainError("dipole components must be finite")
         if not math.isfinite(self.transition_frequency):
             raise DomainError("transition frequency must be finite")
         if self.transition_frequency <= 0.0:
@@ -315,25 +330,32 @@ def continuum_weight(chans: Channels, rows, frequencies,
     over nodes with their channel rows as ``couplings`` takes them.
 
     Above cutoff the box spacing 2*pi/length in the axial wavenumber
-    is converted to frequency per ``model``. The decaying branch has
-    no axial wavenumber to count and is refused; consumers that treat
-    those profiles as a frequency continuum supply their own unit
-    measure.
+    is converted to frequency per ``model``. Below it the decaying
+    profiles, normalized per unit frequency already, carry the unit
+    measure d(nu) under either model.
     """
     nu, _, propagating, axial = _axial(chans, rows, frequencies,
                                        chans.columns[2, rows])
-    below = np.flatnonzero(~propagating)
-    if below.size:
-        mode = chans.modes[rows[below[0]]]
-        raise DomainError(
-            "state-density conversion only applies above cutoff; "
-            f"{mode.polarization.value}({mode.m},{mode.n}) decays at "
-            f"frequency {float(nu[below[0]])!r}")
     eps_mu = chans.spec.permittivity * chans.spec.permeability
     if model is DensityModel.PHASE_VELOCITY:
-        return np.full(nu.shape,
-                       box.length * math.sqrt(eps_mu) / (2.0 * math.pi))
-    return box.length * eps_mu * nu / (2.0 * math.pi * axial)
+        above = box.length * math.sqrt(eps_mu) / (2.0 * math.pi)
+    else:
+        above = box.length * eps_mu * nu / (2.0 * math.pi * axial)
+    return np.where(propagating, above, _LOCALIZED_UNIT_WEIGHT)
+
+
+def _weight_times_t(spec: WaveguideSpec, box: QuantizationBox,
+                    model: DensityModel, propagating, nu, t):
+    # ``continuum_weight`` times the axial variable t (wavenumber above
+    # cutoff, attenuation below), in closed form: the group-velocity
+    # weight recomputed from nu would divide by an axial wavenumber
+    # carrying rounding ~eps*h^2/t^2 near the cutoff
+    eps_mu = spec.permittivity * spec.permeability
+    if model is DensityModel.PHASE_VELOCITY:
+        above = box.length * math.sqrt(eps_mu) * t / (2.0 * math.pi)
+    else:
+        above = box.length * eps_mu * nu / (2.0 * math.pi)
+    return np.where(propagating, above, _LOCALIZED_UNIT_WEIGHT * t)
 
 
 def mode_overlap(spec: WaveguideSpec, mode_a: ModeIndex,

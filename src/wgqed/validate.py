@@ -79,8 +79,11 @@ def _check_residual(name, fn, config, tolerance=1e-5):
     unit = spec.width / math.pi
     point = (0.37 * spec.width, 0.41 * spec.height, 0.23 * unit)
     worst = 0.0
-    for mode, freq in _probe_modes(spec):
-        worst = max(worst, fn(spec, mode, freq, point, 1e-3 * unit))
+    try:
+        for mode, freq in _probe_modes(spec):
+            worst = max(worst, fn(spec, mode, freq, point, 1e-3 * unit))
+    except WgError as err:
+        return _result(name, math.inf, tolerance, str(err), ok=False)
     return _result(name, worst, tolerance)
 
 

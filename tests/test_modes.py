@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from wgqed import modes
 from wgqed.errors import DomainError
 from wgqed.modes import (
     Branch,
@@ -14,10 +15,7 @@ from wgqed.modes import (
     WaveguideSpec,
     cutoff_frequency,
     dispersion,
-    divergence_residual,
     field_at,
-    field_evaluator,
-    helmholtz_residual,
     leading_modes,
     mode_divergence_residual,
     mode_helmholtz_residual,
@@ -29,6 +27,15 @@ from wgqed.modes import (
 GUIDE = WaveguideSpec(width=math.pi, height=math.pi / 2.0)
 TE10 = ModeIndex(Polarization.TE, 1, 0)
 TM11 = ModeIndex(Polarization.TM, 1, 1)
+
+
+def stencil(mode, freq, point, step):
+    """The field on the 7-point stencil about ``point`` from one
+    ``field_at`` call: rows centre, +x, +y, +z, -x, -y, -z."""
+    offsets = step * np.eye(3)
+    return field_at(GUIDE, mode, freq,
+                    np.concatenate(([point], point + offsets,
+                                    point - offsets)))
 
 
 def interior_points(rng, spec, count, z_lo=0.2, z_hi=1.5):
@@ -165,19 +172,40 @@ class TestFieldEquations:
     @pytest.mark.parametrize("branch", [Branch.PROPAGATING, Branch.LOCALIZED])
     @pytest.mark.parametrize("which", ["electric", "magnetic"])
     def test_helmholtz(self, rng, branch, which):
+        # the residual is the larger of the two fields' residuals over
+        # their common scale, so it bounds the ``which`` field's own
+        step = 1e-4
         for mode, freq in self.sample_modes(rng, branch):
-            fn = field_evaluator(GUIDE, mode, freq, which)
-            ksq = GUIDE.permittivity * GUIDE.permeability * freq ** 2
+            ksq = (GUIDE.refractive_index * freq) ** 2
             for point in interior_points(rng, GUIDE, 3):
-                assert helmholtz_residual(fn, ksq, point, step=1e-4) < 1e-5
+                residual = mode_helmholtz_residual(GUIDE, mode, freq, point,
+                                                   step=step)
+                rows = stencil(mode, freq, point, step)
+                f = getattr(rows, which)
+                lap = sum((f[1 + ax] - 2.0 * f[0] + f[4 + ax]) / step ** 2
+                          for ax in range(3))
+                scale = max(np.abs(rows.electric[0]).max(),
+                            np.abs(rows.magnetic[0]).max())
+                assert np.abs(lap + ksq * f[0]).max() / (ksq * scale) \
+                    <= residual < 1e-5
 
     @pytest.mark.parametrize("branch", [Branch.PROPAGATING, Branch.LOCALIZED])
     @pytest.mark.parametrize("which", ["electric", "magnetic"])
     def test_divergence_free(self, rng, branch, which):
+        # the library residual measures E; H takes the same central
+        # differences over the test's own stencil
+        step = 1e-4
         for mode, freq in self.sample_modes(rng, branch):
-            fn = field_evaluator(GUIDE, mode, freq, which)
+            k = GUIDE.refractive_index * freq
             for point in interior_points(rng, GUIDE, 3):
-                assert divergence_residual(fn, point, step=1e-4) < 1e-5
+                if which == "electric":
+                    residual = mode_divergence_residual(GUIDE, mode, freq,
+                                                        point, step=step)
+                else:
+                    h = stencil(mode, freq, point, step).magnetic
+                    div = np.trace(h[1:4] - h[4:]) / (2.0 * step)
+                    residual = abs(div) / (k * np.abs(h[0]).max())
+                assert residual < 1e-5
 
     @pytest.mark.parametrize("branch", [Branch.PROPAGATING, Branch.LOCALIZED])
     def test_maxwell_curls(self, rng, branch):
@@ -195,8 +223,8 @@ class TestFieldEquations:
                              jac[1, 0] - jac[0, 1]])
 
         for mode, freq in self.sample_modes(rng, branch)[:4]:
-            e_fn = field_evaluator(GUIDE, mode, freq, "electric")
-            h_fn = field_evaluator(GUIDE, mode, freq, "magnetic")
+            e_fn = lambda p: field_at(GUIDE, mode, freq, p).electric
+            h_fn = lambda p: field_at(GUIDE, mode, freq, p).magnetic
             nu_mu = freq * GUIDE.permeability
             nu_eps = freq * GUIDE.permittivity
             for point in interior_points(rng, GUIDE, 2):
@@ -470,6 +498,22 @@ class TestModeResidualWrappers:
     def test_kink_stencil_refused(self):
         with pytest.raises(DomainError):
             mode_divergence_residual(GUIDE, TM11, 1.0, [1.1, 0.6, 1e-4])
+
+    @pytest.mark.parametrize("residual", [mode_helmholtz_residual,
+                                          mode_divergence_residual])
+    def test_one_field_call_per_probe(self, monkeypatch, residual):
+        # the whole stencil comes from one evaluation over its 7 points
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(np.shape(args[3]))
+            return field_at(*args, **kwargs)
+
+        monkeypatch.setattr(modes, "field_at", counted)
+        for mode, freq in ((TE10, 2.0), (TM11, 1.0)):
+            calls.clear()
+            assert residual(GUIDE, mode, freq, [1.1, 0.6, 0.4]) < 1e-5
+            assert calls == [(7, 3)]
 
 
 class TestLowestCutoffScan:

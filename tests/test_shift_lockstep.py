@@ -20,7 +20,6 @@ from wgqed.config import load_config, parse_config
 from wgqed.emission import (
     _ENDPOINT_GUARD,
     _split_by_cutoff,
-    _weight_times_t,
     build_bins,
     decay_rate,
     level_shift,
@@ -42,6 +41,7 @@ from wgqed.quantize import (
     Channels,
     DensityModel,
     QuantizationBox,
+    _weight_times_t,
     continuum_weight,
     couplings,
 )
@@ -88,7 +88,8 @@ def _previous_level_shift(spec, atom, box, model, *, window, modes=None,
                 csq = sum(np.abs(emission.couplings(
                     Channels(spec, atom, [mode]), np.zeros(nu.size, int),
                     nu, box)[(1, -1).index(d)]) ** 2 for d in directions)
-                return (-_weight_times_t(spec, box, model, branch, nu, t)
+                return (-_weight_times_t(spec, box, model,
+                                         branch is Branch.PROPAGATING, nu, t)
                         * csq * (omega + nu) / nu)
 
             def t_of(nu):
