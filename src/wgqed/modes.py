@@ -254,7 +254,7 @@ def field_at(spec: WaveguideSpec, mode: ModeIndex, frequency: float,
 def _stencil(spec: WaveguideSpec, mode: ModeIndex, frequency: float,
              point, step: float) -> tuple:
     """``dispersion`` and one ``field_at`` call on the 7-point stencil
-    about ``point``: rows centre, +x, +y, +z, -x, -y, -z. A stencil
+    about ``point``: rows center, +x, +y, +z, -x, -y, -z. A stencil
     within 2*step of a wall or, below cutoff, of the profile kink at
     z = 0 is refused, since it would measure the discontinuity instead
     of the field equation."""

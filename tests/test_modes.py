@@ -31,7 +31,7 @@ TM11 = ModeIndex(Polarization.TM, 1, 1)
 
 def stencil(mode, freq, point, step):
     """The field on the 7-point stencil about ``point`` from one
-    ``field_at`` call: rows centre, +x, +y, +z, -x, -y, -z."""
+    ``field_at`` call: rows center, +x, +y, +z, -x, -y, -z."""
     offsets = step * np.eye(3)
     return field_at(GUIDE, mode, freq,
                     np.concatenate(([point], point + offsets,
