@@ -61,6 +61,21 @@ REFUSALS = (
     ("validate_flat_guide", ["validate"],
      {"waveguide.a": "10.0", "waveguide.b": "0.001", "atom.x0": "5.0",
       "atom.y0": "0.0005"}),
+    ("decay_dipole_1e160", ["decay"], {"atom.dipole_y_re": "1e160"}),
+    ("corr_dipole_1e160", ["corr"], {"atom.dipole_y_re": "1e160"}),
+    ("omegad_dipole_1e160", ["omegad"], {"atom.dipole_y_re": "1e160"}),
+    ("validate_dipole_1e160", ["validate"], {"atom.dipole_y_re": "1e160"}),
+    ("decay_dipole_1e300", ["decay"], {"atom.dipole_y_re": "1e300"}),
+    ("omegad_dipole_1e154", ["omegad"], {"atom.dipole_y_re": "1e154"}),
+    ("validate_wide_guide", ["validate"], {"waveguide.a": "1e200"}),
+    ("decay_mode_scan_1e6", ["decay"],
+     {"waveguide.eps": "1e300", "models.max_mn": "1000000"}),
+    ("corr_mode_scan_1e6", ["corr"],
+     {"waveguide.eps": "1e300", "models.max_mn": "1000000"}),
+    ("omegad_mode_scan_1e6", ["omegad"],
+     {"waveguide.eps": "1e300", "models.max_mn": "1000000"}),
+    ("validate_mode_scan_1e6", ["validate"],
+     {"waveguide.eps": "1e300", "models.max_mn": "1000000"}),
 )
 
 
