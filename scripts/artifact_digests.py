@@ -67,6 +67,7 @@ REFUSALS = (
     ("validate_dipole_1e160", ["validate"], {"atom.dipole_y_re": "1e160"}),
     ("decay_dipole_1e300", ["decay"], {"atom.dipole_y_re": "1e300"}),
     ("omegad_dipole_1e154", ["omegad"], {"atom.dipole_y_re": "1e154"}),
+    ("decay_dipole_1e154", ["decay"], {"atom.dipole_y_re": "1e154"}),
     ("validate_wide_guide", ["validate"], {"waveguide.a": "1e200"}),
     ("decay_mode_scan_1e6", ["decay"],
      {"waveguide.eps": "1e300", "models.max_mn": "1000000"}),

@@ -34,7 +34,7 @@ from collections.abc import Iterable, Iterator, Sequence
 import numpy as np
 
 from . import __version__
-from .config import FORMATS, MAX_GRID_POINTS, load_config
+from .config import FORMATS, load_config
 from .detection import (
     CorrelationGrid,
     RadicandModel,
@@ -49,7 +49,7 @@ from .errors import (
     DomainError,
     NoCrossingError,
 )
-from .modes import POLARIZATIONS, mode_table
+from .modes import MAX_TABLE_ROWS, POLARIZATIONS, mode_table, table_rows
 from .quantize import DensityModel
 from .validate import run_checks
 
@@ -341,12 +341,11 @@ def _emit(args, config, env, table, extra=None, sidecar=None):
 
 
 def cmd_modes(config, args) -> int:
-    # (max_mn + 1)^2 - 1 TE patterns and max_mn^2 TM patterns
-    size = (config.max_mn + 1) ** 2 - 1 + config.max_mn ** 2
-    if size > MAX_GRID_POINTS:
+    size = table_rows(config.max_mn, config.max_mn)
+    if size > MAX_TABLE_ROWS:
         raise ConfigError(
             f"a modes table for max_mn = {config.max_mn} has {size} rows, "
-            f"over the limit of {MAX_GRID_POINTS}")
+            f"over the limit of {MAX_TABLE_ROWS}")
     codes, m, n, h, nu_c = mode_table(config.waveguide_spec(),
                                       config.max_mn, config.max_mn)
     labels, omega = [pol.value for pol in POLARIZATIONS], config.atom_omega

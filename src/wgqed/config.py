@@ -32,10 +32,9 @@ _REQUIRED = object()
 
 FORMATS = ("csv", "json")
 
-# largest x * z * t correlation grid and modes table a run may ask
-# for; each streams its rows a block at a time, so a run peaks at
-# ~47 MB resident on a 4 x 250 x 1000 grid and at ~176 MB on the
-# 981,400 rows of modes --max-mn 700 (CPython 3.11, numpy 2.4)
+# largest x * z * t correlation grid a run may ask for; its rows
+# stream a block at a time, so a run peaks at ~47 MB resident on a
+# 4 x 250 x 1000 grid (CPython 3.11, numpy 2.4)
 MAX_GRID_POINTS = 1_000_000
 
 

@@ -106,7 +106,7 @@ def decay_rate(spec: WaveguideSpec, atom: Atom, box: QuantizationBox,
     flux and do not appear. An atom below every cutoff therefore gets
     an empty channel list, rate zero and the ``oscillatory`` flag:
     its excitation sloshes between atom and decaying profiles instead
-    of leaking away.
+    of leaking away. A rate whose square overflows raises DomainError.
     """
     atom.check_inside(spec)
     omega = atom.transition_frequency
@@ -116,12 +116,21 @@ def decay_rate(spec: WaveguideSpec, atom: Atom, box: QuantizationBox,
     nodes = np.full(len(chans.modes), omega)
     g = couplings(chans, rows, nodes, box).tolist()
     weights = continuum_weight(chans, rows, nodes, box, model).tolist()
-    channels = [ChannelRate(mode=mode, direction=d, weight=w, coupling=c,
-                            rate=2.0 * math.pi * w * abs(c) ** 2)
-                for mode, w, *pair in zip(chans.modes, weights, *g)
-                for d, c in zip((1, -1), pair)]
-    return DecayResult(total=math.fsum(c.rate for c in channels),
-                       channels=tuple(channels),
+    try:
+        channels = [ChannelRate(mode=mode, direction=d, weight=w,
+                                coupling=c,
+                                rate=2.0 * math.pi * w * abs(c) ** 2)
+                    for mode, w, *pair in zip(chans.modes, weights, *g)
+                    for d, c in zip((1, -1), pair)]
+        total = math.fsum(c.rate for c in channels)
+    except OverflowError:
+        total = math.inf
+    # the pole and the crossing take the square of the rate
+    if not total * total < math.inf:
+        raise DomainError(
+            "the decay rate or its square overflows the float range; "
+            "reduce the dipole moment")
+    return DecayResult(total=total, channels=tuple(channels),
                        model=model, oscillatory=not channels)
 
 

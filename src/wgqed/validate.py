@@ -113,12 +113,16 @@ def _check_energy(config):
     box = QuantizationBox(length=1.0)
     tolerance = 1e-10
     worst = 0.0
-    for mode in (ModeIndex(Polarization.TE, 1, 0),
-                 ModeIndex(Polarization.TM, 1, 1)):
-        freq = 1.7 * cutoff_frequency(spec, mode)
-        amp = normalize(spec, mode, freq, box)
-        energy = _energy_by_quadrature(spec, mode, freq, box, amp)
-        worst = max(worst, abs(energy - HBAR * freq) / (HBAR * freq))
+    try:
+        for mode in (ModeIndex(Polarization.TE, 1, 0),
+                     ModeIndex(Polarization.TM, 1, 1)):
+            freq = 1.7 * cutoff_frequency(spec, mode)
+            amp = normalize(spec, mode, freq, box)
+            energy = _energy_by_quadrature(spec, mode, freq, box, amp)
+            worst = max(worst, abs(energy - HBAR * freq) / (HBAR * freq))
+    except WgError as err:
+        return _result("energy_normalization", math.inf, tolerance,
+                       str(err), ok=False)
     return _result("energy_normalization", worst, tolerance)
 
 
@@ -132,16 +136,20 @@ def _check_orthogonality(config):
               ModeIndex(Polarization.TM, 2, 1))]
     tolerance = 1e-10
     worst = 0.0
-    for mode_a, mode_b in pairs:
-        freq = 1.5 * max(cutoff_frequency(spec, mode_a),
-                         cutoff_frequency(spec, mode_b))
-        cross = abs(mode_overlap(spec, mode_a, mode_b, freq))
-        self_a = abs(mode_overlap(spec, mode_a, mode_a, freq))
-        self_b = abs(mode_overlap(spec, mode_b, mode_b, freq))
-        if not self_a * self_b:
-            return _result("mode_orthogonality", math.inf, tolerance,
-                           "self-overlaps underflow to zero", ok=False)
-        worst = max(worst, cross / math.sqrt(self_a * self_b))
+    try:
+        for mode_a, mode_b in pairs:
+            freq = 1.5 * max(cutoff_frequency(spec, mode_a),
+                             cutoff_frequency(spec, mode_b))
+            cross = abs(mode_overlap(spec, mode_a, mode_b, freq))
+            self_a = abs(mode_overlap(spec, mode_a, mode_a, freq))
+            self_b = abs(mode_overlap(spec, mode_b, mode_b, freq))
+            if not self_a * self_b:
+                return _result("mode_orthogonality", math.inf, tolerance,
+                               "self-overlaps underflow to zero", ok=False)
+            worst = max(worst, cross / math.sqrt(self_a * self_b))
+    except WgError as err:
+        return _result("mode_orthogonality", math.inf, tolerance,
+                       str(err), ok=False)
     return _result("mode_orthogonality", worst, tolerance)
 
 

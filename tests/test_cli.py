@@ -859,6 +859,66 @@ class TestExitCodes:
         assert "max_mn" in err
         assert not out.exists()
 
+    # demo.conf changes that overflow the rate or its square, underflow
+    # (pi/a)^2 or ask for a mode scan of 2e12 rows, each with the words
+    # of its refusal
+    EXTREMES = {
+        "dipole_1e154": ({"atom.dipole_y_re": "1e154"},
+                         "the decay rate or its square overflows"),
+        "dipole_1e160": ({"atom.dipole_y_re": "1e160"},
+                         "the decay rate or its square overflows"),
+        "dipole_1e300": ({"atom.dipole_y_re": "1e300"},
+                         "the decay rate or its square overflows"),
+        "wide_guide": ({"waveguide.a": "1e200"},
+                       "the squared transverse wavenumber of TE(1,0) "
+                       "underflows to zero"),
+        "mode_scan": ({"waveguide.eps": "1e300",
+                       "models.max_mn": "1000000"},
+                      "has 2000002000000 patterns, over the limit of "
+                      "1000000"),
+    }
+
+    @pytest.mark.parametrize("command", ["decay", "corr", "omegad",
+                                         "validate"])
+    @pytest.mark.parametrize("case", sorted(EXTREMES))
+    def test_extreme_emitter_or_guide_is_refused_in_one_line(
+            self, tmp_path, capsys, monkeypatch, command, case):
+        # refused before any shift quadrature runs, with no warning and
+        # no traceback; validate fails the rows that need the emitter
+        items, words = self.EXTREMES[case]
+
+        def no_shift(*args, **kwargs):
+            raise AssertionError("the shift quadrature ran")
+
+        monkeypatch.setattr("wgqed.emission._lockstep", no_shift)
+        conf = write_config(tmp_path, **items)
+        out = tmp_path / f"{command}.csv"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc = main([command, "--config", conf, "--out", str(out)])
+        assert [str(w.message) for w in caught] == []
+        err = capsys.readouterr().err
+        if command != "validate":
+            assert rc == EXIT_DOMAIN
+            assert err.count("\n") == 1 and err.endswith("\n")
+            # the wide guide's scan refuses first, at its index bound
+            assert (words if case != "wide_guide"
+                    else "at the index bound 8") in err
+            assert not out.exists()
+            return
+        assert rc == EXIT_VALIDATION
+        assert err == ""
+        _, _, rows = read_table(str(out))
+        assert len(rows) == 10
+        failed = {r[0]: r[4] for r in rows if r[1] == "false"}
+        named = {"box_length_invariance", "correlation_consistency",
+                 "markov_oracle"}
+        if case == "wide_guide":
+            named = {"helmholtz_residual", "divergence_residual",
+                     "mode_orthogonality", "energy_normalization"}
+        assert named <= failed.keys()
+        assert all(words in failed[name] for name in named)
+
     @pytest.mark.parametrize("command, length",
                              [("decay", "1e308"), ("omegad", "1e-320")])
     def test_box_length_out_of_range_is_one_line(self, tmp_path, capsys,
@@ -876,7 +936,7 @@ class TestExitCodes:
     def test_modes_table_bound_is_inclusive(self, tmp_path, monkeypatch):
         # with the limit at 24 rows, max_mn = 3 fills it exactly
         # (15 TE + 9 TM) and max_mn = 4 exceeds it
-        monkeypatch.setattr("wgqed.cli.MAX_GRID_POINTS", 24)
+        monkeypatch.setattr("wgqed.cli.MAX_TABLE_ROWS", 24)
         conf = write_config(tmp_path)
         out = str(tmp_path / "modes.csv")
         assert main(["modes", "--config", conf, "--max-mn", "3",
