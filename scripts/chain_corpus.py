@@ -190,10 +190,14 @@ def run_emitter(i, spec, atom, dos, radicand, max_index, out):
         cells = build_bins(spec, atom, BOX, dos,
                            window=(0.9 * omega, 1.1 * omega), count=3,
                            modes=[listing[0][1], listing[1][1], above])
+        labels = [label(mode) for mode in cells.modes]
+        width = hx(cells.width)
         out["bins"] += [
-            f"{i} {label(b.mode)} {b.direction} {hx(b.frequency)} "
-            f"{hx(b.width)} {hx(b.coupling)} {hx(b.weight)}"
-            for b in cells]
+            f"{i} {labels[row]} {d} {hx(nu)} {width} {hx(g)} {hx(w)}"
+            for row, d, nu, g, w in zip(
+                cells.row.tolist(), cells.direction.tolist(),
+                cells.frequency.tolist(), cells.coupling.tolist(),
+                cells.weight.tolist())]
     except WgError as exc:
         refused("bins", exc)
 

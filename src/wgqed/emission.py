@@ -39,15 +39,14 @@ over the segments not yet accepted. ``quantize.coupling_at`` stays the
 per-point definition the tests check this module against.
 
 ``amplitudes_ode_oracle`` propagates the exact Schroedinger system of
-a discretized continuum by diagonalizing its Hamiltonian once, with no
-time stepping and no tolerance to set. It is the module's own
-cross-check on the closed forms; nothing in it reuses the
-weak-coupling formulas.
+the ``ContinuumCells`` arrays of ``build_bins`` by diagonalizing its
+Hamiltonian once, with no time stepping and no tolerance to set. It is
+the module's own cross-check on the closed forms; nothing in it reuses
+the weak-coupling formulas.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from typing import NamedTuple
 
@@ -117,21 +116,20 @@ def decay_rate(spec: WaveguideSpec, atom: Atom, box: QuantizationBox,
     g = couplings(chans, rows, nodes, box).tolist()
     weights = continuum_weight(chans, rows, nodes, box, model).tolist()
     try:
-        channels = [ChannelRate(mode=mode, direction=d, weight=w,
-                                coupling=c,
-                                rate=2.0 * math.pi * w * abs(c) ** 2)
-                    for mode, w, *pair in zip(chans.modes, weights, *g)
-                    for d, c in zip((1, -1), pair)]
+        channels = tuple(
+            ChannelRate(mode=mode, direction=d, weight=w, coupling=c,
+                        rate=2.0 * math.pi * w * abs(c) ** 2)
+            for mode, w, *pair in zip(chans.modes, weights, *g)
+            for d, c in zip((1, -1), pair))
         total = math.fsum(c.rate for c in channels)
     except OverflowError:
         total = math.inf
-    # the pole and the crossing take the square of the rate
+    # the pole and the crossing square the rate
     if not total * total < math.inf:
-        raise DomainError(
-            "the decay rate or its square overflows the float range; "
-            "reduce the dipole moment")
-    return DecayResult(total=total, channels=tuple(channels),
-                       model=model, oscillatory=not channels)
+        raise DomainError("the decay rate or its square overflows the "
+                          "float range; reduce the dipole moment")
+    return DecayResult(total=total, channels=channels, model=model,
+                       oscillatory=not channels)
 
 
 class ShiftContribution(NamedTuple):
@@ -296,33 +294,34 @@ def excited_amplitude(times, params: MarkovParameters) -> np.ndarray:
     return np.exp((1j * params.level_shift - 0.5 * params.decay_total) * t)
 
 
-class ContinuumBin(NamedTuple):
-    """One cell of a discretized continuum channel.
+class ContinuumCells(NamedTuple):
+    """Cells of a discretized continuum, an array entry per cell: a
+    ``row`` into ``modes``, a ``direction`` (+1/-1 traveling, 0
+    decaying), and so on. Every cell spans ``width``."""
 
-    direction is +1/-1 for traveling cells and 0 for decaying ones.
-    """
-
-    mode: ModeIndex
-    direction: int
-    frequency: float
+    modes: tuple
+    row: np.ndarray
+    direction: np.ndarray
+    frequency: np.ndarray
+    coupling: np.ndarray
+    weight: np.ndarray
     width: float
-    coupling: complex
-    weight: float
 
     @property
-    def discrete_coupling(self) -> complex:
-        return cmath.sqrt(self.weight * self.width) * self.coupling
+    def discrete_coupling(self) -> np.ndarray:
+        return np.sqrt(self.weight * self.width) * self.coupling
 
 
 def build_bins(spec: WaveguideSpec, atom: Atom, box: QuantizationBox,
                model: DensityModel, *, window, count: int,
-               modes) -> tuple:
+               modes) -> ContinuumCells:
     """Uniform frequency discretization of the listed channels.
 
     Each bin center is classified per mode: above that mode's cutoff
-    it yields two traveling cells, below it a single decaying cell.
-    Choose windows that keep bin centers clear of the cutoffs
-    themselves; a center landing in the degeneracy band raises.
+    it yields a +1 and then a -1 traveling cell, below it a single
+    decaying cell; cells run by mode, then by center. Choose windows
+    that keep bin centers clear of the cutoffs themselves; a center
+    landing in the degeneracy band raises.
 
     These cells are also how the spectrum of the emitted photon is
     read: ``photon_bin_amplitudes`` many lifetimes out gives each
@@ -335,42 +334,39 @@ def build_bins(spec: WaveguideSpec, atom: Atom, box: QuantizationBox,
     if count < 1:
         raise DomainError("need at least one bin")
     width = (hi - lo) / count
-    bins = []
-    centers = lo + (np.arange(count) + 0.5) * width
     chans = Channels(spec, atom, modes)
     n = len(chans.modes)
-    grid = np.broadcast_to(centers, (n, count))
     rows = np.repeat(np.arange(n), count)
-    g = couplings(chans, rows, grid.ravel(), box).reshape(2, n, count)
-    weights = continuum_weight(chans, rows, grid.ravel(), box,
-                               model).reshape(n, count)
-    above = grid > chans.cutoff[:, None]
-    for mode, *per_mode in zip(chans.modes, g[0].tolist(), g[1].tolist(),
-                               weights.tolist(), above.tolist()):
-        for nu, g_fwd, g_bwd, w, up in zip(centers.tolist(), *per_mode):
-            cells = ((1, g_fwd), (-1, g_bwd)) if up else ((0, g_fwd),)
-            bins += [ContinuumBin(mode=mode, direction=d, frequency=nu,
-                                  width=width, coupling=g_cell, weight=w)
-                     for d, g_cell in cells]
-    return tuple(bins)
+    nodes = np.tile(lo + (np.arange(count) + 0.5) * width, n)
+    g = couplings(chans, rows, nodes, box)
+    weights = continuum_weight(chans, rows, nodes, box, model)
+    # a (mode, center) slot above the cutoff holds two cells, +1 first
+    above = nodes > chans.cutoff[rows]
+    slot = np.repeat(np.arange(n * count), 1 + above)
+    back = np.append(False, slot[1:] == slot[:-1])
+    return ContinuumCells(
+        modes=chans.modes, row=rows[slot],
+        direction=np.where(above[slot], 1 - 2 * back, 0),
+        frequency=nodes[slot], coupling=g[back.astype(int), slot],
+        weight=weights[slot], width=width)
 
 
-def photon_bin_amplitudes(time: float, bins, params: MarkovParameters
-                          ) -> np.ndarray:
+def photon_bin_amplitudes(time: float, cells: ContinuumCells,
+                          params: MarkovParameters) -> np.ndarray:
     """Closed-form one-photon amplitudes of discretized cells at one
     instant, from the weak-coupling excited amplitude."""
     if params.decay_total <= 0.0:
         raise DomainError(
             "closed-form photon amplitudes need a positive decay rate")
-    nu = np.array([b.frequency for b in bins])
-    g_tilde = np.array([b.discrete_coupling for b in bins])
-    center = params.shifted_frequency
+    detune = cells.frequency - params.shifted_frequency
     half_rate = 0.5 * params.decay_total
-    envelope = 1.0 - np.exp((1j * (nu - center) - half_rate) * time)
-    return np.conj(g_tilde) * envelope / ((nu - center) + 1j * half_rate)
+    envelope = 1.0 - np.exp((1j * detune - half_rate) * time)
+    return (np.conj(cells.discrete_coupling) * envelope
+            / (detune + 1j * half_rate))
 
 
-def amplitudes_ode_oracle(times, bins, transition_frequency: float):
+def amplitudes_ode_oracle(times, cells: ContinuumCells,
+                          transition_frequency: float):
     """Exact evolution of the excited atom coupled to discrete cells.
 
     Solves the interaction-picture Schroedinger equations
@@ -383,14 +379,14 @@ def amplitudes_ode_oracle(times, bins, transition_frequency: float):
     the same spectrum. One real ``eigh``, H_r = V diag(lam) V^T, gives
     psi(t) = V (exp(-i lam t) * V[0, :]), then c_a = psi_0 and
     c_j = exp(-i arg g_j) exp(i (nu_j - omega) t) psi_j. Returns
-    (c_a over times, cell amplitudes with shape (len(bins),
+    (c_a over times, cell amplitudes with shape (number of cells,
     len(times))).
     """
     times = np.asarray(times, dtype=float)
     if times[0] != 0.0:
         raise DomainError("time grid must start at zero")
-    g = np.array([b.discrete_coupling for b in bins], dtype=complex)
-    detune = np.array([b.frequency for b in bins]) - transition_frequency
+    g = cells.discrete_coupling
+    detune = cells.frequency - transition_frequency
     h_r = np.diag(np.concatenate(([0.0], detune)))
     h_r[0, 1:] = h_r[1:, 0] = np.abs(g)
     lam, v = np.linalg.eigh(h_r)

@@ -160,17 +160,15 @@ def dispersion(spec: WaveguideSpec, mode: ModeIndex,
 
     Raises DomainError for non-positive frequencies, for frequencies
     within CUTOFF_REL_TOL (relative) of the cutoff, where both branches
-    degenerate, and for a pattern whose squared transverse wavenumber
-    underflows, which the field components divide by.
+    degenerate, and where h^2, which the fields divide by, underflows.
     """
     if frequency <= 0.0:
         raise DomainError("frequency must be positive")
     h = transverse_wavenumber(spec, mode)
     if h * h == 0.0:
         raise DomainError(
-            f"the squared transverse wavenumber of "
-            f"{mode.polarization.value}({mode.m},{mode.n}) underflows to "
-            "zero; the guide is too wide")
+            f"the squared transverse wavenumber of {mode.polarization.value}"
+            f"({mode.m},{mode.n}) underflows to zero; the guide is too wide")
     nu_c = h / spec.refractive_index
     k = frequency * spec.refractive_index
     if abs(frequency - nu_c) <= CUTOFF_REL_TOL * nu_c:
@@ -326,16 +324,13 @@ def mode_divergence_residual(spec: WaveguideSpec, mode: ModeIndex,
 
 POLARIZATIONS = (Polarization.TE, Polarization.TM)
 
-# most rows a mode table may hold: the limit of the modes command and
-# of the scan behind modes_below, checked before anything is allocated.
-# The modes command streams its rows, peaking at ~176 MB resident on
-# the 981,400 rows of --max-mn 700 (CPython 3.11, numpy 2.4)
+# most rows of the modes command's table (~176 MB resident at the
+# 981,400 of --max-mn 700) and of the scan behind modes_below
 MAX_TABLE_ROWS = 1_000_000
 
 
 def table_rows(m_top: int, n_top: int) -> int:
-    """Rows of ``mode_table`` up to (m_top, n_top): every TE pattern
-    but (0, 0) and the TM patterns with both counts positive."""
+    """Rows of ``mode_table``: TE needs a positive count, TM two."""
     return (m_top + 1) * (n_top + 1) - 1 + m_top * n_top
 
 
@@ -380,9 +375,9 @@ def modes_below(spec: WaveguideSpec, frequency_limit: float,
     then TE before TM), asks for a larger bound. Below that bound only
     counts that can qualify are scanned: m*pi/width, and likewise
     n*pi/height, must stay below frequency_limit * refractive_index. A
-    limit that is not a positive finite number raises DomainError, as
-    does a scan of more than MAX_TABLE_ROWS patterns. Repeated calls
-    bisect the cached table and reuse cached pairs.
+    limit that is not positive and finite, or a scan past
+    MAX_TABLE_ROWS, raises DomainError. Repeated calls bisect the
+    cached table and reuse cached pairs.
     """
     if not math.isfinite(frequency_limit):
         raise DomainError("frequency limit must be finite")
@@ -392,10 +387,10 @@ def modes_below(spec: WaveguideSpec, frequency_limit: float,
     # one extra count absorbs rounding in the bound
     m_top = int(min(max_index, reach * spec.width + 1.0))
     n_top = int(min(max_index, reach * spec.height + 1.0))
-    rows = table_rows(m_top, n_top)
-    if rows > MAX_TABLE_ROWS:
+    size = table_rows(m_top, n_top)
+    if size > MAX_TABLE_ROWS:
         raise DomainError(
-            f"a mode scan up to (m, n) = ({m_top}, {n_top}) has {rows} "
+            f"a mode scan up to (m, n) = ({m_top}, {n_top}) has {size} "
             f"patterns, over the limit of {MAX_TABLE_ROWS}; lower "
             "max_index or the frequency")
     table = mode_table(spec, m_top, n_top)
@@ -403,9 +398,8 @@ def modes_below(spec: WaveguideSpec, frequency_limit: float,
     # only a top count at the bound can put a listed mode on it; the
     # first in scan order is the least (m, n, code)
     if max_index in (m_top, n_top):
-        listed = zip(*(column[:count].tolist() for column in table[:3]))
-        bound = [(m, n, code) for code, m, n in listed
-                 if max_index in (m, n)]
+        rows = zip(*(column[:count].tolist() for column in table[:3]))
+        bound = [(m, n, code) for code, m, n in rows if max_index in (m, n)]
         if bound:
             m, n, code = min(bound)
             raise DomainError(

@@ -36,6 +36,10 @@ from .quantize import (
 )
 
 _SEED = 20260822
+# WaveguideSpec keeps height <= width, so TE(1,0) is a lowest pattern,
+# square guides included
+_TE10 = ModeIndex(Polarization.TE, 1, 0)
+_TM11 = ModeIndex(Polarization.TM, 1, 1)
 
 
 class CheckResult(NamedTuple):
@@ -63,8 +67,7 @@ def _result(name, measured, tolerance, detail="", ok=True):
 def _probe_modes(spec):
     # one mode per polarization, plus a higher pattern, probed on both
     # sides of cutoff where the pattern supports it
-    listing = [(ModeIndex(Polarization.TE, 1, 0), 1.7, 0.6),
-               (ModeIndex(Polarization.TM, 1, 1), 1.5, 0.7),
+    listing = [(_TE10, 1.7, 0.6), (_TM11, 1.5, 0.7),
                (ModeIndex(Polarization.TE, 2, 1), 1.3, 0.8)]
     for mode, up, down in listing:
         nu_c = cutoff_frequency(spec, mode)
@@ -72,18 +75,15 @@ def _probe_modes(spec):
         yield mode, down * nu_c
 
 
-def _check_residual(name, fn, config, tolerance=1e-5):
+def _check_residual(name, tolerance, fn, config):
     spec = config.waveguide_spec()
     # the axial offset and the stencil step in units of the inverse
     # TE(1,0) transverse wavenumber, so both scale with the guide
     unit = spec.width / math.pi
     point = (0.37 * spec.width, 0.41 * spec.height, 0.23 * unit)
     worst = 0.0
-    try:
-        for mode, freq in _probe_modes(spec):
-            worst = max(worst, fn(spec, mode, freq, point, 1e-3 * unit))
-    except WgError as err:
-        return _result(name, math.inf, tolerance, str(err), ok=False)
+    for mode, freq in _probe_modes(spec):
+        worst = max(worst, fn(spec, mode, freq, point, 1e-3 * unit))
     return _result(name, worst, tolerance)
 
 
@@ -108,49 +108,34 @@ def _energy_by_quadrature(spec, mode, freq, box, amplitude):
     return box.length * float(np.einsum("i,j,ij->", wxs, wys, density))
 
 
-def _check_energy(config):
+def _check_energy(name, tolerance, config):
     spec = config.waveguide_spec()
     box = QuantizationBox(length=1.0)
-    tolerance = 1e-10
     worst = 0.0
-    try:
-        for mode in (ModeIndex(Polarization.TE, 1, 0),
-                     ModeIndex(Polarization.TM, 1, 1)):
-            freq = 1.7 * cutoff_frequency(spec, mode)
-            amp = normalize(spec, mode, freq, box)
-            energy = _energy_by_quadrature(spec, mode, freq, box, amp)
-            worst = max(worst, abs(energy - HBAR * freq) / (HBAR * freq))
-    except WgError as err:
-        return _result("energy_normalization", math.inf, tolerance,
-                       str(err), ok=False)
-    return _result("energy_normalization", worst, tolerance)
+    for mode in (_TE10, _TM11):
+        freq = 1.7 * cutoff_frequency(spec, mode)
+        amp = normalize(spec, mode, freq, box)
+        energy = _energy_by_quadrature(spec, mode, freq, box, amp)
+        worst = max(worst, abs(energy - HBAR * freq) / (HBAR * freq))
+    return _result(name, worst, tolerance)
 
 
-def _check_orthogonality(config):
+def _check_orthogonality(name, tolerance, config):
     spec = config.waveguide_spec()
-    pairs = [(ModeIndex(Polarization.TE, 1, 0),
-              ModeIndex(Polarization.TE, 2, 0)),
-             (ModeIndex(Polarization.TE, 1, 0),
-              ModeIndex(Polarization.TM, 1, 1)),
-             (ModeIndex(Polarization.TM, 1, 1),
-              ModeIndex(Polarization.TM, 2, 1))]
-    tolerance = 1e-10
+    pairs = [(_TE10, ModeIndex(Polarization.TE, 2, 0)), (_TE10, _TM11),
+             (_TM11, ModeIndex(Polarization.TM, 2, 1))]
     worst = 0.0
-    try:
-        for mode_a, mode_b in pairs:
-            freq = 1.5 * max(cutoff_frequency(spec, mode_a),
-                             cutoff_frequency(spec, mode_b))
-            cross = abs(mode_overlap(spec, mode_a, mode_b, freq))
-            self_a = abs(mode_overlap(spec, mode_a, mode_a, freq))
-            self_b = abs(mode_overlap(spec, mode_b, mode_b, freq))
-            if not self_a * self_b:
-                return _result("mode_orthogonality", math.inf, tolerance,
-                               "self-overlaps underflow to zero", ok=False)
-            worst = max(worst, cross / math.sqrt(self_a * self_b))
-    except WgError as err:
-        return _result("mode_orthogonality", math.inf, tolerance,
-                       str(err), ok=False)
-    return _result("mode_orthogonality", worst, tolerance)
+    for mode_a, mode_b in pairs:
+        freq = 1.5 * max(cutoff_frequency(spec, mode_a),
+                         cutoff_frequency(spec, mode_b))
+        cross = abs(mode_overlap(spec, mode_a, mode_b, freq))
+        self_a = abs(mode_overlap(spec, mode_a, mode_a, freq))
+        self_b = abs(mode_overlap(spec, mode_b, mode_b, freq))
+        if not self_a * self_b:
+            return _result(name, math.inf, tolerance,
+                           "self-overlaps underflow to zero", ok=False)
+        worst = max(worst, cross / math.sqrt(self_a * self_b))
+    return _result(name, worst, tolerance)
 
 
 def _pole_samples(config, count=200) -> list:
@@ -166,8 +151,7 @@ def _pole_samples(config, count=200) -> list:
     return samples
 
 
-def _check_pole_identity(samples):
-    tolerance = 1e-12
+def _check_pole_identity(name, tolerance, samples):
     worst = 0.0
     signs_ok = True
     for res in samples:
@@ -175,129 +159,113 @@ def _check_pole_identity(samples):
         worst = max(worst, abs(beta ** 2 - res.radicand)
                     / abs(res.radicand))
         signs_ok = signs_ok and res.beta_r > 0.0 and res.beta_i <= 0.0
-    return _result("pole_identity", worst, tolerance,
+    return _result(name, worst, tolerance,
                    "" if signs_ok else "sign convention violated",
                    ok=signs_ok)
 
 
-def _check_pole_principal_root(samples):
-    tolerance = 1e-12
+def _check_pole_principal_root(name, tolerance, samples):
     worst = 0.0
     for res in samples:
         ref = principal_csqrt(res.radicand)
         worst = max(worst,
                     abs(complex(res.beta_r, res.beta_i) - ref)
                     / abs(ref))
-    return _result("pole_principal_root", worst, tolerance)
+    return _result(name, worst, tolerance)
 
 
-def _check_box_invariance(config):
+def _check_box_invariance(name, tolerance, config):
     spec = config.waveguide_spec()
     atom = config.atom()
-    tolerance = 1e-14
     worst = 0.0
-    try:
-        for model in DensityModel:
-            totals = [decay_rate(spec, atom, QuantizationBox(length=length),
-                                 model, max_index=config.max_mn).total
-                      for length in (1.0, 7.0)]
-            scale = max(abs(totals[0]), abs(totals[1]), 1e-300)
-            worst = max(worst, abs(totals[0] - totals[1]) / scale)
-    except WgError as err:
-        return _result("box_length_invariance", math.inf, tolerance,
-                       str(err), ok=False)
-    return _result("box_length_invariance", worst, tolerance)
+    for model in DensityModel:
+        totals = [decay_rate(spec, atom, QuantizationBox(length=length),
+                             model, max_index=config.max_mn).total
+                  for length in (1.0, 7.0)]
+        scale = max(abs(totals[0]), abs(totals[1]), 1e-300)
+        worst = max(worst, abs(totals[0] - totals[1]) / scale)
+    return _result(name, worst, tolerance)
 
 
-def _check_pv_cancellation(config):
+def _check_pv_cancellation(name, tolerance):
     # PV of 1/(x - 1) over [0, 3]: the parts on [0, 2] cancel about
     # the pole, leaving ln 2 from [2, 3]. The numerator carries an
     # extra (x - 1) cos(pi x / 3), which integrates to zero over the
     # window, so the regular quadrature is exercised as well
-    del config
-    tolerance = 1e-9
     value = pv_integrate(
         lambda x: 1.0 + (x - 1.0) * np.cos(math.pi * x / 3.0),
         1.0, 0.0, 3.0)
-    return _result("pv_oddpart_cancellation",
-                   abs(value - math.log(2.0)), tolerance)
+    return _result(name, abs(value - math.log(2.0)), tolerance)
 
 
-def _check_correlation(config):
+def _check_correlation(name, tolerance, config):
     # the run ``corr`` writes, so its discrepancy is what this checks
-    tolerance = 1e-12
-    try:
-        grid = config.correlation()
-    except WgError as err:
-        return _result("correlation_consistency", math.inf, tolerance,
-                       str(err), ok=False)
-    return _result("correlation_consistency",
-                   grid.metadata.consistency_max_rel, tolerance)
+    return _result(name, config.correlation().metadata.consistency_max_rel,
+                   tolerance)
 
 
-def _check_markov_oracle(config):
+def _check_markov_oracle(name, tolerance, config):
     """Exact discretized-continuum evolution against the golden-rule
-    exponential above cutoff, or against the no-leak bound below."""
+    exponential above cutoff (tolerance 0.05), or against the no-leak
+    bound below (0.5); ``tolerance`` is the failed row's."""
     spec = config.waveguide_spec()
     atom = config.atom()
     box = config.box()
     omega = atom.transition_frequency
+    decay = decay_rate(spec, atom, box, config.dos, max_index=config.max_mn)
+    if not decay.oscillatory:
+        rate = decay.total
+        # the traveling modes, each listed once per direction
+        modes = list(dict.fromkeys(ch.mode for ch in decay.channels))
+        span = 25.0 * rate
+        window = (omega - span, omega + span)
+        cells = build_bins(spec, atom, box, config.dos,
+                           window=window, count=160, modes=modes)
+        times = np.linspace(0.0, 2.0 / rate, 17)
+        c_a, _ = amplitudes_ode_oracle(times, cells, omega)
+        return _result(name, np.max(np.abs(
+            np.abs(c_a) ** 2 - np.exp(-rate * times))), 0.05,
+            "traveling-channel decay against the exponential")
+    nu_c = cutoff_frequency(spec, _TE10)
+    cells = build_bins(spec, atom, box, config.dos,
+                       window=(0.4 * omega, 0.98 * nu_c), count=120,
+                       modes=[_TE10])
+    times = np.linspace(0.0, 10.0 / omega, 15)
+    c_a, _ = amplitudes_ode_oracle(times, cells, omega)
+    return _result(name, 1.0 - np.min(np.abs(c_a) ** 2), 0.5,
+                   "below-cutoff excitation stays on the atom")
+
+
+def _run(name, tolerance, check, *args) -> CheckResult:
+    """``check(name, tolerance, *args)``; a WgError raised in it fails
+    the row, with the refusal as the detail."""
     try:
-        decay = decay_rate(spec, atom, box, config.dos,
-                           max_index=config.max_mn)
-        if not decay.oscillatory:
-            rate = decay.total
-            # the traveling modes, each listed once per direction
-            modes = list(dict.fromkeys(ch.mode for ch in decay.channels))
-            span = 25.0 * rate
-            window = (omega - span, omega + span)
-            bins = build_bins(spec, atom, box, config.dos,
-                              window=window, count=160, modes=modes)
-            times = np.linspace(0.0, 2.0 / rate, 17)
-            c_a, _ = amplitudes_ode_oracle(times, bins, omega)
-            measured = np.max(np.abs(
-                np.abs(c_a) ** 2 - np.exp(-rate * times)))
-            tolerance = 0.05
-            detail = "traveling-channel decay against the exponential"
-        else:
-            # WaveguideSpec keeps height <= width, so TE(1,0) is a
-            # lowest pattern, square guides included
-            lowest = ModeIndex(Polarization.TE, 1, 0)
-            nu_c = cutoff_frequency(spec, lowest)
-            window = (0.4 * omega, 0.98 * nu_c)
-            bins = build_bins(spec, atom, box, config.dos,
-                              window=window, count=120, modes=[lowest])
-            times = np.linspace(0.0, 10.0 / omega, 15)
-            c_a, _ = amplitudes_ode_oracle(times, bins, omega)
-            measured = 1.0 - np.min(np.abs(c_a) ** 2)
-            tolerance = 0.5
-            detail = "below-cutoff excitation stays on the atom"
+        return check(name, tolerance, *args)
     except WgError as err:
-        return _result("markov_oracle", math.inf, math.nan, str(err),
-                       ok=False)
-    return _result("markov_oracle", measured, tolerance, detail)
+        return _result(name, math.inf, tolerance, str(err), ok=False)
 
 
 def run_checks(config) -> tuple:
-    """Run every named check once and return the results in a fixed
-    order."""
+    """Run every named check once, each with its tolerance, and return
+    the results in a fixed order."""
     # overflow and underflow show in the rows, not as warnings
     with np.errstate(all="ignore"):
         poles = _pole_samples(config)
-        results = (
-            _check_residual("helmholtz_residual",
-                            mode_helmholtz_residual, config),
-            _check_residual("divergence_residual",
-                            mode_divergence_residual, config),
-            _check_orthogonality(config),
-            _check_energy(config),
-            _check_pole_identity(poles),
-            _check_pole_principal_root(poles),
-            _check_box_invariance(config),
-            _check_pv_cancellation(config),
-            _check_correlation(config),
-            _check_markov_oracle(config),
-        )
+        results = tuple(_run(*check) for check in (
+            ("helmholtz_residual", 1e-5, _check_residual,
+             mode_helmholtz_residual, config),
+            ("divergence_residual", 1e-5, _check_residual,
+             mode_divergence_residual, config),
+            ("mode_orthogonality", 1e-10, _check_orthogonality, config),
+            ("energy_normalization", 1e-10, _check_energy, config),
+            ("pole_identity", 1e-12, _check_pole_identity, poles),
+            ("pole_principal_root", 1e-12, _check_pole_principal_root,
+             poles),
+            ("box_length_invariance", 1e-14, _check_box_invariance,
+             config),
+            ("pv_oddpart_cancellation", 1e-9, _check_pv_cancellation),
+            ("correlation_consistency", 1e-12, _check_correlation, config),
+            ("markov_oracle", math.nan, _check_markov_oracle, config)))
     names = [r.name for r in results]
     assert len(names) == len(set(names))
     return results

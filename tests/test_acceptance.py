@@ -285,10 +285,10 @@ def test_criterion_06():
     dec = decay_rate(EMPTY, atom, BOX, DensityModel.PHASE_VELOCITY)
     assert dec.total == pytest.approx(rate_target, rel=1e-12)
     window = (omega - 25.0 * rate_target, omega + 25.0 * rate_target)
-    bins = build_bins(EMPTY, atom, BOX, DensityModel.PHASE_VELOCITY,
-                      window=window, count=400, modes=[TE10])
+    cells = build_bins(EMPTY, atom, BOX, DensityModel.PHASE_VELOCITY,
+                       window=window, count=400, modes=[TE10])
     times = np.linspace(0.0, 3.0 / rate_target, 31)
-    c_a, c_b = amplitudes_ode_oracle(times, bins, omega)
+    c_a, c_b = amplitudes_ode_oracle(times, cells, omega)
     deviation = np.max(np.abs(np.abs(c_a) ** 2
                               - np.exp(-rate_target * times)))
     assert float(deviation) < 0.05
@@ -334,12 +334,12 @@ def test_criterion_09():
     assert dec.oscillatory
     nu_c = cutoff_frequency(FILLED, TE10)
     assert omega < nu_c
-    bins = build_bins(FILLED, atom, BOX, DensityModel.PHASE_VELOCITY,
-                      window=(0.4 * omega, 0.98 * nu_c), count=160,
-                      modes=[TE10])
-    assert all(b.frequency < nu_c for b in bins)
+    cells = build_bins(FILLED, atom, BOX, DensityModel.PHASE_VELOCITY,
+                       window=(0.4 * omega, 0.98 * nu_c), count=160,
+                       modes=[TE10])
+    assert np.all(cells.frequency < nu_c)
     times = np.linspace(0.0, 10.0 / omega, 21)
-    c_a, _ = amplitudes_ode_oracle(times, bins, omega)
+    c_a, _ = amplitudes_ode_oracle(times, cells, omega)
     assert float(np.min(np.abs(c_a) ** 2)) > 0.5
 
 

@@ -9,6 +9,7 @@ Cauchy-weight rule, both in plain frequency (check the axial-variable
 shift integrals).
 """
 
+import cmath
 import math
 from pathlib import Path
 
@@ -19,7 +20,7 @@ from scipy.integrate import quad, solve_ivp
 from wgqed.config import load_config
 from wgqed.errors import DomainError, DominanceError, PurelyEvanescentError
 from wgqed.emission import (
-    ContinuumBin,
+    ContinuumCells,
     MarkovParameters,
     amplitudes_ode_oracle,
     build_bins,
@@ -300,14 +301,14 @@ class TestLevelShift:
                         window=(1.9, 1.2))
 
 
-def _dop853(times, bins, omega):
+def _dop853(times, cells, omega):
     # the interaction-picture equations stepped by DOP853, stacked
     # into real variables:
     #   dc_a/dt = -i sum_j g_j exp(+i (omega - nu_j) t) c_j
     #   dc_j/dt = -i conj(g_j) exp(-i (omega - nu_j) t) c_a
-    g = np.array([b.discrete_coupling for b in bins])
-    detune = omega - np.array([b.frequency for b in bins])
-    n = len(bins)
+    g = cells.discrete_coupling
+    detune = omega - cells.frequency
+    n = len(detune)
 
     def rhs(t, y):
         c_a = y[0] + 1j * y[1]
@@ -327,7 +328,7 @@ def _dop853(times, bins, omega):
 
 
 def _oracle_case(case):
-    """(bins, times, omega) of a discretized continuum.
+    """(cells, times, omega) of a discretized continuum.
 
     ``demo`` is validate's markov_oracle set-up on configs/demo.conf,
     ``random_phases`` the same cells with random coupling phases, and
@@ -341,11 +342,11 @@ def _oracle_case(case):
         atom = Atom(position=(spec.width / 2.0, spec.height / 4.0, 0.0),
                     dipole=(0.0, 0.124, 0.0), transition_frequency=omega)
         nu_c = cutoff_frequency(spec, TE10)
-        bins = build_bins(spec, atom, BOX, DensityModel.PHASE_VELOCITY,
-                          window=(0.4 * omega, 0.98 * nu_c), count=160,
-                          modes=[TE10])
-        assert all(b.direction == 0 for b in bins)
-        return bins, np.linspace(0.0, 10.0 / omega, 21), omega
+        cells = build_bins(spec, atom, BOX, DensityModel.PHASE_VELOCITY,
+                           window=(0.4 * omega, 0.98 * nu_c), count=160,
+                           modes=[TE10])
+        assert np.all(cells.direction == 0)
+        return cells, np.linspace(0.0, 10.0 / omega, 21), omega
     config = load_config(str(Path(__file__).resolve().parent.parent
                              / "configs" / "demo.conf"))
     spec, atom, box = config.waveguide_spec(), config.atom(), config.box()
@@ -354,34 +355,50 @@ def _oracle_case(case):
                       max_index=config.max_mn).total
     modes = [m for _, m in modes_below(spec, omega,
                                        max_index=config.max_mn)]
-    bins = build_bins(spec, atom, box, config.dos,
-                      window=(omega - 25.0 * rate, omega + 25.0 * rate),
-                      count=160, modes=modes)
+    cells = build_bins(spec, atom, box, config.dos,
+                       window=(omega - 25.0 * rate, omega + 25.0 * rate),
+                       count=160, modes=modes)
     if case == "random_phases":
         rng = np.random.default_rng(20261018)
-        bins = [b._replace(coupling=b.coupling * complex(
-                    math.cos(p), math.sin(p)))
-                for b, p in zip(bins, rng.uniform(0.0, 2.0 * math.pi,
-                                                  len(bins)).tolist())]
-    return bins, np.linspace(0.0, 2.0 / rate, 17), omega
+        phases = rng.uniform(0.0, 2.0 * math.pi, len(cells.coupling))
+        cells = cells._replace(coupling=cells.coupling * (
+            np.cos(phases) + 1j * np.sin(phases)))
+    return cells, np.linspace(0.0, 2.0 / rate, 17), omega
 
 
 class TestDiscretizedContinuum:
     def test_bin_layout_across_cutoff(self):
         atom = make_atom(1.5, 0.1)
-        bins = build_bins(GUIDE, atom, BOX, DensityModel.PHASE_VELOCITY,
-                          window=(1.8, 2.4), count=6, modes=[TM11])
-        # cutoff of that pattern is sqrt(5); centers below it give one
-        # decaying cell, centers above give a direction pair
-        below = [b for b in bins if b.direction == 0]
-        above = [b for b in bins if b.direction != 0]
+        width = (2.4 - 1.8) / 6
+        centers = 1.8 + (np.arange(6) + 0.5) * width
         cut = math.sqrt(5.0)
-        assert all(b.frequency < cut for b in below)
-        assert all(b.frequency > cut for b in above)
-        assert len(below) == 4 and len(above) == 4
-        assert build_bins(GUIDE, atom, BOX,
-                          DensityModel.PHASE_VELOCITY, window=(1.8, 2.4),
-                          count=6, modes=[TM11]) == bins
+        for model in DensityModel:
+            cells = build_bins(GUIDE, atom, BOX, model, window=(1.8, 2.4),
+                               count=6, modes=[TE10, TM11])
+            # cutoff of TM11 is sqrt(5); its centers below it give one
+            # decaying cell, centers above give a direction pair, +1
+            # first; TE10 propagates over the whole window
+            assert cells.modes == (TE10, TM11) and cells.width == width
+            assert cells.row.tolist() == [0] * 12 + [1] * 8
+            assert cells.direction.tolist() == (
+                [1, -1] * 6 + [0, 0, 0, 0, 1, -1, 1, -1])
+            assert cells.frequency.tolist() == centers[
+                [0, 0, 1, 1, 2, 2, 3, 3, 4, 4, 5, 5,
+                 0, 1, 2, 3, 4, 4, 5, 5]].tolist()
+            below = cells.direction == 0
+            assert np.all(cells.frequency[below] < cut)
+            assert np.all(cells.frequency[cells.row == 1][4:] > cut)
+            # each cell's discrete coupling, bit for bit, against the
+            # per-cell rule sqrt(weight * width) * coupling
+            want = np.array([cmath.sqrt(w * cells.width) * g for w, g in
+                             zip(cells.weight.tolist(),
+                                 cells.coupling.tolist())])
+            assert cells.discrete_coupling.tobytes() == want.tobytes()
+            again = build_bins(GUIDE, atom, BOX, model, window=(1.8, 2.4),
+                               count=6, modes=[TE10, TM11])
+            for field in ContinuumCells._fields:
+                assert np.array_equal(getattr(again, field),
+                                      getattr(cells, field)), field
 
     def test_unitarity_and_markov_decay(self):
         # exact integration of the discretized model against the
@@ -397,10 +414,10 @@ class TestDiscretizedContinuum:
         assert res.total == pytest.approx(rate_target, rel=1e-12)
         half_span = 25.0 * rate_target
         window = (omega - half_span, omega + half_span)
-        bins = build_bins(GUIDE, atom, BOX, DensityModel.PHASE_VELOCITY,
-                          window=window, count=200, modes=[TE10])
+        cells = build_bins(GUIDE, atom, BOX, DensityModel.PHASE_VELOCITY,
+                           window=window, count=200, modes=[TE10])
         times = np.linspace(0.0, 2.0 / rate_target, 25)
-        c_a, c_b = amplitudes_ode_oracle(times, bins, omega)
+        c_a, c_b = amplitudes_ode_oracle(times, cells, omega)
         norm = np.abs(c_a) ** 2 + np.sum(np.abs(c_b) ** 2, axis=0)
         assert np.max(np.abs(norm - 1.0)) < 1e-7
         deviation = np.max(np.abs(np.abs(c_a) ** 2
@@ -413,7 +430,7 @@ class TestDiscretizedContinuum:
         params = MarkovParameters(decay_total=res.total,
                                   level_shift=shift.value,
                                   transition_frequency=omega)
-        predicted = photon_bin_amplitudes(float(times[-1]), bins, params)
+        predicted = photon_bin_amplitudes(float(times[-1]), cells, params)
         scale = np.max(np.abs(c_b[:, -1]))
         assert np.max(np.abs(np.abs(c_b[:, -1]) - np.abs(predicted))) \
             < 0.05 * scale
@@ -425,10 +442,13 @@ class TestDiscretizedContinuum:
         #   c_b = exp(+i d t/2) (-i conj(g)/W) sin Wt
         omega, nu = 1.5, 1.52
         g = 0.03 * complex(math.cos(0.7), math.sin(0.7))
-        cell = ContinuumBin(mode=TE10, direction=1, frequency=nu,
-                            width=1.0, coupling=g, weight=1.0)
+        cell = ContinuumCells(modes=(TE10,), row=np.array([0]),
+                              direction=np.array([1]),
+                              frequency=np.array([nu]),
+                              coupling=np.array([g]),
+                              weight=np.array([1.0]), width=1.0)
         times = np.linspace(0.0, 400.0, 41)
-        c_a, c_b = amplitudes_ode_oracle(times, [cell], omega)
+        c_a, c_b = amplitudes_ode_oracle(times, cell, omega)
         d = nu - omega
         w = math.sqrt(0.25 * d * d + abs(g) ** 2)
         want_a = np.exp(-0.5j * d * times) * (
@@ -442,9 +462,9 @@ class TestDiscretizedContinuum:
     @pytest.mark.parametrize("case", ["demo", "random_phases",
                                       "below_cutoff"])
     def test_matches_dop853(self, case):
-        bins, times, omega = _oracle_case(case)
-        c_a, c_b = amplitudes_ode_oracle(times, bins, omega)
-        ref_a, ref_b = _dop853(times, bins, omega)
+        cells, times, omega = _oracle_case(case)
+        c_a, c_b = amplitudes_ode_oracle(times, cells, omega)
+        ref_a, ref_b = _dop853(times, cells, omega)
         assert np.max(np.abs(c_a - ref_a)) < 1e-10
         assert np.max(np.abs(c_b - ref_b)) < 1e-10
         norm = np.abs(c_a) ** 2 + np.sum(np.abs(c_b) ** 2, axis=0)
@@ -452,10 +472,10 @@ class TestDiscretizedContinuum:
 
     def test_ode_needs_zero_start(self):
         atom = make_atom(1.5, 0.1)
-        bins = build_bins(GUIDE, atom, BOX, DensityModel.PHASE_VELOCITY,
-                          window=(1.4, 1.6), count=3, modes=[TE10])
+        cells = build_bins(GUIDE, atom, BOX, DensityModel.PHASE_VELOCITY,
+                           window=(1.4, 1.6), count=3, modes=[TE10])
         with pytest.raises(DomainError):
-            amplitudes_ode_oracle(np.linspace(1.0, 2.0, 5), bins, 1.5)
+            amplitudes_ode_oracle(np.linspace(1.0, 2.0, 5), cells, 1.5)
 
     def test_excited_amplitude_form(self):
         params = MarkovParameters(decay_total=0.02, level_shift=0.003,
@@ -485,29 +505,30 @@ class TestPhotonState:
         params = MarkovParameters(decay_total=res.total,
                                   level_shift=shift.value,
                                   transition_frequency=omega)
-        bins = build_bins(GUIDE, atom, BOX, DensityModel.PHASE_VELOCITY,
-                          window=window, count=count, modes=modes)
+        cells = build_bins(GUIDE, atom, BOX, DensityModel.PHASE_VELOCITY,
+                           window=window, count=count, modes=modes)
         # a thousand lifetimes out the decay has completed
-        amps = photon_bin_amplitudes(1000.0 / res.total, bins, params)
-        return bins, np.abs(amps) ** 2
+        amps = photon_bin_amplitudes(1000.0 / res.total, cells, params)
+        return cells, np.abs(amps) ** 2
 
     def test_norm_close_to_unity(self):
         # window spans 250 linewidths each way; the Lorentzian mass
         # outside it is about 1.3e-3
-        bins, prob = self.build([TE10], count=20000)
-        assert {b.direction for b in bins} == {1, -1}
+        cells, prob = self.build([TE10], count=20000)
+        assert set(cells.direction.tolist()) == {1, -1}
         assert math.fsum(prob.tolist()) == pytest.approx(1.0, abs=5e-3)
 
     def test_kind_filtering(self):
-        bins, _ = self.build([TE10, TM11])
+        cells, _ = self.build([TE10, TM11])
         # TE10 propagates over the whole window, TM11 nowhere in it
-        assert {b.direction for b in bins if b.mode == TE10} == {1, -1}
-        assert {b.direction for b in bins if b.mode == TM11} == {0}
-        assert len(bins) == 3 * 2000
+        te10 = cells.row == cells.modes.index(TE10)
+        assert set(cells.direction[te10].tolist()) == {1, -1}
+        assert set(cells.direction[~te10].tolist()) == {0}
+        assert len(cells.frequency) == 3 * 2000
 
     def test_localized_share_is_small_on_resonance(self):
-        bins, prob = self.build([TE10, TM11])
-        traveling = np.array([b.direction != 0 for b in bins])
+        cells, prob = self.build([TE10, TM11])
+        traveling = cells.direction != 0
         prop_mass = math.fsum(prob[traveling].tolist())
         loc_mass = math.fsum(prob[~traveling].tolist())
         assert loc_mass < 1e-3 * prop_mass

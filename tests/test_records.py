@@ -47,8 +47,9 @@ RECORDS = {
     "emission.ShiftResult": ("value", "window", "contributions"),
     "emission.MarkovParameters": (
         "decay_total", "level_shift", "transition_frequency"),
-    "emission.ContinuumBin": (
-        "mode", "direction", "frequency", "width", "coupling", "weight"),
+    "emission.ContinuumCells": (
+        "modes", "row", "direction", "frequency", "coupling", "weight",
+        "width"),
     "modes.ModeDispersion": (
         "spec", "mode", "frequency", "transverse_wavenumber",
         "cutoff_frequency", "medium_wavenumber", "branch",

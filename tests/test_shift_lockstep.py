@@ -349,8 +349,8 @@ class TestStackedChannels:
             return couplings(*args, **kwargs)
 
         monkeypatch.setattr(emission, "couplings", counted)
-        bins = build_bins(spec, atom, box, DensityModel.GROUP_VELOCITY,
-                          window=(0.9, 2.9), count=57, modes=modes)
+        cells = build_bins(spec, atom, box, DensityModel.GROUP_VELOCITY,
+                           window=(0.9, 2.9), count=57, modes=modes)
         assert len(calls) == 1
         centers = 0.9 + (np.arange(57) + 0.5) * (2.0 / 57)
         want = {}
@@ -360,5 +360,9 @@ class TestStackedChannels:
             for d, row in zip((1, -1), g.tolist()):
                 want.update(((mode, d, nu), c) for nu, c in
                             zip(centers.tolist(), row))
-        for b in bins:
-            assert b.coupling == want[b.mode, b.direction or 1, b.frequency]
+        assert cells.modes == tuple(modes)
+        for row, d, nu, c in zip(cells.row.tolist(),
+                                 cells.direction.tolist(),
+                                 cells.frequency.tolist(),
+                                 cells.coupling.tolist()):
+            assert c == want[modes[row], d or 1, nu]
