@@ -67,6 +67,8 @@ REFUSALS = (
     ("validate_dipole_1e160", ["validate"], {"atom.dipole_y_re": "1e160"}),
     ("decay_dipole_1e300", ["decay"], {"atom.dipole_y_re": "1e300"}),
     ("omegad_dipole_1e154", ["omegad"], {"atom.dipole_y_re": "1e154"}),
+    ("omegad_dipole_1e40", ["omegad"], {"atom.dipole_y_re": "1e40"}),
+    ("omegad_dipole_1e76", ["omegad"], {"atom.dipole_y_re": "1e76"}),
     ("decay_dipole_1e154", ["decay"], {"atom.dipole_y_re": "1e154"}),
     ("validate_wide_guide", ["validate"], {"waveguide.a": "1e200"}),
     ("decay_mode_scan_1e6", ["decay"],
