@@ -69,6 +69,14 @@ REFUSALS = (
     ("omegad_dipole_1e154", ["omegad"], {"atom.dipole_y_re": "1e154"}),
     ("omegad_dipole_1e40", ["omegad"], {"atom.dipole_y_re": "1e40"}),
     ("omegad_dipole_1e76", ["omegad"], {"atom.dipole_y_re": "1e76"}),
+    ("decay_below_cutoff_dipole_1e154", ["decay"],
+     {"atom.omega": "0.5", "atom.dipole_y_re": "1e154"}),
+    ("decay_below_cutoff_dipole_1e160", ["decay"],
+     {"atom.omega": "0.5", "atom.dipole_y_re": "1e160"}),
+    ("corr_below_cutoff_dipole_1e154", ["corr"],
+     {"atom.omega": "0.5", "atom.dipole_y_re": "1e154"}),
+    ("corr_below_cutoff_dipole_1e160", ["corr"],
+     {"atom.omega": "0.5", "atom.dipole_y_re": "1e160"}),
     ("decay_dipole_1e154", ["decay"], {"atom.dipole_y_re": "1e154"}),
     ("validate_wide_guide", ["validate"], {"waveguide.a": "1e200"}),
     ("decay_mode_scan_1e6", ["decay"],

@@ -59,13 +59,13 @@ def main() -> int:
         try:
             report = omega_d(SPEC, reference, model)
             print(f"{model.value}: closed form "
-                  f"{report.closed_form:.9g}, root found "
+                  f"{report.closed_form:.9g}, exact crossing "
                   f"{report.root_found:.9g}, relative gap "
                   f"{report.discrepancy:.3g}")
         except NoCrossingError as err:
             lo, hi = err.value_range
-            print(f"{model.value}: no crossing; ratio spans "
-                  f"[{lo:.3g}, {hi:.3g}] over the scanned band")
+            print(f"{model.value}: no crossing ({err}); ratio spans "
+                  f"[{lo:.3g}, {hi:.3g}] over the reference band")
     return 0
 
 

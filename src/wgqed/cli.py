@@ -454,7 +454,7 @@ def cmd_omegad(config, args) -> int:
                "discrepancy", "ratio_min_seen", "ratio_max_seen")
     rows = []
     discrepancies = {}
-    selected_failed = False
+    selected_error = None
     for model in RadicandModel:
         try:
             report = omega_d(spec, decay.total, model)
@@ -467,12 +467,15 @@ def cmd_omegad(config, args) -> int:
             rows.append((model.value, "no_crossing", closed, None,
                          None, err.value_range[0], err.value_range[1]))
             if model is config.radicand:
-                selected_failed = True
+                selected_error = err
     env = _envelope("omegad", config, args.reproducible,
                     discrepancies=discrepancies)
     # one row per radicand model, so the table is never empty
     _emit(args, config, env, dict(zip(columns, zip(*rows))))
-    return EXIT_NO_CROSSING if selected_failed else EXIT_OK
+    if selected_error is not None:
+        # main prints its one line and exits EXIT_NO_CROSSING
+        raise selected_error
+    return EXIT_OK
 
 
 def cmd_validate(config, args) -> int:

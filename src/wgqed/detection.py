@@ -14,8 +14,10 @@ separate ways:
   propagation constant.
 
 The two rates generally differ, and their magnitude ratio crosses the
-front-speed index at one special line-center frequency, located here
-by a bracketed scan rather than trusting any closed form.
+front-speed index at one special line-center frequency. Fixing the
+imaginary part of the pole at that ratio solves the pole equation in
+closed form, so ``omega_d`` states the crossing exactly, or the
+condition under which none exists, with no scan.
 
 Two analytic-continuation conventions are supported for the radicand
 of the complex propagation constant, differing in the power of the
@@ -51,7 +53,7 @@ from .emission import (
     dominant_channel,
     level_shift,
 )
-from .numerics import find_root, principal_csqrt
+from .numerics import principal_csqrt
 
 
 class RadicandModel(Enum):
@@ -620,21 +622,27 @@ def brute_force_amplitude(spec: WaveguideSpec, atom: Atom,
 
 
 def closed_form_crossing(spec: WaveguideSpec, decay_rate: float) -> float:
-    """Quartic closed-form candidate for the line center where the
+    """The paper's quartic candidate for the line center where the
     axial and temporal rates cross the front-speed ratio.
 
-    Kept for comparison: its derivation could not be reproduced from
-    the pole algebra, and it generally disagrees with the scanned
-    crossing, so consumers report both and their discrepancy.
+    Kept for comparison with the exact crossing of ``omega_d``, which
+    the pole algebra gives and this does not reproduce: with
+    x = eps*mu*rate^2 and p = (pi/width)^2 it is
+    sqrt((x^2 + 12xp + 4p^2) / (8 eps*mu (x + 2p))). It is h/(2n),
+    half the fundamental cutoff h/n, at zero rate and reaches the
+    cutoff only at rate sqrt(2)*h/n, so below that it lies where no
+    channel propagates. Evaluated as
+    hypot(rate/sqrt(8), h*sqrt((10 - 16p/(x + 2p)) / (8 eps*mu))),
+    which overflows only where the candidate itself does.
     """
     if decay_rate <= 0.0:
         raise DomainError("decay rate must be positive")
     eps_mu = spec.permittivity * spec.permeability
     p = _lowest_transverse_sq(spec)
-    g2 = decay_rate ** 2
-    num = eps_mu ** 2 * g2 ** 2 + 12.0 * eps_mu * g2 * p + 4.0 * p ** 2
-    den = 8.0 * (eps_mu * g2 + 2.0 * p) * eps_mu
-    return math.sqrt(num / den)
+    x = eps_mu * decay_rate * decay_rate
+    tail = (10.0 - 16.0 * p / (x + 2.0 * p)) / (8.0 * eps_mu)
+    return math.hypot(decay_rate / math.sqrt(8.0),
+                      math.sqrt(p) * math.sqrt(tail))
 
 
 class OmegaDReport(NamedTuple):
@@ -645,69 +653,55 @@ class OmegaDReport(NamedTuple):
     closed_form: float
     root_found: float
     discrepancy: float
-    scanned_range: tuple
     ratio_target: float
 
 
 def omega_d(spec: WaveguideSpec, decay_rate: float,
-            model: RadicandModel = RadicandModel.SINGLE_INDEX, *,
-            scan: tuple | None = None,
-            scan_samples: int = 600) -> OmegaDReport:
-    """Locate the line center where |spatial rate| / decay rate equals
-    the refractive index.
+            model: RadicandModel = RadicandModel.SINGLE_INDEX
+            ) -> OmegaDReport:
+    """The line center where |spatial rate| / decay rate equals the
+    refractive index n, in closed form.
 
-    Scans a logarithmic grid of line centers for a sign change of the
-    ratio excess, then bisects. The ratio decreases from a large value
-    near cutoff toward an asymptote set by the continuation model;
-    when the asymptote is not below the target the scan finds no
-    crossing and says so, reporting the ratio range it saw. The
-    closed-form candidate is evaluated and reported alongside in
-    either case (raised errors carry the range; successful reports
-    carry both values and their relative discrepancy).
+    With beta_i = -n*rate/2 the pole equation forces beta_r = c*w/n
+    and leaves w^2 * c*(1 - c/n^2) = h^2 + (c - n^2)*rate^2/4, with c
+    the radicand coefficient and h = pi/width. Under ``paper`` (c = n)
+    that is w^2 = h^2/(n - 1) - n*rate^2/4, a crossing when n > 1 and
+    h^2/(n - 1) > n*rate^2/4. Under ``consistent`` (c = n^2) it asks
+    h^2 = 0: the axial rate tends to rate/v_g, and the group velocity
+    v_g stays below 1/n. Without a crossing NoCrossingError names the
+    failed condition and carries, as ``value_range``, the rate ratio
+    at the two ends of [1e-3, 1e4] * sqrt(h^2/c), its extremes there.
+    The report sets the quartic ``closed_form_crossing`` beside the
+    exact root.
     """
-    if not math.isfinite(decay_rate):
-        raise DomainError("decay rate must be finite")
-    if decay_rate <= 0.0:
-        raise DomainError("decay rate must be positive")
-    if scan_samples < 8:
-        raise DomainError("need at least 8 scan samples")
-    target = spec.refractive_index
-    c = model.coefficient(spec)
-    nu_ref = math.sqrt(_lowest_transverse_sq(spec) / c)
-    if scan is None:
-        scan = (1.0e-3 * nu_ref, 1.0e4 * nu_ref)
-    lo, hi = scan
-    if not (math.isfinite(lo) and math.isfinite(hi)):
-        raise DomainError("scan range bounds must be finite")
-    if not (0.0 < lo < hi):
-        raise DomainError("scan range must satisfy 0 < low < high")
-
-    def excess(omega):
-        res = pole(spec, float(omega), decay_rate, model)
-        return abs(res.spatial_rate) / decay_rate - target
-
-    grid = np.geomspace(lo, hi, scan_samples)
-    try:
-        vals = np.array([excess(w) for w in grid])
-    except DomainError as err:
-        # lo > 0 and a positive rate leave only a pole whose arithmetic
-        # overflows or underflows to refuse
-        raise DomainError(
-            f"scan range ({float(lo)!r}, {float(hi)!r}) reaches an "
-            f"unrepresentable pole: {err}") from err
-    flips = np.nonzero(np.sign(vals[:-1]) * np.sign(vals[1:]) < 0)[0]
-    if flips.size == 0:
-        ratios = vals + target
-        raise NoCrossingError(
-            "the rate ratio never meets the refractive index along "
-            f"the scanned range under the {model.value!r} "
-            "continuation",
-            scanned_range=(float(lo), float(hi)),
-            value_range=(float(ratios.min()), float(ratios.max())))
-    j = int(flips[0])
-    root = find_root(excess, float(grid[j]), float(grid[j + 1]))
-    closed = closed_form_crossing(spec, decay_rate)
-    return OmegaDReport(
-        model=model, closed_form=closed, root_found=root,
-        discrepancy=abs(closed - root) / root,
-        scanned_range=(float(lo), float(hi)), ratio_target=target)
+    if not (math.isfinite(decay_rate) and decay_rate > 0.0):
+        raise DomainError("decay rate must be finite and positive")
+    n = spec.refractive_index
+    p = _lowest_transverse_sq(spec)
+    if model is RadicandModel.INDEX_SQUARED:
+        reason = ("the 'consistent' continuation never crosses: its "
+                  "axial rate 2|beta_i| tends to rate/v_g, above "
+                  "n*rate at every line center")
+    elif not n > 1.0:
+        reason = (f"the 'paper' continuation crosses only in a guide "
+                  f"of index n > 1, and here n = {n!r}")
+    else:
+        lead = p / (n - 1.0)
+        rate_term = 0.25 * n * decay_rate * decay_rate
+        if lead > rate_term:
+            root = math.sqrt(lead - rate_term)
+            if root == math.inf:
+                raise DomainError("the crossing line center overflows")
+            closed = closed_form_crossing(spec, decay_rate)
+            return OmegaDReport(model=model, closed_form=closed,
+                                root_found=root,
+                                discrepancy=abs(closed - root) / root,
+                                ratio_target=n)
+        reason = (f"the 'paper' continuation crosses only where "
+                  f"h^2/(n - 1) > n*rate^2/4, and here {lead!r} <= "
+                  f"{rate_term!r}")
+    nu_ref = math.sqrt(p / model.coefficient(spec))
+    ratios = [(abs(pole(spec, w, decay_rate, model).spatial_rate)
+               / decay_rate - n) + n
+              for w in (1.0e-3 * nu_ref, 1.0e4 * nu_ref)]
+    raise NoCrossingError(reason, value_range=(min(ratios), max(ratios)))

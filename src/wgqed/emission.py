@@ -256,13 +256,20 @@ def level_shift(spec: WaveguideSpec, atom: Atom, box: QuantizationBox,
         h, s, nu_c, band, t0, q = table.take(seg, axis=1)
         nu = np.sqrt((h * h + s * t * t) / eps_mu)
         nu = np.where(np.abs(nu - nu_c) < band, nu_c + s * band, nu)
-        g_sq = np.abs(couplings(chans, rows[seg], nu, box)) ** 2
         # traveling profiles count once per direction of travel
         traveling = s > 0.0
-        csq = np.where(traveling, g_sq[0] + g_sq[1], g_sq[0])
         weight_t = _weight_times_t(spec, box, model, traveling, nu, t)
-        return (-weight_t * csq * (omega + nu) / nu
-                / np.where(np.isnan(t0), t * t - q, t + t0))
+        # the decay rate bounds the couplings of a traveling emitter,
+        # but nothing bounds those of one below every cutoff
+        with np.errstate(over="ignore", invalid="ignore"):
+            g_sq = np.abs(couplings(chans, rows[seg], nu, box)) ** 2
+            csq = np.where(traveling, g_sq[0] + g_sq[1], g_sq[0])
+            vals = (-weight_t * csq * (omega + nu) / nu
+                    / np.where(np.isnan(t0), t * t - q, t + t0))
+        if not np.isfinite(vals).all():
+            raise DomainError("the level shift integrand overflows the "
+                              "float range; reduce the dipole moment")
+        return vals
 
     pieces = _lockstep(integrand, [seg[4] for seg in segments])
     if refused:

@@ -34,7 +34,8 @@ class ConvergenceError(WgError):
 
 
 class NoCrossingError(WgError):
-    """A root search found no sign change over the scanned range."""
+    """No crossing: a root search found no sign change over its
+    bracket, or the crossing condition of ``omega_d`` fails."""
 
     def __init__(self, message: str, scanned_range: tuple | None = None,
                  value_range: tuple | None = None):

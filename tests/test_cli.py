@@ -22,7 +22,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
-from wgqed import cli, config as config_module, gformat, validate
+from wgqed import cli, config as config_module, emission, gformat, validate
 from wgqed.cli import (
     EXIT_CONFIG,
     EXIT_DOMAIN,
@@ -599,7 +599,8 @@ class TestOmegadCommand:
         assert float(by_model["paper"][4]) == pytest.approx(
             abs(root - closed) / root, rel=1e-9)
 
-    def test_selected_model_without_crossing_exits_six(self, tmp_path):
+    def test_selected_model_without_crossing_exits_six(self, tmp_path,
+                                                      capsys):
         conf = write_config(tmp_path)
         out = str(tmp_path / "om.csv")
         assert main(["omegad", "--config", conf, "--out", out,
@@ -607,6 +608,27 @@ class TestOmegadCommand:
                      "--reproducible"]) == EXIT_NO_CROSSING
         _, _, rows = read_table(out)
         assert len(rows) == 2
+        assert capsys.readouterr().err == (
+            "no crossing: the 'consistent' continuation never crosses: "
+            "its axial rate 2|beta_i| tends to rate/v_g, above n*rate "
+            "at every line center\n")
+
+    @pytest.mark.parametrize("dipole", ["1e40", "1e76"])
+    def test_fast_decay_has_no_crossing(self, tmp_path, capsys, dipole):
+        # the quartic candidate overflowed here once; the rate is far
+        # above the 'paper' crossing's limit of 4.08
+        conf = write_config(tmp_path, **{"atom.dipole_y_re": dipole})
+        out = str(tmp_path / "om.csv")
+        assert main(["omegad", "--config", conf, "--out", out]) \
+            == EXIT_NO_CROSSING
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith("no crossing: the 'paper' continuation "
+                              "crosses only where h^2/(n - 1) > "
+                              "n*rate^2/4, and here 5.0")
+        _, _, rows = read_table(out)
+        assert [r[1] for r in rows] == ["no_crossing", "no_crossing"]
+        assert all(math.isfinite(float(r[2])) for r in rows)
 
 
 # grids corr refuses: the first three before the emitter chain runs,
@@ -931,6 +953,34 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert len(err.strip().splitlines()) == 1
         assert "box.length" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("dipole", ["1e154", "1e160"])
+    def test_overflowing_shift_below_cutoff_is_one_line(
+            self, tmp_path, capsys, monkeypatch, dipole):
+        # below every cutoff no decay rate bounds the couplings; the
+        # shift integrand's first evaluation refuses them, before any
+        # refinement and without numpy's warnings
+        calls = []
+        lockstep = emission._lockstep
+
+        def counting(f, segments):
+            return lockstep(lambda x, seg: calls.append(x.size)
+                            or f(x, seg), segments)
+
+        monkeypatch.setattr("wgqed.emission._lockstep", counting)
+        conf = write_config(tmp_path, **{"atom.omega": "0.5",
+                                         "atom.dipole_y_re": dipole})
+        out = tmp_path / "decay.csv"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc = main(["decay", "--config", conf, "--out", str(out)])
+        assert [str(w.message) for w in caught] == []
+        assert rc == EXIT_DOMAIN
+        assert len(calls) == 1
+        assert capsys.readouterr().err == (
+            "domain error: the level shift integrand overflows the float "
+            "range; reduce the dipole moment\n")
         assert not out.exists()
 
     def test_modes_table_bound_is_inclusive(self, tmp_path, monkeypatch):

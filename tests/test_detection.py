@@ -12,13 +12,14 @@ exponential rates with no residue algebra involved.
 import cmath
 import math
 import warnings
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, strategies as st
 
-from wgqed import emission
+from wgqed import detection, emission
 from wgqed.config import load_config
 from wgqed.detection import (
     RadicandModel,
@@ -42,6 +43,8 @@ from wgqed.errors import (
 from wgqed.modes import WaveguideSpec
 from wgqed.numerics import principal_csqrt
 from wgqed.quantize import Atom, DensityModel, QuantizationBox
+
+from crossing_oracle import scanned_crossing
 
 DEMO = Path(__file__).resolve().parent.parent / "configs" / "demo.conf"
 FILLED = WaveguideSpec(width=math.pi, height=math.pi / 2.0,
@@ -306,13 +309,56 @@ class TestOmegaD:
         assert flips == (1 if inside else 0)
 
     def test_root_stable_under_scan_refinement(self):
-        coarse = omega_d(FILLED, 0.1, scan_samples=600)
-        fine = omega_d(FILLED, 0.1, scan_samples=2400)
-        assert fine.root_found == pytest.approx(coarse.root_found,
-                                                rel=1e-10)
+        # the oracle's root at 600 and at 2,400 scan samples
+        root = omega_d(FILLED, 0.1).root_found
+        for samples in (600, 2400):
+            assert scanned_crossing(FILLED, 0.1, samples=samples) \
+                == pytest.approx(root, rel=1e-12)
+
+    def test_scan_oracle_on_seeded_guides(self, rng):
+        # 150 guides x 2 rates x 2 models: one rate drawn over
+        # [1e-6, 0.3], one within 25% of the rate above which the
+        # 'paper' crossing vanishes, so every refusal condition shows
+        counts = {"crossing": 0, "consistent": 0, "index": 0, "rate": 0}
+        for _ in range(150):
+            width = float(np.exp(rng.uniform(0.0, math.log(60.0))))
+            spec = WaveguideSpec(
+                width=width, height=width * rng.uniform(0.2, 1.0),
+                permittivity=rng.uniform(0.6, 2.5),
+                permeability=rng.uniform(0.6, 2.5))
+            n = spec.refractive_index
+            p = (math.pi / width) ** 2
+            rates = [float(10.0 ** rng.uniform(-6.0, math.log10(0.3)))]
+            if n > 1.0:
+                edge = 2.0 * math.sqrt(p / (n * (n - 1.0)))
+                rates.append(min(max(edge * rng.uniform(0.8, 1.25), 1e-6),
+                                 0.3))
+            for rate in rates:
+                for model in RadicandModel:
+                    try:
+                        root = scanned_crossing(spec, rate, model)
+                    except NoCrossingError as err:
+                        with pytest.raises(NoCrossingError) as mine:
+                            omega_d(spec, rate, model)
+                        assert mine.value.value_range == err.value_range
+                        if model is RadicandModel.INDEX_SQUARED:
+                            counts["consistent"] += 1
+                        elif n <= 1.0:
+                            counts["index"] += 1
+                        else:
+                            assert p / (n - 1.0) <= n * rate ** 2 / 4.0
+                            counts["rate"] += 1
+                        continue
+                    assert model is RadicandModel.SINGLE_INDEX
+                    found = omega_d(spec, rate, model).root_found
+                    assert abs(found - root) <= 1e-12 * root
+                    counts["crossing"] += 1
+        assert min(counts.values()) >= 10, counts
 
     def test_index_squared_never_crosses(self):
-        with pytest.raises(NoCrossingError) as err:
+        with pytest.raises(NoCrossingError,
+                           match="'consistent' continuation never "
+                                 "crosses") as err:
             omega_d(FILLED, 0.1, RadicandModel.INDEX_SQUARED)
         lo, hi = err.value.value_range
         # the ratio approaches the target from above and never meets it
@@ -321,12 +367,50 @@ class TestOmegaD:
 
     def test_vacuum_never_crosses(self):
         empty = WaveguideSpec(width=math.pi, height=math.pi / 2.0)
-        with pytest.raises(NoCrossingError):
+        with pytest.raises(NoCrossingError, match=r"index n > 1, and "
+                                                  r"here n = 1\.0$"):
             omega_d(empty, 0.1, RadicandModel.SINGLE_INDEX)
+
+    def test_fast_decay_never_crosses(self):
+        # h^2/(n - 1) = 5 on FILLED, so the crossing ends at rate 4.08
+        with pytest.raises(NoCrossingError, match=r"h\^2/\(n - 1\) > "
+                                                  r"n\*rate\^2/4, and here "
+                                                  r"5\.0\d* <= 5\.04"):
+            omega_d(FILLED, 4.1)
+        # w^2 = 5 - 4.8 cancels: the two forms round ~25 ulps apart
+        assert omega_d(FILLED, 4.0).root_found == pytest.approx(
+            self.exact_crossing(FILLED, 4.0), rel=1e-13)
 
     def test_closed_form_candidate_value(self):
         assert closed_form_crossing(FILLED, 0.1) == pytest.approx(
             0.4240585, rel=1e-6)
+
+    @pytest.mark.parametrize("rate", [1e-300, 1e-6, 0.1, 10.0, 1e80,
+                                      1e152, 1e300])
+    def test_closed_form_candidate_against_quartic(self, rate):
+        # the quartic in exact rationals; the library's form never
+        # raises a power of the rate above the second
+        eps_mu = Fraction(FILLED.permittivity * FILLED.permeability)
+        p = Fraction((math.pi / FILLED.width) ** 2)
+        x = eps_mu * Fraction(rate) ** 2
+        square = ((x * x + 12 * x * p + 4 * p * p)
+                  / (8 * eps_mu * (x + 2 * p)))
+        # scaled so that the float of the square stays in range
+        scale = max(rate, 1.0)
+        exact = scale * math.sqrt(square / Fraction(scale) ** 2)
+        assert closed_form_crossing(FILLED, rate) == pytest.approx(
+            exact, rel=1e-15)
+
+    def test_closed_form_candidate_lies_below_cutoff(self):
+        # h/(2n), half the TE(1,0) cutoff h/n, at zero rate; the cutoff
+        # itself at rate sqrt(2)*h/n
+        cutoff = 1.0 / FILLED.refractive_index
+        assert closed_form_crossing(FILLED, 1e-12) == pytest.approx(
+            0.5 * cutoff, rel=1e-15)
+        assert 0.5 * cutoff < closed_form_crossing(FILLED, 0.1) \
+            < 0.51 * cutoff
+        assert closed_form_crossing(FILLED, math.sqrt(2.0) * cutoff) \
+            == pytest.approx(cutoff, rel=1e-15)
 
     def test_closed_form_disagreement_is_reported(self):
         report = omega_d(FILLED, 0.1)
@@ -341,11 +425,16 @@ class TestOmegaD:
         with pytest.raises(DomainError):
             omega_d(FILLED, 0.0)
         with pytest.raises(DomainError):
-            omega_d(FILLED, 0.1, scan=(2.0, 1.0))
-        with pytest.raises(DomainError):
-            omega_d(FILLED, 0.1, scan_samples=4)
-        with pytest.raises(DomainError):
             closed_form_crossing(FILLED, 0.0)
+
+    def test_overflowing_crossing_refused(self):
+        # h^2/(n - 1) overflows: a narrow guide with n one ulp above 1
+        spec = WaveguideSpec(width=1e-150, height=1e-150,
+                             permittivity=1.0 + 4.5e-16)
+        assert spec.refractive_index > 1.0
+        with pytest.raises(DomainError, match="crossing line center "
+                                              "overflows"):
+            omega_d(spec, 0.1)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_non_finite_rate_refused(self, bad):
@@ -353,22 +442,83 @@ class TestOmegaD:
         with pytest.raises(DomainError, match="must be finite"):
             omega_d(FILLED, bad)
 
-    @pytest.mark.parametrize("scan", [(0.5, math.inf), (math.nan, 2.0),
-                                      (-math.inf, 2.0)])
-    def test_non_finite_scan_refused(self, scan):
-        # (0.5, inf) printed numpy's RuntimeWarning from the scan grid
-        # and then blamed the line center
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            with pytest.raises(DomainError,
-                               match="scan range bounds must be finite"):
-                omega_d(FILLED, 0.05, scan=scan)
+    def test_crossing_calls_no_pole(self, monkeypatch):
+        # a crossing is closed form; no crossing reads the ratio at
+        # the two ends of [1e-3, 1e4] * sqrt(h^2/c)
+        calls = []
+        real_pole = detection.pole
 
-    def test_overflowing_scan_refused(self):
-        # raised a bare OverflowError from the pole
-        with pytest.raises(DomainError, match=r"scan range \(0\.001, "
-                           r"1e\+308\) reaches an unrepresentable pole"):
-            omega_d(FILLED, 0.05, scan=(1e-3, 1e308))
+        def counting_pole(*args):
+            calls.append(args[1])
+            return real_pole(*args)
+
+        monkeypatch.setattr(detection, "pole", counting_pole)
+        omega_d(FILLED, 0.1)
+        assert calls == []
+        with pytest.raises(NoCrossingError):
+            omega_d(FILLED, 0.1, RadicandModel.INDEX_SQUARED)
+        nu_ref = 1.0 / 1.2
+        assert calls == [1e-3 * nu_ref, 1e4 * nu_ref]
+
+
+class TestGroupVelocityLaw:
+    """The axial rate of the emission pole is the temporal rate over
+    the group velocity v_g = beta_c/(eps*mu*w) of the guide at the line
+    center w, to second order in rate/w.
+
+    Continuing beta^2 = c*(w - i*rate/2)^2 - h^2 to first order gives
+    2|beta_i| = c*w*rate/beta_0 with beta_0 = sqrt(c*w^2 - h^2): rate/v_g
+    under ``consistent`` (c = eps*mu, beta_0 = beta_c) and
+    (beta_c/(n*beta_p)) * rate/v_g under ``paper`` (c = n,
+    beta_0 = beta_p). The next order leaves a relative gap of about
+    s*(s - 1)/8 * (rate/w)^2 with s = c*w^2/beta_0^2. Line centers sit
+    at least 1.2 times above the larger of the two cutoffs h/n and
+    h/sqrt(n), where s <= 3.27 and s*(s - 1)/8 <= 0.93: C = 1 bounds
+    the gap. Over these draws C measures 0.06 to 0.91 (about 0.1 to
+    0.25 on the demo guide), plus a rounding floor below 27 ulps at
+    the smallest rates.
+    """
+
+    C = 1.0
+    ROUNDING = 64 * np.finfo(float).eps
+
+    def draws(self, rng):
+        for _ in range(60):
+            width = rng.uniform(0.5, 5.0)
+            spec = WaveguideSpec(
+                width=width, height=width * rng.uniform(0.2, 0.5),
+                permittivity=rng.uniform(1.0, 2.5),
+                permeability=rng.uniform(0.6, 1.5))
+            n = spec.refractive_index
+            h = math.pi / width
+            # a >= 2b: the band holds TE(1,0) alone up to 2h/n
+            omega = rng.uniform(1.2 * max(h / n, h / math.sqrt(n)),
+                                1.9 * h / n)
+            beta_c = math.sqrt(n * n * omega * omega - h * h)
+            beta_p = math.sqrt(n * omega * omega - h * h)
+            for x in 10.0 ** rng.uniform(-10.0, -2.0, 6):
+                yield spec, omega, x * omega, x, beta_c, beta_p
+
+    def bound(self, x):
+        return self.C * x * x + self.ROUNDING
+
+    def test_consistent_axial_rate_is_rate_over_group_velocity(self, rng):
+        for spec, omega, rate, x, beta_c, _ in self.draws(rng):
+            n = spec.refractive_index
+            v_g = beta_c / (n * n * omega)
+            res = pole(spec, omega, rate, RadicandModel.INDEX_SQUARED)
+            assert abs(2.0 * abs(res.beta_i) * v_g / rate - 1.0) \
+                <= self.bound(x)
+            # v_g < 1/n: the ratio stays above n, so no crossing
+            assert abs(res.spatial_rate) / rate > n
+
+    def test_paper_axial_rate_is_off_by_the_radicand_ratio(self, rng):
+        for spec, omega, rate, x, beta_c, beta_p in self.draws(rng):
+            n = spec.refractive_index
+            v_g = beta_c / (n * n * omega)
+            law = beta_c / (n * beta_p) * rate / v_g
+            res = pole(spec, omega, rate, RadicandModel.SINGLE_INDEX)
+            assert abs(2.0 * abs(res.beta_i) / law - 1.0) <= self.bound(x)
 
 
 class TestCorrelationAmplitude:

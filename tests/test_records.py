@@ -39,7 +39,7 @@ RECORDS = {
         "max_log_residual"),
     "detection.OmegaDReport": (
         "model", "closed_form", "root_found", "discrepancy",
-        "scanned_range", "ratio_target"),
+        "ratio_target"),
     "emission.ChannelRate": (
         "mode", "direction", "weight", "coupling", "rate"),
     "emission.DecayResult": ("total", "channels", "model", "oscillatory"),
