@@ -78,6 +78,12 @@ REFUSALS = (
     ("corr_below_cutoff_dipole_1e160", ["corr"],
      {"atom.omega": "0.5", "atom.dipole_y_re": "1e160"}),
     ("decay_dipole_1e154", ["decay"], {"atom.dipole_y_re": "1e154"}),
+    ("decay_below_cutoff_dipole_1e60", ["decay"],
+     {"atom.omega": "0.5", "atom.dipole_y_re": "1e60"}),
+    ("decay_vacuum_square_near_cutoff", ["decay"],
+     {"waveguide.a": "1.0", "waveguide.b": "1.0", "waveguide.mu": "1.0",
+      "atom.x0": "0.5", "atom.y0": "0.25", "atom.omega": "3.173008580125691",
+      "models.dos": "dispersion"}),
     ("validate_wide_guide", ["validate"], {"waveguide.a": "1e200"}),
     ("decay_mode_scan_1e6", ["decay"],
      {"waveguide.eps": "1e300", "models.max_mn": "1000000"}),
