@@ -121,12 +121,12 @@ class RunConfig:
         if decay_rate <= 0.0:
             raise DomainError(
                 "the auto time grid needs a positive decay rate")
-        root = math.sqrt(self.waveguide_eps * self.waveguide_mu)
         lo = self.t_min
         if lo is None:
-            lo = root * max(abs(self.z_min - self.atom_z0),
-                            abs(self.z_max - self.atom_z0)) \
-                + 1.0 / decay_rate
+            reach = max(abs(self.z_min - self.atom_z0),
+                        abs(self.z_max - self.atom_z0))
+            lo = (self.waveguide_spec().refractive_index * reach
+                  + 1.0 / decay_rate)
         hi = self.t_max
         if hi is None:
             hi = lo + 4.0 / decay_rate

@@ -34,7 +34,6 @@ spatial rate pair and the constant in front of the amplitude.
 
 from __future__ import annotations
 
-import cmath
 import math
 from enum import Enum
 from typing import NamedTuple
@@ -72,10 +71,9 @@ class RadicandModel(Enum):
     INDEX_SQUARED = "consistent"
 
     def coefficient(self, spec: WaveguideSpec) -> float:
-        eps_mu = spec.permittivity * spec.permeability
         if self is RadicandModel.SINGLE_INDEX:
-            return math.sqrt(eps_mu)
-        return eps_mu
+            return spec.refractive_index
+        return spec.permittivity * spec.permeability
 
 
 def _lowest_transverse_sq(spec: WaveguideSpec) -> float:
@@ -204,12 +202,6 @@ def solve_emitter(spec: WaveguideSpec, atom: Atom, box: QuantizationBox,
         pole=pole(spec, params.shifted_frequency, decay.total, radicand))
 
 
-def _front_speed_factor(spec: WaveguideSpec) -> float:
-    # the wavefront advances one axial unit per refractive_index time
-    # units
-    return spec.refractive_index
-
-
 def _pole_weight(spec: WaveguideSpec, dos: DensityModel,
                  nu_pole: complex) -> complex:
     """State-density factor of the residue, continued to the complex
@@ -219,9 +211,9 @@ def _pole_weight(spec: WaveguideSpec, dos: DensityModel,
     group-velocity model the physical dispersion Jacobian, which
     requires the channel to actually propagate at the line center.
     """
-    eps_mu = spec.permittivity * spec.permeability
     if dos is DensityModel.PHASE_VELOCITY:
-        return complex(math.sqrt(eps_mu))
+        return complex(spec.refractive_index)
+    eps_mu = spec.permittivity * spec.permeability
     beta_true_sq = eps_mu * nu_pole ** 2 - _lowest_transverse_sq(spec)
     if beta_true_sq.imag == 0.0 and beta_true_sq.real <= 0.0:
         raise DomainError(
@@ -267,6 +259,18 @@ def _amplitude_constant(spec: WaveguideSpec, atom: Atom,
             / (spec.permittivity * area))
 
 
+def _residue_factors(const, profile, source, pole_result: PoleResult,
+                     dz, t):
+    """The residue amplitude's transverse, axial and temporal factors:
+    const*P(x)*P(x0), the oscillation at beta_r damped at |beta_i|
+    (beta_i <= 0) along |z - z0|, and the complex resonance envelope
+    in time. Their product is the amplitude inside the light cone."""
+    return (const * (profile * source),
+            np.exp((1j * pole_result.beta_r + pole_result.beta_i) * dz),
+            np.exp(-(1j * pole_result.shifted_frequency
+                     + 0.5 * pole_result.decay_rate) * t))
+
+
 def alternative_prefactor_ratio(spec: WaveguideSpec,
                                 pole_result: PoleResult,
                                 dos: DensityModel) -> float:
@@ -282,13 +286,13 @@ def alternative_prefactor_ratio(spec: WaveguideSpec,
     """
     omega = pole_result.shifted_frequency
     p = _lowest_transverse_sq(spec)
-    eps_mu = spec.permittivity * spec.permeability
     gap = math.sqrt(abs(p - omega ** 2))
     if gap == 0.0:
         return math.inf
     nu_p = _complex_pole_frequency(pole_result)
     mine = 2.0 * abs(nu_p) * abs(_pole_weight(spec, dos, nu_p))
-    candidate = omega ** 2 * math.sqrt(eps_mu) / (math.pi ** 2 * gap)
+    candidate = (omega ** 2 * spec.refractive_index
+                 / (math.pi ** 2 * gap))
     return mine / candidate
 
 
@@ -308,18 +312,14 @@ def correlation_amplitude(spec: WaveguideSpec, atom: Atom,
     z, t = float(point[2]), float(time)
     _check_finite(z, t)
     dz = abs(z - float(atom.position[2]))
-    if not t >= _front_speed_factor(spec) * dz:
+    if not t >= spec.refractive_index * dz:
         return 0j
-    const = _amplitude_constant(spec, atom, pole_result, dos)
-    # oscillation at beta_r, axial damping at |beta_i| (beta_i <= 0),
-    # and the complex resonance envelope in time
-    envelope = np.exp(
-        (1j * pole_result.beta_r + pole_result.beta_i) * dz
-        - (1j * pole_result.shifted_frequency
-           + 0.5 * pole_result.decay_rate) * t)
-    profile = (_transverse_profile(spec, float(point[0]))
-               * _transverse_profile(spec, float(atom.position[0])))
-    return complex(const * profile * envelope)
+    transverse, axial, temporal = _residue_factors(
+        _amplitude_constant(spec, atom, pole_result, dos),
+        _transverse_profile(spec, float(point[0])),
+        _transverse_profile(spec, float(atom.position[0])),
+        pole_result, dz, t)
+    return complex(transverse * axial * temporal)
 
 
 class CorrelationMetadata(NamedTuple):
@@ -391,7 +391,7 @@ def correlation_grid(spec: WaveguideSpec, atom: Atom,
         _check_cross_section(spec, (x[outside[0]], 0.0, 0.0))
     _check_finite(z, t)
     dz = np.abs(z - float(atom.position[2]))
-    front = _front_speed_factor(spec)
+    front = spec.refractive_index
     inside = t[np.newaxis, :] >= front * dz[:, np.newaxis]
 
     # real arithmetic throughout; the signed spatial rate is
@@ -407,12 +407,9 @@ def correlation_grid(spec: WaveguideSpec, atom: Atom,
     closed *= inside
 
     gaps = []
-    for amp, real in (
-            (const * (profile * source), x_sq),
-            (np.exp((1j * pole_result.beta_r + pole_result.beta_i) * dz),
-             np.exp(pole_result.spatial_rate * dz)),
-            (np.exp(-(1j * pole_result.shifted_frequency
-                      + 0.5 * pole_result.decay_rate) * t),
+    for amp, real in zip(
+            _residue_factors(const, profile, source, pole_result, dz, t),
+            (x_sq, np.exp(pole_result.spatial_rate * dz),
              np.exp(-pole_result.decay_rate * t))):
         live = real > 0.0
         gaps.append(np.max(
@@ -567,7 +564,7 @@ def brute_force_amplitude(spec: WaveguideSpec, atom: Atom,
         beta = np.abs(np.asarray(beta, dtype=float))
         nu = np.sqrt((beta ** 2 + p) / c_r)
         if dos is DensityModel.PHASE_VELOCITY:
-            density = (math.sqrt(eps_mu) * beta
+            density = (spec.refractive_index * beta
                        / (math.pi * eps * area * c_r))
         else:
             # eps*mu*nu^2 - p rearranged so the matched-continuation
@@ -585,11 +582,13 @@ def brute_force_amplitude(spec: WaveguideSpec, atom: Atom,
         return density / ((nu - omega) + 1j * half_rate)
 
     # detector and source transverse factors, and the raw dipole;
-    # hbar cancels between coupling and field just as in the residue
-    front_phase = _transverse_profile(spec, float(point[0]))
-    source_phase = _transverse_profile(spec, float(atom.position[0]))
-    pref = (-np.conj(complex(atom.dipole[1])) * front_phase
-            * source_phase)
+    # hbar cancels between coupling and field just as in the residue.
+    # The time envelope is the residue form's own temporal factor
+    pref, _, envelope = _residue_factors(
+        -np.conj(complex(atom.dipole[1])),
+        _transverse_profile(spec, float(point[0])),
+        _transverse_profile(spec, float(atom.position[0])),
+        pole_result, delta_z, time)
 
     span = SPAN_FACTOR * pole_result.beta_r
     if span <= 0.0:
@@ -617,7 +616,6 @@ def brute_force_amplitude(spec: WaveguideSpec, atom: Atom,
         total += (t_inf * (-2.0 * math.sin(m_dz) / delta_z)
                   + q * (-2.0 * cos_int))
 
-    envelope = cmath.exp(-(1j * omega + half_rate) * time)
     return complex(pref * envelope * total)
 
 

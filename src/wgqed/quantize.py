@@ -336,10 +336,10 @@ def continuum_weight(chans: Channels, rows, frequencies,
     """
     nu, _, propagating, axial = _axial(chans, rows, frequencies,
                                        chans.columns[2, rows])
-    eps_mu = chans.spec.permittivity * chans.spec.permeability
     if model is DensityModel.PHASE_VELOCITY:
-        above = box.length * math.sqrt(eps_mu) / (2.0 * math.pi)
+        above = box.length * chans.spec.refractive_index / (2.0 * math.pi)
     else:
+        eps_mu = chans.spec.permittivity * chans.spec.permeability
         above = box.length * eps_mu * nu / (2.0 * math.pi * axial)
     return np.where(propagating, above, _LOCALIZED_UNIT_WEIGHT)
 
@@ -350,12 +350,25 @@ def _weight_times_t(spec: WaveguideSpec, box: QuantizationBox,
     # cutoff, attenuation below), in closed form: the group-velocity
     # weight recomputed from nu would divide by an axial wavenumber
     # carrying rounding ~eps*h^2/t^2 near the cutoff
-    eps_mu = spec.permittivity * spec.permeability
     if model is DensityModel.PHASE_VELOCITY:
-        above = box.length * math.sqrt(eps_mu) * t / (2.0 * math.pi)
+        above = box.length * spec.refractive_index * t / (2.0 * math.pi)
     else:
+        eps_mu = spec.permittivity * spec.permeability
         above = box.length * eps_mu * nu / (2.0 * math.pi)
     return np.where(propagating, above, _LOCALIZED_UNIT_WEIGHT * t)
+
+
+def _cross_section_rule(spec: WaveguideSpec, order: int, z: float):
+    # tensor Gauss-Legendre rule of ``order`` nodes per axis over the
+    # cross section [0, width] x [0, height] at height z: the
+    # (order, order, 3) points and the x and y weights
+    nodes, weights = _gl_nodes(order)
+    x = 0.5 * spec.width * (nodes + 1.0)
+    y = 0.5 * spec.height * (nodes + 1.0)
+    wx = weights * 0.5 * spec.width
+    wy = weights * 0.5 * spec.height
+    xx, yy = np.meshgrid(x, y, indexing="ij")
+    return np.stack([xx, yy, np.full_like(xx, z)], axis=-1), wx, wy
 
 
 def mode_overlap(spec: WaveguideSpec, mode_a: ModeIndex,
@@ -374,13 +387,7 @@ def mode_overlap(spec: WaveguideSpec, mode_a: ModeIndex,
     that, not the same-mode value, is the quantity of interest here.
     """
     order = 8 + 4 * max(mode_a.m + mode_b.m, mode_a.n + mode_b.n)
-    nodes, weights = _gl_nodes(order)
-    x = 0.5 * spec.width * (nodes + 1.0)
-    y = 0.5 * spec.height * (nodes + 1.0)
-    wx = weights * 0.5 * spec.width
-    wy = weights * 0.5 * spec.height
-    xx, yy = np.meshgrid(x, y, indexing="ij")
-    pts = np.stack([xx, yy, np.full_like(xx, 0.25)], axis=-1)
+    pts, wx, wy = _cross_section_rule(spec, order, 0.25)
     f_a = field_at(spec, mode_a, frequency, pts)
     f_b = field_at(spec, mode_b, frequency, pts)
     density = 0.5 * (

@@ -26,11 +26,12 @@ from .modes import (
     mode_divergence_residual,
     mode_helmholtz_residual,
 )
-from .numerics import _gl_nodes, principal_csqrt, pv_integrate
+from .numerics import principal_csqrt, pv_integrate
 from .quantize import (
     HBAR,
     DensityModel,
     QuantizationBox,
+    _cross_section_rule,
     mode_overlap,
     normalize,
 )
@@ -87,20 +88,11 @@ def _check_residual(name, tolerance, fn, config):
     return _result(name, worst, tolerance)
 
 
-def _gauss_nodes(lo, hi, count):
-    x, w = _gl_nodes(count)
-    half = 0.5 * (hi - lo)
-    return lo + half * (x + 1.0), half * w
-
-
 def _energy_by_quadrature(spec, mode, freq, box, amplitude):
     # traveling profiles carry a z-uniform density, so one transverse
     # plane integrated over the cross-section and scaled by the box
     # length gives the stored energy
-    xs, wxs = _gauss_nodes(0.0, spec.width, 48)
-    ys, wys = _gauss_nodes(0.0, spec.height, 48)
-    gx, gy = np.meshgrid(xs, ys, indexing="ij")
-    pts = np.stack([gx, gy, np.full_like(gx, 0.1)], axis=-1)
+    pts, wxs, wys = _cross_section_rule(spec, 48, 0.1)
     f = field_at(spec, mode, freq, pts, amplitude=amplitude)
     density = 0.5 * (
         spec.permittivity * np.sum(np.abs(f.electric) ** 2, axis=-1)

@@ -638,8 +638,7 @@ class TestCorrelationGrid:
 
         p = self.POLE
         dz = np.abs(z - atom.position[2])
-        inside = t[None, :] >= detection._front_speed_factor(FILLED) \
-            * dz[:, None]
+        inside = t[None, :] >= FILLED.refractive_index * dz[:, None]
         const = detection._amplitude_constant(
             FILLED, atom, p, DensityModel.PHASE_VELOCITY)
         envelope = np.exp(
