@@ -369,6 +369,12 @@ def cmd_decay(config, args) -> int:
     shift = level_shift(spec, atom, box, config.dos,
                         window=config.shift_window(decay.total),
                         max_index=config.max_mn)
+    shifted = config.atom_omega - shift.value
+    if not shifted > 0.0:
+        raise DomainError(
+            f"line center {shifted!r} is not positive: the level shift "
+            f"{shift.value!r} reaches the transition frequency "
+            f"{config.atom_omega!r}")
     # decay channels first, then shift contributions
     channels, terms = decay.channels, shift.contributions
     modes = [ch.mode for ch in channels] + [con.mode for con in terms]
@@ -392,7 +398,7 @@ def cmd_decay(config, args) -> int:
         "decay_total": decay.total,
         "oscillatory": decay.oscillatory,
         "level_shift": shift.value,
-        "shifted_frequency": config.atom_omega - shift.value,
+        "shifted_frequency": shifted,
         "window_lo": shift.window[0],
         "window_hi": shift.window[1],
     }

@@ -141,15 +141,18 @@ def pole(spec: WaveguideSpec, shifted_frequency: float,
         radicand = complex(a_part, 0.0)
     else:
         r = math.hypot(a_part, 2.0 * b_part)
-        if a_part >= 0.0:
-            beta_r = math.sqrt(0.5 * (a_part + r))
-            beta_i = -b_part * math.sqrt(2.0 / (r + a_part))
-        else:
-            beta_i = -math.sqrt(0.5 * (r - a_part))
-            beta_r = b_part * math.sqrt(2.0 / (r - a_part))
+        # the component along the sign of a_part is the large one; the
+        # small one is b over it, since beta_r*beta_i = -b, taken from
+        # the large one when 2/(r + |a|) overflows on a subnormal r
+        large = math.sqrt(0.5 * (r + abs(a_part)))
+        small = b_part * math.sqrt(2.0 / (r + abs(a_part)))
+        if math.isinf(small):
+            small = b_part / large
+        beta_r, beta_i = ((large, -small) if a_part >= 0.0
+                          else (small, -large))
         radicand = complex(a_part, -2.0 * b_part)
-    # an overflow anywhere above (the radicand, its modulus or the
-    # reciprocal of a subnormal one) ends in a non-finite constant
+    # an overflow anywhere above (the radicand or its modulus) ends in
+    # a non-finite constant
     if not (math.isfinite(beta_r) and math.isfinite(beta_i)):
         raise DomainError(
             f"line center {shifted_frequency!r} and decay rate "

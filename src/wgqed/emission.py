@@ -203,9 +203,11 @@ def level_shift(spec: WaveguideSpec, atom: Atom, box: QuantizationBox,
 
     for both branches and both density models. A segment holding the
     transition frequency has its pole at t0 = sqrt(q) and is a
-    principal value with numerator R(t)/(t + t0). All segments refine
-    in lockstep, one ``couplings`` call per level; the first error in
-    segment order is raised, as if they were integrated one by one.
+    principal value with numerator R(t)/(t + t0). A window or cutoff
+    edge within a relative 1e-9 of omega is refused before any
+    integrand is evaluated. All segments refine in lockstep, one
+    ``couplings`` call per level; the first error in segment order is
+    raised, as if they were integrated one by one.
     """
     lo, hi = window
     if not (0.0 < lo < hi):
@@ -219,7 +221,7 @@ def level_shift(spec: WaveguideSpec, atom: Atom, box: QuantizationBox,
     eps_mu = spec.permittivity * spec.permeability
     # per segment: channel row, branch, span, sign, (t_a, t_b, pole) and
     # the integrand's h, s, nu_c, band, t0 (nan without a pole) and q
-    segments, consts, refused = [], [], None
+    segments, consts = [], []
     for row, nu_c in enumerate(chans.cutoff.tolist()):
         # t <-> nu keeps nu_c * n; the table's hypot(kx, ky) may be an ulp off
         h = nu_c * spec.refractive_index
@@ -230,10 +232,9 @@ def level_shift(spec: WaveguideSpec, atom: Atom, box: QuantizationBox,
         for branch, s_lo, s_hi in _split_by_cutoff((lo, hi), nu_c):
             if any(abs(omega - edge) < _ENDPOINT_GUARD * omega
                    for edge in (s_lo, s_hi)):
-                refused = DomainError(
+                raise DomainError(
                     "window or cutoff edge collides with the "
                     "transition frequency; shift the window")
-                break
             s = 1.0 if branch is Branch.PROPAGATING else -1.0
             q = s * (eps_mu * omega * omega - h * h)
             t_a, t_b = (math.sqrt(max(s * (eps_mu * nu * nu - h * h), 0.0))
@@ -247,8 +248,6 @@ def level_shift(spec: WaveguideSpec, atom: Atom, box: QuantizationBox,
                              (t_a, t_b, t0)))
             consts.append((h, s, nu_c, band,
                            math.nan if t0 is None else t0, q))
-        if refused:
-            break
     rows = np.array([seg[0] for seg in segments], dtype=int)
     table = np.array(consts, dtype=float).reshape(-1, 6).T
 
@@ -272,8 +271,6 @@ def level_shift(spec: WaveguideSpec, atom: Atom, box: QuantizationBox,
         return vals
 
     pieces = _lockstep(integrand, [seg[4] for seg in segments])
-    if refused:
-        raise refused
     contributions = tuple(
         ShiftContribution(mode=chans.modes[row], branch=branch, window=span,
                           value=-sign * float(piece) + 0.0)
@@ -293,12 +290,6 @@ class MarkovParameters(NamedTuple):
     @property
     def shifted_frequency(self) -> float:
         return self.transition_frequency - self.level_shift
-
-
-def excited_amplitude(times, params: MarkovParameters) -> np.ndarray:
-    """Closed-form excited-state amplitude exp((i*shift - rate/2)*t)."""
-    t = np.asarray(times, dtype=float)
-    return np.exp((1j * params.level_shift - 0.5 * params.decay_total) * t)
 
 
 class ContinuumCells(NamedTuple):

@@ -359,6 +359,27 @@ class TestDecayCommand:
         assert meta["summary.oscillatory"] == "true"
         assert not [r for r in rows if r[0] == "decay_channel"]
 
+    @pytest.mark.parametrize("items,center", [
+        # below every cutoff, shift ~5.485e119
+        ({"atom.omega": "0.5", "atom.dipole_y_re": "1e60"},
+         "-5.485005837988792e+119"),
+        # vacuum 1 x 1 guide at pi * 1.01, group-velocity shift ~34.49
+        ({"waveguide.a": "1.0", "waveguide.b": "1.0", "waveguide.mu": "1.0",
+          "atom.x0": "0.5", "atom.y0": "0.25",
+          "atom.omega": "3.173008580125691", "models.dos": "dispersion"},
+         "-31.315267937537783"),
+    ])
+    def test_line_center_at_or_below_zero_refused(self, tmp_path, capsys,
+                                                  items, center):
+        conf = write_config(tmp_path, **items)
+        out = tmp_path / "decay.csv"
+        assert main(["decay", "--config", conf, "--out",
+                     str(out)]) == EXIT_DOMAIN
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert f"line center {center} is not positive" in err
+        assert not out.exists()
+
 
 class TestCorrCommand:
     def test_artifact_sidecar_and_cone(self, tmp_path):

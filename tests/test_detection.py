@@ -131,12 +131,20 @@ class TestPole:
         with pytest.raises(DomainError, match="overflow the pole"):
             pole(FILLED, center, rate)
 
-    def test_subnormal_radicand_at_cutoff_refused(self):
+    def test_subnormal_radicand_at_cutoff_solved(self):
         # on the vacuum guide's cutoff 1.0 the radicand's modulus is
-        # subnormal and its reciprocal overflows: gave beta_i = -inf
+        # subnormal and its reciprocal overflows: gave beta_i = -inf,
+        # then a refusal
         vacuum = WaveguideSpec(width=math.pi, height=math.pi / 2.0)
-        with pytest.raises(DomainError, match="overflow the pole"):
-            pole(vacuum, 1.0, 1e-310)
+        res = pole(vacuum, 1.0, 1e-310)
+        want = principal_csqrt(res.radicand)
+        assert 0.0 < res.beta_r and res.beta_i < 0.0
+        assert abs(complex(res.beta_r, res.beta_i) - want) <= (
+            1e-12 * abs(want))
+        assert res.beta_r == pytest.approx(7.0710678118654755e-156,
+                                           rel=1e-12)
+        assert res.beta_i == pytest.approx(-7.0710678118654755e-156,
+                                           rel=1e-12)
 
     @pytest.mark.parametrize("model", list(RadicandModel))
     def test_narrow_line_ratio_is_dispersion_slope(self, model):
@@ -620,6 +628,28 @@ class TestCorrelationGrid:
     def test_two_paths_agree(self):
         grid = self.make_grid()
         assert grid.metadata.consistency_max_rel <= 1e-12
+
+    @pytest.mark.parametrize("dos", list(DensityModel))
+    @pytest.mark.parametrize("radicand", list(RadicandModel))
+    def test_amplitude_squared_is_the_map(self, dos, radicand):
+        # the complex residue factors and the real double exponential,
+        # cell by cell on a grid that straddles the light front
+        atom = filled_atom()
+        res = pole(FILLED, CENTER, RATE, radicand)
+        x = np.linspace(0.4, 2.6, 2)
+        z = np.linspace(-6.0, 20.0, 6)
+        t = np.linspace(0.5, 30.0, 6)
+        grid = correlation_grid(FILLED, atom, res, x, z, t, dos=dos)
+        assert 0 < grid.inside_cone.sum() < grid.inside_cone.size
+        for i, j, k in np.ndindex(grid.values.shape):
+            amp = correlation_amplitude(FILLED, atom, res,
+                                        (x[i], 0.5, z[j]), t[k], dos=dos)
+            want = grid.values[i, j, k]
+            if grid.inside_cone[j, k]:
+                assert want > 0.0
+                assert abs(abs(amp) ** 2 - want) <= 1e-12 * want
+            else:
+                assert amp == 0j and want == 0.0
 
     def test_matches_fresh_array_expressions(self):
         # on a grid that straddles the light front: the map equals the

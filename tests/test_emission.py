@@ -26,7 +26,6 @@ from wgqed.emission import (
     build_bins,
     decay_rate,
     dominant_channel,
-    excited_amplitude,
     level_shift,
     photon_bin_amplitudes,
 )
@@ -476,15 +475,6 @@ class TestDiscretizedContinuum:
                            window=(1.4, 1.6), count=3, modes=[TE10])
         with pytest.raises(DomainError):
             amplitudes_ode_oracle(np.linspace(1.0, 2.0, 5), cells, 1.5)
-
-    def test_excited_amplitude_form(self):
-        params = MarkovParameters(decay_total=0.02, level_shift=0.003,
-                                  transition_frequency=1.5)
-        t = np.array([0.0, 10.0, 50.0])
-        c_a = excited_amplitude(t, params)
-        np.testing.assert_allclose(np.abs(c_a), np.exp(-0.01 * t))
-        assert np.angle(c_a[1]) == pytest.approx(0.03)
-        assert params.shifted_frequency == pytest.approx(1.497)
 
     def test_closed_form_needs_decay(self):
         params = MarkovParameters(decay_total=0.0, level_shift=0.0,

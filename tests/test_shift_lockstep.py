@@ -294,12 +294,24 @@ class TestSameFirstError:
                         atom={"transition_frequency": nu_c})
         assert err[0] is DomainError
 
-    def test_convergence_error_before_a_refused_segment(self, monkeypatch):
+    def test_refusal_before_a_failing_segment(self, monkeypatch):
+        # TE10 before the refused TE20 segments would not converge, but
+        # the collision is refused before any integrand node: the
+        # lockstep version raised TE10's ConvergenceError first
         nu_c = cutoff_frequency(load_config(DEMO).waveguide_spec(), TE20)
-        err = self.same(monkeypatch, {TE10}, window=(0.9, 1.95),
-                        modes=[TE10, TE20],
-                        atom={"transition_frequency": nu_c})
-        assert err[0] is ConvergenceError
+        nodes = []
+
+        def counted(chans, rows, frequencies, box):
+            nodes.extend(np.atleast_1d(frequencies).tolist())
+            return _rough({TE10})(chans, rows, frequencies, box)
+
+        monkeypatch.setattr(emission, "couplings", counted)
+        err = self.outcome(level_shift, window=(0.9, 1.95),
+                           modes=[TE10, TE20],
+                           atom={"transition_frequency": nu_c})
+        assert err[0] is DomainError
+        assert "collides with the transition frequency" in err[1]
+        assert nodes == []
 
 
 class TestStackedChannels:
