@@ -133,8 +133,8 @@ class TestPole:
 
     def test_subnormal_radicand_at_cutoff_solved(self):
         # on the vacuum guide's cutoff 1.0 the radicand's modulus is
-        # subnormal and its reciprocal overflows: gave beta_i = -inf,
-        # then a refusal
+        # subnormal and its reciprocal overflows; beta_i comes from
+        # beta_r*beta_i = -b instead
         vacuum = WaveguideSpec(width=math.pi, height=math.pi / 2.0)
         res = pole(vacuum, 1.0, 1e-310)
         want = principal_csqrt(res.radicand)

@@ -295,9 +295,9 @@ class TestSameFirstError:
         assert err[0] is DomainError
 
     def test_refusal_before_a_failing_segment(self, monkeypatch):
-        # TE10 before the refused TE20 segments would not converge, but
-        # the collision is refused before any integrand node: the
-        # lockstep version raised TE10's ConvergenceError first
+        # TE10 before the refused TE20 segments would not converge; the
+        # collision is refused before any integrand node, so its
+        # ConvergenceError never arises
         nu_c = cutoff_frequency(load_config(DEMO).waveguide_spec(), TE20)
         nodes = []
 
