@@ -40,6 +40,13 @@ CONFIG = Path(__file__).resolve().parent.parent / "configs" / "demo.conf"
 COMMANDS = ("modes", "decay", "corr", "omegad", "validate")
 
 
+# vacuum 1 x 1 guide at pi * 1.01, where the group-velocity shift puts
+# the line center below zero
+VACUUM_SQUARE_NEAR_CUTOFF = {
+    "waveguide.a": "1.0", "waveguide.b": "1.0", "waveguide.mu": "1.0",
+    "atom.x0": "0.5", "atom.y0": "0.25", "atom.omega": "3.173008580125691",
+    "models.dos": "dispersion"}
+
 # name, arguments after the command, demo.conf keys replaced or added
 REFUSALS = (
     ("corr_csv_to_stdout", ["corr"], {}),
@@ -80,10 +87,10 @@ REFUSALS = (
     ("decay_dipole_1e154", ["decay"], {"atom.dipole_y_re": "1e154"}),
     ("decay_below_cutoff_dipole_1e60", ["decay"],
      {"atom.omega": "0.5", "atom.dipole_y_re": "1e60"}),
-    ("decay_vacuum_square_near_cutoff", ["decay"],
-     {"waveguide.a": "1.0", "waveguide.b": "1.0", "waveguide.mu": "1.0",
-      "atom.x0": "0.5", "atom.y0": "0.25", "atom.omega": "3.173008580125691",
-      "models.dos": "dispersion"}),
+    ("decay_vacuum_square_near_cutoff", ["decay"], VACUUM_SQUARE_NEAR_CUTOFF),
+    ("corr_vacuum_square_near_cutoff", ["corr"], VACUUM_SQUARE_NEAR_CUTOFF),
+    ("omegad_below_cutoff", ["omegad"], {"atom.omega": "0.5"}),
+    ("omegad_zero_y_dipole", ["omegad"], {"atom.dipole_y_re": "0.0"}),
     ("validate_wide_guide", ["validate"], {"waveguide.a": "1e200"}),
     ("decay_mode_scan_1e6", ["decay"],
      {"waveguide.eps": "1e300", "models.max_mn": "1000000"}),
