@@ -369,12 +369,6 @@ def cmd_decay(config, args) -> int:
     shift = level_shift(spec, atom, box, config.dos,
                         window=config.shift_window(decay.total),
                         max_index=config.max_mn)
-    shifted = config.atom_omega - shift.value
-    if not shifted > 0.0:
-        raise DomainError(
-            f"line center {shifted!r} is not positive: the level shift "
-            f"{shift.value!r} reaches the transition frequency "
-            f"{config.atom_omega!r}")
     # decay channels first, then shift contributions
     channels, terms = decay.channels, shift.contributions
     modes = [ch.mode for ch in channels] + [con.mode for con in terms]
@@ -398,7 +392,7 @@ def cmd_decay(config, args) -> int:
         "decay_total": decay.total,
         "oscillatory": decay.oscillatory,
         "level_shift": shift.value,
-        "shifted_frequency": shifted,
+        "shifted_frequency": config.atom_omega - shift.value,
         "window_lo": shift.window[0],
         "window_hi": shift.window[1],
     }
@@ -451,11 +445,7 @@ def cmd_omegad(config, args) -> int:
     box = config.box()
     decay = decay_rate(spec, atom, box, config.dos,
                        max_index=config.max_mn)
-    if decay.oscillatory or decay.total <= 0.0:
-        raise DomainError(
-            "the crossing search needs a positive decay rate, but "
-            "the transition feeds no traveling channel")
-    closed = closed_form_crossing(spec, decay.total)
+    closed = closed_form_crossing(spec, decay.traveling_total())
     columns = ("model", "status", "closed_form", "root_found",
                "discrepancy", "ratio_min_seen", "ratio_max_seen")
     rows = []

@@ -181,20 +181,16 @@ def solve_emitter(spec: WaveguideSpec, atom: Atom, box: QuantizationBox,
     """Decay rate, then shift window, level shift and complex pole.
 
     ``window`` maps the decay rate to the (low, high) shift window;
-    None selects ``emission.auto_shift_window``. Raises DomainError
-    when the emitter lies below every cutoff, since an emitter with no
-    traveling channel has no pole to continue.
+    None selects ``emission.auto_shift_window``. The DomainErrors of
+    ``DecayResult.traveling_total`` and ``level_shift`` pass through.
     """
     decay = decay_rate(spec, atom, box, dos, max_index=max_index)
-    if decay.oscillatory:
-        raise DomainError(
-            "the transition lies below every cutoff and feeds no "
-            "traveling channel")
+    total = decay.traveling_total()
     if window is None:
         bounds = auto_shift_window(spec, atom.transition_frequency,
-                                   decay.total, max_index=max_index)
+                                   total, max_index=max_index)
     else:
-        bounds = window(decay.total)
+        bounds = window(total)
     shift = level_shift(spec, atom, box, dos, window=bounds,
                         max_index=max_index)
     params = MarkovParameters(

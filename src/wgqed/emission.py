@@ -95,6 +95,14 @@ class DecayResult(NamedTuple):
     model: DensityModel
     oscillatory: bool
 
+    def traveling_total(self) -> float:
+        """``total``; DomainError below every cutoff, where no traveling
+        channel leaves a pole to continue."""
+        if self.oscillatory:
+            raise DomainError("the transition lies below every cutoff and "
+                              "feeds no traveling channel")
+        return self.total
+
 
 def decay_rate(spec: WaveguideSpec, atom: Atom, box: QuantizationBox,
                model: DensityModel, *, max_index: int = 12) -> DecayResult:
@@ -207,7 +215,8 @@ def level_shift(spec: WaveguideSpec, atom: Atom, box: QuantizationBox,
     edge within a relative 1e-9 of omega is refused before any
     integrand is evaluated. All segments refine in lockstep, one
     ``couplings`` call per level; the first error in segment order is
-    raised, as if they were integrated one by one.
+    raised, as if they were integrated one by one. A shift that puts
+    the line center omega - value at or below zero is refused.
     """
     lo, hi = window
     if not (0.0 < lo < hi):
@@ -276,8 +285,13 @@ def level_shift(spec: WaveguideSpec, atom: Atom, box: QuantizationBox,
                           value=-sign * float(piece) + 0.0)
         for (row, branch, span, sign, _), (piece, _) in zip(segments,
                                                             pieces))
-    return ShiftResult(value=math.fsum(c.value for c in contributions),
-                       window=(lo, hi), contributions=contributions)
+    value = math.fsum(c.value for c in contributions)
+    if not omega - value > 0.0:
+        raise DomainError(
+            f"line center {omega - value!r} is not positive: the level "
+            f"shift {value!r} reaches the transition frequency {omega!r}")
+    return ShiftResult(value=value, window=(lo, hi),
+                       contributions=contributions)
 
 
 class MarkovParameters(NamedTuple):
