@@ -139,7 +139,7 @@ class RunConfig:
                 f"corr needs {end} above {start}; got {lo!r} and {hi!r}")
         return np.linspace(lo, hi, self.t_count)
 
-    def shift_window(self, decay_rate: float | None = None) -> tuple:
+    def shift_window(self, decay_rate: float) -> tuple:
         """Frequency window for the level shift integral.
 
         ``window.nu_min`` and ``window.nu_max`` win per side; the

@@ -164,25 +164,24 @@ def _split_by_cutoff(window, cutoff):
 
 
 def auto_shift_window(spec: WaveguideSpec, transition_frequency: float,
-                      decay_rate: float | None = None, *,
-                      max_index: int = 12) -> tuple:
+                      decay_rate: float, *, max_index: int = 12) -> tuple:
     """The library's frequency window for the level shift integral.
 
     With a positive decay rate the window hugs the line, 25 linewidths
     to each side, but starts no lower than 0.02 times the transition
-    frequency. Without one it spans a fifth to five times the
-    transition frequency. Either way it stays below 0.999 times the
-    TE(max_index, 0) cutoff, the edge of the band ``modes_below``
-    enumerates completely for that index bound. The window can
-    collapse (low >= high) when the transition sits at or past that
-    edge; ``level_shift`` then refuses it.
+    frequency. A rate of zero or below, as below every cutoff, spans
+    a fifth to five times the transition frequency. Either way it
+    stays below 0.999 times the TE(max_index, 0) cutoff, the edge of
+    the band ``modes_below`` enumerates completely for that index
+    bound. The window can collapse (low >= high) when the transition
+    sits at or past that edge; ``level_shift`` then refuses it.
     """
     omega = transition_frequency
     # enumeration refuses any qualifying mode on the bound row, whose
     # lowest cutoff is (max_index, 0) since b <= a
     edge = 0.999 * cutoff_frequency(
         spec, ModeIndex(Polarization.TE, max_index, 0))
-    if decay_rate is not None and decay_rate > 0.0:
+    if decay_rate > 0.0:
         return (max(omega - 25.0 * decay_rate, 0.02 * omega),
                 min(omega + 25.0 * decay_rate, edge))
     return (omega / 5.0, min(5.0 * omega, edge))

@@ -145,14 +145,6 @@ class ModeDispersion(NamedTuple):
     axial_wavenumber: float | None  # real, propagating branch only
     attenuation: float | None       # real, localized branch only
 
-    @property
-    def axial_factor(self) -> complex:
-        """Complex axial constant g in the profile exp(-g*z): i*beta on
-        the propagating branch, the real attenuation below cutoff."""
-        if self.branch is Branch.PROPAGATING:
-            return 1j * self.axial_wavenumber
-        return complex(self.attenuation)
-
 
 def dispersion(spec: WaveguideSpec, mode: ModeIndex,
                frequency: float) -> ModeDispersion:

@@ -224,7 +224,7 @@ class TestAccessors:
 
     def test_auto_window_capped_by_index_bound(self):
         cfg = parse_config(config_text())
-        lo, hi = cfg.shift_window()
+        lo, hi = cfg.shift_window(0.0)
         # TE(8,0) cutoff is 8/1.2; enumeration must stay below it
         assert hi <= 8.0 / 1.2
         assert lo == pytest.approx(1.45 / 5.0)
@@ -304,6 +304,14 @@ class TestModesCommand:
         assert "timestamp" in meta
 
 
+# vacuum 1 x 1 guide at pi * 1.01, where the group-velocity shift ~34.49
+# puts the line center below zero
+VACUUM_NEAR_CUTOFF = {
+    "waveguide.a": "1.0", "waveguide.b": "1.0", "waveguide.mu": "1.0",
+    "atom.x0": "0.5", "atom.y0": "0.25", "atom.omega": "3.173008580125691",
+    "models.dos": "dispersion"}
+
+
 class TestDecayCommand:
     def test_summary_and_channels(self, tmp_path):
         conf = write_config(tmp_path)
@@ -359,21 +367,19 @@ class TestDecayCommand:
         assert meta["summary.oscillatory"] == "true"
         assert not [r for r in rows if r[0] == "decay_channel"]
 
-    @pytest.mark.parametrize("items,center", [
+    @pytest.mark.parametrize("items,center,command", [
         # below every cutoff, shift ~5.485e119
         ({"atom.omega": "0.5", "atom.dipole_y_re": "1e60"},
-         "-5.485005837988792e+119"),
-        # vacuum 1 x 1 guide at pi * 1.01, group-velocity shift ~34.49
-        ({"waveguide.a": "1.0", "waveguide.b": "1.0", "waveguide.mu": "1.0",
-          "atom.x0": "0.5", "atom.y0": "0.25",
-          "atom.omega": "3.173008580125691", "models.dos": "dispersion"},
-         "-31.315267937537783"),
+         "-5.485005837988792e+119", "decay"),
+        (VACUUM_NEAR_CUTOFF, "-31.315267937537783", "decay"),
+        # the emitter chain behind corr meets the same refusal
+        (VACUUM_NEAR_CUTOFF, "-31.315267937537783", "corr"),
     ])
     def test_line_center_at_or_below_zero_refused(self, tmp_path, capsys,
-                                                  items, center):
+                                                  items, center, command):
         conf = write_config(tmp_path, **items)
-        out = tmp_path / "decay.csv"
-        assert main(["decay", "--config", conf, "--out",
+        out = tmp_path / f"{command}.csv"
+        assert main([command, "--config", conf, "--out",
                      str(out)]) == EXIT_DOMAIN
         err = capsys.readouterr().err
         assert err.count("\n") == 1
@@ -651,6 +657,16 @@ class TestOmegadCommand:
         assert [r[1] for r in rows] == ["no_crossing", "no_crossing"]
         assert all(math.isfinite(float(r[2])) for r in rows)
 
+    def test_below_cutoff_refused_as_corr_does(self, tmp_path, capsys):
+        conf = write_config(tmp_path, **{"atom.omega": "0.5"})
+        errs = []
+        for command in ("corr", "omegad"):
+            assert main([command, "--config", conf, "--out",
+                         str(tmp_path / f"{command}.csv")]) == EXIT_DOMAIN
+            errs.append(capsys.readouterr().err)
+        assert errs == 2 * ["domain error: the transition lies below every "
+                            "cutoff and feeds no traveling channel\n"]
+
 
 # grids corr refuses: the first three before the emitter chain runs,
 # the last once the decay rate places the automatic time grid
@@ -806,6 +822,23 @@ class TestValidateCommand:
         assert {r[0]: r[detail] for r in rows if r[1] == "false"} \
             == {"correlation_consistency": refusal}
         assert meta["summary.failures"] == "1"
+
+    def test_correlation_check_refuses_as_decay_does(self, tmp_path,
+                                                     capsys):
+        # a line center at or below zero fails the row that reads the
+        # map with the line decay prints
+        conf = write_config(tmp_path, **VACUUM_NEAR_CUTOFF)
+        assert main(["decay", "--config", conf, "--out",
+                     str(tmp_path / "decay.csv")]) == EXIT_DOMAIN
+        refusal = capsys.readouterr().err.removeprefix(
+            "domain error: ").rstrip("\n")
+        out = str(tmp_path / "val.csv")
+        assert main(["validate", "--config", conf, "--out", out,
+                     "--reproducible"]) == EXIT_VALIDATION
+        _, header, rows = read_table(out)
+        detail = header.index("detail")
+        assert next(r[detail] for r in rows
+                    if r[0] == "correlation_consistency") == refusal
 
     @pytest.mark.parametrize("items", CORR_REFUSALS[:3],
                              ids=lambda items: ",".join(items))

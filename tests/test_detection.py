@@ -229,6 +229,22 @@ class TestSolveEmitter:
             solve_emitter(FILLED, self.atom(0.5), self.BOX,
                           DensityModel.PHASE_VELOCITY)
 
+    def test_line_center_at_or_below_zero_refused(self):
+        # vacuum 1 x 1 guide at pi * 1.01: the group-velocity shift
+        # reaches the transition frequency, and level_shift says so
+        # before pole's bare refusal
+        vacuum = WaveguideSpec(width=1.0, height=1.0, permittivity=1.0,
+                               permeability=1.0)
+        atom = Atom(position=(0.5, 0.25, 0.0), dipole=(0.0, 0.124, 0.0),
+                    transition_frequency=3.173008580125691)
+        with pytest.raises(DomainError) as info:
+            solve_emitter(vacuum, atom, self.BOX,
+                          DensityModel.GROUP_VELOCITY, max_index=8)
+        assert str(info.value) == (
+            "line center -31.315267937537783 is not positive: the level "
+            "shift 34.48827651766347 reaches the transition frequency "
+            "3.173008580125691")
+
     def count_demo_chain_calls(self, monkeypatch, dos):
         cfg = load_config(DEMO)
         calls = []

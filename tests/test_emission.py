@@ -10,6 +10,7 @@ shift integrals).
 """
 
 import cmath
+import dataclasses
 import math
 from pathlib import Path
 
@@ -298,6 +299,22 @@ class TestLevelShift:
         with pytest.raises(DomainError):
             level_shift(GUIDE, atom, BOX, DensityModel.PHASE_VELOCITY,
                         window=(1.9, 1.2))
+
+    def test_line_center_at_or_below_zero_refused(self):
+        # below every cutoff no decay rate bounds the couplings, and a
+        # 1e60 dipole shifts demo.conf's 0.5 by 5.485e119
+        cfg = dataclasses.replace(
+            load_config(str(Path(__file__).resolve().parent.parent
+                            / "configs" / "demo.conf")),
+            atom_omega=0.5, dipole_y_re=1e60)
+        with pytest.raises(DomainError) as info:
+            level_shift(cfg.waveguide_spec(), cfg.atom(), cfg.box(),
+                        cfg.dos, window=cfg.shift_window(0.0),
+                        max_index=cfg.max_mn)
+        assert str(info.value) == (
+            "line center -5.485005837988792e+119 is not positive: the "
+            "level shift 5.485005837988792e+119 reaches the transition "
+            "frequency 0.5")
 
 
 def _dop853(times, cells, omega):

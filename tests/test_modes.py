@@ -90,7 +90,6 @@ class TestDispersion:
         assert d.branch is Branch.PROPAGATING
         assert d.axial_wavenumber == pytest.approx(math.sqrt(3.0))
         assert d.attenuation is None
-        assert d.axial_factor == pytest.approx(1j * math.sqrt(3.0))
 
     def test_tm11_below_cutoff(self):
         # pattern wavenumber sqrt(1 + 4), medium wavenumber 1
@@ -99,7 +98,6 @@ class TestDispersion:
         assert d.branch is Branch.LOCALIZED
         assert d.axial_wavenumber is None
         assert d.attenuation == pytest.approx(2.0)
-        assert d.axial_factor == pytest.approx(2.0 + 0.0j)
 
     def test_filling_scales_cutoff(self):
         filled = WaveguideSpec(width=math.pi, height=math.pi / 2.0,
