@@ -42,7 +42,7 @@ import numpy as np
 
 from .errors import DomainError, NoCrossingError, PurelyEvanescentError
 from .quantize import Atom, DensityModel, QuantizationBox
-from .modes import WaveguideSpec
+from .modes import TE10, WaveguideSpec, transverse_wavenumber
 from .emission import (
     DecayResult,
     MarkovParameters,
@@ -74,11 +74,6 @@ class RadicandModel(Enum):
         if self is RadicandModel.SINGLE_INDEX:
             return spec.refractive_index
         return spec.permittivity * spec.permeability
-
-
-def _lowest_transverse_sq(spec: WaveguideSpec) -> float:
-    # transverse wavenumber of the fundamental pattern, squared
-    return (math.pi / spec.width) ** 2
 
 
 class PoleResult(NamedTuple):
@@ -126,7 +121,7 @@ def pole(spec: WaveguideSpec, shifted_frequency: float,
     if decay_rate < 0.0:
         raise DomainError("decay rate must be nonnegative")
     c = model.coefficient(spec)
-    p = _lowest_transverse_sq(spec)
+    p = transverse_wavenumber(spec, TE10) ** 2
     try:
         a_part = c * (shifted_frequency ** 2 - 0.25 * decay_rate ** 2) - p
     except OverflowError:
@@ -213,7 +208,8 @@ def _pole_weight(spec: WaveguideSpec, dos: DensityModel,
     if dos is DensityModel.PHASE_VELOCITY:
         return complex(spec.refractive_index)
     eps_mu = spec.permittivity * spec.permeability
-    beta_true_sq = eps_mu * nu_pole ** 2 - _lowest_transverse_sq(spec)
+    beta_true_sq = (eps_mu * nu_pole ** 2
+                    - transverse_wavenumber(spec, TE10) ** 2)
     if beta_true_sq.imag == 0.0 and beta_true_sq.real <= 0.0:
         raise DomainError(
             "group-velocity weighting is undefined at a line center "
@@ -284,7 +280,7 @@ def alternative_prefactor_ratio(spec: WaveguideSpec,
     fundamental transverse wavenumber, where the candidate diverges.
     """
     omega = pole_result.shifted_frequency
-    p = _lowest_transverse_sq(spec)
+    p = transverse_wavenumber(spec, TE10) ** 2
     gap = math.sqrt(abs(p - omega ** 2))
     if gap == 0.0:
         return math.inf
@@ -553,7 +549,7 @@ def brute_force_amplitude(spec: WaveguideSpec, atom: Atom,
     eps, mu = spec.permittivity, spec.permeability
     eps_mu = eps * mu
     c_r = pole_result.model.coefficient(spec)
-    p = _lowest_transverse_sq(spec)
+    p = transverse_wavenumber(spec, TE10) ** 2
     omega = pole_result.shifted_frequency
     half_rate = 0.5 * pole_result.decay_rate
     area = spec.cross_section_area
@@ -635,7 +631,7 @@ def closed_form_crossing(spec: WaveguideSpec, decay_rate: float) -> float:
     if decay_rate <= 0.0:
         raise DomainError("decay rate must be positive")
     eps_mu = spec.permittivity * spec.permeability
-    p = _lowest_transverse_sq(spec)
+    p = transverse_wavenumber(spec, TE10) ** 2
     x = eps_mu * decay_rate * decay_rate
     tail = (10.0 - 16.0 * p / (x + 2.0 * p)) / (8.0 * eps_mu)
     return math.hypot(decay_rate / math.sqrt(8.0),
@@ -674,7 +670,7 @@ def omega_d(spec: WaveguideSpec, decay_rate: float,
     if not (math.isfinite(decay_rate) and decay_rate > 0.0):
         raise DomainError("decay rate must be finite and positive")
     n = spec.refractive_index
-    p = _lowest_transverse_sq(spec)
+    p = transverse_wavenumber(spec, TE10) ** 2
     if model is RadicandModel.INDEX_SQUARED:
         reason = ("the 'consistent' continuation never crosses: its "
                   "axial rate 2|beta_i| tends to rate/v_g, above "

@@ -118,6 +118,11 @@ class ModeIndex:
             raise DomainError("TE(0,0) does not exist")
 
 
+# WaveguideSpec keeps height <= width, so TE(1,0) is a lowest pattern,
+# square guides included
+TE10 = ModeIndex(Polarization.TE, 1, 0)
+
+
 def transverse_wavenumbers(spec: WaveguideSpec, mode: ModeIndex):
     """Partial wavenumbers (m*pi/width, n*pi/height) of the pattern."""
     return (mode.m * math.pi / spec.width, mode.n * math.pi / spec.height)
@@ -146,34 +151,53 @@ class ModeDispersion(NamedTuple):
     attenuation: float | None       # real, localized branch only
 
 
-def dispersion(spec: WaveguideSpec, mode: ModeIndex,
-               frequency: float) -> ModeDispersion:
-    """Classify a (mode, frequency) pair and solve the axial relation.
+def axial_relation(spec: WaveguideSpec, modes, rows, h, frequencies):
+    """The axial relation eps*mu*nu^2 = h^2 +- t^2 over frequency nodes,
+    node i on the mode ``modes[rows[i]]`` of transverse wavenumber h[i].
 
-    Raises DomainError for non-positive frequencies, for frequencies
-    within CUTOFF_REL_TOL (relative) of the cutoff, where both branches
-    degenerate, and where h^2, which the fields divide by, underflows.
+    Returns the frequencies, k = n*nu, the above-cutoff mask and
+    sqrt(|k^2 - h^2|): the axial wavenumber above cutoff, the
+    attenuation below it. Raises DomainError, in this order, for a
+    non-positive frequency, for an h^2 that underflows (the fields
+    divide by it) and for a frequency within CUTOFF_REL_TOL (relative)
+    of the cutoff h/n, where both branches degenerate; the last two
+    name the first such node's mode.
     """
-    if frequency <= 0.0:
+    nu = np.asarray(frequencies, dtype=float)
+    if (nu <= 0.0).any():
         raise DomainError("frequency must be positive")
-    h = transverse_wavenumber(spec, mode)
-    if h * h == 0.0:
+    with np.errstate(over="ignore", invalid="ignore"):
+        h_sq = h * h
+        nu_c = h / spec.refractive_index
+        k = nu * spec.refractive_index
+        degenerate = np.abs(nu - nu_c) <= CUTOFF_REL_TOL * nu_c
+        t = np.sqrt(np.abs(k * k - h_sq))
+    if (h_sq == 0.0).any():
+        mode = modes[rows[int(np.argmax(h_sq == 0.0))]]
         raise DomainError(
             f"the squared transverse wavenumber of {mode.polarization.value}"
             f"({mode.m},{mode.n}) underflows to zero; the guide is too wide")
-    nu_c = h / spec.refractive_index
-    k = frequency * spec.refractive_index
-    if abs(frequency - nu_c) <= CUTOFF_REL_TOL * nu_c:
+    if degenerate.any():
+        i = int(np.argmax(degenerate))
+        mode = modes[rows[i]]
         raise DomainError(
-            f"frequency {frequency!r} is degenerate with the cutoff "
-            f"{nu_c!r} of {mode.polarization.value}({mode.m},{mode.n})")
-    if frequency > nu_c:
-        beta = math.sqrt(k * k - h * h)
-        return ModeDispersion(spec, mode, frequency, h, nu_c, k,
-                              Branch.PROPAGATING, beta, None)
-    gamma = math.sqrt(h * h - k * k)
-    return ModeDispersion(spec, mode, frequency, h, nu_c, k,
-                          Branch.LOCALIZED, None, gamma)
+            f"frequency {float(nu[i])!r} is degenerate with the cutoff "
+            f"{float(nu_c[i])!r} of {mode.polarization.value}"
+            f"({mode.m},{mode.n})")
+    return nu, k, nu > nu_c, t
+
+
+def dispersion(spec: WaveguideSpec, mode: ModeIndex,
+               frequency: float) -> ModeDispersion:
+    """``axial_relation`` at one frequency, as a classified record;
+    raises as that does."""
+    h = transverse_wavenumber(spec, mode)
+    _, k, above, t = axial_relation(spec, (mode,), (0,), np.array([h]),
+                                    (frequency,))
+    above, k, t = bool(above[0]), float(k[0]), float(t[0])
+    return ModeDispersion(spec, mode, frequency, h, h / spec.refractive_index,
+                          k, Branch.PROPAGATING if above else Branch.LOCALIZED,
+                          t if above else None, None if above else t)
 
 
 class ModeField(NamedTuple):

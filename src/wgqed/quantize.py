@@ -46,11 +46,11 @@ import numpy as np
 
 from .errors import DomainError
 from .modes import (
-    CUTOFF_REL_TOL,
     Branch,
     ModeIndex,
     Polarization,
     WaveguideSpec,
+    axial_relation,
     dispersion,
     field_at,
     transverse_wavenumber,
@@ -231,30 +231,6 @@ class Channels:
         self.columns, self.cutoff = _channel_table(spec, self.modes, xy)
 
 
-def _axial(chans: Channels, rows, frequencies, h):
-    # ``dispersion`` over nodes of channels ``rows``, with h the nodes'
-    # transverse wavenumbers: the same checks and the same
-    # sqrt(k^2 - h^2), so each element matches the scalar path to the
-    # bit. Returns the frequencies, k, the above-cutoff mask and the
-    # axial wavenumber above cutoff or the attenuation below it
-    spec = chans.spec
-    nu = np.asarray(frequencies, dtype=float)
-    if (nu <= 0.0).any():
-        raise DomainError("frequency must be positive")
-    nu_c = h / spec.refractive_index
-    degenerate = np.abs(nu - nu_c) <= CUTOFF_REL_TOL * nu_c
-    if degenerate.any():
-        i = int(np.flatnonzero(degenerate)[0])
-        row = rows[i]
-        mode = chans.modes[row]
-        raise DomainError(
-            f"frequency {float(nu[i])!r} is degenerate with the "
-            f"cutoff {float(chans.cutoff[row])!r} of "
-            f"{mode.polarization.value}({mode.m},{mode.n})")
-    k = nu * spec.refractive_index
-    return nu, k, nu > nu_c, np.sqrt(np.abs(k * k - h * h))
-
-
 def couplings(chans: Channels, rows, frequencies,
               box: QuantizationBox) -> np.ndarray:
     """``coupling_at`` in closed form at each frequency node, on the
@@ -271,15 +247,15 @@ def couplings(chans: Channels, rows, frequencies,
 
     with c the index weight, pol the permittivity (TM) or permeability
     (TE), A the cross-section area, k the medium wavenumber and L the
-    box length. Frequencies may lie on either branch. A non-positive
-    frequency, or one within CUTOFF_REL_TOL of the cutoff, raises
-    DomainError as ``dispersion`` does, and so does an amplitude that
-    is not finite, naming the mode.
+    box length. Frequencies may lie on either branch; those
+    ``modes.axial_relation`` refuses raise its DomainError, and so
+    does an amplitude that is not finite, naming the mode.
     """
     spec, atom = chans.spec, chans.atom
     kx, ky, h, tm, weight, pol, sx, sy, cx, cy = chans.columns.take(
         rows, axis=1)
-    nu, k, propagating, axial = _axial(chans, rows, frequencies, h)
+    nu, k, propagating, axial = axial_relation(spec, chans.modes, rows, h,
+                                               frequencies)
     h2 = h * h
     with np.errstate(over="ignore", invalid="ignore"):
         per_area = (HBAR * nu * weight
@@ -332,10 +308,11 @@ def continuum_weight(chans: Channels, rows, frequencies,
     Above cutoff the box spacing 2*pi/length in the axial wavenumber
     is converted to frequency per ``model``. Below it the decaying
     profiles, normalized per unit frequency already, carry the unit
-    measure d(nu) under either model.
+    measure d(nu) under either model. Nodes ``modes.axial_relation``
+    refuses raise its DomainError.
     """
-    nu, _, propagating, axial = _axial(chans, rows, frequencies,
-                                       chans.columns[2, rows])
+    nu, _, propagating, axial = axial_relation(
+        chans.spec, chans.modes, rows, chans.columns[2, rows], frequencies)
     if model is DensityModel.PHASE_VELOCITY:
         above = box.length * chans.spec.refractive_index / (2.0 * math.pi)
     else:

@@ -19,6 +19,7 @@ from .detection import RadicandModel, pole
 from .emission import amplitudes_ode_oracle, build_bins, decay_rate
 from .errors import WgError
 from .modes import (
+    TE10,
     ModeIndex,
     Polarization,
     cutoff_frequency,
@@ -37,9 +38,6 @@ from .quantize import (
 )
 
 _SEED = 20260822
-# WaveguideSpec keeps height <= width, so TE(1,0) is a lowest pattern,
-# square guides included
-_TE10 = ModeIndex(Polarization.TE, 1, 0)
 _TM11 = ModeIndex(Polarization.TM, 1, 1)
 
 
@@ -68,7 +66,7 @@ def _result(name, measured, tolerance, detail="", ok=True):
 def _probe_modes(spec):
     # one mode per polarization, plus a higher pattern, probed on both
     # sides of cutoff where the pattern supports it
-    listing = [(_TE10, 1.7, 0.6), (_TM11, 1.5, 0.7),
+    listing = [(TE10, 1.7, 0.6), (_TM11, 1.5, 0.7),
                (ModeIndex(Polarization.TE, 2, 1), 1.3, 0.8)]
     for mode, up, down in listing:
         nu_c = cutoff_frequency(spec, mode)
@@ -104,7 +102,7 @@ def _check_energy(name, tolerance, config):
     spec = config.waveguide_spec()
     box = QuantizationBox(length=1.0)
     worst = 0.0
-    for mode in (_TE10, _TM11):
+    for mode in (TE10, _TM11):
         freq = 1.7 * cutoff_frequency(spec, mode)
         amp = normalize(spec, mode, freq, box)
         energy = _energy_by_quadrature(spec, mode, freq, box, amp)
@@ -114,7 +112,7 @@ def _check_energy(name, tolerance, config):
 
 def _check_orthogonality(name, tolerance, config):
     spec = config.waveguide_spec()
-    pairs = [(_TE10, ModeIndex(Polarization.TE, 2, 0)), (_TE10, _TM11),
+    pairs = [(TE10, ModeIndex(Polarization.TE, 2, 0)), (TE10, _TM11),
              (_TM11, ModeIndex(Polarization.TM, 2, 1))]
     worst = 0.0
     for mode_a, mode_b in pairs:
@@ -218,10 +216,10 @@ def _check_markov_oracle(name, tolerance, config):
         return _result(name, np.max(np.abs(
             np.abs(c_a) ** 2 - np.exp(-rate * times))), 0.05,
             "traveling-channel decay against the exponential")
-    nu_c = cutoff_frequency(spec, _TE10)
+    nu_c = cutoff_frequency(spec, TE10)
     cells = build_bins(spec, atom, box, config.dos,
                        window=(0.4 * omega, 0.98 * nu_c), count=120,
-                       modes=[_TE10])
+                       modes=[TE10])
     times = np.linspace(0.0, 10.0 / omega, 15)
     c_a, _ = amplitudes_ode_oracle(times, cells, omega)
     return _result(name, 1.0 - np.min(np.abs(c_a) ** 2), 0.5,
