@@ -187,6 +187,12 @@ def auto_shift_window(spec: WaveguideSpec, transition_frequency: float,
     return (omega / 5.0, min(5.0 * omega, edge))
 
 
+def _window(window):
+    if not 0.0 < window[0] < window[1]:
+        raise DomainError("window must satisfy 0 < low < high")
+    return window
+
+
 def level_shift(spec: WaveguideSpec, atom: Atom, box: QuantizationBox,
                 model: DensityModel, *, window, modes=None,
                 max_index: int = 12) -> ShiftResult:
@@ -217,9 +223,7 @@ def level_shift(spec: WaveguideSpec, atom: Atom, box: QuantizationBox,
     raised, as if they were integrated one by one. A shift that puts
     the line center omega - value at or below zero is refused.
     """
-    lo, hi = window
-    if not (0.0 < lo < hi):
-        raise DomainError("window must satisfy 0 < low < high")
+    lo, hi = _window(window)
     atom.check_inside(spec)
     omega = atom.transition_frequency
     if modes is None:
@@ -339,9 +343,7 @@ def build_bins(spec: WaveguideSpec, atom: Atom, box: QuantizationBox,
     cell's share, and the direction label separates the traveling
     cells a far detector sees from the decaying ones.
     """
-    lo, hi = window
-    if not (0.0 < lo < hi):
-        raise DomainError("window must satisfy 0 < low < high")
+    lo, hi = _window(window)
     if count < 1:
         raise DomainError("need at least one bin")
     width = (hi - lo) / count

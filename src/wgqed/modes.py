@@ -8,7 +8,10 @@ exp(-i*axial_wavenumber*z). All frequencies are angular; units are
 such that the filling medium enters only through its relative
 permittivity and permeability.
 
-Two axial branches exist for every transverse pattern:
+Two axial branches exist for every transverse pattern, the two signs
+of eps*mu*nu^2 = h^2 +- t^2. ``axial_relation`` alone solves and
+refuses it, over frequency nodes; ``dispersion`` is its one-frequency
+view, and ``quantize.couplings`` and ``continuum_weight`` call it too:
 
 * above the cutoff frequency the mode propagates with a real axial
   wavenumber (oscillatory profile);
@@ -118,8 +121,7 @@ class ModeIndex:
             raise DomainError("TE(0,0) does not exist")
 
 
-# WaveguideSpec keeps height <= width, so TE(1,0) is a lowest pattern,
-# square guides included
+# a lowest pattern, square guides included: WaveguideSpec keeps b <= a
 TE10 = ModeIndex(Polarization.TE, 1, 0)
 
 
@@ -152,17 +154,12 @@ class ModeDispersion(NamedTuple):
 
 
 def axial_relation(spec: WaveguideSpec, modes, rows, h, frequencies):
-    """The axial relation eps*mu*nu^2 = h^2 +- t^2 over frequency nodes,
-    node i on the mode ``modes[rows[i]]`` of transverse wavenumber h[i].
-
-    Returns the frequencies, k = n*nu, the above-cutoff mask and
-    sqrt(|k^2 - h^2|): the axial wavenumber above cutoff, the
-    attenuation below it. Raises DomainError, in this order, for a
-    non-positive frequency, for an h^2 that underflows (the fields
-    divide by it) and for a frequency within CUTOFF_REL_TOL (relative)
-    of the cutoff h/n, where both branches degenerate; the last two
-    name the first such node's mode.
-    """
+    """eps*mu*nu^2 = h^2 +- t^2 at frequency nodes, node i on mode
+    ``modes[rows[i]]`` of transverse wavenumber h[i]: the frequencies,
+    k = n*nu, the above-cutoff mask and t = sqrt(|k^2 - h^2|). Refuses,
+    in this order, a non-positive frequency, an h^2 that underflows
+    (the fields divide by it) and a frequency within CUTOFF_REL_TOL
+    (relative) of the cutoff h/n, naming the first such node's mode."""
     nu = np.asarray(frequencies, dtype=float)
     if (nu <= 0.0).any():
         raise DomainError("frequency must be positive")
@@ -189,8 +186,7 @@ def axial_relation(spec: WaveguideSpec, modes, rows, h, frequencies):
 
 def dispersion(spec: WaveguideSpec, mode: ModeIndex,
                frequency: float) -> ModeDispersion:
-    """``axial_relation`` at one frequency, as a classified record;
-    raises as that does."""
+    """``axial_relation`` at one frequency, as a classified record."""
     h = transverse_wavenumber(spec, mode)
     _, k, above, t = axial_relation(spec, (mode,), (0,), np.array([h]),
                                     (frequency,))
@@ -277,7 +273,8 @@ def _stencil(spec: WaveguideSpec, mode: ModeIndex, frequency: float,
     about ``point``: rows center, +x, +y, +z, -x, -y, -z. A stencil
     within 2*step of a wall or, below cutoff, of the profile kink at
     z = 0 is refused, since it would measure the discontinuity instead
-    of the field equation."""
+    of the field equation, and so is a center where the electric field,
+    which both residuals divide by, underflows to zero."""
     disp = dispersion(spec, mode, frequency)
     p = np.asarray(point, dtype=float)
     x, y, z = p.tolist()
@@ -293,7 +290,11 @@ def _stencil(spec: WaveguideSpec, mode: ModeIndex, frequency: float,
             f"least {margin!r} from the source plane z = 0")
     offsets = step * np.eye(3)
     points = np.concatenate((p[None], p + offsets, p - offsets))
-    return disp, field_at(spec, mode, frequency, points)
+    field = field_at(spec, mode, frequency, points)
+    if not field.electric[0].any():
+        raise DomainError(f"the electric field at point {(x, y, z)!r} "
+                          "underflows to zero; no residual is measured")
+    return disp, field
 
 
 def mode_helmholtz_residual(spec: WaveguideSpec, mode: ModeIndex,
@@ -307,7 +308,8 @@ def mode_helmholtz_residual(spec: WaveguideSpec, mode: ModeIndex,
     |laplacian F + k^2 F| over the electric and magnetic components,
     divided by k^2 times the largest component magnitude at the point.
     Points whose +-2*step stencil touches a wall or, below cutoff, the
-    profile kink at z = 0 are refused rather than measured.
+    profile kink at z = 0 are refused rather than measured, and so are
+    points where the electric field underflows to zero.
     """
     disp, rows = _stencil(spec, mode, frequency, point, step)
     k_sq = disp.medium_wavenumber ** 2
@@ -327,8 +329,8 @@ def mode_divergence_residual(spec: WaveguideSpec, mode: ModeIndex,
     """Normalized electric-field divergence at a point.
 
     |div E| by central first differences, divided by k times the
-    largest electric component magnitude there. Same stencil
-    clearance rules as mode_helmholtz_residual.
+    largest electric component magnitude there. Same refusals as
+    mode_helmholtz_residual.
     """
     disp, (e, _) = _stencil(spec, mode, frequency, point, step)
     div = 0j

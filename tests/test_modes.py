@@ -499,6 +499,18 @@ class TestModeResidualWrappers:
 
     @pytest.mark.parametrize("residual", [mode_helmholtz_residual,
                                           mode_divergence_residual])
+    def test_zero_field_refused(self, residual):
+        # TE10 at half its cutoff decays as exp(-0.866 |z|): zero by
+        # z = 2000, where the residual would divide by it
+        nu = 0.5 * cutoff_frequency(GUIDE, TE10)
+        with pytest.raises(DomainError) as info:
+            residual(GUIDE, TE10, nu, (1.0, 0.5, 2000.0))
+        assert str(info.value) == (
+            "the electric field at point (1.0, 0.5, 2000.0) underflows to "
+            "zero; no residual is measured")
+
+    @pytest.mark.parametrize("residual", [mode_helmholtz_residual,
+                                          mode_divergence_residual])
     def test_one_field_call_per_probe(self, monkeypatch, residual):
         # the whole stencil comes from one evaluation over its 7 points
         calls = []
