@@ -100,6 +100,8 @@ REFUSALS = (
      {"waveguide.eps": "1e300", "models.max_mn": "1000000"}),
     ("validate_mode_scan_1e6", ["validate"],
      {"waveguide.eps": "1e300", "models.max_mn": "1000000"}),
+    ("validate_eps_1e306", ["validate"],
+     {"waveguide.eps": "1e306", "waveguide.mu": "1.0"}),
 )
 
 
