@@ -29,8 +29,9 @@ Every emitter then goes through four stages: ``solve_emitter``,
                  above the transition
     correlation  ``correlation_grid`` on a 1 x 2 x 2 grid with one
                  cell before the light front: its ``values``, its
-                 ``inside_cone`` mask as 0/1 digits, and every
-                 metadata field but the consistency figure
+                 ``inside_cone`` mask as 0/1 digits, the pole's
+                 line center, two rates and beta pair, and the other
+                 numeric metadata fields but the consistency figure
     consistency  that grid's ``consistency_max_rel``, which measures
                  the arithmetic and not the map, kept apart so that a
                  change of how it is measured moves this class alone
@@ -214,11 +215,12 @@ def run_emitter(i, spec, atom, dos, radicand, max_index, out):
         refused("correlation", exc)
         return
     meta = grid.metadata
+    pole = meta.pole
     out["correlation"].append(
         f"{i} {' '.join(map(hx, grid.values.ravel()))} "
         f"{''.join('01'[int(b)] for b in grid.inside_cone.ravel())} "
-        f"{hx(meta.shifted_frequency)} {hx(meta.decay_rate)} "
-        f"{hx(meta.spatial_rate)} {hx(meta.beta_r)} {hx(meta.beta_i)} "
+        f"{hx(pole.shifted_frequency)} {hx(pole.decay_rate)} "
+        f"{hx(pole.spatial_rate)} {hx(pole.beta_r)} {hx(pole.beta_i)} "
         f"{' '.join(map(hx, meta.source_position))} "
         f"{hx(meta.front_speed_factor)} "
         f"{hx(meta.alternative_prefactor_ratio)}")

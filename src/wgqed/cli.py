@@ -415,13 +415,13 @@ def cmd_corr(config, args) -> int:
         "slope_ratio": fit.rate_ratio,
         "cone_ratio": fit.cone_ratio,
         "spatial_over_temporal_exact":
-            abs(meta.spatial_rate) / meta.decay_rate,
+            abs(meta.pole.spatial_rate) / meta.pole.decay_rate,
         "max_log_residual": fit.max_log_residual,
-        "shifted_frequency": meta.shifted_frequency,
-        "decay_rate": meta.decay_rate,
-        "spatial_rate": meta.spatial_rate,
-        "beta_r": meta.beta_r,
-        "beta_i": meta.beta_i,
+        "shifted_frequency": meta.pole.shifted_frequency,
+        "decay_rate": meta.pole.decay_rate,
+        "spatial_rate": meta.pole.spatial_rate,
+        "beta_r": meta.pole.beta_r,
+        "beta_i": meta.pole.beta_i,
         "front_speed_factor": meta.front_speed_factor,
     }
     discrepancies = {

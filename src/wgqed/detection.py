@@ -327,13 +327,8 @@ class CorrelationMetadata(NamedTuple):
     product, so the sum bounds its own gap to first order.
     """
 
-    shifted_frequency: float
-    decay_rate: float
-    spatial_rate: float
-    beta_r: float
-    beta_i: float
+    pole: PoleResult
     dos_model: DensityModel
-    radicand_model: RadicandModel
     source_position: tuple
     front_speed_factor: float
     consistency_max_rel: float
@@ -411,13 +406,8 @@ def correlation_grid(spec: WaveguideSpec, atom: Atom,
             np.abs(np.abs(amp[live]) ** 2 - real[live]) / real[live],
             initial=0.0))
     meta = CorrelationMetadata(
-        shifted_frequency=pole_result.shifted_frequency,
-        decay_rate=pole_result.decay_rate,
-        spatial_rate=pole_result.spatial_rate,
-        beta_r=pole_result.beta_r,
-        beta_i=pole_result.beta_i,
+        pole=pole_result,
         dos_model=dos,
-        radicand_model=pole_result.model,
         source_position=tuple(float(v) for v in atom.position),
         front_speed_factor=front,
         consistency_max_rel=math.fsum(gaps),
@@ -454,6 +444,14 @@ def _refuse_fit(rate, causal, message):
     raise DomainError(message)
 
 
+def _log_fit(x, y, mask):
+    """Slope of log(y[mask]) against x[mask], and the worst residual."""
+    x, log_y = x[mask], np.log(y[mask])
+    line = np.polyfit(x, log_y, 1)
+    return (float(line[0]),
+            float(np.max(np.abs(np.polyval(line, x) - log_y))))
+
+
 def fit_decay_rates(grid: CorrelationGrid) -> RateFit:
     """Fit the two exponential rates from a sampled grid.
 
@@ -470,36 +468,24 @@ def fit_decay_rates(grid: CorrelationGrid) -> RateFit:
     # with the strongest signal so log() stays well away from zero
     x_idx = int(np.argmax(np.max(grid.values, axis=(1, 2))))
     values = grid.values[x_idx]
-    t = grid.t_values
     dz = np.abs(grid.z_values - grid.metadata.source_position[2])
-    z_idx = None
-    for j in range(len(dz)):
-        mask = grid.inside_cone[j] & (values[j] > 0.0)
-        if np.count_nonzero(mask) >= MIN_FIT_CELLS:
-            z_idx = j
-            break
-    if z_idx is None:
+    live = grid.inside_cone & (values > 0.0)
+    rows = np.flatnonzero(np.count_nonzero(live, axis=1) >= MIN_FIT_CELLS)
+    if not rows.size:
         _refuse_fit("temporal", grid.inside_cone.sum(axis=1).max(),
                     "no axial sample has enough causal cells to fit a "
                     "temporal rate; widen the time range")
-    t_mask = grid.inside_cone[z_idx] & (values[z_idx] > 0.0)
-    t_fit = np.polyfit(t[t_mask], np.log(values[z_idx][t_mask]), 1)
-    t_resid = float(np.max(np.abs(
-        np.polyval(t_fit, t[t_mask]) - np.log(values[z_idx][t_mask]))))
+    t_slope, t_resid = _log_fit(grid.t_values, values[rows[0]], live[rows[0]])
 
-    t_idx = len(t) - 1
-    z_mask = grid.inside_cone[:, t_idx] & (values[:, t_idx] > 0.0)
+    z_mask = live[:, -1]
     if np.count_nonzero(z_mask) < MIN_FIT_CELLS:
-        _refuse_fit("spatial", np.count_nonzero(grid.inside_cone[:, t_idx]),
+        _refuse_fit("spatial", np.count_nonzero(grid.inside_cone[:, -1]),
                     "not enough causal axial samples at the latest time "
                     "to fit a spatial rate; extend the time range or "
                     "shrink the axial range")
-    z_fit = np.polyfit(dz[z_mask], np.log(values[z_mask, t_idx]), 1)
-    z_resid = float(np.max(np.abs(
-        np.polyval(z_fit, dz[z_mask]) - np.log(values[z_mask, t_idx]))))
+    z_slope, z_resid = _log_fit(dz, values[:, -1], z_mask)
 
-    temporal = float(-t_fit[0])
-    spatial = float(abs(z_fit[0]))
+    temporal, spatial = -t_slope, abs(z_slope)
     ratio = spatial / temporal
     cone = temporal * grid.metadata.front_speed_factor / spatial
     return RateFit(temporal_rate=temporal, spatial_rate=spatial,

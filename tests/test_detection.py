@@ -769,8 +769,8 @@ class TestCorrelationGrid:
         grid = self.make_grid(dos=DensityModel.GROUP_VELOCITY)
         meta = grid.metadata
         assert meta.dos_model is DensityModel.GROUP_VELOCITY
-        assert meta.radicand_model is RadicandModel.SINGLE_INDEX
-        assert meta.spatial_rate == self.POLE.spatial_rate
+        assert meta.pole is self.POLE
+        assert meta.pole.model is RadicandModel.SINGLE_INDEX
         assert meta.front_speed_factor == pytest.approx(1.2)
         assert math.isfinite(meta.alternative_prefactor_ratio)
         assert meta.alternative_prefactor_ratio > 0.0
@@ -817,6 +817,21 @@ class TestCorrelationGrid:
         grid = correlation_grid(FILLED, atom, self.POLE, x, z, t)
         with pytest.raises(DomainError):
             fit_decay_rates(grid)
+
+    def test_time_fit_row_matches_loop(self):
+        # the far axial samples come first and hold too few causal
+        # cells; the fit reads the first one with enough, as this loop
+        grid = correlation_grid(FILLED, filled_atom(), self.POLE, [1.0],
+                                np.linspace(-20.0, 20.0, 41),
+                                np.linspace(10.0, 30.0, 20))
+        values = grid.values[0]
+        for j in range(len(grid.z_values)):
+            mask = grid.inside_cone[j] & (values[j] > 0.0)
+            if np.count_nonzero(mask) >= detection.MIN_FIT_CELLS:
+                break
+        assert j > 0
+        slope = np.polyfit(grid.t_values[mask], np.log(values[j][mask]), 1)
+        assert fit_decay_rates(grid).temporal_rate == -slope[0]
 
     @pytest.mark.parametrize("rate,t_values", [
         # every causal cell of every axial sample is below e^-745

@@ -27,10 +27,8 @@ RECORDS = {
         "decay_rate", "model"),
     "detection.EmitterSolution": ("decay", "shift", "params", "pole"),
     "detection.CorrelationMetadata": (
-        "shifted_frequency", "decay_rate", "spatial_rate", "beta_r",
-        "beta_i", "dos_model", "radicand_model", "source_position",
-        "front_speed_factor", "consistency_max_rel",
-        "alternative_prefactor_ratio"),
+        "pole", "dos_model", "source_position", "front_speed_factor",
+        "consistency_max_rel", "alternative_prefactor_ratio"),
     "detection.CorrelationGrid": (
         "x_values", "z_values", "t_values", "values", "inside_cone",
         "metadata"),
