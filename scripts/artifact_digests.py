@@ -102,6 +102,9 @@ REFUSALS = (
      {"waveguide.eps": "1e300", "models.max_mn": "1000000"}),
     ("validate_eps_1e306", ["validate"],
      {"waveguide.eps": "1e306", "waveguide.mu": "1.0"}),
+    *((f"{command}_eps_mu_{value}", [command],
+       {"waveguide.eps": value, "waveguide.mu": value})
+      for value in ("1e-170", "1e200") for command in COMMANDS),
 )
 
 

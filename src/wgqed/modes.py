@@ -35,6 +35,7 @@ from __future__ import annotations
 import bisect
 import functools
 import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
@@ -90,6 +91,13 @@ class WaveguideSpec:
             raise DomainError("orient the guide so that width >= height")
         if not (self.permittivity > 0.0 and self.permeability > 0.0):
             raise DomainError("material constants must be positive")
+        # every cutoff divides by sqrt(eps*mu): keep it a normal float
+        eps_mu = self.permittivity * self.permeability
+        if not sys.float_info.min <= eps_mu < math.inf:
+            raise DomainError(
+                f"permittivity {self.permittivity!r} times permeability "
+                f"{self.permeability!r} is {eps_mu!r}, outside the normal "
+                f"float range")
 
     @property
     def cross_section_area(self) -> float:

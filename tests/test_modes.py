@@ -1,6 +1,7 @@
 """Tests for the waveguide mode catalogue and field evaluation."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -64,6 +65,25 @@ class TestSpecValidation:
                   "permeability": 1.0, field: bad}
         with pytest.raises(DomainError, match="must be finite"):
             WaveguideSpec(**values)
+
+    @pytest.mark.parametrize("eps,mu,product", [
+        (1e-170, 1e-170, "0.0"), (1e-160, 1e-150, "1e-310"),
+        (1e200, 1e200, "inf")])
+    def test_material_product_must_be_normal(self, eps, mu, product):
+        # an underflowed index divided every cutoff by zero; an
+        # overflowed one put every pattern below the transition
+        with pytest.raises(DomainError) as info:
+            WaveguideSpec(width=2.0, height=1.0, permittivity=eps,
+                          permeability=mu)
+        assert str(info.value) == (
+            f"permittivity {eps!r} times permeability {mu!r} is "
+            f"{product}, outside the normal float range")
+
+    def test_material_product_range_edges_allowed(self):
+        for eps, mu in ((sys.float_info.min, 1.0), (1e154, 1e154)):
+            spec = WaveguideSpec(width=2.0, height=1.0, permittivity=eps,
+                                 permeability=mu)
+            assert spec.refractive_index > 0.0
 
     def test_square_guide_allowed(self):
         spec = WaveguideSpec(width=2.0, height=2.0)
