@@ -865,6 +865,17 @@ class TestValidateCommand:
         run_checks(load_config(str(DEMO)))
         assert len(calls) == 200
 
+    def test_refused_pole_draw_fails_both_pole_rows(self):
+        # a legal guide whose sample poles overflow: the battery still
+        # writes its table, and the two rows that read the poles fail
+        rows = {r.name: r for r in run_checks(parse_config(config_text(
+            **{"waveguide.eps": "1e306", "waveguide.mu": "1.0"})))}
+        assert len(rows) == 10
+        for name in ("pole_identity", "pole_principal_root"):
+            assert not rows[name].passed
+            assert rows[name].detail.endswith(
+                "overflow the pole arithmetic")
+
     @pytest.mark.parametrize("mu", ["1.44", "1e-300"])
     def test_rows_hold_plain_types(self, mu):
         text = DEMO.read_text(encoding="utf-8").replace(
