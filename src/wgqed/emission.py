@@ -389,23 +389,26 @@ def amplitudes_ode_oracle(times, cells: ContinuumCells,
     integrating. In the frame rotating at omega the Hamiltonian is
     constant, [[0, g], [conj(g), diag(nu_j - omega)]], and the phases
     of g are a gauge: the real arrowhead with |g_j| in their place has
-    the same spectrum. One real ``eigh``, H_r = V diag(lam) V^T, gives
-    psi(t) = V (exp(-i lam t) * V[0, :]), then c_a = psi_0 and
-    c_j = exp(-i arg g_j) exp(i (nu_j - omega) t) psi_j. Returns
-    (c_a over times, cell amplitudes with shape (number of cells,
-    len(times))).
+    the same spectrum. Cells of one frequency nu couple only through
+    their bright sum, of coupling G = sqrt(sum |g_j|^2), so one real
+    ``eigh`` over the distinct frequencies, H_r = V diag(lam) V^T,
+    gives psi(t) = V (exp(-i lam t) * V[0, :]), then c_a = psi_0 and
+    c_j = (conj(g_j)/G) exp(i (nu_j - omega) t) psi_nu, zero if G = 0.
+    Returns c_a over times and the (cells, times) amplitude array.
     """
     times = np.asarray(times, dtype=float)
     if times[0] != 0.0:
         raise DomainError("time grid must start at zero")
     g = cells.discrete_coupling
-    detune = cells.frequency - transition_frequency
+    nu, group = np.unique(cells.frequency, return_inverse=True)
+    bright = np.sqrt(np.bincount(group, np.abs(g) ** 2, len(nu)))
+    detune = nu - transition_frequency
     h_r = np.diag(np.concatenate(([0.0], detune)))
-    h_r[0, 1:] = h_r[1:, 0] = np.abs(g)
+    h_r[0, 1:] = h_r[1:, 0] = bright
     lam, v = np.linalg.eigh(h_r)
     psi = v @ (np.exp(-1j * np.outer(lam, times)) * v[0][:, None])
-    gauge = np.exp(-1j * np.angle(g))[:, None]
-    c_b = gauge * np.exp(1j * np.outer(detune, times)) * psi[1:]
+    share = (np.conj(g) / np.where(bright > 0.0, bright, 1.0)[group])[:, None]
+    c_b = share * np.exp(1j * np.outer(detune[group], times)) * psi[1:][group]
     return psi[0], c_b
 
 

@@ -241,8 +241,7 @@ def run_checks(config) -> tuple:
     the results in a fixed order."""
     # overflow and underflow show in the rows, not as warnings
     with np.errstate(all="ignore"):
-        # drawn by the first pole row that runs, so a refused draw
-        # fails both pole rows and not the run
+        # drawn in the first pole row, so a refused draw fails the rows
         poles = functools.cache(functools.partial(_pole_samples, config))
         results = tuple(_run(*check) for check in (
             ("helmholtz_residual", 1e-5, _check_residual,

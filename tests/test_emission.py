@@ -12,11 +12,17 @@ shift integrals).
 import cmath
 import dataclasses
 import math
+import resource
+import subprocess
+import sys
+import time
 from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.integrate import quad, solve_ivp
+
+import dense_oracle
 
 from wgqed.config import load_config
 from wgqed.errors import DomainError, DominanceError, PurelyEvanescentError
@@ -47,6 +53,7 @@ from wgqed.quantize import (
     couplings,
 )
 
+DEMO = Path(__file__).resolve().parent.parent / "configs" / "demo.conf"
 GUIDE = WaveguideSpec(width=math.pi, height=math.pi / 2.0)
 BOX = QuantizationBox(length=1.0)
 TE10 = ModeIndex(Polarization.TE, 1, 0)
@@ -363,8 +370,7 @@ def _oracle_case(case):
                            modes=[TE10])
         assert np.all(cells.direction == 0)
         return cells, np.linspace(0.0, 10.0 / omega, 21), omega
-    config = load_config(str(Path(__file__).resolve().parent.parent
-                             / "configs" / "demo.conf"))
+    config = load_config(str(DEMO))
     spec, atom, box = config.waveguide_spec(), config.atom(), config.box()
     omega = atom.transition_frequency
     rate = decay_rate(spec, atom, box, config.dos,
@@ -498,6 +504,89 @@ class TestDiscretizedContinuum:
                                   transition_frequency=1.5)
         with pytest.raises(DomainError):
             photon_bin_amplitudes(1.0, (), params)
+
+
+class TestDeflatedOracle:
+    """One bright cell per frequency against the dense arrowhead over
+    every cell, kept in ``dense_oracle``."""
+
+    @staticmethod
+    def assert_matches_dense(times, cells, omega):
+        c_a, c_b = amplitudes_ode_oracle(times, cells, omega)
+        ref_a, ref_b = dense_oracle.amplitudes_ode_oracle(times, cells,
+                                                          omega)
+        assert c_b.shape == ref_b.shape
+        assert np.max(np.abs(c_a - ref_a)) <= 1e-13
+        assert np.max(np.abs(c_b - ref_b)) <= 1e-13
+        return c_b
+
+    def test_degenerate_multimode_cells(self):
+        # eight traveling patterns, TE/TM pairs among them, and a
+        # degenerate decaying pair share every center: groups of 18
+        omega = 3.3
+        atom = Atom(position=(0.7, 0.5, 0.0),
+                    dipole=(0.02, complex(0.03, 0.01), 0.015),
+                    transition_frequency=omega)
+        modes = [m for _, m in modes_below(GUIDE, 3.1)]
+        modes += [ModeIndex(Polarization.TE, 3, 1),
+                  ModeIndex(Polarization.TM, 3, 1)]
+        cells = build_bins(GUIDE, atom, BOX, DensityModel.PHASE_VELOCITY,
+                           window=(3.1, 3.5), count=40, modes=modes)
+        assert len(modes) == 10 and len(cells.frequency) == 720
+        assert len(np.unique(cells.frequency)) == 40
+        self.assert_matches_dense(np.linspace(0.0, 300.0, 13), cells,
+                                  omega)
+
+    def test_zero_coupling_group(self, recwarn):
+        # the group at 1.50 couples not at all, the one at 1.52 only
+        # through one of its cells; the cells come unsorted
+        cells = ContinuumCells(
+            modes=(TE10,), row=np.zeros(7, dtype=int),
+            direction=np.ones(7, dtype=int),
+            frequency=np.array([1.52, 1.50, 1.49, 1.50, 1.51, 1.52,
+                                1.48]),
+            coupling=np.array([0.015, 0.0, 0.01 + 0.002j, 0.0, -0.02j,
+                               0.0, 0.004]),
+            weight=np.ones(7), width=1.0)
+        c_b = self.assert_matches_dense(np.linspace(0.0, 400.0, 21),
+                                        cells, 1.505)
+        assert not np.any(c_b[[1, 3, 5]])
+        assert len(recwarn) == 0
+
+    def test_validate_on_a_many_mode_guide(self, tmp_path, child_env):
+        # 237 traveling patterns and 75,840 cells: the dense arrowhead
+        # asked for 42.9 GiB. The small dipole keeps omega - 25*rate
+        # above zero, so the window reaches the oracle
+        conf = tmp_path / "many.conf"
+        kept = [line for line in DEMO.read_text(encoding="utf-8")
+                .splitlines() if not line.startswith(
+                    ("waveguide.eps", "models.max_mn", "atom.dipole_y_re"))]
+        conf.write_text("\n".join(kept + [
+            "waveguide.eps = 100", "models.max_mn = 40",
+            "atom.dipole_y_re = 0.01"]) + "\n", encoding="utf-8")
+        out = tmp_path / "validate.csv"
+        script = (
+            "import sys\n"
+            "from wgqed.cli import main\n"
+            "main(['validate', '--config', sys.argv[1], '--out', "
+            "sys.argv[2]])\n"
+            "assert 'numpy.ma' not in sys.modules\n")
+
+        def limit_memory():
+            resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+        start = time.perf_counter()
+        proc = subprocess.run(
+            [sys.executable, "-c", script, str(conf), str(out)],
+            capture_output=True, text=True, env=child_env,
+            preexec_fn=limit_memory, timeout=60)
+        elapsed = time.perf_counter() - start
+        assert proc.returncode == 0, proc.stderr
+        rows = {line.split(",")[0]: line.split(",")[1] for line in
+                out.read_text(encoding="utf-8").splitlines()
+                if not line.startswith("#")}
+        assert rows["markov_oracle"] == "true"
+        assert elapsed < 10.0
 
 
 class TestPhotonState:
