@@ -130,14 +130,17 @@ class RunConfig:
         hi = self.t_max
         if hi is None:
             hi = lo + 4.0 / decay_rate
+        self._check_t_range(lo, hi)
+        return np.linspace(lo, hi, self.t_count)
+
+    def _check_t_range(self, lo, hi):
+        # a bound left unset is named as the automatic one
         if not hi > lo:
-            start = "grid.t_min" if self.t_min is not None \
-                else "the automatic grid.t_min"
-            end = "grid.t_max" if self.t_max is not None \
-                else "the automatic grid.t_max"
+            start, end = (("the automatic " if v is None else "") + key
+                          for v, key in ((self.t_min, "grid.t_min"),
+                                         (self.t_max, "grid.t_max")))
             raise ConfigError(
                 f"corr needs {end} above {start}; got {lo!r} and {hi!r}")
-        return np.linspace(lo, hi, self.t_count)
 
     def shift_window(self, decay_rate: float) -> tuple:
         """Frequency window for the level shift integral.
@@ -173,11 +176,8 @@ class RunConfig:
                 f"distances |z - atom.z0| and grid.t_count of at least "
                 f"{MIN_FIT_CELLS} to fit its two rates; got {distinct} and "
                 f"{self.t_count}")
-        if (self.t_min is not None and self.t_max is not None
-                and not self.t_max > self.t_min):
-            raise ConfigError(
-                f"corr needs grid.t_max above grid.t_min; got "
-                f"{self.t_min!r} and {self.t_max!r}")
+        if self.t_min is not None and self.t_max is not None:
+            self._check_t_range(self.t_min, self.t_max)
         outside = [x for x in (self.x_min, self.x_max)
                    if x is not None and not 0.0 <= x <= self.waveguide_a]
         if outside:

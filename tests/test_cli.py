@@ -216,6 +216,19 @@ class TestAccessors:
             f"corr needs grid.t_max above the automatic grid.t_min; "
             f"got {start!r} and 1.0")
 
+    def test_reversed_explicit_bounds_refused_alike(self):
+        # correlation refuses them before the chain runs, in the text
+        # t_values builds
+        cfg = parse_config(config_text(
+            **{"grid.t_min": "5.0", "grid.t_max": "3.0"}))
+        texts = []
+        for call in (lambda: cfg.t_values(0.02), cfg.correlation):
+            with pytest.raises(ConfigError) as info:
+                call()
+            texts.append(str(info.value))
+        assert texts == 2 * [
+            "corr needs grid.t_max above grid.t_min; got 5.0 and 3.0"]
+
     def test_auto_window_hugs_line_when_rate_known(self):
         cfg = parse_config(config_text())
         lo, hi = cfg.shift_window(0.02)
