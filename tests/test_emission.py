@@ -143,6 +143,45 @@ class TestDecayRate:
         assert all(c.rate >= 0.0 for c in res.channels)
 
 
+class TestBulkLimit:
+    """A guide many wavelengths wide emits like the bulk medium, up to
+    each density model's constant: Gamma / Gamma_bulk with
+    Gamma_bulk = omega^3 |d|^2 n mu / (3 pi), hbar = eps0 = c = 1.
+
+    ``paper`` counts axial states with the bulk index, which weighs
+    each plane wave by |cos theta| to the axis: 2 <|cos theta|> over
+    the dipole pattern is 9/8 for a transverse dipole and 3/4 for an
+    axial one. ``dispersion`` is isotropic and reads 2. The average
+    over 21 frequencies smooths the cutoff peaks of ``dispersion``,
+    whose single frequencies scatter by several percent."""
+
+    SPEC = WaveguideSpec(width=math.pi * 24.0,
+                         height=math.pi / 2.0 * 24.0 * 1.13,
+                         permittivity=1.0, permeability=1.44)
+
+    @pytest.mark.parametrize("model,axis,limit,rel", [
+        (DensityModel.PHASE_VELOCITY, 0, 9.0 / 8.0, 1e-2),
+        (DensityModel.PHASE_VELOCITY, 1, 9.0 / 8.0, 1e-2),
+        (DensityModel.PHASE_VELOCITY, 2, 3.0 / 4.0, 1e-2),
+        (DensityModel.GROUP_VELOCITY, 0, 2.0, 5e-2),
+        (DensityModel.GROUP_VELOCITY, 1, 2.0, 5e-2),
+        (DensityModel.GROUP_VELOCITY, 2, 2.0, 5e-2)])
+    def test_rate_over_bulk_rate(self, model, axis, limit, rel):
+        spec = self.SPEC
+        dip = 0.01
+        ratios = []
+        for omega in np.linspace(1.45, 1.55, 21):
+            atom = Atom(position=(0.37 * spec.width, 0.41 * spec.height,
+                                  0.0),
+                        dipole=tuple(dip * np.eye(3)[axis]),
+                        transition_frequency=float(omega))
+            rate = decay_rate(spec, atom, BOX, model, max_index=400).total
+            bulk = (omega ** 3 * dip ** 2 * spec.refractive_index
+                    * spec.permeability / (3.0 * math.pi))
+            ratios.append(rate / bulk)
+        assert np.mean(ratios) == pytest.approx(limit, rel=rel)
+
+
 def trapezoid_pv_oracle(f, omega, lo, hi, n=60001):
     """PV integral of f(nu)/(omega - nu) by singularity subtraction on
     a uniform grid plus the analytic log of the subtracted pole. ``f``
