@@ -105,6 +105,19 @@ REFUSALS = (
     *((f"{command}_eps_mu_{value}", [command],
        {"waveguide.eps": value, "waveguide.mu": value})
       for value in ("1e-170", "1e200") for command in COMMANDS),
+    ("decay_nu_min_above_auto_window", ["decay"], {"window.nu_min": "100.0"}),
+    ("decay_nu_max_below_auto_window", ["decay"], {"window.nu_max": "0.5"}),
+    *((f"{command}_window_reversed", [command],
+       {"window.nu_min": "2.0", "window.nu_max": "1.0"})
+      for command in ("decay", "modes")),
+    ("corr_t_count_0", ["corr"], {"grid.t_count": "0"}),
+    ("decay_format_xml", ["decay"], {"output.format": "xml"}),
+    ("decay_max_mn_not_integer", ["decay"], {"models.max_mn": "eight"}),
+    ("decay_omega_empty", ["decay"], {"atom.omega": ""}),
+    # only TE10 travels at the demo frequency, and it has no x field
+    *((f"{command}_x_dipole_on_axis", [command],
+       {"atom.dipole_y_re": "0.0", "atom.dipole_x_re": "0.124"})
+      for command in ("corr", "omegad")),
 )
 
 
