@@ -1,7 +1,9 @@
 """The library as README documents it.
 
-README's library example runs in a fresh process exactly as printed,
-so its imports name modules that still define those objects.
+Each public object has one import path, its defining module: the
+package namespace holds only ``__version__``, so ``import wgqed``
+loads neither a submodule nor numpy. README's library example runs in
+a fresh process exactly as printed, so its imports stay honest.
 """
 
 import math
@@ -30,3 +32,13 @@ def test_readme_library_example_runs(child_env):
                                 re.sub(r"[(),]", " ", out).split())
     assert all(map(math.isfinite, (rate, low, high, spatial)))
     assert rate > 0.0 and low < 1.45 < high and spatial != 0.0
+
+
+def test_import_wgqed_loads_nothing(child_env):
+    out = run_python(
+        "import sys, wgqed\n"
+        "print(sorted(m for m in sys.modules\n"
+        "             if m.startswith('wgqed.') or m.split('.')[0] == 'numpy'))\n"
+        "print(sorted(n for n in vars(wgqed) if not n.startswith('_')))\n"
+        "print(wgqed.__version__)\n", child_env)
+    assert out.split("\n") == ["[]", "[]", "0.1.0", ""]
