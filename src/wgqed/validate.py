@@ -5,7 +5,7 @@ geometry and reports a measured number against a fixed tolerance.
 Checks that cannot run on the given configuration (an emitter below
 every cutoff has no correlation map, for instance) fail with a
 diagnostic rather than crashing or silently passing, and a
-measurement that overflows fails with a detail that says so.
+measurement that overflows or underflows fails with a detail that says so.
 """
 
 from __future__ import annotations
@@ -107,6 +107,9 @@ def _check_energy(name, tolerance, config):
         freq = 1.7 * cutoff_frequency(spec, mode)
         amp = normalize(spec, mode, freq, box)
         energy = _energy_by_quadrature(spec, mode, freq, box, amp)
+        if not energy:
+            return _result(name, math.inf, tolerance,
+                           "the field energy underflows to zero", ok=False)
         worst = max(worst, abs(energy - HBAR * freq) / (HBAR * freq))
     return _result(name, worst, tolerance)
 

@@ -771,6 +771,19 @@ class TestValidateCommand:
         assert row[1:3] == ["false", "inf"]
         assert row[4] == "the measurement is not finite (inf)"
 
+    def test_underflowing_field_energy_fails_normalization(self, tmp_path):
+        # TE(1,0) is probed at 1.7e-153, where its field energy sums to
+        # 0.0: the row fails on that, not as a 100% error
+        conf = write_config(tmp_path, **{"waveguide.eps": "1e306",
+                                         "waveguide.mu": "1.0"})
+        out = str(tmp_path / "val.csv")
+        assert main(["validate", "--config", conf, "--out", out,
+                     "--reproducible"]) == EXIT_VALIDATION
+        _, _, rows = read_table(out)
+        row = next(r for r in rows if r[0] == "energy_normalization")
+        assert row[1:3] == ["false", "inf"]
+        assert row[4] == "the field energy underflows to zero"
+
     def test_overflowing_amplitude_fails_markov_oracle(self, tmp_path):
         # the oracle's bins below cutoff refuse the overflowing
         # one-quantum amplitude, and the refusal is the row's detail;
