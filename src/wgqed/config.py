@@ -133,14 +133,22 @@ class RunConfig:
         self._check_t_range(lo, hi)
         return np.linspace(lo, hi, self.t_count)
 
-    def _check_t_range(self, lo, hi):
+    def _bound_names(self, *keys):
         # a bound left unset is named as the automatic one
+        return (("the automatic " if getattr(self, SCHEMA[key].name) is None
+                 else "") + key for key in keys)
+
+    def _check_t_range(self, lo, hi):
         if not hi > lo:
-            start, end = (("the automatic " if v is None else "") + key
-                          for v, key in ((self.t_min, "grid.t_min"),
-                                         (self.t_max, "grid.t_max")))
+            start, end = self._bound_names("grid.t_min", "grid.t_max")
             raise ConfigError(
                 f"corr needs {end} above {start}; got {lo!r} and {hi!r}")
+
+    def _check_window(self, lo, hi):
+        if not 0.0 < lo < hi:
+            low, high = self._bound_names("window.nu_min", "window.nu_max")
+            raise ConfigError(f"the shift window needs 0 < {low} < {high}; "
+                              f"got {lo!r} and {hi!r}")
 
     def shift_window(self, decay_rate: float) -> tuple:
         """Frequency window for the level shift integral.
@@ -154,10 +162,7 @@ class RunConfig:
             max_index=self.max_mn)
         lo = self.nu_min if self.nu_min is not None else auto_lo
         hi = self.nu_max if self.nu_max is not None else auto_hi
-        if not 0.0 < lo < hi:
-            raise ConfigError(
-                "auto shift window collapsed; set window.nu_min and "
-                "window.nu_max explicitly")
+        self._check_window(lo, hi)
         return (lo, hi)
 
     def correlation(self):
@@ -328,9 +333,8 @@ def _validate(config: RunConfig):
             f"exceeds the limit of {MAX_GRID_POINTS} grid points")
     if not 3 <= config.digits <= 17:
         raise ConfigError("output.digits must lie in [3, 17]")
-    if config.nu_min is not None and config.nu_max is not None \
-            and not 0.0 < config.nu_min < config.nu_max:
-        raise ConfigError("window must satisfy 0 < nu_min < nu_max")
+    if config.nu_min is not None and config.nu_max is not None:
+        config._check_window(config.nu_min, config.nu_max)
     try:
         spec = config.waveguide_spec()
         config.atom().check_inside(spec)
