@@ -45,7 +45,6 @@ from .quantize import Atom, DensityModel, QuantizationBox
 from .modes import TE10, WaveguideSpec, transverse_wavenumber
 from .emission import (
     DecayResult,
-    MarkovParameters,
     ShiftResult,
     auto_shift_window,
     decay_rate,
@@ -159,12 +158,11 @@ def pole(spec: WaveguideSpec, shifted_frequency: float,
 
 class EmitterSolution(NamedTuple):
     """One emitter through the weak-coupling chain: golden-rule decay,
-    windowed level shift (the window rides on ``shift``), the Markov
-    parameters they make, and the emission pole."""
+    windowed level shift (the window rides on ``shift``) and the
+    emission pole at the shifted line center."""
 
     decay: DecayResult
     shift: ShiftResult
-    params: MarkovParameters
     pole: PoleResult
 
 
@@ -188,12 +186,9 @@ def solve_emitter(spec: WaveguideSpec, atom: Atom, box: QuantizationBox,
         bounds = window(total)
     shift = level_shift(spec, atom, box, dos, window=bounds,
                         max_index=max_index)
-    params = MarkovParameters(
-        decay_total=decay.total, level_shift=shift.value,
-        transition_frequency=atom.transition_frequency)
-    return EmitterSolution(
-        decay=decay, shift=shift, params=params,
-        pole=pole(spec, params.shifted_frequency, decay.total, radicand))
+    return EmitterSolution(decay=decay, shift=shift, pole=pole(
+        spec, atom.transition_frequency - shift.value, decay.total,
+        radicand))
 
 
 def _pole_weight(spec: WaveguideSpec, dos: DensityModel,

@@ -195,7 +195,7 @@ class TestSolveEmitter:
         sol = solve_emitter(FILLED, atom, self.BOX, dos)
         assert sol.shift.window == bare
         assert sol.decay == dec
-        assert sol.params == params
+        assert sol.shift == shift
         assert sol.pole == res
 
     def test_window_callable_gets_the_decay_rate(self):

@@ -25,7 +25,7 @@ RECORDS = {
     "detection.PoleResult": (
         "beta_r", "beta_i", "radicand", "shifted_frequency",
         "decay_rate", "model"),
-    "detection.EmitterSolution": ("decay", "shift", "params", "pole"),
+    "detection.EmitterSolution": ("decay", "shift", "pole"),
     "detection.CorrelationMetadata": (
         "pole", "dos_model", "source_position", "front_speed_factor",
         "consistency_max_rel", "alternative_prefactor_ratio"),
