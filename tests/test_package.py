@@ -38,7 +38,7 @@ def test_import_wgqed_loads_nothing(child_env):
     out = run_python(
         "import sys, wgqed\n"
         "print(sorted(m for m in sys.modules\n"
-        "             if m.startswith('wgqed.') or m.split('.')[0] == 'numpy'))\n"
+        "             if m.startswith(('wgqed.', 'numpy'))))\n"
         "print(sorted(n for n in vars(wgqed) if not n.startswith('_')))\n"
         "print(wgqed.__version__)\n", child_env)
     assert out.split("\n") == ["[]", "[]", "0.1.0", ""]
