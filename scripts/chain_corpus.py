@@ -62,7 +62,7 @@ from pathlib import Path
 from wgqed.detection import RadicandModel, correlation_grid, solve_emitter
 from wgqed.emission import build_bins, level_shift
 from wgqed.errors import WgError
-from wgqed.modes import WaveguideSpec, leading_modes, mode_table
+from wgqed.modes import POLARIZATIONS, ModeIndex, WaveguideSpec, mode_table
 from wgqed.quantize import Atom, DensityModel, QuantizationBox
 
 SEED = 26
@@ -93,8 +93,9 @@ def label(mode) -> str:
 
 
 # (cutoff, mode) of each guide's low patterns, in ``mode_table`` order
-PATTERNS = {spec: list(leading_modes(spec, 4, 4,
-                                     len(mode_table(spec, 4, 4)[-1])))
+PATTERNS = {spec: [(nu_c, ModeIndex(POLARIZATIONS[code], m, n))
+                   for code, m, n, _, nu_c
+                   in zip(*(col.tolist() for col in mode_table(spec, 4, 4)))]
             for spec in GUIDES}
 
 

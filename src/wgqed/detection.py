@@ -313,7 +313,7 @@ def correlation_amplitude(spec: WaveguideSpec, atom: Atom,
 
 
 class CorrelationMetadata(NamedTuple):
-    """Pole, models and discrepancies behind a ``CorrelationGrid``.
+    """Pole and discrepancies behind a ``CorrelationGrid``.
 
     ``consistency_max_rel`` checks the real map against the squared
     complex residue amplitude, factor by factor on the axes: the sum,
@@ -323,7 +323,6 @@ class CorrelationMetadata(NamedTuple):
     """
 
     pole: PoleResult
-    dos_model: DensityModel
     source_position: tuple
     front_speed_factor: float
     consistency_max_rel: float
@@ -335,7 +334,7 @@ class CorrelationGrid(NamedTuple):
 
     ``values`` has shape (len(x), len(z), len(t)) and holds the
     squared detection amplitude; ``inside_cone`` marks the causal
-    (z, t) cells. Metadata records the pole, the models used and the
+    (z, t) cells. Metadata records the pole, with its model, and the
     discrepancies.
     """
 
@@ -402,7 +401,6 @@ def correlation_grid(spec: WaveguideSpec, atom: Atom,
             initial=0.0))
     meta = CorrelationMetadata(
         pole=pole_result,
-        dos_model=dos,
         source_position=tuple(float(v) for v in atom.position),
         front_speed_factor=front,
         consistency_max_rel=math.fsum(gaps),
@@ -623,11 +621,9 @@ class OmegaDReport(NamedTuple):
     """Where the axial decay rate equals front speed times the
     temporal one."""
 
-    model: RadicandModel
     closed_form: float
     root_found: float
     discrepancy: float
-    ratio_target: float
 
 
 def omega_d(spec: WaveguideSpec, decay_rate: float,
@@ -667,10 +663,8 @@ def omega_d(spec: WaveguideSpec, decay_rate: float,
             if root == math.inf:
                 raise DomainError("the crossing line center overflows")
             closed = closed_form_crossing(spec, decay_rate)
-            return OmegaDReport(model=model, closed_form=closed,
-                                root_found=root,
-                                discrepancy=abs(closed - root) / root,
-                                ratio_target=n)
+            return OmegaDReport(closed_form=closed, root_found=root,
+                                discrepancy=abs(closed - root) / root)
         reason = (f"the 'paper' continuation crosses only where "
                   f"h^2/(n - 1) > n*rate^2/4, and here {lead!r} <= "
                   f"{rate_term!r}")

@@ -92,7 +92,6 @@ class ChannelRate(NamedTuple):
 class DecayResult(NamedTuple):
     total: float
     channels: tuple
-    model: DensityModel
     oscillatory: bool
 
     def traveling_total(self) -> float:
@@ -136,7 +135,7 @@ def decay_rate(spec: WaveguideSpec, atom: Atom, box: QuantizationBox,
     if not total * total < math.inf:
         raise DomainError("the decay rate or its square overflows the "
                           "float range; reduce the dipole moment")
-    return DecayResult(total=total, channels=channels, model=model,
+    return DecayResult(total=total, channels=channels,
                        oscillatory=not channels)
 
 

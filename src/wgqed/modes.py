@@ -150,11 +150,7 @@ def cutoff_frequency(spec: WaveguideSpec, mode: ModeIndex) -> float:
 class ModeDispersion(NamedTuple):
     """Axial behaviour of one mode at one angular frequency."""
 
-    spec: WaveguideSpec
-    mode: ModeIndex
-    frequency: float
     transverse_wavenumber: float
-    cutoff_frequency: float
     medium_wavenumber: float
     branch: Branch
     axial_wavenumber: float | None  # real, propagating branch only
@@ -199,8 +195,8 @@ def dispersion(spec: WaveguideSpec, mode: ModeIndex,
     _, k, above, t = axial_relation(spec, (mode,), (0,), np.array([h]),
                                     (frequency,))
     above, k, t = bool(above[0]), float(k[0]), float(t[0])
-    return ModeDispersion(spec, mode, frequency, h, h / spec.refractive_index,
-                          k, Branch.PROPAGATING if above else Branch.LOCALIZED,
+    return ModeDispersion(h, k,
+                          Branch.PROPAGATING if above else Branch.LOCALIZED,
                           t if above else None, None if above else t)
 
 
@@ -382,14 +378,6 @@ def mode_table(spec: WaveguideSpec, m_top: int, n_top: int) -> tuple:
     return table
 
 
-@functools.lru_cache(maxsize=256)
-def leading_modes(spec: WaveguideSpec, m_top: int, n_top: int, count: int):
-    """(cutoff, mode) of the first ``count`` rows of ``mode_table``."""
-    columns = (col[:count].tolist() for col in mode_table(spec, m_top, n_top))
-    return tuple((nu_c, ModeIndex(POLARIZATIONS[code], m, n))
-                 for code, m, n, _, nu_c in zip(*columns))
-
-
 def modes_below(spec: WaveguideSpec, frequency_limit: float,
                 max_index: int = 12):
     """Every mode with cutoff below ``frequency_limit``, as a new list
@@ -403,7 +391,7 @@ def modes_below(spec: WaveguideSpec, frequency_limit: float,
     n*pi/height, must stay below frequency_limit * refractive_index. A
     limit that is not positive and finite, or a scan past
     MAX_TABLE_ROWS, raises DomainError. Repeated calls bisect the
-    cached table and reuse cached pairs.
+    cached table.
     """
     if not math.isfinite(frequency_limit):
         raise DomainError("frequency limit must be finite")
@@ -421,15 +409,17 @@ def modes_below(spec: WaveguideSpec, frequency_limit: float,
             "max_index or the frequency")
     table = mode_table(spec, m_top, n_top)
     count = bisect.bisect_left(table[-1], frequency_limit)
+    codes, ms, ns, _, cutoffs = (column[:count].tolist() for column in table)
     # only a top count at the bound can put a listed mode on it; the
     # first in scan order is the least (m, n, code)
     if max_index in (m_top, n_top):
-        rows = zip(*(column[:count].tolist() for column in table[:3]))
-        bound = [(m, n, code) for code, m, n in rows if max_index in (m, n)]
+        bound = [(m, n, code) for code, m, n in zip(codes, ms, ns)
+                 if max_index in (m, n)]
         if bound:
             m, n, code = min(bound)
             raise DomainError(
                 f"mode {POLARIZATIONS[code].value}({m},{n}) at the index "
                 f"bound {max_index} still lies below the frequency "
                 "limit; increase max_index")
-    return list(leading_modes(spec, m_top, n_top, count))
+    return [(nu_c, ModeIndex(POLARIZATIONS[code], m, n))
+            for code, m, n, nu_c in zip(codes, ms, ns, cutoffs)]

@@ -49,11 +49,9 @@ def dispersion(spec: WaveguideSpec, mode: ModeIndex,
             f"{nu_c!r} of {mode.polarization.value}({mode.m},{mode.n})")
     if frequency > nu_c:
         beta = math.sqrt(k * k - h * h)
-        return ModeDispersion(spec, mode, frequency, h, nu_c, k,
-                              Branch.PROPAGATING, beta, None)
+        return ModeDispersion(h, k, Branch.PROPAGATING, beta, None)
     gamma = math.sqrt(h * h - k * k)
-    return ModeDispersion(spec, mode, frequency, h, nu_c, k,
-                          Branch.LOCALIZED, None, gamma)
+    return ModeDispersion(h, k, Branch.LOCALIZED, None, gamma)
 
 
 def _axial(chans: Channels, rows, frequencies, h):

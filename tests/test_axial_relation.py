@@ -148,10 +148,12 @@ def test_axial_relation_matches_the_array_copy(seed, scale):
     clear = np.array([not isinstance(one, str) for one in scalar])
     new, old = both(clear)
     assert new == old
-    for one, nu, k, above, t in zip(
-            (one for one in scalar if not isinstance(one, str)), *new):
+    for one, freq, nu, k, above, t in zip(
+            (one for one in scalar if not isinstance(one, str)),
+            nus[clear].tolist(), *new):
         # frequency, k and the axial wavenumber or attenuation
-        assert [nu, k, t] == [one[2], one[5], one[7] if above else one[8]]
+        assert [nu, k, t] == [float.hex(freq), one[1],
+                              one[3] if above else one[4]]
 
 
 def demo_channels():

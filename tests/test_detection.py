@@ -290,7 +290,6 @@ class TestOmegaD:
         assert report.root_found == pytest.approx(
             self.exact_crossing(FILLED, 0.1), rel=1e-9)
         assert report.root_found == pytest.approx(2.2353971, rel=1e-7)
-        assert report.ratio_target == pytest.approx(1.2)
         at_root = pole(FILLED, report.root_found, 0.1,
                        RadicandModel.SINGLE_INDEX)
         assert abs(at_root.spatial_rate) / 0.1 == pytest.approx(
@@ -768,7 +767,6 @@ class TestCorrelationGrid:
     def test_metadata_records_models(self):
         grid = self.make_grid(dos=DensityModel.GROUP_VELOCITY)
         meta = grid.metadata
-        assert meta.dos_model is DensityModel.GROUP_VELOCITY
         assert meta.pole is self.POLE
         assert meta.pole.model is RadicandModel.SINGLE_INDEX
         assert meta.front_speed_factor == pytest.approx(1.2)

@@ -121,7 +121,6 @@ class TestDecayRate:
         res = decay_rate(GUIDE, make_atom(1.5, 0.25), BOX,
                          DensityModel.PHASE_VELOCITY)
         assert not res.oscillatory
-        assert res.model is DensityModel.PHASE_VELOCITY
 
     def test_box_length_invariance(self):
         for model in DensityModel:

@@ -17,7 +17,6 @@ from wgqed.modes import (
     cutoff_frequency,
     dispersion,
     field_at,
-    leading_modes,
     mode_divergence_residual,
     mode_helmholtz_residual,
     mode_table,
@@ -105,7 +104,7 @@ class TestDispersion:
     def test_te10_above_cutoff(self):
         d = dispersion(GUIDE, TE10, 2.0)
         assert d.transverse_wavenumber == pytest.approx(1.0)
-        assert d.cutoff_frequency == pytest.approx(1.0)
+        assert cutoff_frequency(GUIDE, TE10) == pytest.approx(1.0)
         assert d.medium_wavenumber == pytest.approx(2.0)
         assert d.branch is Branch.PROPAGATING
         assert d.axial_wavenumber == pytest.approx(math.sqrt(3.0))
@@ -482,14 +481,14 @@ class TestModeTable:
             with pytest.raises(ValueError):
                 column[0] = column[-1]
 
-    def test_leading_modes_are_the_table_rows(self):
+    def test_modes_below_lists_the_table_rows(self):
         codes, m, n, _, cutoff = mode_table(FILLED_GUIDE, 5, 5)
-        pairs = leading_modes(FILLED_GUIDE, 5, 5, 9)
-        assert leading_modes(FILLED_GUIDE, 5, 5, 9) is pairs
-        assert pairs == tuple(
+        # the tenth cutoff is the first one not below the limit
+        pairs = modes_below(FILLED_GUIDE, float(cutoff[9]))
+        assert pairs == [
             (c, ModeIndex(POLARIZATIONS[code], m_, n_)) for c, code, m_, n_
             in zip(cutoff[:9].tolist(), codes[:9].tolist(), m[:9].tolist(),
-                   n[:9].tolist()))
+                   n[:9].tolist())]
 
 
 class TestModeResidualWrappers:

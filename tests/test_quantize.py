@@ -122,7 +122,7 @@ class TestNormalization:
         # 4 h^2 / (eps^2 mu freq L area)
         for spec in (GUIDE, WaveguideSpec(2.0, 1.0, 3.0, 0.5)):
             for mode in (TM11, ModeIndex(Polarization.TM, 2, 1)):
-                freq = 2.5 * dispersion(spec, mode, 1.0).cutoff_frequency
+                freq = 2.5 * cutoff_frequency(spec, mode)
                 h2 = dispersion(spec, mode, freq).transverse_wavenumber ** 2
                 expected = (4.0 * HBAR * h2
                             / (spec.permittivity ** 2 * spec.permeability

@@ -27,7 +27,7 @@ RECORDS = {
         "decay_rate", "model"),
     "detection.EmitterSolution": ("decay", "shift", "pole"),
     "detection.CorrelationMetadata": (
-        "pole", "dos_model", "source_position", "front_speed_factor",
+        "pole", "source_position", "front_speed_factor",
         "consistency_max_rel", "alternative_prefactor_ratio"),
     "detection.CorrelationGrid": (
         "x_values", "z_values", "t_values", "values", "inside_cone",
@@ -35,12 +35,10 @@ RECORDS = {
     "detection.RateFit": (
         "temporal_rate", "spatial_rate", "rate_ratio", "cone_ratio",
         "max_log_residual"),
-    "detection.OmegaDReport": (
-        "model", "closed_form", "root_found", "discrepancy",
-        "ratio_target"),
+    "detection.OmegaDReport": ("closed_form", "root_found", "discrepancy"),
     "emission.ChannelRate": (
         "mode", "direction", "weight", "coupling", "rate"),
-    "emission.DecayResult": ("total", "channels", "model", "oscillatory"),
+    "emission.DecayResult": ("total", "channels", "oscillatory"),
     "emission.ShiftContribution": ("mode", "branch", "window", "value"),
     "emission.ShiftResult": ("value", "window", "contributions"),
     "emission.MarkovParameters": (
@@ -49,8 +47,7 @@ RECORDS = {
         "modes", "row", "direction", "frequency", "coupling", "weight",
         "width"),
     "modes.ModeDispersion": (
-        "spec", "mode", "frequency", "transverse_wavenumber",
-        "cutoff_frequency", "medium_wavenumber", "branch",
+        "transverse_wavenumber", "medium_wavenumber", "branch",
         "axial_wavenumber", "attenuation"),
     "modes.ModeField": ("electric", "magnetic"),
     "validate.CheckResult": (
