@@ -25,6 +25,7 @@ from hypothesis import example, given, strategies as st
 from wgqed import cli, config as config_module, emission, gformat, validate
 from wgqed.cli import (
     EXIT_CONFIG,
+    EXIT_CONVERGENCE,
     EXIT_DOMAIN,
     EXIT_NO_CROSSING,
     EXIT_OK,
@@ -33,7 +34,7 @@ from wgqed.cli import (
 )
 from wgqed.config import RunConfig, load_config, parse_config
 from wgqed.detection import CorrelationGrid, PoleResult
-from wgqed.errors import ConfigError
+from wgqed.errors import ConfigError, ConvergenceError
 from wgqed.validate import run_checks
 
 BASE = {
@@ -397,6 +398,22 @@ class TestDecayCommand:
         err = capsys.readouterr().err
         assert err.count("\n") == 1
         assert f"line center {center} is not positive" in err
+        assert not out.exists()
+
+    def test_convergence_failure_exits_4(self, tmp_path, capsys,
+                                         monkeypatch):
+        def stalled(f, segments):
+            raise ConvergenceError("quadrature stalled")
+        monkeypatch.setattr(emission, "_lockstep", stalled)
+        conf = write_config(tmp_path)
+        out = tmp_path / "decay.csv"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["decay", "--config", conf, "--out", str(out)])
+        assert code == EXIT_CONVERGENCE
+        assert [str(w.message) for w in caught] == []
+        assert capsys.readouterr().err \
+            == "convergence failure: quadrature stalled\n"
         assert not out.exists()
 
 
