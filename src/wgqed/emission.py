@@ -400,7 +400,13 @@ def amplitudes_ode_oracle(times, cells: ContinuumCells,
         raise DomainError("time grid must start at zero")
     g = cells.discrete_coupling
     nu, group = np.unique(cells.frequency, return_inverse=True)
-    bright = np.sqrt(np.bincount(group, np.abs(g) ** 2, len(nu)))
+    # |g| / 2**e, with 2**e from the largest |g|, squares without
+    # overflow; the scaling is exact, so G keeps the bits of the plain
+    # sum wherever no square of that overflows or is subnormal
+    mag = np.abs(g)
+    e = math.frexp(float(mag.max(initial=0.0)))[1]
+    bright = np.ldexp(np.sqrt(np.bincount(group, np.ldexp(mag, -e) ** 2,
+                                          len(nu))), e)
     detune = nu - transition_frequency
     h_r = np.diag(np.concatenate(([0.0], detune)))
     h_r[0, 1:] = h_r[1:, 0] = bright

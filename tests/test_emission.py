@@ -530,6 +530,19 @@ class TestDiscretizedContinuum:
         norm = np.abs(c_a) ** 2 + np.sum(np.abs(c_b) ** 2, axis=0)
         assert np.max(np.abs(norm - 1.0)) < 1e-12
 
+    def test_couplings_whose_squares_overflow(self):
+        # couplings and detunings times 2**600, times over 2**600: the
+        # same evolution, though every |g|^2 overflows
+        cells, times, omega = _oracle_case("demo")
+        c_a, c_b = amplitudes_ode_oracle(times, cells, omega)
+        up = 2.0 ** 600
+        big = cells._replace(frequency=cells.frequency * up,
+                             coupling=cells.coupling * up)
+        assert np.abs(big.discrete_coupling).min() > 2.0 ** 512
+        big_a, big_b = amplitudes_ode_oracle(times / up, big, omega * up)
+        assert np.max(np.abs(big_a - c_a)) < 1e-12
+        assert np.max(np.abs(big_b - c_b)) < 1e-12
+
     def test_ode_needs_zero_start(self):
         atom = make_atom(1.5, 0.1)
         cells = build_bins(GUIDE, atom, BOX, DensityModel.PHASE_VELOCITY,
