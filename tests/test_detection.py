@@ -22,6 +22,7 @@ from hypothesis import assume, given, strategies as st
 from wgqed import detection, emission
 from wgqed.config import load_config
 from wgqed.detection import (
+    PoleResult,
     RadicandModel,
     alternative_prefactor_ratio,
     brute_force_amplitude,
@@ -920,6 +921,16 @@ class TestBruteForce:
             brute_force_amplitude(FILLED, atom, quiet,
                                   (1.0, 0.5, 5.0), 10.0)
 
+    def test_span_needs_an_oscillating_pole(self):
+        flat = PoleResult(beta_r=0.0, beta_i=-0.01, radicand=-1e-4j,
+                          shifted_frequency=CENTER, decay_rate=0.02,
+                          model=RadicandModel.SINGLE_INDEX)
+        with pytest.raises(DomainError) as info:
+            brute_force_amplitude(FILLED, filled_atom(), flat,
+                                  (1.0, 0.5, 5.0), 10.0)
+        assert str(info.value) \
+            == "span must be positive; is the pole oscillatory at all?"
+
     def test_dispersion_weight_needs_matched_continuation(self):
         # a guide with index below one makes the single-index
         # continuation sweep through evanescent true frequencies
@@ -943,3 +954,21 @@ class TestBruteForce:
         res = pole(FILLED, 1.0, RATE, RadicandModel.SINGLE_INDEX)
         assert alternative_prefactor_ratio(
             FILLED, res, DensityModel.PHASE_VELOCITY) == math.inf
+
+    def test_group_velocity_weight_refused_below_cutoff(self):
+        # a real line center 0.5 below the fundamental cutoff 1/1.2
+        below = PoleResult(beta_r=0.0, beta_i=-math.sqrt(0.7),
+                           radicand=-0.7 + 0j,
+                           shifted_frequency=0.5, decay_rate=0.0,
+                           model=RadicandModel.SINGLE_INDEX)
+        text = ("group-velocity weighting is undefined at a line center "
+                "below the fundamental cutoff")
+        for call in (
+                lambda: alternative_prefactor_ratio(
+                    FILLED, below, DensityModel.GROUP_VELOCITY),
+                lambda: correlation_amplitude(
+                    FILLED, filled_atom(), below, (1.0, 0.5, 0.0), 1.0,
+                    dos=DensityModel.GROUP_VELOCITY)):
+            with pytest.raises(DomainError) as info:
+                call()
+            assert str(info.value) == text

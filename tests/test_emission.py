@@ -543,6 +543,13 @@ class TestDiscretizedContinuum:
         assert np.max(np.abs(big_a - c_a)) < 1e-12
         assert np.max(np.abs(big_b - c_b)) < 1e-12
 
+    def test_bins_need_a_positive_count(self):
+        with pytest.raises(DomainError) as info:
+            build_bins(GUIDE, make_atom(1.5, 0.1), BOX,
+                       DensityModel.PHASE_VELOCITY, window=(1.4, 1.6),
+                       count=0, modes=[TE10])
+        assert str(info.value) == "need at least one bin"
+
     def test_ode_needs_zero_start(self):
         atom = make_atom(1.5, 0.1)
         cells = build_bins(GUIDE, atom, BOX, DensityModel.PHASE_VELOCITY,

@@ -99,6 +99,11 @@ class TestSpecValidation:
     def test_te_single_zero_ok(self):
         assert ModeIndex(Polarization.TE, 0, 3).n == 3
 
+    def test_negative_index_refused(self):
+        with pytest.raises(DomainError) as info:
+            ModeIndex(Polarization.TE, -1, 1)
+        assert str(info.value) == "mode indices must be non-negative"
+
 
 class TestDispersion:
     def test_te10_above_cutoff(self):
@@ -297,6 +302,12 @@ class TestAxialProfiles:
         with pytest.raises(DomainError):
             field_at(GUIDE, TE10, 2.0, [1.0, 0.5, 0.0], direction=2)
 
+    def test_points_need_three_coordinates(self):
+        with pytest.raises(DomainError) as info:
+            field_at(GUIDE, TE10, 2.0, [[1.0, 0.5], [1.2, 0.7]])
+        assert str(info.value) \
+            == "points must have a trailing axis of length 3"
+
     def test_localized_kink_parity(self):
         z0 = 0.7
         x, y = 1.1, 0.6
@@ -369,6 +380,12 @@ class TestModeListing:
         # a bisected prefix would read NaN as no mode or every mode
         with pytest.raises(DomainError, match="finite"):
             modes_below(GUIDE, bad)
+
+    @pytest.mark.parametrize("bad", [0.0, -1.0])
+    def test_limit_not_above_zero_refused(self, bad):
+        with pytest.raises(DomainError) as info:
+            modes_below(GUIDE, bad)
+        assert str(info.value) == "frequency limit must be positive"
 
     def test_mutating_a_listing_leaves_later_calls_alone(self):
         listing = modes_below(GUIDE, 3.0)

@@ -321,6 +321,13 @@ class TestFindRoot:
 
     def test_endpoint_root(self):
         assert find_root(lambda x: x, 0.0, 1.0) == 0.0
+        assert find_root(lambda x: x - 1.0, 0.0, 1.0) == 1.0
+
+    @pytest.mark.parametrize("hi", [1.0, 0.5])
+    def test_bracket_must_increase(self, hi):
+        with pytest.raises(ValueError) as info:
+            find_root(lambda x: x, 1.0, hi)
+        assert str(info.value) == "need hi > lo"
 
     def test_iteration_cap_raises_with_bracket(self):
         # five halvings cannot reach the tolerance; the last bracket

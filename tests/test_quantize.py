@@ -249,6 +249,12 @@ class TestCoupling:
         with pytest.raises(DomainError, match="must be finite"):
             QuantizationBox(length=bad)
 
+    @pytest.mark.parametrize("bad", [0.0, -1.0])
+    def test_box_length_not_above_zero_refused(self, bad):
+        with pytest.raises(DomainError) as info:
+            QuantizationBox(bad)
+        assert str(info.value) == "box length must be positive"
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_transition_frequency_refused(self, bad):
         # NaN passed the positivity test and gave a zero decay rate
