@@ -88,8 +88,6 @@ def _json_value(value, digits: int):
         return rounded if math.isfinite(rounded) else value
     if isinstance(value, dict):
         return {k: _json_value(v, digits) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_json_value(v, digits) for v in value]
     return value
 
 
