@@ -400,9 +400,9 @@ def amplitudes_ode_oracle(times, cells: ContinuumCells,
         raise DomainError("time grid must start at zero")
     g = cells.discrete_coupling
     nu, group = np.unique(cells.frequency, return_inverse=True)
-    # |g| / 2**e, with 2**e from the largest |g|, squares without
-    # overflow; the scaling is exact, so G keeps the bits of the plain
-    # sum wherever no square of that overflows or is subnormal
+    # divided by the power of two 2**e of the largest |g|, the squares
+    # cannot overflow; the scaling is exact, so G keeps the plain
+    # form's bits wherever its squares and sums stay normal floats
     mag = np.abs(g)
     e = math.frexp(float(mag.max(initial=0.0)))[1]
     bright = np.ldexp(np.sqrt(np.bincount(group, np.ldexp(mag, -e) ** 2,
