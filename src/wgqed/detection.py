@@ -40,7 +40,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DomainError, NoCrossingError, PurelyEvanescentError
+from .errors import DomainError, NoCrossingError
 from .quantize import Atom, DensityModel, QuantizationBox
 from .modes import TE10, WaveguideSpec, transverse_wavenumber
 from .emission import (
@@ -128,7 +128,7 @@ def pole(spec: WaveguideSpec, shifted_frequency: float,
     b_part = 0.5 * c * shifted_frequency * decay_rate
     if b_part == 0.0:
         if a_part <= 0.0:
-            raise PurelyEvanescentError(
+            raise DomainError(
                 "zero decay rate below the fundamental cutoff leaves "
                 "no oscillating part to propagate")
         beta_r, beta_i = math.sqrt(a_part), 0.0

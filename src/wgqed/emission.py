@@ -52,7 +52,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DomainError, DominanceError, PurelyEvanescentError
+from .errors import DomainError
 from .modes import (
     CUTOFF_REL_TOL,
     Branch,
@@ -116,8 +116,8 @@ def decay_rate(spec: WaveguideSpec, atom: Atom, box: QuantizationBox,
     """
     atom.check_inside(spec)
     omega = atom.transition_frequency
-    chans = Channels(spec, atom, (mode for _, mode in modes_below(
-        spec, omega, max_index=max_index)))
+    chans = Channels(spec, atom, modes_below(spec, omega,
+                                             max_index=max_index))
     rows = np.arange(len(chans.modes))
     nodes = np.full(len(chans.modes), omega)
     g = couplings(chans, rows, nodes, box).tolist()
@@ -226,8 +226,7 @@ def level_shift(spec: WaveguideSpec, atom: Atom, box: QuantizationBox,
     atom.check_inside(spec)
     omega = atom.transition_frequency
     if modes is None:
-        modes = [mode for _, mode in modes_below(spec, hi,
-                                                 max_index=max_index)]
+        modes = modes_below(spec, hi, max_index=max_index)
     chans = Channels(spec, atom, modes)
     eps_mu = spec.permittivity * spec.permeability
     # per segment: channel row, branch, span, sign, (t_a, t_b, pole) and
@@ -421,18 +420,13 @@ def dominant_channel(spec: WaveguideSpec, frequency: float, *,
                      max_index: int = 12) -> ModeIndex:
     """The single propagating mode at ``frequency``.
 
-    Raises PurelyEvanescentError when nothing propagates there and
-    DominanceError (listing the extra channels) when more than one
-    mode does.
+    Raises DomainError when nothing propagates there or when more than
+    one mode does; the message says which, and how many propagate.
     """
     listing = modes_below(spec, frequency, max_index=max_index)
     if not listing:
-        raise PurelyEvanescentError(
-            f"no mode propagates at frequency {frequency!r}")
+        raise DomainError(f"no mode propagates at frequency {frequency!r}")
     if len(listing) > 1:
-        competitors = [(m.polarization.value, m.m, m.n, c)
-                       for c, m in listing[1:]]
-        raise DominanceError(
-            f"{len(listing)} modes propagate at frequency {frequency!r}",
-            competitors=competitors)
-    return listing[0][1]
+        raise DomainError(
+            f"{len(listing)} modes propagate at frequency {frequency!r}")
+    return listing[0]

@@ -1,7 +1,8 @@
 """Exception types shared across the library.
 
-Every failure mode that callers are expected to branch on gets its own
-class so the command line layer can map it to a stable exit status.
+One class per exit status of the command line, all under WgError:
+ConfigError 2, DomainError 3, ConvergenceError 4, NoCrossingError 6.
+Refusals that share a status share its class; the message tells them apart.
 """
 
 from __future__ import annotations
@@ -43,18 +44,3 @@ class NoCrossingError(WgError):
         self.scanned_range = scanned_range
         self.value_range = value_range
 
-
-class PurelyEvanescentError(DomainError):
-    """Pole extraction asked for a mode that carries no traveling wave."""
-
-
-class DominanceError(DomainError):
-    """Single-mode treatment requested outside the single-mode window.
-
-    ``competitors`` lists the (polarization, m, n, cutoff) tuples whose
-    cutoffs conflict with the requested frequency.
-    """
-
-    def __init__(self, message: str, competitors: list | None = None):
-        super().__init__(message)
-        self.competitors = competitors or []

@@ -381,7 +381,7 @@ def mode_table(spec: WaveguideSpec, m_top: int, n_top: int) -> tuple:
 def modes_below(spec: WaveguideSpec, frequency_limit: float,
                 max_index: int = 12):
     """Every mode with cutoff below ``frequency_limit``, as a new list
-    of (cutoff, mode) pairs in ``mode_table`` order.
+    of ModeIndex in ``mode_table`` order.
 
     Index counts are scanned up to ``max_index``; if a mode on that
     boundary still qualifies the enumeration might be incomplete and a
@@ -409,7 +409,7 @@ def modes_below(spec: WaveguideSpec, frequency_limit: float,
             "max_index or the frequency")
     table = mode_table(spec, m_top, n_top)
     count = bisect.bisect_left(table[-1], frequency_limit)
-    codes, ms, ns, _, cutoffs = (column[:count].tolist() for column in table)
+    codes, ms, ns = (column[:count].tolist() for column in table[:3])
     # only a top count at the bound can put a listed mode on it; the
     # first in scan order is the least (m, n, code)
     if max_index in (m_top, n_top):
@@ -421,5 +421,5 @@ def modes_below(spec: WaveguideSpec, frequency_limit: float,
                 f"mode {POLARIZATIONS[code].value}({m},{n}) at the index "
                 f"bound {max_index} still lies below the frequency "
                 "limit; increase max_index")
-    return [(nu_c, ModeIndex(POLARIZATIONS[code], m, n))
-            for code, m, n, nu_c in zip(codes, ms, ns, cutoffs)]
+    return [ModeIndex(POLARIZATIONS[code], m, n)
+            for code, m, n in zip(codes, ms, ns)]

@@ -158,8 +158,7 @@ def test_axial_relation_matches_the_array_copy(seed, scale):
 
 def demo_channels():
     spec, atom = DEMO.waveguide_spec(), DEMO.atom()
-    listing = [mode for _, mode in modes_below(spec, 3.0,
-                                               max_index=DEMO.max_mn)]
+    listing = modes_below(spec, 3.0, max_index=DEMO.max_mn)
     # two patterns above the top node, decaying everywhere
     return spec, atom, Channels(spec, atom, listing + [
         ModeIndex(Polarization.TM, 3, 3), ModeIndex(Polarization.TE, 5, 0)])

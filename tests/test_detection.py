@@ -35,12 +35,7 @@ from wgqed.detection import (
     solve_emitter,
 )
 from wgqed.emission import MarkovParameters, decay_rate, level_shift
-from wgqed.errors import (
-    DomainError,
-    DominanceError,
-    NoCrossingError,
-    PurelyEvanescentError,
-)
+from wgqed.errors import DomainError, NoCrossingError
 from wgqed.modes import WaveguideSpec
 from wgqed.numerics import principal_csqrt
 from wgqed.quantize import Atom, DensityModel, QuantizationBox
@@ -104,7 +99,8 @@ class TestPole:
                                            rel=1e-15)
 
     def test_zero_rate_below_cutoff_raises(self):
-        with pytest.raises(PurelyEvanescentError):
+        with pytest.raises(DomainError, match="zero decay rate below the "
+                           "fundamental cutoff"):
             pole(FILLED, 0.5, 0.0, RadicandModel.SINGLE_INDEX)
 
     def test_input_validation(self):
@@ -784,11 +780,11 @@ class TestCorrelationGrid:
     def test_requires_single_channel_window(self):
         atom = filled_atom()
         crowded = pole(FILLED, 2.0, RATE)
-        with pytest.raises(DominanceError):
+        with pytest.raises(DomainError, match="modes propagate"):
             correlation_grid(FILLED, atom, crowded, [1.0], [5.0],
                              [40.0])
         dark = pole(FILLED, 0.5, RATE)
-        with pytest.raises(PurelyEvanescentError):
+        with pytest.raises(DomainError, match="no mode propagates"):
             correlation_grid(FILLED, atom, dark, [1.0], [5.0], [40.0])
 
     @pytest.mark.parametrize("axis", ["z", "t"])

@@ -350,7 +350,7 @@ class TestAxialProfiles:
 class TestModeListing:
     def test_lowest_band_ordering(self):
         listing = modes_below(GUIDE, 3.0)
-        labels = [(m.polarization.value, m.m, m.n) for _, m in listing]
+        labels = [(m.polarization.value, m.m, m.n) for m in listing]
         assert labels == [
             ("TE", 1, 0),
             ("TE", 0, 1),
@@ -360,13 +360,14 @@ class TestModeListing:
             ("TE", 2, 1),
             ("TM", 2, 1),
         ]
-        cutoffs = [c for c, _ in listing]
+        cutoffs = [cutoff_frequency(GUIDE, m) for m in listing]
         assert cutoffs == sorted(cutoffs)
         assert cutoffs[0] == pytest.approx(1.0)
 
     def test_degenerate_pair_shares_cutoff(self):
         listing = modes_below(GUIDE, 2.5)
-        by_label = {(m.polarization.value, m.m, m.n): c for c, m in listing}
+        by_label = {(m.polarization.value, m.m, m.n):
+                    cutoff_frequency(GUIDE, m) for m in listing}
         assert by_label[("TE", 1, 1)] == pytest.approx(
             by_label[("TM", 1, 1)])
         assert by_label[("TE", 1, 1)] == pytest.approx(math.sqrt(5.0))
@@ -391,8 +392,8 @@ class TestModeListing:
         listing = modes_below(GUIDE, 3.0)
         expected = list(listing)
         listing.reverse()
-        listing.append((0.5, TE10))
-        listing[0] = (0.0, TM11)
+        listing.append(TE10)
+        listing[0] = TM11
         assert modes_below(GUIDE, 3.0) == expected
         # the same scan serves a neighboring limit
         assert modes_below(GUIDE, 2.9) == expected
@@ -400,7 +401,7 @@ class TestModeListing:
     @staticmethod
     def full_scan(spec, limit, max_index):
         # every index pair up to the bound, as the enumeration once did:
-        # the list sorted by cutoff, or the refusal of the first boundary
+        # the modes sorted by cutoff, or the refusal of the first boundary
         # mode in scan order (m, then n, then TE before TM)
         found = []
         for m in range(max_index + 1):
@@ -418,8 +419,8 @@ class TestModeListing:
                                     "below the frequency limit; increase "
                                     "max_index")
                         found.append((nu_c, mode))
-        return sorted(found, key=lambda item: (
-            item[0], item[1].polarization.value, item[1].m, item[1].n))
+        return [mode for _, mode in sorted(found, key=lambda item: (
+            item[0], item[1].polarization.value, item[1].m, item[1].n))]
 
     @pytest.mark.parametrize("spec", [
         GUIDE,
@@ -501,11 +502,10 @@ class TestModeTable:
     def test_modes_below_lists_the_table_rows(self):
         codes, m, n, _, cutoff = mode_table(FILLED_GUIDE, 5, 5)
         # the tenth cutoff is the first one not below the limit
-        pairs = modes_below(FILLED_GUIDE, float(cutoff[9]))
-        assert pairs == [
-            (c, ModeIndex(POLARIZATIONS[code], m_, n_)) for c, code, m_, n_
-            in zip(cutoff[:9].tolist(), codes[:9].tolist(), m[:9].tolist(),
-                   n[:9].tolist())]
+        listing = modes_below(FILLED_GUIDE, float(cutoff[9]))
+        assert listing == [
+            ModeIndex(POLARIZATIONS[code], m_, n_) for code, m_, n_
+            in zip(codes[:9].tolist(), m[:9].tolist(), n[:9].tolist())]
 
 
 class TestModeResidualWrappers:

@@ -64,8 +64,7 @@ def _previous_level_shift(spec, atom, box, model, *, window, modes=None,
     atom.check_inside(spec)
     omega = atom.transition_frequency
     if modes is None:
-        modes = [mode for _, mode in modes_below(spec, hi,
-                                                 max_index=max_index)]
+        modes = modes_below(spec, hi, max_index=max_index)
     eps_mu = spec.permittivity * spec.permeability
     contributions = []
     for mode in modes:

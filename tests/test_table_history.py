@@ -18,7 +18,7 @@ import sys
 from pathlib import Path
 
 from wgqed.detection import RadicandModel
-from wgqed.modes import modes_below
+from wgqed.modes import cutoff_frequency, modes_below
 from wgqed.quantize import Atom, Channels, DensityModel
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -66,9 +66,9 @@ def emitter_lines(guide, position, dipole, omega, dos, radicand):
     corpus.run_emitter(0, spec, atom, DensityModel(dos),
                        RadicandModel(radicand), 12, out)
     listing = modes_below(spec, 2.0 * omega)
-    chans = Channels(spec, atom, [mode for _, mode in listing])
-    out["listing"] = [f"{corpus.hx(c)} {corpus.label(m)}"
-                      for c, m in listing]
+    chans = Channels(spec, atom, listing)
+    out["listing"] = [f"{corpus.hx(cutoff_frequency(spec, m))} "
+                      f"{corpus.label(m)}" for m in listing]
     out["table"] = [chans.columns.tobytes().hex(),
                     chans.cutoff.tobytes().hex()]
     return out
