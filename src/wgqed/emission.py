@@ -35,7 +35,8 @@ tabulates its modes once, not twice per frequency. The shift's (mode,
 branch) segments refine in lockstep: one call covers the 1-panel and
 2-panel rules of every segment (and, for a principal value, the pole
 point and both halves), and each further panel doubling is one call
-over the segments not yet accepted. ``quantize.coupling_at`` stays the
+over the segments not yet accepted, split into calls of whole rows past
+the quadrature's node budget. ``quantize.coupling_at`` stays the
 per-point definition the tests check this module against.
 
 ``amplitudes_ode_oracle`` propagates the exact Schroedinger system of
@@ -218,7 +219,8 @@ def level_shift(spec: WaveguideSpec, atom: Atom, box: QuantizationBox,
     principal value with numerator R(t)/(t + t0). A window or cutoff
     edge within a relative 1e-9 of omega is refused before any
     integrand is evaluated. All segments refine in lockstep, one
-    ``couplings`` call per level; the first error in segment order is
+    ``couplings`` call per level up to the quadrature's node budget,
+    more past it; the first error in segment order is
     raised, as if they were integrated one by one. A shift that puts
     the line center omega - value at or below zero is refused.
     """

@@ -10,8 +10,10 @@ accept a float ndarray of abscissae and return an ndarray of values
 pays a fixed set-up cost, so the quadratures stack nodes. ``_lockstep``
 refines many segments at once: one call covers every segment's 1-panel
 and 2-panel rules and pole point, and each further panel doubling is
-one call over the segments not yet accepted. Its integrand also gets
-each node's segment index, so the nodes may come in any order.
+one call over the segments not yet accepted; past _LEVEL_NODES nodes
+such a call splits into calls of whole rows, so memory stays bounded.
+Its integrand also gets each node's segment index, so the nodes may
+come in any order.
 ``integrate`` and ``pv_integrate`` are its one-segment uses. Each
 interval's rule is summed as one contiguous row, so the stacking
 changes no bit of any result.
@@ -36,6 +38,10 @@ from .errors import ConvergenceError, NoCrossingError
 QUAD_ORDER = 20
 QUAD_REL_TOL = 1e-12
 QUAD_MAX_REFINEMENTS = 12
+# most nodes in one integrand call of ``_lockstep``; a row of an
+# interval, at most QUAD_ORDER * 2**QUAD_MAX_REFINEMENTS nodes, is
+# never split, so the budget bounds memory and changes no bit
+_LEVEL_NODES = 2 ** 18
 
 
 @lru_cache(maxsize=64)
@@ -51,14 +57,15 @@ def _gl_nodes(order: int):
 def _panel_nodes(a, b, order: int, panels: int):
     # one row of nodes per interval [a[i], b[i]], panel by panel, and
     # the panel half-widths that scale each panel's weights; the edges
-    # are np.linspace's, which divides instead when the step underflows
+    # are np.linspace's, which divides instead on a row whose step
+    # underflows, so a row's nodes do not depend on the other rows
     x, _ = _gl_nodes(order)
     step = (b - a) / panels
-    if not step.all():
-        edges = np.linspace(a, b, panels + 1, axis=-1)
-    else:
-        edges = np.arange(panels + 1) * step[:, None] + a[:, None]
-        edges[:, -1] = b
+    edges = np.arange(panels + 1) * step[:, None] + a[:, None]
+    flat = step == 0.0
+    if flat.any():
+        edges[flat] = np.linspace(a[flat], b[flat], panels + 1, axis=-1)
+    edges[:, -1] = b
     half = 0.5 * (edges[:, 1:] - edges[:, :-1])
     mid = 0.5 * (edges[:, 1:] + edges[:, :-1])
     return (mid[..., None] + half[..., None] * x).reshape(a.size, -1), half
@@ -79,10 +86,12 @@ def _lockstep(f, segments):
     the integral of f over [a, b], with a pole the principal value of
     f(x)/(x - pole) that ``pv_integrate`` defines. ``f(x, seg)`` gets
     the nodes of the segments still refining, in no promised order,
-    with ``seg[i]`` the index of the segment of node i. The first
-    call holds the 1-panel and 2-panel rules of every interval, then
-    every pole point; each further doubling is one call over the
-    intervals not yet accepted, each with its own stopping test.
+    with ``seg[i]`` the index of the segment of node i. The opening
+    holds the 1-panel and 2-panel rules of every interval, then every
+    pole point; each further doubling covers the intervals not yet
+    accepted, each with its own stopping test. The opening and each
+    doubling are one call, or several of whole intervals' rows when
+    they exceed _LEVEL_NODES nodes.
 
     Returns ``(value, last_change)`` per segment, a principal value's
     change being the larger of its halves'. Raises the
@@ -100,36 +109,52 @@ def _lockstep(f, segments):
     owner, lo, hi, at = np.array(spans, dtype=float).reshape(-1, 4).T
     owner = owner.astype(int)
     pv = ~np.isnan(at)
-    lefts = np.flatnonzero(pv)[::2]
+    left = np.zeros(owner.size, bool)
+    left[np.flatnonzero(pv)[::2]] = True
     g_pole = None   # f(pole) per segment
 
-    def call(nodes, live):
-        # f on the live intervals' rows, and on the pole points after
-        # them at the opening; (f(x) - f(pole))/(x - pole) on the rows
-        # of a principal value
+    def call(nodes, rows, opening):
+        # f on the rows' nodes, and at the opening on the pole points
+        # of the left halves among them, after the nodes; a left half
+        # comes first, so its pole is known to its right half; then
+        # (f(x) - f(pole))/(x - pole) on the rows of a principal value
         nonlocal g_pole
-        x, seg = nodes.ravel(), np.repeat(owner[live], nodes.shape[1])
-        if g_pole is None:
-            x = np.concatenate((x, at[lefts]))
-            seg = np.concatenate((seg, owner[lefts]))
+        x, seg = nodes.ravel(), np.repeat(owner[rows], nodes.shape[1])
+        if opening:
+            poles = rows[left[rows]]
+            x = np.concatenate((x, at[poles]))
+            seg = np.concatenate((seg, owner[poles]))
         vals = np.asarray(f(x, seg))
-        if g_pole is None:
-            g_pole = np.zeros(len(segments), vals.dtype)
-            g_pole[owner[lefts]] = vals[nodes.size:]
+        if opening:
+            if g_pole is None:
+                g_pole = np.zeros(len(segments), vals.dtype)
+            g_pole[owner[poles]] = vals[nodes.size:]
             vals = vals[:nodes.size]
         vals = vals.reshape(nodes.shape).astype(
             np.result_type(vals.dtype, 1.0))
-        rem = pv[live]
-        vals[rem] = ((vals[rem] - g_pole[owner[live][rem], None])
-                     / (nodes[rem] - at[live][rem, None]))
+        rem = pv[rows]
+        vals[rem] = ((vals[rem] - g_pole[owner[rows][rem], None])
+                     / (nodes[rem] - at[rows][rem, None]))
         return vals
 
+    def sums(rows, counts, opening=False):
+        # each row's composite sum at each panel count, from calls of
+        # whole rows and at most _LEVEL_NODES nodes (one row at least)
+        ends = np.cumsum([0] + [order * p for p in counts]).tolist()
+        size = max(1, _LEVEL_NODES // (ends[-1] + opening))
+        parts = []
+        for i in range(0, rows.size, size):
+            chunk = rows[i:i + size]
+            rules = [_panel_nodes(lo[chunk], hi[chunk], order, p)
+                     for p in counts]
+            vals = call(np.concatenate([n for n, _ in rules], axis=1),
+                        chunk, opening)
+            parts.append([_panel_sum(vals[:, s:e], half, order)
+                          for (_, half), s, e in zip(rules, ends, ends[1:])])
+        return [np.concatenate(col) for col in zip(*parts)]
+
     live = np.arange(owner.size)
-    rows1, half1 = _panel_nodes(lo, hi, order, 1)
-    rows2, half2 = _panel_nodes(lo, hi, order, 2)
-    vals = call(np.concatenate((rows1, rows2), axis=1), live)
-    prev = _panel_sum(vals[:, :order], half1, order)
-    cur = _panel_sum(vals[:, order:], half2, order)
+    prev, cur = sums(live, (1, 2), opening=True)
     change = [None] * owner.size
     for k in range(2, QUAD_MAX_REFINEMENTS + 2):
         for i in live.tolist():
@@ -139,9 +164,8 @@ def _lockstep(f, segments):
                          if not change[i] < QUAD_REL_TOL], dtype=int)
         if not live.size or k > QUAD_MAX_REFINEMENTS:
             break
-        nodes, half = _panel_nodes(lo[live], hi[live], order, 2 ** k)
         prev[live] = cur[live]
-        cur[live] = _panel_sum(call(nodes, live), half, order)
+        cur[live], = sums(live, (2 ** k,))
     if live.size:
         raise ConvergenceError(
             f"quadrature did not reach rel_tol={QUAD_REL_TOL:g} after "

@@ -8,6 +8,7 @@ from fractions import Fraction
 
 from hypothesis import given, strategies as st
 
+from wgqed import numerics
 from wgqed.errors import ConvergenceError, NoCrossingError
 from wgqed.numerics import (
     QUAD_MAX_REFINEMENTS,
@@ -279,6 +280,27 @@ class TestLockstep:
             want = (integrate(alone, a, b) if at is None
                     else (pv_integrate(alone, at, a, b),))
             assert got[j][0] == want[0]
+
+    def test_no_call_exceeds_the_node_budget(self):
+        # eight intervals that never settle (a step in each): at 2**11
+        # panels a level of 327,680 nodes splits into calls of six rows
+        # and two, at 2**12 into calls of three, three and two rows
+        segments = [(0.0, 1.0, None), (0.1, 1.1, 0.6), (0.0, 2.0, None),
+                    (0.5, 1.5, None), (0.2, 1.2, 0.9), (0.0, 0.5, None)]
+        sizes = []
+
+        def step(x, seg):
+            sizes.append(x.size)
+            return np.floor(7.3 * x) + seg
+
+        with pytest.raises(ConvergenceError):
+            _lockstep(step, segments)
+        assert max(sizes) <= numerics._LEVEL_NODES
+        # the opening holds 8 rows of 60 nodes and the two pole points
+        assert sizes[0] == 8 * 3 * QUAD_ORDER + 2
+        row = QUAD_ORDER * 2 ** 11
+        assert sizes[-5:] == [6 * row, 2 * row, 6 * row, 6 * row, 4 * row]
+        assert len(sizes) == 1 + (QUAD_MAX_REFINEMENTS - 3) + 2 + 3
 
 
 class TestPrincipalCsqrt:

@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from wgqed import emission
+from wgqed import emission, numerics
 from wgqed.config import load_config, parse_config
 from wgqed.emission import (
     _ENDPOINT_GUARD,
@@ -233,6 +233,38 @@ class TestBitIdentity:
         # one call per integrand call and direction before (23
         # integrand calls); one per level of the deepest segment now
         assert counts == [28, 6]
+
+    @pytest.mark.parametrize("omega, dos", [
+        (1.45, "paper"), (1.45, "dispersion"), (0.86, "dispersion")])
+    def test_one_row_per_call(self, omega, dos, monkeypatch):
+        # the demo shift, and the emitter at the band's foot whose
+        # segments refine, with the quadrature's node budget at one
+        # row: a call per interval and level, and the same bits
+        cfg = parse_config(_demo_text(omega, dos))
+        spec, atom, box = cfg.waveguide_spec(), cfg.atom(), cfg.box()
+        model = cfg.dos
+        rate = decay_rate(spec, atom, box, model, max_index=cfg.max_mn)
+        window = cfg.shift_window(rate.total)
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return couplings(*args, **kwargs)
+
+        monkeypatch.setattr(emission, "couplings", counted)
+        runs = []
+        for budget in (numerics._LEVEL_NODES, 1):
+            monkeypatch.setattr(numerics, "_LEVEL_NODES", budget)
+            calls.clear()
+            got = level_shift(spec, atom, box, model, window=window,
+                              max_index=cfg.max_mn)
+            runs.append((len(calls), float.hex(got.value), [
+                (c.mode, c.branch, c.window, float.hex(c.value))
+                for c in got.contributions]))
+        (whole, *want), (rows, *got) = runs
+        assert got == want
+        # at least one opening call per contribution's interval
+        assert rows > whole and rows >= len(want[1])
 
 
 def _rough(modes):
