@@ -122,6 +122,10 @@ REFUSALS = (
     *((f"{command}_weak_dipole", [command], {"atom.dipole_y_re": "0.00248"})
       for command in ("decay", "corr")),
     ("decay_eps_negative", ["decay"], {"waveguide.eps": "-1.0"}),
+    # couplings that overflow to inf and nan, refused without a warning
+    *((f"{command}_dipole_dbl_max", [command],
+       {"atom.dipole_y_re": "1.7976931348623157e308"})
+      for command in ("decay", "corr", "omegad")),
 )
 
 

@@ -257,46 +257,48 @@ def couplings(chans: Channels, rows, frequencies,
     nu, k, propagating, axial = axial_relation(spec, chans.modes, rows, h,
                                                frequencies)
     h2 = h * h
+    # a dipole near DBL_MAX overflows the terms; the refusal is the
+    # amplitude check here or the decay rate's, never a warning
     with np.errstate(over="ignore", invalid="ignore"):
         per_area = (HBAR * nu * weight
                     / (pol * spec.cross_section_area))
         amp = np.sqrt(np.where(propagating,
                                per_area * h2 / (k * k * box.length),
                                per_area * axial))
-    if not np.isfinite(amp).all():
-        i = int(np.flatnonzero(~np.isfinite(amp))[0])
-        mode = chans.modes[rows[i]]
-        raise DomainError(
-            f"the one-quantum amplitude of {mode.polarization.value}"
-            f"({mode.m},{mode.n}) is not finite at frequency "
-            f"{float(nu[i])!r}")
+        if not np.isfinite(amp).all():
+            i = int(np.flatnonzero(~np.isfinite(amp))[0])
+            mode = chans.modes[rows[i]]
+            raise DomainError(
+                f"the one-quantum amplitude of {mode.polarization.value}"
+                f"({mode.m},{mode.n}) is not finite at frequency "
+                f"{float(nu[i])!r}")
 
-    d_x, d_y, d_z = atom.dipole_array()
-    tm = tm > 0.0
-    any_tm = bool(tm.any())
-    any_te = not (any_tm and tm.all())
-    if any_te:
-        # the TE field carries no direction of travel
-        slope = 1j * nu * spec.permeability / h2
-        e_x, e_y = slope * ky * cx * sy, -slope * kx * sx * cy
-        te_term = -(d_x * e_x + d_y * e_y + d_z * 0.0) * amp
-    z0 = atom.position[2]
-    # on the source plane z0 = +0.0 the phase exp(travel * z0) is 1 + 0j
-    on_plane = z0 == 0.0 and math.copysign(1.0, z0) > 0.0
-    out = []
-    for d in (1, -1):
-        travel = -1j * d * axial if any_tm or not on_plane else None
-        term = te_term if any_te else None
-        if any_tm:
-            # -(gamma / h^2) with gamma = i * direction * beta; below
-            # cutoff these components are odd about the kink at the atom
-            slope = np.where(propagating, travel / h2, 0.0)
-            e_x, e_y = slope * kx * cx * sy, slope * ky * sx * cy
-            tm_term = -(d_x * e_x + d_y * e_y + d_z * (sx * sy)) * amp
-            term = np.where(tm, tm_term, term) if any_te else tm_term
-        phase = 1.0 + 0.0j if on_plane else np.where(
-            propagating, np.exp(travel * z0), 1.0)
-        out.append(term * phase / HBAR)
+        d_x, d_y, d_z = atom.dipole_array()
+        tm = tm > 0.0
+        any_tm = bool(tm.any())
+        any_te = not (any_tm and tm.all())
+        if any_te:
+            # the TE field carries no direction of travel
+            slope = 1j * nu * spec.permeability / h2
+            e_x, e_y = slope * ky * cx * sy, -slope * kx * sx * cy
+            te_term = -(d_x * e_x + d_y * e_y + d_z * 0.0) * amp
+        z0 = atom.position[2]
+        # on the source plane z0 = +0.0 the phase exp(travel * z0) is 1 + 0j
+        on_plane = z0 == 0.0 and math.copysign(1.0, z0) > 0.0
+        out = []
+        for d in (1, -1):
+            travel = -1j * d * axial if any_tm or not on_plane else None
+            term = te_term if any_te else None
+            if any_tm:
+                # -(gamma / h^2) with gamma = i * direction * beta; below
+                # cutoff these components are odd about the kink at the atom
+                slope = np.where(propagating, travel / h2, 0.0)
+                e_x, e_y = slope * kx * cx * sy, slope * ky * sx * cy
+                tm_term = -(d_x * e_x + d_y * e_y + d_z * (sx * sy)) * amp
+                term = np.where(tm, tm_term, term) if any_te else tm_term
+            phase = 1.0 + 0.0j if on_plane else np.where(
+                propagating, np.exp(travel * z0), 1.0)
+            out.append(term * phase / HBAR)
     return np.array(out)
 
 

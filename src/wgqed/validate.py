@@ -176,6 +176,10 @@ def _check_box_invariance(name, tolerance, config):
         totals = [decay_rate(spec, atom, QuantizationBox(length=length),
                              model, max_index=config.max_mn).total
                   for length in (1.0, 7.0)]
+        if not any(totals):
+            return _result(name, math.inf, tolerance, "both decay totals "
+                           "are zero; there is no rate to compare",
+                           ok=False)
         scale = max(abs(totals[0]), abs(totals[1]), 1e-300)
         worst = max(worst, abs(totals[0] - totals[1]) / scale)
     return _result(name, worst, tolerance)

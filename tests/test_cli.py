@@ -10,6 +10,7 @@ import itertools
 import json
 import math
 import os
+import re
 import stat
 import subprocess
 import sys
@@ -22,7 +23,14 @@ import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
-from wgqed import cli, config as config_module, emission, gformat, validate
+from wgqed import (
+    cli,
+    config as config_module,
+    emission,
+    errors,
+    gformat,
+    validate,
+)
 from wgqed.cli import (
     EXIT_CONFIG,
     EXIT_CONVERGENCE,
@@ -737,8 +745,8 @@ class TestValidateCommand:
 
     def test_square_guide_below_cutoff(self, tmp_path):
         # TE(1,0) and TE(0,1) share the lowest cutoff; the below-cutoff
-        # oracle still runs on the first, and only the traveling-channel
-        # check fails
+        # oracle still runs on the first, and only the checks that need
+        # a traveling channel fail
         conf = write_config(tmp_path, **{
             "waveguide.b": BASE["waveguide.a"], "atom.omega": "0.5"})
         out = str(tmp_path / "val.csv")
@@ -746,9 +754,23 @@ class TestValidateCommand:
                      "--reproducible"]) == EXIT_VALIDATION
         _, _, rows = read_table(out)
         failed = [r[0] for r in rows if r[1] == "false"]
-        assert failed == ["correlation_consistency"]
+        assert failed == ["box_length_invariance", "correlation_consistency"]
         oracle = next(r for r in rows if r[0] == "markov_oracle")
         assert oracle[4] == "below-cutoff excitation stays on the atom"
+
+    @pytest.mark.parametrize("items", [
+        {"waveguide.b": BASE["waveguide.a"], "atom.omega": "0.5"},
+        {"atom.dipole_y_re": "0.0", "atom.dipole_x_re": "0.124"}],
+        ids=["below_cutoff", "x_dipole_on_axis"])
+    def test_zero_rate_fails_box_invariance(self, items):
+        # with both totals zero the box length has nothing to change:
+        # the check cannot run, so its row fails and says why
+        row = next(r for r in run_checks(parse_config(config_text(**items)))
+                   if r.name == "box_length_invariance")
+        assert not row.passed
+        assert row.measured == math.inf
+        assert row.detail == ("both decay totals are zero; there is no "
+                              "rate to compare")
 
     def test_index_bound_fails_the_enumerating_checks(self, tmp_path):
         # a bound the emitter's band reaches is each enumerating check's
@@ -949,6 +971,31 @@ class TestValidateCommand:
 
 
 class TestExitCodes:
+    def test_one_code_per_error_class(self, tmp_path, capsys, monkeypatch):
+        # each WgError subclass of wgqed.errors, raised by a handler,
+        # leaves main with a code of its own, documented in the exit
+        # code table, and one line on stderr
+        classes = [c for c in vars(errors).values() if isinstance(c, type)
+                   and issubclass(c, errors.WgError)
+                   and c is not errors.WgError]
+        schema = (DEMO.parent.parent / "docs" / "artifact_schema.md"
+                  ).read_text(encoding="utf-8")
+        table = schema[schema.index("## Exit codes"):]
+        documented = {int(c) for c in re.findall(r"^\| (\d+) \|", table,
+                                                 flags=re.M)}
+        conf = write_config(tmp_path)
+        codes = set()
+        for cls in classes:
+            def refuse(config, args, cls=cls):
+                raise cls("refused")
+
+            monkeypatch.setattr(cli, "cmd_decay", refuse)
+            codes.add(main(["decay", "--config", conf]))
+            err = capsys.readouterr().err
+            assert err.count("\n") == 1 and err.endswith(": refused\n")
+        assert len(codes) == len(classes) > 0
+        assert codes <= documented - {EXIT_OK}
+
     def test_config_error(self, tmp_path):
         bad = tmp_path / "bad.conf"
         bad.write_text("waveguide.a = -1\n")
@@ -1048,6 +1095,25 @@ class TestExitCodes:
                      "mode_orthogonality", "energy_normalization"}
         assert named <= failed.keys()
         assert all(words in failed[name] for name in named)
+
+    @pytest.mark.parametrize("command", ["decay", "corr", "omegad"])
+    def test_dipole_of_dbl_max_is_one_line(self, tmp_path, child_env,
+                                           command):
+        # the couplings overflow to inf and nan, with no warning; in a
+        # child, where pytest's capture cannot take a warning, stderr
+        # holds the refusal alone
+        conf = write_config(tmp_path, **{
+            "atom.dipole_y_re": repr(sys.float_info.max)})
+        out = tmp_path / f"{command}.csv"
+        done = subprocess.run(
+            [sys.executable, "-W", "default", "-m", "wgqed", command,
+             "--config", conf, "--out", str(out)],
+            capture_output=True, text=True, env=child_env, timeout=120)
+        assert done.returncode == EXIT_DOMAIN
+        assert done.stderr == (
+            "domain error: the decay rate or its square overflows the "
+            "float range; reduce the dipole moment\n")
+        assert not out.exists()
 
     @pytest.mark.parametrize("command, length",
                              [("decay", "1e308"), ("omegad", "1e-320")])

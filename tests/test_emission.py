@@ -333,6 +333,42 @@ class TestLevelShift:
         slope_b = (values[3] - values[2]) / 4.0
         assert slope_b / slope_a == pytest.approx(1.0, abs=0.3)
 
+    @staticmethod
+    def window_law_ratios(model, factors):
+        # the demo shift over omega +- K * rate against the first-order
+        # term of a symmetric window, (K * rate / pi) * d(rate)/d(omega),
+        # with the derivative a central difference of step 1e-4
+        config = load_config(str(DEMO))
+        spec, atom, box = config.waveguide_spec(), config.atom(), config.box()
+        omega = atom.transition_frequency
+
+        def rate(nu):
+            return decay_rate(spec, dataclasses.replace(
+                atom, transition_frequency=nu), box, model,
+                max_index=config.max_mn).total
+
+        h = 1e-4
+        total = rate(omega)
+        slope = (rate(omega + h) - rate(omega - h)) / (2.0 * h)
+        return [level_shift(spec, atom, box, model, window=(
+            omega - k * total, omega + k * total),
+            max_index=config.max_mn).value
+            / (k * total / math.pi * slope) for k in factors]
+
+    def test_shift_is_the_window_constant_times_the_rate_slope(self):
+        # under the phase-velocity count the rate is linear enough in
+        # frequency that the law holds at every window width
+        for ratio in self.window_law_ratios(DensityModel.PHASE_VELOCITY,
+                                            (0.25, 1.0, 5.0, 10.0, 25.0)):
+            assert ratio == pytest.approx(1.0, rel=1e-9)
+
+    def test_window_law_is_the_narrow_limit_under_dispersion(self):
+        # the group-velocity rate curves, so the law holds as K -> 0
+        narrow, unit = self.window_law_ratios(DensityModel.GROUP_VELOCITY,
+                                              (0.25, 1.0))
+        assert abs(1.0 - unit) < 1e-3
+        assert abs(1.0 - narrow) < abs(1.0 - unit)
+
     def test_endpoint_collision_guard(self):
         atom = make_atom(1.5, 0.3)
         with pytest.raises(DomainError):
