@@ -24,6 +24,7 @@ from __future__ import annotations
 import cmath
 import math
 from functools import lru_cache
+from itertools import accumulate
 
 import numpy as np
 
@@ -140,18 +141,19 @@ def _lockstep(f, segments):
     def sums(rows, counts, opening=False):
         # each row's composite sum at each panel count, from calls of
         # whole rows and at most _LEVEL_NODES nodes (one row at least)
-        ends = np.cumsum([0] + [order * p for p in counts]).tolist()
+        ends = list(accumulate((order * p for p in counts), initial=0))
         size = max(1, _LEVEL_NODES // (ends[-1] + opening))
         parts = []
         for i in range(0, rows.size, size):
             chunk = rows[i:i + size]
-            rules = [_panel_nodes(lo[chunk], hi[chunk], order, p)
-                     for p in counts]
+            a, b = lo[chunk], hi[chunk]
+            rules = [_panel_nodes(a, b, order, p) for p in counts]
             vals = call(np.concatenate([n for n, _ in rules], axis=1),
                         chunk, opening)
             parts.append([_panel_sum(vals[:, s:e], half, order)
                           for (_, half), s, e in zip(rules, ends, ends[1:])])
-        return [np.concatenate(col) for col in zip(*parts)]
+        return parts[0] if len(parts) == 1 else [
+            np.concatenate(col) for col in zip(*parts)]
 
     live = np.arange(owner.size)
     prev, cur = sums(live, (1, 2), opening=True)

@@ -16,6 +16,7 @@ from wgqed.numerics import (
     QUAD_REL_TOL,
     _gl_nodes,
     _lockstep,
+    _panel_nodes,
     find_root,
     integrate,
     principal_csqrt,
@@ -280,6 +281,17 @@ class TestLockstep:
             want = (integrate(alone, a, b) if at is None
                     else (pv_integrate(alone, at, a, b),))
             assert got[j][0] == want[0]
+
+    @pytest.mark.parametrize("panels", [7, 12])
+    def test_a_row_gets_its_nodes_whatever_its_batch(self, panels):
+        # the second interval's step underflows, so its edges divide
+        # as np.linspace's do; the first keeps the nodes of its own
+        a, b = np.array([0.3, 0.0]), np.array([1.7, 5e-324])
+        both, _ = _panel_nodes(a, b, QUAD_ORDER, panels)
+        for i in range(2):
+            alone, _ = _panel_nodes(a[i:i + 1], b[i:i + 1], QUAD_ORDER,
+                                    panels)
+            assert both[i].tobytes() == alone[0].tobytes()
 
     def test_no_call_exceeds_the_node_budget(self):
         # eight intervals that never settle (a step in each): at 2**11
