@@ -1,3 +1,37 @@
-from .cli import main
+"""Entry point of ``python -m wgqed`` and of the ``wgqed`` script.
 
-raise SystemExit(main())
+Each process runs one command. ``run`` imports the command line with
+the cyclic garbage collector off, then freezes what the imports left
+(``gc.freeze``), so that neither the import nor the command nor the
+interpreter's teardown rescans the ~22,000 objects that numpy and the
+package leave on the heap; it freezes once more after the command.
+Collection stays on while the command runs, for the objects it makes.
+
+The freeze relies on two conditions that ``wgqed.cli.main`` keeps:
+every artifact is closed and standard output is flushed before
+``main`` returns, and nothing depends on the finalizer of an object in
+a reference cycle, since frozen objects are never collected. ``main``
+itself leaves the collector alone, because tests and benchmarks call
+it in processes where a freeze would pin the caller's heap.
+"""
+
+import gc
+
+
+def run() -> int:
+    """Run the command named on the command line; return its exit
+    status. The collector is enabled on return, and when the import
+    or the command raises."""
+    gc.disable()
+    try:
+        from .cli import main
+        gc.freeze()
+    finally:
+        gc.enable()
+    status = main()
+    gc.freeze()
+    return status
+
+
+if __name__ == "__main__":
+    raise SystemExit(run())

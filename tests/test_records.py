@@ -63,8 +63,6 @@ def record_class(name):
 def test_dataclasses_are_the_validated_inputs_and_the_config():
     found = set()
     for info in pkgutil.iter_modules(wgqed.__path__, "wgqed."):
-        if info.name == "wgqed.__main__":
-            continue  # importing it runs the command line
         module = importlib.import_module(info.name)
         for _, cls in inspect.getmembers(module, inspect.isclass):
             if cls.__module__ == module.__name__ \
