@@ -3,7 +3,7 @@
 Each process runs one command. ``run`` imports the command line with
 the cyclic garbage collector off, then freezes what the imports left
 (``gc.freeze``), so that neither the import nor the command nor the
-interpreter's teardown rescans the ~22,000 objects that numpy and the
+interpreter's teardown rescans the ~22,400 objects that numpy and the
 package leave on the heap; it freezes once more after the command.
 Collection stays on while the command runs, for the objects it makes.
 
