@@ -2,10 +2,11 @@
 
 Archives both revisions of this repository with ``git archive`` into a
 temporary directory and byte-compiles each tree with ``compileall``, so
-that neither side compiles on its first run. For each workload it runs
-N pairs of ``perfbench/run.py --workload W --seed s --seconds S``, one
-run in each tree, with seeds 4001 to 4000 + N; the base runs first in
-the even-numbered pairs and the head first in the odd ones. The last
+that neither side compiles on its first run. For every workload in the
+base tree's BENCHMARK.json it runs ten pairs of ``perfbench/run.py
+--workload W --seed s --seconds S``, one run in each tree, with seeds
+4001 to 4010 and S the benchmark's ``run_seconds``; the base runs first
+in the even-numbered pairs and the head first in the odd ones. The last
 line of each run's standard output is the run's JSON record.
 
 The output file holds every raw run and, for each workload and
@@ -13,13 +14,16 @@ end-to-end metric, the median and interquartile range (IQR) on each
 side, the pairs the head won (ties count for neither) and a verdict
 against the metric's ``better`` and ``bound`` in the base tree's
 BENCHMARK.json. It also holds both commits, the Python, numpy and scipy
-versions, the cpu count and the load average before and after. The
-verdicts, for a bound b given as a fraction of the base median:
+versions and the cpu count from the first run's environment, and the
+load average before and after. Pairs where either run failed are left
+out. The verdicts, for a bound b given as a fraction of the base median:
 
     worse         the head median is worse than the base median by
                   more than b of it;
-    better        the head won at least nine tenths of the pairs and
-                  its median is better by more than the base IQR;
+    better        all ten pairs are complete, the head won at least
+                  nine of them, its median is better by more than the
+                  base IQR, and the head failed no more runs and no
+                  larger share of its operations than the base;
     unresolved    neither, and the base IQR exceeds b of the base
                   median, unless every head run beats every base run;
     within bound  otherwise.
@@ -30,14 +34,11 @@ hour.
 
 Usage:
     python scripts/compare_revisions.py BASE [HEAD] --out BENCH_<n>.json
-        [--pairs N] [--seconds S] [--workload W ...]
 """
 
 import argparse
-import importlib.metadata
 import json
 import os
-import platform
 import statistics
 import subprocess
 import sys
@@ -46,11 +47,12 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 FIRST_SEED = 4001
+PAIRS = 10
 GAIN_SHARE = 0.9
 RUN_TIMEOUT_S = 900
 
 
-def pair_plan(pairs):
+def pair_plan(pairs=PAIRS):
     """(seed, sides in running order) for each pair."""
     return [(FIRST_SEED + i,
              ("base", "head") if i % 2 == 0 else ("head", "base"))
@@ -75,7 +77,9 @@ def pair_wins(pairs, better):
     return sum(improves(better, head, base) for base, head in pairs)
 
 
-def verdict(pairs, better, bound):
+def verdict(pairs, better, bound, head_fails_more=False):
+    """The verdict on one metric's (base, head) pairs; a gain needs
+    every pair and no more failures on the head's side."""
     base = [b for b, _ in pairs]
     head = [h for _, h in pairs]
     base_median, base_iqr = median_iqr(base)
@@ -87,6 +91,8 @@ def verdict(pairs, better, bound):
     if pair_wins(pairs, better) >= GAIN_SHARE * len(pairs) \
             and improves(better, head_median, base_median) \
             and abs(head_median - base_median) > base_iqr:
+        if len(pairs) < PAIRS or head_fails_more:
+            return "unresolved"
         return "better"
     if base_iqr > bound * scale and not all(
             improves(better, h, b) for h in head for b in base):
@@ -94,15 +100,35 @@ def verdict(pairs, better, bound):
     return "within bound"
 
 
+def failures(runs, side):
+    """Failed runs, and failed and attempted operations of the runs
+    that finished, on one side."""
+    mine = [run for run in runs if run["side"] == side]
+    done = [run for run in mine if run["metrics"] is not None]
+    return {"runs": len(mine) - len(done),
+            "ops": sum(run["failed"] for run in done),
+            "attempted": sum(run["attempted"] for run in done)}
+
+
+def fails_more(head, base):
+    """Whether the head failed more runs, or a larger share of its
+    operations, than the base."""
+    return head["runs"] > base["runs"] \
+        or head["ops"] * base["attempted"] > base["ops"] * head["attempted"]
+
+
 def summarize(runs, bench):
-    """Per workload and end-to-end metric: both sides' median and IQR,
-    the pair wins and the verdict. Pairs where either run failed are
-    left out."""
+    """Per workload: each side's failures and, per end-to-end metric,
+    both sides' median and IQR, the pair wins and the verdict. Pairs
+    where either run failed are left out."""
     out = {}
     for workload in dict.fromkeys(run["workload"] for run in runs):
+        mine = [run for run in runs if run["workload"] == workload]
+        failed = {side: failures(mine, side) for side in ("base", "head")}
+        head_fails_more = fails_more(failed["head"], failed["base"])
         by_seed = {}
-        for run in runs:
-            if run["workload"] == workload and run["metrics"] is not None:
+        for run in mine:
+            if run["metrics"] is not None:
                 by_seed.setdefault(run["seed"], {})[run["side"]] = \
                     run["metrics"]
         complete = [sides for _, sides in sorted(by_seed.items())
@@ -124,12 +150,10 @@ def summarize(runs, bench):
                            if base_median else None),
                 "wins": pair_wins(pairs, m["better"]),
                 "pairs": len(pairs),
-                "verdict": verdict(pairs, m["better"], m["bound"]),
+                "verdict": verdict(pairs, m["better"], m["bound"],
+                                   head_fails_more),
             }
-        out[workload] = {
-            "failed_runs": sum(run["workload"] == workload
-                               and run["metrics"] is None for run in runs),
-            "metrics": metrics}
+        out[workload] = {"failed": failed, "metrics": metrics}
     return out
 
 
@@ -162,6 +186,8 @@ def export(commit, dest):
 
 
 def run_once(tree, workload, seed, seconds):
+    """One perfbench run: its exit status, its record's counts and
+    metric values, and the environment it wrote beside them."""
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload,
          "--seed", str(seed), "--seconds", str(seconds)],
@@ -175,21 +201,10 @@ def run_once(tree, workload, seed, seconds):
             correct=record["correct"], attempted=record["attempted"],
             failed=record["failed"],
             metrics={k: v["value"] for k, v in record["metrics"].items()})
+        full = tree / ".perfbench_out" / f"{workload}-seed{seed}-trace0.json"
+        run["environment"] = json.loads(
+            full.read_text(encoding="utf-8"))["environment"]
     return run
-
-
-def environment():
-    def version(dist):
-        try:
-            return importlib.metadata.version(dist)
-        except importlib.metadata.PackageNotFoundError:
-            return "missing"
-
-    return {"python": platform.python_version(),
-            "numpy": version("numpy"), "scipy": version("scipy"),
-            "cpu_count": os.cpu_count(),
-            "PYTHONDONTWRITEBYTECODE":
-                os.environ.get("PYTHONDONTWRITEBYTECODE")}
 
 
 def loadavg():
@@ -201,17 +216,11 @@ def main(argv=None):
     ap.add_argument("base")
     ap.add_argument("head", nargs="?", default="HEAD")
     ap.add_argument("--out", type=Path, required=True)
-    ap.add_argument("--pairs", type=int, default=10)
-    ap.add_argument("--seconds", type=float)
-    ap.add_argument("--workload", action="append")
     args = ap.parse_args(argv)
-    if args.pairs < 1:
-        ap.error("--pairs must be at least 1")
 
     commits = {side: git("rev-parse", "--verify", f"{rev}^{{commit}}")
                for side, rev in (("base", args.base), ("head", args.head))}
-    record = {"commits": commits, "environment": environment(),
-              "loadavg_start": loadavg()}
+    record = {"commits": commits, "loadavg_start": loadavg()}
     runs = []
     with tempfile.TemporaryDirectory(prefix="compare-") as tmp:
         trees = {side: Path(tmp) / side for side in commits}
@@ -219,12 +228,11 @@ def main(argv=None):
             export(commit, trees[side])
         bench = json.loads((trees["base"] / "BENCHMARK.json").read_text(
             encoding="utf-8"))
-        seconds = args.seconds or bench["run_seconds"]
-        workloads = args.workload or [w["name"] for w in bench["workloads"]]
-        for workload in workloads:
-            for pair, (seed, order) in enumerate(pair_plan(args.pairs)):
+        for workload in (w["name"] for w in bench["workloads"]):
+            for pair, (seed, order) in enumerate(pair_plan()):
                 for side in order:
-                    run = run_once(trees[side], workload, seed, seconds)
+                    run = run_once(trees[side], workload, seed,
+                                   bench["run_seconds"])
                     runs.append({"workload": workload, "pair": pair,
                                  "seed": seed, "side": side,
                                  "first": order[0], **run})
@@ -232,13 +240,20 @@ def main(argv=None):
                           f"{'failed' if run['metrics'] is None else 'ok'}",
                           file=sys.stderr, flush=True)
     summary = summarize(runs, bench)
-    record.update(loadavg_end=loadavg(), seconds=seconds,
-                  pairs=args.pairs, summary=summary, runs=runs)
+    env = next((run["environment"] for run in runs if "environment" in run),
+               {})
+    record.update(
+        environment={k: env.get(k)
+                     for k in ("python", "numpy", "scipy", "cpu_count")},
+        loadavg_end=loadavg(), summary=summary, runs=runs)
     args.out.write_text(json.dumps(record, indent=1) + "\n",
                         encoding="utf-8")
 
     for workload, result in summary.items():
-        print(f"{workload} ({result['failed_runs']} failed runs)")
+        failed = result["failed"]
+        print(f"{workload} (failed runs, ops: "
+              f"base {failed['base']['runs']}, {failed['base']['ops']}; "
+              f"head {failed['head']['runs']}, {failed['head']['ops']})")
         for name, m in result["metrics"].items():
             print(f"  {name:14s} {m['base']['median']:>11.5g} "
                   f"(IQR {m['base']['iqr']:.3g}) -> "
