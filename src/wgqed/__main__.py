@@ -16,7 +16,7 @@ it in processes where a freeze would pin the caller's heap.
 
 The first freeze also pins the ~350 unreachable objects the imports
 leave, 0.1-0.3 MB of a command's 30-40 MB peak. No collection frees
-them first: on 2 vCPUs under Python 3.11 one costs 4-6 ms, about half
+them first: on 2 vCPUs under Python 3.11 one costs 4-9 ms, about half
 of the ~17 ms per process that the freeze saves.
 """
 
