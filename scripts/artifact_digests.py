@@ -14,12 +14,12 @@ runs ``corr`` on the demo grid with its time axis starting inside the
 light front (``grid.t_min = 0.5``), so that its +0.0 cells outside the
 cone sit next to positive ones, as CSV and JSON at 12 digits and as
 CSV at ``output.digits`` 13, 14 and 15. Last it runs the refusal
-corpus, fixed bad inputs on demo.conf, and writes each case's exit
-code and stderr to ``refusals.txt``; a case that raises out of
-``main`` records the exception type instead. That is 41 files in all.
-Prints one ``sha256  name`` line per file, sorted by name, so two
-checkouts can be compared with ``diff``. The accepted lines are in
-``tests/data/artifact_digests.txt``.
+corpus, fixed bad inputs and command lines on demo.conf, and writes
+each case's exit code and stderr to ``refusals.txt``; a case that
+raises out of ``main`` records the exception type instead. That is 41
+files in all. Prints one ``sha256  name`` line per file, sorted by
+name, so two checkouts can be compared with ``diff``. The accepted
+lines are in ``tests/data/artifact_digests.txt``.
 
 Usage:
     PYTHONPATH=src python scripts/artifact_digests.py OUTDIR
@@ -114,6 +114,12 @@ REFUSALS = (
     ("decay_format_xml", ["decay"], {"output.format": "xml"}),
     ("decay_max_mn_not_integer", ["decay"], {"models.max_mn": "eight"}),
     ("decay_omega_empty", ["decay"], {"atom.omega": ""}),
+    # bad flag values, refused as their config keys are, and a command
+    # that is not one
+    ("decay_flag_format_xml", ["decay", "--format", "xml"], {}),
+    ("decay_flag_max_mn_eight", ["decay", "--max-mn", "eight"], {}),
+    ("decay_flag_dos_bogus", ["decay", "--dos", "bogus"], {}),
+    ("unknown_command", ["bogus"], {}),
     # only TE10 travels at the demo frequency, and it has no x field
     *((f"{command}_x_dipole_on_axis", [command],
        {"atom.dipole_y_re": "0.0", "atom.dipole_x_re": "0.124"})

@@ -1,6 +1,6 @@
-"""Command line front end.
+"""Command line front end: ``wgqed COMMAND --config PATH [options]``.
 
-Five subcommands cover the pipeline: ``modes`` tabulates the guided
+Five commands cover the pipeline: ``modes`` tabulates the guided
 spectrum, ``decay`` computes the emission rate and level shift,
 ``corr`` samples the detection correlation map and fits its two decay
 rates, ``omegad`` reports the line center where the rate ratio crosses
@@ -13,8 +13,8 @@ frozen; docs/artifact_schema.md in the repository is the reference.
 With ``--reproducible`` the timestamp is omitted and repeated runs are
 byte-identical.
 
-Exit codes: 0 success, 2 configuration error, 3 domain error,
-4 convergence failure, 5 validation failure, 6 no crossing found.
+Exit codes: 0 success, 2 configuration or command line error, 3 domain
+error, 4 convergence failure, 5 validation failure, 6 no crossing found.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from collections.abc import Iterable, Iterator, Sequence
 import numpy as np
 
 from . import __version__
-from .config import FORMATS, load_config
+from .config import load_config
 from .detection import (
     CorrelationGrid,
     RadicandModel,
@@ -50,7 +50,6 @@ from .errors import (
     NoCrossingError,
 )
 from .modes import MAX_TABLE_ROWS, POLARIZATIONS, mode_table, table_rows
-from .quantize import DensityModel
 from .validate import run_checks
 
 EXIT_OK = 0
@@ -129,6 +128,7 @@ def _envelope_lines(env: dict, digits: int):
 _ONE_TEXT_TYPES = frozenset({str, int, bool, type(None)})
 
 
+# modes --max-mn 700 writes the same bytes ~2.5x slower without this
 @functools.lru_cache(maxsize=4096, typed=True)
 def _text_once(render, value, digits: int) -> bytes:
     return render(value, digits).encode()
@@ -489,53 +489,53 @@ def cmd_validate(config, args) -> int:
     return EXIT_VALIDATION if failures else EXIT_OK
 
 
-def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", required=True, metavar="PATH",
-                        help="key = value configuration file")
-    common.add_argument("--out", metavar="PATH",
-                        help="artifact path (default stdout)")
-    common.add_argument("--format", choices=FORMATS,
-                        help="artifact format (default from config)")
-    common.add_argument("--reproducible", action="store_true",
-                        help="omit the timestamp for byte-identical "
-                             "reruns")
-    common.add_argument("--max-mn", type=int, dest="max_mn",
-                        metavar="N", help="mode index bound override")
-    common.add_argument("--dos", choices=[m.value for m in DensityModel],
-                        help="state density model override")
-    common.add_argument("--radicand",
-                        choices=[m.value for m in RadicandModel],
-                        help="below-cutoff continuation override")
+# each command's line in --help; main runs the module's cmd_<name>
+COMMANDS = {
+    "modes": "tabulate the guided mode spectrum",
+    "decay": "emission rate and level shift",
+    "corr": "correlation map and fitted decay rates",
+    "omegad": "rate-ratio crossing line center",
+    "validate": "run the invariant battery",
+}
 
-    parser = argparse.ArgumentParser(
-        prog="wgqed",
+
+class _Parser(argparse.ArgumentParser):
+    # a refused command line is one line with EXIT_CONFIG, as in main
+    def error(self, message):
+        raise ConfigError(message)
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """One parser; flag values stay text, parsed as their keys are."""
+    parser = _Parser(
+        prog="wgqed", usage="%(prog)s COMMAND --config PATH [options]",
         description="guided-mode emission and detection pipeline")
+    parser.add_argument("command", choices=COMMANDS, metavar="COMMAND",
+                        help="; ".join(map(": ".join, COMMANDS.items())))
     parser.add_argument("--version", action="version",
                         version=f"wgqed {__version__}")
-    sub = parser.add_subparsers(dest="subcommand", required=True)
-
-    handlers = (
-        ("modes", cmd_modes, "tabulate the guided mode spectrum"),
-        ("decay", cmd_decay, "emission rate and level shift"),
-        ("corr", cmd_corr, "correlation map and fitted decay rates"),
-        ("omegad", cmd_omegad, "rate-ratio crossing line center"),
-        ("validate", cmd_validate, "run the invariant battery"),
-    )
-    for name, handler, help_text in handlers:
-        p = sub.add_parser(name, parents=[common], help=help_text)
-        p.set_defaults(handler=handler)
+    parser.add_argument("--config", required=True, metavar="PATH",
+                        help="key = value configuration file")
+    parser.add_argument("--out", metavar="PATH",
+                        help="artifact path (default stdout)")
+    parser.add_argument("--format", help="output.format override")
+    parser.add_argument("--reproducible", action="store_true",
+                        help="omit the timestamp for byte-identical "
+                             "reruns")
+    parser.add_argument("--max-mn", metavar="N", help="models.max_mn override")
+    parser.add_argument("--dos", help="models.dos override")
+    parser.add_argument("--radicand", help="models.radicand override")
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         config = load_config(args.config).with_overrides(
             dos=args.dos, radicand=args.radicand, max_mn=args.max_mn,
             out_format=args.format)
-        return args.handler(config, args)
+        # looked up per call, so a handler replaced on this module runs
+        return globals()[f"cmd_{args.command}"](config, args)
     except ConfigError as err:
         print(f"configuration error: {err}", file=sys.stderr)
         return EXIT_CONFIG

@@ -161,6 +161,7 @@ def items_text(cfg: RunConfig) -> str:
 
 
 DEMO = Path(__file__).resolve().parent.parent / "configs" / "demo.conf"
+COMMANDS = ("modes", "decay", "corr", "omegad", "validate")
 
 EVERY_OPTIONAL_KEY = {
     "atom.dipole_x_im": "-0.03", "atom.dipole_z_re": "0.01",
@@ -984,17 +985,19 @@ class TestExitCodes:
         documented = {int(c) for c in re.findall(r"^\| (\d+) \|", table,
                                                  flags=re.M)}
         conf = write_config(tmp_path)
-        codes = set()
-        for cls in classes:
-            def refuse(config, args, cls=cls):
-                raise cls("refused")
+        for command in COMMANDS:
+            codes = set()
+            for cls in classes:
+                def refuse(config, args, cls=cls):
+                    raise cls("refused")
 
-            monkeypatch.setattr(cli, "cmd_decay", refuse)
-            codes.add(main(["decay", "--config", conf]))
-            err = capsys.readouterr().err
-            assert err.count("\n") == 1 and err.endswith(": refused\n")
-        assert len(codes) == len(classes) > 0
-        assert codes <= documented - {EXIT_OK}
+                monkeypatch.setattr(cli, f"cmd_{command}", refuse)
+                codes.add(main([command, "--config", conf]))
+                err = capsys.readouterr().err
+                assert err.count("\n") == 1 \
+                    and err.endswith(": refused\n")
+            assert len(codes) == len(classes) > 0
+            assert codes <= documented - {EXIT_OK}
 
     def test_config_error(self, tmp_path):
         bad = tmp_path / "bad.conf"
@@ -1246,6 +1249,86 @@ class TestExitCodes:
                          "--reproducible"]) == EXIT_OK
             outs.append(open(out, "rb").read())
         assert outs[0] == outs[1]
+
+
+class TestCommandLine:
+    @pytest.mark.parametrize("command", ["modes", "decay", "corr"])
+    def test_options_on_either_side_of_the_command(self, tmp_path,
+                                                   command):
+        options = ["--config", str(DEMO), "--format", "json",
+                   "--dos", "dispersion", "--max-mn", "6",
+                   "--reproducible"]
+        outs = []
+        for i, argv in enumerate(([command, *options],
+                                  [*options, command],
+                                  [*options[:4], command, *options[4:]])):
+            out = tmp_path / f"{i}.json"
+            assert main([*argv, "--out", str(out)]) == EXIT_OK
+            outs.append(out.read_bytes())
+        assert outs[0] == outs[1] == outs[2]
+        envelope = json.loads(outs[0])["envelope"]
+        assert (envelope["command"], envelope["dos_model"],
+                envelope["config"]["models.max_mn"]) \
+            == (command, "dispersion", 6)
+
+    def test_version_exits_0(self, capsys):
+        with pytest.raises(SystemExit) as stop:
+            main(["--version"])
+        assert stop.value.code == 0
+        assert capsys.readouterr().out == f"wgqed {cli.__version__}\n"
+
+    def test_help_exits_0_and_names_every_command(self, capsys):
+        with pytest.raises(SystemExit) as stop:
+            main(["--help"])
+        assert stop.value.code == 0
+        shown = capsys.readouterr().out
+        assert shown.startswith(
+            "usage: wgqed COMMAND --config PATH [options]\n")
+        assert all(f"{command}:" in shown for command in COMMANDS)
+
+    # each flag with a value its config key refuses, and that key
+    @pytest.mark.parametrize("flag, value, key", [
+        ("--format", "xml", "output.format"),
+        ("--max-mn", "eight", "models.max_mn"),
+        ("--dos", "bogus", "models.dos"),
+        ("--radicand", "bogus", "models.radicand")])
+    def test_bad_flag_value_is_refused_as_its_key(self, tmp_path, capsys,
+                                                  flag, value, key):
+        out = tmp_path / "decay.csv"
+        assert main(["decay", "--config", str(DEMO), flag, value,
+                     "--out", str(out)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        with pytest.raises(ConfigError) as in_file:
+            parse_config(config_text(**{key: value}))
+        # "line N: key ... expects ..., got ..." from the file
+        refusal = str(in_file.value).split(": ", 1)[1]
+        assert err == f"configuration error: override: {refusal}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv, words", [
+        (["bogus", "--config", str(DEMO)], "invalid choice: 'bogus'"),
+        (["decay"], "the following arguments are required: --config"),
+        ([], "the following arguments are required: COMMAND, --config"),
+        (["decay", "--config", str(DEMO), "--frob"],
+         "unrecognized arguments: --frob"),
+        (["decay", "--config"], "expected one argument")],
+        ids=["unknown_command", "no_config", "empty", "unknown_flag",
+             "config_without_path"])
+    def test_bad_command_line_is_one_line(self, capsys, argv, words):
+        assert main(argv) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith("configuration error: ") and words in err
+
+    def test_unknown_command_from_the_entry_point(self, child_env):
+        proc = subprocess.run(
+            [sys.executable, "-m", "wgqed", "bogus", "--config",
+             str(DEMO)], capture_output=True, text=True, env=child_env,
+            timeout=60)
+        assert proc.returncode == EXIT_CONFIG
+        assert proc.stdout == ""
+        assert proc.stderr.count("\n") == 1
+        assert "invalid choice: 'bogus'" in proc.stderr
 
 
 # --- the row-tuple renderer the column renderer replaced, kept as the
