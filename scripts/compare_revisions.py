@@ -1,22 +1,29 @@
-"""Compare two revisions on the benchmark and write BENCH_<n>.json.
+"""Compare two revisions on the goldens and the benchmark and write
+BENCH_<n>.json.
 
 Archives both revisions of this repository with ``git archive`` into a
 temporary directory and byte-compiles each tree with ``compileall``, so
-that neither side compiles on its first run. For every workload in the
-base tree's BENCHMARK.json it runs ten pairs of ``perfbench/run.py
---workload W --seed s --seconds S``, one run in each tree, with seeds
-4001 to 4010 and S the benchmark's ``run_seconds``; the base runs first
-in the even-numbered pairs and the head first in the odd ones. The last
-line of each run's standard output is the run's JSON record.
+that neither side compiles on its first run. In each tree it first runs
+the two golden scripts, ``scripts/artifact_digests.py DIR`` and
+``scripts/chain_corpus.py --text DIR``. Every artifact file and corpus
+class whose digest moved is listed with its digest on each side and
+the unified diff of its text (``git diff --no-index``), cut after
+DIFF_LINES lines. Then, for every workload in the base tree's
+BENCHMARK.json, it runs ten pairs of ``perfbench/run.py --workload W
+--seed s --seconds S``, one run in each tree, with seeds 4001 to 4010
+and S the benchmark's ``run_seconds``; the base runs first in the
+even-numbered pairs and the head first in the odd ones. The last line
+of each run's standard output is the run's JSON record.
 
-The output file holds every raw run and, for each workload and
-end-to-end metric, the median and interquartile range (IQR) on each
-side, the pairs the head won (ties count for neither) and a verdict
-against the metric's ``better`` and ``bound`` in the base tree's
-BENCHMARK.json. It also holds both commits, the Python, numpy and scipy
-versions and the cpu count from the first run's environment, and the
-load average before and after. Pairs where either run failed are left
-out. The verdicts, for a bound b given as a fraction of the base median:
+The output file holds the moved goldens, every raw run and, for each
+workload and end-to-end metric, the median and interquartile range
+(IQR) on each side, the pairs the head won (ties count for neither)
+and a verdict against the metric's ``better`` and ``bound`` in the
+base tree's BENCHMARK.json. It also holds both commits, the Python,
+numpy and scipy versions and the cpu count from the first run's
+environment, and the load average before and after. Pairs where either
+run failed are left out. The verdicts, for a bound b given as a
+fraction of the base median:
 
     worse         the head median is worse than the base median by
                   more than b of it;
@@ -47,6 +54,14 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 FIRST_SEED = 4001
 PAIRS = 10
+# lines of one moved file's diff kept in the output
+DIFF_LINES = 200
+# each golden script, its arguments before the output directory, and
+# the file there that holds the text behind a digest line's name
+GOLDENS = (
+    ("artifact_digests", (), "{}"),
+    ("chain_corpus", ("--text",), "{}.txt"),
+)
 GAIN_SHARE = 0.9
 RUN_TIMEOUT_S = 900
 
@@ -156,6 +171,75 @@ def summarize(runs, bench):
     return out
 
 
+def digest_map(text):
+    """``{name: sha256}`` from ``sha256  name`` lines."""
+    return {name: digest for digest, name in
+            (line.split("  ", 1) for line in text.splitlines())}
+
+
+def moved_names(old, new):
+    """Names whose digest differs between two ``digest_map``s, or that
+    only one of them holds."""
+    return sorted(name for name in old.keys() | new.keys()
+                  if old.get(name) != new.get(name))
+
+
+def capped(lines, cap=DIFF_LINES):
+    """The first ``cap`` lines of a diff and, when there are more, a
+    last line that counts the rest."""
+    if len(lines) <= cap:
+        return lines
+    return lines[:cap] + [f"... {len(lines) - cap} more lines"]
+
+
+def file_diff(old, new, cwd):
+    """Unified diff lines from file ``old`` to file ``new``, paths
+    relative to ``cwd``; a None path reads as an empty file."""
+    proc = subprocess.run(
+        ["git", "diff", "--no-index", "--no-color", "--no-ext-diff", "--",
+         str(old or os.devnull), str(new or os.devnull)],
+        cwd=cwd, capture_output=True, text=True)
+    # git diff exits 1 when the files differ
+    if proc.returncode not in (0, 1):
+        raise SystemExit(f"git diff {old} {new} failed: {proc.stderr}")
+    return proc.stdout.splitlines()
+
+
+def run_golden(tree, script, args, outdir):
+    """What ``scripts/<script>.py`` prints in ``tree``, its texts
+    written under ``outdir``."""
+    proc = subprocess.run(
+        [sys.executable, f"scripts/{script}.py", *args, str(outdir)],
+        cwd=tree, env={**os.environ, "PYTHONPATH": str(tree / "src")},
+        capture_output=True, text=True, timeout=RUN_TIMEOUT_S)
+    if proc.returncode:
+        raise SystemExit(f"{script} failed in the {tree.name} tree: "
+                         f"{proc.stderr.strip().splitlines()[-1:]}")
+    return proc.stdout
+
+
+def moved_goldens(trees, tmp):
+    """Per golden script, each name whose digest moved from the base
+    tree to the head tree: both digests, the diff of its text cut
+    after DIFF_LINES lines and the diff's full line count."""
+    out = {}
+    for script, args, pattern in GOLDENS:
+        dirs = {side: Path("goldens", side, script) for side in trees}
+        digests = {side: digest_map(run_golden(tree, script, args,
+                                               tmp / dirs[side]))
+                   for side, tree in trees.items()}
+        moves = {}
+        for name in moved_names(digests["base"], digests["head"]):
+            lines = file_diff(*(dirs[side] / pattern.format(name)
+                                if name in digests[side] else None
+                                for side in ("base", "head")), cwd=tmp)
+            moves[name] = {"base": digests["base"].get(name),
+                           "head": digests["head"].get(name),
+                           "diff": capped(lines), "diff_lines": len(lines)}
+        out[script] = moves
+    return out
+
+
 def last_record(stdout):
     """The JSON object on the last line of a perfbench run, or None."""
     lines = stdout.strip().splitlines()
@@ -225,6 +309,10 @@ def main(argv=None):
         trees = {side: Path(tmp) / side for side in commits}
         for side, commit in commits.items():
             export(commit, trees[side])
+        record["moved"] = moved_goldens(trees, Path(tmp))
+        for script, moves in record["moved"].items():
+            print(f"{script} moved: {', '.join(moves) or 'nothing'}",
+                  file=sys.stderr, flush=True)
         bench = json.loads((trees["base"] / "BENCHMARK.json").read_text(
             encoding="utf-8"))
         for workload in (w["name"] for w in bench["workloads"]):

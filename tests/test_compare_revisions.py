@@ -1,7 +1,8 @@
 """The pure parts of ``scripts/compare_revisions.py`` on canned records:
 the order of the pairs, median and IQR, the pair wins, the failure
-counts and the verdicts.
-Nothing here archives a revision or runs the benchmark.
+counts and the verdicts, and on canned golden text the moved names and
+the cut diff. Nothing here archives a revision, runs a golden script or
+runs the benchmark.
 """
 
 import importlib.util
@@ -151,3 +152,34 @@ def test_last_line_is_the_record():
         "correct": True}
     assert cr.last_record("") is None
     assert cr.last_record("perfbench: worker exited 1\n") is None
+
+
+def test_moved_names_are_changed_added_and_removed_lines():
+    base = cr.digest_map("aa  refusals.txt\nbb  decay_paper.csv\n"
+                         "cc  gone.csv\n")
+    head = cr.digest_map("ab  refusals.txt\nbb  decay_paper.csv\n"
+                         "dd  new.csv\n")
+    assert base == {"refusals.txt": "aa", "decay_paper.csv": "bb",
+                    "gone.csv": "cc"}
+    assert cr.moved_names(base, head) == [
+        "gone.csv", "new.csv", "refusals.txt"]
+    assert cr.moved_names(base, base) == []
+
+
+def test_diff_is_cut_after_a_fixed_line_count():
+    lines = [f"+line {i}" for i in range(cr.DIFF_LINES + 5)]
+    assert cr.capped(lines) == lines[:cr.DIFF_LINES] + ["... 5 more lines"]
+    assert cr.capped(lines[:cr.DIFF_LINES]) == lines[:cr.DIFF_LINES]
+    assert cr.capped([]) == []
+
+
+def test_file_diff_of_added_blocks(tmp_path):
+    (tmp_path / "base.txt").write_text("[a] exit 2\nno\n")
+    (tmp_path / "head.txt").write_text("[a] exit 2\nno\n[b] exit 2\nnew\n")
+    lines = cr.file_diff("base.txt", "head.txt", tmp_path)
+    changed = [line for line in lines if line.startswith(("+", "-"))
+               and not line.startswith(("+++", "---"))]
+    assert changed == ["+[b] exit 2", "+new"]
+    # a name one side lacks diffs against an empty file
+    assert cr.file_diff(None, "base.txt", tmp_path)[-2:] == [
+        "+[a] exit 2", "+no"]
