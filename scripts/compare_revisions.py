@@ -184,12 +184,12 @@ def moved_names(old, new):
                   if old.get(name) != new.get(name))
 
 
-def capped(lines, cap=DIFF_LINES):
-    """The first ``cap`` lines of a diff and, when there are more, a
+def capped(lines):
+    """The first DIFF_LINES lines of a diff and, when there are more, a
     last line that counts the rest."""
-    if len(lines) <= cap:
+    if len(lines) <= DIFF_LINES:
         return lines
-    return lines[:cap] + [f"... {len(lines) - cap} more lines"]
+    return lines[:DIFF_LINES] + [f"... {len(lines) - DIFF_LINES} more lines"]
 
 
 def file_diff(old, new, cwd):
