@@ -142,17 +142,57 @@ def _json_cell(value, digits: int) -> str:
 
 
 def _cells(values, digits: int, json: bool) -> list[bytes]:
-    """The UTF-8 text of each cell in one format: ``gformat.cell_texts``
-    for a float64 array, and ``_json_cell`` or ``_fmt`` of each cell of
-    any other sequence."""
-    if isinstance(values, np.ndarray):
-        # imported on first use: a command that renders no float array
-        # neither compiles nor loads the kernel
-        from .gformat import cell_texts
-        return cell_texts(values, digits, json)
+    """The UTF-8 text of each cell in one format, ``_json_cell`` or
+    ``_fmt`` of the cell. A float64 array takes the ``%g`` texts of
+    ``gformat.g_texts`` at once, kept by a vectorized mask where they
+    already are the cell: in CSV below 1e308, where no rounding
+    overflows; in JSON up to 15 digits where ``_json_kept`` holds, a
+    zero written "0.0" or "-0.0"; in JSON from 16 digits on as the repr
+    of each text read back, where that is finite. Every cell a mask
+    refuses, and every cell of any other sequence, goes through the
+    format's renderer."""
     render = _json_cell if json else _fmt
-    return [_text_once(render, v, digits) if type(v) in _ONE_TEXT_TYPES
-            else render(v, digits).encode() for v in values]
+    if not isinstance(values, np.ndarray):
+        return [_text_once(render, v, digits) if type(v) in _ONE_TEXT_TYPES
+                else render(v, digits).encode() for v in values]
+    # imported on first use: a command that renders no float array
+    # neither compiles nor loads the kernel
+    from .gformat import g_texts
+    values = values.ravel()
+    if not json:
+        texts = g_texts(values, digits)
+        kept = ~np.isfinite(values) | (np.abs(values) < 1e308)
+    elif digits <= 15:
+        texts = g_texts(values, digits)
+        kept = _json_kept(values, digits)
+        zeros = np.flatnonzero(values == 0.0)
+        signs = np.signbit(values[zeros]).tolist()
+        for i, negative in zip(zeros.tolist(), signs):
+            texts[i] = b"-0.0" if negative else b"0.0"
+    else:
+        # the texts read back in one pass; 17 digits read back as the
+        # value itself
+        read = (values if digits == 17 else
+                np.array(g_texts(values, digits)).astype(np.float64))
+        texts = [repr(v).encode() for v in read.tolist()]
+        kept = np.isfinite(read)
+    odd = np.flatnonzero(~kept)
+    for i, value in zip(odd.tolist(), values[odd].tolist()):
+        texts[i] = render(value, digits).encode()
+    return texts
+
+
+def _json_kept(values: np.ndarray, digits: int) -> np.ndarray:
+    """Where a JSON cell up to 15 digits is its ``%g`` text or, for a
+    zero, "0.0" or "-0.0": at every zero and at a normal value more
+    than |v| * 10**(1 - digits) from every integer. Such a value's text
+    round-trips, has no "e+", since the value lies below
+    10**(digits - 1), and does not read as an integer."""
+    size = np.abs(values)
+    with np.errstate(invalid="ignore"):
+        off_integer = np.abs(values - np.rint(values))
+    return (values == 0.0) | ((size >= sys.float_info.min)
+                              & (off_integer > size * 10.0 ** (1 - digits)))
 
 
 GRID_COLUMNS = ("x", "z", "t", "g1", "inside_cone")

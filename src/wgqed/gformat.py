@@ -1,6 +1,6 @@
-"""The artifact text of every value of a float64 array at once, in
-either format, built on a vectorized ``%g``: ``b"%.{digits}g" % v``
-for each value, byte for byte.
+"""A vectorized ``%g``: ``b"%.{digits}g" % v`` for every value of a
+float64 array at once, byte for byte. It knows nothing of the artifact
+formats; ``cli._cells`` builds each format's cells on it.
 
 A fast path rounds each value to its decimal digits in float arithmetic
 whose error is bounded, and keeps the result only where that bound
@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import math
 import sys
 
 import numpy as np
@@ -150,60 +149,3 @@ def _c_texts(values: np.ndarray, digits: int) -> list[bytes]:
         return []
     template = b"\0".join([f"%.{digits}g".encode()] * values.size)
     return (template % tuple(values.tolist())).split(b"\0")
-
-
-def cell_texts(values: np.ndarray, digits: int, json: bool) -> list[bytes]:
-    """The artifact cell of each value of a float64 array, as
-    docs/artifact_schema.md states it: in CSV the ``%g`` text, in JSON
-    the repr of that text read back; a finite value whose rounding
-    overflows keeps its repr, and a non-finite JSON value is its quoted
-    text. A vectorized mask keeps the g_texts text, or in JSON from 16
-    digits on the repr, where it is the cell; every other value takes
-    the format's per-cell rule."""
-    values = values.ravel()
-    if not json:
-        # below 1e308 no rounding overflows
-        texts, rule = g_texts(values, digits), _csv_rule
-        kept = ~np.isfinite(values) | (np.abs(values) < 1e308)
-    elif digits <= 15:
-        texts, rule = g_texts(values, digits), _json_rule
-        kept = _json_kept(values, digits)
-        zeros = np.flatnonzero(values == 0.0)
-        signs = np.signbit(values[zeros]).tolist()
-        for i, negative in zip(zeros.tolist(), signs):
-            texts[i] = b"-0.0" if negative else b"0.0"
-    else:
-        # the texts read back in one pass; 17 digits read back as the
-        # value itself
-        read = (values if digits == 17 else
-                np.array(g_texts(values, digits)).astype(np.float64))
-        texts, rule = [repr(v).encode() for v in read.tolist()], _json_rule
-        kept = np.isfinite(read)
-    odd = np.flatnonzero(~kept)
-    for i, value in zip(odd.tolist(), values[odd].tolist()):
-        texts[i] = rule(value, texts[i])
-    return texts
-
-
-def _json_kept(values: np.ndarray, digits: int) -> np.ndarray:
-    """Where a JSON cell up to 15 digits is its g_texts text or, for a
-    zero, "0.0" or "-0.0": at every zero and at a normal value more
-    than |v| * 10**(1 - digits) from every integer. Such a value's text
-    round-trips, has no "e+", since the value lies below
-    10**(digits - 1), and does not read as an integer."""
-    size = np.abs(values)
-    with np.errstate(invalid="ignore"):
-        off_integer = np.abs(values - np.rint(values))
-    return (values == 0.0) | ((size >= _DBL_MIN)
-                              & (off_integer > size * 10.0 ** (1 - digits)))
-
-
-def _csv_rule(value: float, text: bytes) -> bytes:
-    return repr(value).encode() if math.isinf(float(text)) else text
-
-
-def _json_rule(value: float, text: bytes) -> bytes:
-    rounded = float(text)
-    if math.isfinite(rounded):
-        return repr(rounded).encode()
-    return repr(value).encode() if math.isfinite(value) else b'"' + text + b'"'

@@ -1757,6 +1757,29 @@ def _block_cases():
         yield f"shape {shape}", _block_grid(shape, rng)
 
 
+def _spied_grid_rows(monkeypatch, out_format, grid, digits, note=None):
+    """The row text of ``grid`` in one format, and ``note`` (by default
+    the value itself) of each float its per-cell renderer, ``cli._fmt``
+    or ``cli._json_cell``, took while the rows rendered: the array cells
+    a mask of ``cli._cells`` refused."""
+    name = "_fmt" if out_format == "csv" else "_json_cell"
+    render, taken = getattr(cli, name), []
+
+    def spy(value, digits):
+        if type(value) is float:
+            taken.append(value if note is None else note(value))
+        return render(value, digits)
+
+    # the separators _csv_chunks and _json_chunks give _table_text
+    seps = {"csv": (",", "\n"),
+            "json": (",\n      ", "\n    ],\n    [\n      ")}
+    with monkeypatch.context() as patch:
+        patch.setattr(cli, name, spy)
+        rows = b"".join(cli._grid_rows(grid, digits, out_format == "json",
+                                       *seps[out_format]))
+    return rows.decode(), taken
+
+
 class TestGridRenderer:
     """A correlation grid renders as the row-tuple renderer writes its
     rows, on the one-fill path and on the per-cell fallback."""
@@ -1764,22 +1787,19 @@ class TestGridRenderer:
     @pytest.mark.parametrize("out_format", ["csv", "json"])
     @pytest.mark.parametrize("digits", [3, 12, 15, 16, 17])
     def test_matches_row_tuples(self, monkeypatch, out_format, digits):
-        name = f"_{out_format}_rule"
-        rule, taken = getattr(gformat, name), set()
-
-        def spy(value, text):
-            taken.add(value)
-            return rule(value, text)
-
-        monkeypatch.setattr(gformat, name, spy)
-        env = _demo_env()
+        env, taken = _demo_env(), set()
         for case, grid in _grid_cases():
-            assert _rendered(out_format, env, grid, digits) == \
-                _grid_reference(out_format, env, grid, digits), case
-        # the per-cell rule takes what the format's mask refuses: in CSV
-        # the values whose rounding may overflow; in JSON never a zero
-        # or a smooth g1 value, up to 15 digits integer-valued ones such
-        # as t = 2.0, from 16 digits on the non-finite ones and those
+            text = _rendered(out_format, env, grid, digits)
+            assert text == _grid_reference(out_format, env, grid, digits), \
+                case
+            rows, floats = _spied_grid_rows(monkeypatch, out_format, grid,
+                                            digits)
+            assert rows in text, case
+            taken.update(floats)
+        # the per-cell renderer takes what the format's mask refuses: in
+        # CSV the values whose rounding may overflow; in JSON never a
+        # zero or a smooth g1 value, up to 15 digits integer-valued ones
+        # such as t = 2.0, from 16 digits on the non-finite ones and those
         # whose rounding overflows alone
         smooth = [v for v in taken if 1e-6 < v < 0.4]
         finite = {v for v in taken if math.isfinite(v)}
@@ -1810,29 +1830,24 @@ class TestGridRenderer:
     def test_only_the_inexact_block_renders_per_cell(
             self, monkeypatch, out_format, value):
         monkeypatch.setattr(cli, "GRID_BLOCK_CELLS", 7)
-        name = f"_{out_format}_rule"
-        cell_texts, rule = gformat.cell_texts, getattr(gformat, name)
-        blocks, taken = [], []
-
-        def texts_spy(values, digits, json):
-            blocks.append(values)
-            return cell_texts(values, digits, json)
-
-        def rule_spy(v, text):
-            taken.append((len(blocks), v))
-            return rule(v, text)
-
-        monkeypatch.setattr(gformat, "cell_texts", texts_spy)
-        monkeypatch.setattr(gformat, name, rule_spy)
         grid = _block_grid((2, 5, 3), np.random.default_rng(7),
                            inside=1.0)
         grid.values[1, 2, 1] = value
         env = _demo_env()
         assert _rendered(out_format, env, grid, 12) == \
             _grid_reference(out_format, env, grid, 12)
+        g_texts, blocks = gformat.g_texts, []
+
+        def texts_spy(values, digits):
+            blocks.append(values)
+            return g_texts(values, digits)
+
+        monkeypatch.setattr(gformat, "g_texts", texts_spy)
+        _, taken = _spied_grid_rows(monkeypatch, out_format, grid, 12,
+                                    lambda v: (len(blocks), v))
         # the t, z and x axes, then z rows 0-1, 2-3 and 4 of each x
         # value, the value in the fifth: the blocks cover each cell
-        # once, in order, and the rule takes the value alone, so only
+        # once, in order, and the mask refuses the value alone, so only
         # its cell renders per cell
         assert [values.size for values in blocks] == \
             [3, 5, 2] + [6, 6, 3] * 2
@@ -1855,33 +1870,31 @@ class TestGridRenderer:
         assert (spec % (value,)).decode() == text
         assert (bytearray(spec) % (value,)).decode() == text
         # and the array path writes each format's cell
-        assert gformat.cell_texts(one, digits, False) == \
+        assert cli._cells(one, digits, False) == \
             [cli._fmt(value, digits).encode()]
-        assert gformat.cell_texts(one, digits, True) == \
+        assert cli._cells(one, digits, True) == \
             [cli._json_cell(value, digits).encode()]
 
 
 class TestGridFastPath:
-    """On the figure grid the per-cell renderers and rules see at most
-    the axes, the cone flags and the envelope, never g1."""
+    """On the figure grid the per-cell renderers see at most the axes,
+    the cone flags and the envelope, never g1."""
 
     @pytest.mark.parametrize("out_format", ["csv", "json"])
     def test_per_cell_work_bounded_by_axes(self, tmp_path, monkeypatch,
                                            out_format):
-        modules = {"_fmt": cli, "_json_cell": cli, "_csv_rule": gformat,
-                   "_json_rule": gformat}
-        counts = dict.fromkeys(modules, 0)
+        counts = dict.fromkeys(("_fmt", "_json_cell"), 0)
 
         def counted(name):
-            fn = getattr(modules[name], name)
+            fn = getattr(cli, name)
 
             def wrapper(*args):
                 counts[name] += 1
                 return fn(*args)
             return wrapper
 
-        for name in modules:
-            monkeypatch.setattr(modules[name], name, counted(name))
+        for name in counts:
+            monkeypatch.setattr(cli, name, counted(name))
         # rows in each chunk as it reaches the file: the grid streams
         # in blocks of at most GRID_BLOCK_CELLS rows
         row_mark = b"\n" if out_format == "csv" else b"\n    ["

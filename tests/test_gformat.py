@@ -1,13 +1,14 @@
 """The vectorized ``%g`` kernel against the C routine, and the cell
-texts built on it against the per-cell renderers.
+texts ``cli._cells`` builds on it against the per-cell renderers.
 
 ``gformat.g_texts`` must write ``b"%.{digits}g" % v`` byte for byte for
 every float64: fixed cases at the rounding and layout switches, doubles
 next to decimal ties and powers of ten, and hypothesis draws over every
-bit pattern. ``gformat.cell_texts`` must write what ``cli._fmt`` and
-``cli._json_cell`` write for each value, in CSV and in JSON. The fast
-path must cover the figure grid, and the kernel must load only when a
-command renders a float array.
+bit pattern. ``cli._cells`` of a float64 array, its format masks over
+the kernel's texts, must write what ``cli._fmt`` and ``cli._json_cell``
+write for each value, in CSV and in JSON. The fast path must cover the
+figure grid, and the kernel must load only when a command renders a
+float array.
 """
 
 import math
@@ -136,9 +137,9 @@ class TestGTexts:
             # and the format masks, on inf and nan as well
             for digits in (3, 12, 14, 15, 16, 17):
                 for json in (False, True):
-                    gformat.cell_texts(values, digits, json)
-                    gformat.cell_texts(np.array([np.inf, -np.inf, np.nan]),
-                                       digits, json)
+                    cli._cells(values, digits, json)
+                    cli._cells(np.array([np.inf, -np.inf, np.nan]),
+                               digits, json)
 
     def test_fast_path_covers_the_figure_grid(self, tmp_path):
         # a silent fall back to the C routine for every cell fails here
@@ -156,9 +157,9 @@ class TestGTexts:
         assert texts[proven].tolist() == \
             _g_oracle(values[proven], 12)
         # JSON, like CSV, keeps the kernel text of nearly every cell
-        assert gformat._json_kept(values, 12).mean() >= 0.99
+        assert cli._json_kept(values, 12).mean() >= 0.99
         for json in (False, True):
-            assert gformat.cell_texts(values, 12, json) == \
+            assert cli._cells(values, 12, json) == \
                 _cell_oracle(values, 12, json)
 
 
@@ -168,15 +169,15 @@ def _cell_oracle(values, digits, json):
 
 
 class TestCellTexts:
-    """cell_texts writes the per-cell renderer's text of every float64,
-    in both formats."""
+    """cli._cells of a float64 array writes the per-cell renderer's text
+    of every value, in both formats."""
 
     @given(st.lists(st.integers(0, 2 ** 64 - 1), min_size=1, max_size=60),
            st.integers(3, 17))
     def test_any_bit_pattern(self, bits, digits):
         values = np.array(bits, np.uint64).view(np.float64)
         for json in (False, True):
-            assert gformat.cell_texts(values, digits, json) == \
+            assert cli._cells(values, digits, json) == \
                 _cell_oracle(values, digits, json)
 
     @pytest.mark.parametrize("digits", range(3, 18))
@@ -184,15 +185,15 @@ class TestCellTexts:
         values = np.concatenate([_g_fixed_cases(), _g_switches(digits),
                                  -_g_switches(digits) * 1e-5])
         for json in (False, True):
-            assert gformat.cell_texts(values, digits, json) == \
+            assert cli._cells(values, digits, json) == \
                 _cell_oracle(values, digits, json)
 
     @pytest.mark.parametrize("digits", [3, 12, 16, 17])
     def test_empty_and_shaped_blocks(self, digits):
         block = np.linspace(-1.0, 3.0, 24).reshape(2, 3, 4)
         for json in (False, True):
-            assert gformat.cell_texts(np.empty(0), digits, json) == []
-            assert gformat.cell_texts(block, digits, json) == \
+            assert cli._cells(np.empty(0), digits, json) == []
+            assert cli._cells(block, digits, json) == \
                 _cell_oracle(block.ravel(), digits, json)
 
 
