@@ -21,7 +21,9 @@ workload and end-to-end metric, the median and interquartile range
 and a verdict against the metric's ``better`` and ``bound`` in the
 base tree's BENCHMARK.json. It also holds both commits, the Python,
 numpy and scipy versions and the cpu count from the first run's
-environment, and the load average before and after. Pairs where either
+environment, numpy's SIMD dispatch level and any
+``NPY_DISABLE_CPU_FEATURES`` as read in this process, whose
+environment the runs inherit, and the load average before and after. Pairs where either
 run failed are left out. The verdicts, for a bound b given as a
 fraction of the base median:
 
@@ -294,6 +296,20 @@ def loadavg():
     return [round(x, 2) for x in os.getloadavg()]
 
 
+def simd_level():
+    """numpy's dispatched SIMD features in this process, in dispatch
+    order, and ``NPY_DISABLE_CPU_FEATURES`` when it is set: the level
+    the goldens' last bits depend on."""
+    from numpy._core._multiarray_umath import (__cpu_dispatch__,
+                                               __cpu_features__)
+    level = {"simd_level": " ".join(
+        t for t in __cpu_dispatch__ if __cpu_features__[t])}
+    if "NPY_DISABLE_CPU_FEATURES" in os.environ:
+        level["NPY_DISABLE_CPU_FEATURES"] = \
+            os.environ["NPY_DISABLE_CPU_FEATURES"]
+    return level
+
+
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("base")
@@ -330,8 +346,9 @@ def main(argv=None):
     env = next((run["environment"] for run in runs if "environment" in run),
                {})
     record.update(
-        environment={k: env.get(k)
-                     for k in ("python", "numpy", "scipy", "cpu_count")},
+        environment={**{k: env.get(k) for k in ("python", "numpy", "scipy",
+                                                 "cpu_count")},
+                     **simd_level()},
         loadavg_end=loadavg(), summary=summary, runs=runs)
     args.out.write_text(json.dumps(record, indent=1) + "\n",
                         encoding="utf-8")

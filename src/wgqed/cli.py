@@ -34,7 +34,7 @@ from collections.abc import Iterable, Iterator, Sequence
 import numpy as np
 
 from . import __version__
-from .config import load_config
+from .config import FLAGS, load_config
 from .detection import (
     CorrelationGrid,
     RadicandModel,
@@ -546,7 +546,9 @@ class _Parser(argparse.ArgumentParser):
 
 
 def build_parser() -> argparse.ArgumentParser:
-    """One parser; flag values stay text, parsed as their keys are."""
+    """One parser; flag values stay text, parsed as their keys are. The
+    four override flags come from the ``RunConfig`` fields that declare
+    them."""
     parser = _Parser(
         prog="wgqed", usage="%(prog)s COMMAND --config PATH [options]",
         description="guided-mode emission and detection pipeline")
@@ -558,13 +560,14 @@ def build_parser() -> argparse.ArgumentParser:
                         help="key = value configuration file")
     parser.add_argument("--out", metavar="PATH",
                         help="artifact path (default stdout)")
-    parser.add_argument("--format", help="output.format override")
     parser.add_argument("--reproducible", action="store_true",
                         help="omit the timestamp for byte-identical "
                              "reruns")
-    parser.add_argument("--max-mn", metavar="N", help="models.max_mn override")
-    parser.add_argument("--dos", help="models.dos override")
-    parser.add_argument("--radicand", help="models.radicand override")
+    for name, f in FLAGS.items():
+        flag = f.metadata["flag"]
+        parser.add_argument(
+            flag, dest=name, help=f"{f.metadata['key']} override",
+            metavar="N" if f.metadata["kind"] is int else flag[2:].upper())
     return parser
 
 
@@ -572,8 +575,7 @@ def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
         config = load_config(args.config).with_overrides(
-            dos=args.dos, radicand=args.radicand, max_mn=args.max_mn,
-            out_format=args.format)
+            **{name: getattr(args, name) for name in FLAGS})
         # looked up per call, so a handler replaced on this module runs
         return globals()[f"cmd_{args.command}"](config, args)
     except ConfigError as err:

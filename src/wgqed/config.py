@@ -7,7 +7,8 @@ hard error with a line number and a nearest-match hint, so a typo
 cannot silently fall back to a default.
 
 Each key is declared once, on its ``RunConfig`` field: file
-spelling, parser kind and default. ``SCHEMA``, the parser, the flag
+spelling, parser kind, default and, for the four keys a command line
+flag overrides, that flag. ``SCHEMA``, ``FLAGS``, the parser, the flag
 overrides and the envelope echo all read that declaration. Keys that
 default to "auto" are resolved late, once the quantities they depend
 on (the emitter frequency, the fitted decay rate) are known.
@@ -38,15 +39,17 @@ FORMATS = ("csv", "json")
 MAX_GRID_POINTS = 1_000_000
 
 
-def _key(key: str, kind=float, default=_REQUIRED):
-    """Declare a field's file key, its parser kind and its default.
+def _key(key: str, kind=float, default=_REQUIRED, flag=None):
+    """Declare a field's file key, its parser kind, its default and the
+    command line flag that overrides it, if one does.
 
     ``kind`` is ``float``, ``int``, an Enum whose values are the file
     spellings, or a tuple of allowed strings. ``_REQUIRED`` means the
     file must set the key; a default of None means "resolved
     downstream" and is spelled "auto" in files.
     """
-    return field(metadata={"key": key, "kind": kind, "default": default})
+    return field(metadata={"key": key, "kind": kind, "default": default,
+                           "flag": flag})
 
 
 @dataclass(frozen=True)
@@ -72,10 +75,11 @@ class RunConfig:
     dipole_z_re: float = _key("atom.dipole_z_re")
     dipole_z_im: float = _key("atom.dipole_z_im")
     dos: DensityModel = _key("models.dos", DensityModel,
-                             DensityModel.PHASE_VELOCITY)
+                             DensityModel.PHASE_VELOCITY, flag="--dos")
     radicand: RadicandModel = _key("models.radicand", RadicandModel,
-                                   RadicandModel.SINGLE_INDEX)
-    max_mn: int = _key("models.max_mn", int, 8)
+                                   RadicandModel.SINGLE_INDEX,
+                                   flag="--radicand")
+    max_mn: int = _key("models.max_mn", int, 8, flag="--max-mn")
     box_length: float = _key("box.length", float, 1.0)
     x_min: float | None = _key("grid.x_min", float, None)
     x_max: float | None = _key("grid.x_max", float, None)
@@ -88,7 +92,7 @@ class RunConfig:
     t_count: int = _key("grid.t_count", int, 40)
     nu_min: float | None = _key("window.nu_min", float, None)
     nu_max: float | None = _key("window.nu_max", float, None)
-    out_format: str = _key("output.format", FORMATS, "csv")
+    out_format: str = _key("output.format", FORMATS, "csv", flag="--format")
     digits: int = _key("output.digits", int, 12)
 
     def waveguide_spec(self) -> WaveguideSpec:
@@ -201,9 +205,10 @@ class RunConfig:
 
     def with_overrides(self, **overrides) -> "RunConfig":
         """Apply command line flag overrides, keyed by field name, on
-        top of the file; None leaves a field as the file set it."""
-        by_name = {f.name: f for f in fields(self)}
-        updates = {name: _convert(by_name[name], value, "override")
+        top of the file; None leaves a field as the file set it. A
+        refused value is named by its flag and its key."""
+        updates = {name: _convert(FLAGS[name], value,
+                                  f"flag {FLAGS[name].metadata['flag']}")
                    for name, value in overrides.items()
                    if value is not None}
         if not updates:
@@ -226,6 +231,8 @@ class RunConfig:
 
 
 SCHEMA = {f.metadata["key"]: f for f in fields(RunConfig)}
+# the fields a command line flag overrides, by field name
+FLAGS = {f.name: f for f in fields(RunConfig) if f.metadata["flag"]}
 
 
 def _convert(f: Field, raw, where: str):

@@ -12,6 +12,8 @@ its output).
 import importlib.util
 from pathlib import Path
 
+import simd_level
+
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = ROOT / "tests" / "data" / "artifact_digests.txt"
 
@@ -30,10 +32,8 @@ def digests(text):
             (line.split("  ", 1) for line in text.splitlines())}
 
 
-def test_artifacts_match_golden_digests(tmp_path, capsys):
-    assert load_script().main([str(tmp_path)]) == 0
-    got = digests(capsys.readouterr().out)
-    want = digests(GOLDEN.read_text(encoding="utf-8"))
+def differences(want, got):
+    """One line per name whose digest is missing, extra or different."""
     problems = []
     for name in sorted(want.keys() | got.keys()):
         if name not in got:
@@ -43,5 +43,29 @@ def test_artifacts_match_golden_digests(tmp_path, capsys):
         elif got[name] != want[name]:
             problems.append(f"{name} differs: golden {want[name]}, "
                             f"written {got[name]}")
-    assert not problems, (
-        f"artifacts differ from {GOLDEN.name}:\n" + "\n".join(problems))
+    return problems
+
+
+def report(problems):
+    return (f"artifacts differ from {GOLDEN.name}:\n" + "\n".join(problems)
+            + f"\n({simd_level.note()})")
+
+
+def test_artifacts_match_golden_digests(tmp_path, capsys):
+    assert load_script().main([str(tmp_path)]) == 0
+    got = digests(capsys.readouterr().out)
+    want = digests(GOLDEN.read_text(encoding="utf-8"))
+    problems = differences(want, got)
+    assert not problems, report(problems)
+
+
+def test_report_names_both_simd_levels(monkeypatch):
+    # a canned mismatch, read at a lower level than the goldens'
+    monkeypatch.setattr(simd_level, "active", lambda: "X86_V3")
+    problems = differences({"a.csv": "aa", "b.csv": "bb"},
+                           {"a.csv": "ab", "c.csv": "cc"})
+    assert problems == ["a.csv differs: golden aa, written ab",
+                        "b.csv missing: golden bb", "c.csv extra: written cc"]
+    assert report(problems).splitlines()[-1] == (
+        "(the goldens were written at numpy SIMD level X86_V3 X86_V4 "
+        "AVX512_ICL AVX512_SPR; this process runs at X86_V3)")

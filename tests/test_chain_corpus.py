@@ -17,6 +17,8 @@ from pathlib import Path
 
 import numpy as np
 
+import simd_level
+
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = ROOT / "tests" / "data" / "chain_corpus.txt"
 
@@ -29,6 +31,12 @@ def load_script():
     return module
 
 
+def report(differ):
+    return (f"classes differ from {GOLDEN.name}: {', '.join(differ)} (the "
+            f"golden lines' numpy version is in the script's header; this "
+            f"run has numpy {np.__version__}; {simd_level.note()})")
+
+
 def test_corpus_matches_golden_digests(capsys):
     assert load_script().main([]) == 0
     got = capsys.readouterr().out.splitlines()
@@ -37,7 +45,15 @@ def test_corpus_matches_golden_digests(capsys):
         line.split("  ", 1)[1] for line in want], "output classes differ"
     differ = [line.split("  ", 1)[1] for line, golden in zip(got, want)
               if line != golden]
-    assert not differ, (
-        f"classes differ from {GOLDEN.name}: {', '.join(differ)} (the "
-        f"golden lines' numpy version is in the script's header; this "
-        f"run has numpy {np.__version__})")
+    assert not differ, report(differ)
+
+
+def test_report_names_both_simd_levels(monkeypatch):
+    # a canned mismatch, read with no dispatched kernels at all
+    monkeypatch.setattr(simd_level, "active", lambda: "")
+    message = report(["shift", "bins"])
+    assert message.startswith("classes differ from chain_corpus.txt: "
+                              "shift, bins (")
+    assert message.endswith(
+        "the goldens were written at numpy SIMD level X86_V3 X86_V4 "
+        "AVX512_ICL AVX512_SPR; this process runs at the baseline)")

@@ -1300,9 +1300,10 @@ class TestCommandLine:
         err = capsys.readouterr().err
         with pytest.raises(ConfigError) as in_file:
             parse_config(config_text(**{key: value}))
-        # "line N: key ... expects ..., got ..." from the file
+        # "line N: key ... expects ..., got ..." from the file, named by
+        # the flag in place of the line
         refusal = str(in_file.value).split(": ", 1)[1]
-        assert err == f"configuration error: override: {refusal}\n"
+        assert err == f"configuration error: flag {flag}: {refusal}\n"
         assert not out.exists()
 
     @pytest.mark.parametrize("argv, words", [

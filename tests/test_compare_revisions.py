@@ -1,7 +1,7 @@
 """The pure parts of ``scripts/compare_revisions.py`` on canned records:
 the order of the pairs, median and IQR, the pair wins, the failure
-counts and the verdicts, and on canned golden text the moved names and
-the cut diff. Nothing here archives a revision, runs a golden script or
+counts and the verdicts, on canned golden text the moved names and
+the cut diff, and the SIMD level it records. Nothing here archives a revision, runs a golden script or
 runs the benchmark.
 """
 
@@ -10,6 +10,8 @@ import json
 from pathlib import Path
 
 import pytest
+
+import simd_level
 
 SCRIPT = Path(__file__).resolve().parent.parent / "scripts" \
     / "compare_revisions.py"
@@ -183,3 +185,12 @@ def test_file_diff_of_added_blocks(tmp_path):
     # a name one side lacks diffs against an empty file
     assert cr.file_diff(None, "base.txt", tmp_path)[-2:] == [
         "+[a] exit 2", "+no"]
+
+
+def test_simd_level_is_read_in_process(monkeypatch):
+    monkeypatch.delenv("NPY_DISABLE_CPU_FEATURES", raising=False)
+    assert cr.simd_level() == {"simd_level": simd_level.active()}
+    # the variable acts at numpy's import, so it is recorded as set
+    monkeypatch.setenv("NPY_DISABLE_CPU_FEATURES", "AVX512_SPR")
+    assert cr.simd_level() == {"simd_level": simd_level.active(),
+                               "NPY_DISABLE_CPU_FEATURES": "AVX512_SPR"}
