@@ -23,8 +23,8 @@ base tree's BENCHMARK.json. It also holds both commits, the Python,
 numpy and scipy versions and the cpu count from the first run's
 environment, numpy's SIMD dispatch level and any
 ``NPY_DISABLE_CPU_FEATURES`` as read in this process, whose
-environment the runs inherit, and the load average before and after. Pairs where either
-run failed are left out. The verdicts, for a bound b given as a
+environment the runs inherit, and the load average before and after.
+Pairs where either run failed are left out. The verdicts, for a bound b given as a
 fraction of the base median:
 
     worse         the head median is worse than the base median by

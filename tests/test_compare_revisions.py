@@ -1,8 +1,8 @@
 """The pure parts of ``scripts/compare_revisions.py`` on canned records:
 the order of the pairs, median and IQR, the pair wins, the failure
 counts and the verdicts, on canned golden text the moved names and
-the cut diff, and the SIMD level it records. Nothing here archives a revision, runs a golden script or
-runs the benchmark.
+the cut diff, and the SIMD level it records. Nothing here archives a
+revision, runs a golden script or runs the benchmark.
 """
 
 import importlib.util

@@ -1,12 +1,14 @@
 """Tests for decay, level shift and the discretized-continuum oracle.
 
-Independent oracles anchor this module: the exact evolution of the
-discretized continuum (checks the golden-rule rate normalization end
-to end), itself checked against the closed-form two-level Rabi
-solution and against scipy's DOP853 integration written out here; and
-a subtraction-based trapezoid principal value and QUADPACK's
-Cauchy-weight rule, both in plain frequency (check the axial-variable
-shift integrals).
+Independent oracles anchor this module: the golden rule of a long
+cavity's textbook modes, per channel (checks the rate's mode
+normalization and state density with no code in common); the exact
+evolution of the discretized continuum (checks the golden-rule rate
+normalization end to end), itself checked against the closed-form
+two-level Rabi solution and against scipy's DOP853 integration
+written out here; and a subtraction-based trapezoid principal value
+and QUADPACK's Cauchy-weight rule, both in plain frequency (check the
+axial-variable shift integrals).
 """
 
 import cmath
@@ -23,6 +25,7 @@ import pytest
 from scipy.integrate import quad, solve_ivp
 
 import dense_oracle
+import golden_rule_oracle
 
 from wgqed.config import load_config
 from wgqed.errors import DomainError
@@ -179,6 +182,67 @@ class TestBulkLimit:
                     * spec.permeability / (3.0 * math.pi))
             ratios.append(rate / bulk)
         assert np.mean(ratios) == pytest.approx(limit, rel=rel)
+
+
+# the decay rate over the textbook golden rule on every channel: the
+# modes of quantize are normalized to (1/2) * integral(eps |E|^2 +
+# mu |H|^2) = hbar omega, where the textbook expansion takes the
+# integral itself equal to hbar omega (ROADMAP item 15)
+CONVENTION = 2.0
+
+
+def _oracle_cases():
+    # configs/demo.conf: TE10 alone
+    yield ("demo", WaveguideSpec(width=math.pi, height=math.pi / 2.0,
+                                 permeability=1.44),
+           (math.pi / 2.0, math.pi / 4.0, 0.0), (0.0, 0.124, 0.0), 1.45)
+    rng = np.random.default_rng(2351)
+    for case in range(12):
+        width = rng.uniform(1.0, 3.0)
+        height = width * rng.uniform(0.3, 1.0)
+        eps, mu = rng.uniform(1.0, 3.0), rng.uniform(1.0, 2.0)
+        omega = (rng.uniform(1.05, 3.0) * rng.uniform(1.0, 1.8) * math.pi
+                 / (width * math.sqrt(eps * mu)))
+        position = (rng.uniform(0.02, 0.98) * width,
+                    rng.uniform(0.02, 0.98) * height, rng.uniform(-1.0, 1.0))
+        dipole = tuple(complex(*rng.normal(size=2)) for _ in range(3))
+        yield (f"seeded_{case}",
+               WaveguideSpec(width=width, height=height, permittivity=eps,
+                             permeability=mu), position, dipole, omega)
+
+
+class TestGoldenRuleOracle:
+    """Per channel, both directions summed, the decay rate is
+    CONVENTION times a long cavity's textbook golden rule under
+    ``dispersion``, and that times beta / (n omega), the cosine of the
+    channel's angle to the axis, under ``paper``. The oracle shares no
+    code with quantize: closed-form fields, no quadrature, no box."""
+
+    @pytest.mark.parametrize("model", list(DensityModel),
+                             ids=lambda model: model.value)
+    @pytest.mark.parametrize(
+        "name, spec, position, dipole, omega",
+        list(_oracle_cases()), ids=[case[0] for case in _oracle_cases()])
+    def test_rate_per_channel(self, model, name, spec, position, dipole,
+                              omega):
+        atom = Atom(position=position, dipole=dipole,
+                    transition_frequency=omega)
+        result = decay_rate(spec, atom, BOX, model, max_index=40)
+        rates = {}
+        for ch in result.channels:
+            key = (ch.mode.polarization.value, ch.mode.m, ch.mode.n)
+            rates[key] = rates.get(key, 0.0) + ch.rate
+        oracle = golden_rule_oracle.channel_rates(
+            spec.width, spec.height, spec.permittivity, spec.permeability,
+            position, dipole, omega)
+        assert rates.keys() == oracle.keys()
+        assert 1 <= len(oracle) <= 20
+        n = spec.refractive_index
+        for key, (rate, beta) in oracle.items():
+            cosine = (1.0 if model is DensityModel.GROUP_VELOCITY
+                      else beta / (n * omega))
+            assert rates[key] == pytest.approx(CONVENTION * cosine * rate,
+                                               rel=1e-13, abs=0.0), key
 
 
 def trapezoid_pv_oracle(f, omega, lo, hi, n=60001):
