@@ -22,8 +22,8 @@ name, so two checkouts can be compared with ``diff``. The accepted
 lines are in ``tests/data/artifact_digests.txt``.
 
 The accepted lines were written with numpy 2.4.6 on Python 3.11.7
-(x86-64), at numpy's SIMD dispatch level X86_V3 X86_V4 AVX512_ICL
-AVX512_SPR over the baseline X86_V2. A lower level
+and glibc 2.36 (x86-64), at numpy's SIMD dispatch level X86_V3
+X86_V4 AVX512_ICL AVX512_SPR over the baseline X86_V2. A lower level
 (``NPY_DISABLE_CPU_FEATURES``) moves the last bits of some ``corr``
 and ``validate`` artifacts; the golden test's failure message names
 the level it ran at.

@@ -45,12 +45,12 @@ each class's text to ``DIR/<class>.txt``, so that two checkouts can
 be compared line by line with ``diff``.
 
 The golden lines were written with numpy 2.4.6 on Python 3.11.7
-(x86-64), at numpy's SIMD dispatch level X86_V3 X86_V4 AVX512_ICL
-AVX512_SPR over the baseline X86_V2. ``float.hex`` text exposes
-numpy's SIMD ``exp`` and ``log`` paths and its complex products, so
-another numpy build or a lower level (``NPY_DISABLE_CPU_FEATURES``)
-may move a last bit; the golden test's failure message names the
-level it ran at.
+and glibc 2.36 (x86-64), at numpy's SIMD dispatch level X86_V3
+X86_V4 AVX512_ICL AVX512_SPR over the baseline X86_V2. ``float.hex``
+text exposes numpy's SIMD ``exp`` and ``log`` paths and its complex
+products, so another numpy build or a lower level
+(``NPY_DISABLE_CPU_FEATURES``) may move a last bit; the golden test's
+failure message names the level it ran at.
 
 Usage:
     PYTHONPATH=src python scripts/chain_corpus.py [--text DIR]

@@ -21,9 +21,10 @@ workload and end-to-end metric, the median and interquartile range
 and a verdict against the metric's ``better`` and ``bound`` in the
 base tree's BENCHMARK.json. It also holds both commits, the Python,
 numpy and scipy versions and the cpu count from the first run's
-environment, numpy's SIMD dispatch level and any
-``NPY_DISABLE_CPU_FEATURES`` as read in this process, whose
-environment the runs inherit, and the load average before and after.
+environment, numpy's SIMD dispatch level, any
+``NPY_DISABLE_CPU_FEATURES`` and the C library's name and version as
+read in this process, whose environment the runs inherit, and the load
+average before and after.
 Pairs where either run failed are left out. The verdicts, for a bound b given as a
 fraction of the base median:
 
@@ -47,6 +48,7 @@ Usage:
 import argparse
 import json
 import os
+import platform
 import statistics
 import subprocess
 import sys
@@ -310,6 +312,14 @@ def simd_level():
     return level
 
 
+def environment(first_run):
+    """The versions and cpu count of the first run's environment, then
+    numpy's SIMD level and the C library as read in this process."""
+    return {**{k: first_run.get(k)
+               for k in ("python", "numpy", "scipy", "cpu_count")},
+            **simd_level(), "libc": " ".join(platform.libc_ver())}
+
+
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("base")
@@ -343,13 +353,10 @@ def main(argv=None):
                           f"{'failed' if run['metrics'] is None else 'ok'}",
                           file=sys.stderr, flush=True)
     summary = summarize(runs, bench)
-    env = next((run["environment"] for run in runs if "environment" in run),
-               {})
-    record.update(
-        environment={**{k: env.get(k) for k in ("python", "numpy", "scipy",
-                                                 "cpu_count")},
-                     **simd_level()},
-        loadavg_end=loadavg(), summary=summary, runs=runs)
+    first_run = next((run["environment"] for run in runs
+                      if "environment" in run), {})
+    record.update(environment=environment(first_run), loadavg_end=loadavg(),
+                  summary=summary, runs=runs)
     args.out.write_text(json.dumps(record, indent=1) + "\n",
                         encoding="utf-8")
 

@@ -28,16 +28,13 @@ pole rather than by excising it.
 directions of travel) and weights off it; the decay rate and the cells
 take all of theirs from one call of each. Every continuum measure,
 the unit one of decaying profiles included, comes from ``quantize``.
-The table's arrays, like the mode table behind ``modes.modes_below``,
-are built once per guide, atom position and mode list and then shared
-read-only, so a frequency sweep or root find on one emitter scans and
-tabulates its modes once, not twice per frequency. The shift's (mode,
-branch) segments refine in lockstep: one call covers the 1-panel and
-2-panel rules of every segment (and, for a principal value, the pole
-point and both halves), and each further panel doubling is one call
-over the segments not yet accepted, split into calls of whole rows past
-the quadrature's node budget. ``quantize.coupling_at`` stays the
-per-point definition the tests check this module against.
+The shift's (mode, branch) segments refine in lockstep: one call
+covers the 1-panel and 2-panel rules of every segment (and, for a
+principal value, the pole point and both halves), and each further
+panel doubling is one call over the segments not yet accepted, split
+into calls of whole rows past the quadrature's node budget.
+``quantize.coupling_at`` stays the per-point definition the tests
+check this module against.
 
 ``amplitudes_ode_oracle`` propagates the exact Schroedinger system of
 the ``ContinuumCells`` arrays of ``build_bins`` by diagonalizing its

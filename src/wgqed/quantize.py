@@ -37,7 +37,6 @@ axial variable, in closed form, for the level shift's integrals.
 from __future__ import annotations
 
 import cmath
-import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -197,38 +196,25 @@ def coupling_at(spec: WaveguideSpec, mode: ModeIndex, frequency: float,
     return complex(-np.dot(atom.dipole_array(), sample.electric) / HBAR)
 
 
-@functools.lru_cache(maxsize=64)
-def _channel_table(spec: WaveguideSpec, modes: tuple, xy: bytes):
-    # ``Channels``' columns and cutoffs, read-only; ``xy`` is the atom's
-    # (x0, y0) as float64 bytes, which keep +0.0 and -0.0 apart
-    table = np.array([(*transverse_wavenumbers(spec, m),
-                       transverse_wavenumber(spec, m),
-                       m.polarization is Polarization.TM,
-                       _index_weight(m), _polarization_constant(spec, m))
-                      for m in modes], dtype=float).reshape(-1, 6).T
-    at = table[:2] * np.frombuffer(xy)[:, None]
-    columns = np.concatenate((table, np.sin(at), np.cos(at)))
-    cutoff = table[2] / spec.refractive_index
-    columns.flags.writeable = cutoff.flags.writeable = False
-    return columns, cutoff
-
-
 class Channels:
     """Per-mode constants of ``modes`` at ``atom``, which must lie in
     the cross section. ``columns`` holds, one column per mode, kx, ky,
     h, 1 for TM, index weight, polarization constant, and the sines,
-    then cosines, of kx*x0 and ky*y0; ``cutoff`` the cutoffs.
-
-    Both arrays are read-only and shared: one pair is kept per (spec,
-    atom's x0 and y0, mode tuple) for the 64 most recent keys, with
-    +0.0 and -0.0 told apart, so the chain's repeated calls on one
-    guide and atom position build it once."""
+    then cosines, of kx*x0 and ky*y0; ``cutoff`` the cutoffs. Both
+    arrays are read-only."""
 
     def __init__(self, spec: WaveguideSpec, atom: Atom, modes):
         atom.check_inside(spec)
         self.spec, self.atom, self.modes = spec, atom, tuple(modes)
-        xy = np.array(atom.position[:2], dtype=float).tobytes()
-        self.columns, self.cutoff = _channel_table(spec, self.modes, xy)
+        table = np.array([(*transverse_wavenumbers(spec, m),
+                           transverse_wavenumber(spec, m),
+                           m.polarization is Polarization.TM,
+                           _index_weight(m), _polarization_constant(spec, m))
+                          for m in self.modes], dtype=float).reshape(-1, 6).T
+        at = table[:2] * np.array(atom.position[:2], dtype=float)[:, None]
+        self.columns = np.concatenate((table, np.sin(at), np.cos(at)))
+        self.cutoff = table[2] / spec.refractive_index
+        self.columns.flags.writeable = self.cutoff.flags.writeable = False
 
 
 def couplings(chans: Channels, rows, frequencies,

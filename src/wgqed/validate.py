@@ -17,7 +17,12 @@ from typing import NamedTuple
 import numpy as np
 
 from .detection import RadicandModel, pole
-from .emission import amplitudes_ode_oracle, build_bins, decay_rate
+from .emission import (
+    amplitudes_ode_oracle,
+    auto_shift_window,
+    build_bins,
+    decay_rate,
+)
 from .errors import WgError
 from .modes import (
     TE10,
@@ -204,8 +209,9 @@ def _check_correlation(name, tolerance, config):
 
 def _check_markov_oracle(name, tolerance, config):
     """Exact discretized-continuum evolution against the golden-rule
-    exponential above cutoff (tolerance 0.05), or against the no-leak
-    bound below (0.5); ``tolerance`` is the failed row's."""
+    exponential above cutoff (tolerance 0.05), on cells over
+    ``auto_shift_window`` whatever window the config sets, or against
+    the no-leak bound below (0.5); ``tolerance`` is the failed row's."""
     spec = config.waveguide_spec()
     atom = config.atom()
     box = config.box()
@@ -213,10 +219,13 @@ def _check_markov_oracle(name, tolerance, config):
     decay = decay_rate(spec, atom, box, config.dos, max_index=config.max_mn)
     if not decay.oscillatory:
         rate = decay.total
+        if rate <= 0.0:
+            return _result(name, math.inf, 0.05, "the decay rate is zero; "
+                           "there is no exponential to compare", ok=False)
         # the traveling modes, each listed once per direction
         modes = list(dict.fromkeys(ch.mode for ch in decay.channels))
-        span = 25.0 * rate
-        window = (omega - span, omega + span)
+        window = auto_shift_window(spec, omega, rate,
+                                   max_index=config.max_mn)
         cells = build_bins(spec, atom, box, config.dos,
                            window=window, count=160, modes=modes)
         times = np.linspace(0.0, 2.0 / rate, 17)

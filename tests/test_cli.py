@@ -842,6 +842,38 @@ class TestValidateCommand:
                      str(tmp_path / "decay.csv")]) == EXIT_OK
 
     @pytest.mark.parametrize("dos", ["paper", "dispersion"])
+    def test_markov_oracle_takes_the_library_window(self, monkeypatch, dos):
+        # Gamma = 0.35 puts omega - 25 Gamma below zero; the oracle's
+        # cells span the shift window the library would pick, clamped
+        # at 0.02 omega, and the row measures instead of refusing it
+        cfg = parse_config(config_text(**{"atom.dipole_y_re": "0.5",
+                                          "models.dos": dos}))
+        seen = []
+        build_bins = validate.build_bins
+        monkeypatch.setattr(validate, "build_bins", lambda *a, **k: (
+            seen.append(k["window"]) or build_bins(*a, **k)))
+        row = next(r for r in run_checks(cfg) if r.name == "markov_oracle")
+        spec, atom = cfg.waveguide_spec(), cfg.atom()
+        rate = emission.decay_rate(spec, atom, cfg.box(), cfg.dos,
+                                   max_index=cfg.max_mn).total
+        assert seen == [emission.auto_shift_window(
+            spec, atom.transition_frequency, rate, max_index=cfg.max_mn)]
+        assert seen[0][0] == 0.02 * atom.transition_frequency
+        assert row.detail == "traveling-channel decay against the exponential"
+        assert math.isfinite(row.measured)
+
+    def test_zero_rate_fails_markov_oracle(self):
+        # an open channel the dipole does not couple to: no exponential
+        # to compare, so the row fails and says why
+        items = {"atom.dipole_y_re": "0.0", "atom.dipole_x_re": "0.124"}
+        row = next(r for r in run_checks(parse_config(config_text(**items)))
+                   if r.name == "markov_oracle")
+        assert not row.passed
+        assert row.measured == math.inf
+        assert row.detail == ("the decay rate is zero; there is no "
+                              "exponential to compare")
+
+    @pytest.mark.parametrize("dos", ["paper", "dispersion"])
     def test_correlation_check_reads_the_corr_run(self, tmp_path, dos):
         val, corr = str(tmp_path / "val.csv"), str(tmp_path / "corr.csv")
         assert main(["validate", "--config", str(DEMO), "--dos", dos,

@@ -1,12 +1,13 @@
 """The pure parts of ``scripts/compare_revisions.py`` on canned records:
 the order of the pairs, median and IQR, the pair wins, the failure
 counts and the verdicts, on canned golden text the moved names and
-the cut diff, and the SIMD level it records. Nothing here archives a
-revision, runs a golden script or runs the benchmark.
+the cut diff, and the SIMD level and C library it records. Nothing
+here archives a revision, runs a golden script or runs the benchmark.
 """
 
 import importlib.util
 import json
+import platform
 from pathlib import Path
 
 import pytest
@@ -194,3 +195,15 @@ def test_simd_level_is_read_in_process(monkeypatch):
     monkeypatch.setenv("NPY_DISABLE_CPU_FEATURES", "AVX512_SPR")
     assert cr.simd_level() == {"simd_level": simd_level.active(),
                                "NPY_DISABLE_CPU_FEATURES": "AVX512_SPR"}
+
+
+def test_environment_records_the_c_library(monkeypatch):
+    monkeypatch.delenv("NPY_DISABLE_CPU_FEATURES", raising=False)
+    first_run = {"python": "3.11.7", "numpy": "2.4.6", "scipy": "1.17.1",
+                 "cpu_count": 2, "pid": 7}
+    env = cr.environment(first_run)
+    assert list(env) == ["python", "numpy", "scipy", "cpu_count",
+                         "simd_level", "libc"]
+    assert env["libc"] == " ".join(platform.libc_ver())
+    # a run without a recorded environment leaves the versions unknown
+    assert cr.environment({})["numpy"] is None

@@ -9,8 +9,11 @@ entry points, ``python -m wgqed`` and the ``wgqed`` script, go through
 command of the process; importing the module runs nothing.
 """
 
+import functools
 import gc
+import importlib
 import math
+import pkgutil
 import re
 import subprocess
 import sys
@@ -18,10 +21,16 @@ from pathlib import Path
 
 import pytest
 
+import wgqed
 import wgqed.__main__
 
 ROOT = Path(__file__).resolve().parent.parent
 README = ROOT / "README.md"
+
+
+# every module-level functools cache of the package
+CACHES = {"wgqed.modes.mode_table", "wgqed.numerics._gl_nodes",
+          "wgqed.cli._text_once", "wgqed.gformat._tables"}
 
 
 def run_python(source, env):
@@ -108,3 +117,27 @@ def test_script_entry_point_is_run():
     with open(ROOT / "pyproject.toml", "rb") as fh:
         project = tomllib.load(fh)["project"]
     assert project["scripts"] == {"wgqed": "wgqed.__main__:run"}
+
+
+def test_every_cache_is_declared():
+    """The package keeps exactly the caches of CACHES, each for a
+    measured reason:
+
+    - ``modes.mode_table``: an uncached ``modes_below`` call costs
+      41 us instead of 4.1 us, and a sweep op makes two or three;
+    - ``numerics._gl_nodes``: every refinement level of the quadrature
+      reads its Gauss-Legendre rule;
+    - ``cli._text_once``: without it ``modes --max-mn 700`` takes twice
+      as long;
+    - ``gformat._tables``: the %g kernel's tables, built on first use.
+
+    Any other per-process cache is state a result could depend on, and
+    comes with its own measurement before it joins the set."""
+    found = set()
+    for info in pkgutil.iter_modules(wgqed.__path__, "wgqed."):
+        module = importlib.import_module(info.name)
+        for name, obj in vars(module).items():
+            if isinstance(obj, functools._lru_cache_wrapper) \
+                    and obj.__module__ == module.__name__:
+                found.add(f"{module.__name__}.{name}")
+    assert found == CACHES

@@ -16,6 +16,8 @@ from pathlib import Path
 
 import pytest
 
+from wgqed.detection import solve_emitter
+
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
@@ -86,3 +88,18 @@ def test_figure_op_passes_the_benchmark_check(tmp_path, out_format):
     prepared = figure.prepare(op)
     assert figure.check(prepared, figure.run(prepared)) > 0
     assert not list(tmp_path.glob("corr.*"))
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_sweep_chain_is_the_product_chain(seed):
+    # the worker's private decay -> window -> shift -> pole chain gives
+    # the records of the chain ``RunConfig.correlation`` runs
+    sweep = WORKER.Sweep(None)
+    for op in WORKER.inputs.ops("sweep", seed, 20.0, ROOT):
+        cfg = sweep.prepare(op)
+        decay, shift, res = WORKER._sweep_chain(cfg)
+        sol = solve_emitter(cfg.waveguide_spec(), cfg.atom(), cfg.box(),
+                            cfg.dos, cfg.radicand, max_index=cfg.max_mn,
+                            window=cfg.shift_window)
+        assert (decay, shift, res) == (sol.decay, sol.shift, sol.pole), (
+            op["omega"])

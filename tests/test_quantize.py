@@ -478,9 +478,10 @@ class TestChannelTable:
                          permeability=1.3)
 
     def test_signed_zero_positions_keep_their_own_tables(self):
-        # sin(kx * x0) carries the sign of x0 = +-0.0, so a key that
-        # equates the two would hand one the other's sign bits; visit
-        # the four corners at the origin twice, in two orders
+        # sin(kx * x0) carries the sign of x0 = +-0.0, and +0.0 ==
+        # -0.0, so a table taken from the other corner would pass an
+        # equality check with the wrong sign bits; visit the four
+        # corners at the origin twice, in two orders
         modes = [TE10, ModeIndex(Polarization.TE, 0, 1), TM11]
         corners = [(x, y) for x in (0.0, -0.0) for y in (0.0, -0.0)]
         for x0, y0 in corners + corners[::-1]:

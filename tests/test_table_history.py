@@ -1,14 +1,16 @@
 """An emitter's bits do not depend on what the process computed before.
 
-``modes.modes_below`` and ``quantize.Channels`` keep their per-guide
-tables for the life of the process. Two child processes run the same
-emitters in two orders: each starts with a different emitter of a
-mirrored pair (x0 = +0.0 and -0.0, whose channel tables differ in
-their sign bits), computes the other emitters, then repeats the pair.
-Every run of an emitter, in either child and in this process, must
-give the same ``float.hex`` lines: the corpus lines of
+``modes.mode_table``, behind ``modes.modes_below``, is the one
+per-guide table kept for the life of the process. Two child processes
+run the same emitters in two orders: each starts with a different
+emitter of a mirrored pair (x0 = +0.0 and -0.0, whose channel tables
+differ in their sign bits), computes the other emitters, then repeats
+the pair. Every run of an emitter, in either child and in this
+process, must give the same ``float.hex`` lines: the corpus lines of
 ``scripts/chain_corpus.py``, the listing ``modes_below`` returns and
-the raw bytes of the channel table.
+the raw bytes of the ``quantize.Channels`` table, which show that the
+table is built fresh at each call, the mirrored pair's sign bits
+included.
 """
 
 import importlib.util
