@@ -22,7 +22,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import datetime
-import functools
 import itertools
 import json
 import math
@@ -122,18 +121,6 @@ def _envelope_lines(env: dict, digits: int):
         yield f"# timestamp = {env['timestamp']}"
 
 
-# cells of these types have one text per value (floats do not: 0.0 ==
-# -0.0), so each distinct one is rendered once while among the 4,096
-# most recent, keyed by type and value so that True and 1 stay apart
-_ONE_TEXT_TYPES = frozenset({str, int, bool, type(None)})
-
-
-# without this cache modes --max-mn 700 takes twice as long, same bytes
-@functools.lru_cache(maxsize=4096, typed=True)
-def _text_once(render, value, digits: int) -> bytes:
-    return render(value, digits).encode()
-
-
 def _json_cell(value, digits: int) -> str:
     # what json.dumps writes for _json_value of one scalar
     if type(value) is float and math.isfinite(value):
@@ -143,22 +130,31 @@ def _json_cell(value, digits: int) -> str:
 
 def _cells(values, digits: int, json: bool) -> list[bytes]:
     """The UTF-8 text of each cell in one format, ``_json_cell`` or
-    ``_fmt`` of the cell. A float64 array takes the ``%g`` texts of
+    ``_fmt`` of the cell. An array is rendered by its dtype: integers
+    by numpy's cast to bytes, which writes ``str`` of each; strings
+    once per distinct value; float64 by the ``%g`` texts of
     ``gformat.g_texts`` at once, kept by a vectorized mask where they
     already are the cell: in CSV below 1e308, where no rounding
     overflows; in JSON up to 15 digits where ``_json_kept`` holds, a
     zero written "0.0" or "-0.0"; in JSON from 16 digits on as the repr
     of each text read back, where that is finite. Every cell a mask
-    refuses, and every cell of any other sequence, goes through the
-    format's renderer."""
+    refuses, every cell of an array of any other dtype and every cell
+    of any other sequence goes through the format's renderer."""
     render = _json_cell if json else _fmt
     if not isinstance(values, np.ndarray):
-        return [_text_once(render, v, digits) if type(v) in _ONE_TEXT_TYPES
-                else render(v, digits).encode() for v in values]
+        return [render(v, digits).encode() for v in values]
+    values = values.ravel()
+    if values.dtype.kind in "iu":
+        return values.astype(bytes).tolist()
+    if values.dtype.kind == "U":
+        cells = values.tolist()
+        texts = {v: render(v, digits).encode() for v in set(cells)}
+        return [texts[v] for v in cells]
+    if values.dtype != np.float64:
+        return [render(v, digits).encode() for v in values.tolist()]
     # imported on first use: a command that renders no float array
     # neither compiles nor loads the kernel
     from .gformat import g_texts
-    values = values.ravel()
     if not json:
         texts = g_texts(values, digits)
         kept = ~np.isfinite(values) | (np.abs(values) < 1e308)
@@ -362,8 +358,9 @@ def _write_stdout(chunks):
 
 def _emit(args, config, env, table, extra=None, sidecar=None):
     """Render one tabular artifact, a block of rows at a time. ``table``
-    is either a dict mapping column names to columns, each a float64
-    array or a sequence of scalar cells rendered cell by cell, or a
+    is either a dict mapping column names to columns, each a 1-d array,
+    which _cells renders by its dtype, or a sequence of scalar cells
+    rendered cell by cell, or a
     ``CorrelationGrid``, whose rows run over x, then z, then t under the
     columns of GRID_COLUMNS. ``extra`` holds named flat dicts that land
     as top level objects in JSON and as comment lines in CSV.
@@ -386,15 +383,13 @@ def cmd_modes(config, args) -> int:
             f"over the limit of {MAX_TABLE_ROWS}")
     codes, m, n, h, nu_c = mode_table(config.waveguide_spec(),
                                       config.max_mn, config.max_mn)
-    labels, omega = [pol.value for pol in POLARIZATIONS], config.atom_omega
+    labels = np.array([pol.value for pol in POLARIZATIONS])
     env = _envelope("modes", config, args.reproducible)
-    # the float columns stay arrays, which _cells renders whole
     _emit(args, config, env, {
-        "polarization": [labels[code] for code in codes.tolist()],
-        "m": m.tolist(), "n": n.tolist(),
+        "polarization": labels[codes], "m": m, "n": n,
         "transverse_wavenumber": h, "cutoff": nu_c,
-        "branch_at_omega": ["traveling" if omega > c else "decaying"
-                            for c in nu_c.tolist()]})
+        "branch_at_omega": np.where(config.atom_omega > nu_c, "traveling",
+                                    "decaying")})
     return EXIT_OK
 
 

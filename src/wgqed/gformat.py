@@ -8,12 +8,13 @@ proves the rounding; every other value goes through the C routine of
 ``format``. This is the scheme of the shortest-repr algorithms (Grisu3,
 Loitsch 2010; Ryu, Adams 2018), a fast path that knows when it may be
 wrong and an exact fallback, applied to a fixed number of digits. The
-tables are built on first use.
+tables are built when the module loads, which ``cli._cells`` triggers
+on the first float64 array it renders; a command that renders none
+never loads this module.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 import sys
 
@@ -29,24 +30,22 @@ _WIDTH = 20
 _POW10_LOW = -330
 
 
-@functools.cache
-def _tables():
-    """The fast path's tables, built on first use: float("1e{k}") for k
-    from _POW10_LOW to -_POW10_LOW, each correctly rounded; the four
-    ASCII digits of each q < 10**4 as one little-endian word, and the
-    index of its last nonzero digit (-99 for 0); and for each word of a
-    text the mask of its bytes below each text length."""
-    powers = np.arange(_POW10_LOW, 1 - _POW10_LOW).tolist()
-    pow10 = np.array([float(f"1e{k}") for k in powers])
-    # the digits of each q < 10**4, most significant first
-    digits = np.meshgrid(*[np.arange(10, dtype=np.uint8)] * 4, indexing="ij")
-    chars = np.stack(digits, axis=-1) + ord("0")
-    ascii = chars.reshape(-1, 4).view("<u4").ravel()
-    last = np.select([digit > 0 for digit in digits[::-1]], [3, 2, 1, 0],
+# the fast path's tables: float("1e{k}") for k from _POW10_LOW to
+# -_POW10_LOW, each correctly rounded; the four ASCII digits of each
+# q < 10**4 as one little-endian word, and the index of its last nonzero
+# digit (-99 for 0); and for each word of a text the mask of its bytes
+# below each text length
+_POW10 = np.array([float(f"1e{k}")
+                   for k in range(_POW10_LOW, 1 - _POW10_LOW)])
+# the digits of each q < 10**4, most significant first
+_DIGITS = np.meshgrid(*[np.arange(10, dtype=np.uint8)] * 4, indexing="ij")
+_ASCII = (np.stack(_DIGITS, axis=-1) + ord("0")).reshape(-1, 4).view(
+    "<u4").ravel()
+_LAST_NZ = np.select([digit > 0 for digit in _DIGITS[::-1]], [3, 2, 1, 0],
                      -99).ravel()
-    size = np.arange(_WIDTH + 1) - 4 * np.arange(_WIDTH // 4)[:, None]
-    keep = ((1 << 8 * np.clip(size, 0, 4)) - 1).astype("<u4")
-    return pow10, ascii, last, keep
+_KEEP = ((1 << 8 * np.clip(np.arange(_WIDTH + 1)
+                           - 4 * np.arange(_WIDTH // 4)[:, None], 0, 4))
+         - 1).astype("<u4")
 
 
 def _fast_texts(values: np.ndarray,
@@ -62,16 +61,15 @@ def _fast_texts(values: np.ndarray,
     sort, as ``%g`` does: fixed notation for -4 <= X < digits, X the
     exponent of M, else a mantissa and "e", a sign and at least two
     exponent digits; trailing zeros and a bare point are dropped."""
-    pow10, ascii, last_nz, keep = _tables()
     n, d = values.size, digits
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         tried = (values >= _DBL_MIN) & (values < 1e300)
         v = np.where(tried, values, 1.0)
         e = np.floor(np.log10(v)).astype(np.intp)
         # log10 can be one off next to a power of ten
-        e -= v < pow10[e - _POW10_LOW]
-        e += v >= pow10[e + 1 - _POW10_LOW]
-        m = v * pow10[d - 1 - e - _POW10_LOW]
+        e -= v < _POW10[e - _POW10_LOW]
+        e += v >= _POW10[e + 1 - _POW10_LOW]
+        m = v * _POW10[d - 1 - e - _POW10_LOW]
         proven = tried & (np.abs(m - np.floor(m) - 0.5)
                           > 4.5e-16 * 10.0 ** d)
         mant = np.rint(m)
@@ -91,8 +89,8 @@ def _fast_texts(values: np.ndarray,
         high = mant // 10_000 if j else 0
         q = mant - high * 10_000
         mant = high
-        quads[:, j] = ascii[q]
-        np.maximum(kept, last_nz[q] + (4 * j + 1 + d - 4 * words), out=kept)
+        quads[:, j] = _ASCII[q]
+        np.maximum(kept, _LAST_NZ[q] + (4 * j + 1 + d - 4 * words), out=kept)
     digs = quads.view(np.uint8)[:, 4 * words - d:]
     out = np.zeros((n, _WIDTH), np.uint8)
     end = np.empty(n, np.intp)
@@ -116,7 +114,7 @@ def _fast_texts(values: np.ndarray,
             end[a:b] = np.where(k > 1, k + 1, 1)
             tails.append((a, b, np.frombuffer(b"e%+03d" % x, np.uint8)))
     for j, word in enumerate(out.view("<u4").T):
-        word &= keep[j][end]
+        word &= _KEEP[j][end]
     flat = out.ravel()
     for a, b, tail in tails:
         at = np.arange(a * _WIDTH, b * _WIDTH, _WIDTH) + end[a:b]

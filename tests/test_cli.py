@@ -1714,6 +1714,31 @@ class TestCsvCells:
                 [repr(DBL_MAX), repr(-DBL_MAX), "1e+308"]
 
 
+class TestArrayCells:
+    """An array of integers, strings or bools renders as the Python
+    values it holds do, cell by cell, in both formats."""
+
+    INT64 = np.iinfo(np.int64)
+    ARRAYS = {
+        "int64": np.array([0, -7, 10**13, INT64.min, INT64.max]),
+        "str": np.array(["TE", "a,b", 'q"t', "é", "TE"]),
+        "bool": np.array([True, False, True]),
+    }
+
+    @pytest.mark.parametrize("json_format", [False, True])
+    @pytest.mark.parametrize("kind", ARRAYS)
+    def test_matches_the_cells_of_its_values(self, kind, json_format):
+        values = self.ARRAYS[kind]
+        render = cli._json_cell if json_format else cli._fmt
+        assert cli._cells(values, 12, json_format) == \
+            [render(v, 12).encode() for v in values.tolist()]
+
+    @pytest.mark.parametrize("json_format", [False, True])
+    def test_bools_are_words(self, json_format):
+        assert cli._cells(self.ARRAYS["bool"], 12, json_format) == \
+            [b"true", b"false", b"true"]
+
+
 # --- the correlation grid's one-fill renderer against the row-tuple
 # one ---
 

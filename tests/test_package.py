@@ -29,8 +29,7 @@ README = ROOT / "README.md"
 
 
 # every module-level functools cache of the package
-CACHES = {"wgqed.modes.mode_table", "wgqed.numerics._gl_nodes",
-          "wgqed.cli._text_once", "wgqed.gformat._tables"}
+CACHES = {"wgqed.modes.mode_table", "wgqed.numerics._gl_nodes"}
 
 
 def run_python(source, env):
@@ -126,10 +125,7 @@ def test_every_cache_is_declared():
     - ``modes.mode_table``: an uncached ``modes_below`` call costs
       41 us instead of 4.1 us, and a sweep op makes two or three;
     - ``numerics._gl_nodes``: every refinement level of the quadrature
-      reads its Gauss-Legendre rule;
-    - ``cli._text_once``: without it ``modes --max-mn 700`` takes twice
-      as long;
-    - ``gformat._tables``: the %g kernel's tables, built on first use.
+      reads its Gauss-Legendre rule.
 
     Any other per-process cache is state a result could depend on, and
     comes with its own measurement before it joins the set."""
