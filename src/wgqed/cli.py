@@ -394,9 +394,7 @@ def cmd_modes(config, args) -> int:
 
 
 def cmd_decay(config, args) -> int:
-    spec = config.waveguide_spec()
-    atom = config.atom()
-    box = config.box()
+    spec, atom, box = config.waveguide_spec(), config.atom(), config.box()
     decay = decay_rate(spec, atom, box, config.dos,
                        max_index=config.max_mn)
     shift = level_shift(spec, atom, box, config.dos,
@@ -473,9 +471,7 @@ def cmd_corr(config, args) -> int:
 
 
 def cmd_omegad(config, args) -> int:
-    spec = config.waveguide_spec()
-    atom = config.atom()
-    box = config.box()
+    spec, atom, box = config.waveguide_spec(), config.atom(), config.box()
     decay = decay_rate(spec, atom, box, config.dos,
                        max_index=config.max_mn)
     closed = closed_form_crossing(spec, decay.traveling_total())

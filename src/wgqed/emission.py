@@ -279,7 +279,13 @@ def level_shift(spec: WaveguideSpec, atom: Atom, box: QuantizationBox,
                               "float range; reduce the dipole moment")
         return vals
 
-    pieces = _lockstep(integrand, [seg[4] for seg in segments])
+    def name(j):
+        row, branch, (s_lo, s_hi), _, _ = segments[j]
+        mode = chans.modes[row]
+        return (f"the {mode.polarization.value}({mode.m},{mode.n}) "
+                f"{branch.value} segment over nu in [{s_lo:.6g}, {s_hi:.6g}]")
+
+    pieces = _lockstep(integrand, [seg[4] for seg in segments], name)
     contributions = tuple(
         ShiftContribution(mode=chans.modes[row], branch=branch, window=span,
                           value=-sign * float(piece) + 0.0)

@@ -80,7 +80,7 @@ def _panel_sum(vals, half, order: int):
     return terms.reshape(half.shape[0], -1).sum(axis=-1)
 
 
-def _lockstep(f, segments):
+def _lockstep(f, segments, name=None):
     """Panel doubling on many segments at once.
 
     ``segments`` holds ``(a, b, pole)`` triples: with ``pole`` None
@@ -95,8 +95,9 @@ def _lockstep(f, segments):
     they exceed _LEVEL_NODES nodes.
 
     Returns ``(value, last_change)`` per segment, a principal value's
-    change being the larger of its halves'. Raises the
-    ConvergenceError of the first segment that does not converge.
+    change being the larger of its halves'. Raises the ConvergenceError
+    of the first segment j that does not converge, its message ending
+    with ``name(j)`` and the relative change reached if ``name`` is set.
     """
     if not segments:
         return []
@@ -169,10 +170,13 @@ def _lockstep(f, segments):
         prev[live] = cur[live]
         cur[live], = sums(live, (2 ** k,))
     if live.size:
+        i = live[0]
+        where = ("" if name is None else
+                 f" on {name(owner[i])}, relative change {change[i]:.2g}")
         raise ConvergenceError(
             f"quadrature did not reach rel_tol={QUAD_REL_TOL:g} after "
-            f"{QUAD_MAX_REFINEMENTS} refinements", last=cur[live[0]],
-            previous=prev[live[0]])
+            f"{QUAD_MAX_REFINEMENTS} refinements{where}", last=cur[i],
+            previous=prev[i])
     out, i = [], 0
     for j, (a, b, pole) in enumerate(segments):
         if pole is None:

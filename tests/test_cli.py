@@ -411,7 +411,7 @@ class TestDecayCommand:
 
     def test_convergence_failure_exits_4(self, tmp_path, capsys,
                                          monkeypatch):
-        def stalled(f, segments):
+        def stalled(f, segments, name=None):
             raise ConvergenceError("quadrature stalled")
         monkeypatch.setattr(emission, "_lockstep", stalled)
         conf = write_config(tmp_path)
@@ -423,6 +423,20 @@ class TestDecayCommand:
         assert [str(w.message) for w in caught] == []
         assert capsys.readouterr().err \
             == "convergence failure: quadrature stalled\n"
+        assert not out.exists()
+
+    def test_convergence_failure_names_its_segment(self, tmp_path, capsys):
+        # so weak a coupling that the shift's quadrature never converges
+        conf = write_config(tmp_path, **{"atom.dipole_y_re": "0.00248"})
+        out = tmp_path / "decay.csv"
+        assert main(["decay", "--config", conf, "--out", str(out)]) \
+            == EXIT_CONVERGENCE
+        err = capsys.readouterr().err
+        assert re.fullmatch(
+            r"convergence failure: quadrature did not reach rel_tol=1e-12 "
+            r"after 12 refinements on the T[EM]\(\d+,\d+\) "
+            r"(propagating|localized) segment over nu in \[[\d.e+-]+, "
+            r"[\d.e+-]+\], relative change \d(\.\d)?e-\d+\n", err), err
         assert not out.exists()
 
 
@@ -1173,9 +1187,9 @@ class TestExitCodes:
         calls = []
         lockstep = emission._lockstep
 
-        def counting(f, segments):
+        def counting(f, segments, name=None):
             return lockstep(lambda x, seg: calls.append(x.size)
-                            or f(x, seg), segments)
+                            or f(x, seg), segments, name)
 
         monkeypatch.setattr("wgqed.emission._lockstep", counting)
         conf = write_config(tmp_path, **{"atom.omega": "0.5",

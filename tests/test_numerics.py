@@ -293,6 +293,31 @@ class TestLockstep:
                                     panels)
             assert both[i].tobytes() == alone[0].tobytes()
 
+    def test_a_named_failure_ends_with_its_segment(self):
+        # |x - 1|^0.1 never settles on the second segment; without a
+        # name the message is integrate's and pv_integrate's
+        def kink(x, seg):
+            return np.where(seg == 1, np.abs(x - 1.0) ** 0.1, 1.0)
+
+        segments = [(0.0, 1.0, None), (0.0, 2.0, None)]
+        with pytest.raises(ConvergenceError) as plain:
+            _lockstep(kink, segments)
+        base = (f"quadrature did not reach rel_tol={QUAD_REL_TOL:g} "
+                f"after {QUAD_MAX_REFINEMENTS} refinements")
+        assert str(plain.value) == base
+        with pytest.raises(ConvergenceError) as named:
+            _lockstep(kink, segments, lambda j: f"segment {j}")
+        last, previous = named.value.last, named.value.previous
+        change = abs(last - previous) / max(abs(last), abs(previous))
+        assert str(named.value) == \
+            f"{base} on segment 1, relative change {change:.2g}"
+        for bad in (lambda: integrate(lambda x: np.abs(x) ** 0.1, -1, 1),
+                    lambda: pv_integrate(lambda x: np.abs(x) ** 0.1,
+                                         0.5, -1.0, 1.0)):
+            with pytest.raises(ConvergenceError) as exc:
+                bad()
+            assert str(exc.value) == base
+
     def test_no_call_exceeds_the_node_budget(self):
         # eight intervals that never settle (a step in each): at 2**11
         # panels a level of 327,680 nodes splits into calls of six rows

@@ -98,13 +98,24 @@ def _previous_level_shift(spec, atom, box, model, *, window, modes=None,
             sign = 1.0
             if t_a > t_b:
                 t_a, t_b, sign = t_b, t_a, -1.0
-            if s_lo < omega < s_hi:
-                t0 = math.sqrt(q)
-                piece = pv_integrate(
-                    lambda t: numerator(t) / (t + t0), t0, t_a, t_b)
-            else:
-                piece, _ = integrate(
-                    lambda t: numerator(t) / (t * t - q), t_a, t_b)
+            try:
+                if s_lo < omega < s_hi:
+                    t0 = math.sqrt(q)
+                    piece = pv_integrate(
+                        lambda t: numerator(t) / (t + t0), t0, t_a, t_b)
+                else:
+                    piece, _ = integrate(
+                        lambda t: numerator(t) / (t * t - q), t_a, t_b)
+            except ConvergenceError as err:
+                # the message names the segment and the change reached
+                last, previous = err.last, err.previous
+                change = abs(last - previous) / max(abs(last), abs(previous),
+                                                    1e-300)
+                raise ConvergenceError(
+                    f"{err} on the {mode.polarization.value}"
+                    f"({mode.m},{mode.n}) {branch.value} segment over nu in "
+                    f"[{s_lo:.6g}, {s_hi:.6g}], relative change {change:.2g}",
+                    last=last, previous=previous) from None
             contributions.append((mode, branch, (s_lo, s_hi),
                                   -sign * float(piece) + 0.0))
     return contributions
