@@ -22,9 +22,9 @@ and a verdict against the metric's ``better`` and ``bound`` in the
 base tree's BENCHMARK.json. It also holds both commits, the Python,
 numpy and scipy versions and the cpu count from the first run's
 environment, numpy's SIMD dispatch level, any
-``NPY_DISABLE_CPU_FEATURES`` and the C library's name and version as
-read in this process, whose environment the runs inherit, and the load
-average before and after.
+``NPY_DISABLE_CPU_FEATURES``, the C library's name and version and
+``sys.dont_write_bytecode`` as read in this process, whose environment
+the runs inherit, and the load average before and after.
 Pairs where either run failed are left out. The verdicts, for a bound b given as a
 fraction of the base median:
 
@@ -314,10 +314,12 @@ def simd_level():
 
 def environment(first_run):
     """The versions and cpu count of the first run's environment, then
-    numpy's SIMD level and the C library as read in this process."""
+    numpy's SIMD level, the C library and whether bytecode is written,
+    as read in this process."""
     return {**{k: first_run.get(k)
                for k in ("python", "numpy", "scipy", "cpu_count")},
-            **simd_level(), "libc": " ".join(platform.libc_ver())}
+            **simd_level(), "libc": " ".join(platform.libc_ver()),
+            "dont_write_bytecode": sys.dont_write_bytecode}
 
 
 def main(argv=None):

@@ -8,6 +8,7 @@ here archives a revision, runs a golden script or runs the benchmark.
 import importlib.util
 import json
 import platform
+import sys
 from pathlib import Path
 
 import pytest
@@ -203,7 +204,8 @@ def test_environment_records_the_c_library(monkeypatch):
                  "cpu_count": 2, "pid": 7}
     env = cr.environment(first_run)
     assert list(env) == ["python", "numpy", "scipy", "cpu_count",
-                         "simd_level", "libc"]
+                         "simd_level", "libc", "dont_write_bytecode"]
     assert env["libc"] == " ".join(platform.libc_ver())
+    assert env["dont_write_bytecode"] is sys.dont_write_bytecode
     # a run without a recorded environment leaves the versions unknown
     assert cr.environment({})["numpy"] is None
