@@ -360,12 +360,12 @@ def _emit(args, config, env, table, extra=None, sidecar=None):
     """Render one tabular artifact, a block of rows at a time. ``table``
     is either a dict mapping column names to columns, each a 1-d array,
     which _cells renders by its dtype, or a sequence of scalar cells
-    rendered cell by cell, or a
-    ``CorrelationGrid``, whose rows run over x, then z, then t under the
-    columns of GRID_COLUMNS. ``extra`` holds named flat dicts that land
-    as top level objects in JSON and as comment lines in CSV.
-    ``sidecar``, a dict, is written as a JSON document at
-    ``<out>.json``, together with the table or not at all."""
+    rendered cell by cell, or a ``CorrelationGrid``, whose rows run
+    over x, then z, then t under the columns of GRID_COLUMNS. ``extra``
+    holds named flat dicts that land as top level objects in JSON and
+    as comment lines in CSV. ``sidecar``, a dict, is written as a JSON
+    document at ``<out>.json``, together with the table or not at
+    all."""
     chunks = _csv_chunks if config.out_format == "csv" else _json_chunks
     outputs = [(args.out, chunks(env, table, config.digits, extra))]
     if sidecar is not None:
