@@ -6,15 +6,18 @@ spectrum, ``decay`` computes the emission rate and level shift,
 rates, ``omegad`` reports the line center where the rate ratio crosses
 the refractive index, and ``validate`` runs the invariant battery.
 
-Every artifact embeds an envelope identifying the tool, the command,
-the model tags and the full effective configuration, so a file on its
-own says how it was made. Column names and JSON field names are
-frozen; docs/artifact_schema.md in the repository is the reference.
-With ``--reproducible`` the timestamp is omitted and repeated runs are
+Every artifact and sidecar embeds an envelope identifying the tool,
+the command, the model tags and the full effective configuration, so a
+file on its own says how it was made; ``_emit`` builds it, once per
+artifact. Column names and JSON field names are frozen;
+docs/artifact_schema.md in the repository is the reference. With
+``--reproducible`` the timestamp is omitted and repeated runs are
 byte-identical.
 
 Exit codes: 0 success, 2 configuration or command line error, 3 domain
 error, 4 convergence failure, 5 validation failure, 6 no crossing found.
+A refusal is one stderr line; ``_REFUSALS`` gives each error class its
+prefix and status.
 """
 
 from __future__ import annotations
@@ -47,6 +50,7 @@ from .errors import (
     ConvergenceError,
     DomainError,
     NoCrossingError,
+    WgError,
 )
 from .modes import MAX_TABLE_ROWS, POLARIZATIONS, mode_table, table_rows
 from .validate import run_checks
@@ -58,9 +62,19 @@ EXIT_CONVERGENCE = 4
 EXIT_VALIDATION = 5
 EXIT_NO_CROSSING = 6
 
+# each refusal's stderr prefix and exit status, by its class
+_REFUSALS = {
+    ConfigError: ("configuration error", EXIT_CONFIG),
+    DomainError: ("domain error", EXIT_DOMAIN),
+    ConvergenceError: ("convergence failure", EXIT_CONVERGENCE),
+    NoCrossingError: ("no crossing", EXIT_NO_CROSSING),
+}
+
 
 def _fmt(value, digits: int) -> str:
-    """One deterministic cell; empty string for missing values."""
+    """One deterministic cell; empty string for missing values. A float
+    is its ``digits``-digit %g text unless that rounds past the largest
+    float, and then the repr of its exact value."""
     if value is None:
         return ""
     if isinstance(value, bool):
@@ -68,7 +82,7 @@ def _fmt(value, digits: int) -> str:
     if isinstance(value, float):
         text = format(value, f".{digits}g")
         # a finite value whose rounding overflows keeps all its digits
-        return repr(value) if math.isinf(float(text)) else text
+        return repr(float(value)) if math.isinf(float(text)) else text
     text = str(value)
     # RFC 4180: a cell holding a separator, a quote or a line break is
     # quoted, with its quotes doubled
@@ -79,11 +93,9 @@ def _fmt(value, digits: int) -> str:
 
 def _json_value(value, digits: int):
     if isinstance(value, float):
-        if not math.isfinite(value):
-            return repr(value)
-        rounded = float(format(value, f".{digits}g"))
-        # a finite value whose rounding overflows keeps all its digits
-        return rounded if math.isfinite(rounded) else value
+        # a finite value is its CSV cell read back; inf and nan stay text
+        text = _fmt(value, digits)
+        return float(text) if math.isfinite(value) else text
     if isinstance(value, dict):
         return {k: _json_value(v, digits) for k, v in value.items()}
     return value
@@ -112,13 +124,16 @@ def _envelope_lines(env: dict, digits: int):
     yield f"# command = {env['command']}"
     yield f"# dos_model = {env['dos_model']}"
     yield f"# radicand_model = {env['radicand_model']}"
-    for key, value in env["config"].items():
-        yield f"# config.{key} = {_fmt(value, digits)}"
-    for key in sorted(env["discrepancies"]):
-        yield (f"# discrepancy.{key} = "
-               f"{_fmt(env['discrepancies'][key], digits)}")
+    yield from _comment_lines("config", env["config"], digits)
+    yield from _comment_lines("discrepancy", env["discrepancies"], digits)
     if "timestamp" in env:
         yield f"# timestamp = {env['timestamp']}"
+
+
+def _comment_lines(prefix: str, items: dict, digits: int):
+    # one CSV header comment per item, keys sorted
+    for key in sorted(items):
+        yield f"# {prefix}.{key} = {_fmt(items[key], digits)}"
 
 
 def _json_cell(value, digits: int) -> str:
@@ -267,9 +282,7 @@ def _csv_chunks(env: dict, table, digits: int,
                 extra: dict | None) -> Iterable[bytes | bytearray]:
     lines = list(_envelope_lines(env, digits))
     for key in sorted(extra or {}):
-        for sub in sorted(extra[key]):
-            lines.append(
-                f"# {key}.{sub} = {_fmt(extra[key][sub], digits)}")
+        lines += _comment_lines(key, extra[key], digits)
     columns, rows = _table_text(table, digits, False, ",", "\n")
     lines.append(",".join(columns))
     head = ("\n".join(lines) + "\n").encode()
@@ -356,20 +369,30 @@ def _write_stdout(chunks):
         raise
 
 
-def _emit(args, config, env, table, extra=None, sidecar=None):
-    """Render one tabular artifact, a block of rows at a time. ``table``
-    is either a dict mapping column names to columns, each a 1-d array,
-    which _cells renders by its dtype, or a sequence of scalar cells
-    rendered cell by cell, or a ``CorrelationGrid``, whose rows run
-    over x, then z, then t under the columns of GRID_COLUMNS. ``extra``
-    holds named flat dicts that land as top level objects in JSON and
-    as comment lines in CSV. ``sidecar``, a dict, is written as a JSON
-    document at ``<out>.json``, together with the table or not at
-    all."""
+def _columns(names: Sequence[str], rows: Sequence[Sequence]) -> dict:
+    # a table's columns from its rows; the names stay when there are none
+    return {name: [row[i] for row in rows] for i, name in enumerate(names)}
+
+
+def _emit(args, config, command, table, discrepancies=None, extra=None,
+          sidecar=None):
+    """Render the artifact of ``command``, a block of rows at a time,
+    under the envelope built here from ``config``, ``discrepancies`` and
+    ``--reproducible``. ``table`` is either a dict mapping column names
+    to columns, each a 1-d array, which _cells renders by its dtype, or
+    a sequence of scalar cells rendered cell by cell, or a
+    ``CorrelationGrid``, whose rows run over x, then z, then t under
+    the columns of GRID_COLUMNS. ``extra`` holds named flat dicts that
+    land as top level objects in JSON and as comment lines in CSV.
+    ``sidecar``, a dict of named objects, is written with the same
+    envelope as a JSON document at ``<out>.json``, together with the
+    table or not at all."""
+    env = _envelope(command, config, args.reproducible, discrepancies)
     chunks = _csv_chunks if config.out_format == "csv" else _json_chunks
     outputs = [(args.out, chunks(env, table, config.digits, extra))]
     if sidecar is not None:
-        doc = json.dumps(_json_value(sidecar, config.digits),
+        doc = json.dumps(_json_value({"envelope": env, **sidecar},
+                                     config.digits),
                          sort_keys=True, indent=2)
         outputs.append((args.out + ".json", [(doc + "\n").encode()]))
     _write(outputs)
@@ -384,13 +407,16 @@ def cmd_modes(config, args) -> int:
     codes, m, n, h, nu_c = mode_table(config.waveguide_spec(),
                                       config.max_mn, config.max_mn)
     labels = np.array([pol.value for pol in POLARIZATIONS])
-    env = _envelope("modes", config, args.reproducible)
-    _emit(args, config, env, {
+    _emit(args, config, "modes", {
         "polarization": labels[codes], "m": m, "n": n,
         "transverse_wavenumber": h, "cutoff": nu_c,
         "branch_at_omega": np.where(config.atom_omega > nu_c, "traveling",
                                     "decaying")})
     return EXIT_OK
+
+
+DECAY_COLUMNS = ("kind", "polarization", "m", "n", "branch", "direction",
+                 "weight", "coupling_re", "coupling_im", "value")
 
 
 def cmd_decay(config, args) -> int:
@@ -401,24 +427,13 @@ def cmd_decay(config, args) -> int:
                         window=config.shift_window(decay.total),
                         max_index=config.max_mn)
     # decay channels first, then shift contributions
-    channels, terms = decay.channels, shift.contributions
-    modes = [ch.mode for ch in channels] + [con.mode for con in terms]
-    blank = [None] * len(terms)
-    table = {
-        "kind": (["decay_channel"] * len(channels)
-                 + ["shift_contribution"] * len(terms)),
-        "polarization": [mode.polarization.value for mode in modes],
-        "m": [mode.m for mode in modes],
-        "n": [mode.n for mode in modes],
-        "branch": (["traveling"] * len(channels)
-                   + [con.branch.value for con in terms]),
-        "direction": [ch.direction for ch in channels] + blank,
-        "weight": [ch.weight for ch in channels] + blank,
-        "coupling_re": [ch.coupling.real for ch in channels] + blank,
-        "coupling_im": [ch.coupling.imag for ch in channels] + blank,
-        "value": ([ch.rate for ch in channels]
-                  + [con.value for con in terms]),
-    }
+    rows = [("decay_channel", ch.mode.polarization.value, ch.mode.m,
+             ch.mode.n, "traveling", ch.direction, ch.weight,
+             ch.coupling.real, ch.coupling.imag, ch.rate)
+            for ch in decay.channels]
+    rows += [("shift_contribution", con.mode.polarization.value,
+              con.mode.m, con.mode.n, con.branch.value, None, None, None,
+              None, con.value) for con in shift.contributions]
     summary = {
         "decay_total": decay.total,
         "oscillatory": decay.oscillatory,
@@ -427,8 +442,8 @@ def cmd_decay(config, args) -> int:
         "window_lo": shift.window[0],
         "window_hi": shift.window[1],
     }
-    env = _envelope("decay", config, args.reproducible)
-    _emit(args, config, env, table, extra={"summary": summary})
+    _emit(args, config, "decay", _columns(DECAY_COLUMNS, rows),
+          extra={"summary": summary})
     return EXIT_OK
 
 
@@ -440,7 +455,7 @@ def cmd_corr(config, args) -> int:
     grid = config.correlation()
     fit = fit_decay_rates(grid)
     meta = grid.metadata
-    sidecar = {
+    fit_items = {
         "fitted_temporal_slope": -fit.temporal_rate,
         "fitted_spatial_slope": -fit.spatial_rate,
         "slope_ratio": fit.rate_ratio,
@@ -460,13 +475,12 @@ def cmd_corr(config, args) -> int:
         "alternative_prefactor_ratio":
             meta.alternative_prefactor_ratio,
     }
-    env = _envelope("corr", config, args.reproducible,
-                    discrepancies=discrepancies)
     if config.out_format == "csv":
-        _emit(args, config, env, grid,
-              sidecar={"envelope": env, "fit": sidecar})
+        _emit(args, config, "corr", grid, discrepancies,
+              sidecar={"fit": fit_items})
     else:
-        _emit(args, config, env, grid, extra={"fit": sidecar})
+        _emit(args, config, "corr", grid, discrepancies,
+              extra={"fit": fit_items})
     return EXIT_OK
 
 
@@ -493,10 +507,7 @@ def cmd_omegad(config, args) -> int:
                          None, err.value_range[0], err.value_range[1]))
             if model is config.radicand:
                 selected_error = err
-    env = _envelope("omegad", config, args.reproducible,
-                    discrepancies=discrepancies)
-    # one row per radicand model, so the table is never empty
-    _emit(args, config, env, dict(zip(columns, zip(*rows))))
+    _emit(args, config, "omegad", _columns(columns, rows), discrepancies)
     if selected_error is not None:
         # main prints its one line and exits EXIT_NO_CROSSING
         raise selected_error
@@ -505,16 +516,11 @@ def cmd_omegad(config, args) -> int:
 
 def cmd_validate(config, args) -> int:
     results = run_checks(config)
-    table = {
-        "check": [r.name for r in results],
-        "passed": [r.passed for r in results],
-        "measured": [r.measured for r in results],
-        "tolerance": [r.tolerance for r in results],
-        "detail": [r.detail for r in results],
-    }
-    env = _envelope("validate", config, args.reproducible)
+    table = _columns(("check", "passed", "measured", "tolerance", "detail"),
+                     [(r.name, r.passed, r.measured, r.tolerance, r.detail)
+                      for r in results])
     failures = sum(not r.passed for r in results)
-    _emit(args, config, env, table,
+    _emit(args, config, "validate", table,
           extra={"summary": {"checks": len(results),
                              "failures": failures}})
     return EXIT_VALIDATION if failures else EXIT_OK
@@ -569,15 +575,7 @@ def main(argv=None) -> int:
             **{name: getattr(args, name) for name in FLAGS})
         # looked up per call, so a handler replaced on this module runs
         return globals()[f"cmd_{args.command}"](config, args)
-    except ConfigError as err:
-        print(f"configuration error: {err}", file=sys.stderr)
-        return EXIT_CONFIG
-    except NoCrossingError as err:
-        print(f"no crossing: {err}", file=sys.stderr)
-        return EXIT_NO_CROSSING
-    except DomainError as err:
-        print(f"domain error: {err}", file=sys.stderr)
-        return EXIT_DOMAIN
-    except ConvergenceError as err:
-        print(f"convergence failure: {err}", file=sys.stderr)
-        return EXIT_CONVERGENCE
+    except WgError as err:
+        prefix, status = _REFUSALS[type(err)]
+        print(f"{prefix}: {err}", file=sys.stderr)
+        return status

@@ -409,6 +409,32 @@ class TestDecayCommand:
         assert f"line center {center} is not positive" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("out_format", ["csv", "json"])
+    def test_table_without_rows_keeps_its_header(self, tmp_path,
+                                                 out_format):
+        # demo.conf at omega 0.1: the auto window (0.02, 0.5) lies below
+        # the 0.8333 cutoff, so there is no channel and no contribution
+        conf = tmp_path / "low.conf"
+        conf.write_text(DEMO.read_text(encoding="utf-8").replace(
+            "atom.omega = 1.45", "atom.omega = 0.1"), encoding="utf-8")
+        out = tmp_path / f"decay.{out_format}"
+        assert main(["decay", "--config", str(conf), "--format",
+                     out_format, "--out", str(out),
+                     "--reproducible"]) == EXIT_OK
+        columns = ["kind", "polarization", "m", "n", "branch",
+                   "direction", "weight", "coupling_re", "coupling_im",
+                   "value"]
+        if out_format == "csv":
+            meta, header, rows = read_table(str(out))
+            window = meta["summary.window_lo"], meta["summary.window_hi"]
+        else:
+            doc = json.loads(out.read_text(encoding="utf-8"))
+            header, rows = doc["columns"], doc["rows"]
+            window = doc["summary"]["window_lo"], doc["summary"]["window_hi"]
+        assert list(map(float, window)) == [0.02, 0.5]
+        assert header == columns
+        assert rows == []
+
     def test_convergence_failure_exits_4(self, tmp_path, capsys,
                                          monkeypatch):
         def stalled(f, segments, name=None):
@@ -1045,6 +1071,26 @@ class TestExitCodes:
             assert len(codes) == len(classes) > 0
             assert codes <= documented - {EXIT_OK}
 
+    def test_refusal_table_routes_each_class_once(self):
+        # main's one handler reads its line prefix and status from the
+        # table: a row for each concrete class of wgqed.errors, at the
+        # status its docstring gives, with the frozen stderr prefixes
+        concrete = {c for c in vars(errors).values() if isinstance(c, type)
+                    and issubclass(c, errors.WgError)
+                    and c is not errors.WgError}
+        assert set(cli._REFUSALS) == concrete
+        named = {getattr(errors, name): int(status) for name, status
+                 in re.findall(r"(\w+Error) (\d)", errors.__doc__)}
+        assert {cls: status for cls, (_, status)
+                in cli._REFUSALS.items()} == named
+        assert {cls.__name__: row for cls, row in cli._REFUSALS.items()} \
+            == {"ConfigError": ("configuration error", EXIT_CONFIG),
+                "DomainError": ("domain error", EXIT_DOMAIN),
+                "ConvergenceError": ("convergence failure",
+                                     EXIT_CONVERGENCE),
+                "NoCrossingError": ("no crossing", EXIT_NO_CROSSING)}
+        assert sorted(named.values()) == [2, 3, 4, 6]
+
     def test_config_error(self, tmp_path):
         bad = tmp_path / "bad.conf"
         bad.write_text("waveguide.a = -1\n")
@@ -1509,16 +1555,24 @@ class TestColumnRenderer:
         # cells along z and along t)
         seen = {}
         grid_fn, emit_fn = config_module.correlation_grid, cli._emit
+        envelope_fn = cli._envelope
 
         def grid_spy(*args, **kwargs):
             seen["grid"] = grid_fn(*args, **kwargs)
             return seen["grid"]
 
-        def emit_spy(args, config, env, table, extra=None, **kwargs):
-            seen.update(env=env, extra=extra, digits=config.digits)
-            return emit_fn(args, config, env, table, extra, **kwargs)
+        def envelope_spy(*args, **kwargs):
+            seen["env"] = envelope_fn(*args, **kwargs)
+            return seen["env"]
+
+        def emit_spy(args, config, command, table, discrepancies=None,
+                     extra=None, **kwargs):
+            seen.update(extra=extra, digits=config.digits)
+            return emit_fn(args, config, command, table, discrepancies,
+                           extra, **kwargs)
 
         monkeypatch.setattr(config_module, "correlation_grid", grid_spy)
+        monkeypatch.setattr(cli, "_envelope", envelope_spy)
         monkeypatch.setattr(cli, "_emit", emit_spy)
         conf = write_config(tmp_path, **{
             "grid.x_min": "1.2", "grid.x_max": "1.9",
@@ -1716,7 +1770,7 @@ class TestCsvCells:
         for value, cell in zip(CELL_CLASSES,
                                _cells(CELL_CLASSES, digits, False)):
             assert cell == cli._fmt(value, digits)
-            if type(value) is float:
+            if isinstance(value, float):
                 assert math.isfinite(float(cell)) == math.isfinite(value)
         assert _float_cells(CELL_CLASSES, digits, False) == \
             [cli._fmt(v, digits) for v in CELL_CLASSES if type(v) is float]
@@ -1726,6 +1780,14 @@ class TestCsvCells:
         for cells in (_cells, _float_cells):
             assert cells([DBL_MAX, -DBL_MAX, 1e308], 3, False) == \
                 [repr(DBL_MAX), repr(-DBL_MAX), "1e+308"]
+
+    def test_overflowing_numpy_scalar_is_a_number(self):
+        # a float subclass keeps its digits as the float's repr, and its
+        # JSON value is that float
+        for value in (DBL_MAX, -DBL_MAX):
+            assert cli._fmt(np.float64(value), 3) == repr(value)
+            got = cli._json_value(np.float64(value), 3)
+            assert type(got) is float and got == value
 
 
 class TestArrayCells:

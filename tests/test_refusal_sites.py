@@ -7,6 +7,9 @@ for every ``...Error(...)`` call and collects its message: a string
 literal, or the literal parts of an f-string or a concatenation, with
 ``{}`` for each formatted or non-literal part. A message with no
 literal part (a variable) is not collected.
+
+The command line routes a refusal by its class, from a table with one
+row per concrete error class, so no refusal raises the base class.
 """
 
 import ast
@@ -61,3 +64,17 @@ def test_each_refusal_text_is_built_once():
     repeated = {text: where for text, where in refusal_sites().items()
                 if len(where) > 1}
     assert repeated == {}
+
+
+def test_no_refusal_raises_the_base_class():
+    # ``raise WgError`` and ``raise WgError(...)``, by name or attribute
+    sites = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, ast.Raise) or node.exc is None:
+                continue
+            exc = node.exc.func if isinstance(node.exc, ast.Call) \
+                else node.exc
+            if getattr(exc, "id", getattr(exc, "attr", "")) == "WgError":
+                sites.append(f"{path.name}:{node.lineno}")
+    assert sites == []
