@@ -30,8 +30,9 @@ Every emitter then goes through four stages: ``solve_emitter``,
     correlation  ``correlation_grid`` on a 1 x 2 x 2 grid with one
                  cell before the light front: its ``values``, its
                  ``inside_cone`` mask as 0/1 digits, the pole's
-                 line center, two rates and beta pair, and the other
-                 numeric metadata fields but the consistency figure
+                 line center, two rates and beta pair, the source
+                 position, the front speed factor and the alternative
+                 prefactor ratio
     consistency  that grid's ``consistency_max_rel``, which measures
                  the arithmetic and not the map, kept apart so that a
                  change of how it is measured moves this class alone
@@ -90,10 +91,6 @@ def hx(value) -> str:
     if isinstance(value, complex):
         return f"{float.hex(value.real)},{float.hex(value.imag)}"
     return float.hex(float(value))
-
-
-def label(mode) -> str:
-    return f"{mode.polarization.value}({mode.m},{mode.n})"
 
 
 # (cutoff, mode) of each guide's low patterns, in ``mode_table`` order
@@ -166,11 +163,11 @@ def run_emitter(i, spec, atom, dos, radicand, max_index, out):
         sol = None
     if sol is not None:
         out["decay"] += [
-            f"{i} {label(c.mode)} {c.direction} {hx(c.weight)} "
+            f"{i} {c.mode.label} {c.direction} {hx(c.weight)} "
             f"{hx(c.coupling)} {hx(c.rate)}" for c in sol.decay.channels]
         out["decay"].append(f"{i} total {hx(sol.decay.total)}")
         out["shift"] += [
-            f"{i} {label(c.mode)} {c.branch.value} {hx(c.window[0])} "
+            f"{i} {c.mode.label} {c.branch.value} {hx(c.window[0])} "
             f"{hx(c.window[1])} {hx(c.value)}"
             for c in sol.shift.contributions]
         out["shift"].append(f"{i} total {hx(sol.shift.value)}")
@@ -185,7 +182,7 @@ def run_emitter(i, spec, atom, dos, radicand, max_index, out):
     try:
         shift = level_shift(spec, atom, BOX, dos, window=window,
                             modes=decaying)
-        out["shift"] += [f"{i} explicit {label(c.mode)} {hx(c.value)}"
+        out["shift"] += [f"{i} explicit {c.mode.label} {hx(c.value)}"
                          for c in shift.contributions]
     except WgError as exc:
         refused("explicit_shift", exc)
@@ -196,7 +193,7 @@ def run_emitter(i, spec, atom, dos, radicand, max_index, out):
         cells = build_bins(spec, atom, BOX, dos,
                            window=(0.9 * omega, 1.1 * omega), count=3,
                            modes=[listing[0][1], listing[1][1], above])
-        labels = [label(mode) for mode in cells.modes]
+        labels = [mode.label for mode in cells.modes]
         width = hx(cells.width)
         out["bins"] += [
             f"{i} {labels[row]} {d} {hx(nu)} {width} {hx(g)} {hx(w)}"
@@ -219,17 +216,16 @@ def run_emitter(i, spec, atom, dos, radicand, max_index, out):
     except WgError as exc:
         refused("correlation", exc)
         return
-    meta = grid.metadata
-    pole = meta.pole
+    pole = grid.pole
     out["correlation"].append(
         f"{i} {' '.join(map(hx, grid.values.ravel()))} "
         f"{''.join('01'[int(b)] for b in grid.inside_cone.ravel())} "
         f"{hx(pole.shifted_frequency)} {hx(pole.decay_rate)} "
         f"{hx(pole.spatial_rate)} {hx(pole.beta_r)} {hx(pole.beta_i)} "
-        f"{' '.join(map(hx, meta.source_position))} "
-        f"{hx(meta.front_speed_factor)} "
-        f"{hx(meta.alternative_prefactor_ratio)}")
-    out["consistency"].append(f"{i} {hx(meta.consistency_max_rel)}")
+        f"{' '.join(map(hx, grid.source_position))} "
+        f"{hx(grid.front_speed_factor)} "
+        f"{hx(grid.alternative_prefactor_ratio)}")
+    out["consistency"].append(f"{i} {hx(grid.consistency_max_rel)}")
 
 
 def corpus_text() -> dict:

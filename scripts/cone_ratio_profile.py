@@ -5,55 +5,34 @@ scaled by the front speed, is the requested fraction of the axial
 rate, then emits the full space-time correlation artifact through the
 command line plumbing so the output carries the standard envelope.
 
+The guide and the dipole are those of configs/demo.conf, but the
+emitter sits at y0 = b/4, where demo.conf puts it on the axis at
+y0 = b/2. The written ``profile.conf`` is demo.conf with ``atom.y0``,
+``atom.omega``, ``grid.z_count`` and ``grid.t_count`` replaced.
+
 Usage:
     python scripts/cone_ratio_profile.py --outdir out_profile
 """
 
 import argparse
 import json
-import math
 from pathlib import Path
 
+from artifact_digests import CONFIG, derived_config
 from wgqed.cli import main as wgqed_main
+from wgqed.config import load_config
 from wgqed.detection import solve_emitter
-from wgqed.modes import WaveguideSpec
 from wgqed.numerics import find_root
 from wgqed.quantize import Atom, DensityModel, QuantizationBox
 
-WIDTH = math.pi
-HEIGHT = math.pi / 2.0
 
-
-def cone_ratio(spec_args, omega):
-    spec = WaveguideSpec(*spec_args)
+def cone_ratio(spec, omega):
     atom = Atom(position=(spec.width / 2.0, spec.height / 4.0, 0.0),
                 dipole=(0.0, 0.124, 0.0), transition_frequency=omega)
     sol = solve_emitter(spec, atom, QuantizationBox(length=1.0),
                         DensityModel.PHASE_VELOCITY)
     return (spec.refractive_index * sol.decay.total
             / abs(sol.pole.spatial_rate))
-
-
-def config_text(omega, grid):
-    lines = [
-        f"waveguide.a = {WIDTH!r}",
-        f"waveguide.b = {HEIGHT!r}",
-        "waveguide.eps = 1.0",
-        "waveguide.mu = 1.44",
-        f"atom.x0 = {WIDTH / 2.0!r}",
-        f"atom.y0 = {HEIGHT / 4.0!r}",
-        "atom.z0 = 0.0",
-        f"atom.omega = {omega!r}",
-        "atom.dipole_x_re = 0.0",
-        "atom.dipole_x_im = 0.0",
-        "atom.dipole_y_re = 0.124",
-        "atom.dipole_y_im = 0.0",
-        "atom.dipole_z_re = 0.0",
-        "atom.dipole_z_im = 0.0",
-        f"grid.z_count = {grid}",
-        f"grid.t_count = {grid}",
-    ]
-    return "\n".join(lines) + "\n"
 
 
 def main() -> int:
@@ -68,16 +47,16 @@ def main() -> int:
     ap.add_argument("--outdir", default="out_profile")
     args = ap.parse_args()
 
-    spec_args = (WIDTH, HEIGHT, 1.0, 1.44)
-    omega = find_root(
-        lambda w: cone_ratio(spec_args, w) - args.ratio,
-        args.bracket[0], args.bracket[1], rel_tol=1e-10)
+    spec = load_config(str(CONFIG)).waveguide_spec()
+    omega = find_root(lambda w: cone_ratio(spec, w) - args.ratio,
+                      args.bracket[0], args.bracket[1], rel_tol=1e-10)
     print(f"line center for ratio {args.ratio}: omega = {omega!r}")
 
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    conf = outdir / "profile.conf"
-    conf.write_text(config_text(omega, args.grid), encoding="utf-8")
+    conf = derived_config(outdir / "profile.conf", {
+        "atom.y0": repr(spec.height / 4.0), "atom.omega": repr(omega),
+        "grid.z_count": str(args.grid), "grid.t_count": str(args.grid)})
     table = outdir / "profile.csv"
     status = wgqed_main(["corr", "--config", str(conf),
                          "--out", str(table), "--reproducible"])

@@ -4,6 +4,11 @@ Writes a plain CSV with one row per sweep sample. Frequency sweeps
 show the cutoff staircase as channels open; position sweeps show the
 mode-profile weighting across the guide.
 
+The guide and the dipole are those of configs/demo.conf, but the
+emitter sits at y0 = b/4, where demo.conf puts it on the axis at
+y0 = b/2. Where TE10 alone travels the two heights give one rate;
+above the second cutoff they differ.
+
 Usage:
     python scripts/decay_sweep.py --sweep omega --lo 0.9 --hi 4.0
     python scripts/decay_sweep.py --sweep position --count 81

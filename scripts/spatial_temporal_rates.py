@@ -5,6 +5,11 @@ shift, pole of the emitted-field spectrum. The CSV records both rates
 and their cone ratio; the crossing report for each radicand model
 prints at the end.
 
+The guide and the dipole are those of configs/demo.conf, but the
+emitter sits at y0 = b/4, where demo.conf puts it on the axis at
+y0 = b/2. Where TE10 alone travels the two heights give one rate;
+above the second cutoff they differ.
+
 Usage:
     python scripts/spatial_temporal_rates.py --lo 1.0 --hi 2.4
 """

@@ -454,26 +454,25 @@ def cmd_corr(config, args) -> int:
             "a JSON sidecar next to the table")
     grid = config.correlation()
     fit = fit_decay_rates(grid)
-    meta = grid.metadata
+    pole = grid.pole
     fit_items = {
         "fitted_temporal_slope": -fit.temporal_rate,
         "fitted_spatial_slope": -fit.spatial_rate,
         "slope_ratio": fit.rate_ratio,
         "cone_ratio": fit.cone_ratio,
         "spatial_over_temporal_exact":
-            abs(meta.pole.spatial_rate) / meta.pole.decay_rate,
+            abs(pole.spatial_rate) / pole.decay_rate,
         "max_log_residual": fit.max_log_residual,
-        "shifted_frequency": meta.pole.shifted_frequency,
-        "decay_rate": meta.pole.decay_rate,
-        "spatial_rate": meta.pole.spatial_rate,
-        "beta_r": meta.pole.beta_r,
-        "beta_i": meta.pole.beta_i,
-        "front_speed_factor": meta.front_speed_factor,
+        "shifted_frequency": pole.shifted_frequency,
+        "decay_rate": pole.decay_rate,
+        "spatial_rate": pole.spatial_rate,
+        "beta_r": pole.beta_r,
+        "beta_i": pole.beta_i,
+        "front_speed_factor": grid.front_speed_factor,
     }
     discrepancies = {
-        "grid_consistency_max_rel": meta.consistency_max_rel,
-        "alternative_prefactor_ratio":
-            meta.alternative_prefactor_ratio,
+        "grid_consistency_max_rel": grid.consistency_max_rel,
+        "alternative_prefactor_ratio": grid.alternative_prefactor_ratio,
     }
     if config.out_format == "csv":
         _emit(args, config, "corr", grid, discrepancies,

@@ -216,14 +216,6 @@ def _transverse_profile(spec: WaveguideSpec, x) -> np.ndarray:
     return np.sin(math.pi * np.asarray(x, dtype=float) / spec.width)
 
 
-def _check_cross_section(spec: WaveguideSpec, point):
-    x, y = float(point[0]), float(point[1])
-    if not (0.0 <= x <= spec.width and 0.0 <= y <= spec.height):
-        raise DomainError(
-            f"detection point ({x!r}, {y!r}) lies outside the cross "
-            "section")
-
-
 def _check_finite(axial, time):
     for name, samples in (("axial", axial), ("time", time)):
         if not np.isfinite(samples).all():
@@ -249,13 +241,16 @@ def _amplitude_constant(spec: WaveguideSpec, atom: Atom,
             / (spec.permittivity * area))
 
 
-def _residue_factors(const, profile, source, pole_result: PoleResult,
-                     dz, t):
+def _residue_factors(spec: WaveguideSpec, const, x, x0,
+                     pole_result: PoleResult, dz, t):
     """The residue amplitude's transverse, axial and temporal factors:
-    const*P(x)*P(x0), the oscillation at beta_r damped at |beta_i|
-    (beta_i <= 0) along |z - z0|, and the complex resonance envelope
-    in time. Their product is the amplitude inside the light cone."""
-    return (const * (profile * source),
+    const*P(x)*P(x0), with P the fundamental transverse profile at the
+    detector x and the source x0, the oscillation at beta_r damped at
+    |beta_i| (beta_i <= 0) along |z - z0|, and the complex resonance
+    envelope in time. Their product is the amplitude inside the light
+    cone."""
+    return (const * (_transverse_profile(spec, x)
+                     * _transverse_profile(spec, x0)),
             np.exp((1j * pole_result.beta_r + pole_result.beta_i) * dz),
             np.exp(-(1j * pole_result.shifted_frequency
                      + 0.5 * pole_result.decay_rate) * t))
@@ -298,44 +293,29 @@ def correlation_amplitude(spec: WaveguideSpec, atom: Atom,
     both the axial distance from the atom and the elapsed time,
     carried on the fundamental channel's transverse profile.
     """
-    _check_cross_section(spec, point)
+    spec.check_in_cross_section("detection point", point)
     z, t = float(point[2]), float(time)
     _check_finite(z, t)
     dz = abs(z - float(atom.position[2]))
     if not t >= spec.refractive_index * dz:
         return 0j
     transverse, axial, temporal = _residue_factors(
-        _amplitude_constant(spec, atom, pole_result, dos),
-        _transverse_profile(spec, float(point[0])),
-        _transverse_profile(spec, float(atom.position[0])),
-        pole_result, dz, t)
+        spec, _amplitude_constant(spec, atom, pole_result, dos), point[0],
+        atom.position[0], pole_result, dz, t)
     return complex(transverse * axial * temporal)
 
 
-class CorrelationMetadata(NamedTuple):
-    """Pole and discrepancies behind a ``CorrelationGrid``.
-
-    ``consistency_max_rel`` checks the real map against the squared
-    complex residue amplitude, factor by factor on the axes: the sum,
-    over the transverse, axial and temporal factors, of the worst
-    relative gap where the real factor is positive. The map is their
-    product, so the sum bounds its own gap to first order.
-    """
-
-    pole: PoleResult
-    source_position: tuple
-    front_speed_factor: float
-    consistency_max_rel: float
-    alternative_prefactor_ratio: float
-
-
 class CorrelationGrid(NamedTuple):
-    """First-order correlation sampled on an (x, z, t) lattice.
+    """First-order correlation sampled on an (x, z, t) lattice, with
+    the pole it was drawn from and its discrepancies.
 
     ``values`` has shape (len(x), len(z), len(t)) and holds the
     squared detection amplitude; ``inside_cone`` marks the causal
-    (z, t) cells. Metadata records the pole, with its model, and the
-    discrepancies.
+    (z, t) cells. ``consistency_max_rel`` checks the real map against
+    the squared complex residue amplitude, factor by factor on the
+    axes: the sum, over the transverse, axial and temporal factors, of
+    the worst relative gap where the real factor is positive. The map
+    is their product, so the sum bounds its own gap to first order.
     """
 
     x_values: np.ndarray
@@ -343,7 +323,11 @@ class CorrelationGrid(NamedTuple):
     t_values: np.ndarray
     values: np.ndarray
     inside_cone: np.ndarray
-    metadata: CorrelationMetadata
+    pole: PoleResult
+    source_position: tuple
+    front_speed_factor: float
+    consistency_max_rel: float
+    alternative_prefactor_ratio: float
 
 
 def correlation_grid(spec: WaveguideSpec, atom: Atom,
@@ -372,7 +356,7 @@ def correlation_grid(spec: WaveguideSpec, atom: Atom,
     outside = np.flatnonzero(~((x >= 0.0) & (x <= spec.width)))
     if outside.size:
         # raises, naming the first x outside the cross section
-        _check_cross_section(spec, (x[outside[0]], 0.0, 0.0))
+        spec.check_in_cross_section("detection point", (x[outside[0]], 0.0))
     _check_finite(z, t)
     dz = np.abs(z - float(atom.position[2]))
     front = spec.refractive_index
@@ -381,9 +365,9 @@ def correlation_grid(spec: WaveguideSpec, atom: Atom,
     # real arithmetic throughout; the signed spatial rate is
     # nonpositive, so both exponentials damp
     const = _amplitude_constant(spec, atom, pole_result, dos)
-    profile = _transverse_profile(spec, x)
-    source = _transverse_profile(spec, float(atom.position[0]))
-    x_sq = abs(const) ** 2 * (profile ** 2 * source ** 2)
+    x0 = atom.position[0]
+    x_sq = abs(const) ** 2 * (_transverse_profile(spec, x) ** 2
+                              * _transverse_profile(spec, x0) ** 2)
     decay = np.exp(
         pole_result.spatial_rate * dz[np.newaxis, :, np.newaxis]
         - pole_result.decay_rate * t[np.newaxis, np.newaxis, :])
@@ -392,23 +376,20 @@ def correlation_grid(spec: WaveguideSpec, atom: Atom,
 
     gaps = []
     for amp, real in zip(
-            _residue_factors(const, profile, source, pole_result, dz, t),
+            _residue_factors(spec, const, x, x0, pole_result, dz, t),
             (x_sq, np.exp(pole_result.spatial_rate * dz),
              np.exp(-pole_result.decay_rate * t))):
         live = real > 0.0
         gaps.append(np.max(
             np.abs(np.abs(amp[live]) ** 2 - real[live]) / real[live],
             initial=0.0))
-    meta = CorrelationMetadata(
-        pole=pole_result,
+    return CorrelationGrid(
+        x_values=x, z_values=z, t_values=t, values=closed,
+        inside_cone=inside, pole=pole_result,
         source_position=tuple(float(v) for v in atom.position),
-        front_speed_factor=front,
-        consistency_max_rel=math.fsum(gaps),
+        front_speed_factor=front, consistency_max_rel=math.fsum(gaps),
         alternative_prefactor_ratio=alternative_prefactor_ratio(
             spec, pole_result, dos))
-    return CorrelationGrid(x_values=x, z_values=z, t_values=t,
-                           values=closed, inside_cone=inside,
-                           metadata=meta)
 
 
 class RateFit(NamedTuple):
@@ -461,7 +442,7 @@ def fit_decay_rates(grid: CorrelationGrid) -> RateFit:
     # with the strongest signal so log() stays well away from zero
     x_idx = int(np.argmax(np.max(grid.values, axis=(1, 2))))
     values = grid.values[x_idx]
-    dz = np.abs(grid.z_values - grid.metadata.source_position[2])
+    dz = np.abs(grid.z_values - grid.source_position[2])
     live = grid.inside_cone & (values > 0.0)
     rows = np.flatnonzero(np.count_nonzero(live, axis=1) >= MIN_FIT_CELLS)
     if not rows.size:
@@ -480,7 +461,7 @@ def fit_decay_rates(grid: CorrelationGrid) -> RateFit:
 
     temporal, spatial = -t_slope, abs(z_slope)
     ratio = spatial / temporal
-    cone = temporal * grid.metadata.front_speed_factor / spatial
+    cone = temporal * grid.front_speed_factor / spatial
     return RateFit(temporal_rate=temporal, spatial_rate=spatial,
                    rate_ratio=ratio, cone_ratio=cone,
                    max_log_residual=max(t_resid, z_resid))
@@ -513,7 +494,7 @@ def brute_force_amplitude(spec: WaveguideSpec, atom: Atom,
     background the residue form drops, which falls off with axial
     separation.
     """
-    _check_cross_section(spec, point)
+    spec.check_in_cross_section("detection point", point)
     delta_z = abs(float(point[2]) - float(atom.position[2]))
     if delta_z <= 0.0:
         raise DomainError(
@@ -559,9 +540,7 @@ def brute_force_amplitude(spec: WaveguideSpec, atom: Atom,
     # hbar cancels between coupling and field just as in the residue.
     # The time envelope is the residue form's own temporal factor
     pref, _, envelope = _residue_factors(
-        -np.conj(complex(atom.dipole[1])),
-        _transverse_profile(spec, float(point[0])),
-        _transverse_profile(spec, float(atom.position[0])),
+        spec, -np.conj(complex(atom.dipole[1])), point[0], atom.position[0],
         pole_result, delta_z, time)
 
     span = SPAN_FACTOR * pole_result.beta_r

@@ -281,9 +281,8 @@ def level_shift(spec: WaveguideSpec, atom: Atom, box: QuantizationBox,
 
     def name(j):
         row, branch, (s_lo, s_hi), _, _ = segments[j]
-        mode = chans.modes[row]
-        return (f"the {mode.polarization.value}({mode.m},{mode.n}) "
-                f"{branch.value} segment over nu in [{s_lo:.6g}, {s_hi:.6g}]")
+        return (f"the {chans.modes[row].label} {branch.value} segment "
+                f"over nu in [{s_lo:.6g}, {s_hi:.6g}]")
 
     pieces = _lockstep(integrand, [seg[4] for seg in segments], name)
     contributions = tuple(

@@ -107,6 +107,14 @@ class WaveguideSpec:
     def refractive_index(self) -> float:
         return math.sqrt(self.permittivity * self.permeability)
 
+    def check_in_cross_section(self, name: str, point):
+        """Refuse the point ``name`` when its transverse (x, y) lies
+        outside the cross section."""
+        x, y = float(point[0]), float(point[1])
+        if not (0.0 <= x <= self.width and 0.0 <= y <= self.height):
+            raise DomainError(
+                f"{name} ({x!r}, {y!r}) lies outside the cross section")
+
 
 @dataclass(frozen=True)
 class ModeIndex:
@@ -127,6 +135,11 @@ class ModeIndex:
             raise DomainError("TM modes need m >= 1 and n >= 1")
         if self.m == 0 and self.n == 0:
             raise DomainError("TE(0,0) does not exist")
+
+    @property
+    def label(self) -> str:
+        """The pattern's name in messages, e.g. ``TE(1,0)``."""
+        return f"{self.polarization.value}({self.m},{self.n})"
 
 
 # a lowest pattern, square guides included: WaveguideSpec keeps b <= a
@@ -176,15 +189,14 @@ def axial_relation(spec: WaveguideSpec, modes, rows, h, frequencies):
     if (h_sq == 0.0).any():
         mode = modes[rows[int(np.argmax(h_sq == 0.0))]]
         raise DomainError(
-            f"the squared transverse wavenumber of {mode.polarization.value}"
-            f"({mode.m},{mode.n}) underflows to zero; the guide is too wide")
+            f"the squared transverse wavenumber of {mode.label} underflows "
+            "to zero; the guide is too wide")
     if degenerate.any():
         i = int(np.argmax(degenerate))
         mode = modes[rows[i]]
         raise DomainError(
             f"frequency {float(nu[i])!r} is degenerate with the cutoff "
-            f"{float(nu_c[i])!r} of {mode.polarization.value}"
-            f"({mode.m},{mode.n})")
+            f"{float(nu_c[i])!r} of {mode.label}")
     return nu, k, nu > nu_c, t
 
 
@@ -418,8 +430,8 @@ def modes_below(spec: WaveguideSpec, frequency_limit: float,
         if bound:
             m, n, code = min(bound)
             raise DomainError(
-                f"mode {POLARIZATIONS[code].value}({m},{n}) at the index "
-                f"bound {max_index} still lies below the frequency "
+                f"mode {ModeIndex(POLARIZATIONS[code], m, n).label} at the "
+                f"index bound {max_index} still lies below the frequency "
                 "limit; increase max_index")
     return [ModeIndex(POLARIZATIONS[code], m, n)
             for code, m, n in zip(codes, ms, ns)]

@@ -131,11 +131,8 @@ class Atom:
         return np.asarray(self.dipole, dtype=complex)
 
     def check_inside(self, spec: WaveguideSpec):
-        x, y = self.position[0], self.position[1]
-        if not (0.0 <= x <= spec.width and 0.0 <= y <= spec.height):
-            raise DomainError(
-                f"atom transverse position ({x!r}, {y!r}) lies outside "
-                "the cross section")
+        spec.check_in_cross_section("atom transverse position",
+                                    self.position)
 
 
 def _index_weight(mode: ModeIndex) -> int:
@@ -255,9 +252,8 @@ def couplings(chans: Channels, rows, frequencies,
             i = int(np.flatnonzero(~np.isfinite(amp))[0])
             mode = chans.modes[rows[i]]
             raise DomainError(
-                f"the one-quantum amplitude of {mode.polarization.value}"
-                f"({mode.m},{mode.n}) is not finite at frequency "
-                f"{float(nu[i])!r}")
+                f"the one-quantum amplitude of {mode.label} is not finite "
+                f"at frequency {float(nu[i])!r}")
 
         d_x, d_y, d_z = atom.dipole_array()
         tm = tm > 0.0

@@ -203,8 +203,7 @@ def _check_pv_cancellation(name, tolerance):
 
 def _check_correlation(name, tolerance, config):
     # the run ``corr`` writes, so its discrepancy is what this checks
-    return _result(name, config.correlation().metadata.consistency_max_rel,
-                   tolerance)
+    return _result(name, config.correlation().consistency_max_rel, tolerance)
 
 
 def _check_markov_oracle(name, tolerance, config):

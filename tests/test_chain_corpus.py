@@ -3,7 +3,7 @@
 ``scripts/chain_corpus.py`` runs a fixed, seeded corpus of emitters
 through the chain in this process and prints one ``sha256  class``
 line per output class (decay channels, shift contributions, poles,
-``build_bins`` cells, correlation maps and metadata, the correlation
+``build_bins`` cells, correlation maps with their poles, the correlation
 consistency figure and refusals), each over
 ``float.hex`` text. ``tests/data/chain_corpus.txt`` holds those lines
 as last accepted, so a change that moves one bit of one output fails

@@ -935,7 +935,7 @@ class TestValidateCommand:
         monkeypatch.setattr(PoleResult, "spatial_rate", property(
             lambda pole: rate(pole) * (1.0 + 1e-9)))
         cfg = load_config(str(DEMO))
-        assert cfg.correlation().metadata.consistency_max_rel > 1e-12
+        assert cfg.correlation().consistency_max_rel > 1e-12
         row = next(r for r in run_checks(cfg)
                    if r.name == "correlation_consistency")
         assert not row.passed
@@ -1839,6 +1839,9 @@ GRID_EDGES = [
     math.nextafter(0.5, 0.0), math.nextafter(1.0, 0.0),
 ]
 
+# the renderers read the lattice alone
+NO_POLE = dict.fromkeys(CorrelationGrid._fields[5:])
+
 
 def _grid_cases():
     rng = np.random.default_rng(23)
@@ -1848,8 +1851,7 @@ def _grid_cases():
         x, z, t = (rng.uniform(-1.0, 3.0, n) for n in shape)
         z[0], t[0] = -0.0, 2.0
         return CorrelationGrid(x_values=x, z_values=z, t_values=t,
-                               values=values, inside_cone=inside,
-                               metadata=None)
+                               values=values, inside_cone=inside, **NO_POLE)
 
     def smooth():
         inside = rng.random(shape[1:]) < 0.6
@@ -1880,7 +1882,7 @@ def _block_grid(shape, rng, inside=0.7):
     cone = rng.random(shape[1:]) < inside
     values = np.where(cone, rng.uniform(1e-6, 0.4, shape), 0.0)
     return CorrelationGrid(x_values=x, z_values=z, t_values=t,
-                           values=values, inside_cone=cone, metadata=None)
+                           values=values, inside_cone=cone, **NO_POLE)
 
 
 def _block_cases():

@@ -639,7 +639,7 @@ class TestCorrelationGrid:
 
     def test_two_paths_agree(self):
         grid = self.make_grid()
-        assert grid.metadata.consistency_max_rel <= 1e-12
+        assert grid.consistency_max_rel <= 1e-12
 
     @pytest.mark.parametrize("dos", list(DensityModel))
     @pytest.mark.parametrize("radicand", list(RadicandModel))
@@ -717,7 +717,7 @@ class TestCorrelationGrid:
             worst_gap(np.exp(-(1j * p.shifted_frequency
                                + 0.5 * p.decay_rate) * t),
                       np.exp(-p.decay_rate * t)))
-        assert grid.metadata.consistency_max_rel == math.fsum(axes)
+        assert grid.consistency_max_rel == math.fsum(axes)
 
     def test_subnormal_cells_agree(self):
         # late cells of the demo map are subnormal; scaling one by
@@ -734,7 +734,7 @@ class TestCorrelationGrid:
             dos=cfg.dos, max_index=cfg.max_mn)
         live = grid.values[grid.values > 0.0]
         assert live.size and live.min() < np.finfo(float).tiny
-        assert grid.metadata.consistency_max_rel <= 1e-12
+        assert grid.consistency_max_rel <= 1e-12
 
     def test_shapes_and_cone_mask(self):
         grid = self.make_grid()
@@ -763,12 +763,11 @@ class TestCorrelationGrid:
 
     def test_metadata_records_models(self):
         grid = self.make_grid(dos=DensityModel.GROUP_VELOCITY)
-        meta = grid.metadata
-        assert meta.pole is self.POLE
-        assert meta.pole.model is RadicandModel.SINGLE_INDEX
-        assert meta.front_speed_factor == pytest.approx(1.2)
-        assert math.isfinite(meta.alternative_prefactor_ratio)
-        assert meta.alternative_prefactor_ratio > 0.0
+        assert grid.pole is self.POLE
+        assert grid.pole.model is RadicandModel.SINGLE_INDEX
+        assert grid.front_speed_factor == pytest.approx(1.2)
+        assert math.isfinite(grid.alternative_prefactor_ratio)
+        assert grid.alternative_prefactor_ratio > 0.0
 
     def test_requires_transverse_dipole(self):
         atom = Atom(position=(1.0, 0.5, 0.0), dipole=(0.3, 0.0, 0.0),

@@ -26,12 +26,10 @@ RECORDS = {
         "beta_r", "beta_i", "radicand", "shifted_frequency",
         "decay_rate", "model"),
     "detection.EmitterSolution": ("decay", "shift", "pole"),
-    "detection.CorrelationMetadata": (
-        "pole", "source_position", "front_speed_factor",
-        "consistency_max_rel", "alternative_prefactor_ratio"),
     "detection.CorrelationGrid": (
         "x_values", "z_values", "t_values", "values", "inside_cone",
-        "metadata"),
+        "pole", "source_position", "front_speed_factor",
+        "consistency_max_rel", "alternative_prefactor_ratio"),
     "detection.RateFit": (
         "temporal_rate", "spatial_rate", "rate_ratio", "cone_ratio",
         "max_log_residual"),

@@ -10,11 +10,17 @@ literal part (a variable) is not collected.
 
 The command line routes a refusal by its class, from a table with one
 row per concrete error class, so no refusal raises the base class.
+
+A mode's name in a message, such as ``TE(1,0)``, is formatted by
+``ModeIndex.label`` alone: no other f-string follows a formatted
+``.value`` with a literal ``(``.
 """
 
 import ast
 from collections import defaultdict
 from pathlib import Path
+
+from wgqed.modes import ModeIndex, Polarization
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "wgqed"
 
@@ -55,8 +61,7 @@ def test_the_scan_sees_the_refusals():
     assert len(sites) > 50
     # a literal, an f-string and a concatenation
     assert "window must satisfy 0 < low < high" in sites
-    assert "frequency {} is degenerate with the cutoff {} of {}({},{})" \
-        in sites
+    assert "frequency {} is degenerate with the cutoff {} of {}" in sites
     assert "missing required keys: {}" in sites
 
 
@@ -78,3 +83,31 @@ def test_no_refusal_raises_the_base_class():
             if getattr(exc, "id", getattr(exc, "attr", "")) == "WgError":
                 sites.append(f"{path.name}:{node.lineno}")
     assert sites == []
+
+
+def label_sites():
+    """``file:function`` of every f-string in ``src/wgqed`` that
+    formats a ``.value`` straight before a literal ``(``."""
+    sites = []
+
+    def visit(node, where):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            where = f"{where.split(':')[0]}:{node.name}"
+        if isinstance(node, ast.JoinedStr):
+            for part, after in zip(node.values, node.values[1:]):
+                if (isinstance(part, ast.FormattedValue)
+                        and getattr(part.value, "attr", "") == "value"
+                        and isinstance(after, ast.Constant)
+                        and after.value.startswith("(")):
+                    sites.append(where)
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+
+    for path in sorted(SRC.glob("*.py")):
+        visit(ast.parse(path.read_text()), path.name)
+    return sites
+
+
+def test_the_mode_label_is_formatted_once():
+    assert label_sites() == ["modes.py:label"]
+    assert ModeIndex(Polarization.TE, 1, 0).label == "TE(1,0)"

@@ -12,10 +12,16 @@ import json
 import sys
 from pathlib import Path
 
+from wgqed.config import load_config
+
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+DEMO = SCRIPTS.parent / "configs" / "demo.conf"
 
 
 def run_script(monkeypatch, name, *argv):
+    # as ``python scripts/<name>.py`` does, so a script imports its
+    # neighbours
+    monkeypatch.syspath_prepend(str(SCRIPTS))
     spec = importlib.util.spec_from_file_location(
         name, SCRIPTS / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
@@ -40,6 +46,23 @@ def test_cone_ratio_profile(tmp_path, monkeypatch):
     assert all(float(row[3]) >= 0.0 for row in rows)
     fit = json.loads((outdir / "profile.csv.json").read_text())["fit"]
     assert abs(fit["cone_ratio"] - 0.8) < 1e-3
+
+
+def test_cone_ratio_profile_config_is_demo_with_four_keys(tmp_path,
+                                                          monkeypatch):
+    # demo.conf samples 40 x 40
+    outdir = tmp_path / "profile"
+    assert run_script(monkeypatch, "cone_ratio_profile",
+                      "--grid", 30, "--outdir", outdir) == 0
+    demo = dict(load_config(str(DEMO)).effective_items())
+    profile = dict(load_config(str(outdir / "profile.conf"))
+                   .effective_items())
+    changed = {key for key in demo if profile[key] != demo[key]}
+    assert profile.keys() == demo.keys()
+    assert changed == {"atom.y0", "atom.omega", "grid.z_count",
+                       "grid.t_count"}
+    assert profile["atom.y0"] == demo["waveguide.b"] / 4.0
+    assert profile["grid.z_count"] == profile["grid.t_count"] == 30
 
 
 def test_decay_sweep(tmp_path, monkeypatch):

@@ -70,7 +70,7 @@ def emitter_lines(guide, position, dipole, omega, dos, radicand):
     listing = modes_below(spec, 2.0 * omega)
     chans = Channels(spec, atom, listing)
     out["listing"] = [f"{corpus.hx(cutoff_frequency(spec, m))} "
-                      f"{corpus.label(m)}" for m in listing]
+                      f"{m.label}" for m in listing]
     out["table"] = [chans.columns.tobytes().hex(),
                     chans.cutoff.tobytes().hex()]
     return out
