@@ -58,7 +58,6 @@ def test_cone_ratio_profile_config_is_demo_with_four_keys(tmp_path,
     profile = dict(load_config(str(outdir / "profile.conf"))
                    .effective_items())
     changed = {key for key in demo if profile[key] != demo[key]}
-    assert profile.keys() == demo.keys()
     assert changed == {"atom.y0", "atom.omega", "grid.z_count",
                        "grid.t_count"}
     assert profile["atom.y0"] == demo["waveguide.b"] / 4.0
