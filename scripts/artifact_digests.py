@@ -19,7 +19,10 @@ each case's exit code and stderr to ``refusals.txt``; a case that
 raises out of ``main`` records the exception type instead. That is 41
 files in all. Prints one ``sha256  name`` line per file, sorted by
 name, so two checkouts can be compared with ``diff``. The accepted
-lines are in ``tests/data/artifact_digests.txt``.
+lines are in ``tests/data/artifact_digests.txt``. The research scripts
+import ``research_config``, their emitter as demo.conf with one key
+moved, and ``derived_config``, which writes demo.conf with keys
+replaced.
 
 The accepted lines were written with numpy 2.4.6 on Python 3.11.7
 and glibc 2.36 (x86-64), at numpy's SIMD dispatch level X86_V3
@@ -38,10 +41,11 @@ import hashlib
 import io
 import sys
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 from wgqed.cli import EXIT_OK, main as cli_main
-from wgqed.config import load_config
+from wgqed.config import RunConfig, load_config
 
 CONFIG = Path(__file__).resolve().parent.parent / "configs" / "demo.conf"
 COMMANDS = ("modes", "decay", "corr", "omegad", "validate")
@@ -142,12 +146,24 @@ REFUSALS = (
 )
 
 
+def research_config(**fields) -> RunConfig:
+    """The emitter of the research scripts: demo.conf's, moved off the
+    guide axis to atom.y0 = b/4 (demo.conf has b/2), with ``fields``,
+    named as ``RunConfig`` fields, replaced."""
+    demo = load_config(str(CONFIG))
+    return replace(demo, atom_y0=demo.waveguide_b / 4.0, **fields)
+
+
 def derived_config(path: Path, items: dict) -> Path:
-    """demo.conf with ``items`` replacing or adding keys; writes it to
-    ``path``."""
-    kept = [line for line in CONFIG.read_text(encoding="utf-8").splitlines()
+    """demo.conf with ``items`` replacing or adding keys at its end and
+    its heading line saying so; writes it to ``path``."""
+    _, *lines = CONFIG.read_text(encoding="utf-8").splitlines()
+    kept = [line for line in lines
             if line.split("=", 1)[0].strip() not in items]
-    path.write_text("\n".join(kept + [f"{k} = {v}" for k, v in items.items()])
+    heading = ("# configs/demo.conf with the keys at the end of this file "
+               "replaced or added.")
+    path.write_text("\n".join([heading, *kept]
+                              + [f"{k} = {v}" for k, v in items.items()])
                     + "\n", encoding="utf-8")
     return path
 

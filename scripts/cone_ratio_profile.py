@@ -5,10 +5,10 @@ scaled by the front speed, is the requested fraction of the axial
 rate, then emits the full space-time correlation artifact through the
 command line plumbing so the output carries the standard envelope.
 
-The guide and the dipole are those of configs/demo.conf, but the
-emitter sits at y0 = b/4, where demo.conf puts it on the axis at
-y0 = b/2. The written ``profile.conf`` is demo.conf with ``atom.y0``,
-``atom.omega``, ``grid.z_count`` and ``grid.t_count`` replaced.
+The emitter is configs/demo.conf's with ``atom.y0`` = b/4 in place of
+the axis, b/2, and ``atom.omega`` set to the root found. The written
+``profile.conf`` is demo.conf with those two keys and ``grid.z_count``
+and ``grid.t_count`` replaced, so the map it renders is that emitter's.
 
 Usage:
     python scripts/cone_ratio_profile.py --outdir out_profile
@@ -18,19 +18,17 @@ import argparse
 import json
 from pathlib import Path
 
-from artifact_digests import CONFIG, derived_config
+from artifact_digests import derived_config, research_config
 from wgqed.cli import main as wgqed_main
-from wgqed.config import load_config
 from wgqed.detection import solve_emitter
 from wgqed.numerics import find_root
-from wgqed.quantize import Atom, DensityModel, QuantizationBox
 
 
-def cone_ratio(spec, omega):
-    atom = Atom(position=(spec.width / 2.0, spec.height / 4.0, 0.0),
-                dipole=(0.0, 0.124, 0.0), transition_frequency=omega)
-    sol = solve_emitter(spec, atom, QuantizationBox(length=1.0),
-                        DensityModel.PHASE_VELOCITY)
+def cone_ratio(omega):
+    config = research_config(atom_omega=omega)
+    spec = config.waveguide_spec()
+    sol = solve_emitter(spec, config.atom(), config.box(), config.dos,
+                        config.radicand)
     return (spec.refractive_index * sol.decay.total
             / abs(sol.pole.spatial_rate))
 
@@ -47,15 +45,14 @@ def main() -> int:
     ap.add_argument("--outdir", default="out_profile")
     args = ap.parse_args()
 
-    spec = load_config(str(CONFIG)).waveguide_spec()
-    omega = find_root(lambda w: cone_ratio(spec, w) - args.ratio,
+    omega = find_root(lambda w: cone_ratio(w) - args.ratio,
                       args.bracket[0], args.bracket[1], rel_tol=1e-10)
     print(f"line center for ratio {args.ratio}: omega = {omega!r}")
 
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     conf = derived_config(outdir / "profile.conf", {
-        "atom.y0": repr(spec.height / 4.0), "atom.omega": repr(omega),
+        "atom.y0": repr(research_config().atom_y0), "atom.omega": repr(omega),
         "grid.z_count": str(args.grid), "grid.t_count": str(args.grid)})
     table = outdir / "profile.csv"
     status = wgqed_main(["corr", "--config", str(conf),

@@ -5,10 +5,9 @@ shift, pole of the emitted-field spectrum. The CSV records both rates
 and their cone ratio; the crossing report for each radicand model
 prints at the end.
 
-The guide and the dipole are those of configs/demo.conf, but the
-emitter sits at y0 = b/4, where demo.conf puts it on the axis at
-y0 = b/2. Where TE10 alone travels the two heights give one rate;
-above the second cutoff they differ.
+The emitter is configs/demo.conf's with ``atom.y0`` = b/4 in place of
+the axis, b/2, and ``atom.omega`` swept. Where TE10 alone travels the
+two heights give one rate; above the second cutoff they differ.
 
 Usage:
     python scripts/spatial_temporal_rates.py --lo 1.0 --hi 2.4
@@ -16,24 +15,18 @@ Usage:
 
 import argparse
 import csv
-import math
 
 import numpy as np
 
+from artifact_digests import research_config
 from wgqed.detection import RadicandModel, omega_d, solve_emitter
 from wgqed.errors import NoCrossingError
-from wgqed.modes import WaveguideSpec
-from wgqed.quantize import Atom, DensityModel, QuantizationBox
-
-SPEC = WaveguideSpec(width=math.pi, height=math.pi / 2.0,
-                     permittivity=1.0, permeability=1.44)
-BOX = QuantizationBox(length=1.0)
 
 
 def chain(omega):
-    atom = Atom(position=(SPEC.width / 2.0, SPEC.height / 4.0, 0.0),
-                dipole=(0.0, 0.124, 0.0), transition_frequency=omega)
-    return solve_emitter(SPEC, atom, BOX, DensityModel.PHASE_VELOCITY)
+    config = research_config(atom_omega=omega)
+    return solve_emitter(config.waveguide_spec(), config.atom(),
+                         config.box(), config.dos, config.radicand)
 
 
 def main() -> int:
@@ -44,13 +37,14 @@ def main() -> int:
     ap.add_argument("--out", default="rates.csv")
     args = ap.parse_args()
 
+    spec = research_config().waveguide_spec()
     rows = []
     for omega in np.linspace(args.lo, args.hi, args.count):
         sol = chain(float(omega))
         rate = sol.decay.total
         spatial = abs(sol.pole.spatial_rate)
         rows.append((float(omega), rate, spatial,
-                     SPEC.refractive_index * rate / spatial))
+                     spec.refractive_index * rate / spatial))
     with open(args.out, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(("omega", "temporal_rate", "axial_rate",
@@ -62,7 +56,7 @@ def main() -> int:
     reference = chain(0.5 * (args.lo + args.hi)).decay.total
     for model in RadicandModel:
         try:
-            report = omega_d(SPEC, reference, model)
+            report = omega_d(spec, reference, model)
             print(f"{model.value}: closed form "
                   f"{report.closed_form:.9g}, exact crossing "
                   f"{report.root_found:.9g}, relative gap "

@@ -40,6 +40,7 @@ from wgqed.modes import WaveguideSpec
 from wgqed.numerics import principal_csqrt
 from wgqed.quantize import Atom, DensityModel, QuantizationBox
 
+import photon_ledger
 from crossing_oracle import scanned_crossing
 
 DEMO = Path(__file__).resolve().parent.parent / "configs" / "demo.conf"
@@ -53,6 +54,39 @@ RATE = 0.05
 def filled_atom(dip_y=0.124):
     return Atom(position=(math.pi / 2.0, math.pi / 4.0, 0.0),
                 dipole=(0.0, dip_y, 0.0), transition_frequency=CENTER)
+
+
+def _ledger_cases():
+    """(name, spec, atom): configs/demo.conf's emitter, then seeded
+    guides with b <= a/2, so that TE10 travels alone below twice its
+    cutoff, the line at 1.3 to 1.85 times that cutoff, the source plane
+    at z = 0 and a y dipole of random phase scaled to Gamma/omega
+    between 5e-4 and 1e-2 under ``dispersion``."""
+    demo = load_config(str(DEMO))
+    yield "demo", demo.waveguide_spec(), demo.atom()
+    rng = np.random.default_rng(2602)
+    box = QuantizationBox(length=1.0)
+    for case in range(6):
+        width = rng.uniform(1.0, 3.0)
+        spec = WaveguideSpec(width=width, height=width * rng.uniform(0.2, 0.5),
+                             permittivity=rng.uniform(1.0, 3.0),
+                             permeability=rng.uniform(1.0, 2.0))
+        omega = (rng.uniform(1.3, 1.85) * math.pi
+                 / (width * spec.refractive_index))
+        position = (rng.uniform(0.1, 0.9) * width,
+                    rng.uniform(0.1, 0.9) * spec.height, 0.0)
+        phase = cmath.exp(2j * math.pi * rng.uniform())
+        unit = decay_rate(spec, Atom(position=position,
+                                     dipole=(0.0, phase, 0.0),
+                                     transition_frequency=omega),
+                          box, DensityModel.GROUP_VELOCITY).total
+        strength = math.sqrt(10.0 ** rng.uniform(-3.3, -2.0) * omega / unit)
+        yield (f"seeded_{case}", spec,
+               Atom(position=position, dipole=(0.0, strength * phase, 0.0),
+                    transition_frequency=omega))
+
+
+LEDGER_CASES = list(_ledger_cases())
 
 
 def guide_strategy():
@@ -844,6 +878,96 @@ class TestCorrelationGrid:
             f"too few causal cells are above zero to fit the {rate} "
             "rate: the rest underflowed; use an earlier or shorter time "
             "range")
+
+
+class TestPhotonLedger:
+    """The map against ``photon_ledger``, whose closed forms share no
+    formula with it (ROADMAP item 26). Its flux through the source
+    plane carries the decay rate's photons, Gamma/2 per direction under
+    ``dispersion`` and the channel's cosine beta/(n omega) of that under
+    ``paper``; its photon count inside the cone follows its own form,
+    exp(-Gamma t) (1 - exp(-2 |beta_i| t/n)) / (2 |beta_i|)."""
+
+    BOX = QuantizationBox(length=1.0)
+    # |flux / expected - 1| <= ORDER * (Gamma/omega)**2. These guides
+    # read up to 2.4 under dispersion, and paper reads 25/pi - 1/4 =
+    # 7.708 on every guide
+    ORDER = 10.0
+
+    @pytest.mark.parametrize("dos", list(DensityModel),
+                             ids=lambda dos: dos.value)
+    @pytest.mark.parametrize("name, spec, atom", LEDGER_CASES,
+                             ids=[case[0] for case in LEDGER_CASES])
+    def test_source_flux_is_the_decay_rate(self, dos, name, spec, atom):
+        sol = solve_emitter(spec, atom, self.BOX, dos)
+        gamma, omega = sol.decay.total, sol.pole.shifted_frequency
+        # the map at the source plane at t = 0, on the profile's crest
+        grid = correlation_grid(spec, atom, sol.pole, [spec.width / 2.0],
+                                [atom.position[2]], [0.0], dos=dos)
+        eps, mu = spec.permittivity, spec.permeability
+        flux = photon_ledger.source_flux(grid.values[0, 0, 0], spec.width,
+                                         spec.height, eps, mu, omega)
+        cosine = (1.0 if dos is DensityModel.GROUP_VELOCITY else
+                  photon_ledger.te10_wavenumber(spec.width, eps, mu, omega)
+                  / (spec.refractive_index * omega))
+        small = gamma / atom.transition_frequency
+        assert 1e-4 < small < 2e-2
+        deviation = flux / (0.5 * gamma * cosine) - 1.0
+        assert abs(deviation) <= self.ORDER * small ** 2
+
+    @pytest.mark.parametrize("dos", list(DensityModel),
+                             ids=lambda dos: dos.value)
+    @pytest.mark.parametrize("name, spec, atom", LEDGER_CASES,
+                             ids=[case[0] for case in LEDGER_CASES])
+    def test_count_in_the_cone_is_the_map_form(self, dos, name, spec, atom):
+        sol = solve_emitter(spec, atom, self.BOX, dos)
+        gamma, n = sol.decay.total, spec.refractive_index
+        rate = 2.0 * abs(sol.pole.beta_i)
+        # the source sits at z = 0. The nodes are uniform over 8
+        # lifetimes of reach, and finer where the map falls along z:
+        # under the paper radicand a guide with n > 1.7 can damp it
+        # hundreds of times faster than the front moves a lifetime.
+        # Each time of 0, 1, 2, 4 and 8 lifetimes puts the front on a
+        # node, so the trapezoid over the causal cells ends where the
+        # cone does
+        steps = 4000
+        lifetimes = np.linspace(0.0, 8.0 / (gamma * n), 8 * steps + 1)
+        z = np.union1d(lifetimes, np.linspace(
+            0.0, min(lifetimes[-1], 40.0 / rate), steps + 1))
+        fronts = lifetimes[[0, steps, 2 * steps, 4 * steps, 8 * steps]]
+        t = n * fronts
+        grid = correlation_grid(spec, atom, sol.pole, [spec.width / 2.0],
+                                z, t, dos=dos)
+        values = grid.values[0]
+        constant = values[0, 0]
+        assert constant > 0.0
+        for k in range(1, len(t)):
+            inside = grid.inside_cone[:, k]
+            assert np.flatnonzero(inside)[-1] == np.searchsorted(z, fronts[k])
+            count = np.trapezoid(values[inside, k], z[inside])
+            assert count == pytest.approx(
+                constant * photon_ledger.map_count(t[k], gamma,
+                                                   sol.pole.beta_i, n),
+                rel=1e-5, abs=0.0)
+
+    def test_counts_are_their_integrals(self):
+        from scipy.integrate import quad
+
+        gamma, beta_i, n, v_g = 0.02, -0.015, 1.2, 0.7
+        for t in (0.5 / gamma, 3.0 / gamma):
+            mapped = photon_ledger.map_count(t, gamma, beta_i, n)
+            assert mapped == pytest.approx(quad(
+                lambda dz: math.exp(2.0 * beta_i * dz - gamma * t),
+                0.0, t / n)[0], rel=1e-12)
+            retarded = photon_ledger.retarded_count(t, gamma, v_g)
+            assert retarded == pytest.approx(quad(
+                lambda dz: math.exp(-gamma * (t - dz / v_g)),
+                0.0, v_g * t)[0], rel=1e-12)
+            # with the source flux C v_g at gamma/2 the retarded form
+            # holds (1 - e^{-gamma t})/2 photons per direction, as
+            # conservation needs
+            assert 0.5 * gamma / v_g * retarded == pytest.approx(
+                -0.5 * math.expm1(-gamma * t), rel=1e-14)
 
 
 class TestBruteForce:

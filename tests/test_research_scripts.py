@@ -3,22 +3,27 @@
 Each script is loaded by path and its ``main`` run in process on small
 arguments, with every output under ``tmp_path``; the test checks the
 exit status and that each output parses. ``cone_ratio_profile``
-renders its ``corr`` artifact through ``wgqed.cli.main``.
+renders its ``corr`` artifact through ``wgqed.cli.main``. Every
+emitter a script builds is configs/demo.conf's with only the keys its
+docstring names replaced.
 """
 
 import csv
 import importlib.util
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
-from wgqed.config import load_config
+import pytest
+
+from wgqed.config import SCHEMA, load_config
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 DEMO = SCRIPTS.parent / "configs" / "demo.conf"
 
 
-def run_script(monkeypatch, name, *argv):
+def load_script(monkeypatch, name):
     # as ``python scripts/<name>.py`` does, so a script imports its
     # neighbours
     monkeypatch.syspath_prepend(str(SCRIPTS))
@@ -26,8 +31,24 @@ def run_script(monkeypatch, name, *argv):
         name, SCRIPTS / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    monkeypatch.setattr(sys, "argv", [f"{name}.py", *map(str, argv)])
+    return module
+
+
+def run_main(monkeypatch, module, *argv):
+    monkeypatch.setattr(sys, "argv", [f"{module.__name__}.py",
+                                      *map(str, argv)])
     return module.main()
+
+
+def run_script(monkeypatch, name, *argv):
+    return run_main(monkeypatch, load_script(monkeypatch, name), *argv)
+
+
+def written_keys(path):
+    """The keys set on the lines of a config file, in file order."""
+    return [line.split("=", 1)[0].strip()
+            for line in path.read_text(encoding="utf-8").splitlines()
+            if "=" in line.split("#", 1)[0]]
 
 
 def read_csv(path):
@@ -62,6 +83,68 @@ def test_cone_ratio_profile_config_is_demo_with_four_keys(tmp_path,
                        "grid.t_count"}
     assert profile["atom.y0"] == demo["waveguide.b"] / 4.0
     assert profile["grid.z_count"] == profile["grid.t_count"] == 30
+    # the file sets demo.conf's keys and no other, each once, and has
+    # as many lines, its heading rewritten to say it is derived
+    written = written_keys(outdir / "profile.conf")
+    assert len(written) == len(set(written))
+    assert set(written) == set(written_keys(DEMO))
+    lines = (outdir / "profile.conf").read_text(encoding="utf-8").splitlines()
+    demo_lines = DEMO.read_text(encoding="utf-8").splitlines()
+    assert len(lines) == len(demo_lines)
+    assert lines[0] != demo_lines[0]
+
+
+# how each replaced key reads off an emitter the library was handed
+ATOM_KEYS = {"atom.x0": lambda atom: atom.position[0],
+             "atom.y0": lambda atom: atom.position[1],
+             "atom.omega": lambda atom: atom.transition_frequency}
+
+
+@pytest.mark.parametrize("name, function, argv, keys", [
+    ("decay_sweep", "decay_rate",
+     ("--sweep", "omega", "--count", 3, "--out", "out.csv"),
+     {"atom.y0", "atom.omega"}),
+    ("decay_sweep", "decay_rate",
+     ("--sweep", "position", "--count", 3, "--omega", 1.3, "--out",
+      "out.csv"), {"atom.y0", "atom.x0", "atom.omega"}),
+    ("spatial_temporal_rates", "solve_emitter",
+     ("--count", 3, "--out", "out.csv"), {"atom.y0", "atom.omega"}),
+    ("cone_ratio_profile", "solve_emitter", ("--grid", 8, "--outdir", "out"),
+     {"atom.y0", "atom.omega"}),
+], ids=["decay_sweep_omega", "decay_sweep_position",
+        "spatial_temporal_rates", "cone_ratio_profile"])
+def test_research_emitter_is_demo_with_stated_keys(tmp_path, monkeypatch,
+                                                   name, function, argv,
+                                                   keys):
+    # every spec, atom, box and model choice the script hands the
+    # library is demo.conf's, but for the keys its docstring names;
+    # atom.y0 moves to b/4 and the index bound stays the library's
+    demo = load_config(str(DEMO))
+    module = load_script(monkeypatch, name)
+    real, calls = getattr(module, function), []
+
+    def record(*args, **kwargs):
+        calls.append((args, kwargs))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, function, record)
+    monkeypatch.chdir(tmp_path)
+    assert run_main(monkeypatch, module, *argv) == 0
+    assert len(calls) >= 3
+    for args, kwargs in calls:
+        spec, atom, box, dos, *radicand = args
+        assert kwargs == {}
+        assert atom.position[1] == demo.waveguide_b / 4.0
+        expected = replace(demo, **{SCHEMA[key].name: read(atom)
+                                    for key, read in ATOM_KEYS.items()
+                                    if key in keys})
+        assert spec == expected.waveguide_spec()
+        assert atom == expected.atom()
+        assert box == expected.box()
+        assert dos is expected.dos
+        # decay_rate takes no radicand
+        assert radicand == ([] if function == "decay_rate"
+                            else [expected.radicand])
 
 
 def test_decay_sweep(tmp_path, monkeypatch):
