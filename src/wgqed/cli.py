@@ -516,8 +516,7 @@ def cmd_omegad(config, args) -> int:
 def cmd_validate(config, args) -> int:
     results = run_checks(config)
     table = _columns(("check", "passed", "measured", "tolerance", "detail"),
-                     [(r.name, r.passed, r.measured, r.tolerance, r.detail)
-                      for r in results])
+                     results)
     failures = sum(not r.passed for r in results)
     _emit(args, config, "validate", table,
           extra={"summary": {"checks": len(results),

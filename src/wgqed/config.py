@@ -211,8 +211,6 @@ class RunConfig:
                                   f"flag {FLAGS[name].metadata['flag']}")
                    for name, value in overrides.items()
                    if value is not None}
-        if not updates:
-            return self
         config = replace(self, **updates)
         _validate(config)
         return config

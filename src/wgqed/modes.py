@@ -422,16 +422,15 @@ def modes_below(spec: WaveguideSpec, frequency_limit: float,
     table = mode_table(spec, m_top, n_top)
     count = bisect.bisect_left(table[-1], frequency_limit)
     codes, ms, ns = (column[:count].tolist() for column in table[:3])
-    # only a top count at the bound can put a listed mode on it; the
-    # first in scan order is the least (m, n, code)
-    if max_index in (m_top, n_top):
-        bound = [(m, n, code) for code, m, n in zip(codes, ms, ns)
-                 if max_index in (m, n)]
-        if bound:
-            m, n, code = min(bound)
-            raise DomainError(
-                f"mode {ModeIndex(POLARIZATIONS[code], m, n).label} at the "
-                f"index bound {max_index} still lies below the frequency "
-                "limit; increase max_index")
+    # the first listed mode on the bound in scan order is the least
+    # (m, n, code)
+    bound = [(m, n, code) for code, m, n in zip(codes, ms, ns)
+             if max_index in (m, n)]
+    if bound:
+        m, n, code = min(bound)
+        raise DomainError(
+            f"mode {ModeIndex(POLARIZATIONS[code], m, n).label} at the "
+            f"index bound {max_index} still lies below the frequency "
+            "limit; increase max_index")
     return [ModeIndex(POLARIZATIONS[code], m, n)
             for code, m, n in zip(codes, ms, ns)]

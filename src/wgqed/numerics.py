@@ -153,8 +153,7 @@ def _lockstep(f, segments, name=None):
                         chunk, opening)
             parts.append([_panel_sum(vals[:, s:e], half, order)
                           for (_, half), s, e in zip(rules, ends, ends[1:])])
-        return parts[0] if len(parts) == 1 else [
-            np.concatenate(col) for col in zip(*parts)]
+        return [np.concatenate(col) for col in zip(*parts)]
 
     live = np.arange(owner.size)
     prev, cur = sums(live, (1, 2), opening=True)

@@ -23,7 +23,7 @@ from .emission import (
     build_bins,
     decay_rate,
 )
-from .errors import WgError
+from .errors import DomainError, WgError
 from .modes import (
     TE10,
     ModeIndex,
@@ -113,8 +113,7 @@ def _check_energy(name, tolerance, config):
         amp = normalize(spec, mode, freq, box)
         energy = _energy_by_quadrature(spec, mode, freq, box, amp)
         if not energy:
-            return _result(name, math.inf, tolerance,
-                           "the field energy underflows to zero", ok=False)
+            raise DomainError("the field energy underflows to zero")
         worst = max(worst, abs(energy - HBAR * freq) / (HBAR * freq))
     return _result(name, worst, tolerance)
 
@@ -131,8 +130,7 @@ def _check_orthogonality(name, tolerance, config):
         self_a = abs(mode_overlap(spec, mode_a, mode_a, freq))
         self_b = abs(mode_overlap(spec, mode_b, mode_b, freq))
         if not self_a * self_b:
-            return _result(name, math.inf, tolerance,
-                           "self-overlaps underflow to zero", ok=False)
+            raise DomainError("self-overlaps underflow to zero")
         worst = max(worst, cross / math.sqrt(self_a * self_b))
     return _result(name, worst, tolerance)
 
@@ -182,9 +180,8 @@ def _check_box_invariance(name, tolerance, config):
                              model, max_index=config.max_mn).total
                   for length in (1.0, 7.0)]
         if not any(totals):
-            return _result(name, math.inf, tolerance, "both decay totals "
-                           "are zero; there is no rate to compare",
-                           ok=False)
+            raise DomainError("both decay totals are zero; there is no "
+                              "rate to compare")
         scale = max(abs(totals[0]), abs(totals[1]), 1e-300)
         worst = max(worst, abs(totals[0] - totals[1]) / scale)
     return _result(name, worst, tolerance)
