@@ -248,7 +248,9 @@ def _residue_factors(spec: WaveguideSpec, const, x, x0,
     detector x and the source x0, the oscillation at beta_r damped at
     |beta_i| (beta_i <= 0) along |z - z0|, and the complex resonance
     envelope in time. Their product is the amplitude inside the light
-    cone."""
+    cone: ``correlation_amplitude`` takes it, ``correlation_grid``
+    measures its real map against the factors and
+    ``brute_force_amplitude`` takes its time envelope from them."""
     return (const * (_transverse_profile(spec, x)
                      * _transverse_profile(spec, x0)),
             np.exp((1j * pole_result.beta_r + pole_result.beta_i) * dz),
@@ -360,12 +362,17 @@ def correlation_grid(spec: WaveguideSpec, atom: Atom,
     _check_finite(z, t)
     dz = np.abs(z - float(atom.position[2]))
     front = spec.refractive_index
-    inside = t[np.newaxis, :] >= front * dz[:, np.newaxis]
+    const = _amplitude_constant(spec, atom, pole_result, dos)
+    x0 = atom.position[0]
+    # a range near DBL_MAX overflows the light front and the residue
+    # factors; those cells fall outside the cone and outside ``live``
+    # below, so the refusal is the fit's, never a warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        inside = t[np.newaxis, :] >= front * dz[:, np.newaxis]
+        factors = _residue_factors(spec, const, x, x0, pole_result, dz, t)
 
     # real arithmetic throughout; the signed spatial rate is
     # nonpositive, so both exponentials damp
-    const = _amplitude_constant(spec, atom, pole_result, dos)
-    x0 = atom.position[0]
     x_sq = abs(const) ** 2 * (_transverse_profile(spec, x) ** 2
                               * _transverse_profile(spec, x0) ** 2)
     decay = np.exp(
@@ -375,10 +382,9 @@ def correlation_grid(spec: WaveguideSpec, atom: Atom,
     closed *= inside
 
     gaps = []
-    for amp, real in zip(
-            _residue_factors(spec, const, x, x0, pole_result, dz, t),
-            (x_sq, np.exp(pole_result.spatial_rate * dz),
-             np.exp(-pole_result.decay_rate * t))):
+    for amp, real in zip(factors, (x_sq,
+                                   np.exp(pole_result.spatial_rate * dz),
+                                   np.exp(-pole_result.decay_rate * t))):
         live = real > 0.0
         gaps.append(np.max(
             np.abs(np.abs(amp[live]) ** 2 - real[live]) / real[live],

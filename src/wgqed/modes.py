@@ -105,6 +105,7 @@ class WaveguideSpec:
 
     @property
     def refractive_index(self) -> float:
+        """n = sqrt(eps*mu), the one spelling of the index."""
         return math.sqrt(self.permittivity * self.permeability)
 
     def check_in_cross_section(self, name: str, point):

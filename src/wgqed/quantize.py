@@ -322,7 +322,8 @@ def _weight_times_t(spec: WaveguideSpec, box: QuantizationBox,
 def _cross_section_rule(spec: WaveguideSpec, order: int, z: float):
     # tensor Gauss-Legendre rule of ``order`` nodes per axis over the
     # cross section [0, width] x [0, height] at height z: the
-    # (order, order, 3) points and the x and y weights
+    # (order, order, 3) points and the x and y weights; mode_overlap
+    # and validate's energy check both integrate on it
     nodes, weights = _gl_nodes(order)
     x = 0.5 * spec.width * (nodes + 1.0)
     y = 0.5 * spec.height * (nodes + 1.0)

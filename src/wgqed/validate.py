@@ -6,6 +6,11 @@ Checks that cannot run on the given configuration (an emitter below
 every cutoff has no correlation map, for instance) fail with a
 diagnostic rather than crashing or silently passing, and a
 measurement that overflows or underflows fails with a detail that says so.
+
+The correlation row reads the map ``corr`` writes, both from
+``RunConfig.correlation``, so a grid ``corr`` refuses fails that row.
+The residual checks probe at a point, and with a stencil step, that
+scale with the guide.
 """
 
 from __future__ import annotations

@@ -1210,6 +1210,30 @@ class TestExitCodes:
             "float range; reduce the dipole moment\n")
         assert not out.exists()
 
+    @pytest.mark.parametrize("keys", [
+        {"grid.t_max": repr(sys.float_info.max)},
+        {"grid.z_min": repr(sys.float_info.max), "grid.t_min": "0"}],
+        ids=["t_max", "z_min"])
+    def test_corr_range_of_dbl_max_is_one_line(self, tmp_path, child_env,
+                                               keys):
+        # the light front and the residue factors overflow there; those
+        # cells leave the cone and the fit refuses, with no warning from
+        # numpy in a child, where pytest's capture cannot take one
+        lines = [line for line in DEMO.read_text().splitlines()
+                 if line.partition("=")[0].strip() not in keys]
+        conf = tmp_path / "run.conf"
+        conf.write_text("\n".join(
+            lines + [f"{k} = {v}" for k, v in keys.items()]) + "\n")
+        out = tmp_path / "corr.csv"
+        done = subprocess.run(
+            [sys.executable, "-W", "default", "-m", "wgqed", "corr",
+             "--config", str(conf), "--out", str(out)],
+            capture_output=True, text=True, env=child_env, timeout=120)
+        assert done.returncode == EXIT_DOMAIN
+        assert done.stderr.startswith("domain error: ")
+        assert done.stderr.count("\n") == 1, done.stderr
+        assert not out.exists()
+
     @pytest.mark.parametrize("command, length",
                              [("decay", "1e308"), ("omegad", "1e-320")])
     def test_box_length_out_of_range_is_one_line(self, tmp_path, capsys,

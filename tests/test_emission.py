@@ -28,11 +28,13 @@ import dense_oracle
 import golden_rule_oracle
 
 from wgqed.config import load_config
+from wgqed.detection import omega_d
 from wgqed.errors import DomainError
 from wgqed.emission import (
     ContinuumCells,
     MarkovParameters,
     amplitudes_ode_oracle,
+    auto_shift_window,
     build_bins,
     decay_rate,
     dominant_channel,
@@ -800,3 +802,79 @@ class TestDominantChannel:
         with pytest.raises(DomainError,
                            match="^no mode propagates at frequency 0.5$"):
             dominant_channel(GUIDE, 0.5)
+
+
+def _emitter(where, dos):
+    # demo.conf's emitter on the axis, or moved to y0 = b/4
+    cfg = dataclasses.replace(load_config(DEMO), dos=dos)
+    if where == "quarter":
+        cfg = dataclasses.replace(cfg, atom_y0=cfg.waveguide_b / 4.0)
+    return cfg
+
+
+def _rate(cfg):
+    return decay_rate(cfg.waveguide_spec(), cfg.atom(), cfg.box(), cfg.dos,
+                      max_index=cfg.max_mn).total
+
+
+@pytest.mark.parametrize("dos", list(DensityModel))
+@pytest.mark.parametrize("where", ["axis", "quarter"])
+class TestScaleInvariants:
+    """Exact scalings of the chain, down to Gamma/omega ~ 1e-12."""
+
+    def test_rate_goes_as_dipole_squared(self, where, dos):
+        cfg = _emitter(where, dos)
+        rate = _rate(cfg)
+        for k in range(1, 6):
+            f = 10.0 ** -k
+            weak = dataclasses.replace(cfg, dipole_y_re=cfg.dipole_y_re * f)
+            assert _rate(weak) / (rate * f * f) == pytest.approx(
+                1.0, rel=0.0, abs=1e-14)
+
+    def test_shift_goes_as_dipole_squared_on_a_fixed_window(self, where,
+                                                            dos):
+        # the unscaled emitter's auto window, held while the dipole
+        # shrinks, so the window does not move with the rate
+        cfg = _emitter(where, dos)
+        spec, box = cfg.waveguide_spec(), cfg.box()
+        window = auto_shift_window(spec, cfg.atom_omega, _rate(cfg),
+                                   max_index=cfg.max_mn)
+
+        def shift(c):
+            return level_shift(spec, c.atom(), box, dos, window=window,
+                               max_index=cfg.max_mn).value
+
+        value = shift(cfg)
+        for k in range(1, 6):
+            f = 10.0 ** -k
+            weak = dataclasses.replace(cfg, dipole_y_re=cfg.dipole_y_re * f)
+            assert shift(weak) / (value * f * f) == pytest.approx(
+                1.0, rel=0.0, abs=1e-13)
+
+    def test_rate_and_line_center_follow_a_change_of_unit(self, where,
+                                                          dos):
+        # lengths x s, frequency / s, dipole x s: the rate and the
+        # crossing line center go as 1/s. The level shift and the pole
+        # do not: the localized branches' continuum weight carries no
+        # length, so each localized contribution goes as 1/s^2
+        # (CHANGES.md FOUND 110)
+        cfg = dataclasses.replace(
+            _emitter(where, dos), atom_z0=0.3, dipole_x_re=0.03,
+            dipole_x_im=0.02, dipole_y_im=-0.05, dipole_z_re=0.05,
+            dipole_z_im=-0.01)
+        times_s = ("waveguide_a", "waveguide_b", "atom_x0", "atom_y0",
+                   "atom_z0", "box_length", "dipole_x_re", "dipole_x_im",
+                   "dipole_y_re", "dipole_y_im", "dipole_z_re",
+                   "dipole_z_im")
+        rate = _rate(cfg)
+        center = omega_d(cfg.waveguide_spec(), rate).root_found
+        for s in (1e-3, 1e-2, 1e-1, 1e1, 1e2, 1e3):
+            scaled = dataclasses.replace(
+                cfg, atom_omega=cfg.atom_omega / s,
+                **{k: getattr(cfg, k) * s for k in times_s})
+            scaled_rate = _rate(scaled)
+            assert scaled_rate * s / rate == pytest.approx(
+                1.0, rel=0.0, abs=1e-14)
+            assert omega_d(scaled.waveguide_spec(), scaled_rate
+                           ).root_found * s / center == pytest.approx(
+                1.0, rel=0.0, abs=1e-14)
