@@ -9,9 +9,9 @@ proves the rounding; every other value goes through the C routine of
 Loitsch 2010; Ryu, Adams 2018), a fast path that knows when it may be
 wrong and an exact fallback, applied to a fixed number of digits. On
 the figure grid 99.9% of the cells take the fast path at 12 digits
-and 91% at 14. The tables are built when the module loads, which ``cli._cells`` triggers
-on the first float64 array it renders; a command that renders none
-never loads this module.
+and 91% at 14. The tables are built when the module loads, which
+``cli._cells`` triggers on the first float64 array it renders; a
+command that renders none never loads this module.
 """
 
 from __future__ import annotations
